@@ -19,7 +19,7 @@ from .poisson import (dbar_matrix, ddc_scalar, holo_bracket,
                       holo_realframe_components, schouten_vb,
                       sigma_compose_form)
 from .tensorcalc import (ChartDomain, Field, Jet, form_combos, form_field,
-                         form_full_matrix, scalar_field, wirtinger_d)
+                         form_full_matrix, jeinsum, scalar_field, wirtinger_d)
 from .tensorcalc.charts import ExcludedLocus
 from .tensorcalc.calculus import _stack
 from .structures import max_abs
@@ -381,7 +381,8 @@ class FlagBundle:
         def imsigma_fn(jc):
             zz1 = holo_realframe_components(self.z1_hol(jc))
             zz2 = holo_realframe_components(self.z2_hol(jc))
-            prod = _jet_outer(zz1, zz2)  # sigma^{pq} = Z1^p Z2^q - Z1^q Z2^p
+            # sigma^{pq} = Z1^p Z2^q - Z1^q Z2^p
+            prod = jeinsum("...p,...q->...pq", zz1, zz2)
             sig = prod - Jet(prod.space, np.swapaxes(prod.c, 1, 2), prod.order)
             return sig.imag
 
@@ -415,13 +416,6 @@ class FlagBundle:
         jc = jet_coords(6, 1, np.atleast_2d(pts))
         br = holo_bracket(self.z1_hol(jc), self.z2_hol(jc))
         return float(np.abs(br.value).max())
-
-
-def _jet_outer(a: Jet, b: Jet) -> Jet:
-    """Outer product of two component jets: (B, m) x (B, m) -> (B, m, m)."""
-    ta = Jet(a.space, a.c[:, :, None, :], a.order)
-    tb = Jet(b.space, b.c[:, None, :, :], b.order)
-    return ta * tb
 
 
 def flag_charts(params: FlagParams) -> FlagBundle:

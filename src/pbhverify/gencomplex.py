@@ -418,8 +418,6 @@ def gualtieri_extract(i1: Field, i2: Field):
         lift_top = iv[:, :d, :d] + jmatmul(iv[:, :d, d:], c)
         return lift_top
 
-    g_metric_map = Field(chart, "tensor", g_fn, cost=max(i1.cost, i2.cost))
-
     def g_as_metric(jc):
         m = g_fn(jc)
         return Jet(m.space, np.swapaxes(m.c, 1, 2), m.order)

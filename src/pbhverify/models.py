@@ -14,7 +14,7 @@ from .structures import (BihermitianData, ParaHyperTriple,
 from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          constant_metric, endo_field, form_field,
                          form_full_matrix, form_from_matrix, jet_solve,
-                         jmatmul, metric_field)
+                         jgrad, jmatmul, metric_field)
 from .tensorcalc.fields import _broadcast_const
 from .tensorcalc.calculus import _stack
 
@@ -110,7 +110,6 @@ def torus_phk() -> ModelDescriptor:
 
 def _kodaira_frame(jc):
     """P(x): columns are the frame fields E_a in chart components."""
-    b = jc.c.shape[0]
     p = _broadcast_const(jc, np.eye(4)).c.copy()
     pj = Jet(jc.space, p, jc.order)
     # insert x1 at entry [3, 1]
@@ -446,12 +445,7 @@ def flow_pullback_form(flow: HamiltonianFlow, omega: Field) -> Field:
     def fn(jc):
         y = flow.flow_jet(jc)
         w = form_full_matrix(omega.fn(y), d)
-        jac_cols = []
-        for jx in range(d):
-            jac_cols.append(_stack([y[:, i].partial(jx) for i in range(d)]))
-        jac = Jet(jac_cols[0].space,
-                  np.stack([col.c for col in jac_cols], axis=2),
-                  min(col.order for col in jac_cols))  # (B, i, j)
+        jac = jgrad(y)  # jac[i, j] = d_j Phi^i
         jt = Jet(jac.space, np.swapaxes(jac.c, 1, 2), jac.order)
         m = jmatmul(jt, jmatmul(w, jac))
         return form_from_matrix(m, d)

@@ -12,10 +12,8 @@ from .structures import (HermitianPair, chern_connection, form3_full,
                          levi_civita, max_abs)
 from .tensorcalc import (Field, Jet, bivector_field, d_scalar,
                          exterior_derivative, form_combos, form_field,
-                         form_from_matrix, form_full_matrix, jet_inv,
-                         jmatmul, jmatvec, oneform_field, wirtinger_d,
-                         wirtinger_dbar)
-from .tensorcalc.calculus import _stack
+                         form_from_matrix, form_full_matrix, jeinsum, jet_inv,
+                         jgrad, jmatmul, jmatvec, oneform_field)
 from .tensorcalc.fields import _broadcast_const
 
 __all__ = ["ComplexBivector", "q_endo", "pi_bivector", "check_holomorphic",
@@ -117,33 +115,8 @@ def type_02_projector_matrix(l_mat: np.ndarray, j_mat: np.ndarray) -> np.ndarray
 def check_holomorphic(pi: ComplexBivector, pair: HermitianPair, pts) -> float:
     """Residual of D_{X + i J X} Pi over coordinate X, with D the Chern
     connection of the pair."""
-    chart = pair.g.chart
-    d = chart.dim
     conn = chern_connection(pair)
-
-    def fn(jc):
-        pv = pi.bivector.fn(jc)
-        gam = conn.gamma_fn(jc)
-        rows = []
-        for i in range(d):
-            # nabla_i of the bivector
-            mat = []
-            for jdx in range(d):
-                row = []
-                for k in range(d):
-                    t = pv[:, jdx, k].partial(i)
-                    for mm in range(d):
-                        t = t + gam[:, jdx, i, mm] * pv[:, mm, k] \
-                              + gam[:, k, i, mm] * pv[:, jdx, mm]
-                    row.append(t)
-                mat.append(row)
-            rows.append(mat)
-        order = rows[0][0][0].order
-        c = np.stack([np.stack([np.stack([t.c for t in row], axis=1)
-                                for row in mat], axis=1) for mat in rows], axis=1)
-        return Jet(rows[0][0][0].space, c, order)  # (B, i, j, k)
-
-    f = Field(chart, "tensor", fn, cost=max(pi.bivector.cost + 1, conn.cost))
+    f = conn.cov_deriv_tensor(pi.bivector.fn, (True, True), pi.bivector.cost)
     dcov = f.eval(pts)                       # (B, i, j, k) complex values
     jv = pair.j.eval(pts)
     # contract with V = e_i + i J e_i: D_V = D_i + i J^m_i D_m
@@ -157,21 +130,15 @@ def schouten_bb(p: Field, q: Field) -> Field:
     + Q^{il} d_l P^{jk})."""
     chart = p.chart
     d = chart.dim
-    triples = form_combos(d, 3)
+    i, j, k = np.array(form_combos(d, 3)).T
 
     def fn(jc):
         pv = p.fn(jc)
         qv = q.fn(jc)
-        comps = []
-        for (i, j, k) in triples:
-            term = None
-            for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                for l in range(d):
-                    t = pv[:, x, l] * qv[:, y, z].partial(l) \
-                        + qv[:, x, l] * pv[:, y, z].partial(l)
-                    term = t if term is None else term + t
-            comps.append(term)
-        return _stack(comps)
+        t = (jeinsum("...xl,...yzl->...xyz", pv, jgrad(qv))
+             + jeinsum("...xl,...yzl->...xyz", qv, jgrad(pv)))
+        c = t.c[..., i, j, k, :] + t.c[..., j, k, i, :] + t.c[..., k, i, j, :]
+        return Jet(t.space, c, t.order)
 
     return Field(chart, "form", fn, degree=3, cost=max(p.cost, q.cost) + 1)
 
@@ -182,26 +149,14 @@ schouten = schouten_bb  # canonical name for the bivector-bivector bracket
 def schouten_vb(v: Field, p: Field) -> Field:
     """[V, P] = L_V P for a vector field and a bivector field."""
     chart = v.chart
-    d = chart.dim
 
     def fn(jc):
         vv = v.fn(jc)
         pv = p.fn(jc)
-        rows = []
-        for j in range(d):
-            row = []
-            for k in range(d):
-                t = None
-                for l in range(d):
-                    s = vv[:, l] * pv[:, j, k].partial(l) \
-                        - pv[:, l, k] * vv[:, j].partial(l) \
-                        - pv[:, j, l] * vv[:, k].partial(l)
-                    t = s if t is None else t + s
-                row.append(t)
-            rows.append(row)
-        order = rows[0][0].order
-        c = np.stack([np.stack([t.c for t in row], axis=1) for row in rows], axis=1)
-        return Jet(rows[0][0].space, c, order)
+        dv = jgrad(vv)  # dv[j, l] = d_l V^j
+        return (jeinsum("...l,...jkl->...jk", vv, jgrad(pv))
+                - jeinsum("...lk,...jl->...jk", pv, dv)
+                - jeinsum("...jl,...kl->...jk", pv, dv))
 
     return bivector_field(chart, fn, cost=max(v.cost, p.cost) + 1)
 
@@ -278,49 +233,42 @@ def holo_realframe_components(xi: Jet) -> Jet:
     return Jet(xi.space, c, xi.order)
 
 
+def _wirtinger_matrix(m: int, dim: int, sign: float) -> np.ndarray:
+    """Rows b: d/dz_b (sign -1) or d/dzbar_b (sign +1) over the real partials."""
+    w = np.zeros((m, dim), dtype=np.complex128)
+    for b in range(m):
+        w[b, 2 * b], w[b, 2 * b + 1] = 0.5, 0.5j * sign
+    return w
+
+
+def _wirtinger(u: Jet, m: int, sign: float) -> Jet:
+    """d u / d z_b (sign -1) or d u / d zbar_b (sign +1), b < m, as a new
+    trailing component axis."""
+    g = jgrad(u)
+    w = _wirtinger_matrix(m, g.space.dim, sign)
+    return Jet(g.space, np.einsum("bq,...qr->...br", w, g.c), g.order)
+
+
 def holo_apply(xi: Jet, phi: Jet) -> Jet:
     """Derivative of a scalar jet along a holomorphic field: sum xi^a dphi/dz_a."""
-    m = xi.c.shape[1]
-    out = None
-    for a in range(m):
-        t = xi[:, a] * wirtinger_d(phi, a)
-        out = t if out is None else out + t
-    return out
+    return jeinsum("...a,...a->...", xi, _wirtinger(phi, xi.c.shape[1], -1.0))
 
 
 def holo_bracket(xi: Jet, eta: Jet) -> Jet:
     """[U, V]^a = U^b d_b V^a - V^b d_b U^a on holomorphic components."""
     m = xi.c.shape[1]
-    comps = []
-    for a in range(m):
-        t = None
-        for b in range(m):
-            s = xi[:, b] * wirtinger_d(eta[:, a], b) - eta[:, b] * wirtinger_d(xi[:, a], b)
-            t = s if t is None else t + s
-        comps.append(t)
-    return _stack(comps)
+    return (jeinsum("...b,...ab->...a", xi, _wirtinger(eta, m, -1.0))
+            - jeinsum("...b,...ab->...a", eta, _wirtinger(xi, m, -1.0)))
 
 
 def dbar_matrix(xi: Jet, dim: int) -> np.ndarray:
     """dbar of a (1,0) field, as the real-frame complex matrix M[i, j] of the
     tangent-valued (0,1)-form  sum (d xi^a / d zbar_b) dzbar_b (x) d/dz_a."""
     m = xi.c.shape[1]
-    b = xi.c.shape[0]
-    coeffs = np.zeros((b, m, m), dtype=np.complex128)
-    for a in range(m):
-        for bb in range(m):
-            coeffs[:, a, bb] = wirtinger_dbar(xi[:, a], bb).value
-    out = np.zeros((b, dim, dim), dtype=np.complex128)
-    for a in range(m):
-        dz_a = np.zeros(dim, dtype=np.complex128)
-        dz_a[2 * a] = 0.5
-        dz_a[2 * a + 1] = -0.5j
-        for bb in range(m):
-            dzbar_b = np.zeros(dim, dtype=np.complex128)
-            dzbar_b[2 * bb] = 1.0
-            dzbar_b[2 * bb + 1] = -1.0j
-            out += coeffs[:, a, bb][:, None, None] * np.einsum("i,j->ij", dz_a, dzbar_b)[None]
-    return out
+    coeffs = _wirtinger(xi, m, 1.0).value
+    # d/dz_a = (e_2a - i e_2a+1)/2 and dzbar_b = dx_2b - i dx_2b+1
+    dz = _wirtinger_matrix(m, dim, -1.0)
+    return np.einsum("xab,ai,bj->xij", coeffs, dz, 2.0 * dz)
 
 
 def sigma_compose_form(z1_rf: np.ndarray, z2_rf: np.ndarray,
@@ -403,7 +351,6 @@ def chern_identity_residuals(g: Field, jp: Field, jm: Field, pts) -> dict:
     gv = g.eval(pts)
     jpv = jp.eval(pts)
     jmv = jm.eval(pts)
-    qv = q.eval(pts)
     pv = jpv @ jmv + jmv @ jpv
     t = form3_full(dpf.eval_jet(pts), d).value
 

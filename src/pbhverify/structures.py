@@ -12,20 +12,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensorcalc import (Field, Jet, combo_index, endo_field, exterior_derivative,
-                         form_combos, form_field, form_full_matrix, jet_inv,
-                         jet_solve, jmatmul, jmatvec, jtrace,
-                         nijenhuis_tensor, oneform_field, pullback_linear,
-                         scalar_field, vector_field, wedge)
+from .tensorcalc import (Field, Jet, endo_field, exterior_derivative,
+                         form_combos, form_field, form_full, form_full_matrix,
+                         jeinsum, jet_inv, jet_solve, jgrad, jmatmul, jmatvec,
+                         jtrace, nijenhuis_tensor, oneform_field,
+                         pullback_linear, scalar_field, vector_field, wedge)
 from .tensorcalc.fields import _scale, _broadcast_const, memoize_fn
-from .tensorcalc.calculus import _stack
+from .tensorcalc.calculus import _stack, _wedge_table
 
 __all__ = ["HermitianPair", "ParaHyperTriple", "BihermitianData",
            "DegeneracyError", "BranchError", "nijenhuis", "lee_form",
            "levi_civita", "chern_connection", "d_pm_F",
            "build_parahypercomplex", "check_p_gradient", "Connection",
-           "endo_product", "endo_compose", "fundamental_form", "max_abs",
-           "trace_pairing", "form3_full", "signature_of_metric"]
+           "endo_compose", "fundamental_form", "max_abs",
+           "trace_pairing", "form3_full"]
 
 
 class DegeneracyError(ValueError):
@@ -51,13 +51,6 @@ def endo_compose(a: Field, b: Field) -> Field:
     return endo_field(chart, fn, cost=max(a.cost, b.cost))
 
 
-def endo_product(*mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = endo_compose(out, m)
-    return out
-
-
 def fundamental_form(g: Field, j: Field) -> Field:
     """F(X, Y) = g(JX, Y) as a 2-form field (combo components)."""
     chart = g.chart
@@ -78,15 +71,6 @@ def trace_pairing(a: Field, b: Field) -> Field:
         return jtrace(jmatmul(a.fn(jc), b.fn(jc)))
 
     return scalar_field(a.chart, fn, cost=max(a.cost, b.cost))
-
-
-def signature_of_metric(g: Field) -> tuple:
-    """Eigenvalue-sign signature of g at the chart center."""
-    lo = np.array([b[0] for b in g.chart.box])
-    hi = np.array([b[1] for b in g.chart.box])
-    center = (0.5 * (lo + hi))[None, :]
-    vals = np.linalg.eigvalsh(g.eval(center)[0])
-    return int((vals > 0).sum()), int((vals < 0).sum())
 
 
 @dataclass
@@ -189,32 +173,12 @@ def lee_form(pair: HermitianPair, return_condition=False):
         raise ValueError("Lee form solve is defined in dimension 4 only")
     df = exterior_derivative(pair.f)
     fform = pair.f
-    combos3 = form_combos(4, 3)
-    idx2 = combo_index(4, 2)
+    # column l of the solve matrix is dx_l ^ F on 3-combos
+    dx_wedge = _wedge_table(4, 1, 2)
 
     def solve_matrix(jc):
         fv = fform.fn(jc)
-        b = fv.c.shape[0]
-        cols = []
-        for l in range(4):
-            # (dx_l ^ F) on 3-combos
-            entries = []
-            for c3 in combos3:
-                term = None
-                for m, i in enumerate(c3):
-                    if i != l:
-                        continue
-                    rest = tuple(x for x in c3 if x != i)
-                    t = fv[:, idx2[rest]] * ((-1.0) ** m)
-                    term = t if term is None else term + t
-                if term is None:
-                    term = fv[:, 0] * 0.0
-                entries.append(term)
-            cols.append(_stack(entries))
-        space = cols[0].space
-        m = Jet(space, np.stack([c.c for c in cols], axis=2),
-                min(c.order for c in cols))  # (B, 3combos, l)
-        return m
+        return Jet(fv.space, np.einsum("olb,...br->...olr", dx_wedge, fv.c), fv.order)
 
     def fn(jc):
         m = solve_matrix(jc)
@@ -250,105 +214,47 @@ class Connection:
 
     def nabla_vector(self, x: Field, y: Field) -> Field:
         """(nabla_X Y)^k = X^i (d_i Y^k + Gamma^k_{im} Y^m)."""
-        chart = self.chart
-        d = chart.dim
-
         def fn(jc):
             xv = x.fn(jc)
             yv = y.fn(jc)
             gam = self.gamma_fn(jc)
-            comps = []
-            for k in range(d):
-                term = None
-                for i in range(d):
-                    t = yv[:, k].partial(i)
-                    for m in range(d):
-                        t = t + gam[:, k, i, m] * yv[:, m]
-                    t = t * xv[:, i]
-                    term = t if term is None else term + t
-                comps.append(term)
-            return _stack(comps)
+            dy = jgrad(yv) + jeinsum("...kim,...m->...ki", gam, yv)
+            return jeinsum("...i,...ki->...k", xv, dy)
 
-        return vector_field(chart, fn,
+        return vector_field(self.chart, fn,
                             cost=max(self.cost, x.cost, y.cost + 1))
+
+    def cov_deriv_tensor(self, t_fn, upper, cost) -> Field:
+        """(nabla T)[i, j, k] = (nabla_{e_i} T)[j, k] for a (B, d, d) tensor
+        jet ``t_fn(jc)``; ``upper`` gives each slot's variance (True for a
+        vector slot, False for a covector slot); ``cost`` is T's."""
+        def fn(jc):
+            tv = t_fn(jc)
+            gam = self.gamma_fn(jc)
+            dt = jgrad(tv)
+            out = Jet(dt.space, np.moveaxis(dt.c, -2, -4), dt.order)
+            if upper[0]:
+                out = out + jeinsum("...jim,...mk->...ijk", gam, tv)
+            else:
+                out = out - jeinsum("...mij,...mk->...ijk", gam, tv)
+            if upper[1]:
+                return out + jeinsum("...kim,...jm->...ijk", gam, tv)
+            return out - jeinsum("...mik,...jm->...ijk", gam, tv)
+
+        return Field(self.chart, "tensor", fn, cost=max(self.cost, cost + 1))
 
     def cov_deriv_endo(self, a: Field) -> Field:
         """(nabla A)[i, j, k] = (nabla_{e_i} A)^j_k."""
-        chart = self.chart
-        d = chart.dim
-
-        def fn(jc):
-            av = a.fn(jc)
-            gam = self.gamma_fn(jc)
-            b = av.c.shape[0]
-            space = av.space
-            rows = []
-            for i in range(d):
-                mat = []
-                for j in range(d):
-                    row = []
-                    for k in range(d):
-                        t = av[:, j, k].partial(i)
-                        for m in range(d):
-                            t = t + gam[:, j, i, m] * av[:, m, k] \
-                                  - gam[:, m, i, k] * av[:, j, m]
-                        row.append(t)
-                    mat.append(row)
-                rows.append(mat)
-            order = rows[0][0][0].order
-            c = np.stack([np.stack([np.stack([t.c for t in row], axis=1)
-                                    for row in mat], axis=1) for mat in rows], axis=1)
-            return Jet(space, c, order)
-
-        return Field(chart, "tensor", fn, cost=max(self.cost, a.cost + 1))
+        return self.cov_deriv_tensor(a.fn, (True, False), a.cost)
 
     def cov_deriv_form2(self, f2: Field) -> Field:
         """(nabla F)[i, j, k] = (nabla_{e_i} F)(e_j, e_k) for a 2-form."""
-        chart = self.chart
-        d = chart.dim
-
-        def fn(jc):
-            fv = form_full_matrix(f2.fn(jc), d)
-            gam = self.gamma_fn(jc)
-            rows = []
-            for i in range(d):
-                mat = []
-                for j in range(d):
-                    row = []
-                    for k in range(d):
-                        t = fv[:, j, k].partial(i)
-                        for m in range(d):
-                            t = t - gam[:, m, i, j] * fv[:, m, k] \
-                                  - gam[:, m, i, k] * fv[:, j, m]
-                        row.append(t)
-                    mat.append(row)
-                rows.append(mat)
-            order = rows[0][0][0].order
-            c = np.stack([np.stack([np.stack([t.c for t in row], axis=1)
-                                    for row in mat], axis=1) for mat in rows], axis=1)
-            return Jet(fv.space, c, order)
-
-        return Field(chart, "tensor", fn, cost=max(self.cost, f2.cost + 1))
+        d = self.chart.dim
+        return self.cov_deriv_tensor(lambda jc: form_full_matrix(f2.fn(jc), d),
+                                     (False, False), f2.cost)
 
     def cov_deriv_metric_residual(self, g: Field, pts) -> float:
-        d = self.chart.dim
-
-        def fn(jc):
-            gv = g.fn(jc)
-            gam = self.gamma_fn(jc)
-            worst = None
-            for i in range(d):
-                for j in range(d):
-                    for k in range(d):
-                        t = gv[:, j, k].partial(i)
-                        for m in range(d):
-                            t = t - gam[:, m, i, j] * gv[:, m, k] \
-                                  - gam[:, m, i, k] * gv[:, j, m]
-                        worst = t if worst is None else _jmaxpair(worst, t)
-            return worst
-
-        f = scalar_field(self.chart, fn, cost=max(self.cost, g.cost + 1))
-        return max_abs(f.eval(pts))
+        return max_abs(self.cov_deriv_tensor(g.fn, (False, False), g.cost).eval(pts))
 
     def torsion_residual(self, pts) -> float:
         from .tensorcalc.jets import jet_coords
@@ -357,15 +263,9 @@ class Connection:
         return max_abs(gam.c - np.swapaxes(gam.c, 2, 3))
 
 
-def _jmaxpair(a, b):
-    c = np.where(np.abs(a.c[..., :1]) >= np.abs(b.c[..., :1]), a.c, b.c)
-    return Jet(a.space, c, min(a.order, b.order))
-
-
 def levi_civita(g: Field) -> Connection:
     """Christoffel symbols from jet derivatives of g."""
     chart = g.chart
-    d = chart.dim
 
     def gamma_fn(jc):
         gv = g.fn(jc)
@@ -374,26 +274,11 @@ def levi_civita(g: Field) -> Connection:
             bad = int(np.argmin(np.abs(det)))
             raise DegeneracyError(f"metric degenerate at point index {bad}")
         ginv = jet_inv(gv)
-        dg = [[[gv[:, i, j].partial(l) for j in range(d)] for i in range(d)]
-              for l in range(d)]
-        rows = []
-        for k in range(d):
-            mat = []
-            for i in range(d):
-                row = []
-                for j in range(d):
-                    t = None
-                    for l in range(d):
-                        s = dg[i][j][l] + dg[j][i][l] - dg[l][i][j]
-                        s = ginv[:, k, l] * s * 0.5
-                        t = s if t is None else t + s
-                    row.append(t)
-                mat.append(row)
-            rows.append(mat)
-        order = rows[0][0][0].order
-        c = np.stack([np.stack([np.stack([t.c for t in row], axis=1)
-                                for row in mat], axis=1) for mat in rows], axis=1)
-        return Jet(rows[0][0][0].space, c, order)
+        dg = jgrad(gv).c  # dg[i, j, l] = d_l g_ij
+        # s[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+        s = (np.einsum("...jlir->...lijr", dg) + np.einsum("...iljr->...lijr", dg)
+             - np.einsum("...ijlr->...lijr", dg))
+        return jeinsum("...kl,...lij->...kij", ginv, Jet(gv.space, s, gv.order - 1)) * 0.5
 
     return Connection(chart, gamma_fn, cost=g.cost + 1)
 
@@ -411,43 +296,15 @@ def chern_connection(pair: HermitianPair) -> Connection:
         jv = pair.j.fn(jc)
         dfv = form3_full(df.fn(jc), d)
         # correction^k_{ij} = -1/2 g^{kl} dF(J e_i, e_j, e_l)
-        rows = []
-        for k in range(d):
-            mat = []
-            for i in range(d):
-                row = []
-                for j in range(d):
-                    t = None
-                    for l in range(d):
-                        s = None
-                        for a in range(d):
-                            u = jv[:, a, i] * dfv[:, a, j, l]
-                            s = u if s is None else s + u
-                        s = ginv[:, k, l] * s * (-0.5)
-                        t = s if t is None else t + s
-                    row.append(t)
-                mat.append(row)
-            rows.append(mat)
-        order = min(rows[0][0][0].order, gam.order)
-        c = np.stack([np.stack([np.stack([t.c for t in row], axis=1)
-                                for row in mat], axis=1) for mat in rows], axis=1)
-        return Jet(gam.space, gam.c + c, order)
+        jdf = jeinsum("...ai,...ajl->...ijl", jv, dfv)
+        return gam + jeinsum("...kl,...ijl->...kij", ginv, jdf) * (-0.5)
 
     return Connection(chart, gamma_fn, cost=max(lc.cost, df.cost))
 
 
 def form3_full(f3_jet: Jet, d: int) -> Jet:
     """3-form combo components -> full antisymmetric (B, d, d, d) jets."""
-    import itertools as it
-    combos = form_combos(d, 3)
-    b = f3_jet.c.shape[0]
-    c = np.zeros((b, d, d, d, f3_jet.space.n), dtype=f3_jet.c.dtype)
-    for ci, combo in enumerate(combos):
-        for perm in it.permutations(range(3)):
-            sign = 1.0 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
-            idx = tuple(combo[p] for p in perm)
-            c[(slice(None),) + idx] = sign * f3_jet.c[:, ci]
-    return Jet(f3_jet.space, c, f3_jet.order)
+    return form_full(f3_jet, d, 3)
 
 
 def d_pm_F(pair: HermitianPair) -> Field:

@@ -14,11 +14,11 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field, form_field, oneform_field, scalar_field, vector_field
-from .jets import Jet, jet_inv, jmatvec, jdet
+from .jets import Jet, _perm_sign, jdet, jeinsum, jet_inv, jgrad, jmatvec
 
 __all__ = ["form_combos", "combo_index", "exterior_derivative", "wedge",
            "interior_product", "pullback_linear", "lie_bracket",
-           "lie_derivative_form", "d_scalar", "sharp", "flat",
+           "lie_derivative_form", "d_scalar", "sharp", "flat", "form_full",
            "form_full_matrix", "form_from_matrix", "evaluate_form",
            "wirtinger_d", "wirtinger_dbar", "nijenhuis_tensor"]
 
@@ -33,49 +33,65 @@ def combo_index(dim: int, k: int):
     return {c: i for i, c in enumerate(form_combos(dim, k))}
 
 
-def _insertion_sign(i, combo):
-    """Sign of inserting index i into sorted combo (i not in combo)."""
-    pos = sum(1 for j in combo if j < i)
-    return -1.0 if pos % 2 else 1.0
+def _frozen(table):
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
 def _d_table(dim: int, k: int):
-    """Rows (out_idx, src_idx, coord, sign) for the exterior derivative."""
-    rows = []
+    """Signed table D[o, s, i]: (d omega)[o] = sum D[o, s, i] d_i omega[s]."""
     idx_k = combo_index(dim, k)
-    for o, c in enumerate(form_combos(dim, k + 1)):
+    combos = form_combos(dim, k + 1)
+    table = np.zeros((len(combos), len(idx_k), dim))
+    for o, c in enumerate(combos):
         for m, i in enumerate(c):
-            rest = tuple(j for j in c if j != i)
-            rows.append((o, idx_k[rest], i, (-1.0) ** m))
-    return rows
+            table[o, idx_k[c[:m] + c[m + 1:]], i] = (-1.0) ** m
+    return _frozen(table)
 
 
 @lru_cache(maxsize=None)
 def _wedge_table(dim: int, k: int, l: int):
-    """Rows (out_idx, a_idx, b_idx, sign): shuffle expansion of the wedge."""
-    rows = []
+    """Signed table W[o, a, b]: shuffle expansion of the wedge product."""
     idx_a = combo_index(dim, k)
     idx_b = combo_index(dim, l)
-    for o, c in enumerate(form_combos(dim, k + l)):
+    combos = form_combos(dim, k + l)
+    table = np.zeros((len(combos), len(idx_a), len(idx_b)))
+    for o, c in enumerate(combos):
         for sub in itertools.combinations(range(k + l), k):
+            rest = [i for i in range(k + l) if i not in sub]
             a = tuple(c[i] for i in sub)
-            b = tuple(c[i] for i in range(k + l) if i not in sub)
-            perm = list(sub) + [i for i in range(k + l) if i not in sub]
-            sign = _perm_sign_list(perm)
-            rows.append((o, idx_a[a], idx_b[b], float(sign)))
-    return rows
+            b = tuple(c[i] for i in rest)
+            table[o, idx_a[a], idx_b[b]] = _perm_sign(list(sub) + rest)
+    return _frozen(table)
 
 
-def _perm_sign_list(perm):
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
+@lru_cache(maxsize=None)
+def _interior_table(dim: int, k: int):
+    """Signed table I[o, i, s]: (i_X omega)[o] = sum I[o, i, s] X^i omega[s]."""
+    idx_k = combo_index(dim, k)
+    combos = form_combos(dim, k - 1)
+    table = np.zeros((len(combos), dim, len(idx_k)))
+    for o, c in enumerate(combos):
+        for i in range(dim):
+            if i not in c:
+                pos = sum(1 for j in c if j < i)
+                table[o, i, idx_k[tuple(sorted((i,) + c))]] = (-1.0) ** pos
+    return _frozen(table)
+
+
+@lru_cache(maxsize=None)
+def _full_index(dim: int, k: int):
+    """For each entry of the flattened full antisymmetric k-tensor, the combo
+    component it copies and its sign (0 on entries with a repeated index)."""
+    idx = np.zeros((dim,) * k, dtype=np.int64)
+    sign = np.zeros((dim,) * k)
+    for ci, c in enumerate(form_combos(dim, k)):
+        for perm in itertools.permutations(range(k)):
+            entry = tuple(c[p] for p in perm)
+            idx[entry] = ci
+            sign[entry] = _perm_sign(perm)
+    return _frozen(idx.ravel()), _frozen(sign.ravel())
 
 
 def _check_chart(*fields):
@@ -103,27 +119,16 @@ def exterior_derivative(omega: Field) -> Field:
         from .fields import zero_form
         return zero_form(chart, min(k + 1, chart.dim))
     table = _d_table(chart.dim, k)
-    nout = len(form_combos(chart.dim, k + 1))
 
     def fn(jc):
-        w = omega.fn(jc)
-        parts = [None] * nout
-        for o, src, i, sign in table:
-            term = w[:, src].partial(i) * sign
-            parts[o] = term if parts[o] is None else parts[o] + term
-        return _stack(parts)
+        g = jgrad(omega.fn(jc))
+        return Jet(g.space, np.einsum("osi,...sir->...or", table, g.c), g.order)
 
     return form_field(chart, k + 1, fn, cost=omega.cost + 1)
 
 
 def d_scalar(f: Field) -> Field:
-    chart = f.chart
-
-    def fn(jc):
-        s = f.fn(jc)
-        return _stack([s.partial(i) for i in range(chart.dim)])
-
-    return oneform_field(chart, fn, cost=f.cost + 1)
+    return oneform_field(f.chart, lambda jc: jgrad(f.fn(jc)), cost=f.cost + 1)
 
 
 def wedge(a: Field, b: Field) -> Field:
@@ -134,16 +139,11 @@ def wedge(a: Field, b: Field) -> Field:
         from .fields import zero_form
         return zero_form(chart, chart.dim)
     table = _wedge_table(chart.dim, k, l)
-    nout = len(form_combos(chart.dim, k + l))
 
     def fn(jc):
         wa = a.fn(jc)
-        wb = b.fn(jc)
-        parts = [None] * nout
-        for o, ia, ib, sign in table:
-            term = wa[:, ia] * wb[:, ib] * sign
-            parts[o] = term if parts[o] is None else parts[o] + term
-        return _stack(parts)
+        ta = Jet(wa.space, np.einsum("oab,...ar->...obr", table, wa.c), wa.order)
+        return jeinsum("...ob,...b->...o", ta, b.fn(jc))
 
     return form_field(chart, k + l, fn, cost=max(a.cost, b.cost))
 
@@ -153,26 +153,14 @@ def interior_product(x: Field, omega: Field) -> Field:
     k = omega.degree
     if k == 0:
         raise ValueError("cannot contract into a 0-form")
-    combos_out = form_combos(chart.dim, k - 1)
-    idx_k = combo_index(chart.dim, k)
+    table = _interior_table(chart.dim, k)
 
     def fn(jc):
         xv = x.fn(jc)
         w = omega.fn(jc)
-        parts = []
-        for cj in combos_out:
-            term = None
-            for i in range(chart.dim):
-                if i in cj:
-                    continue
-                full = tuple(sorted((i,) + cj))
-                sgn = _insertion_sign(i, cj)
-                t = xv[:, i] * w[:, idx_k[full]] * sgn
-                term = t if term is None else term + t
-            parts.append(term)
-        return _stack(parts)
+        tw = Jet(w.space, np.einsum("ois,...sr->...oir", table, w.c), w.order)
+        return jeinsum("...oi,...i->...o", tw, xv)
 
-    out_kind = "scalar" if k == 1 else "form"
     if k == 1:
         return scalar_field(chart, lambda jc: fn(jc)[:, 0], cost=max(x.cost, omega.cost))
     return form_field(chart, k - 1, fn, cost=max(x.cost, omega.cost))
@@ -181,24 +169,17 @@ def interior_product(x: Field, omega: Field) -> Field:
 def pullback_linear(a: Field, omega: Field) -> Field:
     """(A* omega)(X_1..X_k) = omega(A X_1, ..., A X_k) for an endo field A."""
     chart = _check_chart(a, omega)
-    k = omega.degree
-    combos = form_combos(chart.dim, k)
+    d, k = chart.dim, omega.degree
+    slots = "abcdef"[:k]
+    combo_pos = [np.ravel_multi_index(c, (d,) * k) for c in form_combos(d, k)]
 
     def fn(jc):
         av = a.fn(jc)
-        w = omega.fn(jc)
-        parts = []
-        for c in combos:
-            term = None
-            for ci, cp in enumerate(combos):
-                # minor rows cp, columns c
-                rows = np.array(cp)
-                cols = np.array(c)
-                minor = av[:, rows][:, :, cols]
-                t = w[:, ci] * jdet(minor)
-                term = t if term is None else term + t
-            parts.append(term)
-        return _stack(parts)
+        t = form_full(omega.fn(jc), d, k)
+        for s, x in enumerate(slots):
+            t = jeinsum(f"...{slots},...{x}z->...{slots[:s]}z{slots[s + 1:]}", t, av)
+        flat = t.c.reshape(t.c.shape[:-k - 1] + (-1, t.space.n))
+        return Jet(t.space, flat[..., combo_pos, :], t.order)
 
     return form_field(chart, k, fn, cost=max(a.cost, omega.cost))
 
@@ -218,15 +199,18 @@ def evaluate_form(omega_jet: Jet, vectors, dim: int, k: int) -> Jet:
     return out
 
 
+def form_full(omega_jet: Jet, dim: int, k: int) -> Jet:
+    """k-form combo components (..., C(d,k)) -> full antisymmetric
+    (..., d, ..., d) tensor."""
+    idx, sign = _full_index(dim, k)
+    c = omega_jet.c[..., idx, :] * sign[:, None]
+    return Jet(omega_jet.space, c.reshape(c.shape[:-2] + (dim,) * k + c.shape[-1:]),
+               omega_jet.order)
+
+
 def form_full_matrix(omega_jet: Jet, dim: int) -> Jet:
     """2-form combo components (B, C(d,2)) -> full antisymmetric (B, d, d)."""
-    combos = form_combos(dim, 2)
-    b = omega_jet.c.shape[0]
-    c = np.zeros((b, dim, dim, omega_jet.space.n), dtype=omega_jet.c.dtype)
-    for ci, (i, j) in enumerate(combos):
-        c[:, i, j] = omega_jet.c[:, ci]
-        c[:, j, i] = -omega_jet.c[:, ci]
-    return Jet(omega_jet.space, c, omega_jet.order)
+    return form_full(omega_jet, dim, 2)
 
 
 def form_from_matrix(m_jet: Jet, dim: int) -> Jet:
@@ -242,14 +226,8 @@ def lie_bracket(x: Field, y: Field) -> Field:
     def fn(jc):
         xv = x.fn(jc)
         yv = y.fn(jc)
-        comps = []
-        for i in range(chart.dim):
-            term = None
-            for j in range(chart.dim):
-                t = xv[:, j] * yv[:, i].partial(j) - yv[:, j] * xv[:, i].partial(j)
-                term = t if term is None else term + t
-            comps.append(term)
-        return _stack(comps)
+        return (jeinsum("...j,...ij->...i", xv, jgrad(yv))
+                - jeinsum("...j,...ij->...i", yv, jgrad(xv)))
 
     return vector_field(chart, fn, cost=max(x.cost, y.cost) + 1)
 
@@ -305,49 +283,15 @@ def nijenhuis_tensor(j_endo: Field) -> Field:
     frame pairs (i < j); output components (B, d, npairs)."""
     chart = j_endo.chart
     d = chart.dim
-    pairs = form_combos(d, 2)
+    ii, jj = np.array(form_combos(d, 2)).T
 
     def fn(jc):
         jv = j_endo.fn(jc)
-        jsq = _jet_matmul_square(jv)
-        # brackets of coordinate fields vanish; [Je_i, Je_j] etc. via jets
-        cols = []
-        for (i, jx) in pairs:
-            ji = jv[:, :, i]       # J e_i components (B, d)
-            jj = jv[:, :, jx]
-            br_jj = _bracket_comp(ji, jj, d)          # [Je_i, Je_j]
-            br_j_ej = _bracket_comp(ji, None, d, jx)  # [Je_i, e_j]
-            br_ei_j = _bracket_comp(None, jj, d, i)   # [e_i, Je_j]
-            term = br_jj - jmatvec(jv, br_j_ej) - jmatvec(jv, br_ei_j)
-            # + J^2 [e_i, e_j] = 0 for coordinate fields
-            cols.append(term)
-        space = cols[0].space
-        c = np.stack([t.c for t in cols], axis=2)  # (B, d, npairs, n)
-        return Jet(space, c, min(t.order for t in cols))
+        dj = jgrad(jv)  # dj[a, j, b] = d_b J^a_j
+        # [Je_i, e_j] = -d_j(J e_i) and [e_i, e_j] = 0, so N(e_i, e_j) =
+        # u[:, i, j] - u[:, j, i] with u[a, i, j] = J^b_i d_b J^a_j + J^a_c d_j J^c_i
+        u = (jeinsum("...bi,...ajb->...aij", jv, dj)
+             + jeinsum("...ac,...cij->...aij", jv, dj))
+        return Jet(u.space, u.c[..., ii, jj, :] - u.c[..., jj, ii, :], u.order)
 
     return Field(chart, "tensor", fn, cost=j_endo.cost + 1)
-
-
-def _jet_matmul_square(jv):
-    from .jets import jmatmul
-    return jmatmul(jv, jv)
-
-
-def _bracket_comp(xv, yv, d, coord=None):
-    """Bracket of two vector jets given componentwise; if one argument is a
-    coordinate field e_{coord}, pass None for it."""
-    comps = []
-    for i in range(d):
-        term = None
-        if xv is not None and yv is not None:
-            for j in range(d):
-                t = xv[:, j] * yv[:, i].partial(j) - yv[:, j] * xv[:, i].partial(j)
-                term = t if term is None else term + t
-        elif yv is None:
-            # [X, e_coord] = -d_coord X
-            term = -xv[:, i].partial(coord)
-        else:
-            # [e_coord, Y] = d_coord Y
-            term = yv[:, i].partial(coord)
-        comps.append(term)
-    return _stack(comps)

@@ -6,6 +6,12 @@ arithmetic is exact truncated-Taylor composition, so derivatives of rational
 and elementary-function expressions carry no truncation error beyond float64
 roundoff.  Coefficient arrays carry arbitrary leading axes (batch of points,
 tensor component axes); the multi-index axis is always last.
+
+Tensor contractions go through two primitives: ``jeinsum(spec, a, b)`` is
+one jet product contracted over component axes as ``np.einsum(spec)`` would
+contract scalars, and ``jgrad(a)`` returns all first partials as a new
+trailing component axis.  Constant signed index tables (exterior derivative,
+wedge, interior product) act on coefficient arrays with plain ``np.einsum``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["JetSpace", "Jet", "jet_space", "jet_coords", "jet_constant",
+__all__ = ["JetSpace", "Jet", "jet_space", "jet_coords", "jeinsum", "jgrad",
            "jmatvec", "jmatmul", "jtranspose", "jet_inv", "jet_solve",
            "jdet", "jtrace"]
 
@@ -49,7 +55,7 @@ class JetSpace:
         self.index = {m: i for i, m in enumerate(self.multi)}
         self.degree = np.array([sum(m) for m in self.multi], dtype=np.int64)
         self._build_product_table()
-        self._build_shift_tables()
+        self._build_grad_table()
 
     def _build_product_table(self):
         # raw-partials Leibniz: (fg)^(gamma) = sum_{alpha+beta=gamma} C(gamma,alpha) f^(a) g^(b)
@@ -72,21 +78,13 @@ class JetSpace:
         starts = np.searchsorted(self.prod_out, np.arange(self.n))
         self.prod_starts = starts.astype(np.int64)
 
-    def _build_shift_tables(self):
-        # (d_i u)^(alpha) = u^(alpha + e_i) for |alpha| <= order-1
-        self.shift_src = []
-        self.shift_dst = []
-        for i in range(self.dim):
-            src, dst = [], []
-            for ia, a in enumerate(self.multi):
-                if sum(a) >= self.order:
-                    continue
-                up = list(a)
-                up[i] += 1
-                src.append(self.index[tuple(up)])
-                dst.append(ia)
-            self.shift_src.append(np.array(src, dtype=np.int64))
-            self.shift_dst.append(np.array(dst, dtype=np.int64))
+    def _build_grad_table(self):
+        # (d_i u)^(alpha) = u^(alpha + e_i) for |alpha| <= order-1; those
+        # alpha are a prefix of the degree-ordered multi-indices
+        lower = [a for a in self.multi if sum(a) < self.order]
+        self.grad_src = np.array(
+            [[self.index[a[:i] + (a[i] + 1,) + a[i + 1:]] for a in lower]
+             for i in range(self.dim)], dtype=np.int64)
 
 
 def _as_coeffs(space, x, dtype=None):
@@ -213,10 +211,10 @@ class Jet:
         """Jet of the i-th coordinate derivative; drops one valid order."""
         if self.order < 1:
             raise ValueError("jet order exhausted; cannot differentiate")
-        sp = self.space
+        src = self.space.grad_src[i]
         out = np.zeros_like(self.c)
-        out[..., sp.shift_dst[i]] = self.c[..., sp.shift_src[i]]
-        return Jet(sp, out, self.order - 1)
+        out[..., :len(src)] = self.c[..., src]
+        return Jet(self.space, out, self.order - 1)
 
     # -- analytic functions via Taylor composition --------------------------
 
@@ -301,8 +299,29 @@ def jet_coords(dim: int, order: int, points: np.ndarray) -> Jet:
     return Jet(sp, c)
 
 
-def jet_constant(space: JetSpace, values, order=None) -> Jet:
-    return Jet.constant(space, values, order)
+def jeinsum(spec: str, a: Jet, b: Jet) -> Jet:
+    """Jet product of a and b contracted over component axes: the jet
+    analogue of ``np.einsum(spec, a, b)``, e.g. ``"...ij,...jk->...ik"``.
+    The letter ``r`` is reserved for the coefficient axis."""
+    if a.space is not b.space:
+        raise ValueError("jets from different spaces")
+    sp = a.space
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    prod = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., sp.prod_a], b.c[..., sp.prod_b])
+    prod *= sp.prod_c
+    return Jet(sp, np.add.reduceat(prod, sp.prod_starts, axis=-1), min(a.order, b.order))
+
+
+def jgrad(a: Jet) -> Jet:
+    """All first partials as a new trailing component axis: (..., dim);
+    drops one valid order."""
+    if a.order < 1:
+        raise ValueError("jet order exhausted; cannot differentiate")
+    sp = a.space
+    out = np.zeros(a.c.shape[:-1] + (sp.dim, sp.n), dtype=a.c.dtype)
+    out[..., :sp.grad_src.shape[1]] = a.c[..., sp.grad_src]
+    return Jet(sp, out, a.order - 1)
 
 
 # -- jet linear algebra (component axes are the trailing non-coefficient axes)
@@ -314,25 +333,12 @@ def jtranspose(a: Jet) -> Jet:
 
 def jmatvec(a: Jet, v: Jet) -> Jet:
     """(..., m, k) @ (..., k) -> (..., m)."""
-    k = v.c.shape[-2]
-    out = None
-    for j in range(k):
-        vj = Jet(v.space, v.c[..., j, :][..., None, :], v.order)
-        t = a[..., :, j] * vj
-        out = t if out is None else out + t
-    return out
+    return jeinsum("...ij,...j->...i", a, v)
 
 
 def jmatmul(a: Jet, b: Jet) -> Jet:
     """(..., m, k) @ (..., k, p) -> (..., m, p)."""
-    k = a.c.shape[-2]
-    out = None
-    for j in range(k):
-        ta = Jet(a.space, a.c[..., :, j, :][..., :, None, :], a.order)
-        tb = Jet(b.space, b.c[..., j, :, :][..., None, :, :], b.order)
-        t = ta * tb
-        out = t if out is None else out + t
-    return out
+    return jeinsum("...ij,...jk->...ik", a, b)
 
 
 def jtrace(a: Jet) -> Jet:

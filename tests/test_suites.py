@@ -8,7 +8,15 @@ import pytest
 from pbhverify.models import (Example2Params, IntegratorError, example2_build,
                               hamiltonian_deform)
 from pbhverify.poisson import pi_bivector
-from pbhverify.suites import SuiteConfig, run_suite
+from pbhverify.suites import SuiteConfig, SuiteContext, run_suite
+
+
+def test_record_fails_non_finite_residuals():
+    ctx = SuiteContext(SuiteConfig())
+    assert not ctx.record("integrator-order", "", float("inf"), 1).passed
+    assert not ctx.record("metric-compatibility", "", float("nan"), 1).passed
+    assert ctx.record("integrator-order", "", 16.0, 1).passed
+    assert ctx.record("metric-compatibility", "", 0.0, 1).passed
 
 
 def test_kodaira_gpk_suite_passes():
