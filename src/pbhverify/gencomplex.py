@@ -8,16 +8,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import DegeneracyError, max_abs
-from .tensorcalc import (ChartDomain, Field, Jet, d_scalar, endo_field,
+from .structures import DegeneracyError, max_abs, worst
+from .tensorcalc import (ChartDomain, Field, Jet, endo_field,
                          exterior_derivative, form_combos, form_field,
-                         form_full_matrix, interior_product, jet_inv,
-                         jmatmul, jmatvec, lie_bracket, lie_derivative_form,
-                         oneform_field, scalar_field, vector_field)
+                         form_full, form_full_matrix, jeinsum, jet_coords,
+                         jet_inv, jgrad, jmatmul, jmatvec, scalar_field)
 from .tensorcalc.calculus import _stack
 from .tensorcalc.fields import _broadcast_const
 
-__all__ = ["GeneralizedSection", "coordinate_sections", "random_poly_sections",
+__all__ = ["section", "coordinate_sections", "random_poly_sections",
            "pairing", "pairing_matrix", "courant_bracket", "endo_conditions",
            "apply_endo", "gcs_from_form", "gcs_nijenhuis", "b_transform",
            "b_conjugate_endo", "check_gpk_pair", "GpkResult",
@@ -25,56 +24,36 @@ __all__ = ["GeneralizedSection", "coordinate_sections", "random_poly_sections",
            "random_poly_two_form", "validate_twist"]
 
 
-@dataclass
-class GeneralizedSection:
-    """X + xi with a vector part and a covector part."""
+def _join(vec: Jet, form: Jet) -> Jet:
+    """Stack a vector jet and a covector jet (..., d) into (..., 2d)."""
+    return Jet(vec.space, np.concatenate([vec.c, form.c], axis=-2),
+               min(vec.order, form.order))
 
-    vec: Field
-    form: Field
 
-    @property
-    def chart(self):
-        return self.vec.chart
-
-    @property
-    def cost(self):
-        return max(self.vec.cost, self.form.cost)
-
-    def stacked(self, jc) -> Jet:
-        v = self.vec.fn(jc)
-        f = self.form.fn(jc)
-        order = min(v.order, f.order)
-        dtype = np.result_type(v.c.dtype, f.c.dtype)
-        return Jet(v.space, np.concatenate([v.c.astype(dtype), f.c.astype(dtype)], axis=1), order)
-
-    def eval(self, pts):
-        from .tensorcalc.jets import jet_coords
-        jc = jet_coords(self.chart.dim, self.cost, np.atleast_2d(pts))
-        return self.stacked(jc).value
+def section(vec: Field, form: Field) -> Field:
+    """The section X + xi of T + T* from a vector field and a 1-form field."""
+    if form.chart is not vec.chart:
+        raise ValueError("fields on different charts")
+    return Field(vec.chart, "section", lambda jc: _join(vec.fn(jc), form.fn(jc)),
+                 cost=max(vec.cost, form.cost))
 
 
 def coordinate_sections(chart: ChartDomain):
     """The 2 dim frame sections e_i + 0 and 0 + dx_i."""
-    from .tensorcalc import coordinate_oneform, coordinate_vector
-    d = chart.dim
-    zero_vec = vector_field(chart, lambda jc: _broadcast_const(jc, np.zeros(d)))
-    zero_one = oneform_field(chart, lambda jc: _broadcast_const(jc, np.zeros(d)))
-    out = [GeneralizedSection(coordinate_vector(chart, i), zero_one) for i in range(d)]
-    out += [GeneralizedSection(zero_vec, coordinate_oneform(chart, i)) for i in range(d)]
-    return out
+    def const(e):
+        return Field(chart, "section", lambda jc: _broadcast_const(jc, e))
+
+    return [const(e) for e in np.eye(2 * chart.dim)]
 
 
-def _poly_vec(chart, const, lin):
+def _affine(chart, kind, const, lin, degree=0):
+    """Field whose components are const + lin x in the chart coordinates x."""
     def fn(jc):
-        comps = []
-        for i in range(chart.dim):
-            t = jc[:, 0] * 0.0 + const[i]
-            for j in range(chart.dim):
-                t = t + jc[:, j] * lin[i, j]
-            comps.append(t)
-        return _stack(comps)
+        c = np.einsum("ij,...jr->...ir", lin, jc.c)
+        c[..., 0] += const
+        return Jet(jc.space, c, jc.order)
 
-    return vector_field(chart, fn)
+    return Field(chart, kind, fn, degree=degree)
 
 
 def random_poly_sections(chart: ChartDomain, count: int, seed: int):
@@ -85,10 +64,8 @@ def random_poly_sections(chart: ChartDomain, count: int, seed: int):
     for _ in range(count):
         cv, lv = rng.normal(size=d) * 0.5, rng.normal(size=(d, d)) * 0.2
         cf, lf = rng.normal(size=d) * 0.5, rng.normal(size=(d, d)) * 0.2
-        vecf = _poly_vec(chart, cv, lv)
-        formf = _poly_vec(chart, cf, lf)
-        out.append(GeneralizedSection(
-            vecf, oneform_field(chart, formf.fn, cost=formf.cost)))
+        out.append(_affine(chart, "section", np.concatenate([cv, cf]),
+                           np.concatenate([lv, lf])))
     return out
 
 
@@ -98,30 +75,19 @@ def random_poly_two_form(chart: ChartDomain, seed: int) -> Field:
     ncomb = len(form_combos(chart.dim, 2))
     const = rng.normal(size=ncomb) * 0.5
     lin = rng.normal(size=(ncomb, chart.dim)) * 0.2
-
-    def fn(jc):
-        comps = []
-        for i in range(ncomb):
-            t = jc[:, 0] * 0.0 + const[i]
-            for j in range(chart.dim):
-                t = t + jc[:, j] * lin[i, j]
-            comps.append(t)
-        return _stack(comps)
-
-    return form_field(chart, 2, fn)
+    return _affine(chart, "form", const, lin, degree=2)
 
 
-def pairing(a: GeneralizedSection, b: GeneralizedSection) -> Field:
+def pairing(a: Field, b: Field) -> Field:
     """<X+xi, Y+eta> = (xi(Y) + eta(X)) / 2."""
-    chart = a.chart
+    d = a.chart.dim
 
     def fn(jc):
-        av, af = a.vec.fn(jc), a.form.fn(jc)
-        bv, bf = b.vec.fn(jc), b.form.fn(jc)
-        s = (af * bv).sum(axis=-1) + (bf * av).sum(axis=-1)
+        av, bv = a.fn(jc), b.fn(jc)
+        s = (av[..., d:] * bv[..., :d]).sum(axis=-1) + (bv[..., d:] * av[..., :d]).sum(axis=-1)
         return s * 0.5
 
-    return scalar_field(chart, fn, cost=max(a.cost, b.cost))
+    return scalar_field(a.chart, fn, cost=max(a.cost, b.cost))
 
 
 def pairing_matrix(dim: int) -> np.ndarray:
@@ -135,40 +101,50 @@ def validate_twist(h: Field | None, pts, tol=1e-10):
     if h is None:
         return 0.0
     res = max_abs(exterior_derivative(h).eval(pts))
-    if res > tol:
+    if not res <= tol:
         raise ValueError(f"twisting 3-form is not closed: d H residual {res:.3g}")
     return res
 
 
-def courant_bracket(a: GeneralizedSection, b: GeneralizedSection,
-                    h: Field | None = None) -> GeneralizedSection:
+def _courant(a: Jet, b: Jet, h: Jet | None, d: int) -> Jet:
+    """Twisted Courant bracket of stacked section jets a = X + xi and
+    b = Y + eta (..., 2d), leading axes broadcast; h is the full twist
+    tensor H_abi (..., d, d, d) or None.
+
+      vector  X^j d_j Y^i - Y^j d_j X^i
+      form    X^j d_j eta_i - Y^j d_j xi_i + X^a Y^b H_abi
+              + (eta_j d_i X^j - xi_j d_i Y^j - X^j d_i eta_j + Y^j d_i xi_j) / 2
+    """
+    ga, gb = jgrad(a), jgrad(b)  # ga[..., k, j] = d_j a_k
+    x, y = a[..., :d], b[..., :d]
+    out = jeinsum("...j,...kj->...k", x, gb) - jeinsum("...j,...kj->...k", y, ga)
+    # with the halves swapped, the four half-weight terms are two contractions
+    sa = Jet(a.space, np.roll(a.c, d, axis=-2), a.order)
+    sb = Jet(b.space, np.roll(b.c, d, axis=-2), b.order)
+    form = out[..., d:] + (jeinsum("...k,...ki->...i", sb, ga)
+                           - jeinsum("...k,...ki->...i", sa, gb)) * 0.5
+    if h is not None:
+        form = form + jeinsum("...ab,...abi->...i", jeinsum("...a,...b->...ab", x, y), h)
+    return _join(out[..., :d], form)
+
+
+def courant_bracket(a: Field, b: Field, h: Field | None = None) -> Field:
     """[X+xi, Y+eta]_H = [X,Y] + L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2
     + i_Y i_X H."""
-    vec = lie_bracket(a.vec, b.vec)
-    lxeta = lie_derivative_form(a.vec, b.form)
-    lyxi = lie_derivative_form(b.vec, a.form)
-    sform = interior_product(a.vec, b.form) - interior_product(b.vec, a.form)
-    half_d = d_scalar(sform) * 0.5
-    form = lxeta - lyxi - half_d
-    if h is not None:
-        form = form + interior_product(b.vec, interior_product(a.vec, h))
-    return GeneralizedSection(vec, form)
+    d = a.chart.dim
+
+    def fn(jc):
+        hv = None if h is None else form_full(h.fn(jc), d, 3)
+        return _courant(a.fn(jc), b.fn(jc), hv, d)
+
+    cost = max(a.cost + 1, b.cost + 1, 0 if h is None else h.cost)
+    return Field(a.chart, "section", fn, cost=cost)
 
 
-def apply_endo(i_field: Field, a: GeneralizedSection) -> GeneralizedSection:
+def apply_endo(i_field: Field, a: Field) -> Field:
     """Section I(A) for an endomorphism field of T + T*."""
-    chart = a.chart
-    d = chart.dim
-
-    def vec_fn(jc):
-        return jmatvec(i_field.fn(jc), a.stacked(jc))[:, :d]
-
-    def form_fn(jc):
-        return jmatvec(i_field.fn(jc), a.stacked(jc))[:, d:]
-
-    cost = max(i_field.cost, a.cost)
-    return GeneralizedSection(vector_field(chart, vec_fn, cost=cost),
-                              oneform_field(chart, form_fn, cost=cost))
+    return Field(a.chart, "section", lambda jc: jmatvec(i_field.fn(jc), a.fn(jc)),
+                 cost=max(i_field.cost, a.cost))
 
 
 def endo_conditions(i_field: Field, pts) -> tuple:
@@ -226,30 +202,46 @@ def gcs_from_form(beta: Field) -> Field:
 def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
                   extra_sections=(), include_frame=True) -> float:
     """Max residual of N_H(A, B) = [A,B] - [IA,IB] + I[IA,B] + I[A,IB] over
-    section pairs."""
+    section pairs A before B (frame sections first).  I, H and every section
+    are evaluated once; each section is bracketed against all later ones in
+    one batched call."""
     chart = i_field.chart
+    d = chart.dim
     sections = list(extra_sections)
     if include_frame:
         sections = coordinate_sections(chart) + sections
-    applied = [apply_endo(i_field, s) for s in sections]
-    worst = 0.0
-    for i in range(len(sections)):
-        for j in range(i + 1, len(sections)):
-            a, b = sections[i], sections[j]
-            ia, ib = applied[i], applied[j]
-            t1 = courant_bracket(a, b, h)
-            t2 = courant_bracket(ia, ib, h)
-            t3 = apply_endo(i_field, courant_bracket(ia, b, h))
-            t4 = apply_endo(i_field, courant_bracket(a, ib, h))
-            res_v = t1.vec - t2.vec + t3.vec + t4.vec
-            res_f = t1.form - t2.form + t3.form + t4.form
-            worst = max(worst, max_abs(res_v.eval(pts)), max_abs(res_f.eval(pts)))
-    return worst
+    if len(sections) < 2:
+        raise ValueError("gcs_nijenhuis needs at least two sections")
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    chart.require(pts)
+    order = max(1 + max(f.cost for f in [i_field, *sections]),
+                0 if h is None else h.cost)
+    jc = jet_coords(d, order, pts)
+    iv = i_field.fn(jc)[:, None]
+    hv = None if h is None else form_full(h.fn(jc), d, 3)[:, None]
+    s = _stack([sec.fn(jc) for sec in sections])  # (B, sections, 2d)
+    isec = jmatvec(iv, s)
+    out = 0.0
+    for i in range(len(sections) - 1):
+        a, ia = s[:, i:i + 1], isec[:, i:i + 1]
+        b, ib = s[:, i + 1:], isec[:, i + 1:]
+        res = (_courant(a, b, hv, d) - _courant(ia, ib, hv, d)
+               + jmatvec(iv, _courant(ia, b, hv, d) + _courant(a, ib, hv, d)))
+        out = worst(out, max_abs(res))
+    return out
 
 
-def b_transform(a: GeneralizedSection, b2: Field) -> GeneralizedSection:
+def b_transform(a: Field, b2: Field) -> Field:
     """e^b (X + xi) = X + xi + i_X b."""
-    return GeneralizedSection(a.vec, a.form + interior_product(a.vec, b2))
+    d = a.chart.dim
+
+    def fn(jc):
+        av = a.fn(jc)
+        x = av[..., :d]
+        ixb = jeinsum("...i,...ij->...j", x, form_full(b2.fn(jc), d, 2))
+        return _join(x, av[..., d:] + ixb)
+
+    return Field(a.chart, "section", fn, cost=max(a.cost, b2.cost))
 
 
 def b_conjugate_endo(i_field: Field, b2: Field, sign: float = 1.0) -> Field:

@@ -24,7 +24,7 @@ __all__ = ["HermitianPair", "ParaHyperTriple", "BihermitianData",
            "DegeneracyError", "BranchError", "nijenhuis", "lee_form",
            "levi_civita", "chern_connection", "d_pm_F",
            "build_parahypercomplex", "check_p_gradient", "Connection",
-           "endo_compose", "fundamental_form", "max_abs",
+           "endo_compose", "fundamental_form", "max_abs", "worst",
            "trace_pairing", "form3_full"]
 
 
@@ -39,6 +39,11 @@ class BranchError(ValueError):
 def max_abs(x) -> float:
     arr = x.value if isinstance(x, Jet) else np.asarray(x)
     return float(np.abs(arr).max()) if arr.size else 0.0
+
+
+def worst(*xs) -> float:
+    """The largest residual, NaN if any is NaN (``max(0.0, nan)`` is 0.0)."""
+    return float(np.max(np.asarray(xs, dtype=np.float64)))
 
 
 def endo_compose(a: Field, b: Field) -> Field:

@@ -18,8 +18,8 @@ from .engel import (basis_identity_residuals, canonical_engel_span,
                     nabla_n_rhs_residuals, other_control_span, rank_tower,
                     synthetic_data, theorem7_check)
 from .flagmodel import FlagParams, cp2_charts, cp2_transition, flag_charts
-from .gencomplex import (GeneralizedSection, apply_endo, b_conjugate_endo,
-                         b_transform, check_gpk_pair, coordinate_sections,
+from .gencomplex import (apply_endo, b_conjugate_endo, b_transform,
+                         check_gpk_pair, coordinate_sections,
                          courant_bracket, endo_conditions, gcs_from_form,
                          gcs_nijenhuis, gualtieri_build, gualtieri_extract,
                          pairing, random_poly_sections, random_poly_two_form,
@@ -34,7 +34,7 @@ from .poisson import (chern_identity_residuals, check_holomorphic,
                       theorem4_hypotheses, type_02_projector_matrix)
 from .report import CheckRecord, VerificationReport
 from .structures import (BihermitianData, HermitianPair, d_pm_F, lee_form,
-                         levi_civita, max_abs, nijenhuis)
+                         levi_civita, max_abs, nijenhuis, worst)
 from .tensorcalc import (Field, Jet, SamplePlan, bivector_field,
                          evaluate_form, exterior_derivative, form_combos,
                          form_field, form_full_matrix, metric_field, wedge)
@@ -359,8 +359,7 @@ def suite_courant(ctx: SuiteContext):
     secs = coordinate_sections(chart)
     pair_list = [(secs[0], secs[1]), (secs[0], secs[chart.dim + 1]),
                  (secs[1], secs[chart.dim]),
-                 (GeneralizedSection(secs[0].vec, secs[chart.dim + 1].form),
-                  GeneralizedSection(secs[1].vec, secs[chart.dim].form))]
+                 (secs[0] + secs[chart.dim + 1], secs[1] + secs[chart.dim])]
 
     worst_nat = 0.0
     for s in range(8):
@@ -370,17 +369,15 @@ def suite_courant(ctx: SuiteContext):
         for (sa, sb) in pair_list:
             lhs = courant_bracket(b_transform(sa, b2), b_transform(sb, b2))
             rhs = b_transform(courant_bracket(sa, sb, db), b2)
-            worst_nat = max(worst_nat,
-                            max_abs((lhs.vec - rhs.vec).eval(pts)),
-                            max_abs((lhs.form - rhs.form).eval(pts)))
+            worst_nat = worst(worst_nat, max_abs((lhs - rhs).eval(pts)))
 
     bundle = ctx.bundle
     i1 = gcs_from_form(bundle.beta1)
     i2 = gcs_from_form(bundle.beta2)
     n_pts = ctx.points(count=min(8, ctx.config.samples))
     extra_secs = random_poly_sections(chart, 8, ctx.config.seed + 31)
-    integ = max(gcs_nijenhuis(i1, None, n_pts, extra_sections=extra_secs),
-                gcs_nijenhuis(i2, None, n_pts, extra_sections=extra_secs))
+    integ = worst(gcs_nijenhuis(i1, None, n_pts, extra_sections=extra_secs),
+                  gcs_nijenhuis(i2, None, n_pts, extra_sections=extra_secs))
 
     # negative control: spoil closedness of the imaginary part
     def bad_imag(jc):
@@ -401,7 +398,7 @@ def suite_courant(ctx: SuiteContext):
         for b_idx in range(a_idx, len(secs)):
             lhs = pairing(applied[a_idx], applied[b_idx])
             rhs = pairing(secs[a_idx], secs[b_idx])
-            pres = max(pres, max_abs(lhs.eval(n_pts) - rhs.eval(n_pts)))
+            pres = worst(pres, max_abs(lhs.eval(n_pts) - rhs.eval(n_pts)))
 
     # with the shipped shear action and bracket naturality, the structure
     # integrable for the (H - db)-twist is the e^{+b}-conjugate
@@ -453,9 +450,9 @@ def suite_gpk_example2(ctx: SuiteContext):
     checks = []
 
     fk, wp, wm = bundle.f_k, bundle.omega_plus, bundle.omega_minus
-    bih = max(max_abs(wedge(fk, wp).eval(pts)), max_abs(wedge(fk, wm).eval(pts)),
-              max_abs(wedge(wp, wm).eval(pts)),
-              max_abs((wedge(wp, wp) + wedge(wm, wm) - wedge(fk, fk) * 4.0).eval(pts)))
+    bih = worst(max_abs(wedge(fk, wp).eval(pts)), max_abs(wedge(fk, wm).eval(pts)),
+                max_abs(wedge(wp, wm).eval(pts)),
+                max_abs((wedge(wp, wp) + wedge(wm, wm) - wedge(fk, fk) * 4.0).eval(pts)))
     checks.append(ctx.record("form-conditions",
                              "degeneracy conditions for the two closed complex "
                              "2-forms", bih, len(pts)))
@@ -467,18 +464,17 @@ def suite_gpk_example2(ctx: SuiteContext):
     def fval(form, vecs):
         return evaluate_form(form.eval_jet(pts), vecs, d, len(vecs)).value
 
-    table = 0.0
-    table = max(table, float(np.abs(fval(wedge(wp, wp), frame) - 4 * (a + 1)).max()))
-    table = max(table, float(np.abs(fval(wedge(wm, wm), frame) + 4 * (a - 1)).max()))
-    table = max(table, float(np.abs(fval(wedge(wp, wm), frame)).max()))
-    table = max(table, float(np.abs(fval(wedge(fk, fk), frame) - 2.0).max()))
-    table = max(table, float(np.abs(fval(wedge(fk, wp), frame)).max()))
-    table = max(table, float(np.abs(fval(wedge(fk, wm), frame)).max()))
-    table = max(table, float(np.abs(fval(wp, frame[:2]) + root).max()))
-    table = max(table, float(np.abs(fval(wm, frame[:2]) - root).max()))
-    table = max(table, float(np.abs(fval(wp, [frame[0], frame[2]])).max()))
-    table = max(table, float(np.abs(fval(wp, [frame[0], frame[3]]) + (a + 1)).max()))
-    table = max(table, float(np.abs(fval(wm, [frame[0], frame[3]]) - (a - 1)).max()))
+    table = worst(max_abs(fval(wedge(wp, wp), frame) - 4 * (a + 1)),
+                  max_abs(fval(wedge(wm, wm), frame) + 4 * (a - 1)),
+                  max_abs(fval(wedge(wp, wm), frame)),
+                  max_abs(fval(wedge(fk, fk), frame) - 2.0),
+                  max_abs(fval(wedge(fk, wp), frame)),
+                  max_abs(fval(wedge(fk, wm), frame)),
+                  max_abs(fval(wp, frame[:2]) + root),
+                  max_abs(fval(wm, frame[:2]) - root),
+                  max_abs(fval(wp, [frame[0], frame[2]])),
+                  max_abs(fval(wp, [frame[0], frame[3]]) + (a + 1)),
+                  max_abs(fval(wm, [frame[0], frame[3]]) - (a - 1)))
     checks.append(ctx.record("frame-table",
                              "orthonormal-frame evaluation table of the three "
                              "2-forms and their wedges", table, len(pts)))
@@ -527,12 +523,12 @@ def suite_gpk_example2(ctx: SuiteContext):
     conds = endo_conditions(i1, pts) + endo_conditions(i2, pts)
     checks.append(ctx.record("structure-conditions",
                              "square and pairing conditions for both structures",
-                             max(conds), len(pts)))
+                             worst(*conds), len(pts)))
 
     n_pts = ctx.points(count=min(8, ctx.config.samples))
     extra_secs = random_poly_sections(bundle.chart, 8, ctx.config.seed + 31)
-    integ = max(gcs_nijenhuis(i1, None, n_pts, extra_sections=extra_secs),
-                gcs_nijenhuis(i2, None, n_pts, extra_sections=extra_secs))
+    integ = worst(gcs_nijenhuis(i1, None, n_pts, extra_sections=extra_secs),
+                  gcs_nijenhuis(i2, None, n_pts, extra_sections=extra_secs))
     checks.append(ctx.record("closed-form-integrability",
                              "torsion of both structures", integ, len(n_pts)))
 
@@ -551,8 +547,8 @@ def suite_gpk_example2(ctx: SuiteContext):
     jmm = bundle.data.jp * (-1.0)
     bm = bundle.f_k * float(a)
     b1, b2 = gualtieri_build(gm, jpm, jmm, bm)
-    cross = max(float(np.abs(i1.eval(pts) - b1.eval(pts)).max()),
-                float(np.abs(i2.eval(pts) - b2.eval(pts)).max()))
+    cross = worst(float(np.abs(i1.eval(pts) - b1.eval(pts)).max()),
+                  float(np.abs(i2.eval(pts) - b2.eval(pts)).max()))
     checks.append(ctx.record("construction-cross-validation",
                              "block construction on the matched quadruple "
                              "reproduces the spinor-line structures", cross,
@@ -595,8 +591,8 @@ def _deformed_checks(ctx: SuiteContext):
                              extra={"coarse": float(r_coarse), "fine": float(r_fine),
                                     "mode": "exceeds"}))
 
-    closed = max(max_abs(exterior_derivative(deformed.gamma1).eval(pts)),
-                 max_abs(exterior_derivative(deformed.gamma2).eval(pts)))
+    closed = worst(max_abs(exterior_derivative(deformed.gamma1).eval(pts)),
+                   max_abs(exterior_derivative(deformed.gamma2).eval(pts)))
     checks.append(ctx.record("deformed-forms-closed",
                              "the deformed complex 2-forms stay closed",
                              closed, len(pts)))
@@ -606,8 +602,8 @@ def _deformed_checks(ctx: SuiteContext):
                        cost=deformed.gamma2.cost)
     gd = deformed.gamma1 - deformed.gamma2
     gdc = deformed.gamma1 - conj2
-    degen = max(max_abs(wedge(gd, gd).eval(pts)),
-                max_abs(wedge(gdc, gdc).eval(pts)))
+    degen = worst(max_abs(wedge(gd, gd).eval(pts)),
+                  max_abs(wedge(gdc, gdc).eval(pts)))
     checks.append(ctx.record("deformed-form-degeneracy",
                              "squares of the difference forms vanish and the "
                              "differences are nowhere zero", degen, len(pts)))
@@ -624,8 +620,8 @@ def _deformed_checks(ctx: SuiteContext):
                              len(pts), extra=extra))
 
     n_pts = ctx.points(count=min(8, ctx.config.samples))
-    integ = max(gcs_nijenhuis(i1, None, n_pts),
-                gcs_nijenhuis(i2, None, n_pts))
+    integ = worst(gcs_nijenhuis(i1, None, n_pts),
+                  gcs_nijenhuis(i2, None, n_pts))
     checks.append(ctx.record("deformed-integrability",
                              "torsion of the deformed structures", integ,
                              len(n_pts)))

@@ -11,6 +11,6 @@ from .fields import (Field, lift_to_jets, bivector_field, constant_endo, constan
 from .calculus import (combo_index, d_scalar, evaluate_form,
                        exterior_derivative, flat, form_combos,
                        form_from_matrix, form_full, form_full_matrix,
-                       interior_product, lie_bracket, lie_derivative_form, nijenhuis_tensor,
+                       interior_product, lie_bracket, nijenhuis_tensor,
                        pullback_linear, sharp, wedge, wirtinger_d,
                        wirtinger_dbar)

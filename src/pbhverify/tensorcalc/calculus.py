@@ -18,7 +18,7 @@ from .jets import Jet, _perm_sign, jdet, jeinsum, jet_inv, jgrad, jmatvec
 
 __all__ = ["form_combos", "combo_index", "exterior_derivative", "wedge",
            "interior_product", "pullback_linear", "lie_bracket",
-           "lie_derivative_form", "d_scalar", "sharp", "flat", "form_full",
+           "d_scalar", "sharp", "flat", "form_full",
            "form_full_matrix", "form_from_matrix", "evaluate_form",
            "wirtinger_d", "wirtinger_dbar", "nijenhuis_tensor"]
 
@@ -103,7 +103,7 @@ def _check_chart(*fields):
 
 
 def _stack(jets):
-    """Stack scalar jets (B,) into a component jet (B, m)."""
+    """Stack m jets (B, ...) into one jet (B, m, ...)."""
     space = jets[0].space
     order = min(j.order for j in jets)
     c = np.stack([j.c for j in jets], axis=1)
@@ -230,17 +230,6 @@ def lie_bracket(x: Field, y: Field) -> Field:
                 - jeinsum("...j,...ij->...i", yv, jgrad(xv)))
 
     return vector_field(chart, fn, cost=max(x.cost, y.cost) + 1)
-
-
-def lie_derivative_form(x: Field, omega: Field) -> Field:
-    """Cartan: L_X omega = i_X d omega + d(i_X omega)."""
-    k = omega.degree
-    term1 = interior_product(x, exterior_derivative(omega))
-    inner = interior_product(x, omega)
-    term2 = exterior_derivative(inner) if k >= 1 else None
-    if term2 is None:
-        return term1
-    return term1 + term2
 
 
 def sharp(g: Field, theta: Field) -> Field:

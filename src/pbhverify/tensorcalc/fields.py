@@ -10,6 +10,7 @@ layout by kind:
   endo      (B, d, d)       (A X)^i = A[i, j] X^j
   metric    (B, d, d)       symmetric
   bivector  (B, d, d)       antisymmetric, full storage
+  section   (B, 2d)         X + xi in T + T*: vector part, then covector part
   tensor    explicit shape
 
 ``cost`` is the number of derivative orders the evaluation consumes

@@ -2,20 +2,32 @@
 
 ``loop_jmatvec``, ``loop_jmatmul`` and the ``loop_*`` connection and
 Nijenhuis routines below are the per-component implementations that
-``jeinsum``/``jgrad`` replaced; they are kept here as oracles.  Sums run in a
-different order, so agreement is to a tolerance fixed from float64 roundoff.
+``jeinsum``/``jgrad`` replaced; the ``ref_*`` routines are the Field-level
+Courant bracket (Lie bracket plus Cartan formula on separate vector and
+1-form fields) and the per-pair ``gcs_nijenhuis`` loop that the jet-level
+bracket on stacked sections replaced.  All are kept here as oracles.  Sums
+run in a different order, so agreement is to a tolerance fixed from float64
+roundoff.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbhverify.gencomplex import (_courant, b_transform, courant_bracket,
+                                  gcs_nijenhuis, pairing, random_poly_sections,
+                                  random_poly_two_form)
 from pbhverify.structures import (HermitianPair, chern_connection, form3_full,
-                                  levi_civita)
-from pbhverify.tensorcalc import (exterior_derivative, jeinsum, jet_coords,
+                                  levi_civita, max_abs)
+from pbhverify.tensorcalc import (Field, SamplePlan, coordinate_oneform,
+                                  coordinate_vector, d_scalar,
+                                  exterior_derivative, form_field, form_full,
+                                  interior_product, jeinsum, jet_coords,
                                   jet_inv, jet_space, jgrad, jmatmul, jmatvec,
-                                  metric_field, nijenhuis_tensor, scalar_field)
+                                  lie_bracket, metric_field, nijenhuis_tensor,
+                                  oneform_field, scalar_field, vector_field)
 from pbhverify.tensorcalc.calculus import _stack
+from pbhverify.tensorcalc.fields import _broadcast_const
 from pbhverify.tensorcalc.fields import _scale
 from pbhverify.tensorcalc.jets import Jet
 
@@ -233,3 +245,233 @@ def test_nijenhuis_tensor_matches_loop(kodaira_jets):
     for j in t.js + (j_mixed,):
         assert_jets_close(nijenhuis_tensor(j).fn(jc), loop_nijenhuis(j.fn(jc)))
     assert np.abs(nijenhuis_tensor(j_mixed).fn(jc).value).max() > 0.1
+
+
+
+# -- removed Field-level Courant bracket and per-pair Nijenhuis loop ----------
+
+
+def ref_poly_comps(chart, const, lin):
+    """Closure with components const[i] + sum_j lin[i, j] x_j."""
+    def fn(jc):
+        comps = []
+        for i in range(len(const)):
+            t = jc[:, 0] * 0.0 + const[i]
+            for j in range(chart.dim):
+                t = t + jc[:, j] * lin[i, j]
+            comps.append(t)
+        return _stack(comps)
+
+    return fn
+
+
+def ref_poly_sections(chart, count, seed):
+    """(vector field, 1-form field) pairs with the draws of
+    ``random_poly_sections``."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    out = []
+    d = chart.dim
+    for _ in range(count):
+        cv, lv = rng.normal(size=d) * 0.5, rng.normal(size=(d, d)) * 0.2
+        cf, lf = rng.normal(size=d) * 0.5, rng.normal(size=(d, d)) * 0.2
+        out.append((vector_field(chart, ref_poly_comps(chart, cv, lv)),
+                    oneform_field(chart, ref_poly_comps(chart, cf, lf))))
+    return out
+
+
+def ref_poly_two_form(chart, seed):
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    ncomb = chart.dim * (chart.dim - 1) // 2
+    const = rng.normal(size=ncomb) * 0.5
+    lin = rng.normal(size=(ncomb, chart.dim)) * 0.2
+    return form_field(chart, 2, ref_poly_comps(chart, const, lin))
+
+
+def ref_coordinate_sections(chart):
+    d = chart.dim
+    zero_vec = vector_field(chart, lambda jc: _broadcast_const(jc, np.zeros(d)))
+    zero_one = oneform_field(chart, lambda jc: _broadcast_const(jc, np.zeros(d)))
+    out = [(coordinate_vector(chart, i), zero_one) for i in range(d)]
+    return out + [(zero_vec, coordinate_oneform(chart, i)) for i in range(d)]
+
+
+def ref_lie_derivative_form(x, omega):
+    """Cartan: L_X omega = i_X d omega + d(i_X omega)."""
+    return (interior_product(x, exterior_derivative(omega))
+            + exterior_derivative(interior_product(x, omega)))
+
+
+def ref_courant(a, b, h=None):
+    """[X+xi, Y+eta]_H = [X,Y] + L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2
+    + i_Y i_X H on (vector field, 1-form field) pairs."""
+    (x, xi), (y, eta) = a, b
+    form = (ref_lie_derivative_form(x, eta) - ref_lie_derivative_form(y, xi)
+            - d_scalar(interior_product(x, eta) - interior_product(y, xi)) * 0.5)
+    if h is not None:
+        form = form + interior_product(y, interior_product(x, h))
+    return lie_bracket(x, y), form
+
+
+def ref_apply_endo(i_field, a):
+    chart = i_field.chart
+    d = chart.dim
+
+    def full(jc):
+        return jmatvec(i_field.fn(jc), joined(a[0].fn(jc), a[1].fn(jc)))
+
+    cost = max(i_field.cost, a[0].cost, a[1].cost)
+    return (vector_field(chart, lambda jc: full(jc)[:, :d], cost=cost),
+            oneform_field(chart, lambda jc: full(jc)[:, d:], cost=cost))
+
+
+def ref_gcs_nijenhuis(i_field, h, pts, sections):
+    applied = [ref_apply_endo(i_field, s) for s in sections]
+    worst = 0.0
+    for i in range(len(sections)):
+        for j in range(i + 1, len(sections)):
+            a, b = sections[i], sections[j]
+            ia, ib = applied[i], applied[j]
+            t1 = ref_courant(a, b, h)
+            t2 = ref_courant(ia, ib, h)
+            t3 = ref_apply_endo(i_field, ref_courant(ia, b, h))
+            t4 = ref_apply_endo(i_field, ref_courant(a, ib, h))
+            res_v = t1[0] - t2[0] + t3[0] + t4[0]
+            res_f = t1[1] - t2[1] + t3[1] + t4[1]
+            worst = max(worst, max_abs(res_v.eval(pts)), max_abs(res_f.eval(pts)))
+    return worst
+
+
+def joined(vec_jet, form_jet):
+    return Jet(vec_jet.space, np.concatenate([vec_jet.c, form_jet.c], axis=-2),
+               min(vec_jet.order, form_jet.order))
+
+
+def random_affine_endo(chart, rng):
+    """A generic (non-integrable) endomorphism field of T + T* with affine
+    entries."""
+    dd = 2 * chart.dim
+    const = rng.normal(size=(dd, dd))
+    lin = rng.normal(size=(dd, dd, chart.dim)) * 0.3
+
+    def fn(jc):
+        c = np.einsum("ijk,...kr->...ijr", lin, jc.c)
+        c[..., 0] += const
+        return Jet(jc.space, c, jc.order)
+
+    return Field(chart, "tensor", fn)
+
+
+section_cases = st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1),
+                          st.booleans(), st.integers(1, 2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(section_cases)
+def test_section_constructors_keep_draws(torus_model, case):
+    seed, b_seed, _, order = case
+    chart = torus_model.chart
+    pts = SamplePlan(8, seed % 1000).sample(chart)
+    for new, old in zip(random_poly_sections(chart, 3, seed),
+                        ref_poly_sections(chart, 3, seed)):
+        assert_jets_close(new.eval_jet(pts, order),
+                          joined(old[0].eval_jet(pts, order), old[1].eval_jet(pts, order)))
+    assert_jets_close(random_poly_two_form(chart, b_seed).eval_jet(pts, order),
+                      ref_poly_two_form(chart, b_seed).eval_jet(pts, order))
+
+
+@settings(max_examples=20, deadline=None)
+@given(section_cases)
+def test_section_ops_match_field_tree(torus_model, case):
+    """Leading shape (8,): courant_bracket, b_transform and pairing against
+    the Field-level formulas, with and without the twist h = d b2."""
+    seed, b_seed, twisted, order = case
+    chart = torus_model.chart
+    pts = SamplePlan(8, seed % 1000).sample(chart)
+    (a, b), (ra, rb) = random_poly_sections(chart, 2, seed), ref_poly_sections(chart, 2, seed)
+    b2, rb2 = random_poly_two_form(chart, b_seed), ref_poly_two_form(chart, b_seed)
+    h, rh = (exterior_derivative(b2), exterior_derivative(rb2)) if twisted else (None, None)
+
+    def pair_jet(p):
+        return joined(p[0].eval_jet(pts, order), p[1].eval_jet(pts, order))
+
+    assert_jets_close(courant_bracket(a, b, h).eval_jet(pts, order),
+                      pair_jet(ref_courant(ra, rb, rh)))
+    assert_jets_close(b_transform(a, b2).eval_jet(pts, order),
+                      pair_jet((ra[0], ra[1] + interior_product(ra[0], rb2))))
+    ref_pair = (interior_product(ra[0], rb[1]) + interior_product(rb[0], ra[1])) * 0.5
+    assert_jets_close(pairing(a, b).eval_jet(pts, order), ref_pair.eval_jet(pts, order))
+
+
+@settings(max_examples=20, deadline=None)
+@given(section_cases, st.integers(2, 5))
+def test_batched_courant_matches_per_pair(torus_model, case, n):
+    """Leading shape (8, n), and (8, 1) against (8, n) as ``gcs_nijenhuis``
+    batches a row: the stacked-jet bracket equals the Field-level bracket of
+    each pair."""
+    seed, b_seed, twisted, order = case
+    chart = torus_model.chart
+    d = chart.dim
+    pts = SamplePlan(8, seed % 1000).sample(chart)
+    jc = jet_coords(d, order + 1, pts)
+    new, ref = random_poly_sections(chart, 2 * n, seed), ref_poly_sections(chart, 2 * n, seed)
+    rb2 = ref_poly_two_form(chart, b_seed)
+    h = exterior_derivative(random_poly_two_form(chart, b_seed)) if twisted else None
+    rh = exterior_derivative(rb2) if twisted else None
+    hv = None if h is None else form_full(h.fn(jc), d, 3)[:, None]
+    sa = _stack([s.fn(jc) for s in new[:n]])
+    sb = _stack([s.fn(jc) for s in new[n:]])
+
+    def ref_stack(pairs):
+        return _stack([joined(*(f.fn(jc) for f in ref_courant(p, q, rh))) for p, q in pairs])
+
+    assert_jets_close(_courant(sa, sb, hv, d), ref_stack(zip(ref[:n], ref[n:])))
+    assert_jets_close(_courant(sa[:, :1], sb, hv, d),
+                      ref_stack((ref[0], q) for q in ref[n:]))
+
+
+@settings(max_examples=5, deadline=None)
+@given(section_cases, st.booleans())
+def test_gcs_nijenhuis_matches_per_pair_loop(torus_model, case, include_frame):
+    """A generic affine endomorphism, with and without frame sections and
+    twist: the batched residual equals the per-pair Field-tree residual."""
+    seed, b_seed, twisted, _ = case
+    chart = torus_model.chart
+    rng = np.random.default_rng(seed)
+    i_field = random_affine_endo(chart, rng)
+    pts = SamplePlan(4, seed % 1000).sample(chart)
+    h = exterior_derivative(random_poly_two_form(chart, b_seed)) if twisted else None
+    rh = exterior_derivative(ref_poly_two_form(chart, b_seed)) if twisted else None
+    new = gcs_nijenhuis(i_field, h, pts, random_poly_sections(chart, 3, seed),
+                        include_frame=include_frame)
+    frame = ref_coordinate_sections(chart) if include_frame else []
+    old = ref_gcs_nijenhuis(i_field, rh, pts, frame + ref_poly_sections(chart, 3, seed))
+    assert old > 0.1
+    np.testing.assert_allclose(new, old, rtol=RTOL, atol=ATOL)
+
+
+def test_gcs_nijenhuis_matches_per_pair_loop_on_model(torus_bundle, torus_points):
+    """Structures built from 2-forms (closed, not closed, b-conjugated with a
+    twist) on the torus model."""
+    from pbhverify.gencomplex import b_conjugate_endo, gcs_from_form
+    from pbhverify.models import complex_form
+    chart = torus_bundle.chart
+
+    def bad_imag(jc):
+        base = torus_bundle.omega_plus.fn(jc)
+        pert = base.c.copy()
+        pert[:, 0] = (base[:, 0] + jc[:, 2] * 0.5).c
+        return Jet(base.space, pert, base.order)
+
+    i1 = gcs_from_form(torus_bundle.beta1)
+    i_bad = gcs_from_form(complex_form(torus_bundle.f_k, form_field(chart, 2, bad_imag)))
+    b2 = random_poly_two_form(chart, 119)
+    conj = b_conjugate_endo(i1, b2, sign=1.0)
+    pts = torus_points[:3]
+    secs = random_poly_sections(chart, 2, 31)
+    frame = ref_coordinate_sections(chart) + ref_poly_sections(chart, 2, 31)
+    for i_field, h, rh in ((i1, None, None), (i_bad, None, None),
+                           (conj, -exterior_derivative(b2),
+                            -exterior_derivative(ref_poly_two_form(chart, 119)))):
+        np.testing.assert_allclose(gcs_nijenhuis(i_field, h, pts, secs),
+                                   ref_gcs_nijenhuis(i_field, rh, pts, frame),
+                                   rtol=RTOL, atol=ATOL)

@@ -4,17 +4,18 @@ the block construction/extraction."""
 import numpy as np
 import pytest
 
-from pbhverify.gencomplex import (GeneralizedSection, apply_endo,
-                                  b_conjugate_endo, b_transform,
+from pbhverify.gencomplex import (apply_endo, b_conjugate_endo, b_transform,
                                   check_gpk_pair, coordinate_sections,
                                   courant_bracket, endo_conditions,
                                   gcs_from_form, gcs_nijenhuis,
                                   gualtieri_build, gualtieri_extract, pairing,
                                   pairing_matrix, random_poly_sections,
-                                  random_poly_two_form, validate_twist)
+                                  random_poly_two_form, section,
+                                  validate_twist)
 from pbhverify.models import Example2Params, example2_build, hamiltonian_deform
 from pbhverify.structures import DegeneracyError, max_abs
-from pbhverify.tensorcalc import (constant_form, exterior_derivative,
+from pbhverify.suites import SuiteConfig, run_suite
+from pbhverify.tensorcalc import (Field, constant_form, exterior_derivative,
                                   form_field, interior_product, oneform_field,
                                   vector_field, coordinate_vector)
 from pbhverify.tensorcalc.calculus import _stack
@@ -24,8 +25,8 @@ from pbhverify.tensorcalc.jets import Jet
 def test_pairing_trivials(torus_model, torus_points):
     secs = coordinate_sections(torus_model.chart)
     assert np.abs(pairing(secs[0], secs[4]).eval(torus_points) - 0.5).max() == 0.0
-    a = GeneralizedSection(secs[0].vec, secs[5].form)
-    b = GeneralizedSection(secs[1].vec, secs[4].form)
+    a = secs[0] + secs[5]
+    b = secs[1] + secs[4]
     assert np.abs(pairing(a, b).eval(torus_points) - 1.0).max() == 0.0
     p = pairing_matrix(4)
     vals = np.linalg.eigvalsh(p)
@@ -35,25 +36,26 @@ def test_pairing_trivials(torus_model, torus_points):
 def test_courant_bracket_oracles(torus_model, torus_points):
     chart = torus_model.chart
     secs = coordinate_sections(chart)
-    br0 = courant_bracket(secs[0], secs[1])
-    assert max_abs(br0.vec.eval(torus_points)) == 0.0
-    assert max_abs(br0.form.eval(torus_points)) == 0.0
+    br0 = courant_bracket(secs[0], secs[1]).eval(torus_points)
+    assert max_abs(br0[:, :4]) == 0.0
+    assert max_abs(br0[:, 4:]) == 0.0
 
     def x1dx2(jc):
         z = jc[:, 0] * 0.0
         return _stack([z, jc[:, 0], z, z])
 
-    s2 = GeneralizedSection(
+    s2 = section(
         vector_field(chart, lambda jc: _stack([jc[:, 0] * 0.0] * 4)),
         oneform_field(chart, x1dx2))
     br = courant_bracket(secs[0], s2)
     expected = np.zeros(4)
     expected[1] = 1.0
-    assert max_abs(br.vec.eval(torus_points)) == 0.0
-    assert np.abs(br.form.eval(torus_points) - expected).max() == 0.0
+    brv = br.eval(torus_points)
+    assert max_abs(brv[:, :4]) == 0.0
+    assert np.abs(brv[:, 4:] - expected).max() == 0.0
     # antisymmetry
     rev = courant_bracket(s2, secs[0])
-    assert max_abs((br.form + rev.form).eval(torus_points)) == 0.0
+    assert max_abs((br + rev).eval(torus_points)[:, 4:]) == 0.0
 
 
 def test_twist_validation(torus_model, torus_points):
@@ -83,13 +85,11 @@ def test_b_transform_naturality(torus_model, torus_points):
         b2 = random_poly_two_form(chart, 100 + s)
         db = exterior_derivative(b2)
         for (sa, sb) in [(secs[0], secs[1]), (secs[0], secs[5]),
-                         (GeneralizedSection(secs[0].vec, secs[5].form),
-                          GeneralizedSection(secs[1].vec, secs[4].form))]:
+                         (secs[0] + secs[5], secs[1] + secs[4])]:
             lhs = courant_bracket(b_transform(sa, b2), b_transform(sb, b2))
             rhs = b_transform(courant_bracket(sa, sb, db), b2)
-            worst = max(worst,
-                        max_abs((lhs.vec - rhs.vec).eval(torus_points)),
-                        max_abs((lhs.form - rhs.form).eval(torus_points)))
+            diff = (lhs - rhs).eval(torus_points)
+            worst = max(worst, max_abs(diff[:, :4]), max_abs(diff[:, 4:]))
     assert worst < 1e-9
 
 
@@ -144,7 +144,7 @@ def test_example2_pair_and_eigenspace_roundtrip(torus_bundle, torus_points):
     worst = 0.0
     for i in range(4):
         x = coordinate_vector(chart, i)
-        sec = GeneralizedSection(x, -interior_product(x, torus_bundle.beta1))
+        sec = section(x, -interior_product(x, torus_bundle.beta1))
         applied = apply_endo(i1, sec)
         rv = applied.eval(torus_points) - 1j * sec.eval(torus_points)
         worst = max(worst, float(np.abs(rv).max()))
@@ -167,12 +167,39 @@ def test_nonclosed_negative_control(torus_bundle, torus_points):
     assert gcs_nijenhuis(i_bad, None, torus_points[:4]) > 1e-3
 
 
+def test_nan_in_structure_fails_closed(torus_bundle, torus_points, monkeypatch):
+    """A NaN in one entry of I at one point makes the residual NaN, and the
+    recorded integrability check fails."""
+    from pbhverify import suites
+    build = suites.gcs_from_form
+
+    def poisoned(beta):
+        i_field = build(beta)
+
+        def fn(jc):
+            out = i_field.fn(jc).copy()
+            out.c[3, 1, 6, 0] = np.nan
+            return out
+
+        return Field(i_field.chart, "tensor", fn, cost=i_field.cost)
+
+    assert np.isnan(gcs_nijenhuis(poisoned(torus_bundle.beta1), None,
+                                  torus_points[:4]))
+    monkeypatch.setattr(suites, "gcs_from_form", poisoned)
+    rep = run_suite(SuiteConfig(suite="courant", model="torus", samples=8, seed=42))
+    check = {c.name: c for c in rep.checks}["closed-form-integrability"]
+    assert not check.passed
+
+
 def test_integrability_on_polynomial_sections(torus_bundle, torus_points):
     i1 = gcs_from_form(torus_bundle.beta1)
     secs = random_poly_sections(torus_bundle.chart, 8, 17)
     res = gcs_nijenhuis(i1, None, torus_points[:4], extra_sections=secs,
                         include_frame=False)
     assert res < 1e-12
+    with pytest.raises(ValueError):
+        gcs_nijenhuis(i1, None, torus_points[:4], extra_sections=secs[:1],
+                      include_frame=False)
 
 
 def test_classical_degenerate_case(torus_model, torus_points):
