@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .models import ModelError
+from .models import F_CATALOG, ModelError
 from .suites import ConfigError, SuiteConfig, list_suites, run_suite
 
 __all__ = ["main", "build_parser", "parse_config_file"]
@@ -25,7 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-suites", action="store_true",
                    help="print the suite catalog and exit")
     p.add_argument("--config", help="flat key = value file; flags win")
-    p.add_argument("--model", choices=("torus", "kodaira", "flag"))
+    p.add_argument("--model", choices=("torus", "kodaira", "flag"),
+                   help="model manifold (default torus); flag hosts only theorem4")
     p.add_argument("--suite")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
@@ -35,13 +36,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float)
     p.add_argument("--c", type=float)
     p.add_argument("--f-expr", dest="f_expr",
-                   help="named Hamiltonian: const, sin2, gauss")
+                   help="named Hamiltonian: " + ", ".join(F_CATALOG))
     p.add_argument("--t", type=float)
     p.add_argument("--step", type=float)
     p.add_argument("--fa", type=int)
     p.add_argument("--fb", type=int)
     p.add_argument("--report", help="path for the JSON report")
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--quiet", action="store_true",
+                   help="print no summary; the exit status is unchanged")
     return p
 
 

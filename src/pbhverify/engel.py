@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structures import BihermitianData, Connection, levi_civita, max_abs
-from .tensorcalc import (ChartDomain, Field, Jet, coordinate_vector, d_scalar,
-                         endo_field, jet_inv, jmatvec, lie_bracket,
-                         oneform_field, scalar_field, vector_field)
+from .tensorcalc import (ChartDomain, Field, coordinate_vector, d_scalar,
+                         endo_field, jmatvec, jtranspose, lie_bracket,
+                         oneform_field, scalar_field, sharp, vector_field)
 from .tensorcalc.calculus import _stack
-from .tensorcalc.fields import _broadcast_const
+from .tensorcalc.fields import _broadcast_const, _scale
 
 __all__ = ["DistributionSpan", "RankTowerReport", "n_endos", "lee_fields",
            "LeeFields", "rank_tower", "theorem7_check", "Theorem7Report",
@@ -42,14 +42,19 @@ class DistributionSpan:
         return np.stack(cols, axis=2)  # (B, d, k)
 
     def validate(self, pts, rel_floor=1e-8):
-        m = self.generator_matrix(pts)
-        sv = np.linalg.svd(m, compute_uv=False)
-        scale = sv[:, 0]
-        ranks = (sv > rel_floor * scale[:, None]).sum(axis=1)
+        ranks = _rank_of(self.generator_matrix(pts), rel_floor)
         if np.any(ranks < self.expected_rank):
             bad = int(np.argmax(ranks < self.expected_rank))
             raise ValueError(f"degenerate span at point index {bad}: rank "
                              f"{int(ranks[bad])} < {self.expected_rank}")
+
+
+def _verdict_counts(report) -> dict:
+    """Number of points per verdict, in order of first appearance."""
+    out = {}
+    for v in report.verdicts:
+        out[v] = out.get(v, 0) + 1
+    return out
 
 
 @dataclass
@@ -58,11 +63,7 @@ class RankTowerReport:
     verdicts: list             # per-point strings
     verdict: str               # aggregate
 
-    def counts(self):
-        out = {}
-        for v in self.verdicts:
-            out[v] = out.get(v, 0) + 1
-        return out
+    counts = _verdict_counts
 
 
 def _rank_of(cols, rel_floor=1e-8):
@@ -132,22 +133,19 @@ def other_control_span(chart: ChartDomain) -> DistributionSpan:
 # endomorphisms N± and the Lee-form fields
 
 
+def _branch(p_field: Field, sign: float) -> Field:
+    """p + sign sqrt(p^2 - 1); with ``sign=-1.0`` the branch function f."""
+    def fn(jc):
+        p = p_field.fn(jc)
+        return p + (p * p - 1.0).sqrt() * sign
+
+    return scalar_field(p_field.chart, fn, cost=p_field.cost)
+
+
 def n_endos(jp: Field, jm: Field, p_field: Field):
     """N± = J+ + (p ± sqrt(p^2 - 1)) J-; square-zero of rank two on the
     strict |p| > 1 locus, with kernels the K eigendistributions."""
-    chart = jp.chart
-
-    def make(sign):
-        def fn(jc):
-            p = p_field.fn(jc)
-            s = (p * p - 1.0).sqrt()
-            lam = p + s * sign
-            from .tensorcalc.fields import _scale
-            return jp.fn(jc) + _scale(jm.fn(jc), lam)
-
-        return endo_field(chart, fn, cost=max(jp.cost, jm.cost, p_field.cost))
-
-    return make(+1.0), make(-1.0)
+    return tuple(jp + jm * _branch(p_field, sign) for sign in (1.0, -1.0))
 
 
 @dataclass
@@ -178,30 +176,18 @@ def lee_fields(g: Field, jp: Field, jm: Field, theta_p: Field | None = None,
     if theta_m is None:
         theta_m = data.pair_minus.theta
 
-    def dual(theta):
-        def fn(jc):
-            return jmatvec(jet_inv(g.fn(jc)), theta.fn(jc))
-
-        return vector_field(chart, fn, cost=max(g.cost, theta.cost))
-
-    tp_sharp = dual(theta_p)
-    tm_sharp = dual(theta_m)
-    f_field = scalar_field(chart,
-                           lambda jc: data.p.fn(jc) - (data.p.fn(jc) ** 2 - 1.0).sqrt(),
-                           cost=data.p.cost)
+    tp_sharp = sharp(g, theta_p)
+    tm_sharp = sharp(g, theta_m)
+    n = n_endos(jp, jm, data.p)[1]
 
     def x_fn(jc):
-        p = data.p.fn(jc)
-        f = p - (p * p - 1.0).sqrt()
-        from .tensorcalc.fields import _scale
-        n = jp.fn(jc) + _scale(jm.fn(jc), f)
-        return jmatvec(n, tp_sharp.fn(jc))
+        return jmatvec(n.fn(jc), tp_sharp.fn(jc))
 
     def y_fn(jc):
         k = data.k_endo.fn(jc)
         return tp_sharp.fn(jc) - jmatvec(k, tm_sharp.fn(jc))
 
-    x = vector_field(chart, x_fn, cost=max(jp.cost, jm.cost, tp_sharp.cost)).memoized()
+    x = vector_field(chart, x_fn, cost=max(n.cost, tp_sharp.cost)).memoized()
     y = vector_field(chart, y_fn, cost=max(jp.cost, jm.cost, tm_sharp.cost)).memoized()
 
     def tnorm_fn(jc):
@@ -210,7 +196,7 @@ def lee_fields(g: Field, jp: Field, jm: Field, theta_p: Field | None = None,
 
     tnorm = scalar_field(chart, tnorm_fn, cost=max(theta_p.cost, tp_sharp.cost))
     span = DistributionSpan([x, y], expected_rank=2)
-    return LeeFields(x, y, span, theta_p, theta_m, tnorm, data, f_field)
+    return LeeFields(x, y, span, theta_p, theta_m, tnorm, data, _branch(data.p, -1.0))
 
 
 def basis_identity_residuals(lf: LeeFields, pts, mask=None) -> dict:
@@ -329,22 +315,8 @@ def nabla_n_rhs_residuals(lf: LeeFields, pts, connection: Connection | None = No
 
 def _jet_nabla_n(lf: LeeFields, connection: Connection, pts) -> np.ndarray:
     """(nabla_{e_i} N) e_j from honest jets, shape (B, i, j, comp)."""
-    chart = lf.data.g.chart
-    p_field = lf.data.p
-
-    def n_fn(jc):
-        p = p_field.fn(jc)
-        f = p - (p * p - 1.0).sqrt()
-        from .tensorcalc.fields import _scale
-        return lf.data.jp.fn(jc) + _scale(lf.data.jm.fn(jc), f)
-
-    n_field = endo_field(chart, n_fn, cost=max(lf.data.jp.cost, lf.data.jm.cost,
-                                               p_field.cost))
+    n_field = n_endos(lf.data.jp, lf.data.jm, lf.data.p)[1]
     return connection.cov_deriv_endo(n_field).eval(pts)  # (B, i, j_comp, k_arg)
-
-
-def _frame_solve(frame_cols, target):
-    return np.linalg.solve(frame_cols, target)
 
 
 @dataclass
@@ -354,11 +326,7 @@ class Theorem7Report:
     tower: RankTowerReport | None
     extras: dict
 
-    def counts(self):
-        out = {}
-        for v in self.verdicts:
-            out[v] = out.get(v, 0) + 1
-        return out
+    counts = _verdict_counts
 
 
 def theorem7_check(g: Field, jp: Field, jm: Field, pts,
@@ -441,7 +409,6 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
         psi = jc[:, 2] * 0.5
         b = r * psi.cos()
         c = r * psi.sin()
-        from .tensorcalc.fields import _scale
         out = _scale(_broadcast_const(jc, j1m), a)
         out = out + _scale(_broadcast_const(jc, j2m), b)
         out = out + _scale(_broadcast_const(jc, j3m), c)
@@ -460,15 +427,9 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
     dp = d_scalar(scalar_field(chart, lambda jc: -a_fn(jc), cost=0))
 
     def theta_fn(jc):
-        p = data.p.fn(jc)
-        s = (p * p - 1.0).sqrt()
-        k = data.k_endo.fn(jc)
-        dpv = dp.fn(jc)
         # (dp o K)_i = dp_a K^a_i
-        kt = Jet(k.space, np.swapaxes(k.c, 1, 2), k.order)
-        comp = jmatvec(kt, dpv)
-        from .tensorcalc.fields import _scale
-        return _scale(comp, s.reciprocal())
+        comp = jmatvec(jtranspose(data.k_endo.fn(jc)), dp.fn(jc))
+        return _scale(comp, data.s_root.fn(jc).reciprocal())
 
     theta_p = oneform_field(chart, theta_fn, cost=1).memoized()
     theta_m = -theta_p

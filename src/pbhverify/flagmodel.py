@@ -15,11 +15,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .poisson import (dbar_matrix, ddc_scalar, holo_bracket,
-                      holo_realframe_components, schouten_vb,
+from .poisson import (_wirtinger, dbar_matrix, ddc_scalar, holo_apply,
+                      holo_bracket, holo_realframe_components, schouten_vb,
                       sigma_compose_form)
 from .tensorcalc import (ChartDomain, Field, Jet, form_combos, form_field,
-                         form_full_matrix, jeinsum, scalar_field, wirtinger_d)
+                         form_full_matrix, jeinsum, jtranspose, scalar_field)
 from .tensorcalc.charts import ExcludedLocus
 from .tensorcalc.calculus import _stack
 from .structures import max_abs
@@ -141,26 +141,24 @@ class CP2Chart:
         denom = (z1 * z1.conj() + z2 * z2.conj() + 1.0).reciprocal()
         return z1.conj() * denom * (-3.0), z2.conj() * denom * (-3.0)
 
-    def xf_closed(self, jc) -> Jet:
-        z1, z2 = self.coords(jc)
+    def field_derivatives(self, z1, z2):
+        """Closed-form Xf, Yf at the chart point (z1, z2)."""
         d1, d2 = self._dlogdet(z1, z2)
-        return z1 * d1 * self.x_coeff[0] + z2 * d2 * self.x_coeff[1] + self.x_const
+        return (z1 * d1 * self.x_coeff[0] + z2 * d2 * self.x_coeff[1] + self.x_const,
+                z1 * d1 * self.y_coeff[0] + z2 * d2 * self.y_coeff[1] + self.y_const)
+
+    def xf_closed(self, jc) -> Jet:
+        return self.field_derivatives(*self.coords(jc))[0]
 
     def yf_closed(self, jc) -> Jet:
-        z1, z2 = self.coords(jc)
-        d1, d2 = self._dlogdet(z1, z2)
-        return z1 * d1 * self.y_coeff[0] + z2 * d2 * self.y_coeff[1] + self.y_const
+        return self.field_derivatives(*self.coords(jc))[1]
 
     def xf_jet(self, jc) -> Jet:
         """X f by Wirtinger differentiation of the honest potential."""
-        f = self.f_field().fn(jc)
-        xi = self.x_hol(jc)
-        return xi[:, 0] * wirtinger_d(f, 0) + xi[:, 1] * wirtinger_d(f, 1)
+        return holo_apply(self.x_hol(jc), self.f_field().fn(jc))
 
     def yf_jet(self, jc) -> Jet:
-        f = self.f_field().fn(jc)
-        xi = self.y_hol(jc)
-        return xi[:, 0] * wirtinger_d(f, 0) + xi[:, 1] * wirtinger_d(f, 1)
+        return holo_apply(self.y_hol(jc), self.f_field().fn(jc))
 
 
 def _cp2_domain(name):
@@ -312,15 +310,6 @@ class FlagBundle:
 
         return scalar_field(self.chart, fn, name="f o p2")
 
-    def _xf_yf_at(self, zeta1, zeta2):
-        """Closed-form Xf, Yf of the z-chart data at a factor point."""
-        denom = (zeta1 * zeta1.conj() + zeta2 * zeta2.conj() + 1.0).reciprocal()
-        d1 = zeta1.conj() * denom * (-3.0)
-        d2 = zeta2.conj() * denom * (-3.0)
-        xf = zeta1 * d1 * (-2.0) + zeta2 * d2 * (-1.0) - 3.0
-        yf = zeta2 * d2 * (-1.0) - 1.0
-        return xf, yf
-
     # -- lambda fit and the candidate field -----------------------------------
 
     def lambda_fit(self, pts) -> tuple:
@@ -345,8 +334,10 @@ class FlagBundle:
     def x10_hol(self, jc, lam: float) -> Jet:
         z1, z2 = self._z(jc)
         w1, w2 = self._w(jc)
-        xf1, yf1 = self._xf_yf_at(z1, z2)
-        xf2, yf2 = self._xf_yf_at(w1, w2)
+        # both factors carry the z-chart data
+        z_chart = cp2_charts()["z"]
+        xf1, yf1 = z_chart.field_derivatives(z1, z2)
+        xf2, yf2 = z_chart.field_derivatives(w1, w2)
         a, b = float(self.params.a), float(self.params.b)
         cx = xf1 * a - xf2 * b
         cy = yf1 * a - yf2 * b
@@ -383,8 +374,7 @@ class FlagBundle:
             zz2 = holo_realframe_components(self.z2_hol(jc))
             # sigma^{pq} = Z1^p Z2^q - Z1^q Z2^p
             prod = jeinsum("...p,...q->...pq", zz1, zz2)
-            sig = prod - Jet(prod.space, np.swapaxes(prod.c, 1, 2), prod.order)
-            return sig.imag
+            return (prod - jtranspose(prod)).imag
 
         rex = vector_field(self.chart, rex_fn)
         imsig = bivector_field(self.chart, imsigma_fn)
@@ -399,17 +389,9 @@ class FlagBundle:
     def sigma_dbar_residual(self, pts) -> float:
         """dbar of the bivector's holomorphic components (polynomial)."""
         from .tensorcalc.jets import jet_coords
-        from .tensorcalc import wirtinger_dbar
         jc = jet_coords(6, 1, np.atleast_2d(pts))
-        zz1 = self.z1_hol(jc)
-        zz2 = self.z2_hol(jc)
-        worst = 0.0
-        for a in range(3):
-            for b in range(3):
-                comp = zz1[:, a] * zz2[:, b] - zz1[:, b] * zz2[:, a]
-                for c in range(3):
-                    worst = max(worst, float(np.abs(wirtinger_dbar(comp, c).value).max()))
-        return worst
+        prod = jeinsum("...p,...q->...pq", self.z1_hol(jc), self.z2_hol(jc))
+        return max_abs(_wirtinger(prod - jtranspose(prod), 3, 1.0))
 
     def bracket_residual(self, pts) -> float:
         from .tensorcalc.jets import jet_coords

@@ -12,7 +12,8 @@ from .structures import DegeneracyError, max_abs, worst
 from .tensorcalc import (ChartDomain, Field, Jet, endo_field,
                          exterior_derivative, form_combos, form_field,
                          form_full, form_full_matrix, jeinsum, jet_coords,
-                         jet_inv, jgrad, jmatmul, jmatvec, scalar_field)
+                         jet_inv, jgrad, jmatmul, jmatvec, jtranspose,
+                         scalar_field)
 from .tensorcalc.calculus import _stack
 from .tensorcalc.fields import _broadcast_const
 
@@ -161,8 +162,15 @@ def endo_conditions(i_field: Field, pts) -> tuple:
 
 def form_as_map(form_jet: Jet, d: int) -> Jet:
     """2-form components -> matrix of X -> i_X F (rows index the covector)."""
-    m = form_full_matrix(form_jet, d)
-    return Jet(m.space, np.swapaxes(m.c, 1, 2), m.order)
+    return jtranspose(form_full_matrix(form_jet, d))
+
+
+def _blocks(top_left: Jet, top_right: Jet, bottom_left: Jet, bottom_right: Jet) -> Jet:
+    """The (..., 2d, 2d) endomorphism of T + T* with four (..., d, d) blocks."""
+    top = np.concatenate([top_left.c, top_right.c], axis=-2)
+    bottom = np.concatenate([bottom_left.c, bottom_right.c], axis=-2)
+    order = min(top_left.order, top_right.order, bottom_left.order, bottom_right.order)
+    return Jet(top_left.space, np.concatenate([top, bottom], axis=-3), order)
 
 
 def gcs_from_form(beta: Field) -> Field:
@@ -182,19 +190,10 @@ def gcs_from_form(beta: Field) -> Field:
             bad = int(np.argmin(np.abs(det)))
             raise DegeneracyError(f"imaginary part degenerate at point index {bad}")
         w_inv = jet_inv(w_map)
-        space = bv.space
-        b = bv.c.shape[0]
-        blocks = np.zeros((b, 2 * d, 2 * d, space.n))
-        out = Jet(space, blocks, min(b_map.order, w_inv.order))
         # e^{-b} [[0, -w^{-1}], [w, 0]] e^{b}
-        top_left = jmatmul(w_inv, b_map) * (-1.0)
-        bottom_right = jmatmul(b_map, w_inv)
-        bottom_left = w_map + jmatmul(b_map, jmatmul(w_inv, b_map))
-        out.c[:, :d, :d] = top_left.c
-        out.c[:, :d, d:] = -w_inv.c
-        out.c[:, d:, :d] = bottom_left.c
-        out.c[:, d:, d:] = bottom_right.c
-        return out
+        return _blocks(jmatmul(w_inv, b_map) * (-1.0), -w_inv,
+                       w_map + jmatmul(b_map, jmatmul(w_inv, b_map)),
+                       jmatmul(b_map, w_inv))
 
     return Field(chart, "tensor", fn, cost=beta.cost).memoized()
 
@@ -252,15 +251,10 @@ def b_conjugate_endo(i_field: Field, b2: Field, sign: float = 1.0) -> Field:
     def fn(jc):
         iv = i_field.fn(jc)
         bmap = form_as_map(b2.fn(jc), d) * sign
-        space = iv.space
-        b = iv.c.shape[0]
-        ep = np.zeros((b, 2 * d, 2 * d, space.n), dtype=bmap.c.dtype)
-        ep[..., 0] = np.eye(2 * d)
-        em = ep.copy()
-        ep[:, d:, :d] = bmap.c
-        em[:, d:, :d] = -bmap.c
-        return jmatmul(Jet(space, ep, bmap.order),
-                       jmatmul(iv, Jet(space, em, bmap.order)))
+        eye = _broadcast_const(bmap, np.eye(d))
+        zero = eye * 0.0
+        return jmatmul(_blocks(eye, zero, bmap, eye),
+                       jmatmul(iv, _blocks(eye, zero, -bmap, eye)))
 
     return Field(chart, "tensor", fn, cost=max(i_field.cost, b2.cost)).memoized()
 
@@ -289,12 +283,12 @@ def check_gpk_pair(i1: Field, i2: Field, pts, tol_commute=1e-9,
     res = {}
     comm = np.abs(v1 @ v2 - v2 @ v1).max()
     res["commute"] = float(comm)
-    if comm > tol_commute:
+    if not comm <= tol_commute:
         bad = int(np.argmax(np.abs(v1 @ v2 - v2 @ v1).reshape(len(pts), -1).max(axis=1)))
         return GpkResult(False, res, "commute", bad)
     g = v1 @ v2
     res["involution"] = float(np.abs(g @ g - np.eye(2 * d)).max())
-    if res["involution"] > 1e-7:
+    if not res["involution"] <= 1e-7:
         return GpkResult(False, res, "involution", -1)
     p_pair = pairing_matrix(d)
     t_basis = np.zeros((2 * d, d))
@@ -349,21 +343,9 @@ def gualtieri_build(g: Field, jp: Field, jm: Field, b2: Field | None = None):
             fmm = form_as_map(fm.fn(jc), d)
             fp_inv = jet_inv(fpm)
             fm_inv = jet_inv(fmm)
-            space = jpv.space
-            nb = jpv.c.shape[0]
-            blocks = np.zeros((nb, 2 * d, 2 * d, space.n))
-            top_left = (jpv + jmv * s) * 0.5
-            top_right = (fp_inv - fm_inv * s) * (-0.5)
-            bottom_left = (fpm - fmm * s) * 0.5
-            jp_t = Jet(space, np.swapaxes(jpv.c, 1, 2), jpv.order)
-            jm_t = Jet(space, np.swapaxes(jmv.c, 1, 2), jmv.order)
-            bottom_right = (jp_t + jm_t * s) * (-0.5)
-            blocks[:, :d, :d] = top_left.c
-            blocks[:, :d, d:] = top_right.c
-            blocks[:, d:, :d] = bottom_left.c
-            blocks[:, d:, d:] = bottom_right.c
-            order = min(top_left.order, top_right.order)
-            return Jet(space, blocks, order)
+            return _blocks((jpv + jmv * s) * 0.5, (fp_inv - fm_inv * s) * (-0.5),
+                           (fpm - fmm * s) * 0.5,
+                           (jtranspose(jpv) + jtranspose(jmv) * s) * (-0.5))
 
         out = Field(chart, "tensor", fn, cost=max(g.cost, jp.cost, jm.cost))
         if b2 is not None:
@@ -399,7 +381,7 @@ def gualtieri_extract(i1: Field, i2: Field):
         cp, cm = blocks(jc)
         m = (cp + cm) * 0.5
         from .tensorcalc import form_from_matrix
-        return form_from_matrix(Jet(m.space, np.swapaxes(m.c, 1, 2), m.order), d)
+        return form_from_matrix(jtranspose(m), d)
 
     def j_fn(jc, sign):
         cp, cm = blocks(jc)
@@ -410,12 +392,9 @@ def gualtieri_extract(i1: Field, i2: Field):
         lift_top = iv[:, :d, :d] + jmatmul(iv[:, :d, d:], c)
         return lift_top
 
-    def g_as_metric(jc):
-        m = g_fn(jc)
-        return Jet(m.space, np.swapaxes(m.c, 1, 2), m.order)
-
     from .tensorcalc import metric_field
-    g_field = metric_field(chart, g_as_metric, cost=max(i1.cost, i2.cost)).memoized()
+    g_field = metric_field(chart, lambda jc: jtranspose(g_fn(jc)),
+                           cost=max(i1.cost, i2.cost)).memoized()
     b_field = form_field(chart, 2, b_fn, cost=max(i1.cost, i2.cost)).memoized()
     jp_field = endo_field(chart, lambda jc: j_fn(jc, +1), cost=max(i1.cost, i2.cost)).memoized()
     jm_field = endo_field(chart, lambda jc: j_fn(jc, -1), cost=max(i1.cost, i2.cost)).memoized()

@@ -10,11 +10,12 @@ from functools import cached_property
 import numpy as np
 
 from .structures import (BihermitianData, ParaHyperTriple,
-                         build_parahypercomplex, fundamental_form, max_abs)
+                         build_parahypercomplex, fundamental_form, max_abs,
+                         worst)
 from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          constant_metric, endo_field, form_field,
                          form_full_matrix, form_from_matrix, jet_solve,
-                         jgrad, jmatmul, metric_field)
+                         jgrad, jmatmul, jtranspose, metric_field)
 from .tensorcalc.fields import _broadcast_const
 from .tensorcalc.calculus import _stack
 
@@ -60,18 +61,18 @@ class ModelDescriptor:
     def lattice_residual(self, pts) -> float:
         """Deck-transformation invariance of g and the J's: components at the
         translated point must match the conjugated components at x."""
-        worst = 0.0
+        res = 0.0
         for lin, shift in self.lattice:
             moved = pts @ lin.T + shift
             lin_inv = np.linalg.inv(lin)
             for j in self.triple.js:
                 a = j.eval(moved)
                 b = np.einsum("ij,bjk,kl->bil", lin, j.eval(pts), lin_inv)
-                worst = max(worst, float(np.abs(a - b).max()))
+                res = worst(res, max_abs(a - b))
             ga = self.triple.g.eval(moved)
             gb = np.einsum("ji,bjk,kl->bil", lin_inv, self.triple.g.eval(pts), lin_inv)
-            worst = max(worst, float(np.abs(ga - gb).max()))
-        return worst
+            res = worst(res, max_abs(ga - gb))
+        return res
 
 
 # --------------------------------------------------------------------------
@@ -108,20 +109,12 @@ def torus_phk() -> ModelDescriptor:
 # E3 = d3, E4 = d4; the shipped candidate family is searched and certified.
 
 
-def _kodaira_frame(jc):
-    """P(x): columns are the frame fields E_a in chart components."""
-    p = _broadcast_const(jc, np.eye(4)).c.copy()
-    pj = Jet(jc.space, p, jc.order)
-    # insert x1 at entry [3, 1]
-    pj.c[:, 3, 1, :] = jc[:, 0].c
-    return pj
-
-
-def _kodaira_frame_inv(jc):
-    p = _broadcast_const(jc, np.eye(4)).c.copy()
-    pj = Jet(jc.space, p, jc.order)
-    pj.c[:, 3, 1, :] = -jc[:, 0].c
-    return pj
+def _kodaira_frame(jc, sign=1.0):
+    """P(x): columns are the frame fields E_a in chart components; with
+    ``sign=-1.0`` its inverse."""
+    p = _broadcast_const(jc, np.eye(4))
+    p.c[:, 3, 1, :] = jc.c[:, 0] * sign  # x1 at entry [3, 1]
+    return p
 
 
 def _kodaira_candidates():
@@ -155,7 +148,7 @@ def kodaira_phk() -> ModelDescriptor:
     def frame_endo(m):
         def fn(jc):
             p = _kodaira_frame(jc)
-            pinv = _kodaira_frame_inv(jc)
+            pinv = _kodaira_frame(jc, -1.0)
             mj = _broadcast_const(jc, m)
             return jmatmul(jmatmul(p, mj), pinv)
 
@@ -163,10 +156,9 @@ def kodaira_phk() -> ModelDescriptor:
 
     def frame_metric():
         def fn(jc):
-            pinv = _kodaira_frame_inv(jc)
-            pit = Jet(pinv.space, np.swapaxes(pinv.c, 1, 2), pinv.order)
+            pinv = _kodaira_frame(jc, -1.0)
             gj = _broadcast_const(jc, g_frame)
-            return jmatmul(jmatmul(pit, gj), pinv)
+            return jmatmul(jmatmul(jtranspose(pinv), gj), pinv)
 
         return metric_field(chart, fn)
 
@@ -403,9 +395,7 @@ class HamiltonianFlow:
     def velocity(self, y: Jet) -> Jet:
         m = form_full_matrix(self.f_k.fn(y), self.f_k.chart.dim)
         # map X -> i_X F has matrix M[j, i] = F[i, j]
-        mt = Jet(m.space, np.swapaxes(m.c, 1, 2), m.order)
-        df = self.fexpr.grad(y)
-        return jet_solve(mt, df)
+        return jet_solve(jtranspose(m), self.fexpr.grad(y))
 
     def flow_jet(self, jc: Jet) -> Jet:
         key = (jc.c.tobytes(), jc.order)
@@ -446,8 +436,7 @@ def flow_pullback_form(flow: HamiltonianFlow, omega: Field) -> Field:
         y = flow.flow_jet(jc)
         w = form_full_matrix(omega.fn(y), d)
         jac = jgrad(y)  # jac[i, j] = d_j Phi^i
-        jt = Jet(jac.space, np.swapaxes(jac.c, 1, 2), jac.order)
-        m = jmatmul(jt, jmatmul(w, jac))
+        m = jmatmul(jtranspose(jac), jmatmul(w, jac))
         return form_from_matrix(m, d)
 
     return form_field(chart, 2, fn, cost=omega.cost + 1)

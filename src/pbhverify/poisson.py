@@ -8,16 +8,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import (HermitianPair, chern_connection, form3_full,
-                         levi_civita, max_abs)
+from .structures import HermitianPair, chern_connection, levi_civita, max_abs
 from .tensorcalc import (Field, Jet, bivector_field, d_scalar,
                          exterior_derivative, form_combos, form_field,
-                         form_from_matrix, form_full_matrix, jeinsum, jet_inv,
-                         jgrad, jmatmul, jmatvec, oneform_field)
+                         form_from_matrix, form_full, form_full_matrix,
+                         jeinsum, jet_inv, jgrad, jmatmul, jmatvec,
+                         jtranspose, oneform_field)
+from .tensorcalc.calculus import _full_index
 from .tensorcalc.fields import _broadcast_const
 
 __all__ = ["ComplexBivector", "q_endo", "pi_bivector", "check_holomorphic",
-           "schouten", "schouten_bb", "schouten_vb", "wedge_vec_bivec",
+           "schouten_bb", "schouten_vb", "wedge_vec_bivec",
            "cyclic_nabla_q_form", "lower_trivector", "ddc_scalar",
            "standard_complex_matrix", "holo_bracket", "holo_apply",
            "dbar_matrix", "holo_realframe_components",
@@ -86,7 +87,7 @@ def pi_bivector(g: Field, jp: Field, jm: Field,
         gv = g.fn(jc)
         qv = q.fn(jc)
         jv = jp.fn(jc)
-        qtg = jmatmul(Jet(qv.space, np.swapaxes(qv.c, 1, 2), qv.order), gv)
+        qtg = jmatmul(jtranspose(qv), gv)
         omega = qtg  # Omega[i, j] = g(Q e_i, e_j)
         omega_j = jmatmul(qtg, jv)  # Omega(Q e_i, J e_j) = (Q^T g J)[i, j]
         c = omega.c.astype(np.complex128) + 1j * omega_j.c
@@ -143,9 +144,6 @@ def schouten_bb(p: Field, q: Field) -> Field:
     return Field(chart, "form", fn, degree=3, cost=max(p.cost, q.cost) + 1)
 
 
-schouten = schouten_bb  # canonical name for the bivector-bivector bracket
-
-
 def schouten_vb(v: Field, p: Field) -> Field:
     """[V, P] = L_V P for a vector field and a bivector field."""
     chart = v.chart
@@ -182,15 +180,10 @@ def cyclic_nabla_q_form(g: Field, jp: Field, jm: Field, pts) -> np.ndarray:
     return t + np.einsum("bxyz->byzx", t) + np.einsum("bxyz->bzxy", t)
 
 
-def lower_trivector(tri_vals: np.ndarray, g_vals: np.ndarray, dim: int, triples):
+def lower_trivector(tri_vals: np.ndarray, g_vals: np.ndarray, dim: int):
     """Trivector combo values -> lowered full 3-tensor values."""
-    full = np.zeros(tri_vals.shape[:1] + (dim, dim, dim), dtype=tri_vals.dtype)
-    import itertools as it
-    for ci, combo in enumerate(triples):
-        for perm in it.permutations(range(3)):
-            sign = 1.0 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
-            idx = tuple(combo[p] for p in perm)
-            full[(slice(None),) + idx] = sign * tri_vals[:, ci]
+    idx, sign = _full_index(dim, 3)
+    full = (tri_vals[:, idx] * sign).reshape(tri_vals.shape[:1] + (dim, dim, dim))
     return np.einsum("bpqr,bpx,bqy,brz->bxyz", full, g_vals, g_vals, g_vals)
 
 
@@ -215,9 +208,7 @@ def ddc_scalar(phi: Field) -> Field:
     dphi = d_scalar(phi)
 
     def dc_fn(jc):
-        dv = dphi.fn(jc)
-        jj = _broadcast_const(jc, j_std)
-        return jmatvec(Jet(jj.space, np.swapaxes(jj.c, 1, 2), jj.order), dv) * (-0.5)
+        return jmatvec(_broadcast_const(jc, j_std.T), dphi.fn(jc)) * (-0.5)
 
     dc = oneform_field(chart, dc_fn, cost=dphi.cost)
     return exterior_derivative(dc)
@@ -352,7 +343,7 @@ def chern_identity_residuals(g: Field, jp: Field, jm: Field, pts) -> dict:
     jpv = jp.eval(pts)
     jmv = jm.eval(pts)
     pv = jpv @ jmv + jmv @ jpv
-    t = form3_full(dpf.eval_jet(pts), d).value
+    t = form_full(dpf.eval_jet(pts), d, 3).value
 
     djm = chern.cov_deriv_endo(jm).eval(pts)       # (B, i, j, k): (D_i J-)^j_k
     # 2 g((D_X J-)Y, Z): contract the component index with g

@@ -13,19 +13,19 @@ from functools import cached_property
 import numpy as np
 
 from .tensorcalc import (Field, Jet, endo_field, exterior_derivative,
-                         form_combos, form_field, form_full, form_full_matrix,
-                         jeinsum, jet_inv, jet_solve, jgrad, jmatmul, jmatvec,
-                         jtrace, nijenhuis_tensor, oneform_field,
-                         pullback_linear, scalar_field, vector_field, wedge)
+                         form_field, form_from_matrix, form_full,
+                         form_full_matrix, jeinsum, jet_inv, jet_solve, jgrad,
+                         jmatmul, jmatvec, jtrace, jtranspose,
+                         nijenhuis_tensor, oneform_field, pullback_linear,
+                         scalar_field, vector_field, wedge)
 from .tensorcalc.fields import _scale, _broadcast_const, memoize_fn
-from .tensorcalc.calculus import _stack, _wedge_table
+from .tensorcalc.calculus import _wedge_table
 
 __all__ = ["HermitianPair", "ParaHyperTriple", "BihermitianData",
-           "DegeneracyError", "BranchError", "nijenhuis", "lee_form",
-           "levi_civita", "chern_connection", "d_pm_F",
-           "build_parahypercomplex", "check_p_gradient", "Connection",
-           "endo_compose", "fundamental_form", "max_abs", "worst",
-           "trace_pairing", "form3_full"]
+           "DegeneracyError", "BranchError", "lee_form", "levi_civita",
+           "chern_connection", "d_pm_F", "build_parahypercomplex",
+           "check_p_gradient", "Connection", "fundamental_form", "max_abs",
+           "worst", "trace_pairing"]
 
 
 class DegeneracyError(ValueError):
@@ -46,26 +46,13 @@ def worst(*xs) -> float:
     return float(np.max(np.asarray(xs, dtype=np.float64)))
 
 
-def endo_compose(a: Field, b: Field) -> Field:
-    """Pointwise composition A o B of endomorphism fields."""
-    chart = a.chart
-
-    def fn(jc):
-        return jmatmul(a.fn(jc), b.fn(jc))
-
-    return endo_field(chart, fn, cost=max(a.cost, b.cost))
-
-
 def fundamental_form(g: Field, j: Field) -> Field:
     """F(X, Y) = g(JX, Y) as a 2-form field (combo components)."""
     chart = g.chart
-    combos = form_combos(chart.dim, 2)
 
     def fn(jc):
         gv = g.fn(jc)
-        jv = j.fn(jc)
-        m = jmatmul(Jet(jv.space, np.swapaxes(jv.c, 1, 2), jv.order), gv)  # J^T g
-        return _stack([m[:, i, j_] for (i, j_) in combos])
+        return form_from_matrix(jmatmul(jtranspose(j.fn(jc)), gv), chart.dim)  # J^T g
 
     return form_field(chart, 2, fn, cost=max(g.cost, j.cost)).memoized()
 
@@ -97,8 +84,7 @@ class HermitianPair:
     def compatibility_residual(self, pts) -> float:
         gv = self.g.eval_jet(pts)
         jv = self.j.eval_jet(pts)
-        jt = Jet(jv.space, np.swapaxes(jv.c, 1, 2), jv.order)
-        return max_abs(jmatmul(jmatmul(jt, gv), jv) - gv)
+        return max_abs(jmatmul(jmatmul(jtranspose(jv), gv), jv) - gv)
 
     def square_residual(self, pts) -> float:
         jv = self.j.eval_jet(pts)
@@ -135,39 +121,31 @@ class ParaHyperTriple:
         d = self.g.chart.dim
         jv = [j.eval_jet(pts) for j in self.js]
         eye = _broadcast_const(jv[0], np.eye(d))
-        # squares: J1^2 = -Id, J2^2 = J3^2 = +Id
-        res = max_abs(jmatmul(jv[0], jv[0]) + eye)
-        res = max(res, max_abs(jmatmul(jv[1], jv[1]) - eye))
-        res = max(res, max_abs(jmatmul(jv[2], jv[2]) - eye))
-        # products: J1J2 = J3 = -J2J1, J2J3 = -J1 = -J3J2, J3J1 = J2 = -J1J3
-        res = max(res, max_abs(jmatmul(jv[0], jv[1]) - jv[2]))
-        res = max(res, max_abs(jmatmul(jv[1], jv[0]) + jv[2]))
-        res = max(res, max_abs(jmatmul(jv[1], jv[2]) + jv[0]))
-        res = max(res, max_abs(jmatmul(jv[2], jv[1]) - jv[0]))
-        res = max(res, max_abs(jmatmul(jv[2], jv[0]) - jv[1]))
-        res = max(res, max_abs(jmatmul(jv[0], jv[2]) + jv[1]))
-        return res
+        return worst(
+            # squares: J1^2 = -Id, J2^2 = J3^2 = +Id
+            max_abs(jmatmul(jv[0], jv[0]) + eye),
+            max_abs(jmatmul(jv[1], jv[1]) - eye),
+            max_abs(jmatmul(jv[2], jv[2]) - eye),
+            # products: J1J2 = J3 = -J2J1, J2J3 = -J1 = -J3J2, J3J1 = J2 = -J1J3
+            max_abs(jmatmul(jv[0], jv[1]) - jv[2]),
+            max_abs(jmatmul(jv[1], jv[0]) + jv[2]),
+            max_abs(jmatmul(jv[1], jv[2]) + jv[0]),
+            max_abs(jmatmul(jv[2], jv[1]) - jv[0]),
+            max_abs(jmatmul(jv[2], jv[0]) - jv[1]),
+            max_abs(jmatmul(jv[0], jv[2]) + jv[1]))
 
     def compatibility_residual(self, pts) -> float:
         """g(J1 X, J1 Y) = -g(J2 X, J2 Y) = -g(J3 X, J3 Y) = g(X, Y)."""
         gv = self.g.eval_jet(pts)
-        res = 0.0
-        for sign, j in zip((1.0, -1.0, -1.0), self.js):
-            jv = j.eval_jet(pts)
-            jt = Jet(jv.space, np.swapaxes(jv.c, 1, 2), jv.order)
-            res = max(res, max_abs(jmatmul(jmatmul(jt, gv), jv) - gv * sign))
-        return res
+        return worst(*(max_abs(jmatmul(jmatmul(jtranspose(jv), gv), jv) - gv * sign)
+                       for sign, jv in zip((1.0, -1.0, -1.0),
+                                           (j.eval_jet(pts) for j in self.js))))
 
     def closedness_residual(self, pts) -> float:
-        return max(max_abs(exterior_derivative(om).eval(pts)) for om in self.omegas)
+        return worst(*(max_abs(exterior_derivative(om).eval(pts)) for om in self.omegas))
 
     def nijenhuis_residual(self, pts) -> float:
-        return max(max_abs(nijenhuis_tensor(j).eval(pts)) for j in self.js)
-
-
-def nijenhuis(j: Field) -> Field:
-    """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] + J^2 [X,Y] on frame pairs."""
-    return nijenhuis_tensor(j)
+        return worst(*(max_abs(nijenhuis_tensor(j).eval(pts)) for j in self.js))
 
 
 def lee_form(pair: HermitianPair, return_condition=False):
@@ -299,17 +277,12 @@ def chern_connection(pair: HermitianPair) -> Connection:
         gam = lc.gamma_fn(jc)
         ginv = jet_inv(pair.g.fn(jc))
         jv = pair.j.fn(jc)
-        dfv = form3_full(df.fn(jc), d)
+        dfv = form_full(df.fn(jc), d, 3)
         # correction^k_{ij} = -1/2 g^{kl} dF(J e_i, e_j, e_l)
         jdf = jeinsum("...ai,...ajl->...ijl", jv, dfv)
         return gam + jeinsum("...kl,...ijl->...kij", ginv, jdf) * (-0.5)
 
     return Connection(chart, gamma_fn, cost=max(lc.cost, df.cost))
-
-
-def form3_full(f3_jet: Jet, d: int) -> Jet:
-    """3-form combo components -> full antisymmetric (B, d, d, d) jets."""
-    return form_full(f3_jet, d, 3)
 
 
 def d_pm_F(pair: HermitianPair) -> Field:
@@ -322,7 +295,7 @@ def type_30_03_residual(gamma3: Field, j: Field, pts) -> float:
     """Residual of the no-(3,0)+(0,3) identity for a 3-form:
     gamma(A,B,C) = gamma(JA,JB,C) + gamma(JA,B,JC) + gamma(A,JB,JC)."""
     d = gamma3.chart.dim
-    tv = form3_full(gamma3.eval_jet(pts), d).value
+    tv = form_full(gamma3.eval_jet(pts), d, 3).value
     jm = j.eval(pts)
     a1 = np.einsum("bax,bcy,bacz->bxyz", jm, jm, tv)
     a2 = np.einsum("bax,bcz,bayc->bxyz", jm, jm, tv)
@@ -398,11 +371,8 @@ def build_parahypercomplex(jp: Field, jm: Field, g: Field, pts,
 def check_p_gradient(data: BihermitianData, pts) -> float:
     """Residual of 2 d(g-pairing of J+, J-) + (theta+ - theta-) o [J+, J-]."""
     chart = data.g.chart
-    gpair = scalar_field(chart,
-                         lambda jc: jtrace(jmatmul(data.jp.fn(jc), data.jm.fn(jc))) * (-0.5),
-                         cost=max(data.jp.cost, data.jm.cost))
     from .tensorcalc import d_scalar
-    dgp = d_scalar(gpair)
+    dgp = d_scalar(data.p * (-2.0))  # the g-pairing of J+ and J-
     thp = data.pair_plus.theta
     thm = data.pair_minus.theta
 
@@ -412,7 +382,7 @@ def check_p_gradient(data: BihermitianData, pts) -> float:
         q = jmatmul(jpv, jmv) - jmatmul(jmv, jpv)
         dth = thp.fn(jc) - thm.fn(jc)
         # (theta o Q)_i = theta_a Q^a_i
-        comp = jmatvec(Jet(q.space, np.swapaxes(q.c, 1, 2), q.order), dth)
+        comp = jmatvec(jtranspose(q), dth)
         return d2 + comp
 
     f = oneform_field(chart, fn, cost=max(dgp.cost, thp.cost, thm.cost))

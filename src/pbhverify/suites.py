@@ -34,12 +34,13 @@ from .poisson import (chern_identity_residuals, check_holomorphic,
                       theorem4_hypotheses, type_02_projector_matrix)
 from .report import CheckRecord, VerificationReport
 from .structures import (BihermitianData, HermitianPair, d_pm_F, lee_form,
-                         levi_civita, max_abs, nijenhuis, worst)
+                         levi_civita, max_abs, worst)
 from .tensorcalc import (Field, Jet, SamplePlan, bivector_field,
-                         evaluate_form, exterior_derivative, form_combos,
-                         form_field, form_full_matrix, metric_field, wedge)
+                         evaluate_form, exterior_derivative, form_field,
+                         form_full_matrix, jtranspose, metric_field,
+                         nijenhuis_tensor, wedge)
 from .tensorcalc.fields import _scale
-from .tensorcalc.jets import jet_coords
+from .tensorcalc.jets import jet_coords, jet_space
 
 __all__ = ["SuiteConfig", "ConfigError", "run_suite", "list_suites",
            "SUITE_ORDER", "CHECK_DEFAULTS"]
@@ -298,34 +299,27 @@ def suite_lemma1(ctx: SuiteContext):
     from .tensorcalc import jmatmul
     from .tensorcalc.fields import _broadcast_const
     eye = _broadcast_const(kv, np.eye(d))
-    alg = max(max_abs(jmatmul(kv, kv) - eye), max_abs(jmatmul(sv, sv) - eye),
-              max_abs(jmatmul(jv, kv) - sv),
-              max_abs(data.p.eval(pts) - (-p.a)))
     gv = ghat.eval_jet(pts)
-    kt = Jet(kv.space, np.swapaxes(kv.c, 1, 2), kv.order)
-    alg = max(alg, max_abs(jmatmul(jmatmul(kt, gv), kv) + gv))
+    alg = worst(max_abs(jmatmul(kv, kv) - eye), max_abs(jmatmul(sv, sv) - eye),
+                max_abs(jmatmul(jv, kv) - sv),
+                max_abs(data.p.eval(pts) - (-p.a)),
+                max_abs(jmatmul(jmatmul(jtranspose(kv), gv), kv) + gv))
 
-    nk = max_abs(nijenhuis(data.k_endo).eval(pts))
-    ns = max_abs(nijenhuis(data.s_endo).eval(pts))
+    nk = max_abs(nijenhuis_tensor(data.k_endo).eval(pts))
+    ns = max_abs(nijenhuis_tensor(data.s_endo).eval(pts))
 
     pair_p = HermitianPair(ghat, t.j1)
     theta_p, cond_fn = lee_form(pair_p, return_condition=True)
     theta_k = HermitianPair(ghat, data.k_endo).theta
     theta_s = HermitianPair(ghat, data.s_endo).theta
     tp = theta_p.eval(pts)
-    lee_eq = max(float(np.abs(theta_k.eval(pts) - tp).max()),
-                 float(np.abs(theta_s.eval(pts) - tp).max()))
+    lee_eq = worst(max_abs(theta_k.eval(pts) - tp), max_abs(theta_s.eval(pts) - tp))
 
+    # the top forms have a single component
     fp = pair_p.f
     fm = HermitianPair(ghat, jm).f
-    top = evaluate_form(wedge(fp, fp).eval_jet(pts),
-                        [Jet.constant(jet_coords(d, 0, pts).space,
-                                      np.tile(np.eye(d)[i], (len(pts), 1)))
-                         for i in range(d)], d, d).value
-    topm = evaluate_form(wedge(fm, fm).eval_jet(pts),
-                         [Jet.constant(jet_coords(d, 0, pts).space,
-                                       np.tile(np.eye(d)[i], (len(pts), 1)))
-                          for i in range(d)], d, d).value
+    top = wedge(fp, fp).eval(pts)[:, 0]
+    topm = wedge(fm, fm).eval(pts)[:, 0]
     orient = 0.0 if np.all(np.sign(top) == np.sign(topm)) else 1.0
 
     from .structures import check_p_gradient
@@ -431,17 +425,6 @@ def suite_courant(ctx: SuiteContext):
 # suite: gpk-example2
 
 
-def _frame_jets(bundle, pts):
-    x = unit_spacelike_vector(bundle.g, pts)
-    jp = bundle.data.jp.eval(pts)
-    k = bundle.data.k_endo.eval(pts)
-    sp = bundle.s_plus.eval(pts)
-    space = jet_coords(4, 0, pts).space
-    vecs = [x, np.einsum("bij,bj->bi", jp, x), np.einsum("bij,bj->bi", k, x),
-            np.einsum("bij,bj->bi", sp, x)]
-    return [Jet.constant(space, v) for v in vecs]
-
-
 def suite_gpk_example2(ctx: SuiteContext):
     bundle = ctx.bundle
     params = ctx.config.example2_params()
@@ -457,7 +440,14 @@ def suite_gpk_example2(ctx: SuiteContext):
                              "degeneracy conditions for the two closed complex "
                              "2-forms", bih, len(pts)))
 
-    frame = _frame_jets(bundle, pts)
+    # the frame x, J+ x, K x, S+ x with x a unit spacelike vector
+    x = unit_spacelike_vector(bundle.g, pts)
+    spv = bundle.s_plus.eval(pts)
+    kv = bundle.data.k_endo.eval(pts)
+    jpv = bundle.data.jp.eval(pts)
+    jpx, spx = np.einsum("bij,bj->bi", jpv, x), np.einsum("bij,bj->bi", spv, x)
+    frame = [Jet.constant(jet_space(d, 0), v)
+             for v in (x, jpx, np.einsum("bij,bj->bi", kv, x), spx)]
     a = params.a
     root = float(np.sqrt(a * a - 1.0))
 
@@ -480,13 +470,9 @@ def suite_gpk_example2(ctx: SuiteContext):
                              "2-forms and their wedges", table, len(pts)))
 
     # eigenspace membership: U = (X + iY)/2 with Y built from S+, S-
-    x = unit_spacelike_vector(bundle.g, pts)
-    spv = bundle.s_plus.eval(pts)
     smv = bundle.s_minus.eval(pts)
-    kv = bundle.data.k_endo.eval(pts)
-    jpv = bundle.data.jp.eval(pts)
     jmv = bundle.data.jm.eval(pts)
-    y = (np.einsum("bij,bj->bi", spv, x) - a * np.einsum("bij,bj->bi", smv, x)) / root
+    y = (spx - a * np.einsum("bij,bj->bi", smv, x)) / root
     u = 0.5 * (x + 1j * y)
     memb = root * np.einsum("bij,bj->bi", kv, u) \
         + 1j * np.einsum("bij,bj->bi", jpv, u) \
@@ -496,9 +482,8 @@ def suite_gpk_example2(ctx: SuiteContext):
                              "of the pair", float(np.abs(memb).max()), len(pts)))
 
     # pairing identity on two constructed sections
-    x2 = np.einsum("bij,bj->bi", jpv, x)
-    y2 = (np.einsum("bij,bj->bi", spv, x2) - a * np.einsum("bij,bj->bi", smv, x2)) / root
-    v = 0.5 * (x2 + 1j * y2)
+    y2 = (np.einsum("bij,bj->bi", spv, jpx) - a * np.einsum("bij,bj->bi", smv, jpx)) / root
+    v = 0.5 * (jpx + 1j * y2)
     beta1_full = form_full_matrix(bundle.beta1.eval_jet(pts), d).value
     beta2_full = form_full_matrix(bundle.beta2.eval_jet(pts), d).value
 
@@ -646,8 +631,7 @@ def _poisson_block(ctx, g, jp, jm, pts):
     br_re = schouten_bb(re_pi, re_pi)
     cyc = cyclic_nabla_q_form(g, jp, jm, pts)
     out["cyclic"] = float(np.abs(cyc).max())
-    low = lower_trivector(br_re.eval(pts), g.eval(pts), g.chart.dim,
-                          form_combos(g.chart.dim, 3))
+    low = lower_trivector(br_re.eval(pts), g.eval(pts), g.chart.dim)
     out["agree"] = float(np.abs(low - 2.0 * cyc).max())
     conj_pi = bivector_field(g.chart, lambda jc: pi.bivector.fn(jc).conj(),
                              cost=pi.bivector.cost)
@@ -704,7 +688,8 @@ def suite_poisson(ctx: SuiteContext):
     checks.append(ctx.record("chern-connection-identities",
                              "derivative identities linking the connection to "
                              "the second structure",
-                             max(cres[k] for k in ("chern1", "chern2", "derP", "nablaQ")),
+                             worst(cres["chern1"], cres["chern2"], cres["derP"],
+                                   cres["nablaQ"]),
                              len(pts), extra=cres))
 
     if ctx.config.t != 0.0:
@@ -716,8 +701,8 @@ def suite_poisson(ctx: SuiteContext):
         checks.append(ctx.record("deformed-poisson",
                                  "full pipeline on the extracted deformed "
                                  "quadruple",
-                                 max(dres["type"], dres["holo"], dres["jacobi"],
-                                     dres["agree"]), len(sub), extra=dres))
+                                 worst(dres["type"], dres["holo"], dres["jacobi"],
+                                       dres["agree"]), len(sub), extra=dres))
     return checks
 
 
@@ -731,17 +716,16 @@ def suite_theorem4(ctx: SuiteContext):
     charts = cp2_charts()
     checks = []
 
-    worst = 0.0
+    chart_res = 0.0
     for name, ch in charts.items():
         pts = SamplePlan(cfg.samples, cfg.seed + 3).sample(ch.chart)
         jc = jet_coords(4, 1, pts)
-        worst = max(worst,
-                    float(np.abs(ch.xf_closed(jc).value - ch.xf_jet(jc).value).max()),
-                    float(np.abs(ch.yf_closed(jc).value - ch.yf_jet(jc).value).max()))
+        chart_res = worst(chart_res, max_abs(ch.xf_closed(jc) - ch.xf_jet(jc)),
+                          max_abs(ch.yf_closed(jc) - ch.yf_jet(jc)))
     checks.append(ctx.record("chart-derivative-closed-forms",
                              "closed-form field derivatives of the log-norm "
                              "against jet differentiation, all three charts",
-                             worst, cfg.samples))
+                             chart_res, cfg.samples))
 
     z = charts["z"]
     pts_z = SamplePlan(cfg.samples, cfg.seed + 4).sample(z.chart)
@@ -750,11 +734,8 @@ def suite_theorem4(ctx: SuiteContext):
         pts_o = cp2_transition("z", nm, pts_z)
         jc_z = jet_coords(4, 1, pts_z)
         jc_o = jet_coords(4, 1, pts_o)
-        cons = max(cons,
-                   float(np.abs(z.xf_closed(jc_z).value
-                                - charts[nm].xf_closed(jc_o).value).max()),
-                   float(np.abs(z.yf_closed(jc_z).value
-                                - charts[nm].yf_closed(jc_o).value).max()))
+        cons = worst(cons, max_abs(z.xf_closed(jc_z) - charts[nm].xf_closed(jc_o)),
+                     max_abs(z.yf_closed(jc_z) - charts[nm].yf_closed(jc_o)))
     checks.append(ctx.record("chart-consistency",
                              "the derivative functions glue across charts",
                              cons, len(pts_z)))
@@ -764,7 +745,7 @@ def suite_theorem4(ctx: SuiteContext):
     from .poisson import holo_bracket
     jc = jet_coords(4, 1, pts_z)
     comm = float(np.abs(holo_bracket(z.x_hol(jc), z.y_hol(jc)).value).max())
-    comm = max(comm, fb.bracket_residual(fpts))
+    comm = worst(comm, fb.bracket_residual(fpts))
     checks.append(ctx.record("commuting-fields", "the two torus-action fields "
                              "commute in every chart", comm, len(fpts)))
 
@@ -874,7 +855,7 @@ def suite_engel(ctx: SuiteContext):
     basis = basis_identity_residuals(slf, pts, smask)
     checks.append(ctx.record("null-frame-identities",
                              "null-frame pairings of the distribution "
-                             "generators", max(basis.values()), len(pts),
+                             "generators", worst(*basis.values()), len(pts),
                              inconclusive=int((~smask).sum()),
                              extra=basis))
 
@@ -890,14 +871,14 @@ def suite_engel(ctx: SuiteContext):
     checks.append(ctx.record("gradient-identities",
                              "the branch function is constant along one "
                              "generator and scales along the other",
-                             max(xf_res, yf_res), len(pts),
+                             worst(xf_res, yf_res), len(pts),
                              inconclusive=int((~smask).sum()),
                              extra={"X(f)": float(xf_res), "Y(f)+f|th|^2": float(yf_res)}))
 
     chain = nabla_n_rhs_residuals(slf, pts, mask=smask)
     checks.append(ctx.record("derivative-chain",
                              "derivative-rule consequences for the nilpotent "
-                             "endomorphism", max(chain.values()), len(pts),
+                             "endomorphism", worst(*chain.values()), len(pts),
                              inconclusive=int((~smask).sum()), extra=chain))
 
     # Eq-(Y)-type pairing and the anticommutation relation
@@ -916,24 +897,23 @@ def suite_engel(ctx: SuiteContext):
     checks.append(ctx.record("pairing-eigenstructure",
                              "dual-vector pairing identity and the "
                              "anticommutation relation of the nilpotent endo",
-                             max(eqy, float(anti)), len(pts),
+                             worst(eqy, anti), len(pts),
                              inconclusive=int((~smask).sum())))
 
     n_plus, n_minus = n_endos(syn.jp, syn.jm, slf.data.p)
     npv = n_plus.eval(pts)
     nmv = n_minus.eval(pts)
     kv = slf.data.k_endo.eval(pts)
-    nil = max(float(np.abs(npv @ npv).max()), float(np.abs(nmv @ nmv).max()))
     proj_m = 0.5 * (np.eye(4) - kv)
     proj_p = 0.5 * (np.eye(4) + kv)
-    nil = max(nil, float(np.abs(npv @ proj_m).max()),
-              float(np.abs(nmv @ proj_p).max()))
     ranks = np.linalg.matrix_rank(npv)
     rank_bad = 0.0 if np.all(ranks == 2) else 1.0
     checks.append(ctx.record("nilpotent-endos",
                              "squares vanish, kernels are the eigenplanes of "
                              "the product structure, rank two",
-                             max(nil, rank_bad), len(pts)))
+                             worst(max_abs(npv @ npv), max_abs(nmv @ nmv),
+                                   max_abs(npv @ proj_m), max_abs(nmv @ proj_p),
+                                   rank_bad), len(pts)))
 
     jx = np.einsum("bij,bj->bi", jpv, x)
     jy = np.einsum("bij,bj->bi", jpv, y)

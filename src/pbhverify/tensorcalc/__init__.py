@@ -9,8 +9,7 @@ from .fields import (Field, lift_to_jets, bivector_field, constant_endo, constan
                      endo_field, form_field, metric_field, oneform_field,
                      scalar_field, vector_field, zero_form)
 from .calculus import (combo_index, d_scalar, evaluate_form,
-                       exterior_derivative, flat, form_combos,
-                       form_from_matrix, form_full, form_full_matrix,
-                       interior_product, lie_bracket, nijenhuis_tensor,
-                       pullback_linear, sharp, wedge, wirtinger_d,
-                       wirtinger_dbar)
+                       exterior_derivative, form_combos, form_from_matrix,
+                       form_full, form_full_matrix, interior_product,
+                       lie_bracket, nijenhuis_tensor, pullback_linear, sharp,
+                       wedge)

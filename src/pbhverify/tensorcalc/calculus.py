@@ -1,4 +1,4 @@
-"""Exterior calculus, Lie brackets and complex-coordinate helpers on jets.
+"""Exterior calculus and Lie brackets on jets.
 
 Conventions (determinant normalization):
   (dx_i ^ dx_j)(e_i, e_j) = 1
@@ -18,9 +18,8 @@ from .jets import Jet, _perm_sign, jdet, jeinsum, jet_inv, jgrad, jmatvec
 
 __all__ = ["form_combos", "combo_index", "exterior_derivative", "wedge",
            "interior_product", "pullback_linear", "lie_bracket",
-           "d_scalar", "sharp", "flat", "form_full",
-           "form_full_matrix", "form_from_matrix", "evaluate_form",
-           "wirtinger_d", "wirtinger_dbar", "nijenhuis_tensor"]
+           "d_scalar", "sharp", "form_full", "form_full_matrix",
+           "form_from_matrix", "evaluate_form", "nijenhuis_tensor"]
 
 
 @lru_cache(maxsize=None)
@@ -214,9 +213,10 @@ def form_full_matrix(omega_jet: Jet, dim: int) -> Jet:
 
 
 def form_from_matrix(m_jet: Jet, dim: int) -> Jet:
-    combos = form_combos(dim, 2)
-    cols = [m_jet[:, i, j] for (i, j) in combos]
-    return _stack(cols)
+    """Matrix (B, d, d) -> 2-form combo components (B, C(d,2)) read from
+    its entries above the diagonal."""
+    i, j = np.array(form_combos(dim, 2)).T
+    return Jet(m_jet.space, m_jet.c[:, i, j], m_jet.order)
 
 
 def lie_bracket(x: Field, y: Field) -> Field:
@@ -242,29 +242,6 @@ def sharp(g: Field, theta: Field) -> Field:
         return jmatvec(jet_inv(gm), th)
 
     return vector_field(chart, fn, cost=max(g.cost, theta.cost))
-
-
-def flat(g: Field, x: Field) -> Field:
-    chart = _check_chart(g, x)
-
-    def fn(jc):
-        return jmatvec(g.fn(jc), x.fn(jc))
-
-    return oneform_field(chart, fn, cost=max(g.cost, x.cost))
-
-
-# -- complex-coordinate (Wirtinger) helpers ---------------------------------
-# Real chart coordinates are ordered (Re z_1, Im z_1, Re z_2, Im z_2, ...).
-
-
-def wirtinger_d(scalar_jet: Jet, alpha: int) -> Jet:
-    """d/dz_alpha = (d/da - i d/db)/2 on a scalar jet."""
-    return (scalar_jet.partial(2 * alpha) - scalar_jet.partial(2 * alpha + 1) * 1j) * 0.5
-
-
-def wirtinger_dbar(scalar_jet: Jet, alpha: int) -> Jet:
-    """d/dzbar_alpha = (d/da + i d/db)/2 on a scalar jet."""
-    return (scalar_jet.partial(2 * alpha) + scalar_jet.partial(2 * alpha + 1) * 1j) * 0.5
 
 
 def nijenhuis_tensor(j_endo: Field) -> Field:

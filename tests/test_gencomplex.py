@@ -191,6 +191,39 @@ def test_nan_in_structure_fails_closed(torus_bundle, torus_points, monkeypatch):
     assert not check.passed
 
 
+def test_nan_in_pair_fails_closed(torus_bundle, torus_points, monkeypatch):
+    """A NaN in one entry of I1 at one of 16 points fails the pair at the
+    commutation clause instead of reaching the SVD, and the recorded
+    pair-compatibility check fails."""
+    from pbhverify import suites
+    build = suites.gcs_from_form
+    calls = []
+
+    def poisoned(beta):
+        i_field = build(beta)
+        calls.append(beta)
+        if len(calls) > 1:  # only the first structure, built from beta1
+            return i_field
+
+        def fn(jc):
+            out = i_field.fn(jc).copy()
+            out.c[3, 1, 6, 0] = np.nan
+            return out
+
+        return Field(i_field.chart, "tensor", fn, cost=i_field.cost)
+
+    assert len(torus_points) == 16
+    res = check_gpk_pair(poisoned(torus_bundle.beta1), build(torus_bundle.beta2),
+                         torus_points)
+    assert not res.ok and res.failed_clause == "commute"
+    calls.clear()
+    monkeypatch.setattr(suites, "gcs_from_form", poisoned)
+    rep = run_suite(SuiteConfig(suite="gpk-example2", model="torus", samples=16,
+                                seed=42))
+    check = {c.name: c for c in rep.checks}["pair-compatibility"]
+    assert not check.passed
+
+
 def test_integrability_on_polynomial_sections(torus_bundle, torus_points):
     i1 = gcs_from_form(torus_bundle.beta1)
     secs = random_poly_sections(torus_bundle.chart, 8, 17)

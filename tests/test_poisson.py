@@ -43,8 +43,7 @@ def test_jacobi_both_routes_and_agreement(torus_bundle, torus_points):
     br_re = schouten_bb(re_pi, re_pi)
     cyc = cyclic_nabla_q_form(b.g, b.data.jp, b.data.jm, torus_points)
     assert np.abs(cyc).max() < 1e-12
-    low = lower_trivector(br_re.eval(torus_points), b.g.eval(torus_points), 4,
-                          form_combos(4, 3))
+    low = lower_trivector(br_re.eval(torus_points), b.g.eval(torus_points), 4)
     assert np.abs(low - 2.0 * cyc).max() < 1e-12
     conj_pi = bivector_field(b.chart, lambda jc: pi.bivector.fn(jc).conj(),
                              cost=pi.bivector.cost)

@@ -5,10 +5,10 @@ import pytest
 
 from pbhverify.structures import (BihermitianData, BranchError, HermitianPair,
                                   build_parahypercomplex, check_p_gradient,
-                                  chern_connection, d_pm_F, form3_full,
-                                  lee_form, levi_civita, max_abs, nijenhuis,
-                                  type_30_03_residual)
+                                  chern_connection, d_pm_F, lee_form,
+                                  levi_civita, max_abs, type_30_03_residual)
 from pbhverify.tensorcalc import (SamplePlan, d_scalar, exterior_derivative,
+                                  form_full, nijenhuis_tensor,
                                   pullback_linear, wedge)
 from pbhverify.flagmodel import cp2_charts
 from pbhverify.poisson import standard_complex_matrix
@@ -23,11 +23,11 @@ def test_hermitian_pair_validity(torus_model, torus_points):
 
 
 def test_nijenhuis_trivials(torus_model, torus_points):
-    assert max_abs(nijenhuis(torus_model.triple.j1).eval(torus_points)) == 0.0
+    assert max_abs(nijenhuis_tensor(torus_model.triple.j1).eval(torus_points)) == 0.0
     z = cp2_charts()["z"]
     pts = SamplePlan(8, 3).sample(z.chart)
     j_std = constant_endo(z.chart, standard_complex_matrix(4))
-    assert max_abs(nijenhuis(j_std).eval(pts)) == 0.0
+    assert max_abs(nijenhuis_tensor(j_std).eval(pts)) == 0.0
 
 
 def test_conformal_lee_form_is_du(torus_model, conformal_metric, torus_points):
@@ -63,7 +63,7 @@ def test_metric_derivative_formula_conformal(torus_model, conformal_metric,
     pair = HermitianPair(conformal_metric, torus_model.triple.j1)
     lc = levi_civita(conformal_metric)
     nf = lc.cov_deriv_form2(pair.f).eval(torus_points)
-    dfv = form3_full(exterior_derivative(pair.f).eval_jet(torus_points), 4).value
+    dfv = form_full(exterior_derivative(pair.f).eval_jet(torus_points), 4, 3).value
     jv = pair.j.eval(torus_points)
     rhs = 0.5 * (np.einsum("bax,bcz,bayc->bxyz", jv, jv, dfv)
                  + np.einsum("bax,bcy,bacz->bxyz", jv, jv, dfv))
@@ -155,8 +155,8 @@ def test_lemma1_lee_form_equality(torus_model, conformal_metric, torus_points):
     t = torus_model.triple
     jm = t.j1 * 1.25 + t.j2 * 0.75
     data = BihermitianData(conformal_metric, t.j1, jm)
-    assert max_abs(nijenhuis(data.k_endo).eval(torus_points)) < 1e-12
-    assert max_abs(nijenhuis(data.s_endo).eval(torus_points)) < 1e-12
+    assert max_abs(nijenhuis_tensor(data.k_endo).eval(torus_points)) < 1e-12
+    assert max_abs(nijenhuis_tensor(data.s_endo).eval(torus_points)) < 1e-12
     thp = HermitianPair(conformal_metric, t.j1).theta.eval(torus_points)
     thk = HermitianPair(conformal_metric, data.k_endo).theta.eval(torus_points)
     ths = HermitianPair(conformal_metric, data.s_endo).theta.eval(torus_points)

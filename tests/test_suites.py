@@ -11,6 +11,33 @@ from pbhverify.poisson import pi_bivector
 from pbhverify.suites import SuiteConfig, SuiteContext, run_suite
 
 
+def test_nan_in_frame_endomorphism_fails_closed(torus_model):
+    """A NaN in one entry of J2 at one point makes the algebra residual NaN,
+    fails certification, and fails the recorded split-quaternion check
+    (``max(x, nan)`` is x, so the NaN used to vanish)."""
+    from pbhverify import suites
+    from pbhverify.models import ModelDescriptor, ModelError
+    from pbhverify.structures import ParaHyperTriple
+    from pbhverify.tensorcalc import SamplePlan, endo_field
+    t = torus_model.triple
+
+    def fn(jc):
+        out = t.j2.fn(jc).copy()
+        out.c[5, 0, 2, 0] = np.nan
+        return out
+
+    bad = ParaHyperTriple(t.g, t.j1, endo_field(t.g.chart, fn), t.j3)
+    ctx = SuiteContext(SuiteConfig(suite="parahyperkahler", samples=16))
+    pts = ctx.points(torus_model.chart)
+    assert np.isnan(bad.algebra_residual(pts))
+    model = ModelDescriptor("torus", torus_model.chart, bad, torus_model.lattice)
+    with pytest.raises(ModelError):
+        model.certify(SamplePlan(16, 42))
+    ctx._model = model
+    check = {c.name: c for c in suites.suite_parahyperkahler(ctx)}
+    assert not check["split-quaternion-relations"].passed
+
+
 def test_record_fails_non_finite_residuals():
     ctx = SuiteContext(SuiteConfig())
     assert not ctx.record("integrator-order", "", float("inf"), 1).passed
