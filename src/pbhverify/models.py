@@ -14,8 +14,8 @@ from .structures import (BihermitianData, ParaHyperTriple,
                          worst)
 from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          constant_metric, endo_field, form_field,
-                         form_full_matrix, form_from_matrix, jet_solve,
-                         jgrad, jmatmul, jtranspose, metric_field)
+                         form_full_matrix, form_from_matrix, jet_coords,
+                         jet_solve, jgrad, jmatmul, jtranspose, metric_field)
 from .tensorcalc.fields import _broadcast_const
 from .tensorcalc.calculus import _stack
 
@@ -382,15 +382,21 @@ class HamiltonianFlow:
     """Fixed-step RK4 integration of the F^K-Hamiltonian vector field of f.
 
     Positions are integrated as jets, so the flow map's derivatives through
-    third order ride along (variational equations included); evaluation
-    results are memoized per (points, order)."""
+    third order ride along (variational equations included).  Each RK4
+    integration adds one (input jet, flowed jet) entry to ``_cache``.  A
+    query whose coordinate jet equals a row prefix and a coefficient prefix
+    of a stored input (fewer points of the same sample sequence, a lower
+    order) is served by slicing the stored result: truncated Taylor
+    arithmetic computes each row and each lower-degree coefficient from the
+    same rows and coefficients of its inputs, in the same order.  The prefix
+    is compared with ``np.array_equal``; any other query integrates anew."""
 
     def __init__(self, f_k: Field, fexpr: FExpr, t: float, step: float):
         self.f_k = f_k
         self.fexpr = fexpr
         self.t = t
         self.step = step
-        self._cache = {}
+        self._cache = []
 
     def velocity(self, y: Jet) -> Jet:
         m = form_full_matrix(self.f_k.fn(y), self.f_k.chart.dim)
@@ -398,10 +404,10 @@ class HamiltonianFlow:
         return jet_solve(jtranspose(m), self.fexpr.grad(y))
 
     def flow_jet(self, jc: Jet) -> Jet:
-        key = (jc.c.tobytes(), jc.order)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        for stored, y in self._cache:
+            hit = _prefix_slice(jc, stored, y)
+            if hit is not None:
+                return hit
         n = max(1, int(round(abs(self.t) / self.step)))
         dt = self.t / n
         y = jc
@@ -411,12 +417,11 @@ class HamiltonianFlow:
             k3 = self.velocity(y + k2 * (dt / 2.0))
             k4 = self.velocity(y + k3 * dt)
             y = y + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
-        self._cache[key] = y
+        self._cache.append((jc, y))
         return y
 
     def escape_check(self, pts, box, quarter=0.25):
         """Crude smallness condition: t * max speed <= quarter * min box side."""
-        from .tensorcalc.jets import jet_coords
         jc = jet_coords(self.f_k.chart.dim, 0, np.atleast_2d(pts))
         v = self.velocity(jc).value
         speed = float(np.abs(v).max())
@@ -425,6 +430,16 @@ class HamiltonianFlow:
             raise ValueError(
                 f"flow time too large: t*|V| = {abs(self.t)*speed:.3g} exceeds "
                 f"{quarter} * box side {min_side:.3g}")
+
+
+def _prefix_slice(jc: Jet, stored: Jet, y: Jet) -> Jet | None:
+    """The flowed jet of ``jc`` cut from ``y``, the flow of ``stored``, when
+    ``jc`` is a row and coefficient prefix of ``stored`` valid to no higher
+    order; else None."""
+    rows, n = jc.c.shape[0], jc.space.n
+    if jc.order > stored.order or not np.array_equal(jc.c, stored.c[:rows, ..., :n]):
+        return None
+    return Jet(jc.space, y.c[:rows, ..., :n].copy(), y.order - stored.order + jc.order)
 
 
 def flow_pullback_form(flow: HamiltonianFlow, omega: Field) -> Field:
@@ -465,6 +480,10 @@ def hamiltonian_deform(bundle: Example2Bundle, plan: SamplePlan,
     if params.t != 0.0:
         flow.escape_check(pts, bundle.chart.box)
     pulled = flow_pullback_form(flow, bundle.omega_pp)
+    # the one integration: the deformed checks differentiate the pullback
+    # once more (exterior derivative, generalized Nijenhuis tensor), and
+    # every other query is a prefix of these points and this order
+    flow.flow_jet(jet_coords(bundle.chart.dim, pulled.cost + 1, pts))
     gamma1 = complex_form(bundle.f_k, bundle.omega_p + pulled)
     gamma2 = complex_form(-bundle.f_k, bundle.omega_p - pulled)
     fk_pull = flow_pullback_form(flow, bundle.f_k)

@@ -4,6 +4,7 @@ pass/fail flags, serialized losslessly and deterministically."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -60,6 +61,16 @@ def _is_decimal(v) -> bool:
         return False
 
 
+def _relation(c: CheckRecord) -> str:
+    """The measured relation of residual to tolerance, whatever the check's
+    pass criterion: ``X <= tol``, ``X > tol`` or ``X (not finite)``."""
+    x = format_residual(c.residual)
+    if not math.isfinite(c.residual):
+        return f"{x} (not finite)"
+    rel = "<=" if c.residual <= c.tolerance else ">"
+    return f"{x} {rel} {format_residual(c.tolerance)}"
+
+
 @dataclass
 class VerificationReport:
     suite: str
@@ -102,8 +113,6 @@ class VerificationReport:
         for c in self.checks:
             mark = "pass" if c.passed else "FAIL"
             inc = f" inconclusive={c.inconclusive}" if c.inconclusive else ""
-            rel = ">" if c.extra.get("mode") == "exceeds" else "<="
-            lines.append(f"  [{mark}] {c.name}: residual {format_residual(c.residual)}"
-                         f" {rel} {format_residual(c.tolerance)}"
+            lines.append(f"  [{mark}] {c.name}: residual {_relation(c)}"
                          f" ({c.points} pts{inc}) -- {c.reference}")
         return "\n".join(lines) + "\n"

@@ -12,6 +12,17 @@ one jet product contracted over component axes as ``np.einsum(spec)`` would
 contract scalars, and ``jgrad(a)`` returns all first partials as a new
 trailing component axis.  Constant signed index tables (exterior derivative,
 wedge, interior product) act on coefficient arrays with plain ``np.einsum``.
+
+Constant-operand rule: when every derivative coefficient of a factor is
+exactly zero, the only Leibniz pairs with a nonzero product are the ones
+holding that factor's value, one per output coefficient and each with
+coefficient 1.  ``Jet.__mul__`` then multiplies the constant's value into
+the other factor's coefficient array (one broadcast multiply), and
+``jeinsum`` contracts just those pairs (one ``np.einsum``, no scaling, no
+``reduceat``).  The rule tests the input, not a flag: a NaN in any
+derivative coefficient is not zero, so that product takes the full path and
+keeps the NaN, and a NaN or inf in a constant factor's value still makes the
+product's value non-finite.
 """
 
 from __future__ import annotations
@@ -179,6 +190,10 @@ class Jet:
         if o.space is not self.space:
             raise ValueError("jets from different spaces")
         sp = self.space
+        if _is_constant(o):
+            return Jet(sp, self.c * o.c[..., :1], min(self.order, o.order))
+        if _is_constant(self):
+            return Jet(sp, self.c[..., :1] * o.c, min(self.order, o.order))
         prod = self.c[..., sp.prod_a] * o.c[..., sp.prod_b]
         prod = prod * sp.prod_c
         out = np.add.reduceat(prod, sp.prod_starts, axis=-1)
@@ -299,18 +314,52 @@ def jet_coords(dim: int, order: int, points: np.ndarray) -> Jet:
     return Jet(sp, c)
 
 
+def _is_constant(x: Jet) -> bool:
+    """Every derivative coefficient is exactly zero (NaN counts as nonzero)."""
+    return not x.c[..., 1:].any()
+
+
+def _leibniz_einsum(sa: str, sb: str, out: str, a: Jet, b: Jet) -> np.ndarray:
+    """Coefficients of the full jet product: every Leibniz pair gathered,
+    contracted, scaled and summed into its output multi-index."""
+    sp = a.space
+    prod = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., sp.prod_a], b.c[..., sp.prod_b])
+    prod *= sp.prod_c
+    return np.add.reduceat(prod, sp.prod_starts, axis=-1)
+
+
+def _constant_einsum(sa: str, sb: str, out: str, a: Jet, b: Jet,
+                     const_a: bool, const_b: bool) -> np.ndarray:
+    """Coefficients of a jet product with a constant factor: only the pairs
+    holding the constant's value are gathered (the value pair alone when
+    both are constant).  The gather lays the coefficient axis out as the
+    full product's does, so ``np.einsum`` sums each pair the same way."""
+    sp = a.space
+    keep = np.arange(1 if const_a and const_b else sp.n)
+    value = np.zeros_like(keep)
+    prod = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., value if const_a else keep],
+                     b.c[..., value if const_b else keep])
+    if len(keep) == sp.n:
+        return prod
+    c = np.zeros(prod.shape[:-1] + (sp.n,), dtype=prod.dtype)
+    c[..., :1] = prod
+    return c
+
+
 def jeinsum(spec: str, a: Jet, b: Jet) -> Jet:
     """Jet product of a and b contracted over component axes: the jet
     analogue of ``np.einsum(spec, a, b)``, e.g. ``"...ij,...jk->...ik"``.
     The letter ``r`` is reserved for the coefficient axis."""
     if a.space is not b.space:
         raise ValueError("jets from different spaces")
-    sp = a.space
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    prod = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., sp.prod_a], b.c[..., sp.prod_b])
-    prod *= sp.prod_c
-    return Jet(sp, np.add.reduceat(prod, sp.prod_starts, axis=-1), min(a.order, b.order))
+    const_a, const_b = _is_constant(a), _is_constant(b)
+    if const_a or const_b:
+        c = _constant_einsum(sa, sb, out, a, b, const_a, const_b)
+    else:
+        c = _leibniz_einsum(sa, sb, out, a, b)
+    return Jet(a.space, c, min(a.order, b.order))
 
 
 def jgrad(a: Jet) -> Jet:

@@ -9,8 +9,12 @@ bracket on stacked sections replaced.  All are kept here as oracles.  Sums
 run in a different order, so agreement is to a tolerance fixed from float64
 roundoff.  The last section keeps the second copies of single operations
 (transpose, Wirtinger derivative, antisymmetrization, N±, block assembly)
-that were deleted in favour of one implementation.
+that were deleted in favour of one implementation.  ``leibniz_jeinsum`` and
+``leibniz_mul`` are the full gather/``reduceat`` products, kept as the oracle
+of the constant-operand rule.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from pbhverify.tensorcalc import (Field, SamplePlan, coordinate_oneform,
 from pbhverify.tensorcalc.calculus import _stack
 from pbhverify.tensorcalc.fields import _broadcast_const
 from pbhverify.tensorcalc.fields import _scale
+from pbhverify.tensorcalc import jets
 from pbhverify.tensorcalc.jets import Jet
 
 RTOL = ATOL = 1e-12
@@ -796,3 +801,141 @@ def test_block_assemblies_match_removed_copies(torus_bundle, kodaira_jets):
     for new, s in zip(gualtieri_build(g, jp, jm), (1.0, -1.0)):
         assert_jets_equal(new.fn(jc), ref_gualtieri_block(jp.fn(jc), jm.fn(jc),
                                                           fpv, fmv, 4, s))
+
+
+# -- the constant-operand rule against the full Leibniz product ---------------
+
+
+def leibniz_jeinsum(spec, a, b):
+    sp = a.space
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    prod = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., sp.prod_a], b.c[..., sp.prod_b])
+    prod *= sp.prod_c
+    return Jet(sp, np.add.reduceat(prod, sp.prod_starts, axis=-1), min(a.order, b.order))
+
+
+def leibniz_mul(a, b):
+    sp = a.space
+    prod = a.c[..., sp.prod_a] * b.c[..., sp.prod_b]
+    prod = prod * sp.prod_c
+    return Jet(sp, np.add.reduceat(prod, sp.prod_starts, axis=-1), min(a.order, b.order))
+
+
+CONST_SPACES = [(4, 1), (4, 2), (4, 3), (6, 3)]
+# (spec, shape of a, shape of b); the last case is the broadcast of the
+# structure against the stacked sections in gcs_nijenhuis
+CONST_CONTRACTIONS = [("...ij,...jk->...ik", (8, 3, 4), (8, 4, 2)),
+                      ("...ij,...jk->...ik", (64, 4, 4), (64, 4, 4)),
+                      ("...ij,...j->...i", (8, 1, 8, 8), (8, 7, 8))]
+CONST_PRODUCTS = [((8,), (8,)), ((64, 4, 4), (64, 4, 4)), ((8, 1, 8), (8, 7, 8))]
+
+
+def constant_jet(jet):
+    c = jet.c.copy()
+    c[..., 1:] = 0.0
+    return Jet(jet.space, c, jet.order)
+
+
+def const_operands(rng, sp, shape_a, shape_b, which, cplx_a, cplx_b):
+    a = random_jet(rng, sp, shape_a, cplx_a, sp.order)
+    b = random_jet(rng, sp, shape_b, cplx_b, int(rng.integers(0, sp.order + 1)))
+    if which in ("a", "both"):
+        a = constant_jet(a)
+    if which in ("b", "both"):
+        b = constant_jet(b)
+    return a, b
+
+
+def full_path_forbidden():
+    return mock.patch.object(jets, "_leibniz_einsum",
+                             side_effect=AssertionError("full product taken"))
+
+
+const_draws = st.tuples(st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("which", ["a", "b", "both"])
+@pytest.mark.parametrize("contraction", CONST_CONTRACTIONS)
+@pytest.mark.parametrize("dim,order", CONST_SPACES)
+@settings(max_examples=4, deadline=None)
+@given(const_draws)
+def test_constant_jeinsum_matches_leibniz(dim, order, contraction, which, draw):
+    cplx_a, cplx_b, seed = draw
+    spec, shape_a, shape_b = contraction
+    rng = np.random.default_rng(seed)
+    a, b = const_operands(rng, jet_space(dim, order), shape_a, shape_b,
+                          which, cplx_a, cplx_b)
+    with full_path_forbidden():
+        new = jeinsum(spec, a, b)
+    assert_jets_close(new, leibniz_jeinsum(spec, a, b))
+
+
+@pytest.mark.parametrize("which", ["a", "b", "both"])
+@pytest.mark.parametrize("shapes", CONST_PRODUCTS)
+@pytest.mark.parametrize("dim,order", CONST_SPACES)
+@settings(max_examples=4, deadline=None)
+@given(const_draws)
+def test_constant_mul_equals_leibniz(dim, order, shapes, which, draw):
+    """No sum is reassociated in the elementwise product, so the rule is
+    exact."""
+    cplx_a, cplx_b, seed = draw
+    rng = np.random.default_rng(seed)
+    a, b = const_operands(rng, jet_space(dim, order), *shapes, which, cplx_a, cplx_b)
+    new, old = a * b, leibniz_mul(a, b)
+    assert new.order == old.order
+    assert np.array_equal(new.c, old.c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_nonfinite_constant_value_fails_closed(bad, which):
+    rng = np.random.default_rng(5)
+    sp = jet_space(4, 2)
+    spec, shape_a, shape_b = CONST_CONTRACTIONS[0]
+    a, b = const_operands(rng, sp, shape_a, shape_b, which, False, True)
+    const = a if which == "a" else b
+    const.c[3, 1, 1, 0] = bad
+    with np.errstate(invalid="ignore"), full_path_forbidden():
+        prod = jeinsum(spec, a, b)
+        elem = a[:, 1, :] * b[:, :, 1]
+    assert not np.isfinite(prod.value).all()
+    assert not np.isfinite(elem.value).all()
+    assert np.isfinite(prod.value[:3]).all() and np.isfinite(elem.value[:3]).all()
+
+
+def test_nan_derivative_takes_full_product():
+    """A NaN in one derivative coefficient of an otherwise constant factor
+    is not a zero: the full product runs and the NaN reaches the result."""
+    rng = np.random.default_rng(6)
+    sp = jet_space(4, 3)
+    spec, shape_a, shape_b = CONST_CONTRACTIONS[2]
+    a, b = const_operands(rng, sp, shape_a, shape_b, "a", True, False)
+    a.c[2, 0, 3, 5, 7] = np.nan
+    with mock.patch.object(jets, "_leibniz_einsum", wraps=jets._leibniz_einsum) as full:
+        new = jeinsum(spec, a, b)
+    assert full.call_count == 1
+    assert np.isnan(new.c).any()
+    np.testing.assert_allclose(new.c, leibniz_jeinsum(spec, a, b).c,
+                               rtol=RTOL, atol=ATOL, equal_nan=True)
+    x, y = a[:, :, 3, 5], b[:, :, 5]
+    assert np.array_equal((x * y).c, leibniz_mul(x, y).c, equal_nan=True)
+    assert np.isnan((x * y).c).any()
+
+
+@pytest.mark.parametrize("dim,order", CONST_SPACES)
+def test_one_derivative_coefficient_is_not_constant(dim, order):
+    """A factor whose only nonzero derivative coefficient is the first or
+    the last one is not constant and takes the full product."""
+    sp = jet_space(dim, order)
+    spec, shape_a, shape_b = CONST_CONTRACTIONS[0]
+    for pos in (1, sp.n - 1):
+        rng = np.random.default_rng(pos)
+        a = constant_jet(random_jet(rng, sp, shape_a, False, order))
+        a.c[..., pos] = rng.normal(size=shape_a)
+        b = random_jet(rng, sp, shape_b, True, order)
+        with mock.patch.object(jets, "_leibniz_einsum", wraps=jets._leibniz_einsum) as full:
+            assert_jets_close(jeinsum(spec, a, b), leibniz_jeinsum(spec, a, b))
+        assert full.call_count == 1
+        x, y = a[:, 0], b[:, :, 0]
+        assert np.array_equal((x * y).c, leibniz_mul(x, y).c)

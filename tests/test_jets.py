@@ -4,7 +4,7 @@ frozen symbolic value."""
 import numpy as np
 
 from pbhverify.tensorcalc import jet_coords, jet_inv, jdet, jmatmul
-from pbhverify.tensorcalc.jets import Jet
+from pbhverify.tensorcalc.jets import Jet, JetSpace
 
 
 def test_polynomial_partials():
@@ -85,3 +85,12 @@ def test_order_tracking_forbids_overdraw():
     except ValueError:
         return
     raise AssertionError("expected an order-exhaustion error")
+
+
+def test_multi_indices_of_lower_orders_are_prefixes():
+    """A jet of order k is a coefficient prefix of the same quantity at
+    order k + 1; the flow serves lower-order queries by slicing on this."""
+    for d in (4, 6):
+        for k in (0, 1, 2):
+            lo, hi = JetSpace(d, k).multi, JetSpace(d, k + 1).multi
+            assert hi[:len(lo)] == lo

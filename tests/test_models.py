@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from pbhverify.flagmodel import _flag_domain
 from pbhverify.models import (Example2Params, F_CATALOG, HamiltonianFlow,
                               ModelError, example2_build, flow_pullback_form,
                               get_model, hamiltonian_deform, kodaira_phk,
                               torus_phk, unit_spacelike_vector)
 from pbhverify.structures import max_abs
+from pbhverify.suites import SuiteConfig, run_suite
 from pbhverify.tensorcalc import (SamplePlan, evaluate_form,
-                                  exterior_derivative, wedge)
+                                  exterior_derivative, jets, wedge)
 from pbhverify.tensorcalc.jets import Jet, jet_coords
 
 
@@ -177,3 +179,94 @@ def test_kodaira_candidate_search_is_exercised():
     certified one must still be found."""
     m = kodaira_phk()
     assert m.certify(SamplePlan(8, 2))["closedness"] < 1e-12
+
+
+# -- one integration per flow -------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_fewer_samples_are_a_prefix(seed, torus_model, kodaira_model):
+    """The 8-point plan of a seed is the first 8 rows of its 64-point plan,
+    also on a chart whose excluded loci reject draws."""
+    for chart in (torus_model.chart, kodaira_model.chart, _flag_domain()):
+        small = SamplePlan(8, seed).sample(chart)
+        assert np.array_equal(small, SamplePlan(64, seed).sample(chart)[:8])
+
+
+def _fresh(flow, jc):
+    return HamiltonianFlow(flow.f_k, flow.fexpr, flow.t, flow.step).flow_jet(jc)
+
+
+@pytest.mark.parametrize("model_name,count,step", [("torus", 64, 1e-3),
+                                                   ("kodaira", 16, 1e-2)])
+def test_one_integration_serves_prefix_queries(model_name, count, step,
+                                               torus_model, kodaira_model):
+    model = torus_model if model_name == "torus" else kodaira_model
+    plan = SamplePlan(count, 42)
+    params = Example2Params(t=0.1, f_name="sin2", step=step)
+    deformed = hamiltonian_deform(example2_build(model, params, plan), plan)
+    flow = deformed.flow
+    assert len(flow._cache) == 1
+    pts, few = plan.sample(model.chart), SamplePlan(8, 42).sample(model.chart)
+    for jc in (jet_coords(4, 1, pts), jet_coords(4, 2, few), jet_coords(4, 0, few)):
+        served, fresh = flow.flow_jet(jc), _fresh(flow, jc)
+        assert served.space is fresh.space and served.order == fresh.order
+        assert np.array_equal(served.c, fresh.c)
+    assert len(flow._cache) == 1
+
+
+def test_other_queries_integrate_anew(torus_bundle, torus_points):
+    flow = HamiltonianFlow(torus_bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-2)
+    flow.flow_jet(jet_coords(4, 1, torus_points))
+    full = jet_coords(4, 2, torus_points[:8])
+    for jc in (jet_coords(4, 1, torus_points + 1e-3),   # shifted points
+               jet_coords(4, 1, torus_points[1:]),      # not a row prefix
+               Jet(full.space, full.c, 1),               # valid to order 1 only
+               full):                                    # a higher order
+        before = len(flow._cache)
+        out = flow.flow_jet(jc)
+        assert len(flow._cache) == before + 1
+        assert out.order == jc.order
+        assert np.array_equal(out.c, _fresh(flow, jc).c)
+
+
+def test_gpk_flow_work_count(monkeypatch):
+    """Deterministic work guard: one RK4 integration of the main flow (100
+    steps, 4 velocity calls each, plus the escape check) and the two
+    calibration flows (5 and 10 steps)."""
+    calls, flows = [], []
+    velocity, init = HamiltonianFlow.velocity, HamiltonianFlow.__init__
+
+    def counted(flow, y):
+        calls.append(flow)
+        return velocity(flow, y)
+
+    def tracked(flow, *args, **kwargs):
+        init(flow, *args, **kwargs)
+        flows.append(flow)
+
+    monkeypatch.setattr(HamiltonianFlow, "velocity", counted)
+    monkeypatch.setattr(HamiltonianFlow, "__init__", tracked)
+    rep = run_suite(SuiteConfig(suite="gpk-example2", model="torus", samples=16,
+                                t=0.1, f_expr="sin2", step=1e-3))
+    assert rep.passed
+    assert len(calls) == 461
+    main = flows[0]
+    assert main.fexpr.name == "sin2" and len(main._cache) == 1
+
+
+@pytest.mark.parametrize("model_name", ["torus", "kodaira"])
+def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
+                                                     kodaira_model, monkeypatch):
+    """Every structure on the torus is constant, so one velocity evaluation
+    makes no full jet contraction; on kodaira it does."""
+    model = torus_model if model_name == "torus" else kodaira_model
+    plan = SamplePlan(8, 3)
+    bundle = example2_build(model, Example2Params(t=0.1), plan)
+    flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
+    full = []
+    leibniz = jets._leibniz_einsum
+    monkeypatch.setattr(jets, "_leibniz_einsum",
+                        lambda *args: full.append(args) or leibniz(*args))
+    flow.velocity(jet_coords(4, 2, plan.sample(model.chart)))
+    assert (len(full) == 0) == (model_name == "torus")

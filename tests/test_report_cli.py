@@ -123,3 +123,29 @@ def test_flag_model_scoping():
     assert main(["--model", "flag", "--suite", "theorem4", "--samples", "16",
                  "--quiet"]) == 0
     assert main(["--model", "flag", "--suite", "poisson", "--quiet"]) == 2
+
+
+def test_summary_prints_the_measured_relation():
+    """A failing check reads as the relation that holds, not as the pass
+    criterion it missed."""
+    nan = float("nan")
+    rep = VerificationReport("demo", "torus", {}, [
+        CheckRecord("le-pass", "ref", 1e-12, 1e-9, 8, True),
+        CheckRecord("le-fail", "ref", 2e-9, 1e-9, 8, False),
+        CheckRecord("exceeds-pass", "ref", 16.0, 8.0, 8, True, 0, {"mode": "exceeds"}),
+        CheckRecord("exceeds-fail", "ref", 4.5e-4, 1e-3, 8, False, 0, {"mode": "exceeds"}),
+        CheckRecord("le-nan", "ref", nan, 1e-9, 8, False),
+        CheckRecord("exceeds-nan", "ref", nan, 1e-3, 8, False, 0, {"mode": "exceeds"}),
+        CheckRecord("le-inf", "ref", float("inf"), 1e-9, 8, False),
+    ])
+    lines = {line.split("]")[1].split(":")[0].strip(): line
+             for line in rep.summary().splitlines()[1:]}
+    assert "residual 9.9999999999999998e-13 <= 1.0000000000000001e-09" in lines["le-pass"]
+    assert "residual 2.0000000000000001e-09 > 1.0000000000000001e-09" in lines["le-fail"]
+    assert "residual 16 > 8" in lines["exceeds-pass"]
+    assert "residual 0.00044999999999999999 <= 0.001" in lines["exceeds-fail"]
+    assert "residual nan (not finite)" in lines["le-nan"]
+    assert "residual nan (not finite)" in lines["exceeds-nan"]
+    assert "residual inf (not finite)" in lines["le-inf"]
+    assert all(lines[k].lstrip().startswith("[FAIL]")
+               for k in ("le-fail", "exceeds-fail", "le-nan", "exceeds-nan", "le-inf"))
