@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .models import F_CATALOG, ModelError
 from .suites import ConfigError, SuiteConfig, list_suites, run_suite
@@ -61,8 +62,10 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-_FIELD_TYPES = {"samples": int, "seed": int, "a": float, "b": float,
-                "c": float, "t": float, "step": float, "fa": int, "fb": int}
+# every SuiteConfig field but ``tol`` (parsed as CHECK=VALUE overrides),
+# with the type of its default
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(SuiteConfig)
+                if f.name != "tol"}
 
 
 def _assemble_config(args) -> SuiteConfig:
@@ -74,8 +77,7 @@ def _assemble_config(args) -> SuiteConfig:
         tols = [t for t in tol_text.split(",") if t]
     else:
         tols = []
-    for key in ("model", "suite", "samples", "seed", "a", "b", "c", "f_expr",
-                "t", "step", "fa", "fb", "report"):
+    for key in _FIELD_TYPES:
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
@@ -85,13 +87,10 @@ def _assemble_config(args) -> SuiteConfig:
 
     cfg = SuiteConfig()
     for key, value in values.items():
-        if not hasattr(cfg, key):
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown configuration key {key!r}")
-        if key == "tol":
-            continue
-        caster = _FIELD_TYPES.get(key, str)
         try:
-            setattr(cfg, key, caster(value))
+            setattr(cfg, key, _FIELD_TYPES[key](value))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     overrides = {}

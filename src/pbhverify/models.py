@@ -16,14 +16,14 @@ from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          constant_metric, endo_field, form_field,
                          form_full_matrix, form_from_matrix, jet_coords,
                          jet_solve, jgrad, jmatmul, jtranspose, metric_field)
-from .tensorcalc.fields import _broadcast_const
+from .tensorcalc.fields import _broadcast_const, _scale
 from .tensorcalc.calculus import _stack
 
 __all__ = ["ModelError", "IntegratorError", "ModelDescriptor",
            "standard_split_quaternion_frame", "Example2Params", "Example2Bundle",
            "torus_phk", "kodaira_phk", "example2_build", "hamiltonian_deform",
            "HamiltonianFlow", "DeformedBundle", "FExpr", "F_CATALOG",
-           "unit_spacelike_vector", "get_model"]
+           "unit_spacelike_vector", "get_model", "j_minus", "conformal_metric"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -305,14 +305,6 @@ class Example2Bundle:
         return self.model.triple.g
 
     @cached_property
-    def f_plus(self):
-        return self.data.pair_plus.f
-
-    @cached_property
-    def f_minus(self):
-        return self.data.pair_minus.f
-
-    @cached_property
     def f_k(self):
         return fundamental_form(self.g, self.data.k_endo)
 
@@ -341,6 +333,21 @@ class Example2Bundle:
         return complex_form(-self.f_k, self.omega_minus)
 
 
+def j_minus(triple: ParaHyperTriple, params: Example2Params) -> Field:
+    """J- = a J1 + b J2 + c J3, the partner of J+ = J1."""
+    return triple.j1 * params.a + triple.j2 * params.b + triple.j3 * params.c
+
+
+def conformal_metric(model: ModelDescriptor) -> Field:
+    """e^{sin x1} times the model metric."""
+    g0 = model.triple.g
+
+    def fn(jc):
+        return _scale(g0.fn(jc), jc[:, 0].sin().exp())
+
+    return metric_field(model.chart, fn).memoized()
+
+
 def example2_build(model: ModelDescriptor, params: Example2Params,
                    plan: SamplePlan) -> Example2Bundle:
     """J+ = J1, J- = a J1 + b J2 + c J3 on a certified para-hyperkahler model."""
@@ -348,7 +355,7 @@ def example2_build(model: ModelDescriptor, params: Example2Params,
         raise ModelError(f"model {model.name} must be certified before use")
     t = model.triple
     jp = t.j1
-    jm = t.j1 * params.a + t.j2 * params.b + t.j3 * params.c
+    jm = j_minus(t, params)
     pts = plan.sample(model.chart)
     data = build_parahypercomplex(jp, jm, t.g, pts, name=f"{model.name}-pair")
     root = float(np.sqrt(params.a**2 - 1.0))

@@ -13,11 +13,10 @@ from functools import cached_property
 import numpy as np
 
 from .tensorcalc import (Field, Jet, endo_field, exterior_derivative,
-                         form_field, form_from_matrix, form_full,
-                         form_full_matrix, jeinsum, jet_inv, jet_solve, jgrad,
-                         jmatmul, jmatvec, jtrace, jtranspose,
-                         nijenhuis_tensor, oneform_field, pullback_linear,
-                         scalar_field, vector_field, wedge)
+                         form_field, form_from_matrix, form_full, jeinsum,
+                         jet_inv, jet_solve, jgrad, jmatmul, jmatvec, jtrace,
+                         jtranspose, nijenhuis_tensor, oneform_field,
+                         pullback_linear, scalar_field, vector_field)
 from .tensorcalc.fields import _scale, _broadcast_const, memoize_fn
 from .tensorcalc.calculus import _wedge_table
 
@@ -85,17 +84,6 @@ class HermitianPair:
         gv = self.g.eval_jet(pts)
         jv = self.j.eval_jet(pts)
         return max_abs(jmatmul(jmatmul(jtranspose(jv), gv), jv) - gv)
-
-    def square_residual(self, pts) -> float:
-        jv = self.j.eval_jet(pts)
-        eye = _broadcast_const(jv, np.eye(self.g.chart.dim))
-        return max_abs(jmatmul(jv, jv) + eye)
-
-    def lee_identity_residual(self, pts) -> float:
-        """Residual of d F = theta ^ F at the sampled points."""
-        df = exterior_derivative(self.f)
-        tf = wedge(self.theta, self.f)
-        return max_abs(df.eval(pts) - tf.eval(pts))
 
 
 @dataclass
@@ -230,21 +218,6 @@ class Connection:
         """(nabla A)[i, j, k] = (nabla_{e_i} A)^j_k."""
         return self.cov_deriv_tensor(a.fn, (True, False), a.cost)
 
-    def cov_deriv_form2(self, f2: Field) -> Field:
-        """(nabla F)[i, j, k] = (nabla_{e_i} F)(e_j, e_k) for a 2-form."""
-        d = self.chart.dim
-        return self.cov_deriv_tensor(lambda jc: form_full_matrix(f2.fn(jc), d),
-                                     (False, False), f2.cost)
-
-    def cov_deriv_metric_residual(self, g: Field, pts) -> float:
-        return max_abs(self.cov_deriv_tensor(g.fn, (False, False), g.cost).eval(pts))
-
-    def torsion_residual(self, pts) -> float:
-        from .tensorcalc.jets import jet_coords
-        jc = jet_coords(self.chart.dim, self.cost, np.atleast_2d(pts))
-        gam = self.gamma_fn(jc)
-        return max_abs(gam.c - np.swapaxes(gam.c, 2, 3))
-
 
 def levi_civita(g: Field) -> Connection:
     """Christoffel symbols from jet derivatives of g."""
@@ -289,18 +262,6 @@ def d_pm_F(pair: HermitianPair) -> Field:
     """d^c-type 3-form: (d^J F)(X,Y,Z) = -dF(JX, JY, JZ)."""
     df = exterior_derivative(pair.f)
     return -pullback_linear(pair.j, df)
-
-
-def type_30_03_residual(gamma3: Field, j: Field, pts) -> float:
-    """Residual of the no-(3,0)+(0,3) identity for a 3-form:
-    gamma(A,B,C) = gamma(JA,JB,C) + gamma(JA,B,JC) + gamma(A,JB,JC)."""
-    d = gamma3.chart.dim
-    tv = form_full(gamma3.eval_jet(pts), d, 3).value
-    jm = j.eval(pts)
-    a1 = np.einsum("bax,bcy,bacz->bxyz", jm, jm, tv)
-    a2 = np.einsum("bax,bcz,bayc->bxyz", jm, jm, tv)
-    a3 = np.einsum("bdy,bcz,bxdc->bxyz", jm, jm, tv)
-    return float(np.abs(tv - a1 - a2 - a3).max())
 
 
 @dataclass

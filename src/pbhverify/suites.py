@@ -2,14 +2,17 @@
 
 Each suite is an ordered list of named checks; a check evaluates one family
 of identities at sampled points and records the worst residual against its
-tolerance.  Tolerance overrides may only loosen the shipped defaults and
-never drop below 1e-14.
+tolerance.  ``CATALOG`` declares every suite and check once.  Tolerance
+overrides must be finite, may only loosen the shipped defaults and never
+drop below 1e-14.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +20,8 @@ from .engel import (basis_identity_residuals, canonical_engel_span,
                     integrable_control_span, lee_fields, n_endos,
                     nabla_n_rhs_residuals, other_control_span, rank_tower,
                     synthetic_data, theorem7_check)
-from .flagmodel import FlagParams, cp2_charts, cp2_transition, flag_charts
+from .flagmodel import (FlagParams, cp2_charts, cp2_transition, flag_charts,
+                        tau_norm_sq)
 from .gencomplex import (apply_endo, b_conjugate_endo, b_transform,
                          check_gpk_pair, coordinate_sections,
                          courant_bracket, endo_conditions, gcs_from_form,
@@ -25,115 +29,138 @@ from .gencomplex import (apply_endo, b_conjugate_endo, b_transform,
                          pairing, random_poly_sections, random_poly_two_form,
                          validate_twist)
 from .models import (Example2Params, F_CATALOG, HamiltonianFlow,
-                     example2_build, flow_pullback_form, get_model,
-                     hamiltonian_deform, standard_split_quaternion_frame,
+                     complex_form, conformal_metric, example2_build,
+                     flow_pullback_form, get_model, hamiltonian_deform,
+                     j_minus, standard_split_quaternion_frame,
                      unit_spacelike_vector)
 from .poisson import (chern_identity_residuals, check_holomorphic,
-                      cyclic_nabla_q_form, ddc_commuting_fields,
+                      cyclic_nabla_q_form, ddc_commuting_fields, holo_bracket,
                       lower_trivector, pi_bivector, q_endo, schouten_bb,
                       theorem4_hypotheses, type_02_projector_matrix)
 from .report import CheckRecord, VerificationReport
-from .structures import (BihermitianData, HermitianPair, d_pm_F, lee_form,
-                         levi_civita, max_abs, worst)
-from .tensorcalc import (Field, Jet, SamplePlan, bivector_field,
+from .structures import (BihermitianData, HermitianPair, check_p_gradient,
+                         d_pm_F, lee_form, levi_civita, max_abs, worst)
+from .tensorcalc import (Field, Jet, SamplePlan, bivector_field, d_scalar,
                          evaluate_form, exterior_derivative, form_field,
-                         form_full_matrix, jtranspose, metric_field,
+                         form_full_matrix, jmatmul, jtranspose,
                          nijenhuis_tensor, wedge)
-from .tensorcalc.fields import _scale
+from .tensorcalc.charts import ChartDomain, ExcludedLocus
+from .tensorcalc.fields import _broadcast_const
 from .tensorcalc.jets import jet_coords, jet_space
 
-__all__ = ["SuiteConfig", "ConfigError", "run_suite", "list_suites",
-           "SUITE_ORDER", "CHECK_DEFAULTS"]
+__all__ = ["SuiteConfig", "ConfigError", "run_suite", "list_suites", "CATALOG",
+           "check_spec"]
 
 
 class ConfigError(ValueError):
     """Invalid runner configuration."""
 
 
-SUITE_ORDER = ("parahyperkahler", "lemma1", "courant", "gpk-example2",
-               "poisson", "theorem4", "engel")
+AT_MOST, EXCEEDS = "<=", "exceeds"
 
-SUITE_REFERENCES = {
-    "parahyperkahler": "split-quaternion frame algebra and closed fundamental forms",
-    "lemma1": "integrability of the derived product structures and Lee-form equality",
-    "courant": "twisted Courant bracket, shear naturality, spinor-line integrability",
-    "gpk-example2": "commuting pair built from closed complex 2-forms, with flow deformation",
-    "poisson": "anticommutator bivector: type, holomorphicity, Jacobi identity",
-    "theorem4": "flag threefold: curvature-ratio fit and deformation hypotheses",
-    "engel": "null-plane distribution: rank towers and derivative-chain identities",
+# suite -> (reference, {check -> (default tolerance, mode)}), in catalog
+# order.  Residuals are absolute unless stated.  A check in mode "<=" passes
+# when its residual is at or below the tolerance; one in mode "exceeds"
+# passes when the measured value exceeds the threshold (negative controls,
+# ratios, floors) and its report carries "mode": "exceeds".  Each check is
+# declared once: gpk-example2 also records courant's
+# closed-form-integrability.
+CATALOG = {
+    "parahyperkahler": (
+        "split-quaternion frame algebra and closed fundamental forms", {
+            "split-quaternion-relations": (1e-12, AT_MOST),
+            "metric-compatibility": (1e-10, AT_MOST),
+            "fundamental-forms-closed": (1e-10, AT_MOST),
+            "nijenhuis-vanishing": (1e-10, AT_MOST),
+        }),
+    "lemma1": (
+        "integrability of the derived product structures and Lee-form equality", {
+            "parahypercomplex-algebra": (1e-10, AT_MOST),
+            "nijenhuis-K": (1e-9, AT_MOST),
+            "nijenhuis-S": (1e-9, AT_MOST),
+            "lee-form-equality": (1e-9, AT_MOST),
+            "lee-form-conditioning": (1e6, AT_MOST),
+            "orientation-agreement": (0.5, AT_MOST),
+            "p-gradient-constant": (1e-10, AT_MOST),
+        }),
+    "courant": (
+        "twisted Courant bracket, shear naturality, spinor-line integrability", {
+            "b-transform-naturality": (1e-9, AT_MOST),
+            "closed-form-integrability": (1e-8, AT_MOST),
+            "nonclosed-form-control": (1e-3, EXCEEDS),
+            "pairing-preservation": (1e-10, AT_MOST),
+            "conjugation-invariance": (1e-8, AT_MOST),
+        }),
+    "gpk-example2": (
+        "commuting pair built from closed complex 2-forms, with flow deformation", {
+            "form-conditions": (1e-9, AT_MOST),
+            "frame-table": (1e-10, AT_MOST),
+            "eigenspace-membership": (1e-9, AT_MOST),
+            "pairing-identity": (1e-9, AT_MOST),
+            "structure-conditions": (1e-10, AT_MOST),
+            "pair-compatibility": (1e-9, AT_MOST),
+            "construction-cross-validation": (1e-8, AT_MOST),
+            "opposite-torsion-forms": (1e-9, AT_MOST),
+            "flow-preserves-reference-form": (1e-7, AT_MOST),
+            "integrator-order": (8.0, EXCEEDS),
+            "deformed-forms-closed": (1e-6, AT_MOST),
+            "deformed-form-degeneracy": (1e-6, AT_MOST),
+            "deformed-pair-compatibility": (1e-6, AT_MOST),
+            "deformed-integrability": (1e-6, AT_MOST),
+        }),
+    "poisson": (
+        "anticommutator bivector: type, holomorphicity, Jacobi identity", {
+            "bivector-type": (1e-10, AT_MOST),
+            "anti-invariant-part": (1e-12, AT_MOST),
+            "chern-holomorphic": (1e-9, AT_MOST),
+            "jacobi-coordinate": (1e-9, AT_MOST),
+            "jacobi-cyclic": (1e-9, AT_MOST),
+            "jacobi-routes-agree": (1e-9, AT_MOST),
+            "commuting-control": (1e-12, AT_MOST),
+            "conjugate-reality": (1e-9, AT_MOST),
+            "endomorphism-correspondence": (1e-10, AT_MOST),
+            "type-projector-idempotent": (1e-12, AT_MOST),
+            "chern-connection-identities": (1e-8, AT_MOST),
+            "deformed-poisson": (1e-9, AT_MOST),
+        }),
+    "theorem4": (
+        "flag threefold: curvature-ratio fit and deformation hypotheses", {
+            "chart-derivative-closed-forms": (1e-9, AT_MOST),
+            "chart-consistency": (1e-9, AT_MOST),
+            "commuting-fields": (1e-12, AT_MOST),
+            "anticanonical-holomorphic": (1e-8, AT_MOST),
+            "form-nondegenerate": (1e-3, EXCEEDS),
+            "curvature-ratio-fit": (1e-4, AT_MOST),
+            "hypothesis-i": (1e-6, AT_MOST),
+            "hypothesis-ii": (1e-8, AT_MOST),
+            "ddc-commuting-lemma": (1e-8, AT_MOST),
+            "section-vanishing-approach": (1.0, AT_MOST),
+        }),
+    "engel": (
+        "null-plane distribution: rank towers and derivative-chain identities", {
+            "normal-form-tower": (0.0, AT_MOST),
+            "involutive-control": (0.0, AT_MOST),
+            "bracket-growth-control": (0.0, AT_MOST),
+            "constant-p-integrable": (0.0, AT_MOST),
+            "null-frame-identities": (1e-8, AT_MOST),
+            "gradient-identities": (1e-8, AT_MOST),
+            "derivative-chain": (1e-8, AT_MOST),
+            "pairing-eigenstructure": (1e-10, AT_MOST),
+            "nilpotent-endos": (1e-10, AT_MOST),
+            "frame-completeness": (0.0, AT_MOST),
+            "degenerate-inputs-inconclusive": (0.0, AT_MOST),
+            "derivative-rule-microscope": (1e-8, AT_MOST),
+            "theorem7-trichotomy": (0.0, AT_MOST),
+        }),
 }
 
-# residuals are absolute unless stated; mode "exceeds" means the check passes
-# when the measured value exceeds the threshold (negative controls, ratios)
-CHECK_DEFAULTS = {
-    "split-quaternion-relations": 1e-12,
-    "metric-compatibility": 1e-10,
-    "fundamental-forms-closed": 1e-10,
-    "nijenhuis-vanishing": 1e-10,
-    "parahypercomplex-algebra": 1e-10,
-    "nijenhuis-K": 1e-9,
-    "nijenhuis-S": 1e-9,
-    "lee-form-equality": 1e-9,
-    "lee-form-conditioning": 1e6,
-    "orientation-agreement": 0.5,
-    "p-gradient-constant": 1e-10,
-    "b-transform-naturality": 1e-9,
-    "closed-form-integrability": 1e-8,
-    "nonclosed-form-control": 1e-3,
-    "pairing-preservation": 1e-10,
-    "conjugation-invariance": 1e-8,
-    "form-conditions": 1e-9,
-    "frame-table": 1e-10,
-    "eigenspace-membership": 1e-9,
-    "pairing-identity": 1e-9,
-    "structure-conditions": 1e-10,
-    "pair-compatibility": 1e-9,
-    "construction-cross-validation": 1e-8,
-    "opposite-torsion-forms": 1e-9,
-    "flow-preserves-reference-form": 1e-7,
-    "integrator-order": 8.0,
-    "deformed-forms-closed": 1e-6,
-    "deformed-form-degeneracy": 1e-6,
-    "deformed-pair-compatibility": 1e-6,
-    "deformed-integrability": 1e-6,
-    "bivector-type": 1e-10,
-    "anti-invariant-part": 1e-12,
-    "chern-holomorphic": 1e-9,
-    "jacobi-coordinate": 1e-9,
-    "jacobi-cyclic": 1e-9,
-    "jacobi-routes-agree": 1e-9,
-    "commuting-control": 1e-12,
-    "conjugate-reality": 1e-9,
-    "endomorphism-correspondence": 1e-10,
-    "type-projector-idempotent": 1e-12,
-    "chern-connection-identities": 1e-8,
-    "deformed-poisson": 1e-9,
-    "chart-derivative-closed-forms": 1e-9,
-    "chart-consistency": 1e-9,
-    "commuting-fields": 1e-12,
-    "anticanonical-holomorphic": 1e-8,
-    "form-nondegenerate": 1e-3,
-    "curvature-ratio-fit": 1e-4,
-    "hypothesis-i": 1e-6,
-    "hypothesis-ii": 1e-8,
-    "ddc-commuting-lemma": 1e-8,
-    "section-vanishing-approach": 1.0,
-    "normal-form-tower": 0.0,
-    "involutive-control": 0.0,
-    "bracket-growth-control": 0.0,
-    "constant-p-integrable": 0.0,
-    "null-frame-identities": 1e-8,
-    "gradient-identities": 1e-8,
-    "derivative-chain": 1e-8,
-    "pairing-eigenstructure": 1e-10,
-    "nilpotent-endos": 1e-10,
-    "frame-completeness": 0.0,
-    "degenerate-inputs-inconclusive": 0.0,
-    "derivative-rule-microscope": 1e-8,
-    "theorem7-trichotomy": 0.0,
-}
 
-EXCEEDS_MODE = {"nonclosed-form-control", "integrator-order", "form-nondegenerate"}
+def check_spec(name: str) -> tuple:
+    """(default tolerance, mode) of a catalogued check; KeyError if none."""
+    for _, checks in CATALOG.values():
+        if name in checks:
+            return checks[name]
+    raise KeyError(name)
 
 
 @dataclass
@@ -154,20 +181,25 @@ class SuiteConfig:
     report: str = ""
 
     def validate(self):
-        if self.suite != "all" and self.suite not in SUITE_ORDER:
+        if self.suite != "all" and self.suite not in CATALOG:
             raise ConfigError(f"unknown suite {self.suite!r}")
         if self.model not in ("torus", "kodaira", "flag"):
             raise ConfigError(f"unknown model {self.model!r}")
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
         for name, value in self.tol.items():
-            if name not in CHECK_DEFAULTS:
-                raise ConfigError(f"unknown check name in tolerance override: {name!r}")
-            if name in EXCEEDS_MODE:
-                if value > CHECK_DEFAULTS[name]:
+            try:
+                default, mode = check_spec(name)
+            except KeyError:
+                raise ConfigError(f"unknown check name in tolerance override: "
+                                  f"{name!r}") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"override for {name!r} must be finite")
+            if mode == EXCEEDS:
+                if value > default:
                     raise ConfigError(f"override for {name!r} may only loosen "
                                       f"(lower) the threshold")
-            elif value < CHECK_DEFAULTS[name]:
+            elif value < default:
                 raise ConfigError(f"override for {name!r} may only loosen the tolerance")
             if value < 1e-14:
                 raise ConfigError("tolerances must not drop below 1e-14")
@@ -181,53 +213,52 @@ class SuiteConfig:
             raise ConfigError(str(exc)) from exc
 
     def tolerance(self, name: str) -> float:
-        return float(self.tol.get(name, CHECK_DEFAULTS[name]))
+        return float(self.tol.get(name, check_spec(name)[0]))
 
     def example2_params(self) -> Example2Params:
         return Example2Params(self.a, self.b, self.c, self.f_expr, self.t, self.step)
 
     def as_echo(self) -> dict:
-        return {"suite": self.suite, "model": self.model, "samples": self.samples,
-                "seed": self.seed, "a": self.a, "b": self.b, "c": self.c,
-                "f_expr": self.f_expr, "t": self.t, "step": self.step,
-                "fa": self.fa, "fb": self.fb,
-                "tol": ",".join(f"{k}={v:g}" for k, v in sorted(self.tol.items()))}
+        echo = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "report"}
+        echo["tol"] = ",".join(f"{k}={v:g}" for k, v in sorted(self.tol.items()))
+        return echo
 
 
 class SuiteContext:
-    """Shared lazily-built objects for one run."""
+    """Shared lazily-built objects for one run, each built at most once."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.plan = SamplePlan(config.samples, config.seed)
-        self._model = None
-        self._bundle = None
-        self._deformed = None
 
-    @property
+    @cached_property
     def model(self):
-        if self._model is None:
-            if self.config.model == "flag":
-                raise ConfigError(
-                    "the flag model hosts only the theorem4 suite; pick torus "
-                    "or kodaira for structure suites")
-            m = get_model(self.config.model)
-            m.certify(SamplePlan(min(16, self.config.samples), self.config.seed + 7))
-            self._model = m
-        return self._model
+        if self.config.model == "flag":
+            raise ConfigError(
+                "the flag model hosts only the theorem4 suite; pick torus "
+                "or kodaira for structure suites")
+        m = get_model(self.config.model)
+        m.certify(SamplePlan(min(16, self.config.samples), self.config.seed + 7))
+        return m
 
-    @property
+    @cached_property
     def bundle(self):
-        if self._bundle is None:
-            self._bundle = example2_build(self.model, self.config.example2_params(),
-                                          self.plan)
-        return self._bundle
+        return example2_build(self.model, self.config.example2_params(), self.plan)
 
-    @property
+    @cached_property
     def deformed(self):
-        if self._deformed is None:
-            self._deformed = hamiltonian_deform(self.bundle, self.plan)
-        return self._deformed
+        return hamiltonian_deform(self.bundle, self.plan)
+
+    @cached_property
+    def gcs_pair(self):
+        """The generalized complex structures of the closed forms beta1, beta2."""
+        return gcs_from_form(self.bundle.beta1), gcs_from_form(self.bundle.beta2)
+
+    @cached_property
+    def deformed_pair(self):
+        """The generalized complex structures of the deformed gamma1, gamma2."""
+        return gcs_from_form(self.deformed.gamma1), gcs_from_form(self.deformed.gamma2)
 
     def points(self, chart=None, count=None):
         chart = chart or self.model.chart
@@ -237,14 +268,18 @@ class SuiteContext:
     def record(self, name, reference, residual, pts_count, inconclusive=0,
                extra=None) -> CheckRecord:
         tol = self.config.tolerance(name)
+        exceeds = check_spec(name)[1] == EXCEEDS
+        extra = dict(extra or {})
+        if exceeds:
+            extra["mode"] = EXCEEDS
         if not np.isfinite(residual):
             passed = False
-        elif name in EXCEEDS_MODE:
+        elif exceeds:
             passed = residual > tol
         else:
             passed = residual <= tol
         return CheckRecord(name, reference, float(residual), tol, pts_count,
-                           bool(passed), inconclusive, extra or {})
+                           bool(passed), inconclusive, extra)
 
 
 # --------------------------------------------------------------------------
@@ -273,22 +308,13 @@ def suite_parahyperkahler(ctx: SuiteContext):
 # suite: lemma1 (conformally rescaled constant-p pair)
 
 
-def _conformal_metric(ctx: SuiteContext):
-    g0 = ctx.model.triple.g
-
-    def fn(jc):
-        return _scale(g0.fn(jc), jc[:, 0].sin().exp())
-
-    return metric_field(ctx.model.chart, fn).memoized()
-
-
 def suite_lemma1(ctx: SuiteContext):
     m = ctx.model
     pts = ctx.points()
-    ghat = _conformal_metric(ctx)
+    ghat = conformal_metric(m)
     p = ctx.config.example2_params()
     t = m.triple
-    jm = t.j1 * p.a + t.j2 * p.b + t.j3 * p.c
+    jm = j_minus(t, p)
     data = BihermitianData(ghat, t.j1, jm, name="lemma1")
     d = m.chart.dim
 
@@ -296,8 +322,6 @@ def suite_lemma1(ctx: SuiteContext):
     kv = data.k_endo.eval_jet(pts)
     sv = data.s_endo.eval_jet(pts)
     jv = t.j1.eval_jet(pts)
-    from .tensorcalc import jmatmul
-    from .tensorcalc.fields import _broadcast_const
     eye = _broadcast_const(kv, np.eye(d))
     gv = ghat.eval_jet(pts)
     alg = worst(max_abs(jmatmul(kv, kv) - eye), max_abs(jmatmul(sv, sv) - eye),
@@ -322,7 +346,6 @@ def suite_lemma1(ctx: SuiteContext):
     topm = wedge(fm, fm).eval(pts)[:, 0]
     orient = 0.0 if np.all(np.sign(top) == np.sign(topm)) else 1.0
 
-    from .structures import check_p_gradient
     pres = check_p_gradient(data, pts)
 
     return [
@@ -346,6 +369,16 @@ def suite_lemma1(ctx: SuiteContext):
 # suite: courant
 
 
+def _closed_form_integrability(ctx: SuiteContext, reference):
+    """Torsion of both structures of ``ctx.gcs_pair`` against the coordinate
+    frame and eight random polynomial sections."""
+    n_pts = ctx.points(count=min(8, ctx.config.samples))
+    extra_secs = random_poly_sections(ctx.model.chart, 8, ctx.config.seed + 31)
+    integ = worst(*(gcs_nijenhuis(i, None, n_pts, extra_sections=extra_secs)
+                    for i in ctx.gcs_pair))
+    return ctx.record("closed-form-integrability", reference, integ, len(n_pts))
+
+
 def suite_courant(ctx: SuiteContext):
     m = ctx.model
     chart = m.chart
@@ -366,12 +399,10 @@ def suite_courant(ctx: SuiteContext):
             worst_nat = worst(worst_nat, max_abs((lhs - rhs).eval(pts)))
 
     bundle = ctx.bundle
-    i1 = gcs_from_form(bundle.beta1)
-    i2 = gcs_from_form(bundle.beta2)
+    integ_check = _closed_form_integrability(
+        ctx, "torsion of the structures built from the closed complex 2-forms")
+    i1 = ctx.gcs_pair[0]
     n_pts = ctx.points(count=min(8, ctx.config.samples))
-    extra_secs = random_poly_sections(chart, 8, ctx.config.seed + 31)
-    integ = worst(gcs_nijenhuis(i1, None, n_pts, extra_sections=extra_secs),
-                  gcs_nijenhuis(i2, None, n_pts, extra_sections=extra_secs))
 
     # negative control: spoil closedness of the imaginary part
     def bad_imag(jc):
@@ -381,7 +412,6 @@ def suite_courant(ctx: SuiteContext):
         return Jet(base.space, pert, base.order)
 
     bad_beta_im = form_field(chart, 2, bad_imag)
-    from .models import complex_form
     bad_beta = complex_form(bundle.f_k, bad_beta_im)
     i_bad = gcs_from_form(bad_beta)
     control = gcs_nijenhuis(i_bad, None, n_pts[:4])
@@ -405,13 +435,10 @@ def suite_courant(ctx: SuiteContext):
         ctx.record("b-transform-naturality",
                    "bracket of sheared sections equals sheared twisted bracket "
                    "(8 random polynomial 2-forms)", worst_nat, len(pts)),
-        ctx.record("closed-form-integrability",
-                   "torsion of the structures built from the closed complex "
-                   "2-forms", integ, len(n_pts)),
+        integ_check,
         ctx.record("nonclosed-form-control",
                    "negative control: non-closed imaginary part must produce a "
-                   "large torsion residual", control, 4,
-                   extra={"mode": "exceeds"}),
+                   "large torsion residual", control, 4),
         ctx.record("pairing-preservation",
                    "the structures preserve the natural split pairing",
                    pres, len(n_pts)),
@@ -503,29 +530,16 @@ def suite_gpk_example2(ctx: SuiteContext):
                              "difference form", float(np.abs(lhs - rhs).max()),
                              len(pts)))
 
-    i1 = gcs_from_form(bundle.beta1)
-    i2 = gcs_from_form(bundle.beta2)
+    i1, i2 = ctx.gcs_pair
     conds = endo_conditions(i1, pts) + endo_conditions(i2, pts)
     checks.append(ctx.record("structure-conditions",
                              "square and pairing conditions for both structures",
                              worst(*conds), len(pts)))
-
-    n_pts = ctx.points(count=min(8, ctx.config.samples))
-    extra_secs = random_poly_sections(bundle.chart, 8, ctx.config.seed + 31)
-    integ = worst(gcs_nijenhuis(i1, None, n_pts, extra_sections=extra_secs),
-                  gcs_nijenhuis(i2, None, n_pts, extra_sections=extra_secs))
-    checks.append(ctx.record("closed-form-integrability",
-                             "torsion of both structures", integ, len(n_pts)))
-
-    res = check_gpk_pair(i1, i2, pts,
-                         tol_commute=ctx.config.tolerance("pair-compatibility"))
-    extra = {k: float(v) for k, v in res.residuals.items()}
-    extra["signatures"] = str(res.signatures)
-    checks.append(ctx.record("pair-compatibility",
-                             "commutation, eigenbundle split, transversality "
-                             "and pairing rank",
-                             res.residuals.get("commute", 1.0) if res.ok else 1.0,
-                             len(pts), extra=extra))
+    checks.append(_closed_form_integrability(ctx, "torsion of both structures"))
+    checks.append(_record_gpk_pair(ctx, "pair-compatibility",
+                                   "commutation, eigenbundle split, "
+                                   "transversality and pairing rank",
+                                   ctx.gcs_pair, pts, signatures=True))
 
     gm = bundle.g * (-root)
     jpm = bundle.data.jm * (-1.0)
@@ -551,6 +565,20 @@ def suite_gpk_example2(ctx: SuiteContext):
     return checks
 
 
+def _record_gpk_pair(ctx: SuiteContext, name, reference, pair, pts,
+                     signatures=False):
+    """``check_gpk_pair`` on ``pair`` as the check ``name``: the commutation
+    residual if every clause holds, else 1.0; the clause residuals (and
+    optionally the eigenbundle signatures) as extras."""
+    res = check_gpk_pair(*pair, pts, tol_commute=ctx.config.tolerance(name))
+    extra = {k: float(v) for k, v in res.residuals.items()}
+    if signatures:
+        extra["signatures"] = str(res.signatures)
+    return ctx.record(name, reference,
+                      res.residuals.get("commute", 1.0) if res.ok else 1.0,
+                      len(pts), extra=extra)
+
+
 def _deformed_checks(ctx: SuiteContext):
     bundle = ctx.bundle
     deformed = ctx.deformed
@@ -573,8 +601,7 @@ def _deformed_checks(ctx: SuiteContext):
     checks.append(ctx.record("integrator-order",
                              "halving the step divides the flow residual by the "
                              "fourth-order factor", ratio, len(pts),
-                             extra={"coarse": float(r_coarse), "fine": float(r_fine),
-                                    "mode": "exceeds"}))
+                             extra={"coarse": float(r_coarse), "fine": float(r_fine)}))
 
     closed = worst(max_abs(exterior_derivative(deformed.gamma1).eval(pts)),
                    max_abs(exterior_derivative(deformed.gamma2).eval(pts)))
@@ -593,20 +620,13 @@ def _deformed_checks(ctx: SuiteContext):
                              "squares of the difference forms vanish and the "
                              "differences are nowhere zero", degen, len(pts)))
 
-    i1 = gcs_from_form(deformed.gamma1)
-    i2 = gcs_from_form(deformed.gamma2)
-    res = check_gpk_pair(i1, i2, pts,
-                         tol_commute=ctx.config.tolerance("deformed-pair-compatibility"))
-    extra = {k: float(v) for k, v in res.residuals.items()}
-    checks.append(ctx.record("deformed-pair-compatibility",
-                             "deformed pair: commutation, split, transversality, "
-                             "pairing rank",
-                             res.residuals.get("commute", 1.0) if res.ok else 1.0,
-                             len(pts), extra=extra))
+    checks.append(_record_gpk_pair(ctx, "deformed-pair-compatibility",
+                                   "deformed pair: commutation, split, "
+                                   "transversality, pairing rank",
+                                   ctx.deformed_pair, pts))
 
     n_pts = ctx.points(count=min(8, ctx.config.samples))
-    integ = worst(gcs_nijenhuis(i1, None, n_pts),
-                  gcs_nijenhuis(i2, None, n_pts))
+    integ = worst(*(gcs_nijenhuis(i, None, n_pts) for i in ctx.deformed_pair))
     checks.append(ctx.record("deformed-integrability",
                              "torsion of the deformed structures", integ,
                              len(n_pts)))
@@ -693,9 +713,7 @@ def suite_poisson(ctx: SuiteContext):
                              len(pts), extra=cres))
 
     if ctx.config.t != 0.0:
-        i1 = gcs_from_form(ctx.deformed.gamma1)
-        i2 = gcs_from_form(ctx.deformed.gamma2)
-        ge, jpe, jme, _ = gualtieri_extract(i1, i2)
+        ge, jpe, jme, _ = gualtieri_extract(*ctx.deformed_pair)
         sub = pts[: min(10, len(pts))]
         _, dres = _poisson_block(ctx, ge, jpe, jme, sub)
         checks.append(ctx.record("deformed-poisson",
@@ -742,7 +760,6 @@ def suite_theorem4(ctx: SuiteContext):
 
     fb = flag_charts(params)
     fpts = SamplePlan(min(32, cfg.samples), cfg.seed + 5).sample(fb.chart)
-    from .poisson import holo_bracket
     jc = jet_coords(4, 1, pts_z)
     comm = float(np.abs(holo_bracket(z.x_hol(jc), z.y_hol(jc)).value).max())
     comm = worst(comm, fb.bracket_residual(fpts))
@@ -756,8 +773,7 @@ def suite_theorem4(ctx: SuiteContext):
     minsv = fb.f0_smallest_singular(fpts)
     checks.append(ctx.record("form-nondegenerate",
                              "smallest singular value of the combined form "
-                             "(coefficients admissible)", minsv, len(fpts),
-                             extra={"mode": "exceeds"}))
+                             "(coefficients admissible)", minsv, len(fpts)))
 
     hyp = theorem4_hypotheses(fb, fpts, fpts[: max(8, len(fpts) // 2)])
     checks.append(ctx.record("curvature-ratio-fit",
@@ -780,8 +796,6 @@ def suite_theorem4(ctx: SuiteContext):
                              "commuting fields", lem["residual"],
                              min(16, len(fpts)), extra=lem))
 
-    from .tensorcalc.charts import ChartDomain, ExcludedLocus
-    from .flagmodel import tau_norm_sq
     mins = []
     for margin in (0.3, 0.05):
         loci = (ExcludedLocus(lambda p: np.hypot(p[:, 0], p[:, 1]), margin),
@@ -810,31 +824,25 @@ def suite_engel(ctx: SuiteContext):
     pts = ctx.points()
     checks = []
 
-    rep = rank_tower(canonical_engel_span(chart), pts)
-    frac = 1.0 - rep.verdicts.count("engel") / len(pts)
-    checks.append(ctx.record("normal-form-tower",
-                             "canonical normal form has tower ranks (2,3,4)",
-                             frac, len(pts), extra={"counts": str(rep.counts())}))
-
-    rep2 = rank_tower(integrable_control_span(chart), pts)
-    checks.append(ctx.record("involutive-control",
-                             "coordinate plane field is integrable",
-                             1.0 - rep2.verdicts.count("integrable") / len(pts),
-                             len(pts)))
-
-    rep3 = rank_tower(other_control_span(chart), pts)
-    checks.append(ctx.record("bracket-growth-control",
-                             "rank-(2,3,3) span reports the mixed outcome",
-                             1.0 - rep3.verdicts.count("other") / len(pts),
-                             len(pts)))
+    # the fraction of points where a span misses its expected verdict
+    for name, reference, span, verdict in (
+            ("normal-form-tower", "canonical normal form has tower ranks (2,3,4)",
+             canonical_engel_span, "engel"),
+            ("involutive-control", "coordinate plane field is integrable",
+             integrable_control_span, "integrable"),
+            ("bracket-growth-control", "rank-(2,3,3) span reports the mixed outcome",
+             other_control_span, "other")):
+        rep = rank_tower(span(chart), pts)
+        extra = {"counts": str(rep.counts())} if name == "normal-form-tower" else None
+        checks.append(ctx.record(name, reference,
+                                 1.0 - rep.verdicts.count(verdict) / len(pts),
+                                 len(pts), extra=extra))
 
     # constant-p bihermitian data: distribution integrable wherever the
     # generators span a plane (null Lee forms do not obstruct the tower)
-    ghat = _conformal_metric(ctx)
-    p = ctx.config.example2_params()
+    ghat = conformal_metric(m)
     t = m.triple
-    jm = t.j1 * p.a + t.j2 * p.b + t.j3 * p.c
-    lf = lee_fields(ghat, t.j1, jm)
+    lf = lee_fields(ghat, t.j1, j_minus(t, ctx.config.example2_params()))
     gen = np.stack([lf.x.eval(pts), lf.y.eval(pts)], axis=2)
     mask = np.linalg.matrix_rank(gen) == 2
     rep4 = rank_tower(lf.span, pts[mask]) if mask.any() else None
@@ -859,7 +867,6 @@ def suite_engel(ctx: SuiteContext):
                              inconclusive=int((~smask).sum()),
                              extra=basis))
 
-    from .tensorcalc import d_scalar
     df = d_scalar(slf.f_field).eval(pts)
     x = slf.x.eval(pts)
     y = slf.y.eval(pts)
@@ -937,8 +944,7 @@ def suite_engel(ctx: SuiteContext):
     # the rule-vs-jets comparison is a tensor identity on honest Hermitian
     # data; it needs no non-null Lee forms
     conn = levi_civita(ghat)
-    cl = lee_fields(ghat, t.j1, jm)
-    crule = nabla_n_rhs_residuals(cl, pts, connection=conn, mask=None)
+    crule = nabla_n_rhs_residuals(lf, pts, connection=conn, mask=None)
     checks.append(ctx.record("derivative-rule-microscope",
                              "derivative rule for the nilpotent endo against "
                              "honest jet differentiation",
@@ -969,7 +975,7 @@ SUITES = {
 def run_suite(config: SuiteConfig) -> VerificationReport:
     config.validate()
     ctx = SuiteContext(config)
-    names = SUITE_ORDER if config.suite == "all" else (config.suite,)
+    names = tuple(CATALOG) if config.suite == "all" else (config.suite,)
     t0 = time.perf_counter()
     checks = []
     for name in names:
@@ -981,7 +987,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
 def list_suites() -> str:
     lines = ["available suites:"]
-    for name in SUITE_ORDER:
-        lines.append(f"  {name:16s} {SUITE_REFERENCES[name]}")
+    for name, (reference, _) in CATALOG.items():
+        lines.append(f"  {name:16s} {reference}")
     lines.append("  all              every suite above, in catalog order")
     return "\n".join(lines) + "\n"

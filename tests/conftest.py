@@ -1,8 +1,8 @@
 import pytest
 
+from pbhverify import models
 from pbhverify.models import Example2Params, example2_build, kodaira_phk, torus_phk
-from pbhverify.tensorcalc import SamplePlan, metric_field
-from pbhverify.tensorcalc.fields import _scale
+from pbhverify.tensorcalc import SamplePlan
 
 
 @pytest.fixture(scope="session")
@@ -37,9 +37,4 @@ def torus_bundle(torus_model, plan):
 @pytest.fixture(scope="session")
 def conformal_metric(torus_model):
     """e^{sin x1} times the flat neutral metric."""
-    g0 = torus_model.triple.g
-
-    def fn(jc):
-        return _scale(g0.fn(jc), jc[:, 0].sin().exp())
-
-    return metric_field(torus_model.chart, fn).memoized()
+    return models.conformal_metric(torus_model)

@@ -75,8 +75,8 @@ def test_omega_pm_difference_formula(torus_bundle, torus_points):
     a = 1.25
     wp = torus_bundle.omega_plus
     wm = torus_bundle.omega_minus
-    fp = torus_bundle.f_plus
-    fm = torus_bundle.f_minus
+    fp = torus_bundle.data.pair_plus.f
+    fm = torus_bundle.data.pair_minus.f
     r1 = wp - (fp - fm) * float(np.sqrt((a + 1) / (a - 1)))
     r2 = wm - (fp + fm) * float(np.sqrt((a - 1) / (a + 1)))
     assert max_abs(r1.eval(torus_points)) < 1e-12

@@ -69,6 +69,27 @@ def test_tolerance_overrides_only_loosen():
                     tol={"metric-compatibility": 1e-15}).validate()
     SuiteConfig(suite="parahyperkahler",
                 tol={"metric-compatibility": 1e-8}).validate()
+    # an exceeds-mode threshold loosens downward
+    with pytest.raises(ConfigError):
+        SuiteConfig(suite="gpk-example2", tol={"integrator-order": 9.0}).validate()
+    SuiteConfig(suite="gpk-example2", tol={"integrator-order": 4.0}).validate()
+
+
+@pytest.mark.parametrize("name", ["metric-compatibility", "integrator-order"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_overrides_rejected(name, value):
+    """A NaN override makes every comparison false, +inf makes a <= check
+    impossible to fail and -inf does the same to an exceeds check."""
+    with pytest.raises(ConfigError):
+        SuiteConfig(tol={name: float(value)}).validate()
+    assert main(["--suite", "parahyperkahler", "--samples", "8", "--quiet",
+                 "--tol", f"{name}={value}"]) == 2
+
+
+def test_config_keys_are_the_config_fields(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = parahyperkahler\nsamples = 8\nvalidate = 1\n")
+    assert main(["--config", str(cfg), "--quiet"]) == 2
 
 
 def test_exit_codes(tmp_path, monkeypatch):
@@ -78,7 +99,8 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert main(["--tol", "malformed"]) == 2
     # a genuinely failing check exits 1: force an impossible default
     import pbhverify.suites as suites_mod
-    monkeypatch.setitem(suites_mod.CHECK_DEFAULTS, "split-quaternion-relations", -1.0)
+    monkeypatch.setitem(suites_mod.CATALOG["parahyperkahler"][1],
+                        "split-quaternion-relations", (-1.0, suites_mod.AT_MOST))
     assert main(["--suite", "parahyperkahler", "--samples", "8", "--quiet"]) == 1
 
 

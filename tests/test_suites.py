@@ -8,7 +8,7 @@ import pytest
 from pbhverify.models import (Example2Params, IntegratorError, example2_build,
                               hamiltonian_deform)
 from pbhverify.poisson import pi_bivector
-from pbhverify.suites import SuiteConfig, SuiteContext, run_suite
+from pbhverify.suites import CATALOG, SuiteConfig, SuiteContext, run_suite
 
 
 def test_nan_in_frame_endomorphism_fails_closed(torus_model):
@@ -33,9 +33,27 @@ def test_nan_in_frame_endomorphism_fails_closed(torus_model):
     model = ModelDescriptor("torus", torus_model.chart, bad, torus_model.lattice)
     with pytest.raises(ModelError):
         model.certify(SamplePlan(16, 42))
-    ctx._model = model
+    ctx.model = model
     check = {c.name: c for c in suites.suite_parahyperkahler(ctx)}
     assert not check["split-quaternion-relations"].passed
+
+
+def test_catalog_matches_emitted_checks():
+    """Every catalogued check is emitted and every emitted one catalogued,
+    each declared once and recorded at its default tolerance; the
+    ``"mode": "exceeds"`` extra sits exactly on the catalog's exceeds rows."""
+    reports = [run_suite(SuiteConfig(suite="all", model="torus", t=0.1, samples=16)),
+               run_suite(SuiteConfig(suite="all", model="kodaira", t=0.0, samples=16)),
+               run_suite(SuiteConfig(suite="theorem4", model="flag", samples=16))]
+    records = [c for rep in reports for c in rep.checks]
+    table = {name: spec for _, checks in CATALOG.values()
+             for name, spec in checks.items()}
+    assert len(table) == sum(len(checks) for _, checks in CATALOG.values())
+    assert {c.name for c in records} == set(table)
+    for c in records:
+        default, mode = table[c.name]
+        assert c.tolerance == default, c.name
+        assert (c.extra.get("mode") == "exceeds") == (mode == "exceeds"), c.name
 
 
 def test_record_fails_non_finite_residuals():
