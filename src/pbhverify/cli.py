@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .models import F_CATALOG, ModelError
+from .models import F_CATALOG, FlowTimeError, ModelError
 from .suites import ConfigError, SuiteConfig, list_suites, run_suite
 
 __all__ = ["main", "build_parser", "parse_config_file"]
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run_suite(cfg)
-    except ConfigError as exc:
+    except (ConfigError, FlowTimeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ModelError as exc:

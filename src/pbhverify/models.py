@@ -4,6 +4,7 @@ deformations of the associated closed 2-forms."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -19,7 +20,7 @@ from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
 from .tensorcalc.fields import _broadcast_const, _scale
 from .tensorcalc.calculus import _stack
 
-__all__ = ["ModelError", "IntegratorError", "ModelDescriptor",
+__all__ = ["ModelError", "IntegratorError", "FlowTimeError", "ModelDescriptor",
            "standard_split_quaternion_frame", "Example2Params", "Example2Bundle",
            "torus_phk", "kodaira_phk", "example2_build", "hamiltonian_deform",
            "HamiltonianFlow", "DeformedBundle", "FExpr", "F_CATALOG",
@@ -268,6 +269,9 @@ class Example2Params:
     step: float = 1e-3
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "t", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"parameter {name} must be finite")
         if abs(self.a**2 - self.b**2 - self.c**2 - 1.0) > 1e-12:
             raise ValueError("parameters must satisfy a^2 - b^2 - c^2 = 1")
         if not self.a >= 1.0 + 1e-6:
@@ -434,7 +438,7 @@ class HamiltonianFlow:
         speed = float(np.abs(v).max())
         min_side = min(hi - lo for lo, hi in box)
         if abs(self.t) * speed > quarter * min_side:
-            raise ValueError(
+            raise FlowTimeError(
                 f"flow time too large: t*|V| = {abs(self.t)*speed:.3g} exceeds "
                 f"{quarter} * box side {min_side:.3g}")
 
@@ -462,6 +466,11 @@ def flow_pullback_form(flow: HamiltonianFlow, omega: Field) -> Field:
         return form_from_matrix(m, d)
 
     return form_field(chart, 2, fn, cost=omega.cost + 1)
+
+
+class FlowTimeError(ValueError):
+    """The flow time is too large for the sample points to stay in the chart
+    box."""
 
 
 class IntegratorError(RuntimeError):

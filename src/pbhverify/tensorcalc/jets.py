@@ -13,16 +13,26 @@ contract scalars, and ``jgrad(a)`` returns all first partials as a new
 trailing component axis.  Constant signed index tables (exterior derivative,
 wedge, interior product) act on coefficient arrays with plain ``np.einsum``.
 
-Constant-operand rule: when every derivative coefficient of a factor is
-exactly zero, the only Leibniz pairs with a nonzero product are the ones
-holding that factor's value, one per output coefficient and each with
-coefficient 1.  ``Jet.__mul__`` then multiplies the constant's value into
-the other factor's coefficient array (one broadcast multiply), and
-``jeinsum`` contracts just those pairs (one ``np.einsum``, no scaling, no
-``reduceat``).  The rule tests the input, not a flag: a NaN in any
-derivative coefficient is not zero, so that product takes the full path and
-keeps the NaN, and a NaN or inf in a constant factor's value still makes the
-product's value non-finite.
+Degree rule: a factor's top degree is the highest degree holding a nonzero
+derivative coefficient (0 for a constant).  For factors of top degrees
+``da`` and ``db`` the only Leibniz pairs with a nonzero product are the
+rows of the full product table whose ``a`` index has degree <= da and
+whose ``b`` index has degree <= db, and every output above degree
+``da + db`` is zero.  ``JetSpace.pairs(da, db)`` holds those rows, a
+subsequence of the full table in its order; ``jeinsum`` gathers,
+contracts, scales and ``reduceat``-sums only them.  ``pairs(order,
+order)`` is the full table, and ``pairs(0, k)`` has one pair per output
+with coefficient 1, so a constant factor skips the scaling and the
+``reduceat``.  Each output sums the same nonzero terms in the same order
+as the full product.  Where an output keeps at most two terms (a constant
+factor, or two factors of top degree <= 1) the result is bitwise the full
+product's; with three or more, ``reduceat`` may group the sum differently
+when the full table's first row for that output was a dropped zero, and
+the results agree to roundoff.  ``Jet.__mul__`` takes only the constant
+case, as one broadcast multiply.  The rule tests the input, not a flag: a
+NaN in a derivative coefficient is not zero, so it raises that factor's
+top degree and reaches the result, and a NaN or inf in a constant
+factor's value still makes the product's value non-finite.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +76,8 @@ class JetSpace:
         self.n = len(self.multi)
         self.index = {m: i for i, m in enumerate(self.multi)}
         self.degree = np.array([sum(m) for m in self.multi], dtype=np.int64)
+        # degree d occupies [deg_starts[d], deg_starts[d + 1])
+        self.deg_starts = np.searchsorted(self.degree, np.arange(order + 2))
         self._build_product_table()
         self._build_grad_table()
 
@@ -88,6 +101,25 @@ class JetSpace:
         # reduceat segment starts: every output index appears (gamma = gamma + 0)
         starts = np.searchsorted(self.prod_out, np.arange(self.n))
         self.prod_starts = starts.astype(np.int64)
+        deg_a, deg_b = self.degree[self.prod_a], self.degree[self.prod_b]
+        self._pairs = {}
+        for da in range(self.order + 1):
+            for db in range(self.order + 1):
+                keep = (deg_a <= da) & (deg_b <= db)
+                n_out = self.deg_starts[min(da + db, self.order) + 1]
+                # one pair per output only with a constant factor, whose
+                # pairs (0, g) or (g, 0) have coefficient 1
+                self._pairs[da, db] = LeibnizPairs(
+                    self.prod_a[keep], self.prod_b[keep], self.prod_c[keep],
+                    np.searchsorted(self.prod_out[keep], np.arange(n_out)),
+                    int(keep.sum()) == n_out)
+
+    def pairs(self, da: int, db: int) -> "LeibnizPairs":
+        """The product-table rows whose ``a`` index has degree <= da and
+        whose ``b`` index has degree <= db, in the full table's order, with
+        the ``reduceat`` starts of the outputs through degree da + db (a
+        prefix of the multi-indices); every table is built with the space."""
+        return self._pairs[da, db]
 
     def _build_grad_table(self):
         # (d_i u)^(alpha) = u^(alpha + e_i) for |alpha| <= order-1; those
@@ -96,6 +128,16 @@ class JetSpace:
         self.grad_src = np.array(
             [[self.index[a[:i] + (a[i] + 1,) + a[i + 1:]] for a in lower]
              for i in range(self.dim)], dtype=np.int64)
+
+
+class LeibnizPairs(NamedTuple):
+    """One table of ``JetSpace.pairs``."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    starts: np.ndarray
+    trivial: bool  # one pair per output, coefficient 1
 
 
 def _as_coeffs(space, x, dtype=None):
@@ -319,31 +361,15 @@ def _is_constant(x: Jet) -> bool:
     return not x.c[..., 1:].any()
 
 
-def _leibniz_einsum(sa: str, sb: str, out: str, a: Jet, b: Jet) -> np.ndarray:
-    """Coefficients of the full jet product: every Leibniz pair gathered,
-    contracted, scaled and summed into its output multi-index."""
-    sp = a.space
-    prod = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., sp.prod_a], b.c[..., sp.prod_b])
-    prod *= sp.prod_c
-    return np.add.reduceat(prod, sp.prod_starts, axis=-1)
-
-
-def _constant_einsum(sa: str, sb: str, out: str, a: Jet, b: Jet,
-                     const_a: bool, const_b: bool) -> np.ndarray:
-    """Coefficients of a jet product with a constant factor: only the pairs
-    holding the constant's value are gathered (the value pair alone when
-    both are constant).  The gather lays the coefficient axis out as the
-    full product's does, so ``np.einsum`` sums each pair the same way."""
-    sp = a.space
-    keep = np.arange(1 if const_a and const_b else sp.n)
-    value = np.zeros_like(keep)
-    prod = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., value if const_a else keep],
-                     b.c[..., value if const_b else keep])
-    if len(keep) == sp.n:
-        return prod
-    c = np.zeros(prod.shape[:-1] + (sp.n,), dtype=prod.dtype)
-    c[..., :1] = prod
-    return c
+def _top_degree(x: Jet) -> int:
+    """Highest degree holding a nonzero coefficient (NaN counts as nonzero)."""
+    if _is_constant(x):
+        return 0
+    starts = x.space.deg_starts
+    for d in range(x.space.order, 1, -1):
+        if x.c[..., starts[d]:starts[d + 1]].any():
+            return d
+    return 1
 
 
 def jeinsum(spec: str, a: Jet, b: Jet) -> Jet:
@@ -354,12 +380,17 @@ def jeinsum(spec: str, a: Jet, b: Jet) -> Jet:
         raise ValueError("jets from different spaces")
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    const_a, const_b = _is_constant(a), _is_constant(b)
-    if const_a or const_b:
-        c = _constant_einsum(sa, sb, out, a, b, const_a, const_b)
-    else:
-        c = _leibniz_einsum(sa, sb, out, a, b)
-    return Jet(a.space, c, min(a.order, b.order))
+    sp = a.space
+    t = sp.pairs(_top_degree(a), _top_degree(b))
+    c = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., t.a], b.c[..., t.b])
+    if not t.trivial:
+        c *= t.c
+        c = np.add.reduceat(c, t.starts, axis=-1)
+    if len(t.starts) < sp.n:
+        full = np.zeros(c.shape[:-1] + (sp.n,), dtype=c.dtype)
+        full[..., :len(t.starts)] = c
+        c = full
+    return Jet(sp, c, min(a.order, b.order))
 
 
 def jgrad(a: Jet) -> Jet:

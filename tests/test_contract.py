@@ -11,9 +11,10 @@ roundoff.  The last section keeps the second copies of single operations
 (transpose, Wirtinger derivative, antisymmetrization, N±, block assembly)
 that were deleted in favour of one implementation.  ``leibniz_jeinsum`` and
 ``leibniz_mul`` are the full gather/``reduceat`` products, kept as the oracle
-of the constant-operand rule.
+of the degree rule.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -37,8 +38,7 @@ from pbhverify.tensorcalc import (Field, SamplePlan, coordinate_oneform,
 from pbhverify.tensorcalc.calculus import _stack
 from pbhverify.tensorcalc.fields import _broadcast_const
 from pbhverify.tensorcalc.fields import _scale
-from pbhverify.tensorcalc import jets
-from pbhverify.tensorcalc.jets import Jet
+from pbhverify.tensorcalc.jets import Jet, JetSpace
 
 RTOL = ATOL = 1e-12
 SPACES = [(4, 3), (6, 3)]
@@ -803,7 +803,7 @@ def test_block_assemblies_match_removed_copies(torus_bundle, kodaira_jets):
                                                           fpv, fmv, 4, s))
 
 
-# -- the constant-operand rule against the full Leibniz product ---------------
+# -- the degree rule against the full Leibniz product --------------------------
 
 
 def leibniz_jeinsum(spec, a, b):
@@ -823,6 +823,7 @@ def leibniz_mul(a, b):
 
 
 CONST_SPACES = [(4, 1), (4, 2), (4, 3), (6, 3)]
+DEGREE_SPACES = [(4, 1), (4, 2), (4, 3), (4, 4), (6, 3)]
 # (spec, shape of a, shape of b); the last case is the broadcast of the
 # structure against the stacked sections in gcs_nijenhuis
 CONST_CONTRACTIONS = [("...ij,...jk->...ik", (8, 3, 4), (8, 4, 2)),
@@ -847,9 +848,37 @@ def const_operands(rng, sp, shape_a, shape_b, which, cplx_a, cplx_b):
     return a, b
 
 
-def full_path_forbidden():
-    return mock.patch.object(jets, "_leibniz_einsum",
-                             side_effect=AssertionError("full product taken"))
+def degree_jet(rng, sp, shape, cplx, top):
+    """A jet valid to the space's order whose coefficients above degree
+    ``top`` are zero."""
+    jet = random_jet(rng, sp, shape, cplx, sp.order)
+    jet.c[..., sp.degree > top] = 0.0
+    return jet
+
+
+@contextmanager
+def pairs_spy():
+    """Record the (space, da, db) of every ``JetSpace.pairs`` lookup."""
+    calls = []
+    pairs = JetSpace.pairs
+
+    def spy(space, da, db):
+        calls.append((space, da, db))
+        return pairs(space, da, db)
+
+    with mock.patch.object(JetSpace, "pairs", spy):
+        yield calls
+
+
+def assert_constant_rule(calls, which):
+    """One lookup, of a table with one coefficient-1 pair per output, with
+    degree 0 on the constant side."""
+    (space, da, db), = calls
+    assert space.pairs(da, db).trivial
+    if which in ("a", "both"):
+        assert da == 0
+    if which in ("b", "both"):
+        assert db == 0
 
 
 const_draws = st.tuples(st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
@@ -866,9 +895,54 @@ def test_constant_jeinsum_matches_leibniz(dim, order, contraction, which, draw):
     rng = np.random.default_rng(seed)
     a, b = const_operands(rng, jet_space(dim, order), shape_a, shape_b,
                           which, cplx_a, cplx_b)
-    with full_path_forbidden():
+    with pairs_spy() as calls:
         new = jeinsum(spec, a, b)
+    assert_constant_rule(calls, which)
     assert_jets_close(new, leibniz_jeinsum(spec, a, b))
+
+
+@pytest.mark.parametrize("contraction", CONST_CONTRACTIONS)
+@pytest.mark.parametrize("dim,order", DEGREE_SPACES)
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_degree_jeinsum_matches_leibniz(dim, order, contraction, data):
+    """Factors of every pair of top degrees take the table of exactly those
+    degrees and agree with the full product to roundoff, bitwise where each
+    output keeps at most two terms."""
+    spec, shape_a, shape_b = contraction
+    da, db = data.draw(st.tuples(st.integers(0, order), st.integers(0, order)))
+    cplx_a, cplx_b, seed = data.draw(const_draws)
+    rng = np.random.default_rng(seed)
+    sp = jet_space(dim, order)
+    a = degree_jet(rng, sp, shape_a, cplx_a, da)
+    b = degree_jet(rng, sp, shape_b, cplx_b, db)
+    with pairs_spy() as calls:
+        new = jeinsum(spec, a, b)
+    assert calls == [(sp, da, db)]
+    old = leibniz_jeinsum(spec, a, b)
+    assert_jets_close(new, old)
+    if min(da, db) == 0 or max(da, db) <= 1:
+        assert np.array_equal(new.c, old.c)
+
+
+def test_degree_tables_are_subsequences_of_the_full_table():
+    """pairs(0, order) and pairs(order, order) are the constant and full
+    products; every table keeps its rows in the full table's order."""
+    for dim, order in DEGREE_SPACES:
+        sp = jet_space(dim, order)
+        full = sp.pairs(order, order)
+        assert np.array_equal(full.a, sp.prod_a) and np.array_equal(full.b, sp.prod_b)
+        assert np.array_equal(full.starts, sp.prod_starts) and not full.trivial
+        assert sp.pairs(0, order).trivial and sp.pairs(order, 0).trivial
+        assert np.array_equal(sp.pairs(0, order).b, np.arange(sp.n))
+        rows = {(int(x), int(y)): i for i, (x, y) in enumerate(zip(sp.prod_a, sp.prod_b))}
+        for da in range(order + 1):
+            for db in range(order + 1):
+                t = sp.pairs(da, db)
+                idx = [rows[int(x), int(y)] for x, y in zip(t.a, t.b)]
+                assert idx == sorted(idx)
+                assert np.array_equal(t.c, sp.prod_c[idx])
+                assert len(t.starts) == sp.deg_starts[min(da + db, order) + 1]
 
 
 @pytest.mark.parametrize("which", ["a", "b", "both"])
@@ -896,9 +970,10 @@ def test_nonfinite_constant_value_fails_closed(bad, which):
     a, b = const_operands(rng, sp, shape_a, shape_b, which, False, True)
     const = a if which == "a" else b
     const.c[3, 1, 1, 0] = bad
-    with np.errstate(invalid="ignore"), full_path_forbidden():
+    with np.errstate(invalid="ignore"), pairs_spy() as calls:
         prod = jeinsum(spec, a, b)
         elem = a[:, 1, :] * b[:, :, 1]
+    assert_constant_rule(calls, which)
     assert not np.isfinite(prod.value).all()
     assert not np.isfinite(elem.value).all()
     assert np.isfinite(prod.value[:3]).all() and np.isfinite(elem.value[:3]).all()
@@ -906,36 +981,54 @@ def test_nonfinite_constant_value_fails_closed(bad, which):
 
 def test_nan_derivative_takes_full_product():
     """A NaN in one derivative coefficient of an otherwise constant factor
-    is not a zero: the full product runs and the NaN reaches the result."""
+    is not a zero: it sets that factor's top degree, so a NaN of top degree
+    selects the full table ``pairs(order, order)``, and the NaN reaches the
+    result."""
     rng = np.random.default_rng(6)
     sp = jet_space(4, 3)
     spec, shape_a, shape_b = CONST_CONTRACTIONS[2]
-    a, b = const_operands(rng, sp, shape_a, shape_b, "a", True, False)
-    a.c[2, 0, 3, 5, 7] = np.nan
-    with mock.patch.object(jets, "_leibniz_einsum", wraps=jets._leibniz_einsum) as full:
-        new = jeinsum(spec, a, b)
-    assert full.call_count == 1
-    assert np.isnan(new.c).any()
-    np.testing.assert_allclose(new.c, leibniz_jeinsum(spec, a, b).c,
-                               rtol=RTOL, atol=ATOL, equal_nan=True)
-    x, y = a[:, :, 3, 5], b[:, :, 5]
-    assert np.array_equal((x * y).c, leibniz_mul(x, y).c, equal_nan=True)
-    assert np.isnan((x * y).c).any()
+    for pos in (sp.n - 1, 7):
+        a = constant_jet(random_jet(rng, sp, shape_a, True, sp.order))
+        b = random_jet(rng, sp, shape_b, False, sp.order)
+        a.c[2, 0, 3, 5, pos] = np.nan
+        with pairs_spy() as calls:
+            new = jeinsum(spec, a, b)
+        assert calls == [(sp, sp.degree[pos], sp.order)]
+        assert np.isnan(new.c).any()
+        np.testing.assert_allclose(new.c, leibniz_jeinsum(spec, a, b).c,
+                                   rtol=RTOL, atol=ATOL, equal_nan=True)
+        x, y = a[:, :, 3, 5], b[:, :, 5]
+        assert np.array_equal((x * y).c, leibniz_mul(x, y).c, equal_nan=True)
+        assert np.isnan((x * y).c).any()
 
 
 @pytest.mark.parametrize("dim,order", CONST_SPACES)
 def test_one_derivative_coefficient_is_not_constant(dim, order):
     """A factor whose only nonzero derivative coefficient is the first or
-    the last one is not constant and takes the full product."""
+    the last one of a degree block is not constant: it takes the table of
+    that block's degree."""
     sp = jet_space(dim, order)
     spec, shape_a, shape_b = CONST_CONTRACTIONS[0]
-    for pos in (1, sp.n - 1):
-        rng = np.random.default_rng(pos)
-        a = constant_jet(random_jet(rng, sp, shape_a, False, order))
-        a.c[..., pos] = rng.normal(size=shape_a)
-        b = random_jet(rng, sp, shape_b, True, order)
-        with mock.patch.object(jets, "_leibniz_einsum", wraps=jets._leibniz_einsum) as full:
-            assert_jets_close(jeinsum(spec, a, b), leibniz_jeinsum(spec, a, b))
-        assert full.call_count == 1
-        x, y = a[:, 0], b[:, :, 0]
-        assert np.array_equal((x * y).c, leibniz_mul(x, y).c)
+    for d in range(1, order + 1):
+        for pos in (sp.deg_starts[d], sp.deg_starts[d + 1] - 1):
+            rng = np.random.default_rng(pos)
+            a = constant_jet(random_jet(rng, sp, shape_a, False, order))
+            a.c[..., pos] = rng.normal(size=shape_a)
+            b = random_jet(rng, sp, shape_b, True, order)
+            with pairs_spy() as calls:
+                assert_jets_close(jeinsum(spec, a, b), leibniz_jeinsum(spec, a, b))
+            assert calls == [(sp, d, order)]
+            x, y = a[:, 0], b[:, :, 0]
+            assert np.array_equal((x * y).c, leibniz_mul(x, y).c)
+
+
+def test_kodaira_frame_product_takes_the_affine_table(kodaira_jets):
+    """The kodaira frame P(x) is affine in x1, so P M P^-1 multiplies two
+    degree-1 factors at (4,3) through the 25-row table, not the 165-row
+    full one."""
+    model, jc = kodaira_jets
+    sp = jc.space
+    with pairs_spy() as calls:
+        model.triple.j1.fn(jc)
+    assert calls == [(sp, 1, 0), (sp, 1, 1)]
+    assert len(sp.pairs(1, 1).a) == 25 and len(sp.prod_a) == 165

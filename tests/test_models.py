@@ -1,18 +1,20 @@
 """Model certification, the anticommuting-pair bundle, and the flow."""
 
+import math
+
 import numpy as np
 import pytest
 
 from pbhverify.flagmodel import _flag_domain
-from pbhverify.models import (Example2Params, F_CATALOG, HamiltonianFlow,
-                              ModelError, example2_build, flow_pullback_form,
-                              get_model, hamiltonian_deform, kodaira_phk,
-                              torus_phk, unit_spacelike_vector)
+from pbhverify.models import (Example2Params, F_CATALOG, FlowTimeError,
+                              HamiltonianFlow, ModelError, example2_build,
+                              flow_pullback_form, get_model, hamiltonian_deform,
+                              kodaira_phk, torus_phk, unit_spacelike_vector)
 from pbhverify.structures import max_abs
 from pbhverify.suites import SuiteConfig, run_suite
 from pbhverify.tensorcalc import (SamplePlan, evaluate_form,
-                                  exterior_derivative, jets, wedge)
-from pbhverify.tensorcalc.jets import Jet, jet_coords
+                                  exterior_derivative, wedge)
+from pbhverify.tensorcalc.jets import Jet, JetSpace, jet_coords
 
 
 def test_certifications(torus_model, kodaira_model):
@@ -31,6 +33,10 @@ def test_params_invariants():
         Example2Params(a=1.0, b=0.0, c=0.0)    # a must exceed 1
     with pytest.raises(ValueError):
         Example2Params(f_name="nope")
+    for name in ("a", "b", "c", "t", "step"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+                Example2Params(**{name: bad})
     p = Example2Params(a=1.25, b=0.45, c=0.6)
     assert abs(p.a ** 2 - p.b ** 2 - p.c ** 2 - 1.0) < 1e-12
 
@@ -164,7 +170,7 @@ def test_flow_determinism(torus_model, plan):
 
 def test_flow_escape_guard(torus_model, plan):
     b = example2_build(torus_model, Example2Params(t=40.0, f_name="sin2"), plan)
-    with pytest.raises(ValueError):
+    with pytest.raises(FlowTimeError):
         hamiltonian_deform(b, plan)
 
 
@@ -259,14 +265,20 @@ def test_gpk_flow_work_count(monkeypatch):
 def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
                                                      kodaira_model, monkeypatch):
     """Every structure on the torus is constant, so one velocity evaluation
-    makes no full jet contraction; on kodaira it does."""
+    makes no jet contraction of two non-constant factors; on kodaira it
+    does."""
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 3)
     bundle = example2_build(model, Example2Params(t=0.1), plan)
     flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
     full = []
-    leibniz = jets._leibniz_einsum
-    monkeypatch.setattr(jets, "_leibniz_einsum",
-                        lambda *args: full.append(args) or leibniz(*args))
+    pairs = JetSpace.pairs
+
+    def spy(sp, da, db):
+        if da and db:
+            full.append((da, db))
+        return pairs(sp, da, db)
+
+    monkeypatch.setattr(JetSpace, "pairs", spy)
     flow.velocity(jet_coords(4, 2, plan.sample(model.chart)))
     assert (len(full) == 0) == (model_name == "torus")

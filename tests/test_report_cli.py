@@ -86,6 +86,26 @@ def test_non_finite_tolerance_overrides_rejected(name, value):
                  "--tol", f"{name}={value}"]) == 2
 
 
+def test_zero_override_accepted_only_on_count_checks():
+    """0 is a count check's shipped default, so overriding it with 0 is
+    allowed; a roundoff check still refuses 0."""
+    SuiteConfig(suite="engel", tol={"normal-form-tower": 0.0}).validate()
+    assert main(["--suite", "engel", "--samples", "8", "--quiet",
+                 "--tol", "normal-form-tower=0"]) == 0
+    with pytest.raises(ConfigError):
+        SuiteConfig(tol={"metric-compatibility": 0.0}).validate()
+
+
+@pytest.mark.parametrize("args", [
+    ["--suite", "gpk-example2", "--t", "nan"],
+    ["--suite", "gpk-example2", "--t", "40"],
+    ["--suite", "lemma1", "--b", "nan"],
+], ids=["t-nan", "t-escapes-box", "b-nan"])
+def test_bad_pair_and_flow_parameters_are_configuration_errors(args, capsys):
+    assert main(args + ["--samples", "8", "--quiet"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_config_keys_are_the_config_fields(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("suite = parahyperkahler\nsamples = 8\nvalidate = 1\n")
