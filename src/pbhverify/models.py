@@ -27,6 +27,9 @@ __all__ = ["ModelError", "IntegratorError", "FlowTimeError", "ModelDescriptor",
            "unit_spacelike_vector", "get_model", "j_minus", "conformal_metric"]
 
 TWO_PI = 2.0 * np.pi
+# the most RK4 steps a flow may take, |t| / step; a smaller step is a
+# configuration error rather than a run that does not end
+MAX_RK4_STEPS = 10**6
 
 
 class ModelError(RuntimeError):
@@ -280,6 +283,9 @@ class Example2Params:
             raise ValueError(f"unknown Hamiltonian {self.f_name!r}")
         if self.step <= 0:
             raise ValueError("integrator step must be positive")
+        if abs(self.t) / self.step > MAX_RK4_STEPS:
+            raise ValueError(f"|t| / step = {abs(self.t) / self.step:.3g} RK4 steps "
+                             f"exceeds the limit {MAX_RK4_STEPS}")
 
 
 def complex_form(re: Field, im: Field) -> Field:

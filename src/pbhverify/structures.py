@@ -264,9 +264,20 @@ def d_pm_F(pair: HermitianPair) -> Field:
     return -pullback_linear(pair.j, df)
 
 
+def _pairing(jpjm: Jet) -> Jet:
+    """p = tr(J+ J-) / 4 from the product J+ J-."""
+    return jtrace(jpjm) * 0.25
+
+
+def _branch_root(p: Jet) -> Jet:
+    """sqrt(p^2 - 1), positive branch."""
+    return (p ** 2 - 1.0).sqrt()
+
+
 @dataclass
 class BihermitianData:
-    """g with two compatible complex structures; K, S on the |p| > 1 locus."""
+    """g with two compatible complex structures; K, S on the |p| > 1 locus.
+    K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate."""
 
     g: Field
     jp: Field
@@ -276,7 +287,7 @@ class BihermitianData:
     @cached_property
     def p(self) -> Field:
         return scalar_field(self.g.chart,
-                            lambda jc: jtrace(jmatmul(self.jp.fn(jc), self.jm.fn(jc))) * 0.25,
+                            lambda jc: _pairing(jmatmul(self.jp.fn(jc), self.jm.fn(jc))),
                             cost=max(self.jp.cost, self.jm.cost))
 
     @cached_property
@@ -291,15 +302,16 @@ class BihermitianData:
     def s_root(self) -> Field:
         """sqrt(p^2 - 1), positive branch."""
         return scalar_field(self.g.chart,
-                            lambda jc: (self.p.fn(jc) ** 2 - 1.0).sqrt(),
+                            lambda jc: _branch_root(self.p.fn(jc)),
                             cost=self.p.cost)
 
     @cached_property
     def k_endo(self) -> Field:
         def fn(jc):
             jpv, jmv = self.jp.fn(jc), self.jm.fn(jc)
-            q = jmatmul(jpv, jmv) - jmatmul(jmv, jpv)
-            s = self.s_root.fn(jc)
+            jpjm = jmatmul(jpv, jmv)
+            q = jpjm - jmatmul(jmv, jpv)
+            s = _branch_root(_pairing(jpjm))
             return _scale(q, (s * 2.0).reciprocal())
 
         return endo_field(self.g.chart, fn, cost=max(self.jp.cost, self.jm.cost))
@@ -308,8 +320,8 @@ class BihermitianData:
     def s_endo(self) -> Field:
         def fn(jc):
             jpv, jmv = self.jp.fn(jc), self.jm.fn(jc)
-            p = self.p.fn(jc)
-            s = self.s_root.fn(jc)
+            p = _pairing(jmatmul(jpv, jmv))
+            s = _branch_root(p)
             num = jmv + _scale(jpv, p)
             return -_scale(num, s.reciprocal())
 

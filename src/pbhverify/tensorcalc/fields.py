@@ -159,9 +159,11 @@ def bivector_field(chart, fn, cost=0, name=""):
 
 
 def _broadcast_const(jc, arr):
-    b = jc.c.shape[0]
-    tiled = np.broadcast_to(arr, (b,) + np.asarray(arr).shape).copy()
-    return Jet.constant(jc.space, tiled, jc.order)
+    """Constant jet of ``arr`` at each of jc's points: one zero-filled
+    coefficient array, value slot assigned from a broadcast view."""
+    arr = np.asarray(arr)
+    return Jet.constant(jc.space, np.broadcast_to(arr, jc.c.shape[:1] + arr.shape),
+                        jc.order)
 
 
 def constant_endo(chart, matrix, name=""):

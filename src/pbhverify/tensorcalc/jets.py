@@ -33,6 +33,19 @@ case, as one broadcast multiply.  The rule tests the input, not a flag: a
 NaN in a derivative coefficient is not zero, so it raises that factor's
 top degree and reaches the result, and a NaN or inf in a constant
 factor's value still makes the product's value non-finite.
+
+The rule reaches the other two kernels at degree 0.  ``jet_inv`` of a
+matrix whose derivative coefficients are all exactly zero returns the
+constant jet of ``inv(m0)`` with no Neumann series, and ``_compose`` of a
+constant jet returns ``derivs[0]`` as a constant jet with no powers of the
+zero perturbation.  For a finite input every coefficient equals the full
+path's up to the sign of a zero: the full path adds products with an
+exact zero, which can turn a ``-0.0`` into ``0.0``.  The test is on the
+input, as for products: a NaN in a derivative coefficient takes the full
+path and reaches the result.  A non-finite value leaves a non-finite
+value at the same points as the full path; the full path also spreads
+it, through ``0 * inf`` and ``NaN * 0``, into other entries and into the
+derivative coefficients, which the constant path leaves zero.
 """
 
 from __future__ import annotations
@@ -278,11 +291,13 @@ class Jet:
     def _compose(self, derivs):
         """sum_m derivs[m]/m! * (self - value)^m, truncated at self.order."""
         sp = self.space
-        du = self.c.copy()
-        du[..., 0] = 0
         dtype = np.result_type(self.c.dtype, derivs[0].dtype)
         out = np.zeros(self.shape + (sp.n,), dtype=dtype)
         out[..., 0] = derivs[0]
+        if _is_constant(self):  # every power of self - value is zero
+            return Jet(sp, out, self.order)
+        du = self.c.copy()
+        du[..., 0] = 0
         term = Jet(sp, du, self.order)
         fact = 1.0
         power = term
@@ -432,16 +447,18 @@ def jtrace(a: Jet) -> Jet:
 def jet_inv(m: Jet) -> Jet:
     """Inverse of a batched square jet matrix via the exactly-truncated
     Neumann series around the value part (valid whenever the value part is
-    invertible)."""
+    invertible); a constant matrix skips the series."""
     sp = m.space
     d = m.c.shape[-2]
     m0 = m.value
     m0inv = np.linalg.inv(m0)
     m0inv_j = Jet.constant(sp, m0inv, m.order)
+    if _is_constant(m):  # the perturbation is zero
+        return m0inv_j
     pert = m.c.copy()
     pert[..., 0] = 0
     e = jmatmul(m0inv_j, Jet(sp, pert, m.order))  # nilpotent: value part zero
-    eye = Jet.constant(sp, np.broadcast_to(np.eye(d), m0.shape).copy(), m.order)
+    eye = Jet.constant(sp, np.broadcast_to(np.eye(d), m0.shape), m.order)
     acc = eye
     term = eye
     for k in range(1, m.order + 1):

@@ -10,8 +10,9 @@ run in a different order, so agreement is to a tolerance fixed from float64
 roundoff.  The last section keeps the second copies of single operations
 (transpose, Wirtinger derivative, antisymmetrization, N±, block assembly)
 that were deleted in favour of one implementation.  ``leibniz_jeinsum`` and
-``leibniz_mul`` are the full gather/``reduceat`` products, kept as the oracle
-of the degree rule.
+``leibniz_mul`` are the full gather/``reduceat`` products, and
+``neumann_inv`` and ``taylor_compose`` the full Neumann series and Taylor
+composition, kept as the oracles of the degree rule.
 """
 
 from contextlib import contextmanager
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from pbhverify.gencomplex import (_courant, b_transform, courant_bracket,
                                   gcs_nijenhuis, pairing, random_poly_sections,
                                   random_poly_two_form)
+from pbhverify.models import Example2Params, example2_build
 from pbhverify.structures import (HermitianPair, chern_connection, levi_civita,
                                   max_abs)
 from pbhverify.tensorcalc import (Field, SamplePlan, coordinate_oneform,
@@ -1032,3 +1034,203 @@ def test_kodaira_frame_product_takes_the_affine_table(kodaira_jets):
         model.triple.j1.fn(jc)
     assert calls == [(sp, 1, 0), (sp, 1, 1)]
     assert len(sp.pairs(1, 1).a) == 25 and len(sp.prod_a) == 165
+
+
+# -- the degree rule at degree 0 in jet_inv and Taylor composition -------------
+
+
+def neumann_inv(m):
+    """``jet_inv`` without the constant rule: the Neumann series always."""
+    sp = m.space
+    d = m.c.shape[-2]
+    m0inv_j = Jet.constant(sp, np.linalg.inv(m.value), m.order)
+    pert = m.c.copy()
+    pert[..., 0] = 0
+    e = jmatmul(m0inv_j, Jet(sp, pert, m.order))
+    eye = Jet.constant(sp, np.broadcast_to(np.eye(d), m.value.shape).copy(), m.order)
+    acc = term = eye
+    for k in range(1, m.order + 1):
+        term = jmatmul(term, e)
+        acc = acc + term * ((-1.0) ** k)
+    return jmatmul(acc, m0inv_j)
+
+
+def taylor_compose(self, derivs):
+    """``Jet._compose`` without the constant rule: every power of du."""
+    sp = self.space
+    du = self.c.copy()
+    du[..., 0] = 0
+    dtype = np.result_type(self.c.dtype, derivs[0].dtype)
+    out = np.zeros(self.shape + (sp.n,), dtype=dtype)
+    out[..., 0] = derivs[0]
+    term = power = Jet(sp, du, self.order)
+    fact = 1.0
+    for m in range(1, min(self.order, len(derivs) - 1) + 1):
+        fact *= m
+        out = out + power.c * (derivs[m] / fact)[..., None]
+        if m < self.order:
+            power = power * term
+    return Jet(sp, out, self.order)
+
+
+ELEMENTARY = ["reciprocal", "sqrt", "exp", "log", "sin", "cos"]
+
+
+def invertible_jet(rng, sp, cplx, order, k=3, batch=8):
+    """A (batch, k, k) jet whose value part is well conditioned."""
+    m = random_jet(rng, sp, (batch, k, k), cplx, order)
+    m.c[..., 0] += 4.0 * np.eye(k)
+    return m
+
+
+def positive_jet(rng, sp, cplx, order, batch=8):
+    """A (batch,) jet with value real part in [0.5, 2], inside the domain
+    of every elementary function."""
+    x = random_jet(rng, sp, (batch,), cplx, order)
+    x.c[..., 0] = rng.uniform(0.5, 2.0, size=batch) + (0.3j * x.c[..., 0].imag
+                                                         if cplx else 0.0)
+    return x
+
+
+@contextmanager
+def inv_matmul_spy():
+    """Count the ``jmatmul`` calls made in ``jets``."""
+    calls = []
+
+    def spy(a, b):
+        calls.append(1)
+        return jmatmul(a, b)
+
+    with mock.patch("pbhverify.tensorcalc.jets.jmatmul", spy):
+        yield calls
+
+
+inv_draws = st.tuples(st.booleans(), st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("dim,order", DEGREE_SPACES)
+@settings(max_examples=8, deadline=None)
+@given(inv_draws)
+def test_constant_jet_inv_equals_neumann(dim, order, draw):
+    """A constant matrix skips the series; the result equals the series'
+    (``array_equal`` counts -0.0 and 0.0 as equal)."""
+    cplx, seed = draw
+    rng = np.random.default_rng(seed)
+    sp = jet_space(dim, order)
+    m = constant_jet(invertible_jet(rng, sp, cplx, int(rng.integers(0, order + 1))))
+    with inv_matmul_spy() as calls:
+        new = jet_inv(m)
+    assert calls == []
+    old = neumann_inv(m)
+    assert new.order == old.order and new.c.dtype == old.c.dtype
+    assert np.array_equal(new.c, old.c)
+
+
+@pytest.mark.parametrize("fn", ELEMENTARY)
+@pytest.mark.parametrize("dim,order", DEGREE_SPACES)
+@settings(max_examples=6, deadline=None)
+@given(inv_draws)
+def test_constant_compose_equals_taylor(dim, order, fn, draw):
+    cplx, seed = draw
+    rng = np.random.default_rng(seed)
+    sp = jet_space(dim, order)
+    x = constant_jet(positive_jet(rng, sp, cplx, int(rng.integers(0, order + 1))))
+    new = getattr(x, fn)()
+    with mock.patch.object(Jet, "_compose", taylor_compose):
+        old = getattr(x, fn)()
+    assert new.order == old.order and new.c.dtype == old.c.dtype
+    assert np.array_equal(new.c, old.c)
+
+
+@pytest.mark.parametrize("dim,order", DEGREE_SPACES)
+def test_nan_derivative_takes_the_full_inverse_and_composition(dim, order):
+    """A NaN in one derivative coefficient of an otherwise constant input
+    is not a zero: the Neumann series and every power of du run, and the
+    NaN reaches the result's derivative coefficients."""
+    rng = np.random.default_rng(8)
+    sp = jet_space(dim, order)
+    for pos in (1, sp.n - 1):
+        m = constant_jet(invertible_jet(rng, sp, True, order))
+        m.c[2, 1, 0, pos] = np.nan
+        with inv_matmul_spy() as calls:
+            new = jet_inv(m)
+        assert len(calls) == order + 2
+        assert np.isnan(new.c[..., 1:]).any()
+        assert np.array_equal(new.c, neumann_inv(m).c, equal_nan=True)
+        x = constant_jet(positive_jet(rng, sp, False, order))
+        x.c[5, pos] = np.nan
+        for fn in ELEMENTARY:
+            new = getattr(x, fn)()
+            with mock.patch.object(Jet, "_compose", taylor_compose):
+                old = getattr(x, fn)()
+            assert np.isnan(new.c[5, 1:]).any()
+            assert np.array_equal(new.c, old.c, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_constant_value_stays_nonfinite(bad):
+    """A non-finite value of a constant input leaves a non-finite value at
+    the points where the full path leaves one (1 / inf is 0), and the
+    finite entries agree.  The full path may turn an inf into a NaN through
+    0 * inf and spreads it into other entries and coefficients."""
+    sp = jet_space(4, 3)
+    x = constant_jet(positive_jet(np.random.default_rng(9), sp, False, 3))
+    x.c[4, 0] = bad
+    m = constant_jet(invertible_jet(np.random.default_rng(9), sp, False, 3))
+    m.c[4, 0, 0, 0] = bad
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for fn in ELEMENTARY:
+            new = getattr(x, fn)()
+            with mock.patch.object(Jet, "_compose", taylor_compose):
+                old = getattr(x, fn)()
+            assert_same_finite_values(new, old)
+        new, old = jet_inv(m), neumann_inv(m)
+    assert np.array_equal(new.value, np.linalg.inv(m.value), equal_nan=True)
+    assert_same_finite_values(new, old)
+
+
+def assert_same_finite_values(new, old):
+    """The same points hold a non-finite value entry, only point 4 may, and
+    entries finite in both are equal."""
+    fin_new, fin_old = np.isfinite(new.value), np.isfinite(old.value)
+    per_point = [f.reshape(len(f), -1).all(axis=1) for f in (fin_new, fin_old)]
+    assert np.array_equal(*per_point) and per_point[0][:4].all()
+    both = fin_new & fin_old
+    assert np.array_equal(new.value[both], old.value[both])
+
+
+def ref_p(data, jc):
+    return jtrace(jmatmul(data.jp.fn(jc), data.jm.fn(jc))) * 0.25
+
+
+def ref_s_root(data, jc):
+    return (ref_p(data, jc) ** 2 - 1.0).sqrt()
+
+
+def ref_k_endo(data, jc):
+    jpv, jmv = data.jp.fn(jc), data.jm.fn(jc)
+    q = jmatmul(jpv, jmv) - jmatmul(jmv, jpv)
+    return _scale(q, (ref_s_root(data, jc) * 2.0).reciprocal())
+
+
+def ref_s_endo(data, jc):
+    jpv, jmv = data.jp.fn(jc), data.jm.fn(jc)
+    num = jmv + _scale(jpv, ref_p(data, jc))
+    return -_scale(num, ref_s_root(data, jc).reciprocal())
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("model_name", ["torus", "kodaira"])
+def test_pair_fields_equal_removed_formulas(model_name, seed, torus_model, kodaira_model):
+    """p, sqrt(p^2 - 1), K and S equal the formulas they replace, which
+    took p and sqrt(p^2 - 1) from the p and s_root fields, run with the
+    full Taylor composition."""
+    model = torus_model if model_name == "torus" else kodaira_model
+    plan = SamplePlan(16, seed)
+    data = example2_build(model, Example2Params(), plan).data
+    jc = jet_coords(4, 3, plan.sample(model.chart))
+    for field, ref in ((data.p, ref_p), (data.s_root, ref_s_root),
+                       (data.k_endo, ref_k_endo), (data.s_endo, ref_s_endo)):
+        with mock.patch.object(Jet, "_compose", taylor_compose):
+            old = ref(data, jc)
+        assert_jets_equal(field.fn(jc), old)

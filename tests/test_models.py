@@ -1,19 +1,21 @@
 """Model certification, the anticommuting-pair bundle, and the flow."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from pbhverify import structures
 from pbhverify.flagmodel import _flag_domain
 from pbhverify.models import (Example2Params, F_CATALOG, FlowTimeError,
                               HamiltonianFlow, ModelError, example2_build,
                               flow_pullback_form, get_model, hamiltonian_deform,
                               kodaira_phk, torus_phk, unit_spacelike_vector)
-from pbhverify.structures import max_abs
+from pbhverify.structures import BihermitianData, levi_civita, max_abs
 from pbhverify.suites import SuiteConfig, run_suite
 from pbhverify.tensorcalc import (SamplePlan, evaluate_form,
-                                  exterior_derivative, wedge)
+                                  exterior_derivative, jets, wedge)
 from pbhverify.tensorcalc.jets import Jet, JetSpace, jet_coords
 
 
@@ -37,6 +39,9 @@ def test_params_invariants():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
                 Example2Params(**{name: bad})
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        Example2Params(t=0.1, step=1e-12)   # 1e11 RK4 steps
+    assert Example2Params(t=-1.0, step=1e-6).step == 1e-6   # at the limit
     p = Example2Params(a=1.25, b=0.45, c=0.6)
     assert abs(p.a ** 2 - p.b ** 2 - p.c ** 2 - 1.0) < 1e-12
 
@@ -282,3 +287,74 @@ def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
     monkeypatch.setattr(JetSpace, "pairs", spy)
     flow.velocity(jet_coords(4, 2, plan.sample(model.chart)))
     assert (len(full) == 0) == (model_name == "torus")
+
+
+@pytest.fixture
+def inv_products(monkeypatch):
+    """The order of the matrix being inverted, once per jet matrix product
+    made inside ``jet_inv`` (called from ``jets`` or ``structures``)."""
+    inside, products = [], []
+    inv, matmul = jets.jet_inv, jets.jmatmul
+
+    def inv_spy(m):
+        inside.append(m.order)
+        try:
+            return inv(m)
+        finally:
+            inside.pop()
+
+    def matmul_spy(a, b):
+        if inside:
+            products.append(inside[-1])
+        return matmul(a, b)
+
+    monkeypatch.setattr(jets, "jet_inv", inv_spy)
+    monkeypatch.setattr(structures, "jet_inv", inv_spy)
+    monkeypatch.setattr(jets, "jmatmul", matmul_spy)
+    return products
+
+
+@pytest.mark.parametrize("model_name", ["torus", "kodaira"])
+def test_velocity_inverts_without_the_neumann_series(model_name, torus_model,
+                                                     kodaira_model, inv_products):
+    """F^K has constant chart components on both models (on kodaira the x1
+    terms of the frame cancel), so the solve in one velocity evaluation
+    inverts it with no jet matrix product."""
+    model = torus_model if model_name == "torus" else kodaira_model
+    plan = SamplePlan(8, 3)
+    bundle = example2_build(model, Example2Params(t=0.1), plan)
+    flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
+    flow.velocity(jet_coords(4, 2, plan.sample(model.chart)))
+    assert inv_products == []
+
+
+def test_kodaira_metric_inverse_runs_the_neumann_series(kodaira_model, inv_products):
+    """The kodaira metric depends on x1, so the Christoffel symbols invert
+    it through the series: order + 2 products."""
+    plan = SamplePlan(8, 3)
+    g = kodaira_model.triple.g
+    levi_civita(g).gamma_fn(jet_coords(4, 3, plan.sample(kodaira_model.chart)))
+    assert inv_products == [3] * 5
+
+
+def _counted(field, calls):
+    def fn(jc):
+        calls.append(jc)
+        return field.fn(jc)
+
+    return dataclasses.replace(field, fn=fn)
+
+
+@pytest.mark.parametrize("model_name", ["torus", "kodaira"])
+def test_k_and_s_evaluate_each_structure_once(model_name, torus_model, kodaira_model,
+                                              plan):
+    """K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate."""
+    model = torus_model if model_name == "torus" else kodaira_model
+    data = example2_build(model, Example2Params(), plan).data
+    jc = jet_coords(4, 2, plan.sample(model.chart))
+    for name in ("k_endo", "s_endo"):
+        jp_calls, jm_calls = [], []
+        spied = BihermitianData(data.g, _counted(data.jp, jp_calls),
+                                _counted(data.jm, jm_calls))
+        getattr(spied, name).fn(jc)
+        assert len(jp_calls) == len(jm_calls) == 1

@@ -100,7 +100,8 @@ def test_zero_override_accepted_only_on_count_checks():
     ["--suite", "gpk-example2", "--t", "nan"],
     ["--suite", "gpk-example2", "--t", "40"],
     ["--suite", "lemma1", "--b", "nan"],
-], ids=["t-nan", "t-escapes-box", "b-nan"])
+    ["--suite", "gpk-example2", "--t", "0.1", "--step", "1e-12"],
+], ids=["t-nan", "t-escapes-box", "b-nan", "too-many-steps"])
 def test_bad_pair_and_flow_parameters_are_configuration_errors(args, capsys):
     assert main(args + ["--samples", "8", "--quiet"]) == 2
     assert "configuration error" in capsys.readouterr().err
