@@ -17,7 +17,7 @@ from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          constant_metric, endo_field, form_field,
                          form_full_matrix, form_from_matrix, jet_coords,
                          jet_solve, jgrad, jmatmul, jtranspose, metric_field)
-from .tensorcalc.fields import _broadcast_const, _scale
+from .tensorcalc.fields import _scale
 from .tensorcalc.calculus import _stack
 
 __all__ = ["ModelError", "IntegratorError", "FlowTimeError", "ModelDescriptor",
@@ -111,14 +111,46 @@ def torus_phk() -> ModelDescriptor:
 #   e1 = dx1, e2 = dx2, e3 = dx3, e4 = dx4 - x1 dx2   (so d e4 = -e1 ^ e2).
 # Structures are constant in the dual frame E1 = d1, E2 = d2 + x1 d4,
 # E3 = d3, E4 = d4; the shipped candidate family is searched and certified.
+#
+# The frame matrix is P(x) = I + x1 E, its columns the E_a in chart
+# components, where E has a single 1 at [3, 1].  E^2 = 0, so P^-1 = I - x1 E
+# and a frame-constant endomorphism M and metric G are polynomials in x1:
+#   P M P^-1    = M + x1 (EM - ME) - x1^2 EME
+#   P^-T G P^-1 = G - x1 (E^T G + GE) + x1^2 E^T G E
+# For the signed-permutation candidates this is bitwise, sign bits included,
+# the jet matrix product P M P^-1 (kept as the oracle in the tests).
+
+_KODAIRA_E = np.zeros((4, 4))
+_KODAIRA_E[3, 1] = 1.0
 
 
-def _kodaira_frame(jc, sign=1.0):
-    """P(x): columns are the frame fields E_a in chart components; with
-    ``sign=-1.0`` its inverse."""
-    p = _broadcast_const(jc, np.eye(4))
-    p.c[:, 3, 1, :] = jc.c[:, 0] * sign  # x1 at entry [3, 1]
-    return p
+def _x1_polynomial(c0, c1, c2):
+    """Jet evaluation of c0 + x1 c1 + x1^2 c2 for constant (4, 4) matrices;
+    x1 may be any scalar jet (flowed coordinates included).  The x1^2 term
+    is dropped when c2 is zero."""
+    quadratic = bool(c2.any())
+
+    def fn(jc):
+        x1 = jc[:, 0]
+        out = x1[:, None, None] * c1 + c0
+        if quadratic:
+            out = out + (x1 * x1)[:, None, None] * c2
+        return out
+
+    return fn
+
+
+def _kodaira_triple(chart, j1f, j2f, g_frame) -> ParaHyperTriple:
+    """The triple whose frame components are j1f, j2f, j1f j2f and g_frame."""
+    e = _KODAIRA_E
+
+    def frame_endo(m):
+        return endo_field(chart, _x1_polynomial(m, e @ m - m @ e, -(e @ m @ e)))
+
+    g = metric_field(chart, _x1_polynomial(g_frame, -(e.T @ g_frame + g_frame @ e),
+                                           e.T @ g_frame @ e))
+    return ParaHyperTriple(g, frame_endo(j1f), frame_endo(j2f),
+                           frame_endo(j1f @ j2f), name="kodaira")
 
 
 def _kodaira_candidates():
@@ -149,29 +181,10 @@ def kodaira_phk() -> ModelDescriptor:
     g_frame[0, 3] = g_frame[3, 0] = 1.0
     g_frame[1, 2] = g_frame[2, 1] = 1.0
 
-    def frame_endo(m):
-        def fn(jc):
-            p = _kodaira_frame(jc)
-            pinv = _kodaira_frame(jc, -1.0)
-            mj = _broadcast_const(jc, m)
-            return jmatmul(jmatmul(p, mj), pinv)
-
-        return endo_field(chart, fn)
-
-    def frame_metric():
-        def fn(jc):
-            pinv = _kodaira_frame(jc, -1.0)
-            gj = _broadcast_const(jc, g_frame)
-            return jmatmul(jmatmul(jtranspose(pinv), gj), pinv)
-
-        return metric_field(chart, fn)
-
     plan = SamplePlan(16, 986)
     errors = []
     for j1f, j2f in _kodaira_candidates():
-        j3f = j1f @ j2f
-        triple = ParaHyperTriple(frame_metric(), frame_endo(j1f),
-                                 frame_endo(j2f), frame_endo(j3f), name="kodaira")
+        triple = _kodaira_triple(chart, j1f, j2f, g_frame)
         # deck transformations: pure translations in x2, x3, x4 and the
         # sheared x1-generator (x1, x2, x3, x4) -> (x1+1, x2, x3, x4+x2)
         shear = np.eye(4)

@@ -34,7 +34,7 @@ from pbhverify.tensorcalc import (Field, SamplePlan, coordinate_oneform,
                                   form_field, form_full,
                                   interior_product, jeinsum, jet_coords,
                                   jet_inv, jet_space, jgrad, jmatmul, jmatvec,
-                                  jtrace, lie_bracket, metric_field,
+                                  jtrace, jtranspose, lie_bracket, metric_field,
                                   nijenhuis_tensor, oneform_field,
                                   scalar_field, vector_field)
 from pbhverify.tensorcalc.calculus import _stack
@@ -652,7 +652,6 @@ def test_sigma_dbar_matches_per_component_loop(flag_data):
     """The stacked sigma against the 27 passes, for the holomorphic fields
     and for their conjugates (where dbar does not vanish)."""
     from pbhverify.poisson import _wirtinger
-    from pbhverify.tensorcalc import jtranspose
     fb, pts = flag_data
     jc = jet_coords(6, 1, pts)
     for zz1, zz2 in ((fb.z1_hol(jc), fb.z2_hol(jc)),
@@ -674,13 +673,6 @@ def test_x10_factor_derivatives_match_removed_copy(flag_data):
     for zeta in (fb._z(jc), fb._w(jc)):
         for new, old in zip(z_chart.field_derivatives(*zeta), ref_xf_yf_at(*zeta)):
             assert_jets_equal(new, old)
-
-
-def test_kodaira_frame_matches_removed_copies(kodaira_jets):
-    from pbhverify.models import _kodaira_frame
-    _, jc = kodaira_jets
-    assert_jets_equal(_kodaira_frame(jc), ref_kodaira_frame(jc, 1.0))
-    assert_jets_equal(_kodaira_frame(jc, -1.0), ref_kodaira_frame(jc, -1.0))
 
 
 def test_fundamental_form_matches_per_combo_stack(kodaira_jets, kodaira_pairs):
@@ -1024,16 +1016,42 @@ def test_one_derivative_coefficient_is_not_constant(dim, order):
             assert np.array_equal((x * y).c, leibniz_mul(x, y).c)
 
 
-def test_kodaira_frame_product_takes_the_affine_table(kodaira_jets):
-    """The kodaira frame P(x) is affine in x1, so P M P^-1 multiplies two
-    degree-1 factors at (4,3) through the 25-row table, not the 165-row
-    full one."""
-    model, jc = kodaira_jets
-    sp = jc.space
-    with pairs_spy() as calls:
-        model.triple.j1.fn(jc)
-    assert calls == [(sp, 1, 0), (sp, 1, 1)]
-    assert len(sp.pairs(1, 1).a) == 25 and len(sp.prod_a) == 165
+KODAIRA_FRAME_METRIC = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0],
+                                 [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_kodaira_structures_equal_the_frame_products(seed, kodaira_model):
+    """J1, J2, J3 and g of every kodaira candidate, evaluated as polynomials
+    in x1, are bitwise (sign bits included) the jet products P M P^-1 and
+    P^-T G P^-1 of the frame matrix, at orders 0-4, on coordinate jets and
+    on flowed ones (x1 a general jet); the evaluation looks up no Leibniz
+    table."""
+    from pbhverify.models import (F_CATALOG, HamiltonianFlow, _kodaira_candidates,
+                                  _kodaira_triple)
+    chart = kodaira_model.chart
+    cands = _kodaira_candidates()
+    triples = [_kodaira_triple(chart, j1f, j2f, KODAIRA_FRAME_METRIC)
+               for j1f, j2f in cands]
+    bundle = example2_build(kodaira_model, Example2Params(), SamplePlan(8, seed))
+    flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin14"], 0.1, 2e-2)
+    pts = SamplePlan(8, seed).sample(chart)
+    for order in range(5):
+        jc = jet_coords(4, order, pts)
+        for x in (jc, flow.flow_jet(jc)):
+            p, pinv = ref_kodaira_frame(x, 1.0), ref_kodaira_frame(x, -1.0)
+            for (j1f, j2f), triple in zip(cands, triples):
+                mats = (KODAIRA_FRAME_METRIC, j1f, j2f, j1f @ j2f)
+                with pairs_spy() as calls:
+                    new = [f.fn(x) for f in (triple.g,) + triple.js]
+                assert calls == []
+                old = [jmatmul(jmatmul(jtranspose(pinv),
+                                       _broadcast_const(x, mats[0])), pinv)]
+                old += [jmatmul(jmatmul(p, _broadcast_const(x, m)), pinv)
+                        for m in mats[1:]]
+                for a, b in zip(new, old):
+                    assert_jets_equal(a, b)
+                    assert np.array_equal(np.signbit(a.c), np.signbit(b.c))
 
 
 # -- the degree rule at degree 0 in jet_inv and Taylor composition -------------

@@ -1,12 +1,13 @@
 """Model certification, the anticommuting-pair bundle, and the flow."""
 
+import ast
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pbhverify import structures
+from pbhverify import models, structures
 from pbhverify.flagmodel import _flag_domain
 from pbhverify.models import (Example2Params, F_CATALOG, FlowTimeError,
                               HamiltonianFlow, ModelError, example2_build,
@@ -185,11 +186,28 @@ def test_uncertified_model_rejected(plan):
         example2_build(fresh, Example2Params(), plan)
 
 
-def test_kodaira_candidate_search_is_exercised():
+def test_kodaira_candidate_search_is_exercised(monkeypatch):
     """The shipped candidate family contains inadmissible assignments; the
-    certified one must still be found."""
+    certified one must still be found.  Certified alone, candidate 0 fails
+    only metric compatibility, candidate 1 closedness and the Nijenhuis
+    condition, and candidate 2 passes with every residual exactly zero."""
     m = kodaira_phk()
     assert m.certify(SamplePlan(8, 2))["closedness"] < 1e-12
+
+    def certified_alone(cand):
+        monkeypatch.setattr(models, "_kodaira_candidates", lambda: [cand])
+        try:
+            return kodaira_phk().certify(SamplePlan(16, 986))
+        except ModelError as exc:
+            return ast.literal_eval(str(exc).split("failed certification: ")[1])
+
+    cands = models._kodaira_candidates()
+    bad0, bad1, good = (certified_alone(c) for c in cands)
+    assert bad0 == {"algebra": 0.0, "compatibility": 2.0, "closedness": 0.0,
+                    "nijenhuis": 0.0, "lattice": 0.0}
+    assert bad1["closedness"] == 1.0 and bad1["nijenhuis"] == 4.0
+    assert max(bad1[k] for k in ("algebra", "compatibility", "lattice")) < 1e-12
+    assert good == dict.fromkeys(good, 0.0) and len(good) == 5
 
 
 # -- one integration per flow -------------------------------------------------

@@ -70,6 +70,22 @@ def test_kodaira_gpk_suite_passes():
     assert rep.passed
 
 
+def test_kodaira_flow_suite():
+    """The deformed gpk-example2 checks on kodaira: the flow preserves F^K
+    exactly there, so the integrator calibration has two zero residuals and
+    is inconclusive (failed closed); every other check passes."""
+    rep = run_suite(SuiteConfig(suite="gpk-example2", model="kodaira",
+                                samples=8, t=0.1))
+    checks = {c.name: c for c in rep.checks}
+    assert "deformed-forms-closed" in checks
+    order = checks.pop("integrator-order")
+    assert not order.passed and order.inconclusive == 8
+    assert order.extra["coarse"] == order.extra["fine"] == 0.0
+    assert order.extra["calibration"] == "both residuals exactly zero"
+    assert all(c.passed for c in checks.values()), \
+        [c.name for c in checks.values() if not c.passed]
+
+
 def test_gauss_hamiltonian_deformation(torus_model, plan):
     b = example2_build(torus_model,
                        Example2Params(t=0.05, f_name="gauss", step=1e-3), plan)
