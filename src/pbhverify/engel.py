@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import BihermitianData, Connection, levi_civita, max_abs
+from .structures import (BihermitianData, Connection, _branch_root,
+                         levi_civita, max_abs)
 from .tensorcalc import (ChartDomain, Field, coordinate_vector, d_scalar,
                          endo_field, jmatvec, jtranspose, lie_bracket,
-                         oneform_field, scalar_field, sharp, vector_field)
+                         metric_field, oneform_field, scalar_field, sharp,
+                         vector_field)
 from .tensorcalc.calculus import _stack
 from .tensorcalc.fields import _broadcast_const, _scale
 
@@ -26,6 +28,12 @@ __all__ = ["DistributionSpan", "RankTowerReport", "n_endos", "lee_fields",
            "canonical_engel_span", "integrable_control_span",
            "other_control_span", "SyntheticBihermitian", "synthetic_data",
            "nabla_n_rhs_residuals"]
+
+RANK_FLOOR = 1e-8  # singular values up to this share of the largest count as 0
+THETA_FLOOR = 1e-8  # |theta+|^2 up to this share of max(1, its max): inconclusive
+GEODESIC_FLOOR = 1e-8  # relative X-part of nabla_Y Y up to which Y is geodesic
+# synthetic p = -(A0 + AMP sin x1 cos x2) keeps |p| in [1.28, 1.52], off |p| = 1
+SYNTHETIC_A0, SYNTHETIC_AMP = 1.4, 0.12
 
 
 @dataclass
@@ -41,8 +49,8 @@ class DistributionSpan:
         cols = [g.eval(pts) for g in self.generators]
         return np.stack(cols, axis=2)  # (B, d, k)
 
-    def validate(self, pts, rel_floor=1e-8):
-        ranks = _rank_of(self.generator_matrix(pts), rel_floor)
+    def validate(self, pts):
+        ranks = _rank_of(self.generator_matrix(pts))
         if np.any(ranks < self.expected_rank):
             bad = int(np.argmax(ranks < self.expected_rank))
             raise ValueError(f"degenerate span at point index {bad}: rank "
@@ -66,15 +74,15 @@ class RankTowerReport:
     counts = _verdict_counts
 
 
-def _rank_of(cols, rel_floor=1e-8):
+def _rank_of(cols):
     sv = np.linalg.svd(cols, compute_uv=False)
     scale = np.maximum(sv[:, 0], 1e-300)
-    return (sv > rel_floor * scale[:, None]).sum(axis=1)
+    return (sv > RANK_FLOOR * scale[:, None]).sum(axis=1)
 
 
-def rank_tower(span: DistributionSpan, pts, rel_floor=1e-8) -> RankTowerReport:
+def rank_tower(span: DistributionSpan, pts) -> RankTowerReport:
     """Pointwise ranks of D, D + [D, D], D + [D, [D, D]]."""
-    span.validate(pts, rel_floor)
+    span.validate(pts)
     gens = span.generators
     level1 = [g.eval(pts) for g in gens]
     br2 = []
@@ -88,9 +96,9 @@ def rank_tower(span: DistributionSpan, pts, rel_floor=1e-8) -> RankTowerReport:
     for g in gens:
         for h in br2_fields:
             br3.append(lie_bracket(g, h).eval(pts))
-    r1 = _rank_of(np.stack(level1, axis=2), rel_floor)
-    r2 = _rank_of(np.stack(level1 + br2, axis=2), rel_floor)
-    r3 = _rank_of(np.stack(level1 + br2 + br3, axis=2), rel_floor)
+    r1 = _rank_of(np.stack(level1, axis=2))
+    r2 = _rank_of(np.stack(level1 + br2, axis=2))
+    r3 = _rank_of(np.stack(level1 + br2 + br3, axis=2))
     ranks = np.stack([r1, r2, r3], axis=1)
     verdicts = []
     for a, b, c in ranks:
@@ -137,7 +145,7 @@ def _branch(p_field: Field, sign: float) -> Field:
     """p + sign sqrt(p^2 - 1); with ``sign=-1.0`` the branch function f."""
     def fn(jc):
         p = p_field.fn(jc)
-        return p + (p * p - 1.0).sqrt() * sign
+        return p + _branch_root(p) * sign
 
     return scalar_field(p_field.chart, fn, cost=p_field.cost)
 
@@ -160,11 +168,12 @@ class LeeFields:
     theta_norm_sq: Field       # |theta+|^2 via g^{-1}
     data: BihermitianData
     f_field: Field             # f = p - sqrt(p^2 - 1)
+    n: Field                   # N = J+ + f J-
 
-    def definitive_mask(self, pts, floor=1e-8):
+    def definitive_mask(self, pts):
         tn = self.theta_norm_sq.eval(pts)
         scale = max(1.0, float(np.abs(tn).max()))
-        return np.abs(tn) > floor * scale
+        return np.abs(tn) > THETA_FLOOR * scale
 
 
 def lee_fields(g: Field, jp: Field, jm: Field, theta_p: Field | None = None,
@@ -196,7 +205,7 @@ def lee_fields(g: Field, jp: Field, jm: Field, theta_p: Field | None = None,
 
     tnorm = scalar_field(chart, tnorm_fn, cost=max(theta_p.cost, tp_sharp.cost))
     span = DistributionSpan([x, y], expected_rank=2)
-    return LeeFields(x, y, span, theta_p, theta_m, tnorm, data, _branch(data.p, -1.0))
+    return LeeFields(x, y, span, theta_p, theta_m, tnorm, data, _branch(data.p, -1.0), n)
 
 
 def basis_identity_residuals(lf: LeeFields, pts, mask=None) -> dict:
@@ -275,11 +284,12 @@ def nabla_n_rhs_residuals(lf: LeeFields, pts, connection: Connection | None = No
         return (guv[:, None] * jtheta + gjuv[:, None] * theta_sharp
                 + th_jv[:, None] * u - th_v[:, None] * ju)
 
+    kv = lf.data.k_endo.eval(pts)
+
     def df_along(u):
         """u(f) from the gradient rule df = -(f/2)(theta+ - theta-) o K, the
         p-gradient identity specialized to f = p - sqrt(p^2 - 1)."""
-        k = lf.data.k_endo.eval(pts)
-        ku = np.einsum("bij,bj->bi", k, u)
+        ku = np.einsum("bij,bj->bi", kv, u)
         return -0.5 * f * np.einsum("bi,bi->b", thp - thm, ku)
 
     def nabla_n(u, v):
@@ -304,19 +314,13 @@ def nabla_n_rhs_residuals(lf: LeeFields, pts, connection: Connection | None = No
     off = nxy - (np.einsum("bi,bi->b", nxy, yhat))[:, None] * yhat
     out["N[X,Y] off Span(Y)"] = np.abs(off / scale)[mask].max(initial=0.0)
     if connection is not None:
-        dn = _jet_nabla_n(lf, connection, pts)  # (B, i, j_comp, k_arg)
+        dn = connection.cov_deriv_endo(lf.n).eval(pts)  # (B, i, j_comp, k_arg)
         lhs = np.einsum("bijk->bikj", dn).reshape(len(pts), 16, 4)
         basis = [np.tile(np.eye(4)[i], (len(pts), 1)) for i in range(4)]
         rhs = np.stack([nabla_n(basis[i], basis[k])
                         for i in range(4) for k in range(4)], axis=1)
         out["derivative-rule vs jets"] = np.abs((lhs - rhs) / scale[:, None])[mask].max(initial=0.0)
     return out
-
-
-def _jet_nabla_n(lf: LeeFields, connection: Connection, pts) -> np.ndarray:
-    """(nabla_{e_i} N) e_j from honest jets, shape (B, i, j, comp)."""
-    n_field = n_endos(lf.data.jp, lf.data.jm, lf.data.p)[1]
-    return connection.cov_deriv_endo(n_field).eval(pts)  # (B, i, j_comp, k_arg)
 
 
 @dataclass
@@ -329,19 +333,16 @@ class Theorem7Report:
     counts = _verdict_counts
 
 
-def theorem7_check(g: Field, jp: Field, jm: Field, pts,
-                   theta_p: Field | None = None, theta_m: Field | None = None,
-                   geodesic_floor=1e-8) -> Theorem7Report:
+def theorem7_check(lf: LeeFields, pts) -> Theorem7Report:
     """Pointwise trichotomy: with non-null theta+ the flow of Y is either a
     null geodesic (X-component of nabla_Y Y vanishes in the natural frame) or
     the distribution Span(X, Y) is Engel; degenerate points are reported
     inconclusive, never silently skipped."""
-    lf = lee_fields(g, jp, jm, theta_p, theta_m)
-    conn = levi_civita(g)
+    conn = levi_civita(lf.data.g)
     mask = lf.definitive_mask(pts)
     x = lf.x.eval(pts)
     y = lf.y.eval(pts)
-    jpv = jp.eval(pts)
+    jpv = lf.data.jp.eval(pts)
     jx = np.einsum("bij,bj->bi", jpv, x)
     jy = np.einsum("bij,bj->bi", jpv, y)
     frame = np.stack([x, y, jx, jy], axis=2)
@@ -356,7 +357,7 @@ def theorem7_check(g: Field, jp: Field, jm: Field, pts,
         scale = np.maximum(1.0, np.abs(coeff).max(axis=1))
         xc = np.abs(coeff[:, 0]) / scale
         xcomp[mask] = xc
-        geo = xc <= geodesic_floor
+        geo = xc <= GEODESIC_FLOOR
         idx = np.where(mask)[0]
         for kk, i in enumerate(idx):
             verdicts[i] = "geodesic" if geo[kk] else "pending"
@@ -389,7 +390,6 @@ class SyntheticBihermitian:
 
 
 def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
-                   a0: float = 1.4, amp: float = 0.12,
                    degenerate: bool = False) -> SyntheticBihermitian:
     """Pointwise-valid structures with varying p = -a(x): J-(x) is a varying
     split-quaternion combination, and theta+ is prescribed through the
@@ -399,13 +399,13 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
     j1m, j2m, j3m = quaternion_frame
 
     def a_fn(jc):
-        return (jc[:, 0].sin() * jc[:, 1].cos()) * amp + a0
+        return (jc[:, 0].sin() * jc[:, 1].cos()) * SYNTHETIC_AMP + SYNTHETIC_A0
 
     a_field = scalar_field(chart, a_fn)
 
     def jm_fn(jc):
         a = a_fn(jc)
-        r = (a * a - 1.0).sqrt()
+        r = _branch_root(a)
         psi = jc[:, 2] * 0.5
         b = r * psi.cos()
         c = r * psi.sin()
@@ -414,7 +414,6 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
         out = out + _scale(_broadcast_const(jc, j3m), c)
         return out
 
-    from .tensorcalc import metric_field
     jp = endo_field(chart, lambda jc: _broadcast_const(jc, j1m))
     jm = endo_field(chart, jm_fn)
     g = metric_field(chart, lambda jc: _broadcast_const(jc, np.asarray(g_matrix, float)))

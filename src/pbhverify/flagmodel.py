@@ -18,8 +18,9 @@ import numpy as np
 from .poisson import (_wirtinger, dbar_matrix, ddc_scalar, holo_apply,
                       holo_bracket, holo_realframe_components, schouten_vb,
                       sigma_compose_form)
-from .tensorcalc import (ChartDomain, Field, Jet, form_combos, form_field,
-                         form_full_matrix, jeinsum, jtranspose, scalar_field)
+from .tensorcalc import (ChartDomain, Field, Jet, bivector_field, form_combos,
+                         form_field, form_full_matrix, jeinsum, jet_coords,
+                         jtranspose, scalar_field, vector_field)
 from .tensorcalc.charts import ExcludedLocus
 from .tensorcalc.calculus import _stack
 from .structures import max_abs
@@ -33,9 +34,10 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass
 class FlagParams:
+    """Coefficients of F0 = a omega1 + b omega2 on the dense flag chart."""
+
     a: int = 1
     b: int = -2
-    chart: str = "z"
 
     def __post_init__(self):
         if not (isinstance(self.a, int) and isinstance(self.b, int)):
@@ -44,8 +46,6 @@ class FlagParams:
             raise ValueError("coefficients must have opposite signs")
         if self.a + self.b == 0:
             raise ValueError("coefficient sum must not vanish")
-        if self.chart != "z":
-            raise ValueError("computations live on the dense z-chart")
 
 
 def _complex_coord(jc, alpha):
@@ -282,7 +282,7 @@ class FlagBundle:
     @cached_property
     def f0(self) -> Field:
         return (self.omega1 * float(self.params.a)
-                + self.omega2 * float(self.params.b)).memoized()
+                + self.omega2 * float(self.params.b))
 
     def z1_hol(self, jc) -> Jet:
         z1, z2 = self._z(jc)
@@ -351,7 +351,6 @@ class FlagBundle:
 
     def hypothesis_i_residual(self, pts, lam: float) -> float:
         """sigma o F0 - dbar X^{1,0} on the chart frame."""
-        from .tensorcalc.jets import jet_coords
         jc = jet_coords(6, max(self.f0.cost, 1), np.atleast_2d(pts))
         z1rf = holo_realframe_components(self.z1_hol(jc)).value
         z2rf = holo_realframe_components(self.z2_hol(jc)).value
@@ -363,8 +362,6 @@ class FlagBundle:
 
     def hypothesis_ii_residual(self, pts, lam: float) -> float:
         """Schouten bracket [Re X^{1,0}, Im sigma]."""
-        from .tensorcalc import bivector_field, vector_field
-
         def rex_fn(jc):
             rf = holo_realframe_components(self.x10_hol(jc, lam))
             return rf.real  # Re(X^{1,0}) = (X^{1,0} + conjugate)/2
@@ -388,13 +385,11 @@ class FlagBundle:
 
     def sigma_dbar_residual(self, pts) -> float:
         """dbar of the bivector's holomorphic components (polynomial)."""
-        from .tensorcalc.jets import jet_coords
         jc = jet_coords(6, 1, np.atleast_2d(pts))
         prod = jeinsum("...p,...q->...pq", self.z1_hol(jc), self.z2_hol(jc))
         return max_abs(_wirtinger(prod - jtranspose(prod), 3, 1.0))
 
     def bracket_residual(self, pts) -> float:
-        from .tensorcalc.jets import jet_coords
         jc = jet_coords(6, 1, np.atleast_2d(pts))
         br = holo_bracket(self.z1_hol(jc), self.z2_hol(jc))
         return float(np.abs(br.value).max())

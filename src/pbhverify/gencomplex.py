@@ -8,12 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import DegeneracyError, max_abs, worst
+from .structures import DegeneracyError, fundamental_form, max_abs, worst
 from .tensorcalc import (ChartDomain, Field, Jet, endo_field,
                          exterior_derivative, form_combos, form_field,
-                         form_full, form_full_matrix, jeinsum, jet_coords,
-                         jet_inv, jgrad, jmatmul, jmatvec, jtranspose,
-                         scalar_field)
+                         form_from_matrix, form_full, form_full_matrix,
+                         jeinsum, jet_coords, jet_inv, jgrad, jmatmul,
+                         jmatvec, jtranspose, metric_field, scalar_field)
 from .tensorcalc.calculus import _stack
 from .tensorcalc.fields import _broadcast_const
 
@@ -98,11 +98,17 @@ def pairing_matrix(dim: int) -> np.ndarray:
     return p
 
 
-def validate_twist(h: Field | None, pts, tol=1e-10):
+TWIST_CLOSED_TOL = 1e-10  # the largest |dH| of a twisting 3-form
+# each eigenbundle of G = I1 I2 must exceed this principal angle (radians) to
+# T, and its natural pairing this smallest singular value
+ANGLE_FLOOR, GRAM_FLOOR = 1e-6, 1e-8
+
+
+def validate_twist(h: Field | None, pts):
     if h is None:
         return 0.0
     res = max_abs(exterior_derivative(h).eval(pts))
-    if not res <= tol:
+    if not res <= TWIST_CLOSED_TOL:
         raise ValueError(f"twisting 3-form is not closed: d H residual {res:.3g}")
     return res
 
@@ -256,7 +262,7 @@ def b_conjugate_endo(i_field: Field, b2: Field, sign: float = 1.0) -> Field:
         return jmatmul(_blocks(eye, zero, bmap, eye),
                        jmatmul(iv, _blocks(eye, zero, -bmap, eye)))
 
-    return Field(chart, "tensor", fn, cost=max(i_field.cost, b2.cost)).memoized()
+    return Field(chart, "tensor", fn, cost=max(i_field.cost, b2.cost))
 
 
 @dataclass
@@ -273,8 +279,7 @@ class GpkResult:
                              f"{self.failed_clause!r}, point {self.point_index}")
 
 
-def check_gpk_pair(i1: Field, i2: Field, pts, tol_commute=1e-9,
-                   angle_floor=1e-6, gram_floor=1e-8) -> GpkResult:
+def check_gpk_pair(i1: Field, i2: Field, pts, tol_commute=1e-9) -> GpkResult:
     """Commutation, eigenspace split of G = I1 I2, transversality to T and
     nondegeneracy of the induced pairing, at every sampled point."""
     d = i1.chart.dim
@@ -310,13 +315,13 @@ def check_gpk_pair(i1: Field, i2: Field, pts, tol_commute=1e-9,
                                 compute_uv=False)
         min_angle = np.arccos(np.clip(cosines.max(axis=1), -1, 1)).min()
         worst_angle = min(worst_angle, float(min_angle))
-        if min_angle <= angle_floor:
+        if min_angle <= ANGLE_FLOOR:
             bad = int(np.argmin(np.arccos(np.clip(cosines.max(axis=1), -1, 1))))
             return GpkResult(False, res, "transversality", bad)
         gram = np.swapaxes(basis, 1, 2) @ p_pair[None] @ basis
         sv = np.linalg.svd(gram, compute_uv=False)
         worst_gram = min(worst_gram, float(sv.min()))
-        if sv.min() <= gram_floor:
+        if sv.min() <= GRAM_FLOOR:
             bad = int(np.argmin(sv.min(axis=1)))
             return GpkResult(False, res, "pairing_rank", bad)
         eig = np.linalg.eigvalsh(0.5 * (gram + np.swapaxes(gram, 1, 2)))
@@ -330,7 +335,6 @@ def gualtieri_build(g: Field, jp: Field, jm: Field, b2: Field | None = None):
     """Block construction of the commuting pair from (g, J+, J-, b)."""
     chart = g.chart
     d = chart.dim
-    from .structures import fundamental_form
     fp = fundamental_form(g, jp)
     fm = fundamental_form(g, jm)
 
@@ -348,9 +352,7 @@ def gualtieri_build(g: Field, jp: Field, jm: Field, b2: Field | None = None):
                            (jtranspose(jpv) + jtranspose(jmv) * s) * (-0.5))
 
         out = Field(chart, "tensor", fn, cost=max(g.cost, jp.cost, jm.cost))
-        if b2 is not None:
-            out = b_conjugate_endo(out, b2, sign=1.0)
-        return out.memoized()
+        return out if b2 is None else b_conjugate_endo(out, b2, sign=1.0)
 
     return make(1), make(2)
 
@@ -380,7 +382,6 @@ def gualtieri_extract(i1: Field, i2: Field):
     def b_fn(jc):
         cp, cm = blocks(jc)
         m = (cp + cm) * 0.5
-        from .tensorcalc import form_from_matrix
         return form_from_matrix(jtranspose(m), d)
 
     def j_fn(jc, sign):
@@ -392,10 +393,9 @@ def gualtieri_extract(i1: Field, i2: Field):
         lift_top = iv[:, :d, :d] + jmatmul(iv[:, :d, d:], c)
         return lift_top
 
-    from .tensorcalc import metric_field
     g_field = metric_field(chart, lambda jc: jtranspose(g_fn(jc)),
                            cost=max(i1.cost, i2.cost)).memoized()
-    b_field = form_field(chart, 2, b_fn, cost=max(i1.cost, i2.cost)).memoized()
+    b_field = form_field(chart, 2, b_fn, cost=max(i1.cost, i2.cost))
     jp_field = endo_field(chart, lambda jc: j_fn(jc, +1), cost=max(i1.cost, i2.cost)).memoized()
     jm_field = endo_field(chart, lambda jc: j_fn(jc, -1), cost=max(i1.cost, i2.cost)).memoized()
     return g_field, jp_field, jm_field, b_field

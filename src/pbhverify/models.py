@@ -30,6 +30,11 @@ TWO_PI = 2.0 * np.pi
 # the most RK4 steps a flow may take, |t| / step; a smaller step is a
 # configuration error rather than a run that does not end
 MAX_RK4_STEPS = 10**6
+# the largest model residuals certify() accepts; both shipped models give 0.0
+CERTIFY_TOLERANCES = {"algebra": 1e-12, "compatibility": 1e-10,
+                      "closedness": 1e-10, "nijenhuis": 1e-9, "lattice": 1e-12}
+ESCAPE_FRACTION = 0.25  # of the shortest box side, the most a flow may move a point
+PRESERVE_TOL = 1e-7  # the largest |Phi* F^K - F^K| a deformation's flow may leave
 
 
 class ModelError(RuntimeError):
@@ -44,8 +49,7 @@ class ModelDescriptor:
     lattice: tuple = ()  # (linear_part, offset_map) pairs; offset_map(x) -> x'
     certified: bool = dc_field(default=False, init=False)
 
-    def certify(self, plan: SamplePlan, tol_algebra=1e-12, tol_compat=1e-10,
-                tol_closed=1e-10, tol_nijenhuis=1e-9, tol_lattice=1e-12) -> dict:
+    def certify(self, plan: SamplePlan) -> dict:
         pts = plan.sample(self.chart)
         res = {
             "algebra": self.triple.algebra_residual(pts),
@@ -54,10 +58,7 @@ class ModelDescriptor:
             "nijenhuis": self.triple.nijenhuis_residual(pts),
             "lattice": self.lattice_residual(pts),
         }
-        ok = (res["algebra"] <= tol_algebra and res["compatibility"] <= tol_compat
-              and res["closedness"] <= tol_closed and res["nijenhuis"] <= tol_nijenhuis
-              and res["lattice"] <= tol_lattice)
-        if not ok:
+        if not all(res[k] <= tol for k, tol in CERTIFY_TOLERANCES.items()):
             raise ModelError(f"model {self.name} failed certification: {res}")
         self.certified = True
         return res
@@ -225,14 +226,18 @@ def _f_const_grad(jc):
     return _stack([z, z, z, z])
 
 
-def _f_sin2(jc):
-    return jc[:, 0].sin() * jc[:, 1].sin()
+def _sin_pair(i, j, name) -> FExpr:
+    """sin x_i sin x_j and its gradient."""
+    def value(jc):
+        return jc[:, i].sin() * jc[:, j].sin()
 
+    def grad(jc):
+        comps = [jc[:, 0] * 0.0] * jc.shape[1]
+        comps[i] = jc[:, i].cos() * jc[:, j].sin()
+        comps[j] = jc[:, i].sin() * jc[:, j].cos()
+        return _stack(comps)
 
-def _f_sin2_grad(jc):
-    z = jc[:, 0] * 0.0
-    return _stack([jc[:, 0].cos() * jc[:, 1].sin(),
-                   jc[:, 0].sin() * jc[:, 1].cos(), z, z])
+    return FExpr(name, value, grad)
 
 
 def _gauss_u(jc):
@@ -251,23 +256,13 @@ def _f_gauss_grad(jc):
     return _stack([e * jc[:, 0].sin() * (-1.0), e * jc[:, 1].sin() * (-1.0), z, z])
 
 
-def _f_sin14(jc):
-    return jc[:, 0].sin() * jc[:, 3].sin()
-
-
-def _f_sin14_grad(jc):
-    z = jc[:, 0] * 0.0
-    return _stack([jc[:, 0].cos() * jc[:, 3].sin(), z, z,
-                   jc[:, 0].sin() * jc[:, 3].cos()])
-
-
 F_CATALOG = {
     "const": FExpr("const", _f_const, _f_const_grad),
-    "sin2": FExpr("sin2", _f_sin2, _f_sin2_grad),
+    "sin2": _sin_pair(0, 1, "sin2"),
     "gauss": FExpr("gauss", _f_gauss, _f_gauss_grad),
-    # couples directions that the Hamiltonian field moves, so its flow is
-    # genuinely curved; used to calibrate the integrator order
-    "sin14": FExpr("sin14", _f_sin14, _f_sin14_grad),
+    # couples directions that the Hamiltonian field of the torus F^K moves,
+    # so its flow is genuinely curved there
+    "sin14": _sin_pair(0, 3, "sin14"),
 }
 
 
@@ -450,16 +445,17 @@ class HamiltonianFlow:
         self._cache.append((jc, y))
         return y
 
-    def escape_check(self, pts, box, quarter=0.25):
-        """Crude smallness condition: t * max speed <= quarter * min box side."""
+    def escape_check(self, pts, box):
+        """Crude smallness condition: t * max speed <= ESCAPE_FRACTION * min
+        box side."""
         jc = jet_coords(self.f_k.chart.dim, 0, np.atleast_2d(pts))
         v = self.velocity(jc).value
         speed = float(np.abs(v).max())
         min_side = min(hi - lo for lo, hi in box)
-        if abs(self.t) * speed > quarter * min_side:
+        if abs(self.t) * speed > ESCAPE_FRACTION * min_side:
             raise FlowTimeError(
                 f"flow time too large: t*|V| = {abs(self.t)*speed:.3g} exceeds "
-                f"{quarter} * box side {min_side:.3g}")
+                f"{ESCAPE_FRACTION} * box side {min_side:.3g}")
 
 
 def _prefix_slice(jc: Jet, stored: Jet, y: Jet) -> Jet | None:
@@ -505,8 +501,7 @@ class DeformedBundle:
     fk_pullback: Field
 
 
-def hamiltonian_deform(bundle: Example2Bundle, plan: SamplePlan,
-                       preserve_tol: float = 1e-7) -> DeformedBundle:
+def hamiltonian_deform(bundle: Example2Bundle, plan: SamplePlan) -> DeformedBundle:
     """gamma_1 = F^K + i(w' + Phi* w''), gamma_2 = -F^K + i(w' - Phi* w'')."""
     params = bundle.params
     fexpr = F_CATALOG[params.f_name]
@@ -523,7 +518,7 @@ def hamiltonian_deform(bundle: Example2Bundle, plan: SamplePlan,
     gamma2 = complex_form(-bundle.f_k, bundle.omega_p - pulled)
     fk_pull = flow_pullback_form(flow, bundle.f_k)
     guard = max_abs(fk_pull.eval(pts) - bundle.f_k.eval(pts))
-    if guard > preserve_tol:
+    if guard > PRESERVE_TOL:
         raise IntegratorError(
             f"flow does not preserve the reference form: residual {guard:.3g} "
             f"with step {params.step:g}")

@@ -4,16 +4,18 @@ routes, and the dd^c machinery for commuting holomorphic fields."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import HermitianPair, chern_connection, levi_civita, max_abs
-from .tensorcalc import (Field, Jet, bivector_field, d_scalar,
+from .structures import (HermitianPair, chern_connection, d_pm_F, levi_civita,
+                         max_abs)
+from .tensorcalc import (Field, Jet, bivector_field, d_scalar, endo_field,
                          exterior_derivative, form_combos, form_field,
                          form_from_matrix, form_full, form_full_matrix,
-                         jeinsum, jet_inv, jgrad, jmatmul, jmatvec,
-                         jtranspose, oneform_field)
+                         jeinsum, jet_coords, jet_inv, jgrad, jmatmul,
+                         jmatvec, jtranspose, oneform_field)
 from .tensorcalc.calculus import _full_index
 from .tensorcalc.fields import _broadcast_const
 
@@ -28,8 +30,6 @@ __all__ = ["ComplexBivector", "q_endo", "pi_bivector", "check_holomorphic",
 
 def q_endo(jp: Field, jm: Field) -> Field:
     """Q = [J+, J-]."""
-    from .tensorcalc import endo_field
-
     def fn(jc):
         a, b = jp.fn(jc), jm.fn(jc)
         return jmatmul(a, b) - jmatmul(b, a)
@@ -62,8 +62,11 @@ class ComplexBivector:
         return float(np.abs(res).max())
 
 
-def pi_bivector(g: Field, jp: Field, jm: Field,
-                check_points=None, opposite_tol: float = 1e-8) -> ComplexBivector:
+OPPOSITE_TOL = 1e-8  # pi_bivector warns above this |d^J+ F+ + d^J- F-|
+COMMUTE_TOL = 1e-9  # ddc_commuting_fields rejects fields with a larger |[U, V]|
+
+
+def pi_bivector(g: Field, jp: Field, jm: Field, check_points=None) -> ComplexBivector:
     """Lowered form L(X,Y) = g(QX,Y) + i g(QX, J+Y); the bivector is of type
     (2,0) for J+ and vanishes exactly when the structures commute.
 
@@ -73,11 +76,9 @@ def pi_bivector(g: Field, jp: Field, jm: Field,
     chart = g.chart
     d = chart.dim
     if check_points is not None:
-        import warnings
-        from .structures import d_pm_F as _dpm
-        res = max_abs(_dpm(HermitianPair(g, jp)).eval(check_points)
-                      + _dpm(HermitianPair(g, jm)).eval(check_points))
-        if res > opposite_tol:
+        res = max_abs(d_pm_F(HermitianPair(g, jp)).eval(check_points)
+                      + d_pm_F(HermitianPair(g, jm)).eval(check_points))
+        if res > OPPOSITE_TOL:
             warnings.warn(f"opposite-torsion precondition violated: residual "
                           f"{res:.3g}; the bivector need not be holomorphic",
                           RuntimeWarning, stacklevel=2)
@@ -271,8 +272,7 @@ def sigma_compose_form(z1_rf: np.ndarray, z2_rf: np.ndarray,
     return np.einsum("bj,bi->bij", b1, z2_rf) - np.einsum("bj,bi->bij", b2, z1_rf)
 
 
-def ddc_commuting_fields(u_hol: Field, v_hol: Field, phi: Field, pts,
-                         commute_tol=1e-9) -> dict:
+def ddc_commuting_fields(u_hol: Field, v_hol: Field, phi: Field, pts) -> dict:
     """Residual of (U ^ V) o dd^c phi = i dbar((U phi) V - (V phi) U) for
     commuting holomorphic fields, plus the commutation precondition."""
     chart = phi.chart
@@ -286,7 +286,7 @@ def ddc_commuting_fields(u_hol: Field, v_hol: Field, phi: Field, pts,
 
     br_field = Field(chart, "tensor", check, cost=max(u_hol.cost, v_hol.cost) + 1)
     commute_res = max_abs(br_field.eval(pts))
-    if commute_res > commute_tol:
+    if commute_res > COMMUTE_TOL:
         raise ValueError(f"fields do not commute: residual {commute_res:.3g}")
 
     ddc = ddc_scalar(phi)
@@ -309,7 +309,6 @@ def ddc_commuting_fields(u_hol: Field, v_hol: Field, phi: Field, pts,
         rhs = 1j * dbar_matrix(w, dim)
         return lhs, rhs
 
-    from .tensorcalc.jets import jet_coords
     cost = max(u_hol.cost, v_hol.cost, phi.cost + 2)
     jc = jet_coords(dim, cost, np.atleast_2d(pts))
     lhs, rhs = lhs_rhs(jc)
@@ -331,7 +330,6 @@ def chern_identity_residuals(g: Field, jp: Field, jm: Field, pts) -> dict:
 
     with dJF = d^{J+} F+, Q = [J+, J-], P = J+J- + J-J+.
     """
-    from .structures import HermitianPair, d_pm_F
     pair = HermitianPair(g, jp)
     chern = chern_connection(pair)
     lc = levi_civita(g)

@@ -12,11 +12,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensorcalc import (Field, Jet, endo_field, exterior_derivative,
-                         form_field, form_from_matrix, form_full, jeinsum,
-                         jet_inv, jet_solve, jgrad, jmatmul, jmatvec, jtrace,
-                         jtranspose, nijenhuis_tensor, oneform_field,
-                         pullback_linear, scalar_field, vector_field)
+from .tensorcalc import (Field, Jet, d_scalar, endo_field,
+                         exterior_derivative, form_field, form_from_matrix,
+                         form_full, jeinsum, jet_coords, jet_inv, jet_solve,
+                         jgrad, jmatmul, jmatvec, jtrace, jtranspose,
+                         nijenhuis_tensor, oneform_field, pullback_linear,
+                         scalar_field, vector_field)
 from .tensorcalc.fields import _scale, _broadcast_const, memoize_fn
 from .tensorcalc.calculus import _wedge_table
 
@@ -32,7 +33,11 @@ class DegeneracyError(ValueError):
 
 
 class BranchError(ValueError):
-    """|p| <= 1 + margin somewhere: the para-hypercomplex branch is invalid."""
+    """|p| <= 1 + BRANCH_MARGIN somewhere: the para-hypercomplex branch is
+    invalid."""
+
+
+BRANCH_MARGIN = 0.05  # K and S divide by sqrt(p^2 - 1), which is 0 at |p| = 1
 
 
 def max_abs(x) -> float:
@@ -167,7 +172,6 @@ def lee_form(pair: HermitianPair, return_condition=False):
 
     def condition(pts):
         jc_pts = np.atleast_2d(pts)
-        from .tensorcalc.jets import jet_coords
         jc = jet_coords(chart.dim, fform.cost, jc_pts)
         m = solve_matrix(jc)
         return float(np.max(np.linalg.cond(m.value)))
@@ -329,22 +333,21 @@ class BihermitianData:
 
 
 def build_parahypercomplex(jp: Field, jm: Field, g: Field, pts,
-                           margin: float = 0.05, name: str = "") -> BihermitianData:
+                           name: str = "") -> BihermitianData:
     """K = [J+, J-] / (2 sqrt(p^2-1)), S = -(J- + p J+) / sqrt(p^2-1);
     valid only where |p| > 1 (checked on the sampled points)."""
     data = BihermitianData(g, jp, jm, name=name)
     pv = data.p.eval(pts)
-    bad = np.abs(pv) <= 1.0 + margin
+    bad = np.abs(pv) <= 1.0 + BRANCH_MARGIN
     if np.any(bad):
         pt = np.atleast_2d(pts)[bad][0]
-        raise BranchError(f"|p| <= 1 + {margin} at sampled point {pt} (p={pv[bad][0]:.6g})")
+        raise BranchError(f"|p| <= 1 + {BRANCH_MARGIN} at sampled point {pt} (p={pv[bad][0]:.6g})")
     return data
 
 
 def check_p_gradient(data: BihermitianData, pts) -> float:
     """Residual of 2 d(g-pairing of J+, J-) + (theta+ - theta-) o [J+, J-]."""
     chart = data.g.chart
-    from .tensorcalc import d_scalar
     dgp = d_scalar(data.p * (-2.0))  # the g-pairing of J+ and J-
     thp = data.pair_plus.theta
     thm = data.pair_minus.theta

@@ -28,7 +28,7 @@ from .gencomplex import (apply_endo, b_conjugate_endo, b_transform,
                          gcs_nijenhuis, gualtieri_build, gualtieri_extract,
                          pairing, random_poly_sections, random_poly_two_form,
                          validate_twist)
-from .models import (Example2Params, F_CATALOG, HamiltonianFlow,
+from .models import (Example2Params, HamiltonianFlow, _sin_pair,
                      complex_form, conformal_metric, example2_build,
                      flow_pullback_form, get_model, hamiltonian_deform,
                      j_minus, standard_split_quaternion_frame,
@@ -41,8 +41,8 @@ from .report import CheckRecord, VerificationReport
 from .structures import (BihermitianData, HermitianPair, check_p_gradient,
                          d_pm_F, lee_form, levi_civita, max_abs, worst)
 from .tensorcalc import (Field, Jet, SamplePlan, bivector_field, d_scalar,
-                         evaluate_form, exterior_derivative, form_field,
-                         form_full_matrix, jmatmul, jtranspose,
+                         evaluate_form, exterior_derivative, form_combos,
+                         form_field, form_full_matrix, jmatmul, jtranspose,
                          nijenhuis_tensor, wedge)
 from .tensorcalc.charts import ChartDomain, ExcludedLocus
 from .tensorcalc.fields import _broadcast_const
@@ -590,11 +590,17 @@ def _deformed_checks(ctx: SuiteContext):
                              max_abs(deformed.fk_pullback.eval(pts)
                                      - bundle.f_k.eval(pts)), len(pts)))
 
-    # integrator order on a curved calibration flow
+    # integrator order on a curved calibration flow: sin x_i sin x_j for the
+    # first pair (i, j) that F^K couples at the points, (0, 3) on the torus
+    # and (0, 2) on kodaira, where sin x1 sin x4 flows exactly
+    fk = bundle.f_k.eval(pts)
+    i, j = form_combos(bundle.chart.dim, 2)[int(np.argmax((fk != 0.0).any(axis=0)))]
+    calibration = _sin_pair(i, j, f"sin{i + 1}{j + 1}")
+
     def fk_res(step):
-        flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin14"], 0.1, step)
+        flow = HamiltonianFlow(bundle.f_k, calibration, 0.1, step)
         pb = flow_pullback_form(flow, bundle.f_k)
-        return max_abs(pb.eval(pts) - bundle.f_k.eval(pts))
+        return max_abs(pb.eval(pts) - fk)
 
     r_coarse = fk_res(2e-2)
     r_fine = fk_res(1e-2)
@@ -602,8 +608,8 @@ def _deformed_checks(ctx: SuiteContext):
     extra = {"coarse": float(r_coarse), "fine": float(r_fine)}
     inconclusive = 0
     if r_coarse == 0.0 and r_fine == 0.0:
-        # a ratio of two exact zeros (the calibration flow on kodaira)
-        # measures no order: inconclusive, and the check fails closed
+        # a ratio of two exact zeros measures no order: inconclusive, and
+        # the check fails closed
         inconclusive = len(pts)
         extra["calibration"] = "both residuals exactly zero"
     checks.append(ctx.record("integrator-order",
@@ -941,8 +947,7 @@ def suite_engel(ctx: SuiteContext):
                              int(smask.sum()), inconclusive=int((~smask).sum())))
 
     syn0 = synthetic_data(chart, qf, gmat, degenerate=True)
-    rep0 = theorem7_check(syn0.g, syn0.jp, syn0.jm, pts[:8], syn0.theta_p,
-                          syn0.theta_m)
+    rep0 = theorem7_check(syn0.lee(), pts[:8])
     all_inc = rep0.verdicts.count("inconclusive") == len(rep0.verdicts)
     checks.append(ctx.record("degenerate-inputs-inconclusive",
                              "vanishing Lee forms yield inconclusive verdicts, "
@@ -958,8 +963,7 @@ def suite_engel(ctx: SuiteContext):
                              "honest jet differentiation",
                              crule["derivative-rule vs jets"], len(pts)))
 
-    rep7 = theorem7_check(syn.g, syn.jp, syn.jm, pts[:12], syn.theta_p,
-                          syn.theta_m)
+    rep7 = theorem7_check(slf, pts[:12])
     checks.append(ctx.record("theorem7-trichotomy",
                              "pointwise trichotomy executes with verdicts "
                              "reported", 0.0, 12,

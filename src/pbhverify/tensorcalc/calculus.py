@@ -13,7 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, form_field, oneform_field, scalar_field, vector_field
+from .fields import (Field, form_field, oneform_field, scalar_field,
+                     vector_field, zero_form)
 from .jets import Jet, _perm_sign, jdet, jeinsum, jet_inv, jgrad, jmatvec
 
 __all__ = ["form_combos", "combo_index", "exterior_derivative", "wedge",
@@ -115,7 +116,6 @@ def exterior_derivative(omega: Field) -> Field:
     if omega.kind == "scalar":
         return d_scalar(omega)
     if k >= chart.dim:
-        from .fields import zero_form
         return zero_form(chart, min(k + 1, chart.dim))
     table = _d_table(chart.dim, k)
 
@@ -135,7 +135,6 @@ def wedge(a: Field, b: Field) -> Field:
     k = a.degree if a.kind != "oneform" else 1
     l = b.degree if b.kind != "oneform" else 1
     if k + l > chart.dim:
-        from .fields import zero_form
         return zero_form(chart, chart.dim)
     table = _wedge_table(chart.dim, k, l)
 

@@ -77,15 +77,15 @@ class Field:
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.eval_jet(points, 0).value
 
-    def _binop(self, other, op, kind=None):
+    def _binop(self, other, op):
         if isinstance(other, Field):
             if other.chart is not self.chart:
                 raise ValueError("fields on different charts")
             cost = max(self.cost, other.cost)
-            return Field(self.chart, kind or self.kind,
+            return Field(self.chart, self.kind,
                          lambda jc: op(self.fn(jc), other.fn(jc)),
                          degree=self.degree, cost=cost)
-        return Field(self.chart, kind or self.kind, lambda jc: op(self.fn(jc), other),
+        return Field(self.chart, self.kind, lambda jc: op(self.fn(jc), other),
                      degree=self.degree, cost=self.cost)
 
     def __add__(self, other):
@@ -115,12 +115,12 @@ class Field:
     __rmul__ = __mul__
 
 
-def lift_to_jets(field: Field, points: np.ndarray, order: int = 3) -> Jet:
-    """Component jets of a field at chart points, after checking that the
-    points lie in the box and clear the excluded loci."""
+def lift_to_jets(field: Field, points: np.ndarray) -> Jet:
+    """Component jets to third order of a field at chart points, after
+    checking that the points lie in the box and clear the excluded loci."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     field.chart.require(pts)
-    return field.eval_jet(pts, order=order)
+    return field.eval_jet(pts, order=3)
 
 
 def _scale(v: Jet, s: Jet) -> Jet:

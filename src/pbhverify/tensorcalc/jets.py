@@ -153,10 +153,9 @@ class LeibnizPairs(NamedTuple):
     trivial: bool  # one pair per output, coefficient 1
 
 
-def _as_coeffs(space, x, dtype=None):
+def _as_coeffs(space, x):
     x = np.asarray(x)
-    if dtype is None:
-        dtype = x.dtype if x.dtype.kind in "fc" else np.float64
+    dtype = x.dtype if x.dtype.kind in "fc" else np.float64
     c = np.zeros(x.shape + (space.n,), dtype=dtype)
     c[..., 0] = x
     return c
@@ -179,8 +178,8 @@ class Jet:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(space, values, order=None, dtype=None):
-        return Jet(space, _as_coeffs(space, values, dtype=dtype), order)
+    def constant(space, values, order=None):
+        return Jet(space, _as_coeffs(space, values), order)
 
     # -- basic views --------------------------------------------------------
 

@@ -711,7 +711,7 @@ def test_lower_trivector_matches_permutation_loop(kodaira_model, torus_model, pl
 def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
     """Constant p on the rescaled kodaira pair; varying p on synthetic data
     over the kodaira chart."""
-    from pbhverify.engel import _jet_nabla_n, lee_fields, n_endos, synthetic_data
+    from pbhverify.engel import lee_fields, n_endos, synthetic_data
     from pbhverify.models import standard_split_quaternion_frame
     model, jc = kodaira_jets
     t = model.triple
@@ -725,6 +725,7 @@ def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
         assert_jets_equal(lf.f_field.fn(jc), f)
         new_pm = n_endos(lf.data.jp, lf.data.jm, lf.data.p)
         assert_jets_equal(new_pm[1].fn(jc), n)
+        assert_jets_equal(lf.n.fn(jc), n)
         for new, old in zip(new_pm, n_pm):
             assert_jets_equal(new.fn(jc), old)
     assert np.abs(lfs[1].f_field.fn(jc).c[..., 1:]).max() > 0.01  # p varies
@@ -734,7 +735,7 @@ def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
     pts = jc.value[:4]
     old_n = Field(model.chart, "endo", lambda c: ref_engel(lf, c)[2],
                   cost=max(lf.data.jp.cost, lf.data.jm.cost, lf.data.p.cost))
-    assert np.array_equal(_jet_nabla_n(lf, conn, pts),
+    assert np.array_equal(conn.cov_deriv_endo(lf.n).eval(pts),
                           conn.cov_deriv_endo(old_n).eval(pts))
 
 

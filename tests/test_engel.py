@@ -9,7 +9,7 @@ from pbhverify.engel import (DistributionSpan, basis_identity_residuals,
                              other_control_span, rank_tower, synthetic_data,
                              theorem7_check)
 from pbhverify.structures import levi_civita
-from pbhverify.tensorcalc import coordinate_vector, d_scalar
+from pbhverify.tensorcalc import Field, coordinate_vector, d_scalar
 
 
 @pytest.fixture(scope="module")
@@ -128,14 +128,12 @@ def test_degenerate_theta_inconclusive(torus_model, torus_points):
           t.j3.eval(torus_points[:1])[0])
     syn0 = synthetic_data(torus_model.chart, qf, np.diag([1.0, 1.0, -1.0, -1.0]),
                           degenerate=True)
-    rep = theorem7_check(syn0.g, syn0.jp, syn0.jm, torus_points[:8],
-                         syn0.theta_p, syn0.theta_m)
+    rep = theorem7_check(syn0.lee(), torus_points[:8])
     assert rep.counts() == {"inconclusive": 8}
 
 
 def test_theorem7_reports_hypothesis_residual(synthetic, torus_points):
-    rep = theorem7_check(synthetic.g, synthetic.jp, synthetic.jm,
-                         torus_points[:8], synthetic.theta_p, synthetic.theta_m)
+    rep = theorem7_check(synthetic.lee(), torus_points[:8])
     assert rep.extras["theta+ + theta-"] < 1e-12
     assert len(rep.verdicts) == 8
     assert set(rep.verdicts) <= {"geodesic", "engel", "other", "inconclusive"}
@@ -150,3 +148,20 @@ def test_frame_completeness(synthetic, torus_points):
     frame = np.stack([x, y, np.einsum("bij,bj->bi", jp, x),
                       np.einsum("bij,bj->bi", jp, y)], axis=2)
     assert np.all(np.linalg.matrix_rank(frame[mask]) == 4)
+
+
+def test_derivative_chain_evaluates_k_once(synthetic, torus_points, monkeypatch):
+    """With a connection, one call evaluates K once (each nabla_n used to
+    evaluate it again, 20 times per call)."""
+    lf = synthetic.lee()
+    k, calls = lf.data.k_endo, []
+    field_eval = Field.eval
+
+    def spy(field, pts):
+        if field is k:
+            calls.append(len(pts))
+        return field_eval(field, pts)
+
+    monkeypatch.setattr(Field, "eval", spy)
+    nabla_n_rhs_residuals(lf, torus_points, connection=levi_civita(lf.data.g))
+    assert calls == [len(torus_points)]

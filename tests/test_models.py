@@ -180,6 +180,23 @@ def test_flow_escape_guard(torus_model, plan):
         hamiltonian_deform(b, plan)
 
 
+@pytest.mark.parametrize("key", sorted(models.CERTIFY_TOLERANCES))
+def test_certify_reads_each_tolerance(key, monkeypatch):
+    """A tolerance below the residual (0.0 on the shipped torus) fails
+    certification."""
+    torus_phk().certify(SamplePlan(8, 2))
+    monkeypatch.setitem(models.CERTIFY_TOLERANCES, key, -1.0)
+    with pytest.raises(ModelError):
+        torus_phk().certify(SamplePlan(8, 2))
+
+
+def test_escape_check_reads_the_escape_fraction(torus_model, plan, monkeypatch):
+    b = example2_build(torus_model, Example2Params(t=0.1, f_name="sin2"), plan)
+    monkeypatch.setattr(models, "ESCAPE_FRACTION", 1e-6)
+    with pytest.raises(FlowTimeError):
+        hamiltonian_deform(b, plan)
+
+
 def test_uncertified_model_rejected(plan):
     fresh = torus_phk()
     with pytest.raises(ModelError):

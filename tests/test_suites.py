@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from pbhverify.cli import main
 from pbhverify.models import (Example2Params, IntegratorError, example2_build,
                               hamiltonian_deform)
 from pbhverify.poisson import pi_bivector
+from pbhverify.report import VerificationReport
 from pbhverify.suites import CATALOG, SuiteConfig, SuiteContext, run_suite
 
 
@@ -70,20 +72,33 @@ def test_kodaira_gpk_suite_passes():
     assert rep.passed
 
 
-def test_kodaira_flow_suite():
-    """The deformed gpk-example2 checks on kodaira: the flow preserves F^K
-    exactly there, so the integrator calibration has two zero residuals and
-    is inconclusive (failed closed); every other check passes."""
+def test_kodaira_flow_suite(tmp_path):
+    """The deformed gpk-example2 checks on kodaira pass, the integrator
+    calibration included: its flow is sin x1 sin x3, which F^K couples there,
+    so both calibration residuals are nonzero."""
+    path = tmp_path / "kodaira.json"
+    assert main(["--suite", "gpk-example2", "--model", "kodaira", "--t", "0.1",
+                 "--samples", "8", "--quiet", "--report", str(path)]) == 0
+    checks = {c.name: c for c in VerificationReport.from_json(path.read_text()).checks}
+    assert "deformed-forms-closed" in checks
+    order = checks["integrator-order"]
+    assert order.inconclusive == 0 and "calibration" not in order.extra
+    assert order.extra["fine"] > 0.0 and order.residual >= 8.0
+    assert all(c.passed for c in checks.values())
+
+
+def test_zero_calibration_is_inconclusive(monkeypatch):
+    """Two exactly zero calibration residuals measure no order: the check is
+    inconclusive and fails closed.  sin x1 sin x4 flows exactly on kodaira."""
+    from pbhverify import suites
+    from pbhverify.models import F_CATALOG
+    monkeypatch.setattr(suites, "_sin_pair", lambda i, j, name: F_CATALOG["sin14"])
     rep = run_suite(SuiteConfig(suite="gpk-example2", model="kodaira",
                                 samples=8, t=0.1))
-    checks = {c.name: c for c in rep.checks}
-    assert "deformed-forms-closed" in checks
-    order = checks.pop("integrator-order")
+    order = {c.name: c for c in rep.checks}["integrator-order"]
     assert not order.passed and order.inconclusive == 8
     assert order.extra["coarse"] == order.extra["fine"] == 0.0
     assert order.extra["calibration"] == "both residuals exactly zero"
-    assert all(c.passed for c in checks.values()), \
-        [c.name for c in checks.values() if not c.passed]
 
 
 def test_gauss_hamiltonian_deformation(torus_model, plan):
