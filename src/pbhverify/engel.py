@@ -14,47 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import (BihermitianData, Connection, _branch_root,
-                         levi_civita, max_abs)
-from .tensorcalc import (ChartDomain, Field, coordinate_vector, d_scalar,
-                         endo_field, jmatvec, jtranspose, lie_bracket,
-                         metric_field, oneform_field, scalar_field, sharp,
+from .structures import (BihermitianData, _branch_root, levi_civita,
+                         max_abs)
+from .tensorcalc import (ChartDomain, Field, bracket_jets, coordinate_vector,
+                         d_scalar, endo_field, jet_inv, jmatvec, jtranspose,
+                         metric_field, oneform_field, scalar_field,
                          vector_field)
 from .tensorcalc.calculus import _stack
-from .tensorcalc.fields import _broadcast_const, _scale
+from .tensorcalc.fields import _broadcast_const, _scale, memoize_fn
 
-__all__ = ["DistributionSpan", "RankTowerReport", "n_endos", "lee_fields",
-           "LeeFields", "rank_tower", "theorem7_check", "Theorem7Report",
+__all__ = ["RankTowerReport", "n_endos", "lee_fields", "LeeFields",
+           "LeeValues", "rank_tower", "theorem7_check", "Theorem7Report",
            "canonical_engel_span", "integrable_control_span",
            "other_control_span", "SyntheticBihermitian", "synthetic_data",
-           "nabla_n_rhs_residuals"]
+           "basis_identity_residuals", "nabla_n_rhs_residuals"]
 
 RANK_FLOOR = 1e-8  # singular values up to this share of the largest count as 0
 THETA_FLOOR = 1e-8  # |theta+|^2 up to this share of max(1, its max): inconclusive
 GEODESIC_FLOOR = 1e-8  # relative X-part of nabla_Y Y up to which Y is geodesic
 # synthetic p = -(A0 + AMP sin x1 cos x2) keeps |p| in [1.28, 1.52], off |p| = 1
 SYNTHETIC_A0, SYNTHETIC_AMP = 1.4, 0.12
-
-
-@dataclass
-class DistributionSpan:
-    generators: list
-    expected_rank: int
-
-    @property
-    def chart(self):
-        return self.generators[0].chart
-
-    def generator_matrix(self, pts) -> np.ndarray:
-        cols = [g.eval(pts) for g in self.generators]
-        return np.stack(cols, axis=2)  # (B, d, k)
-
-    def validate(self, pts):
-        ranks = _rank_of(self.generator_matrix(pts))
-        if np.any(ranks < self.expected_rank):
-            bad = int(np.argmax(ranks < self.expected_rank))
-            raise ValueError(f"degenerate span at point index {bad}: rank "
-                             f"{int(ranks[bad])} < {self.expected_rank}")
 
 
 def _verdict_counts(report) -> dict:
@@ -80,31 +59,28 @@ def _rank_of(cols):
     return (sv > RANK_FLOOR * scale[:, None]).sum(axis=1)
 
 
-def rank_tower(span: DistributionSpan, pts) -> RankTowerReport:
-    """Pointwise ranks of D, D + [D, D], D + [D, [D, D]]."""
-    span.validate(pts)
-    gens = span.generators
-    level1 = [g.eval(pts) for g in gens]
-    br2 = []
-    br2_fields = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            f = lie_bracket(gens[i], gens[j])
-            br2_fields.append(f)
-            br2.append(f.eval(pts))
-    br3 = []
-    for g in gens:
-        for h in br2_fields:
-            br3.append(lie_bracket(g, h).eval(pts))
+def rank_tower(span: tuple[Field, Field], pts) -> RankTowerReport:
+    """Pointwise ranks of D, D + [D, D], D + [D, [D, D]] for the plane field
+    D spanned by the pair of vector fields ``span``.  Each generator is
+    evaluated once, to second order, and the brackets are taken on those
+    jets; a point where the pair spans less than a plane raises."""
+    x, y = (g.eval_jet(pts, 2) for g in span)
+    level1 = [x.value, y.value]
     r1 = _rank_of(np.stack(level1, axis=2))
-    r2 = _rank_of(np.stack(level1 + br2, axis=2))
-    r3 = _rank_of(np.stack(level1 + br2 + br3, axis=2))
-    ranks = np.stack([r1, r2, r3], axis=1)
+    if np.any(r1 < 2):
+        bad = int(np.argmax(r1 < 2))
+        raise ValueError(f"degenerate span at point index {bad}: rank "
+                         f"{int(r1[bad])} < 2")
+    xy = bracket_jets(x, y)
+    level2 = level1 + [xy.value]
+    level3 = level2 + [bracket_jets(x, xy).value, bracket_jets(y, xy).value]
+    ranks = np.stack([r1, _rank_of(np.stack(level2, axis=2)),
+                      _rank_of(np.stack(level3, axis=2))], axis=1)
     verdicts = []
     for a, b, c in ranks:
         if (a, b, c) == (2, 3, 4):
             verdicts.append("engel")
-        elif a == 2 and b == 2:
+        elif b == 2:
             verdicts.append("integrable")
         else:
             verdicts.append("other")
@@ -113,28 +89,25 @@ def rank_tower(span: DistributionSpan, pts) -> RankTowerReport:
     return RankTowerReport(ranks, verdicts, verdict)
 
 
-def canonical_engel_span(chart: ChartDomain) -> DistributionSpan:
+def canonical_engel_span(chart: ChartDomain) -> tuple[Field, Field]:
     """Normal form Span(d_q, d_x + p d_y + q d_p) on coordinates (x,y,p,q)."""
     def gen2(jc):
         one = jc[:, 0] * 0.0 + 1.0
         return _stack([one, jc[:, 2], jc[:, 3], jc[:, 0] * 0.0])
 
-    return DistributionSpan([coordinate_vector(chart, 3),
-                             vector_field(chart, gen2)], expected_rank=2)
+    return coordinate_vector(chart, 3), vector_field(chart, gen2)
 
 
-def integrable_control_span(chart: ChartDomain) -> DistributionSpan:
-    return DistributionSpan([coordinate_vector(chart, 0),
-                             coordinate_vector(chart, 1)], expected_rank=2)
+def integrable_control_span(chart: ChartDomain) -> tuple[Field, Field]:
+    return coordinate_vector(chart, 0), coordinate_vector(chart, 1)
 
 
-def other_control_span(chart: ChartDomain) -> DistributionSpan:
+def other_control_span(chart: ChartDomain) -> tuple[Field, Field]:
     def gen2(jc):
         z = jc[:, 0] * 0.0
         return _stack([z, jc[:, 0], z + 1.0, z])
 
-    return DistributionSpan([coordinate_vector(chart, 0),
-                             vector_field(chart, gen2)], expected_rank=2)
+    return coordinate_vector(chart, 0), vector_field(chart, gen2)
 
 
 # --------------------------------------------------------------------------
@@ -157,12 +130,41 @@ def n_endos(jp: Field, jm: Field, p_field: Field):
 
 
 @dataclass
+class LeeValues:
+    """Values at one point set of every field the identity checks read."""
+
+    g: np.ndarray
+    ginv: np.ndarray
+    jp: np.ndarray
+    jm: np.ndarray
+    k: np.ndarray
+    theta_p: np.ndarray
+    theta_m: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    theta_norm_sq: np.ndarray
+    p: np.ndarray
+    f: np.ndarray
+
+    def definitive_mask(self):
+        tn = self.theta_norm_sq
+        scale = max(1.0, float(np.abs(tn).max()))
+        return np.abs(tn) > THETA_FLOOR * scale
+
+    def frame(self):
+        """The frame (X, Y, J+X, J+Y) as columns, (B, 4, 4), and its rank."""
+        jx = np.einsum("bij,bj->bi", self.jp, self.x)
+        jy = np.einsum("bij,bj->bi", self.jp, self.y)
+        frame = np.stack([self.x, self.y, jx, jy], axis=2)
+        return frame, _rank_of(frame)
+
+
+@dataclass
 class LeeFields:
     """X = N theta+#, Y = theta+# - K theta-#, and diagnostics."""
 
     x: Field
     y: Field
-    span: DistributionSpan
     theta_p: Field
     theta_m: Field
     theta_norm_sq: Field       # |theta+|^2 via g^{-1}
@@ -170,10 +172,15 @@ class LeeFields:
     f_field: Field             # f = p - sqrt(p^2 - 1)
     n: Field                   # N = J+ + f J-
 
-    def definitive_mask(self, pts):
-        tn = self.theta_norm_sq.eval(pts)
-        scale = max(1.0, float(np.abs(tn).max()))
-        return np.abs(tn) > THETA_FLOOR * scale
+    def values(self, pts) -> LeeValues:
+        """The record the identity checks read, evaluated once at ``pts``."""
+        d = self.data
+        g = d.g.eval(pts)
+        return LeeValues(g, np.linalg.inv(g), d.jp.eval(pts), d.jm.eval(pts),
+                         d.k_endo.eval(pts), self.theta_p.eval(pts),
+                         self.theta_m.eval(pts), self.x.eval(pts),
+                         self.y.eval(pts), self.theta_norm_sq.eval(pts),
+                         d.p.eval(pts), self.f_field.eval(pts))
 
 
 def lee_fields(g: Field, jp: Field, jm: Field, theta_p: Field | None = None,
@@ -184,41 +191,32 @@ def lee_fields(g: Field, jp: Field, jm: Field, theta_p: Field | None = None,
         theta_p = data.pair_plus.theta
     if theta_m is None:
         theta_m = data.pair_minus.theta
-
-    tp_sharp = sharp(g, theta_p)
-    tm_sharp = sharp(g, theta_m)
     n = n_endos(jp, jm, data.p)[1]
 
-    def x_fn(jc):
-        return jmatvec(n.fn(jc), tp_sharp.fn(jc))
+    def fn(jc):
+        """X, Y and |theta+|^2 from one inverse of g."""
+        ginv = jet_inv(g.fn(jc))
+        thp = theta_p.fn(jc)
+        tp_sharp = jmatvec(ginv, thp)
+        tm_sharp = jmatvec(ginv, theta_m.fn(jc))
+        x = jmatvec(n.fn(jc), tp_sharp)
+        y = tp_sharp - jmatvec(data.k_endo.fn(jc), tm_sharp)
+        return x, y, (thp * tp_sharp).sum(axis=-1)
 
-    def y_fn(jc):
-        k = data.k_endo.fn(jc)
-        return tp_sharp.fn(jc) - jmatvec(k, tm_sharp.fn(jc))
-
-    x = vector_field(chart, x_fn, cost=max(n.cost, tp_sharp.cost)).memoized()
-    y = vector_field(chart, y_fn, cost=max(jp.cost, jm.cost, tm_sharp.cost)).memoized()
-
-    def tnorm_fn(jc):
-        th = theta_p.fn(jc)
-        return (th * tp_sharp.fn(jc)).sum(axis=-1)
-
-    tnorm = scalar_field(chart, tnorm_fn, cost=max(theta_p.cost, tp_sharp.cost))
-    span = DistributionSpan([x, y], expected_rank=2)
-    return LeeFields(x, y, span, theta_p, theta_m, tnorm, data, _branch(data.p, -1.0), n)
+    gens = memoize_fn(fn)
+    cost = max(n.cost, g.cost, theta_p.cost, theta_m.cost)
+    x = vector_field(chart, lambda jc: gens(jc)[0], cost=cost)
+    y = vector_field(chart, lambda jc: gens(jc)[1], cost=cost)
+    tnorm = scalar_field(chart, lambda jc: gens(jc)[2], cost=cost)
+    return LeeFields(x, y, theta_p, theta_m, tnorm, data, _branch(data.p, -1.0), n)
 
 
-def basis_identity_residuals(lf: LeeFields, pts, mask=None) -> dict:
+def basis_identity_residuals(lv: LeeValues, mask=None) -> dict:
     """Null-frame identities of the distribution generators."""
-    g = lf.data.g.eval(pts)
-    jp = lf.data.jp.eval(pts)
-    x = lf.x.eval(pts)
-    y = lf.y.eval(pts)
-    tn = lf.theta_norm_sq.eval(pts)
-    p = lf.data.p.eval(pts)
-    f = lf.f_field.eval(pts)
+    g, jp, x, y = lv.g, lv.jp, lv.x, lv.y
+    tn, p, f = lv.theta_norm_sq, lv.p, lv.f
     if mask is None:
-        mask = np.ones(len(pts), dtype=bool)
+        mask = np.ones(len(g), dtype=bool)
 
     def pair(u, v):
         return np.einsum("bi,bij,bj->b", u, g, v)
@@ -240,8 +238,7 @@ def basis_identity_residuals(lf: LeeFields, pts, mask=None) -> dict:
     return out
 
 
-def nabla_n_rhs_residuals(lf: LeeFields, pts, connection: Connection | None = None,
-                          mask=None) -> dict:
+def nabla_n_rhs_residuals(lv: LeeValues, mask=None, dn=None) -> dict:
     """Consequences of the Lee-form derivative rule for N = J+ + f J-:
 
       (nabla_Y N) Y = 0,
@@ -249,24 +246,17 @@ def nabla_n_rhs_residuals(lf: LeeFields, pts, connection: Connection | None = No
       N[X, Y] = f sqrt(p^2-1) |theta+|^2 Y  (so N[X,Y] is parallel to Y).
 
     The covariant derivative is evaluated from the derivative rule itself
-    (the identity chain being tested is algebraic); when ``connection`` is
-    given, the rule's left side is instead taken from honest jet
-    differentiation and compared.
+    (the identity chain being tested is algebraic).  When ``dn``, the
+    (B, i, j_comp, k_arg) values of ``Connection.cov_deriv_endo(N)`` at the
+    same points, is given, the rule's left side is compared with that
+    honest jet differentiation.
     """
-    g = lf.data.g.eval(pts)
-    ginv = np.linalg.inv(g)
-    jp = lf.data.jp.eval(pts)
-    jm = lf.data.jm.eval(pts)
-    thp = lf.theta_p.eval(pts)
-    thm = lf.theta_m.eval(pts)
-    x = lf.x.eval(pts)
-    y = lf.y.eval(pts)
-    tn = lf.theta_norm_sq.eval(pts)
-    p = lf.data.p.eval(pts)
-    f = lf.f_field.eval(pts)
+    g, ginv, jp, jm, kv = lv.g, lv.ginv, lv.jp, lv.jm, lv.k
+    thp, thm, x, y = lv.theta_p, lv.theta_m, lv.x, lv.y
+    tn, p, f = lv.theta_norm_sq, lv.p, lv.f
     s = np.sqrt(p * p - 1.0)
     if mask is None:
-        mask = np.ones(len(pts), dtype=bool)
+        mask = np.ones(len(g), dtype=bool)
     scale = np.maximum(1.0, np.abs(tn))[:, None]
 
     thp_sharp = np.einsum("bij,bj->bi", ginv, thp)
@@ -283,8 +273,6 @@ def nabla_n_rhs_residuals(lf: LeeFields, pts, connection: Connection | None = No
         jtheta = np.einsum("bij,bj->bi", j, theta_sharp)
         return (guv[:, None] * jtheta + gjuv[:, None] * theta_sharp
                 + th_jv[:, None] * u - th_v[:, None] * ju)
-
-    kv = lf.data.k_endo.eval(pts)
 
     def df_along(u):
         """u(f) from the gradient rule df = -(f/2)(theta+ - theta-) o K, the
@@ -313,10 +301,9 @@ def nabla_n_rhs_residuals(lf: LeeFields, pts, connection: Connection | None = No
     yhat = y / np.maximum(ynorm, 1e-30)
     off = nxy - (np.einsum("bi,bi->b", nxy, yhat))[:, None] * yhat
     out["N[X,Y] off Span(Y)"] = np.abs(off / scale)[mask].max(initial=0.0)
-    if connection is not None:
-        dn = connection.cov_deriv_endo(lf.n).eval(pts)  # (B, i, j_comp, k_arg)
-        lhs = np.einsum("bijk->bikj", dn).reshape(len(pts), 16, 4)
-        basis = [np.tile(np.eye(4)[i], (len(pts), 1)) for i in range(4)]
+    if dn is not None:
+        lhs = np.einsum("bijk->bikj", dn).reshape(len(g), 16, 4)
+        basis = [np.tile(np.eye(4)[i], (len(g), 1)) for i in range(4)]
         rhs = np.stack([nabla_n(basis[i], basis[k])
                         for i in range(4) for k in range(4)], axis=1)
         out["derivative-rule vs jets"] = np.abs((lhs - rhs) / scale[:, None])[mask].max(initial=0.0)
@@ -326,8 +313,6 @@ def nabla_n_rhs_residuals(lf: LeeFields, pts, connection: Connection | None = No
 @dataclass
 class Theorem7Report:
     verdicts: list
-    x_components: np.ndarray
-    tower: RankTowerReport | None
     extras: dict
 
     counts = _verdict_counts
@@ -339,37 +324,28 @@ def theorem7_check(lf: LeeFields, pts) -> Theorem7Report:
     the distribution Span(X, Y) is Engel; degenerate points are reported
     inconclusive, never silently skipped."""
     conn = levi_civita(lf.data.g)
-    mask = lf.definitive_mask(pts)
-    x = lf.x.eval(pts)
-    y = lf.y.eval(pts)
-    jpv = lf.data.jp.eval(pts)
-    jx = np.einsum("bij,bj->bi", jpv, x)
-    jy = np.einsum("bij,bj->bi", jpv, y)
-    frame = np.stack([x, y, jx, jy], axis=2)
-    fr_rank = _rank_of(frame)
-    mask = mask & (fr_rank == 4)
+    lv = lf.values(pts)
+    frame, fr_rank = lv.frame()
+    mask = lv.definitive_mask() & (fr_rank == 4)
     nyy = conn.nabla_vector(lf.y, lf.y).eval(pts)
-    xcomp = np.zeros(len(pts))
     verdicts = ["inconclusive"] * len(pts)
-    tower = None
     if mask.any():
         coeff = np.linalg.solve(frame[mask], nyy[mask][..., None])[..., 0]
         scale = np.maximum(1.0, np.abs(coeff).max(axis=1))
-        xc = np.abs(coeff[:, 0]) / scale
-        xcomp[mask] = xc
-        geo = xc <= GEODESIC_FLOOR
+        geo = np.abs(coeff[:, 0]) / scale <= GEODESIC_FLOOR
         idx = np.where(mask)[0]
-        for kk, i in enumerate(idx):
-            verdicts[i] = "geodesic" if geo[kk] else "pending"
+        for i in idx[geo]:
+            verdicts[i] = "geodesic"
         if np.any(~geo):
-            tower = rank_tower(lf.span, pts[idx[~geo]])
-            for kk, i in enumerate(idx[~geo]):
-                verdicts[i] = "engel" if tower.verdicts[kk] == "engel" else "other"
-    extras = nabla_n_rhs_residuals(lf, pts, connection=conn, mask=mask)
+            tower = rank_tower((lf.x, lf.y), pts[idx[~geo]])
+            for i, tv in zip(idx[~geo], tower.verdicts):
+                verdicts[i] = "engel" if tv == "engel" else "other"
+    extras = nabla_n_rhs_residuals(lv, mask=mask,
+                                   dn=conn.cov_deriv_endo(lf.n).eval(pts))
     # the opposite-Lee-form hypothesis is reported, not enforced; the chain
     # consequences above are only expected to vanish when it holds
-    extras["theta+ + theta-"] = max_abs(lf.theta_p.eval(pts) + lf.theta_m.eval(pts))
-    return Theorem7Report(verdicts, xcomp, tower, extras)
+    extras["theta+ + theta-"] = max_abs(lv.theta_p + lv.theta_m)
+    return Theorem7Report(verdicts, extras)
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +359,6 @@ class SyntheticBihermitian:
     jm: Field
     theta_p: Field
     theta_m: Field
-    a_field: Field
 
     def lee(self) -> LeeFields:
         return lee_fields(self.g, self.jp, self.jm, self.theta_p, self.theta_m)
@@ -400,8 +375,6 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
 
     def a_fn(jc):
         return (jc[:, 0].sin() * jc[:, 1].cos()) * SYNTHETIC_AMP + SYNTHETIC_A0
-
-    a_field = scalar_field(chart, a_fn)
 
     def jm_fn(jc):
         a = a_fn(jc)
@@ -421,7 +394,7 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
 
     if degenerate:
         zero = oneform_field(chart, lambda jc: _stack([jc[:, 0] * 0.0] * chart.dim))
-        return SyntheticBihermitian(g, jp, jm, zero, zero, a_field)
+        return SyntheticBihermitian(g, jp, jm, zero, zero)
 
     dp = d_scalar(scalar_field(chart, lambda jc: -a_fn(jc), cost=0))
 
@@ -432,4 +405,4 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
 
     theta_p = oneform_field(chart, theta_fn, cost=1).memoized()
     theta_m = -theta_p
-    return SyntheticBihermitian(g, jp, jm, theta_p, theta_m, a_field)
+    return SyntheticBihermitian(g, jp, jm, theta_p, theta_m)

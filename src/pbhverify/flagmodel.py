@@ -379,9 +379,15 @@ class FlagBundle:
         scale = max(1.0, max_abs(imsig.eval(pts)))
         return max_abs(br.eval(pts)) / scale
 
-    def f0_smallest_singular(self, pts) -> float:
-        m = form_full_matrix(self.f0.eval_jet(pts), 6).value
-        return float(np.linalg.svd(m, compute_uv=False).min())
+    def f0_eigenvalues(self, pts) -> np.ndarray:
+        """Eigenvalues of K^-1 F0 with K = omega1 + omega2, (B, 6), in
+        ascending order of their real parts.  Unlike the chart components
+        of F0 they do not depend on the chart: they are a, b and (a + b) / 2,
+        each twice."""
+        o1, o2, f0 = (form_full_matrix(w.eval_jet(pts), 6).value
+                      for w in (self.omega1, self.omega2, self.f0))
+        eig = np.linalg.eigvals(np.linalg.solve(o1 + o2, f0))
+        return np.take_along_axis(eig, np.argsort(eig.real, axis=1), axis=1)
 
     def sigma_dbar_residual(self, pts) -> float:
         """dbar of the bivector's holomorphic components (polynomial)."""

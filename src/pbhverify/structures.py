@@ -22,8 +22,8 @@ from .tensorcalc.fields import _scale, _broadcast_const, memoize_fn
 from .tensorcalc.calculus import _wedge_table
 
 __all__ = ["HermitianPair", "ParaHyperTriple", "BihermitianData",
-           "DegeneracyError", "BranchError", "lee_form", "levi_civita",
-           "chern_connection", "d_pm_F", "build_parahypercomplex",
+           "DegeneracyError", "BranchError", "lee_form", "lee_condition",
+           "levi_civita", "chern_connection", "d_pm_F", "build_parahypercomplex",
            "check_p_gradient", "Connection", "fundamental_form", "max_abs",
            "worst", "trace_pairing"]
 
@@ -141,23 +141,22 @@ class ParaHyperTriple:
         return worst(*(max_abs(nijenhuis_tensor(j).eval(pts)) for j in self.js))
 
 
-def lee_form(pair: HermitianPair, return_condition=False):
+def _lee_solve_matrix(fv: Jet) -> Jet:
+    """Column l of the Lee solve matrix is dx_l ^ F on 3-combos."""
+    return Jet(fv.space, np.einsum("olb,...br->...olr", _wedge_table(4, 1, 2), fv.c),
+               fv.order)
+
+
+def lee_form(pair: HermitianPair) -> Field:
     """The unique 1-form with theta ^ F = dF (dim 4 only), by pointwise
     linear solve; the map theta -> theta ^ F is an isomorphism in dim 4."""
     chart = pair.g.chart
     if chart.dim != 4:
         raise ValueError("Lee form solve is defined in dimension 4 only")
     df = exterior_derivative(pair.f)
-    fform = pair.f
-    # column l of the solve matrix is dx_l ^ F on 3-combos
-    dx_wedge = _wedge_table(4, 1, 2)
-
-    def solve_matrix(jc):
-        fv = fform.fn(jc)
-        return Jet(fv.space, np.einsum("olb,...br->...olr", dx_wedge, fv.c), fv.order)
 
     def fn(jc):
-        m = solve_matrix(jc)
+        m = _lee_solve_matrix(pair.f.fn(jc))
         rhs = df.fn(jc)
         ranks = np.linalg.matrix_rank(m.value)
         if np.any(ranks < 4):
@@ -166,17 +165,14 @@ def lee_form(pair: HermitianPair, return_condition=False):
                 f"fundamental form degenerate: Lee solve singular at point index {bad}")
         return jet_solve(m, rhs)
 
-    theta = oneform_field(chart, fn, cost=max(pair.f.cost + 1, pair.g.cost)).memoized()
-    if not return_condition:
-        return theta
+    return oneform_field(chart, fn, cost=max(pair.f.cost + 1, pair.g.cost)).memoized()
 
-    def condition(pts):
-        jc_pts = np.atleast_2d(pts)
-        jc = jet_coords(chart.dim, fform.cost, jc_pts)
-        m = solve_matrix(jc)
-        return float(np.max(np.linalg.cond(m.value)))
 
-    return theta, condition
+def lee_condition(pair: HermitianPair, pts) -> float:
+    """Largest condition number of the Lee solve matrix over the points."""
+    f = pair.f
+    jc = jet_coords(f.chart.dim, f.cost, np.atleast_2d(pts))
+    return float(np.max(np.linalg.cond(_lee_solve_matrix(f.fn(jc)).value)))
 
 
 class Connection:

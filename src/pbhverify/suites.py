@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engel import (basis_identity_residuals, canonical_engel_span,
+from .engel import (_rank_of, basis_identity_residuals, canonical_engel_span,
                     integrable_control_span, lee_fields, n_endos,
                     nabla_n_rhs_residuals, other_control_span, rank_tower,
                     synthetic_data, theorem7_check)
@@ -39,7 +39,7 @@ from .poisson import (chern_identity_residuals, check_holomorphic,
                       theorem4_hypotheses, type_02_projector_matrix)
 from .report import CheckRecord, VerificationReport
 from .structures import (BihermitianData, HermitianPair, check_p_gradient,
-                         d_pm_F, lee_form, levi_civita, max_abs, worst)
+                         d_pm_F, lee_condition, levi_civita, max_abs, worst)
 from .tensorcalc import (Field, Jet, SamplePlan, bivector_field, d_scalar,
                          evaluate_form, exterior_derivative, form_combos,
                          form_field, form_full_matrix, jmatmul, jtranspose,
@@ -130,6 +130,7 @@ CATALOG = {
             "commuting-fields": (1e-12, AT_MOST),
             "anticanonical-holomorphic": (1e-8, AT_MOST),
             "form-nondegenerate": (1e-3, EXCEEDS),
+            "form-spectrum": (1e-10, AT_MOST),
             "curvature-ratio-fit": (1e-4, AT_MOST),
             "hypothesis-i": (1e-6, AT_MOST),
             "hypothesis-ii": (1e-8, AT_MOST),
@@ -334,7 +335,7 @@ def suite_lemma1(ctx: SuiteContext):
     ns = max_abs(nijenhuis_tensor(data.s_endo).eval(pts))
 
     pair_p = HermitianPair(ghat, t.j1)
-    theta_p, cond_fn = lee_form(pair_p, return_condition=True)
+    theta_p = pair_p.theta
     theta_k = HermitianPair(ghat, data.k_endo).theta
     theta_s = HermitianPair(ghat, data.s_endo).theta
     tp = theta_p.eval(pts)
@@ -358,7 +359,7 @@ def suite_lemma1(ctx: SuiteContext):
         ctx.record("lee-form-equality", "Lee forms of (g,K) and (g,S) equal that "
                    "of (g,J+)", lee_eq, len(pts)),
         ctx.record("lee-form-conditioning", "condition number of the Lee solve",
-                   cond_fn(pts), len(pts)),
+                   lee_condition(pair_p, pts), len(pts)),
         ctx.record("orientation-agreement", "top powers of the two fundamental "
                    "forms have one sign", orient, len(pts)),
         ctx.record("p-gradient-constant", "gradient identity for the trace "
@@ -784,10 +785,17 @@ def suite_theorem4(ctx: SuiteContext):
                              "antiholomorphic derivative of the bivector "
                              "components", fb.sigma_dbar_residual(fpts), len(fpts)))
 
-    minsv = fb.f0_smallest_singular(fpts)
+    a, b = fb.params.a, fb.params.b
+    eig = fb.f0_eigenvalues(fpts)
     checks.append(ctx.record("form-nondegenerate",
-                             "smallest singular value of the combined form "
-                             "(coefficients admissible)", minsv, len(fpts)))
+                             "smallest eigenvalue modulus of K^-1 F0, "
+                             "K = omega1 + omega2 (coefficients admissible)",
+                             float(np.abs(eig).min()), len(fpts)))
+    spectrum = np.sort([a, a, b, b, (a + b) / 2, (a + b) / 2])
+    checks.append(ctx.record("form-spectrum",
+                             "largest deviation of the eigenvalues of K^-1 F0 "
+                             "from {a, a, b, b, (a+b)/2, (a+b)/2}",
+                             float(np.abs(eig - spectrum).max()), len(fpts)))
 
     hyp = theorem4_hypotheses(fb, fpts, fpts[: max(8, len(fpts) // 2)])
     checks.append(ctx.record("curvature-ratio-fit",
@@ -857,9 +865,9 @@ def suite_engel(ctx: SuiteContext):
     ghat = conformal_metric(m)
     t = m.triple
     lf = lee_fields(ghat, t.j1, j_minus(t, ctx.config.example2_params()))
-    gen = np.stack([lf.x.eval(pts), lf.y.eval(pts)], axis=2)
-    mask = np.linalg.matrix_rank(gen) == 2
-    rep4 = rank_tower(lf.span, pts[mask]) if mask.any() else None
+    cv = lf.values(pts)
+    mask = _rank_of(np.stack([cv.x, cv.y], axis=2)) == 2
+    rep4 = rank_tower((lf.x, lf.y), pts[mask]) if mask.any() else None
     n_int = rep4.verdicts.count("integrable") if rep4 else 0
     checks.append(ctx.record("constant-p-integrable",
                              "constant anticommutator function makes the "
@@ -873,8 +881,9 @@ def suite_engel(ctx: SuiteContext):
     qf = (j1m, j2m, j3m)
     syn = synthetic_data(chart, qf, gmat)
     slf = syn.lee()
-    smask = slf.definitive_mask(pts)
-    basis = basis_identity_residuals(slf, pts, smask)
+    sv = slf.values(pts)
+    smask = sv.definitive_mask()
+    basis = basis_identity_residuals(sv, smask)
     checks.append(ctx.record("null-frame-identities",
                              "null-frame pairings of the distribution "
                              "generators", worst(*basis.values()), len(pts),
@@ -882,13 +891,10 @@ def suite_engel(ctx: SuiteContext):
                              extra=basis))
 
     df = d_scalar(slf.f_field).eval(pts)
-    x = slf.x.eval(pts)
-    y = slf.y.eval(pts)
-    f = slf.f_field.eval(pts)
-    tn = slf.theta_norm_sq.eval(pts)
+    f, tn = sv.f, sv.theta_norm_sq
     scale = np.maximum(1.0, np.abs(tn))
-    xf_res = np.abs(np.einsum("bi,bi->b", df, x) / scale)[smask].max(initial=0.0)
-    yf_res = np.abs((np.einsum("bi,bi->b", df, y) + f * tn) / scale)[smask].max(initial=0.0)
+    xf_res = np.abs(np.einsum("bi,bi->b", df, sv.x) / scale)[smask].max(initial=0.0)
+    yf_res = np.abs((np.einsum("bi,bi->b", df, sv.y) + f * tn) / scale)[smask].max(initial=0.0)
     checks.append(ctx.record("gradient-identities",
                              "the branch function is constant along one "
                              "generator and scales along the other",
@@ -896,25 +902,20 @@ def suite_engel(ctx: SuiteContext):
                              inconclusive=int((~smask).sum()),
                              extra={"X(f)": float(xf_res), "Y(f)+f|th|^2": float(yf_res)}))
 
-    chain = nabla_n_rhs_residuals(slf, pts, mask=smask)
+    chain = nabla_n_rhs_residuals(sv, mask=smask)
     checks.append(ctx.record("derivative-chain",
                              "derivative-rule consequences for the nilpotent "
                              "endomorphism", worst(*chain.values()), len(pts),
                              inconclusive=int((~smask).sum()), extra=chain))
 
     # Eq-(Y)-type pairing and the anticommutation relation
-    gv = syn.g.eval(pts)
-    ginv = np.linalg.inv(gv)
-    thp = syn.theta_p.eval(pts)
-    ths = np.einsum("bij,bj->bi", ginv, thp)
-    jpv = syn.jp.eval(pts)
-    jmv = syn.jm.eval(pts)
+    jpv, jmv = sv.jp, sv.jm
+    ths = np.einsum("bij,bj->bi", sv.ginv, sv.theta_p)
     v = np.einsum("bij,bj->bi", jpv @ jmv, ths)
-    pfield = slf.data.p.eval(pts)
-    eqy = np.abs((np.einsum("bi,bij,bj->b", ths, gv, v) - pfield * tn) / scale)[smask].max(initial=0.0)
+    eqy = np.abs((np.einsum("bi,bij,bj->b", ths, sv.g, v) - sv.p * tn) / scale)[smask].max(initial=0.0)
     nmat = jpv + f[:, None, None] * jmv
     anti = np.abs(nmat @ jpv + jpv @ nmat
-                  - 2.0 * (pfield * f - 1.0)[:, None, None] * np.eye(4)).max()
+                  - 2.0 * (sv.p * f - 1.0)[:, None, None] * np.eye(4)).max()
     checks.append(ctx.record("pairing-eigenstructure",
                              "dual-vector pairing identity and the "
                              "anticommutation relation of the nilpotent endo",
@@ -924,10 +925,9 @@ def suite_engel(ctx: SuiteContext):
     n_plus, n_minus = n_endos(syn.jp, syn.jm, slf.data.p)
     npv = n_plus.eval(pts)
     nmv = n_minus.eval(pts)
-    kv = slf.data.k_endo.eval(pts)
-    proj_m = 0.5 * (np.eye(4) - kv)
-    proj_p = 0.5 * (np.eye(4) + kv)
-    ranks = np.linalg.matrix_rank(npv)
+    proj_m = 0.5 * (np.eye(4) - sv.k)
+    proj_p = 0.5 * (np.eye(4) + sv.k)
+    ranks = _rank_of(npv)
     rank_bad = 0.0 if np.all(ranks == 2) else 1.0
     checks.append(ctx.record("nilpotent-endos",
                              "squares vanish, kernels are the eigenplanes of "
@@ -936,10 +936,7 @@ def suite_engel(ctx: SuiteContext):
                                    max_abs(npv @ proj_m), max_abs(nmv @ proj_p),
                                    rank_bad), len(pts)))
 
-    jx = np.einsum("bij,bj->bi", jpv, x)
-    jy = np.einsum("bij,bj->bi", jpv, y)
-    fr = np.stack([x, y, jx, jy], axis=2)
-    fr_ranks = np.linalg.matrix_rank(fr[smask])
+    fr_ranks = sv.frame()[1][smask]
     checks.append(ctx.record("frame-completeness",
                              "the four distribution-frame fields span at "
                              "definitive points",
@@ -956,8 +953,8 @@ def suite_engel(ctx: SuiteContext):
 
     # the rule-vs-jets comparison is a tensor identity on honest Hermitian
     # data; it needs no non-null Lee forms
-    conn = levi_civita(ghat)
-    crule = nabla_n_rhs_residuals(lf, pts, connection=conn, mask=None)
+    crule = nabla_n_rhs_residuals(
+        cv, dn=levi_civita(ghat).cov_deriv_endo(lf.n).eval(pts))
     checks.append(ctx.record("derivative-rule-microscope",
                              "derivative rule for the nilpotent endo against "
                              "honest jet differentiation",

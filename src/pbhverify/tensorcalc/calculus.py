@@ -15,11 +15,11 @@ import numpy as np
 
 from .fields import (Field, form_field, oneform_field, scalar_field,
                      vector_field, zero_form)
-from .jets import Jet, _perm_sign, jdet, jeinsum, jet_inv, jgrad, jmatvec
+from .jets import Jet, _perm_sign, jdet, jeinsum, jgrad
 
 __all__ = ["form_combos", "combo_index", "exterior_derivative", "wedge",
            "interior_product", "pullback_linear", "lie_bracket",
-           "d_scalar", "sharp", "form_full", "form_full_matrix",
+           "bracket_jets", "d_scalar", "form_full", "form_full_matrix",
            "form_from_matrix", "evaluate_form", "nijenhuis_tensor"]
 
 
@@ -218,29 +218,17 @@ def form_from_matrix(m_jet: Jet, dim: int) -> Jet:
     return Jet(m_jet.space, m_jet.c[:, i, j], m_jet.order)
 
 
+def bracket_jets(xv: Jet, yv: Jet) -> Jet:
+    """The Lie bracket of two vector jets; drops one valid order."""
+    return (jeinsum("...j,...ij->...i", xv, jgrad(yv))
+            - jeinsum("...j,...ij->...i", yv, jgrad(xv)))
+
+
 def lie_bracket(x: Field, y: Field) -> Field:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
     chart = _check_chart(x, y)
-
-    def fn(jc):
-        xv = x.fn(jc)
-        yv = y.fn(jc)
-        return (jeinsum("...j,...ij->...i", xv, jgrad(yv))
-                - jeinsum("...j,...ij->...i", yv, jgrad(xv)))
-
-    return vector_field(chart, fn, cost=max(x.cost, y.cost) + 1)
-
-
-def sharp(g: Field, theta: Field) -> Field:
-    """g-dual vector of a 1-form."""
-    chart = _check_chart(g, theta)
-
-    def fn(jc):
-        gm = g.fn(jc)
-        th = theta.fn(jc)
-        return jmatvec(jet_inv(gm), th)
-
-    return vector_field(chart, fn, cost=max(g.cost, theta.cost))
+    return vector_field(chart, lambda jc: bracket_jets(x.fn(jc), y.fn(jc)),
+                        cost=max(x.cost, y.cost) + 1)
 
 
 def nijenhuis_tensor(j_endo: Field) -> Field:

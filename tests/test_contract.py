@@ -564,17 +564,21 @@ def ref_lower_trivector(tri_vals, g_vals, dim, triples):
 
 
 def ref_engel(lf, jc):
-    """X = N theta+#, f and N = J+ + f J- as lee_fields and the jet
-    derivative rule built them, and the N± of n_endos."""
+    """X = N theta+#, Y = theta+# - K theta-#, |theta+|^2, f and
+    N = J+ + f J- as lee_fields and the jet derivative rule built them, with
+    g inverted once per dual vector, and the N± of n_endos."""
     data = lf.data
     f_field = data.p.fn(jc) - (data.p.fn(jc) ** 2 - 1.0).sqrt()
     p = data.p.fn(jc)
     f = p - (p * p - 1.0).sqrt()
     n = data.jp.fn(jc) + _scale(data.jm.fn(jc), f)
     tp_sharp = jmatvec(jet_inv(data.g.fn(jc)), lf.theta_p.fn(jc))
+    tm_sharp = jmatvec(jet_inv(data.g.fn(jc)), lf.theta_m.fn(jc))
+    y = tp_sharp - jmatvec(data.k_endo.fn(jc), tm_sharp)
+    tnorm = (lf.theta_p.fn(jc) * jmatvec(jet_inv(data.g.fn(jc)), lf.theta_p.fn(jc))).sum(axis=-1)
     s = (p * p - 1.0).sqrt()
     n_pm = [data.jp.fn(jc) + _scale(data.jm.fn(jc), p + s * sign) for sign in (1.0, -1.0)]
-    return jmatvec(n, tp_sharp), f_field, n, n_pm
+    return jmatvec(n, tp_sharp), y, tnorm, f_field, n, n_pm
 
 
 def ref_form_as_map(form_jet, d):
@@ -710,7 +714,8 @@ def test_lower_trivector_matches_permutation_loop(kodaira_model, torus_model, pl
 
 def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
     """Constant p on the rescaled kodaira pair; varying p on synthetic data
-    over the kodaira chart."""
+    over the kodaira chart.  The generators X, Y and |theta+|^2 share one
+    inverse of g."""
     from pbhverify.engel import lee_fields, n_endos, synthetic_data
     from pbhverify.models import standard_split_quaternion_frame
     model, jc = kodaira_jets
@@ -720,8 +725,10 @@ def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
     lfs = [lee_fields(g2, t.j1, t.j1 * 1.25 + t.j2 * 0.75),
            synthetic_data(model.chart, (j1m, j2m, j3m), gmat).lee()]
     for lf in lfs:
-        x, f, n, n_pm = ref_engel(lf, jc)
+        x, y, tnorm, f, n, n_pm = ref_engel(lf, jc)
         assert_jets_equal(lf.x.fn(jc), x)
+        assert_jets_equal(lf.y.fn(jc), y)
+        assert_jets_equal(lf.theta_norm_sq.fn(jc), tnorm)
         assert_jets_equal(lf.f_field.fn(jc), f)
         new_pm = n_endos(lf.data.jp, lf.data.jm, lf.data.p)
         assert_jets_equal(new_pm[1].fn(jc), n)
@@ -733,7 +740,7 @@ def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
     lf = lfs[1]
     conn = levi_civita(lf.data.g)
     pts = jc.value[:4]
-    old_n = Field(model.chart, "endo", lambda c: ref_engel(lf, c)[2],
+    old_n = Field(model.chart, "endo", lambda c: ref_engel(lf, c)[4],
                   cost=max(lf.data.jp.cost, lf.data.jm.cost, lf.data.p.cost))
     assert np.array_equal(conn.cov_deriv_endo(lf.n).eval(pts),
                           conn.cov_deriv_endo(old_n).eval(pts))

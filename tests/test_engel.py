@@ -1,15 +1,18 @@
 """Rank towers, the nilpotent endomorphisms and the distribution identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pbhverify.engel import (DistributionSpan, basis_identity_residuals,
-                             canonical_engel_span, integrable_control_span,
-                             lee_fields, n_endos, nabla_n_rhs_residuals,
-                             other_control_span, rank_tower, synthetic_data,
-                             theorem7_check)
+from pbhverify import engel, models, suites
+from pbhverify.engel import (basis_identity_residuals, canonical_engel_span,
+                             integrable_control_span, lee_fields, n_endos,
+                             nabla_n_rhs_residuals, other_control_span,
+                             rank_tower, synthetic_data, theorem7_check)
 from pbhverify.structures import levi_civita
-from pbhverify.tensorcalc import Field, coordinate_vector, d_scalar
+from pbhverify.tensorcalc import (Field, coordinate_vector, d_scalar,
+                                  jet_coords, lie_bracket)
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +39,93 @@ def test_rank_tower_controls(torus_model, torus_points):
 def test_degenerate_span_rejected(torus_model, torus_points):
     chart = torus_model.chart
     e1 = coordinate_vector(chart, 0)
-    span = DistributionSpan([e1, e1 * 2.0], expected_rank=2)
-    with pytest.raises(ValueError):
-        rank_tower(span, torus_points)
+    with pytest.raises(ValueError, match="degenerate span at point index 0"):
+        rank_tower((e1, e1 * 2.0), torus_points)
+
+
+def _lee_cases(model):
+    """The conformally rescaled pair at constant p, and synthetic data."""
+    t = model.triple
+    j1m, j2m, j3m, gmat = models.standard_split_quaternion_frame()
+    return (lee_fields(models.conformal_metric(model), t.j1, t.j1 * 1.25 + t.j2 * 0.75),
+            synthetic_data(model.chart, (j1m, j2m, j3m), gmat).lee())
+
+
+def _spans(model, pts):
+    """Every control span, and the Lee-field generators at the points where
+    they span a plane."""
+    out = [(span(model.chart), pts) for span in
+           (canonical_engel_span, integrable_control_span, other_control_span)]
+    for lf in _lee_cases(model):
+        v = lf.values(pts)
+        out.append(((lf.x, lf.y), pts[engel._rank_of(np.stack([v.x, v.y], axis=2)) == 2]))
+    return out
+
+
+@pytest.mark.parametrize("model_name", ["torus_model", "kodaira_model"])
+def test_rank_tower_stacks_match_lie_bracket_fields(model_name, request, plan,
+                                                    monkeypatch):
+    """The columns rank_tower ranks, bracketed on one second-order jet per
+    generator, equal bitwise the values of lie_bracket fields."""
+    model = request.getfixturevalue(model_name)
+    stacks, rank_of = [], engel._rank_of
+    monkeypatch.setattr(engel, "_rank_of", lambda cols: stacks.append(cols) or rank_of(cols))
+    for (x, y), pts in _spans(model, plan.sample(model.chart)):
+        assert len(pts) > 8
+        stacks.clear()
+        rank_tower((x, y), pts)
+        xy = lie_bracket(x, y)
+        level1 = [x.eval(pts), y.eval(pts)]
+        level2 = level1 + [xy.eval(pts)]
+        level3 = level2 + [lie_bracket(x, xy).eval(pts), lie_bracket(y, xy).eval(pts)]
+        assert len(stacks) == 3
+        for got, want in zip(stacks, (level1, level2, level3)):
+            assert np.array_equal(got, np.stack(want, axis=2))
+
+
+def test_rank_tower_evaluates_each_generator_once(torus_model, torus_points):
+    def counted(field, name, calls):
+        def fn(jc):
+            calls.append(name)
+            return field.fn(jc)
+
+        return Field(field.chart, field.kind, fn, cost=field.cost)
+
+    for (x, y), pts in _spans(torus_model, torus_points):
+        calls = []
+        rank_tower((counted(x, "x", calls), counted(y, "y", calls)), pts)
+        assert sorted(calls) == ["x", "y"]
+
+
+def test_generators_invert_g_once(torus_model, kodaira_model, plan, monkeypatch):
+    """X, Y and |theta+|^2 at one coordinate jet invert g once between them."""
+    calls, inv = [], engel.jet_inv
+    monkeypatch.setattr(engel, "jet_inv", lambda m: calls.append(m) or inv(m))
+    for model in (torus_model, kodaira_model):
+        jc = jet_coords(4, 3, plan.sample(model.chart))
+        for lf in _lee_cases(model):
+            calls.clear()
+            for field in (lf.x, lf.y, lf.theta_norm_sq):
+                field.fn(jc)
+            assert len(calls) == 1
+            assert np.array_equal(calls[0].c, lf.data.g.fn(jc).c)
+
+
+def test_constant_p_near_degenerate_generators_inconclusive(monkeypatch):
+    """Generators X and X + 1e-10 e2 have rank two for np.linalg.matrix_rank
+    but rank one under the floor rank_tower applies: every point is
+    inconclusive, and the suite does not raise."""
+    make = suites.lee_fields
+
+    def near_degenerate(*args, **kwargs):
+        lf = make(*args, **kwargs)
+        return dataclasses.replace(lf, y=lf.x + coordinate_vector(lf.x.chart, 1) * 1e-10)
+
+    monkeypatch.setattr(suites, "lee_fields", near_degenerate)
+    rep = suites.run_suite(suites.SuiteConfig(suite="engel", model="torus",
+                                              samples=16, seed=42))
+    check = next(c for c in rep.checks if c.name == "constant-p-integrable")
+    assert (check.points, check.inconclusive) == (0, 16)
 
 
 def test_nilpotent_endos(torus_model, torus_points, synthetic):
@@ -61,40 +148,35 @@ def test_nilpotent_endos(torus_model, torus_points, synthetic):
 
 
 def test_basis_identities_synthetic(synthetic, torus_points):
-    lf = synthetic.lee()
-    mask = lf.definitive_mask(torus_points)
+    v = synthetic.lee().values(torus_points)
+    mask = v.definitive_mask()
     assert mask.sum() > 0
-    res = basis_identity_residuals(lf, torus_points, mask)
+    res = basis_identity_residuals(v, mask)
     assert max(res.values()) < 1e-12
 
 
 def test_gradient_identities_synthetic(synthetic, torus_points):
     lf = synthetic.lee()
-    mask = lf.definitive_mask(torus_points)
+    v = lf.values(torus_points)
+    mask = v.definitive_mask()
     df = d_scalar(lf.f_field).eval(torus_points)
-    x = lf.x.eval(torus_points)
-    y = lf.y.eval(torus_points)
-    f = lf.f_field.eval(torus_points)
-    tn = lf.theta_norm_sq.eval(torus_points)
+    x, y, f, tn = v.x, v.y, v.f, v.theta_norm_sq
     assert np.abs(np.einsum("bi,bi->b", df, x))[mask].max() < 1e-12
     assert np.abs(np.einsum("bi,bi->b", df, y) + f * tn)[mask].max() < 1e-12
 
 
 def test_generators_in_kernel(synthetic, torus_points):
-    lf = synthetic.lee()
-    mask = lf.definitive_mask(torus_points)
-    f = lf.f_field.eval(torus_points)
-    n_mat = synthetic.jp.eval(torus_points) + f[:, None, None] * synthetic.jm.eval(torus_points)
-    x = lf.x.eval(torus_points)
-    y = lf.y.eval(torus_points)
+    v = synthetic.lee().values(torus_points)
+    mask = v.definitive_mask()
+    n_mat = synthetic.jp.eval(torus_points) + v.f[:, None, None] * synthetic.jm.eval(torus_points)
+    x, y = v.x, v.y
     assert np.abs(np.einsum("bij,bj->bi", n_mat, x))[mask].max() < 1e-12
     assert np.abs(np.einsum("bij,bj->bi", n_mat, y))[mask].max() < 1e-12
 
 
 def test_derivative_chain_synthetic(synthetic, torus_points):
-    lf = synthetic.lee()
-    mask = lf.definitive_mask(torus_points)
-    res = nabla_n_rhs_residuals(lf, torus_points, mask=mask)
+    v = synthetic.lee().values(torus_points)
+    res = nabla_n_rhs_residuals(v, mask=v.definitive_mask())
     assert res["(nabla_Y N)Y"] < 1e-12
     assert res["2(nabla_{J+Y} N)Y - 2pf|th|^2 Y"] < 1e-12
     assert res["N[X,Y] - f sqrt(p^2-1)|th|^2 Y"] < 1e-12
@@ -106,9 +188,9 @@ def test_derivative_rule_against_jets_conformal(torus_model, conformal_metric,
     t = torus_model.triple
     jm = t.j1 * 1.25 + t.j2 * 0.75
     lf = lee_fields(conformal_metric, t.j1, jm)
-    mask = lf.definitive_mask(torus_points)
-    conn = levi_civita(conformal_metric)
-    res = nabla_n_rhs_residuals(lf, torus_points, connection=conn, mask=mask)
+    v = lf.values(torus_points)
+    dn = levi_civita(conformal_metric).cov_deriv_endo(lf.n).eval(torus_points)
+    res = nabla_n_rhs_residuals(v, mask=v.definitive_mask(), dn=dn)
     assert res["derivative-rule vs jets"] < 1e-12
 
 
@@ -117,8 +199,8 @@ def test_constant_p_distribution_integrable(torus_model, conformal_metric,
     t = torus_model.triple
     jm = t.j1 * 1.25 + t.j2 * 0.75
     lf = lee_fields(conformal_metric, t.j1, jm)
-    mask = lf.definitive_mask(torus_points)
-    rep = rank_tower(lf.span, torus_points[mask])
+    mask = lf.values(torus_points).definitive_mask()
+    rep = rank_tower((lf.x, lf.y), torus_points[mask])
     assert rep.verdict == "integrable"
 
 
@@ -140,19 +222,20 @@ def test_theorem7_reports_hypothesis_residual(synthetic, torus_points):
 
 
 def test_frame_completeness(synthetic, torus_points):
-    lf = synthetic.lee()
-    mask = lf.definitive_mask(torus_points)
-    x = lf.x.eval(torus_points)
-    y = lf.y.eval(torus_points)
+    v = synthetic.lee().values(torus_points)
+    mask = v.definitive_mask()
+    x, y = v.x, v.y
     jp = synthetic.jp.eval(torus_points)
     frame = np.stack([x, y, np.einsum("bij,bj->bi", jp, x),
                       np.einsum("bij,bj->bi", jp, y)], axis=2)
     assert np.all(np.linalg.matrix_rank(frame[mask]) == 4)
+    assert np.array_equal(v.frame()[0], frame)
+    assert np.all(v.frame()[1][mask] == 4)
 
 
 def test_derivative_chain_evaluates_k_once(synthetic, torus_points, monkeypatch):
-    """With a connection, one call evaluates K once (each nabla_n used to
-    evaluate it again, 20 times per call)."""
+    """The record and the chain with the jet comparison evaluate K once
+    (each nabla_n used to evaluate it again, 20 times per call)."""
     lf = synthetic.lee()
     k, calls = lf.data.k_endo, []
     field_eval = Field.eval
@@ -163,5 +246,6 @@ def test_derivative_chain_evaluates_k_once(synthetic, torus_points, monkeypatch)
         return field_eval(field, pts)
 
     monkeypatch.setattr(Field, "eval", spy)
-    nabla_n_rhs_residuals(lf, torus_points, connection=levi_civita(lf.data.g))
+    dn = levi_civita(lf.data.g).cov_deriv_endo(lf.n).eval(torus_points)
+    nabla_n_rhs_residuals(lf.values(torus_points), dn=dn)
     assert calls == [len(torus_points)]

@@ -83,7 +83,41 @@ def test_pullback_forms_closed(flag_bundle, flag_points):
 
 
 def test_form_nondegenerate(flag_bundle, flag_points):
-    assert flag_bundle.f0_smallest_singular(flag_points) > 1e-3
+    eig = flag_bundle.f0_eigenvalues(flag_points)
+    assert np.abs(eig).min() > 1e-3
+    # relative to omega1 + omega2 the spectrum is {a, a, b, b, (a+b)/2, (a+b)/2}
+    assert np.abs(eig - np.array([-2, -2, -0.5, -0.5, 1, 1])).max() < 1e-10
+
+
+def _theorem4(seed):
+    from pbhverify.suites import SuiteConfig, run_suite
+    rep = run_suite(SuiteConfig(suite="theorem4", model="flag", seed=seed))
+    return rep, {c.name: c for c in rep.checks}
+
+
+def test_form_checks_pass_where_chart_singular_values_were_small():
+    """Seed 17 put the smallest chart-coordinate singular value of F0 below
+    1e-3; the spectrum relative to omega1 + omega2 does not depend on the
+    chart."""
+    rep, checks = _theorem4(17)
+    assert rep.passed
+    assert checks["form-nondegenerate"].residual == pytest.approx(0.5, abs=1e-12)
+
+
+def test_form_nondegenerate_fails_on_vanishing_sum(monkeypatch):
+    """a + b = 0 (which FlagParams rejects) puts a zero in the spectrum."""
+    from pbhverify import suites
+
+    def cancelling(a, b):
+        params = object.__new__(FlagParams)
+        params.a, params.b = 1, -1
+        return params
+
+    monkeypatch.setattr(suites, "FlagParams", cancelling)
+    rep, checks = _theorem4(42)
+    assert not rep.passed
+    assert not checks["form-nondegenerate"].passed
+    assert checks["form-spectrum"].passed
 
 
 def test_lambda_fit(flag_bundle, flag_points):

@@ -5,8 +5,8 @@ import pytest
 
 from pbhverify.structures import (BihermitianData, BranchError, HermitianPair,
                                   build_parahypercomplex, check_p_gradient,
-                                  chern_connection, d_pm_F, lee_form,
-                                  levi_civita, max_abs)
+                                  chern_connection, d_pm_F, lee_condition,
+                                  lee_form, levi_civita, max_abs)
 from pbhverify.tensorcalc import (SamplePlan, d_scalar, exterior_derivative,
                                   form_full, form_full_matrix, jmatmul,
                                   nijenhuis_tensor, pullback_linear, wedge)
@@ -227,5 +227,4 @@ def test_p_gradient_cases(torus_model, conformal_metric, torus_points):
 
 def test_lee_condition_number(torus_model, conformal_metric, torus_points):
     pair = HermitianPair(conformal_metric, torus_model.triple.j1)
-    _, cond = lee_form(pair, return_condition=True)
-    assert cond(torus_points) < 1e6
+    assert lee_condition(pair, torus_points) < 1e6
