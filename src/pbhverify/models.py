@@ -14,10 +14,11 @@ from .structures import (BihermitianData, ParaHyperTriple,
                          build_parahypercomplex, fundamental_form, max_abs,
                          worst)
 from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
-                         constant_metric, endo_field, form_field,
-                         form_full_matrix, form_from_matrix, jet_coords,
-                         jet_solve, jgrad, jmatmul, jtranspose, metric_field)
-from .tensorcalc.fields import _scale
+                         constant_metric, form_field, form_full_matrix,
+                         form_from_matrix, frame_field, jet_coords, jet_solve,
+                         jet_space, jgrad, jmatmul, jmatvec, jtranspose,
+                         metric_field)
+from .tensorcalc.fields import _broadcast_const, _scale
 from .tensorcalc.calculus import _stack
 
 __all__ = ["ModelError", "IntegratorError", "FlowTimeError", "ModelDescriptor",
@@ -114,43 +115,23 @@ def torus_phk() -> ModelDescriptor:
 # E3 = d3, E4 = d4; the shipped candidate family is searched and certified.
 #
 # The frame matrix is P(x) = I + x1 E, its columns the E_a in chart
-# components, where E has a single 1 at [3, 1].  E^2 = 0, so P^-1 = I - x1 E
-# and a frame-constant endomorphism M and metric G are polynomials in x1:
-#   P M P^-1    = M + x1 (EM - ME) - x1^2 EME
-#   P^-T G P^-1 = G - x1 (E^T G + GE) + x1^2 E^T G E
-# For the signed-permutation candidates this is bitwise, sign bits included,
-# the jet matrix product P M P^-1 (kept as the oracle in the tests).
+# components, where E has a single 1 at [3, 1].  E^2 = 0, so each structure
+# is a frame constant (``tensorcalc.frame_field``) whose chart expression is
+# a polynomial of degree at most two in x1.  For the signed-permutation
+# candidates this is bitwise, sign bits included, the jet matrix product
+# P M P^-1 (kept as the oracle in the tests).
 
 _KODAIRA_E = np.zeros((4, 4))
 _KODAIRA_E[3, 1] = 1.0
 
 
-def _x1_polynomial(c0, c1, c2):
-    """Jet evaluation of c0 + x1 c1 + x1^2 c2 for constant (4, 4) matrices;
-    x1 may be any scalar jet (flowed coordinates included).  The x1^2 term
-    is dropped when c2 is zero."""
-    quadratic = bool(c2.any())
-
-    def fn(jc):
-        x1 = jc[:, 0]
-        out = x1[:, None, None] * c1 + c0
-        if quadratic:
-            out = out + (x1 * x1)[:, None, None] * c2
-        return out
-
-    return fn
-
-
 def _kodaira_triple(chart, j1f, j2f, g_frame) -> ParaHyperTriple:
     """The triple whose frame components are j1f, j2f, j1f j2f and g_frame."""
-    e = _KODAIRA_E
-
     def frame_endo(m):
-        return endo_field(chart, _x1_polynomial(m, e @ m - m @ e, -(e @ m @ e)))
+        return frame_field(chart, "endo", _KODAIRA_E, m)
 
-    g = metric_field(chart, _x1_polynomial(g_frame, -(e.T @ g_frame + g_frame @ e),
-                                           e.T @ g_frame @ e))
-    return ParaHyperTriple(g, frame_endo(j1f), frame_endo(j2f),
+    return ParaHyperTriple(frame_field(chart, "metric", _KODAIRA_E, g_frame),
+                           frame_endo(j1f), frame_endo(j2f),
                            frame_endo(j1f @ j2f), name="kodaira")
 
 
@@ -227,14 +208,17 @@ def _f_const_grad(jc):
 
 
 def _sin_pair(i, j, name) -> FExpr:
-    """sin x_i sin x_j and its gradient."""
+    """sin x_i sin x_j and its gradient, from one Taylor series per
+    coordinate."""
     def value(jc):
-        return jc[:, i].sin() * jc[:, j].sin()
+        (si, _), (sj, _) = jc[:, i].sincos(), jc[:, j].sincos()
+        return si * sj
 
     def grad(jc):
+        (si, ci), (sj, cj) = jc[:, i].sincos(), jc[:, j].sincos()
         comps = [jc[:, 0] * 0.0] * jc.shape[1]
-        comps[i] = jc[:, i].cos() * jc[:, j].sin()
-        comps[j] = jc[:, i].sin() * jc[:, j].cos()
+        comps[i] = ci * sj
+        comps[j] = si * cj
         return _stack(comps)
 
     return FExpr(name, value, grad)
@@ -406,6 +390,14 @@ def unit_spacelike_vector(g: Field, pts) -> np.ndarray:
 class HamiltonianFlow:
     """Fixed-step RK4 integration of the F^K-Hamiltonian vector field of f.
 
+    The velocity solves i_V F^K = df.  When F^K is a frame constant of degree
+    0 in x1 (both shipped models at their default parameters) its chart
+    matrix is one constant: the transposed full matrix is inverted once, at
+    construction, and each velocity is that inverse, as a broadcast constant
+    jet, applied to the gradient of f, bitwise the jet solve's result.  Any
+    other F^K (degree 1 or 2 in x1, or no frame constant) is evaluated at
+    each stage input and solved there as jets.
+
     Positions are integrated as jets, so the flow map's derivatives through
     third order ride along (variational equations included).  Each RK4
     integration adds one (input jet, flowed jet) entry to ``_cache``.  A
@@ -422,10 +414,17 @@ class HamiltonianFlow:
         self.t = t
         self.step = step
         self._cache = []
+        self._fk_inv = None
+        frame, d = f_k.frame, f_k.chart.dim
+        if frame is not None and frame.x1_degree == 0:
+            full = form_full_matrix(Jet.constant(jet_space(d, 0), frame.coeffs[0]), d)
+            self._fk_inv = np.linalg.inv(full.value.T)
 
     def velocity(self, y: Jet) -> Jet:
-        m = form_full_matrix(self.f_k.fn(y), self.f_k.chart.dim)
         # map X -> i_X F has matrix M[j, i] = F[i, j]
+        if self._fk_inv is not None:
+            return jmatvec(_broadcast_const(y, self._fk_inv), self.fexpr.grad(y))
+        m = form_full_matrix(self.f_k.fn(y), self.f_k.chart.dim)
         return jet_solve(jtranspose(m), self.fexpr.grad(y))
 
     def flow_jet(self, jc: Jet) -> Jet:

@@ -14,10 +14,11 @@ import numpy as np
 
 from .tensorcalc import (Field, Jet, d_scalar, endo_field,
                          exterior_derivative, form_field, form_from_matrix,
-                         form_full, jeinsum, jet_coords, jet_inv, jet_solve,
-                         jgrad, jmatmul, jmatvec, jtrace, jtranspose,
-                         nijenhuis_tensor, oneform_field, pullback_linear,
-                         scalar_field, vector_field)
+                         form_full, frame_field, jeinsum, jet_coords, jet_inv,
+                         jet_solve, jgrad, jmatmul, jmatvec, jtrace,
+                         jtranspose, nijenhuis_tensor, oneform_field,
+                         pullback_linear, same_frame, scalar_field,
+                         vector_field)
 from .tensorcalc.fields import _scale, _broadcast_const, memoize_fn
 from .tensorcalc.calculus import _wedge_table
 
@@ -51,8 +52,11 @@ def worst(*xs) -> float:
 
 
 def fundamental_form(g: Field, j: Field) -> Field:
-    """F(X, Y) = g(JX, Y) as a 2-form field (combo components)."""
+    """F(X, Y) = g(JX, Y) as a 2-form field (combo components); for g and J
+    constant in one frame, the frame constant J^T g."""
     chart = g.chart
+    if same_frame(g, j):
+        return frame_field(chart, "form", g.frame.e, j.frame.m.T @ g.frame.m, degree=2)
 
     def fn(jc):
         gv = g.fn(jc)
@@ -264,20 +268,35 @@ def d_pm_F(pair: HermitianPair) -> Field:
     return -pullback_linear(pair.j, df)
 
 
-def _pairing(jpjm: Jet) -> Jet:
-    """p = tr(J+ J-) / 4 from the product J+ J-."""
-    return jtrace(jpjm) * 0.25
+def _pairing(jpjm):
+    """p = tr(J+ J-) / 4 from the product J+ J- (a jet or a frame matrix)."""
+    if isinstance(jpjm, Jet):
+        return jtrace(jpjm) * 0.25
+    tr = jpjm[0, 0]
+    for i in range(1, len(jpjm)):
+        tr = tr + jpjm[i, i]
+    return tr * 0.25
 
 
-def _branch_root(p: Jet) -> Jet:
-    """sqrt(p^2 - 1), positive branch."""
-    return (p ** 2 - 1.0).sqrt()
+def _branch_root(p):
+    """sqrt(p^2 - 1), positive branch (of a jet or a number)."""
+    if isinstance(p, Jet):
+        return (p ** 2 - 1.0).sqrt()
+    return np.sqrt(p * p - 1.0)
+
+
+def _constant_scalar(chart, value) -> Field:
+    """The scalar field equal to the number ``value`` everywhere."""
+    return scalar_field(chart, lambda jc: _broadcast_const(jc, value))
 
 
 @dataclass
 class BihermitianData:
     """g with two compatible complex structures; K, S on the |p| > 1 locus.
-    K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate."""
+    K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate.  When
+    J+ and J- are constant in one frame, p, sqrt(p^2 - 1), K and S are
+    computed once from the frame components, in the jet path's order of
+    operations: p is a trace, so frame-invariant, and a plain constant."""
 
     g: Field
     jp: Field
@@ -285,7 +304,19 @@ class BihermitianData:
     name: str = ""
 
     @cached_property
+    def _frame_product(self):
+        """J+ J- on the frame components, or None."""
+        if not same_frame(self.jp, self.jm):
+            return None
+        return self.jp.frame.m @ self.jm.frame.m
+
+    def _frame_endo(self, m) -> Field:
+        return frame_field(self.g.chart, "endo", self.jp.frame.e, m)
+
+    @cached_property
     def p(self) -> Field:
+        if self._frame_product is not None:
+            return _constant_scalar(self.g.chart, _pairing(self._frame_product))
         return scalar_field(self.g.chart,
                             lambda jc: _pairing(jmatmul(self.jp.fn(jc), self.jm.fn(jc))),
                             cost=max(self.jp.cost, self.jm.cost))
@@ -301,12 +332,21 @@ class BihermitianData:
     @cached_property
     def s_root(self) -> Field:
         """sqrt(p^2 - 1), positive branch."""
+        if self._frame_product is not None:
+            return _constant_scalar(self.g.chart,
+                                    _branch_root(_pairing(self._frame_product)))
         return scalar_field(self.g.chart,
                             lambda jc: _branch_root(self.p.fn(jc)),
                             cost=self.p.cost)
 
     @cached_property
     def k_endo(self) -> Field:
+        jpjm = self._frame_product
+        if jpjm is not None:
+            q = jpjm - self.jm.frame.m @ self.jp.frame.m
+            s = _branch_root(_pairing(jpjm))
+            return self._frame_endo(q * (1.0 / (s * 2.0)))
+
         def fn(jc):
             jpv, jmv = self.jp.fn(jc), self.jm.fn(jc)
             jpjm = jmatmul(jpv, jmv)
@@ -318,6 +358,11 @@ class BihermitianData:
 
     @cached_property
     def s_endo(self) -> Field:
+        if self._frame_product is not None:
+            p = _pairing(self._frame_product)
+            s = _branch_root(p)
+            return self._frame_endo(-((self.jm.frame.m + self.jp.frame.m * p) * (1.0 / s)))
+
         def fn(jc):
             jpv, jmv = self.jp.fn(jc), self.jm.fn(jc)
             p = _pairing(jmatmul(jpv, jmv))

@@ -16,6 +16,28 @@ layout by kind:
 ``cost`` is the number of derivative orders the evaluation consumes
 internally (exterior derivatives, Christoffels, flow Jacobians); evaluation
 seeds coordinate jets of order ``requested + cost``.
+
+Frame constants.  An endo, a metric or a 2-form may carry a ``FrameConstant``:
+its components ``m`` in the frame whose columns are P(x) = I + x1 E, x1 the
+first coordinate and E a nilpotent generator (E^2 = 0; E = 0 is the
+coordinate frame).  Its kind gives the chart expression, a polynomial of
+degree at most two in x1 since P^-1 = I - x1 E:
+
+  endo      P M P^-1    = M + x1 (EM - ME) - x1^2 EME
+  metric    P^-T G P^-1 = G - x1 (E^T G + GE) + x1^2 E^T G E
+  2-form    the metric rule on the matrix F with F(X, Y) = X^T F Y, whose
+            entries above the diagonal are the combo components
+
+The coefficients are computed once, when the field is built, and a trailing
+coefficient is dropped when it is zero (``.any()`` is False), so each field
+knows its degree in x1.  ``frame_field`` evaluates the chart expression by
+multiplying the jet of x1 by constant arrays (``_x1_polynomial``); at
+degree 0 it is a broadcast constant.  ``+``, ``-``, unary ``-`` and
+multiplication by a number between fields of one kind in one frame carry
+the combined frame components for the frame algebra downstream (pairings,
+K, S, fundamental forms), and evaluate as their operands do, so their
+values are bitwise those of the plain operation; any other operation gives
+a plain field.
 """
 
 from __future__ import annotations
@@ -32,7 +54,7 @@ __all__ = ["Field", "lift_to_jets", "scalar_field", "vector_field",
            "oneform_field", "form_field", "endo_field", "metric_field",
            "bivector_field", "constant_endo", "constant_metric",
            "constant_form", "coordinate_vector", "coordinate_oneform",
-           "zero_form"]
+           "zero_form", "FrameConstant", "frame_field", "same_frame"]
 
 
 def memoize_fn(fn):
@@ -53,6 +75,20 @@ def memoize_fn(fn):
     return wrapped
 
 
+@dataclass(frozen=True, eq=False)
+class FrameConstant:
+    """Frame components ``m`` in the frame I + x1 ``e`` and the chart
+    expression's coefficients of x1^0, x1^1, ... (see the module notes)."""
+
+    e: np.ndarray
+    m: np.ndarray
+    coeffs: tuple
+
+    @property
+    def x1_degree(self) -> int:
+        return len(self.coeffs) - 1
+
+
 @dataclass
 class Field:
     chart: ChartDomain
@@ -61,6 +97,7 @@ class Field:
     degree: int = 0  # form degree where applicable
     cost: int = 0
     name: str = ""
+    frame: FrameConstant | None = None
 
     def memoized(self) -> "Field":
         return Field(self.chart, self.kind, memoize_fn(self.fn),
@@ -77,14 +114,24 @@ class Field:
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.eval_jet(points, 0).value
 
+    def _framed(self, fn, m) -> "Field":
+        """A field of this kind, cost and frame evaluated by ``fn``, with the
+        frame components ``m``."""
+        return Field(self.chart, self.kind, fn, degree=self.degree, cost=self.cost,
+                     frame=_frame_constant(self.kind, self.frame.e, m))
+
     def _binop(self, other, op):
         if isinstance(other, Field):
             if other.chart is not self.chart:
                 raise ValueError("fields on different charts")
-            cost = max(self.cost, other.cost)
-            return Field(self.chart, self.kind,
-                         lambda jc: op(self.fn(jc), other.fn(jc)),
-                         degree=self.degree, cost=cost)
+
+            def fn(jc):
+                return op(self.fn(jc), other.fn(jc))
+
+            if other.kind == self.kind and same_frame(self, other):
+                return self._framed(fn, op(self.frame.m, other.frame.m))
+            return Field(self.chart, self.kind, fn, degree=self.degree,
+                         cost=max(self.cost, other.cost))
         return Field(self.chart, self.kind, lambda jc: op(self.fn(jc), other),
                      degree=self.degree, cost=self.cost)
 
@@ -95,8 +142,12 @@ class Field:
         return self._binop(other, lambda a, b: a - b)
 
     def __neg__(self):
-        return Field(self.chart, self.kind, lambda jc: -self.fn(jc),
-                     degree=self.degree, cost=self.cost)
+        def fn(jc):
+            return -self.fn(jc)
+
+        if self.frame is not None:
+            return self._framed(fn, -self.frame.m)
+        return Field(self.chart, self.kind, fn, degree=self.degree, cost=self.cost)
 
     def __mul__(self, other):
         """Scalar multiplication: other is a number or a scalar Field."""
@@ -109,10 +160,70 @@ class Field:
 
             return Field(self.chart, self.kind, op, degree=self.degree,
                          cost=max(self.cost, other.cost))
-        return Field(self.chart, self.kind, lambda jc: self.fn(jc) * other,
-                     degree=self.degree, cost=self.cost)
+
+        def fn(jc):
+            return self.fn(jc) * other
+
+        if self.frame is not None and np.ndim(other) == 0 and np.isrealobj(other):
+            return self._framed(fn, self.frame.m * other)
+        return Field(self.chart, self.kind, fn, degree=self.degree, cost=self.cost)
 
     __rmul__ = __mul__
+
+
+def same_frame(a: Field, b: Field) -> bool:
+    """Both fields carry frame constants in one frame."""
+    return (a.frame is not None and b.frame is not None
+            and np.array_equal(a.frame.e, b.frame.e))
+
+
+def _chart_coeffs(kind, e, m):
+    """Coefficients of x1^0, x1^1, x1^2 of the chart expression of frame
+    components ``m``, through the last nonzero one."""
+    if kind == "endo":
+        cs = [m, e @ m - m @ e, -(e @ m @ e)]
+    elif kind in ("metric", "form"):
+        cs = [m, -(e.T @ m + m @ e), e.T @ m @ e]
+    else:
+        raise ValueError(f"no frame conjugation rule for kind {kind!r}")
+    if kind == "form":
+        upper = np.triu_indices(len(m), 1)  # the sorted 2-combos, in order
+        cs = [c[upper] for c in cs]
+    while len(cs) > 1 and not cs[-1].any():
+        cs.pop()
+    return tuple(cs)
+
+
+def _x1_polynomial(coeffs):
+    """Jet evaluation of sum_k x1^k coeffs[k] for constant arrays; x1 may be
+    any scalar jet (flowed coordinates included)."""
+    c0 = coeffs[0]
+    if len(coeffs) == 1:
+        return lambda jc: _broadcast_const(jc, c0)
+    pad = (slice(None),) + (None,) * c0.ndim
+
+    def fn(jc):
+        x1 = jc[:, 0]
+        out = x1[pad] * coeffs[1] + c0
+        if len(coeffs) == 3:
+            out = out + (x1 * x1)[pad] * coeffs[2]
+        return out
+
+    return fn
+
+
+def _frame_constant(kind, e, m) -> FrameConstant:
+    e = np.asarray(e, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
+    return FrameConstant(e, m, _chart_coeffs(kind, e, m))
+
+
+def frame_field(chart, kind, e, m, degree=0, name="") -> Field:
+    """The ``kind`` field (endo, metric, or 2-form with ``m`` its matrix)
+    whose components in the frame I + x1 ``e`` are the constant ``m``."""
+    frame = _frame_constant(kind, e, m)
+    return Field(chart, kind, _x1_polynomial(frame.coeffs), degree=degree,
+                 name=name, frame=frame)
 
 
 def lift_to_jets(field: Field, points: np.ndarray) -> Jet:
@@ -167,13 +278,11 @@ def _broadcast_const(jc, arr):
 
 
 def constant_endo(chart, matrix, name=""):
-    m = np.asarray(matrix, dtype=np.float64)
-    return endo_field(chart, lambda jc: _broadcast_const(jc, m), name=name)
+    return frame_field(chart, "endo", np.zeros((chart.dim,) * 2), matrix, name=name)
 
 
 def constant_metric(chart, matrix, name=""):
-    m = np.asarray(matrix, dtype=np.float64)
-    return metric_field(chart, lambda jc: _broadcast_const(jc, m), name=name)
+    return frame_field(chart, "metric", np.zeros((chart.dim,) * 2), matrix, name=name)
 
 
 def constant_form(chart, k, combo_values, name=""):

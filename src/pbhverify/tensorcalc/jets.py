@@ -287,25 +287,32 @@ class Jet:
 
     # -- analytic functions via Taylor composition --------------------------
 
-    def _compose(self, derivs):
-        """sum_m derivs[m]/m! * (self - value)^m, truncated at self.order."""
+    def _compose(self, derivs, *more):
+        """sum_m derivs[m]/m! * (self - value)^m, truncated at self.order.
+        Each further list in ``more`` (of the same length) gives one more
+        such sum from the same powers, and the sums come back as a tuple;
+        each is bitwise the sum its list alone would give."""
         sp = self.space
-        dtype = np.result_type(self.c.dtype, derivs[0].dtype)
-        out = np.zeros(self.shape + (sp.n,), dtype=dtype)
-        out[..., 0] = derivs[0]
-        if _is_constant(self):  # every power of self - value is zero
-            return Jet(sp, out, self.order)
-        du = self.c.copy()
-        du[..., 0] = 0
-        term = Jet(sp, du, self.order)
-        fact = 1.0
-        power = term
-        for m in range(1, min(self.order, len(derivs) - 1) + 1):
-            fact *= m
-            out = out + power.c * (derivs[m] / fact)[..., None]
-            if m < self.order:
-                power = power * term
-        return Jet(sp, out, self.order)
+        lists = (derivs,) + more
+        outs = []
+        for ds in lists:
+            dtype = np.result_type(self.c.dtype, ds[0].dtype)
+            outs.append(np.zeros(self.shape + (sp.n,), dtype=dtype))
+            outs[-1][..., 0] = ds[0]
+        if not _is_constant(self):  # else every power of self - value is zero
+            du = self.c.copy()
+            du[..., 0] = 0
+            term = Jet(sp, du, self.order)
+            fact = 1.0
+            power = term
+            for m in range(1, min(self.order, len(derivs) - 1) + 1):
+                fact *= m
+                for k, ds in enumerate(lists):
+                    outs[k] = outs[k] + power.c * (ds[m] / fact)[..., None]
+                if m < self.order:
+                    power = power * term
+        jets = tuple(Jet(sp, out, self.order) for out in outs)
+        return jets if more else jets[0]
 
     def reciprocal(self):
         v = self.value
@@ -333,6 +340,12 @@ class Jet:
     def cos(self):
         s, c = np.sin(self.value), np.cos(self.value)
         return self._compose([c, -s, -c, s, c][: self.order + 1])
+
+    def sincos(self):
+        """(sin, cos) from one set of powers; bitwise sin() and cos()."""
+        s, c = np.sin(self.value), np.cos(self.value)
+        n = self.order + 1
+        return self._compose([s, c, -s, -c, s][:n], [c, -s, -c, s, c][:n])
 
     # -- complex helpers ----------------------------------------------------
 

@@ -3,7 +3,7 @@ frozen symbolic value."""
 
 import numpy as np
 
-from pbhverify.tensorcalc import jet_coords, jet_inv, jdet, jmatmul
+from pbhverify.tensorcalc import jet_coords, jet_inv, jet_space, jdet, jmatmul
 from pbhverify.tensorcalc.jets import Jet, JetSpace
 
 
@@ -94,3 +94,38 @@ def test_multi_indices_of_lower_orders_are_prefixes():
         for k in (0, 1, 2):
             lo, hi = JetSpace(d, k).multi, JetSpace(d, k + 1).multi
             assert hi[:len(lo)] == lo
+
+
+def test_sincos_is_sin_and_cos_from_one_set_of_powers(monkeypatch):
+    """``sincos`` returns bitwise what ``sin`` and ``cos`` return, dtype and
+    order included, for real and complex jets of every order, constant
+    ones too, and builds the powers of (x - x0) once."""
+    rng = np.random.default_rng(11)
+    products = []
+    mul = Jet.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    for dim, order in ((4, 0), (4, 1), (4, 3), (4, 4), (6, 3)):
+        for cplx in (False, True):
+            for valid in range(order + 1):
+                sp = jet_space(dim, order)
+                c = rng.normal(size=(8, sp.n))
+                if cplx:
+                    c = c + 1j * rng.normal(size=c.shape)
+                c[..., sp.degree > valid] = 0.0
+                for x in (Jet(sp, c, valid), Jet.constant(sp, c[..., 0], valid)):
+                    with monkeypatch.context() as m:
+                        m.setattr(Jet, "__mul__", counted)
+                        products.clear()
+                        s, co = x.sincos()
+                        shared = len(products)
+                        products.clear()
+                        sin, cos = x.sin(), x.cos()
+                        assert shared == len(products) // 2
+                    for new, old in ((s, sin), (co, cos)):
+                        assert new.order == old.order and new.c.dtype == old.c.dtype
+                        assert np.array_equal(new.c, old.c)
+                        assert np.array_equal(np.signbit(new.c.real), np.signbit(old.c.real))

@@ -277,40 +277,61 @@ def test_other_queries_integrate_anew(torus_bundle, torus_points):
 
 
 def test_gpk_flow_work_count(monkeypatch):
-    """Deterministic work guard: one RK4 integration of the main flow (100
-    steps, 4 velocity calls each, plus the escape check) and the two
-    calibration flows (5 and 10 steps)."""
-    calls, flows = [], []
-    velocity, init = HamiltonianFlow.velocity, HamiltonianFlow.__init__
+    """Deterministic work guard, on both models: one RK4 integration of the
+    main flow (100 steps, 4 velocity calls each, plus the escape check) and
+    the two calibration flows (5 and 10 steps).  F^K is constant on both,
+    so no velocity call inverts a jet or evaluates F^K."""
+    calls, flows, inside, inner = [], [], [], []
+    velocity, init, inv = HamiltonianFlow.velocity, HamiltonianFlow.__init__, jets.jet_inv
 
     def counted(flow, y):
         calls.append(flow)
-        return velocity(flow, y)
+        inside.append(flow)
+        try:
+            return velocity(flow, y)
+        finally:
+            inside.pop()
 
     def tracked(flow, *args, **kwargs):
         init(flow, *args, **kwargs)
         flows.append(flow)
+        fk_fn = flow.f_k.fn
+
+        def fk_spy(jc):
+            if inside:
+                inner.append("F^K")
+            return fk_fn(jc)
+
+        flow.f_k = dataclasses.replace(flow.f_k, fn=fk_spy)
+
+    def inv_spy(m):
+        if inside:
+            inner.append("jet_inv")
+        return inv(m)
 
     monkeypatch.setattr(HamiltonianFlow, "velocity", counted)
     monkeypatch.setattr(HamiltonianFlow, "__init__", tracked)
-    rep = run_suite(SuiteConfig(suite="gpk-example2", model="torus", samples=16,
-                                t=0.1, f_expr="sin2", step=1e-3))
-    assert rep.passed
-    assert len(calls) == 461
-    main = flows[0]
-    assert main.fexpr.name == "sin2" and len(main._cache) == 1
+    monkeypatch.setattr(jets, "jet_inv", inv_spy)
+    for model in ("torus", "kodaira"):
+        calls.clear()
+        flows.clear()
+        rep = run_suite(SuiteConfig(suite="gpk-example2", model=model, samples=16,
+                                    t=0.1, f_expr="sin2", step=1e-3))
+        assert rep.passed
+        assert len(calls) == 461
+        assert inner == []
+        main = flows[0]
+        assert main.fexpr.name == "sin2" and len(main._cache) == 1
 
 
 @pytest.mark.parametrize("model_name", ["torus", "kodaira"])
 def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
                                                      kodaira_model, monkeypatch):
-    """Every structure on the torus is constant, so one velocity evaluation
-    makes no jet contraction of two non-constant factors; on kodaira it
-    does."""
+    """F^K is constant on both models at the default pair parameters, so
+    one velocity evaluation makes no jet contraction of two non-constant
+    factors; on kodaira with c != 0 F^K depends on x1, and it does."""
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 3)
-    bundle = example2_build(model, Example2Params(t=0.1), plan)
-    flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
     full = []
     pairs = JetSpace.pairs
 
@@ -319,9 +340,17 @@ def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
             full.append((da, db))
         return pairs(sp, da, db)
 
-    monkeypatch.setattr(JetSpace, "pairs", spy)
-    flow.velocity(jet_coords(4, 2, plan.sample(model.chart)))
-    assert (len(full) == 0) == (model_name == "torus")
+    cases = [(Example2Params(t=0.1), False)]
+    if model_name == "kodaira":
+        cases.append((Example2Params(b=0.0, c=0.75, t=0.1), True))
+    for params, contracts in cases:
+        bundle = example2_build(model, params, plan)
+        flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
+        full.clear()
+        with monkeypatch.context() as m:
+            m.setattr(JetSpace, "pairs", spy)
+            flow.velocity(jet_coords(4, 2, plan.sample(model.chart)))
+        assert bool(full) == contracts
 
 
 @pytest.fixture
@@ -372,24 +401,31 @@ def test_kodaira_metric_inverse_runs_the_neumann_series(kodaira_model, inv_produ
     assert inv_products == [3] * 5
 
 
-def _counted(field, calls):
+def _counted(field, calls, framed=True):
     def fn(jc):
         calls.append(jc)
         return field.fn(jc)
 
-    return dataclasses.replace(field, fn=fn)
+    if framed:
+        return dataclasses.replace(field, fn=fn)
+    return dataclasses.replace(field, fn=fn, frame=None)
 
 
 @pytest.mark.parametrize("model_name", ["torus", "kodaira"])
 def test_k_and_s_evaluate_each_structure_once(model_name, torus_model, kodaira_model,
                                               plan):
-    """K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate."""
+    """K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate,
+    so each is evaluated at most once: exactly once on the jet path (no
+    frame constants), never when both are frame constants (copied by
+    ``dataclasses.replace``), whose K and S are computed once from them."""
     model = torus_model if model_name == "torus" else kodaira_model
     data = example2_build(model, Example2Params(), plan).data
     jc = jet_coords(4, 2, plan.sample(model.chart))
     for name in ("k_endo", "s_endo"):
-        jp_calls, jm_calls = [], []
-        spied = BihermitianData(data.g, _counted(data.jp, jp_calls),
-                                _counted(data.jm, jm_calls))
-        getattr(spied, name).fn(jc)
-        assert len(jp_calls) == len(jm_calls) == 1
+        for framed in (True, False):
+            jp_calls, jm_calls = [], []
+            spied = BihermitianData(
+                data.g, _counted(data.jp, jp_calls, framed),
+                _counted(data.jm, jm_calls, framed))
+            getattr(spied, name).fn(jc)
+            assert len(jp_calls) == len(jm_calls) == (0 if framed else 1)
