@@ -113,21 +113,33 @@ def validate_twist(h: Field | None, pts):
     return res
 
 
-def _courant(a: Jet, b: Jet, h: Jet | None, d: int) -> Jet:
-    """Twisted Courant bracket of stacked section jets a = X + xi and
-    b = Y + eta (..., 2d), leading axes broadcast; h is the full twist
-    tensor H_abi (..., d, d, d) or None.
+def _prep(a: Jet, d: int) -> tuple:
+    """A stacked section jet a = X + xi (..., 2d) with the two pieces the
+    Courant bracket reads from it: its gradient, ga[..., k, j] = d_j a_k,
+    and its half-swapped copy xi + X.  Both are gathers, so slicing a
+    leading axis of the three commutes with preparing the slice."""
+    return a, jgrad(a), Jet(a.space, np.roll(a.c, d, axis=-2), a.order)
+
+
+def _rows(prepped: tuple, rows: slice) -> tuple:
+    """The prepared pieces of the sections ``rows`` (axis 1) of a prepared
+    stack."""
+    return tuple(p[:, rows] for p in prepped)
+
+
+def _courant(pa: tuple, pb: tuple, h: Jet | None, d: int) -> Jet:
+    """Twisted Courant bracket of prepared (``_prep``) stacked section jets
+    a = X + xi and b = Y + eta (..., 2d), leading axes broadcast; h is the
+    full twist tensor H_abi (..., d, d, d) or None.
 
       vector  X^j d_j Y^i - Y^j d_j X^i
       form    X^j d_j eta_i - Y^j d_j xi_i + X^a Y^b H_abi
               + (eta_j d_i X^j - xi_j d_i Y^j - X^j d_i eta_j + Y^j d_i xi_j) / 2
     """
-    ga, gb = jgrad(a), jgrad(b)  # ga[..., k, j] = d_j a_k
+    (a, ga, sa), (b, gb, sb) = pa, pb
     x, y = a[..., :d], b[..., :d]
     out = jeinsum("...j,...kj->...k", x, gb) - jeinsum("...j,...kj->...k", y, ga)
     # with the halves swapped, the four half-weight terms are two contractions
-    sa = Jet(a.space, np.roll(a.c, d, axis=-2), a.order)
-    sb = Jet(b.space, np.roll(b.c, d, axis=-2), b.order)
     form = out[..., d:] + (jeinsum("...k,...ki->...i", sb, ga)
                            - jeinsum("...k,...ki->...i", sa, gb)) * 0.5
     if h is not None:
@@ -142,7 +154,7 @@ def courant_bracket(a: Field, b: Field, h: Field | None = None) -> Field:
 
     def fn(jc):
         hv = None if h is None else form_full(h.fn(jc), d, 3)
-        return _courant(a.fn(jc), b.fn(jc), hv, d)
+        return _courant(_prep(a.fn(jc), d), _prep(b.fn(jc), d), hv, d)
 
     cost = max(a.cost + 1, b.cost + 1, 0 if h is None else h.cost)
     return Field(a.chart, "section", fn, cost=cost)
@@ -208,8 +220,9 @@ def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
                   extra_sections=(), include_frame=True) -> float:
     """Max residual of N_H(A, B) = [A,B] - [IA,IB] + I[IA,B] + I[A,IB] over
     section pairs A before B (frame sections first).  I, H and every section
-    are evaluated once; each section is bracketed against all later ones in
-    one batched call."""
+    are evaluated once, and the sections and their images under I are
+    prepared (``_prep``) once; each section is bracketed against all later
+    ones in one batched call on slices of the prepared stacks."""
     chart = i_field.chart
     d = chart.dim
     sections = list(extra_sections)
@@ -225,11 +238,11 @@ def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
     iv = i_field.fn(jc)[:, None]
     hv = None if h is None else form_full(h.fn(jc), d, 3)[:, None]
     s = _stack([sec.fn(jc) for sec in sections])  # (B, sections, 2d)
-    isec = jmatvec(iv, s)
+    ps, pi = _prep(s, d), _prep(jmatvec(iv, s), d)
     out = 0.0
     for i in range(len(sections) - 1):
-        a, ia = s[:, i:i + 1], isec[:, i:i + 1]
-        b, ib = s[:, i + 1:], isec[:, i + 1:]
+        a, ia = _rows(ps, slice(i, i + 1)), _rows(pi, slice(i, i + 1))
+        b, ib = _rows(ps, slice(i + 1, None)), _rows(pi, slice(i + 1, None))
         res = (_courant(a, b, hv, d) - _courant(ia, ib, hv, d)
                + jmatvec(iv, _courant(ia, b, hv, d) + _courant(a, ib, hv, d)))
         out = worst(out, max_abs(res))

@@ -16,9 +16,9 @@ from .structures import (BihermitianData, ParaHyperTriple,
 from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          constant_metric, form_field, form_full_matrix,
                          form_from_matrix, frame_field, jet_coords, jet_solve,
-                         jet_space, jgrad, jmatmul, jmatvec, jtranspose,
+                         jet_space, jgrad, jmatmul, jtranspose,
                          metric_field)
-from .tensorcalc.fields import _broadcast_const, _scale
+from .tensorcalc.fields import _scale
 from .tensorcalc.calculus import _stack
 
 __all__ = ["ModelError", "IntegratorError", "FlowTimeError", "ModelDescriptor",
@@ -208,18 +208,22 @@ def _f_const_grad(jc):
 
 
 def _sin_pair(i, j, name) -> FExpr:
-    """sin x_i sin x_j and its gradient, from one Taylor series per
-    coordinate."""
+    """sin x_i sin x_j and its gradient, from one Taylor series of the
+    coordinate pair (x_i, x_j).  The two nonzero gradient components are one
+    jet product, (cos x_i, sin x_i) times (sin x_j, cos x_j), left factors
+    first, so they are bitwise cos x_i sin x_j and sin x_i cos x_j."""
     def value(jc):
-        (si, _), (sj, _) = jc[:, i].sincos(), jc[:, j].sincos()
-        return si * sj
+        s, _ = jc[:, [i, j]].sincos()
+        return s[:, 0] * s[:, 1]
 
     def grad(jc):
-        (si, ci), (sj, cj) = jc[:, i].sincos(), jc[:, j].sincos()
-        comps = [jc[:, 0] * 0.0] * jc.shape[1]
-        comps[i] = ci * sj
-        comps[j] = si * cj
-        return _stack(comps)
+        s, c = jc[:, [i, j]].sincos()
+        left = Jet(s.space, np.stack([c.c[:, 0], s.c[:, 0]], axis=1), s.order)
+        right = Jet(s.space, np.stack([s.c[:, 1], c.c[:, 1]], axis=1), s.order)
+        prod = left * right
+        out = np.zeros(jc.c.shape, dtype=prod.c.dtype)
+        out[:, [i, j]] = prod.c
+        return Jet(jc.space, out, prod.order)
 
     return FExpr(name, value, grad)
 
@@ -393,10 +397,11 @@ class HamiltonianFlow:
     The velocity solves i_V F^K = df.  When F^K is a frame constant of degree
     0 in x1 (both shipped models at their default parameters) its chart
     matrix is one constant: the transposed full matrix is inverted once, at
-    construction, and each velocity is that inverse, as a broadcast constant
-    jet, applied to the gradient of f, bitwise the jet solve's result.  Any
-    other F^K (degree 1 or 2 in x1, or no frame constant) is evaluated at
-    each stage input and solved there as jets.
+    construction, and each velocity contracts that inverse with every
+    coefficient of the gradient of f in one ``np.einsum`` (a constant factor
+    multiplies each coefficient by its value), bitwise the jet solve's
+    result.  Any other F^K (degree 1 or 2 in x1, or no frame constant) is
+    evaluated at each stage input and solved there as jets.
 
     Positions are integrated as jets, so the flow map's derivatives through
     third order ride along (variational equations included).  Each RK4
@@ -423,7 +428,9 @@ class HamiltonianFlow:
     def velocity(self, y: Jet) -> Jet:
         # map X -> i_X F has matrix M[j, i] = F[i, j]
         if self._fk_inv is not None:
-            return jmatvec(_broadcast_const(y, self._fk_inv), self.fexpr.grad(y))
+            grad = self.fexpr.grad(y)
+            return Jet(grad.space, np.einsum("ij,...jr->...ir", self._fk_inv, grad.c),
+                       grad.order)
         m = form_full_matrix(self.f_k.fn(y), self.f_k.chart.dim)
         return jet_solve(jtranspose(m), self.fexpr.grad(y))
 

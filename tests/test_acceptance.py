@@ -7,7 +7,7 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the criterion lines.
 import json
 import time
 
-from pbhverify.suites import SuiteConfig, run_suite
+from pbhverify.suites import ORDER_ROUNDOFF_FLOOR, SuiteConfig, run_suite
 
 
 def _crit(name, ok, detail=""):
@@ -96,6 +96,8 @@ def test_criterion_6_gpk_suite_with_deformation():
           and checks["deformed-pair-compatibility"].residual <= 1e-6
           and checks["flow-preserves-reference-form"].residual <= 1e-7
           and checks["integrator-order"].residual >= 8.0
+          # two decades above the roundoff floor (measured 1.18e-11)
+          and checks["integrator-order"].extra["fine"] >= 100 * ORDER_ROUNDOFF_FLOOR
           and elapsed < 60.0)
     _crit("criterion-6 generalized pseudo-Kahler suite with flow deformation",
           ok, f"order ratio {checks['integrator-order'].residual:.1f}, {elapsed:.2f}s")

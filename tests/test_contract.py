@@ -12,7 +12,12 @@ roundoff.  The last section keeps the second copies of single operations
 that were deleted in favour of one implementation.  ``leibniz_jeinsum`` and
 ``leibniz_mul`` are the full gather/``reduceat`` products, and
 ``neumann_inv`` and ``taylor_compose`` the full Neumann series and Taylor
-composition, kept as the oracles of the degree rule.
+composition, kept as the oracles of the degree rule.  ``ref_sin_pair_grad``
+and ``ref_constant_velocity`` are the stacked gradient and the broadcast
+``jmatvec`` that the flow's velocity replaced, and ``ref_unprepped_courant``
+and ``ref_gcs_residual_jets`` the bracket and ``gcs_nijenhuis`` loop that
+took every section's gradient in each bracket; the package must match them
+bitwise.
 """
 
 from contextlib import contextmanager
@@ -22,9 +27,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbhverify.gencomplex import (_courant, b_transform, courant_bracket,
-                                  gcs_nijenhuis, pairing, random_poly_sections,
-                                  random_poly_two_form)
+from pbhverify.gencomplex import (_courant, _prep, b_transform,
+                                  courant_bracket, gcs_nijenhuis, pairing,
+                                  random_poly_sections, random_poly_two_form)
 from pbhverify.models import Example2Params, example2_build
 from pbhverify.structures import (HermitianPair, chern_connection, levi_civita,
                                   max_abs)
@@ -436,8 +441,9 @@ def test_batched_courant_matches_per_pair(torus_model, case, n):
     def ref_stack(pairs):
         return _stack([joined(*(f.fn(jc) for f in ref_courant(p, q, rh))) for p, q in pairs])
 
-    assert_jets_close(_courant(sa, sb, hv, d), ref_stack(zip(ref[:n], ref[n:])))
-    assert_jets_close(_courant(sa[:, :1], sb, hv, d),
+    assert_jets_close(_courant(_prep(sa, d), _prep(sb, d), hv, d),
+                      ref_stack(zip(ref[:n], ref[n:])))
+    assert_jets_close(_courant(_prep(sa[:, :1], d), _prep(sb, d), hv, d),
                       ref_stack((ref[0], q) for q in ref[n:]))
 
 
@@ -487,6 +493,82 @@ def test_gcs_nijenhuis_matches_per_pair_loop_on_model(torus_bundle, torus_points
         np.testing.assert_allclose(gcs_nijenhuis(i_field, h, pts, secs),
                                    ref_gcs_nijenhuis(i_field, rh, pts, frame),
                                    rtol=RTOL, atol=ATOL)
+
+
+def ref_unprepped_courant(a, b, h, d):
+    """The jet-level Courant bracket that took the gradient and the
+    half-swapped copy of both sections at every call."""
+    ga, gb = jgrad(a), jgrad(b)
+    x, y = a[..., :d], b[..., :d]
+    out = jeinsum("...j,...kj->...k", x, gb) - jeinsum("...j,...kj->...k", y, ga)
+    sa = Jet(a.space, np.roll(a.c, d, axis=-2), a.order)
+    sb = Jet(b.space, np.roll(b.c, d, axis=-2), b.order)
+    form = out[..., d:] + (jeinsum("...k,...ki->...i", sb, ga)
+                           - jeinsum("...k,...ki->...i", sa, gb)) * 0.5
+    if h is not None:
+        form = form + jeinsum("...ab,...abi->...i", jeinsum("...a,...b->...ab", x, y), h)
+    return joined(out[..., :d], form)
+
+
+def ref_gcs_residual_jets(i_field, h, pts, extra_sections=()):
+    """The residual jet of each iteration of the ``gcs_nijenhuis`` loop that
+    bracketed unprepared slices of the section stacks (frame included)."""
+    from pbhverify.gencomplex import coordinate_sections
+    chart = i_field.chart
+    d = chart.dim
+    sections = coordinate_sections(chart) + list(extra_sections)
+    order = max(1 + max(f.cost for f in [i_field, *sections]),
+                0 if h is None else h.cost)
+    jc = jet_coords(d, order, pts)
+    iv = i_field.fn(jc)[:, None]
+    hv = None if h is None else form_full(h.fn(jc), d, 3)[:, None]
+    s = _stack([sec.fn(jc) for sec in sections])
+    isec = jmatvec(iv, s)
+    out = []
+    for i in range(len(sections) - 1):
+        a, ia = s[:, i:i + 1], isec[:, i:i + 1]
+        b, ib = s[:, i + 1:], isec[:, i + 1:]
+        out.append(ref_unprepped_courant(a, b, hv, d) - ref_unprepped_courant(ia, ib, hv, d)
+                   + jmatvec(iv, ref_unprepped_courant(ia, b, hv, d)
+                             + ref_unprepped_courant(a, ib, hv, d)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_gcs_nijenhuis_equals_the_unprepped_loop(seed, monkeypatch):
+    """``gcs_nijenhuis`` on prepared section stacks gives bitwise the
+    residual jets, and so the residual, of the loop that took every
+    section's gradient in each bracket: for the gpk-example2 suite's calls
+    on the torus at t = 0.1, namely the closed-form pair with 16 sections,
+    the b-conjugated structure twisted by -d b, and the deformed pair."""
+    from pbhverify import gencomplex
+    from pbhverify.gencomplex import b_conjugate_endo
+    from pbhverify.suites import SuiteConfig, SuiteContext
+    ctx = SuiteContext(SuiteConfig(suite="gpk-example2", model="torus", t=0.1,
+                                   seed=seed))
+    chart = ctx.model.chart
+    pts = ctx.points(count=8)
+    b2 = random_poly_two_form(chart, seed + 77)
+    cases = [(i, None, pts, random_poly_sections(chart, 8, seed + 31))
+             for i in ctx.gcs_pair]
+    cases.append((b_conjugate_endo(ctx.gcs_pair[0], b2, sign=1.0),
+                  -exterior_derivative(b2), pts[:4], ()))
+    cases += [(i, None, pts, ()) for i in ctx.deformed_pair]
+    seen = []
+
+    def max_abs_spy(x):
+        seen.append(x)
+        return max_abs(x)
+
+    monkeypatch.setattr(gencomplex, "max_abs", max_abs_spy)
+    for i_field, h, p, extra in cases:
+        seen.clear()
+        new = gcs_nijenhuis(i_field, h, p, extra_sections=extra)
+        old = ref_gcs_residual_jets(i_field, h, p, extra)
+        assert len(seen) == len(old) == 7 + len(extra)
+        for n, o in zip(seen, old):
+            assert_jets_equal(n, o)
+        assert new == max(max_abs(o) for o in old)
 
 
 # -- removed copies of one operation ------------------------------------------
@@ -1346,6 +1428,45 @@ def test_frame_constants_equal_the_frame_products(seed, kodaira_model):
     assert _kodaira_triple(chart, *cands[1], KODAIRA_FRAME_METRIC).j1.frame.x1_degree == 2
 
 
+def ref_sin_pair_grad(i, j):
+    """The gradient of sin x_i sin x_j from one ``sincos`` per coordinate,
+    two products and a stack with zero jets."""
+    def grad(jc):
+        (si, ci), (sj, cj) = jc[:, i].sincos(), jc[:, j].sincos()
+        comps = [jc[:, 0] * 0.0] * jc.shape[1]
+        comps[i] = ci * sj
+        comps[j] = si * cj
+        return _stack(comps)
+
+    return grad
+
+
+def ref_constant_velocity(flow, grad, y):
+    """The constant-F^K velocity as a broadcast constant jet times the
+    gradient, through ``jmatvec``."""
+    return jmatvec(_broadcast_const(y, flow._fk_inv), grad(y))
+
+
+@pytest.mark.parametrize("model_name", ["torus", "kodaira"])
+def test_velocity_equals_the_removed_contraction(model_name, torus_model, kodaira_model):
+    """At the default pair parameters the gradients of sin2 and sin14 and
+    the flow's velocity are bitwise the stacked gradient and the broadcast
+    ``jmatvec`` they replace, on coordinate and flowed jets of orders 0-3."""
+    from pbhverify.models import F_CATALOG, HamiltonianFlow
+    model = torus_model if model_name == "torus" else kodaira_model
+    plan = SamplePlan(8, 42)
+    f_k = example2_build(model, Example2Params(), plan).f_k
+    mover = HamiltonianFlow(f_k, F_CATALOG["sin14"], 0.1, 2e-2)
+    for name, (i, j) in (("sin2", (0, 1)), ("sin14", (0, 3))):
+        fexpr, ref = F_CATALOG[name], ref_sin_pair_grad(i, j)
+        flow = HamiltonianFlow(f_k, fexpr, 0.1, 1e-3)
+        for order in range(4):
+            jc = jet_coords(4, order, plan.sample(model.chart))
+            for y in (jc, mover.flow_jet(jc)):
+                assert_jets_equal(fexpr.grad(y), ref(y))
+                assert_jets_equal(flow.velocity(y), ref_constant_velocity(flow, ref, y))
+
+
 @pytest.mark.parametrize("model_name,params", [("torus", FRAME_PARAMS[0]),
                                                ("kodaira", FRAME_PARAMS[0]),
                                                ("kodaira", FRAME_PARAMS[1])])
@@ -1384,6 +1505,7 @@ def test_velocity_equals_the_jet_solve(model_name, params, torus_model, kodaira_
             calls.clear()
             new = flow.velocity(y)
             assert calls == (["F^K", "solve"] if jet_path else [])
-            old = jet_solve(jtranspose(form_full_matrix(fk_fn(y), 4)), fexpr.grad(y))
+            old = jet_solve(jtranspose(form_full_matrix(fk_fn(y), 4)),
+                            ref_sin_pair_grad(0, 1)(y))
             assert_jets_equal(new, old)
     assert f_k.frame.x1_degree == (1 if params.c else 0)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pbhverify import models, structures
+from pbhverify import gencomplex, models, structures, suites
 from pbhverify.flagmodel import _flag_domain
 from pbhverify.models import (Example2Params, F_CATALOG, FlowTimeError,
                               HamiltonianFlow, ModelError, example2_build,
@@ -280,9 +280,13 @@ def test_gpk_flow_work_count(monkeypatch):
     """Deterministic work guard, on both models: one RK4 integration of the
     main flow (100 steps, 4 velocity calls each, plus the escape check) and
     the two calibration flows (5 and 10 steps).  F^K is constant on both,
-    so no velocity call inverts a jet or evaluates F^K."""
+    so no velocity call inverts a jet or evaluates F^K, and each takes one
+    ``sincos``.  Each of the four ``gcs_nijenhuis`` calls takes two
+    gradients, of the stacked sections and of their images under I."""
     calls, flows, inside, inner = [], [], [], []
     velocity, init, inv = HamiltonianFlow.velocity, HamiltonianFlow.__init__, jets.jet_inv
+    sincos, grad, nijenhuis = Jet.sincos, gencomplex.jgrad, suites.gcs_nijenhuis
+    sincos_calls, nij_calls, grads = [], [], []
 
     def counted(flow, y):
         calls.append(flow)
@@ -309,17 +313,38 @@ def test_gpk_flow_work_count(monkeypatch):
             inner.append("jet_inv")
         return inv(m)
 
+    def sincos_spy(x):
+        if inside:
+            sincos_calls.append(x)
+        return sincos(x)
+
+    def nijenhuis_spy(*args, **kwargs):
+        nij_calls.append(len(grads))
+        return nijenhuis(*args, **kwargs)
+
+    def grad_spy(a):
+        grads.append(a)
+        return grad(a)
+
     monkeypatch.setattr(HamiltonianFlow, "velocity", counted)
     monkeypatch.setattr(HamiltonianFlow, "__init__", tracked)
     monkeypatch.setattr(jets, "jet_inv", inv_spy)
+    monkeypatch.setattr(Jet, "sincos", sincos_spy)
+    monkeypatch.setattr(suites, "gcs_nijenhuis", nijenhuis_spy)
+    monkeypatch.setattr(gencomplex, "jgrad", grad_spy)
     for model in ("torus", "kodaira"):
         calls.clear()
         flows.clear()
+        sincos_calls.clear()
+        nij_calls.clear()
+        grads.clear()
         rep = run_suite(SuiteConfig(suite="gpk-example2", model=model, samples=16,
                                     t=0.1, f_expr="sin2", step=1e-3))
         assert rep.passed
-        assert len(calls) == 461
+        assert len(calls) == len(sincos_calls) == 461
         assert inner == []
+        # gradients taken before each call: two per call, none outside them
+        assert nij_calls == [0, 2, 4, 6] and len(grads) == 8
         main = flows[0]
         assert main.fexpr.name == "sin2" and len(main._cache) == 1
 

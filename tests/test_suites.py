@@ -10,7 +10,8 @@ from pbhverify.models import (Example2Params, IntegratorError, example2_build,
                               hamiltonian_deform)
 from pbhverify.poisson import pi_bivector
 from pbhverify.report import VerificationReport
-from pbhverify.suites import CATALOG, SuiteConfig, SuiteContext, run_suite
+from pbhverify.suites import (CATALOG, ORDER_ROUNDOFF_FLOOR, SuiteConfig,
+                              SuiteContext, run_suite)
 
 
 def test_nan_in_frame_endomorphism_fails_closed(torus_model):
@@ -99,6 +100,26 @@ def test_zero_calibration_is_inconclusive(monkeypatch):
     assert not order.passed and order.inconclusive == 8
     assert order.extra["coarse"] == order.extra["fine"] == 0.0
     assert order.extra["calibration"] == "both residuals exactly zero"
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+def test_roundoff_calibration_is_inconclusive(tmp_path, seed):
+    """On kodaira at c = 0.75 the calibration flow sin x1 sin x2 leaves both
+    step sizes' residuals at roundoff (1.1e-16 and 1.1e-16, or 1.1e-16 and
+    0 at seed 3, whose ratio 1.1e284 passed): below the floor (max|F^K| = 1
+    here) the check is inconclusive, records no ratio and fails closed, and
+    it is the only check that fails."""
+    path = tmp_path / "kodaira.json"
+    assert main(["--suite", "gpk-example2", "--model", "kodaira", "--t", "0.1",
+                 "--samples", "16", "--a", "1.25", "--b", "0", "--c", "0.75",
+                 "--seed", str(seed), "--quiet", "--report", str(path)]) == 1
+    checks = {c.name: c for c in VerificationReport.from_json(path.read_text()).checks}
+    order = checks["integrator-order"]
+    assert [c.name for c in checks.values() if not c.passed] == ["integrator-order"]
+    assert order.residual == 0.0 and order.inconclusive == 16
+    assert 0.0 < order.extra["coarse"] <= ORDER_ROUNDOFF_FLOOR
+    assert order.extra["fine"] <= ORDER_ROUNDOFF_FLOOR
+    assert order.extra["calibration"].startswith("sin12 leaves both residuals at roundoff")
 
 
 def test_gauss_hamiltonian_deformation(torus_model, plan):
