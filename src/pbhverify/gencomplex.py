@@ -17,7 +17,7 @@ from .tensorcalc import (ChartDomain, Field, Jet, endo_field,
 from .tensorcalc.calculus import _stack
 from .tensorcalc.fields import _broadcast_const
 
-__all__ = ["section", "coordinate_sections", "random_poly_sections",
+__all__ = ["coordinate_sections", "random_poly_sections",
            "pairing", "pairing_matrix", "courant_bracket", "endo_conditions",
            "apply_endo", "gcs_from_form", "gcs_nijenhuis", "b_transform",
            "b_conjugate_endo", "check_gpk_pair", "GpkResult",
@@ -29,14 +29,6 @@ def _join(vec: Jet, form: Jet) -> Jet:
     """Stack a vector jet and a covector jet (..., d) into (..., 2d)."""
     return Jet(vec.space, np.concatenate([vec.c, form.c], axis=-2),
                min(vec.order, form.order))
-
-
-def section(vec: Field, form: Field) -> Field:
-    """The section X + xi of T + T* from a vector field and a 1-form field."""
-    if form.chart is not vec.chart:
-        raise ValueError("fields on different charts")
-    return Field(vec.chart, "section", lambda jc: _join(vec.fn(jc), form.fn(jc)),
-                 cost=max(vec.cost, form.cost))
 
 
 def coordinate_sections(chart: ChartDomain):
@@ -285,11 +277,6 @@ class GpkResult:
     failed_clause: str = ""
     point_index: int = -1
     signatures: tuple = ()
-
-    def require(self):
-        if not self.ok:
-            raise ValueError(f"generalized pseudo-Kahler check failed at clause "
-                             f"{self.failed_clause!r}, point {self.point_index}")
 
 
 def check_gpk_pair(i1: Field, i2: Field, pts, tol_commute=1e-9) -> GpkResult:

@@ -20,8 +20,8 @@ from .tensorcalc.calculus import _full_index
 from .tensorcalc.fields import _broadcast_const
 
 __all__ = ["ComplexBivector", "q_endo", "pi_bivector", "check_holomorphic",
-           "schouten_bb", "schouten_vb", "wedge_vec_bivec",
-           "cyclic_nabla_q_form", "lower_trivector", "ddc_scalar",
+           "schouten_bb", "schouten_vb", "cyclic_nabla_q_form",
+           "lower_trivector", "ddc_scalar",
            "standard_complex_matrix", "holo_bracket", "holo_apply",
            "dbar_matrix", "holo_realframe_components",
            "ddc_commuting_fields", "sigma_compose_form",
@@ -158,15 +158,6 @@ def schouten_vb(v: Field, p: Field) -> Field:
                 - jeinsum("...jl,...kl->...jk", pv, dv))
 
     return bivector_field(chart, fn, cost=max(v.cost, p.cost) + 1)
-
-
-def wedge_vec_bivec(w_vals: np.ndarray, q_vals: np.ndarray, triples) -> np.ndarray:
-    """(W ^ Q)^{ijk} = W^i Q^{jk} + W^j Q^{ki} + W^k Q^{ij} on value arrays."""
-    out = []
-    for (i, j, k) in triples:
-        out.append(w_vals[:, i] * q_vals[:, j, k] + w_vals[:, j] * q_vals[:, k, i]
-                   + w_vals[:, k] * q_vals[:, i, j])
-    return np.stack(out, axis=1)
 
 
 def cyclic_nabla_q_form(g: Field, jp: Field, jm: Field, pts) -> np.ndarray:

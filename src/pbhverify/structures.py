@@ -12,13 +12,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensorcalc import (Field, Jet, d_scalar, endo_field,
-                         exterior_derivative, form_field, form_from_matrix,
-                         form_full, frame_field, jeinsum, jet_coords, jet_inv,
-                         jet_solve, jgrad, jmatmul, jmatvec, jtrace,
-                         jtranspose, nijenhuis_tensor, oneform_field,
-                         pullback_linear, same_frame, scalar_field,
-                         vector_field)
+from .tensorcalc import (Field, Jet, d_scalar, exterior_derivative,
+                         form_field, form_from_matrix, form_full, frame_field,
+                         frame_lift, jeinsum, jet_coords, jet_inv, jet_solve,
+                         jgrad, jmatmul, jmatvec, jtrace, jtranspose,
+                         nijenhuis_tensor, oneform_field, pullback_linear,
+                         same_frame, vector_field)
 from .tensorcalc.fields import _scale, _broadcast_const, memoize_fn
 from .tensorcalc.calculus import _wedge_table
 
@@ -26,7 +25,7 @@ __all__ = ["HermitianPair", "ParaHyperTriple", "BihermitianData",
            "DegeneracyError", "BranchError", "lee_form", "lee_condition",
            "levi_civita", "chern_connection", "d_pm_F", "build_parahypercomplex",
            "check_p_gradient", "Connection", "fundamental_form", "max_abs",
-           "worst", "trace_pairing"]
+           "worst"]
 
 
 class DegeneracyError(ValueError):
@@ -65,14 +64,6 @@ def fundamental_form(g: Field, j: Field) -> Field:
     return form_field(chart, 2, fn, cost=max(g.cost, j.cost)).memoized()
 
 
-def trace_pairing(a: Field, b: Field) -> Field:
-    """Scalar field tr(A o B)."""
-    def fn(jc):
-        return jtrace(jmatmul(a.fn(jc), b.fn(jc)))
-
-    return scalar_field(a.chart, fn, cost=max(a.cost, b.cost))
-
-
 @dataclass
 class HermitianPair:
     """Metric + compatible (almost) complex structure with derived objects."""
@@ -88,11 +79,6 @@ class HermitianPair:
     @cached_property
     def theta(self) -> Field:
         return lee_form(self)
-
-    def compatibility_residual(self, pts) -> float:
-        gv = self.g.eval_jet(pts)
-        jv = self.j.eval_jet(pts)
-        return max_abs(jmatmul(jmatmul(jtranspose(jv), gv), jv) - gv)
 
 
 @dataclass
@@ -268,58 +254,39 @@ def d_pm_F(pair: HermitianPair) -> Field:
     return -pullback_linear(pair.j, df)
 
 
-def _pairing(jpjm):
-    """p = tr(J+ J-) / 4 from the product J+ J- (a jet or a frame matrix)."""
-    if isinstance(jpjm, Jet):
-        return jtrace(jpjm) * 0.25
-    tr = jpjm[0, 0]
-    for i in range(1, len(jpjm)):
-        tr = tr + jpjm[i, i]
-    return tr * 0.25
+def _pairing(jpjm: Jet) -> Jet:
+    """p = tr(J+ J-) / 4 from the product J+ J-."""
+    return jtrace(jpjm) * 0.25
 
 
-def _branch_root(p):
-    """sqrt(p^2 - 1), positive branch (of a jet or a number)."""
-    if isinstance(p, Jet):
-        return (p ** 2 - 1.0).sqrt()
-    return np.sqrt(p * p - 1.0)
-
-
-def _constant_scalar(chart, value) -> Field:
-    """The scalar field equal to the number ``value`` everywhere."""
-    return scalar_field(chart, lambda jc: _broadcast_const(jc, value))
+def _branch_root(p: Jet) -> Jet:
+    """sqrt(p^2 - 1), positive branch."""
+    return (p ** 2 - 1.0).sqrt()
 
 
 @dataclass
 class BihermitianData:
     """g with two compatible complex structures; K, S on the |p| > 1 locus.
-    K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate.  When
-    J+ and J- are constant in one frame, p, sqrt(p^2 - 1), K and S are
-    computed once from the frame components, in the jet path's order of
-    operations: p is a trace, so frame-invariant, and a plain constant."""
+    K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate.  Each
+    of p, sqrt(p^2 - 1), K and S has one jet formula; when J+ and J- are
+    constant in one frame, ``frame_lift`` evaluates it once, at x1 = 0, for
+    its frame components."""
 
     g: Field
     jp: Field
     jm: Field
     name: str = ""
 
-    @cached_property
-    def _frame_product(self):
-        """J+ J- on the frame components, or None."""
-        if not same_frame(self.jp, self.jm):
-            return None
-        return self.jp.frame.m @ self.jm.frame.m
-
-    def _frame_endo(self, m) -> Field:
-        return frame_field(self.g.chart, "endo", self.jp.frame.e, m)
+    def _lifted(self, kind, fn) -> Field:
+        """The ``kind`` field evaluated by ``fn`` from J+ and J-, lifted to
+        a frame constant when they are constant in one frame."""
+        field = Field(self.g.chart, kind, fn, cost=max(self.jp.cost, self.jm.cost))
+        return frame_lift(field, self.jp, self.jm)
 
     @cached_property
     def p(self) -> Field:
-        if self._frame_product is not None:
-            return _constant_scalar(self.g.chart, _pairing(self._frame_product))
-        return scalar_field(self.g.chart,
-                            lambda jc: _pairing(jmatmul(self.jp.fn(jc), self.jm.fn(jc))),
-                            cost=max(self.jp.cost, self.jm.cost))
+        return self._lifted("scalar",
+                            lambda jc: _pairing(jmatmul(self.jp.fn(jc), self.jm.fn(jc))))
 
     @cached_property
     def pair_plus(self) -> HermitianPair:
@@ -332,21 +299,10 @@ class BihermitianData:
     @cached_property
     def s_root(self) -> Field:
         """sqrt(p^2 - 1), positive branch."""
-        if self._frame_product is not None:
-            return _constant_scalar(self.g.chart,
-                                    _branch_root(_pairing(self._frame_product)))
-        return scalar_field(self.g.chart,
-                            lambda jc: _branch_root(self.p.fn(jc)),
-                            cost=self.p.cost)
+        return self._lifted("scalar", lambda jc: _branch_root(self.p.fn(jc)))
 
     @cached_property
     def k_endo(self) -> Field:
-        jpjm = self._frame_product
-        if jpjm is not None:
-            q = jpjm - self.jm.frame.m @ self.jp.frame.m
-            s = _branch_root(_pairing(jpjm))
-            return self._frame_endo(q * (1.0 / (s * 2.0)))
-
         def fn(jc):
             jpv, jmv = self.jp.fn(jc), self.jm.fn(jc)
             jpjm = jmatmul(jpv, jmv)
@@ -354,15 +310,10 @@ class BihermitianData:
             s = _branch_root(_pairing(jpjm))
             return _scale(q, (s * 2.0).reciprocal())
 
-        return endo_field(self.g.chart, fn, cost=max(self.jp.cost, self.jm.cost))
+        return self._lifted("endo", fn)
 
     @cached_property
     def s_endo(self) -> Field:
-        if self._frame_product is not None:
-            p = _pairing(self._frame_product)
-            s = _branch_root(p)
-            return self._frame_endo(-((self.jm.frame.m + self.jp.frame.m * p) * (1.0 / s)))
-
         def fn(jc):
             jpv, jmv = self.jp.fn(jc), self.jm.fn(jc)
             p = _pairing(jmatmul(jpv, jmv))
@@ -370,7 +321,7 @@ class BihermitianData:
             num = jmv + _scale(jpv, p)
             return -_scale(num, s.reciprocal())
 
-        return endo_field(self.g.chart, fn, cost=max(self.jp.cost, self.jm.cost))
+        return self._lifted("endo", fn)
 
 
 def build_parahypercomplex(jp: Field, jm: Field, g: Field, pts,

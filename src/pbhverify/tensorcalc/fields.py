@@ -17,12 +17,13 @@ layout by kind:
 internally (exterior derivatives, Christoffels, flow Jacobians); evaluation
 seeds coordinate jets of order ``requested + cost``.
 
-Frame constants.  An endo, a metric or a 2-form may carry a ``FrameConstant``:
-its components ``m`` in the frame whose columns are P(x) = I + x1 E, x1 the
-first coordinate and E a nilpotent generator (E^2 = 0; E = 0 is the
-coordinate frame).  Its kind gives the chart expression, a polynomial of
-degree at most two in x1 since P^-1 = I - x1 E:
+Frame constants.  A scalar, an endo, a metric or a 2-form may carry a
+``FrameConstant``: its components ``m`` in the frame whose columns are
+P(x) = I + x1 E, x1 the first coordinate and E a nilpotent generator
+(E^2 = 0; E = 0 is the coordinate frame).  Its kind gives the chart
+expression, a polynomial of degree at most two in x1 since P^-1 = I - x1 E:
 
+  scalar    m           (invariant)
   endo      P M P^-1    = M + x1 (EM - ME) - x1^2 EME
   metric    P^-T G P^-1 = G - x1 (E^T G + GE) + x1^2 E^T G E
   2-form    the metric rule on the matrix F with F(X, Y) = X^T F Y, whose
@@ -34,10 +35,12 @@ knows its degree in x1.  ``frame_field`` evaluates the chart expression by
 multiplying the jet of x1 by constant arrays (``_x1_polynomial``); at
 degree 0 it is a broadcast constant.  ``+``, ``-``, unary ``-`` and
 multiplication by a number between fields of one kind in one frame carry
-the combined frame components for the frame algebra downstream (pairings,
-K, S, fundamental forms), and evaluate as their operands do, so their
+the combined frame components, and evaluate as their operands do, so their
 values are bitwise those of the plain operation; any other operation gives
-a plain field.
+a plain field.  A scalar or endo built pointwise and frame-equivariantly
+from frame constants of one frame is itself one, and ``frame_lift`` reads
+its frame components off its chart value at x1 = 0, where P = I.  A 2-form
+is not lifted: its combo components are only the upper triangle of F.
 """
 
 from __future__ import annotations
@@ -50,11 +53,11 @@ import numpy as np
 from .charts import ChartDomain
 from .jets import Jet, jet_coords
 
-__all__ = ["Field", "lift_to_jets", "scalar_field", "vector_field",
-           "oneform_field", "form_field", "endo_field", "metric_field",
-           "bivector_field", "constant_endo", "constant_metric",
-           "constant_form", "coordinate_vector", "coordinate_oneform",
-           "zero_form", "FrameConstant", "frame_field", "same_frame"]
+__all__ = ["Field", "scalar_field", "vector_field", "oneform_field",
+           "form_field", "endo_field", "metric_field", "bivector_field",
+           "constant_endo", "constant_metric", "coordinate_vector",
+           "zero_form", "FrameConstant", "frame_field", "frame_lift",
+           "same_frame"]
 
 
 def memoize_fn(fn):
@@ -180,7 +183,9 @@ def same_frame(a: Field, b: Field) -> bool:
 def _chart_coeffs(kind, e, m):
     """Coefficients of x1^0, x1^1, x1^2 of the chart expression of frame
     components ``m``, through the last nonzero one."""
-    if kind == "endo":
+    if kind == "scalar":
+        cs = [m]
+    elif kind == "endo":
         cs = [m, e @ m - m @ e, -(e @ m @ e)]
     elif kind in ("metric", "form"):
         cs = [m, -(e.T @ m + m @ e), e.T @ m @ e]
@@ -219,19 +224,23 @@ def _frame_constant(kind, e, m) -> FrameConstant:
 
 
 def frame_field(chart, kind, e, m, degree=0, name="") -> Field:
-    """The ``kind`` field (endo, metric, or 2-form with ``m`` its matrix)
+    """The ``kind`` field (scalar, endo, metric, or 2-form with ``m`` its matrix)
     whose components in the frame I + x1 ``e`` are the constant ``m``."""
     frame = _frame_constant(kind, e, m)
     return Field(chart, kind, _x1_polynomial(frame.coeffs), degree=degree,
                  name=name, frame=frame)
 
 
-def lift_to_jets(field: Field, points: np.ndarray) -> Jet:
-    """Component jets to third order of a field at chart points, after
-    checking that the points lie in the box and clear the excluded loci."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    field.chart.require(pts)
-    return field.eval_jet(pts, order=3)
+def frame_lift(field: Field, *inputs: Field) -> Field:
+    """A scalar or endo ``field`` built pointwise and frame-equivariantly
+    from ``inputs`` in one frame, as the frame constant of its value at the
+    zero point, order 0 (P = I there); else ``field`` itself."""
+    if field.kind not in ("scalar", "endo"):
+        raise ValueError(f"no frame lift for kind {field.kind!r}")
+    if not all(same_frame(inputs[0], x) for x in inputs):
+        return field
+    m = field.eval(np.zeros((1, field.chart.dim)))[0]
+    return frame_field(field.chart, field.kind, inputs[0].frame.e, m)
 
 
 def _scale(v: Jet, s: Jet) -> Jet:
@@ -285,21 +294,10 @@ def constant_metric(chart, matrix, name=""):
     return frame_field(chart, "metric", np.zeros((chart.dim,) * 2), matrix, name=name)
 
 
-def constant_form(chart, k, combo_values, name=""):
-    v = np.asarray(combo_values)
-    return form_field(chart, k, lambda jc: _broadcast_const(jc, v), name=name)
-
-
 def coordinate_vector(chart, i, name=""):
     e = np.zeros(chart.dim)
     e[i] = 1.0
     return vector_field(chart, lambda jc: _broadcast_const(jc, e), name=name or f"e{i}")
-
-
-def coordinate_oneform(chart, i, name=""):
-    e = np.zeros(chart.dim)
-    e[i] = 1.0
-    return oneform_field(chart, lambda jc: _broadcast_const(jc, e), name=name or f"dx{i}")
 
 
 def zero_form(chart, k):

@@ -4,17 +4,28 @@ shipped fields."""
 import numpy as np
 
 from pbhverify.flagmodel import cp2_charts
-from pbhverify.tensorcalc import (SamplePlan, constant_form, coordinate_oneform,
-                                  coordinate_vector, d_scalar, evaluate_form,
-                                  exterior_derivative, form_combos,
-                                  interior_product, lie_bracket, oneform_field,
-                                  pullback_linear, scalar_field, vector_field,
-                                  wedge)
+from pbhverify.tensorcalc import (SamplePlan, coordinate_vector, d_scalar,
+                                  evaluate_form, exterior_derivative,
+                                  form_combos, form_field, interior_product,
+                                  lie_bracket, oneform_field, pullback_linear,
+                                  scalar_field, vector_field, wedge)
 from pbhverify.tensorcalc.calculus import _stack
+from pbhverify.tensorcalc.fields import _broadcast_const
 
 
 def max_abs(a):
     return float(np.abs(a).max())
+
+
+def constant_form(chart, k, combo_values):
+    v = np.asarray(combo_values)
+    return form_field(chart, k, lambda jc: _broadcast_const(jc, v))
+
+
+def coordinate_oneform(chart, i):
+    e = np.zeros(chart.dim)
+    e[i] = 1.0
+    return oneform_field(chart, lambda jc: _broadcast_const(jc, e))
 
 
 def test_d_of_x1_dx2(torus_model, torus_points):
@@ -208,13 +219,3 @@ def test_sample_plan_deterministic(torus_model):
     # excluded loci respected
     pts = SamplePlan(200, 3).sample(z)
     assert np.hypot(pts[:, 0], pts[:, 1]).min() > 0.05
-
-
-def test_lift_to_jets_contract(torus_model):
-    from pbhverify.tensorcalc import DomainError, lift_to_jets
-    import pytest as _pytest
-    g = torus_model.triple.g
-    jets = lift_to_jets(g, np.array([[2.0, 3.0, 0.0, 0.0]]))
-    assert jets.order == 3
-    with _pytest.raises(DomainError):
-        lift_to_jets(g, np.array([[99.0, 0.0, 0.0, 0.0]]))

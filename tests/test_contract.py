@@ -20,6 +20,7 @@ took every section's gradient in each bracket; the package must match them
 bitwise.
 """
 
+import dataclasses
 from contextlib import contextmanager
 from unittest import mock
 
@@ -33,8 +34,7 @@ from pbhverify.gencomplex import (_courant, _prep, b_transform,
 from pbhverify.models import Example2Params, example2_build
 from pbhverify.structures import (HermitianPair, chern_connection, levi_civita,
                                   max_abs)
-from pbhverify.tensorcalc import (Field, SamplePlan, coordinate_oneform,
-                                  coordinate_vector, d_scalar,
+from pbhverify.tensorcalc import (Field, SamplePlan, coordinate_vector, d_scalar,
                                   exterior_derivative, form_combos,
                                   form_field, form_from_matrix, form_full,
                                   form_full_matrix, interior_product, jeinsum,
@@ -304,12 +304,18 @@ def ref_poly_two_form(chart, seed):
     return form_field(chart, 2, ref_poly_comps(chart, const, lin))
 
 
+def ref_coordinate_oneform(chart, i):
+    e = np.zeros(chart.dim)
+    e[i] = 1.0
+    return oneform_field(chart, lambda jc: _broadcast_const(jc, e))
+
+
 def ref_coordinate_sections(chart):
     d = chart.dim
     zero_vec = vector_field(chart, lambda jc: _broadcast_const(jc, np.zeros(d)))
     zero_one = oneform_field(chart, lambda jc: _broadcast_const(jc, np.zeros(d)))
     out = [(coordinate_vector(chart, i), zero_one) for i in range(d)]
-    return out + [(zero_vec, coordinate_oneform(chart, i)) for i in range(d)]
+    return out + [(zero_vec, ref_coordinate_oneform(chart, i)) for i in range(d)]
 
 
 def ref_lie_derivative_form(x, omega):
@@ -1354,19 +1360,73 @@ def test_pair_fields_equal_removed_formulas(model_name, seed, torus_model, kodai
         assert new.order == old.order
         ulp = np.spacing(np.maximum(np.abs(new.c), np.abs(old.c)))
         assert np.all(np.abs(new.c - old.c) <= ulp)
-        kf, _ = ref_frame_k_s(data.jp.frame.m, data.jm.frame.m)
+        kf = ref_frame_constants(data.jp.frame.m, data.jm.frame.m)[2]
         assert_jets_equal(new, ref_frame_endo(jc, kf))
 
 
-# -- frame constants against the jet products of the kodaira frame ------------
+def ref_frame_pairing(jpjm):
+    """p = tr(J+ J-) / 4 on frame components, summed along the diagonal."""
+    tr = jpjm[0, 0]
+    for i in range(1, len(jpjm)):
+        tr = tr + jpjm[i, i]
+    return tr * 0.25
 
 
-def ref_frame_k_s(mp, mm):
-    """K and S from frame components: q / (2 sqrt(p^2 - 1)) and
-    -(J- + p J+) / sqrt(p^2 - 1), p = tr(J+ J-) / 4."""
-    p = np.trace(mp @ mm) / 4.0
+def ref_frame_constants(mp, mm):
+    """p, sqrt(p^2 - 1), K and S from the frame components of J+ and J-,
+    in the jet formulas' order of operations."""
+    jpjm = mp @ mm
+    p = ref_frame_pairing(jpjm)
     root = np.sqrt(p * p - 1.0)
-    return (mp @ mm - mm @ mp) / (2.0 * root), -(mm + p * mp) / root
+    k = (jpjm - mm @ mp) * (1.0 / (root * 2.0))
+    s = -((mm + mp * p) * (1.0 / root))
+    return p, root, k, s
+
+
+def assert_bitwise(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old))
+
+
+LIFT_PARAMS = [Example2Params(), Example2Params(a=1.25, b=0.0, c=0.75),
+               Example2Params(a=2.0, b=1.0, c=float(np.sqrt(2.0)))]
+
+
+@pytest.mark.parametrize("params", LIFT_PARAMS, ids=["default", "b0", "a2"])
+def test_lifted_frame_constants_equal_the_frame_formulas(params, torus_model,
+                                                         kodaira_model):
+    """The frame components that ``frame_lift`` reads off the jet formulas at
+    x1 = 0 are bitwise, sign bits included, those of the numpy formulas on
+    the 4x4 frame components, for the torus triple and every kodaira
+    candidate."""
+    from pbhverify.models import _kodaira_candidates, _kodaira_triple, j_minus
+    from pbhverify.structures import BihermitianData
+    chart = kodaira_model.chart
+    triples = [torus_model.triple] + [
+        _kodaira_triple(chart, j1f, j2f, KODAIRA_FRAME_METRIC)
+        for j1f, j2f in _kodaira_candidates()]
+    for t in triples:
+        data = BihermitianData(t.g, t.j1, j_minus(t, params))
+        refs = ref_frame_constants(data.jp.frame.m, data.jm.frame.m)
+        for field, ref in zip((data.p, data.s_root, data.k_endo, data.s_endo), refs):
+            assert_bitwise(field.frame.m, ref)
+            assert np.array_equal(field.frame.e, data.jp.frame.e)
+
+
+def test_frame_lift_refuses_forms_and_metrics(kodaira_model):
+    """A 2-form's combo components are only the upper triangle of its
+    matrix, so the lift takes scalars and endos only."""
+    from pbhverify.structures import fundamental_form
+    from pbhverify.tensorcalc import frame_lift
+    t = kodaira_model.triple
+    plain = dataclasses.replace(fundamental_form(t.g, t.j1), frame=None)
+    for field in (plain, t.g):
+        with pytest.raises(ValueError, match="no frame lift"):
+            frame_lift(field, t.j1, t.j2)
+
+
+# -- frame constants against the jet products of the kodaira frame ------------
 
 
 def ref_frame_endo(x, m):
@@ -1407,7 +1467,7 @@ def test_frame_constants_equal_the_frame_products(seed, kodaira_model):
             t = _kodaira_triple(chart, j1f, j2f, KODAIRA_FRAME_METRIC)
             data = BihermitianData(t.g, t.j1, j_minus(t, params))
             f_k = fundamental_form(t.g, data.k_endo)
-            kf, sf = ref_frame_k_s(data.jp.frame.m, data.jm.frame.m)
+            _, _, kf, sf = ref_frame_constants(data.jp.frame.m, data.jm.frame.m)
             np.testing.assert_allclose(data.k_endo.frame.m, kf, rtol=0, atol=1e-15)
             np.testing.assert_allclose(data.s_endo.frame.m, sf, rtol=0, atol=1e-15)
             degrees[params.c, ci] = f_k.frame.x1_degree

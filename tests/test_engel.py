@@ -128,6 +128,15 @@ def test_constant_p_near_degenerate_generators_inconclusive(monkeypatch):
     assert (check.points, check.inconclusive) == (0, 16)
 
 
+def test_frame_lift_falls_back_on_varying_structures(synthetic):
+    """The synthetic J- varies and carries no frame constant, so p,
+    sqrt(p^2 - 1), K and S keep their jet formulas."""
+    data = synthetic.lee().data
+    assert data.jp.frame is None and data.jm.frame is None
+    for field in (data.p, data.s_root, data.k_endo, data.s_endo):
+        assert field.frame is None
+
+
 def test_nilpotent_endos(torus_model, torus_points, synthetic):
     lf = synthetic.lee()
     n_plus, n_minus = n_endos(synthetic.jp, synthetic.jm, lf.data.p)

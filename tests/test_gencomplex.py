@@ -4,22 +4,33 @@ the block construction/extraction."""
 import numpy as np
 import pytest
 
-from pbhverify.gencomplex import (apply_endo, b_conjugate_endo, b_transform,
-                                  check_gpk_pair, coordinate_sections,
-                                  courant_bracket, endo_conditions,
-                                  gcs_from_form, gcs_nijenhuis,
+from pbhverify.gencomplex import (_join, apply_endo, b_conjugate_endo,
+                                  b_transform, check_gpk_pair,
+                                  coordinate_sections, courant_bracket,
+                                  endo_conditions, gcs_from_form, gcs_nijenhuis,
                                   gualtieri_build, gualtieri_extract, pairing,
                                   pairing_matrix, random_poly_sections,
-                                  random_poly_two_form, section,
-                                  validate_twist)
+                                  random_poly_two_form, validate_twist)
 from pbhverify.models import Example2Params, example2_build, hamiltonian_deform
 from pbhverify.structures import DegeneracyError, max_abs
 from pbhverify.suites import SuiteConfig, run_suite
-from pbhverify.tensorcalc import (Field, constant_form, exterior_derivative,
+from pbhverify.tensorcalc import (DomainError, Field, exterior_derivative,
                                   form_field, interior_product, oneform_field,
                                   vector_field, coordinate_vector)
 from pbhverify.tensorcalc.calculus import _stack
+from pbhverify.tensorcalc.fields import _broadcast_const
 from pbhverify.tensorcalc.jets import Jet
+
+
+def constant_form(chart, k, combo_values):
+    v = np.asarray(combo_values)
+    return form_field(chart, k, lambda jc: _broadcast_const(jc, v))
+
+
+def section(vec, form):
+    """The section X + xi of T + T* from a vector field and a 1-form field."""
+    return Field(vec.chart, "section", lambda jc: _join(vec.fn(jc), form.fn(jc)),
+                 cost=max(vec.cost, form.cost))
 
 
 def test_pairing_trivials(torus_model, torus_points):
@@ -126,6 +137,15 @@ def test_degenerate_imaginary_part_rejected(torus_model, torus_points):
     bad = gcs_from_form(form_field(chart, 2, beta_fn))
     with pytest.raises(DegeneracyError):
         bad.eval(torus_points)
+
+
+def test_gcs_nijenhuis_refuses_points_outside_the_chart(torus_bundle, torus_points):
+    """The bracket loop checks its points against the chart box first."""
+    i1 = gcs_from_form(torus_bundle.beta1)
+    outside = np.array([[99.0, 0.0, 0.0, 0.0]])
+    assert not torus_bundle.chart.contains(outside).any()
+    with pytest.raises(DomainError):
+        gcs_nijenhuis(i1, None, np.concatenate([torus_points[:2], outside]))
 
 
 def test_example2_pair_and_eigenspace_roundtrip(torus_bundle, torus_points):

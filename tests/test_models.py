@@ -439,10 +439,11 @@ def _counted(field, calls, framed=True):
 @pytest.mark.parametrize("model_name", ["torus", "kodaira"])
 def test_k_and_s_evaluate_each_structure_once(model_name, torus_model, kodaira_model,
                                               plan):
-    """K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate,
-    so each is evaluated at most once: exactly once on the jet path (no
-    frame constants), never when both are frame constants (copied by
-    ``dataclasses.replace``), whose K and S are computed once from them."""
+    """K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate.
+    On the jet path (no frame constants) ``.fn(jc)`` evaluates each once.
+    When both are frame constants (copied by ``dataclasses.replace``),
+    building K or S evaluates each once, at one point (the zero point, order
+    0), and ``.fn(jc)`` evaluates neither."""
     model = torus_model if model_name == "torus" else kodaira_model
     data = example2_build(model, Example2Params(), plan).data
     jc = jet_coords(4, 2, plan.sample(model.chart))
@@ -452,5 +453,12 @@ def test_k_and_s_evaluate_each_structure_once(model_name, torus_model, kodaira_m
             spied = BihermitianData(
                 data.g, _counted(data.jp, jp_calls, framed),
                 _counted(data.jm, jm_calls, framed))
-            getattr(spied, name).fn(jc)
+            field = getattr(spied, name)
+            assert (field.frame is not None) == framed
+            assert len(jp_calls) == len(jm_calls) == (1 if framed else 0)
+            for x in jp_calls + jm_calls:
+                assert x.order == 0 and x.c.shape == (1, 4, 1) and not x.c.any()
+            jp_calls.clear()
+            jm_calls.clear()
+            field.fn(jc)
             assert len(jp_calls) == len(jm_calls) == (0 if framed else 1)

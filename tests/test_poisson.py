@@ -89,9 +89,17 @@ def test_schouten_properties(torus_model, torus_points):
     from pbhverify.tensorcalc import d_scalar
     df = d_scalar(f).eval(torus_points)
     w = np.einsum("bil,bl->bi", p.eval(torus_points), df)
-    from pbhverify.poisson import wedge_vec_bivec
     rhs = rhs + wedge_vec_bivec(w, q.eval(torus_points), form_combos(4, 3))
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def wedge_vec_bivec(w_vals, q_vals, triples):
+    """(W ^ Q)^{ijk} = W^i Q^{jk} + W^j Q^{ki} + W^k Q^{ij} on value arrays."""
+    out = []
+    for (i, j, k) in triples:
+        out.append(w_vals[:, i] * q_vals[:, j, k] + w_vals[:, j] * q_vals[:, k, i]
+                   + w_vals[:, k] * q_vals[:, i, j])
+    return np.stack(out, axis=1)
 
 
 def _scale_biv(m, s):

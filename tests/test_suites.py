@@ -103,23 +103,44 @@ def test_zero_calibration_is_inconclusive(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [42, 3])
-def test_roundoff_calibration_is_inconclusive(tmp_path, seed):
-    """On kodaira at c = 0.75 the calibration flow sin x1 sin x2 leaves both
-    step sizes' residuals at roundoff (1.1e-16 and 1.1e-16, or 1.1e-16 and
-    0 at seed 3, whose ratio 1.1e284 passed): below the floor (max|F^K| = 1
-    here) the check is inconclusive, records no ratio and fails closed, and
-    it is the only check that fails."""
+def test_calibration_skips_a_roundoff_pair(tmp_path, seed):
+    """On kodaira at c = 0.75 the first pair F^K couples is (0, 1), and the
+    flow sin x1 sin x2 leaves both step sizes' residuals at roundoff (1.1e-16
+    and 1.1e-16, or 1.1e-16 and 0 at seed 3).  The calibration moves on to
+    the next coupled pair, (0, 3), whose ratio is the fourth-order factor,
+    and the suite passes."""
     path = tmp_path / "kodaira.json"
     assert main(["--suite", "gpk-example2", "--model", "kodaira", "--t", "0.1",
                  "--samples", "16", "--a", "1.25", "--b", "0", "--c", "0.75",
-                 "--seed", str(seed), "--quiet", "--report", str(path)]) == 1
+                 "--seed", str(seed), "--quiet", "--report", str(path)]) == 0
     checks = {c.name: c for c in VerificationReport.from_json(path.read_text()).checks}
+    order = checks["integrator-order"]
+    assert all(c.passed for c in checks.values())
+    assert order.inconclusive == 0 and 15.5 < order.residual < 16.5
+    assert order.extra["fine"] > ORDER_ROUNDOFF_FLOOR
+    assert order.extra["calibration"] == "sin14; sin12: both residuals at roundoff"
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+def test_roundoff_calibration_is_inconclusive(monkeypatch, seed):
+    """When every coupled pair's calibration flow leaves both residuals at
+    roundoff, no ratio measures an order: the check is inconclusive, records
+    no ratio and fails closed, and it is the only check that fails.  Here
+    every pair flows sin x1 sin x2, which F^K at c = 0.75 preserves to
+    roundoff (max|F^K| = 1, so the floor is ORDER_ROUNDOFF_FLOOR)."""
+    from pbhverify import models, suites
+    monkeypatch.setattr(suites, "_sin_pair",
+                        lambda i, j, name: models._sin_pair(0, 1, name))
+    rep = run_suite(SuiteConfig(suite="gpk-example2", model="kodaira", samples=16,
+                                seed=seed, a=1.25, b=0.0, c=0.75, t=0.1))
+    checks = {c.name: c for c in rep.checks}
     order = checks["integrator-order"]
     assert [c.name for c in checks.values() if not c.passed] == ["integrator-order"]
     assert order.residual == 0.0 and order.inconclusive == 16
     assert 0.0 < order.extra["coarse"] <= ORDER_ROUNDOFF_FLOOR
     assert order.extra["fine"] <= ORDER_ROUNDOFF_FLOOR
-    assert order.extra["calibration"].startswith("sin12 leaves both residuals at roundoff")
+    assert order.extra["calibration"].startswith(
+        "sin12, sin14, sin23: both residuals at roundoff, at or below")
 
 
 def test_gauss_hamiltonian_deformation(torus_model, plan):
