@@ -574,12 +574,14 @@ def suite_gpk_example2(ctx: SuiteContext):
 def _record_gpk_pair(ctx: SuiteContext, name, reference, pair, pts,
                      signatures=False):
     """``check_gpk_pair`` on ``pair`` as the check ``name``: the commutation
-    residual if every clause holds, else 1.0; the clause residuals (and
-    optionally the eigenbundle signatures) as extras."""
+    residual if every clause holds, else 1.0; the clause residuals, optionally
+    the eigenbundle signatures, and any failed clause and point as extras."""
     res = check_gpk_pair(*pair, pts, tol_commute=ctx.config.tolerance(name))
     extra = {k: float(v) for k, v in res.residuals.items()}
     if signatures:
         extra["signatures"] = str(res.signatures)
+    if not res.ok:
+        extra.update(failed_clause=res.failed_clause, point_index=res.point_index)
     return ctx.record(name, reference,
                       res.residuals.get("commute", 1.0) if res.ok else 1.0,
                       len(pts), extra=extra)

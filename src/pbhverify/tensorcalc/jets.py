@@ -34,11 +34,11 @@ NaN in a derivative coefficient is not zero, so it raises that factor's
 top degree and reaches the result, and a NaN or inf in a constant
 factor's value still makes the product's value non-finite.
 
-The rule reaches the other two kernels at degree 0.  ``jet_inv`` of a
-matrix whose derivative coefficients are all exactly zero returns the
-constant jet of ``inv(m0)`` with no Neumann series, and ``_compose`` of a
-constant jet returns ``derivs[0]`` as a constant jet with no powers of the
-zero perturbation.  For a finite input every coefficient equals the full
+The rule reaches the other two kernels at degree 0.  ``jet_solve`` with a
+matrix whose derivative coefficients are all exactly zero is one constant
+``jeinsum`` of ``inv(a0)`` with ``b``, and ``_compose`` of a constant jet
+returns ``derivs[0]`` as a constant jet with no powers of the zero
+perturbation.  For a finite input every coefficient equals the full
 path's up to the sign of a zero: the full path adds products with an
 exact zero, which can turn a ``-0.0`` into ``0.0``.  The test is on the
 input, as for products: a NaN in a derivative coefficient takes the full
@@ -46,6 +46,19 @@ path and reaches the result.  A non-finite value leaves a non-finite
 value at the same points as the full path; the full path also spreads
 it, through ``0 * inf`` and ``NaN * 0``, into other entries and into the
 derivative coefficients, which the constant path leaves zero.
+
+``jet_solve(a, b)`` recurses over degrees, with no Neumann series and no
+inverse jet: x_0 = inv(a0) b_0, and degree d applies inv(a0) to b_d minus
+the terms C(gamma, alpha) a_alpha x_beta with |alpha| >= 1, the rows of
+``pairs(order, d - 1)`` with a degree-d output; ``jet_inv(m)`` is
+``jet_solve(m, I)``.  It gathers with ``take(idx, axis=-1)``, which returns
+a C-contiguous array: a fancy-indexed ``x[..., idx]`` is
+coefficient-axis-major, and ``einsum("...ijr,...jkr->...ikr")`` on two of
+those at (64, 4, 4, 165) takes 5.5 ms against 0.6-0.7 ms on C-contiguous
+copies.  ``jeinsum`` keeps fancy gathers: ``take`` there changed
+``verify_s`` by -10% (breadth-kodaira), +4% (courant-torus) and -1%
+(gpk-flow-torus) over a Neumann-series solve, by -2%, +6% and -3% over
+this one, and moved ``closed-form-integrability`` 8.88e-15 -> 1.07e-14.
 """
 
 from __future__ import annotations
@@ -457,34 +470,31 @@ def jtrace(a: Jet) -> Jet:
 
 
 def jet_inv(m: Jet) -> Jet:
-    """Inverse of a batched square jet matrix via the exactly-truncated
-    Neumann series around the value part (valid whenever the value part is
-    invertible); a constant matrix skips the series."""
-    sp = m.space
-    d = m.c.shape[-2]
-    m0 = m.value
-    m0inv = np.linalg.inv(m0)
-    m0inv_j = Jet.constant(sp, m0inv, m.order)
-    if _is_constant(m):  # the perturbation is zero
-        return m0inv_j
-    pert = m.c.copy()
-    pert[..., 0] = 0
-    e = jmatmul(m0inv_j, Jet(sp, pert, m.order))  # nilpotent: value part zero
-    eye = Jet.constant(sp, np.broadcast_to(np.eye(d), m0.shape), m.order)
-    acc = eye
-    term = eye
-    for k in range(1, m.order + 1):
-        term = jmatmul(term, e)
-        acc = acc + term * ((-1.0) ** k)
-    return jmatmul(acc, m0inv_j)
+    """Inverse of a batched square jet matrix: ``jet_solve(m, I)``."""
+    eye = np.broadcast_to(np.eye(m.c.shape[-2]), m.value.shape)
+    return jet_solve(m, Jet.constant(m.space, eye, m.order))
 
 
 def jet_solve(a: Jet, b: Jet) -> Jet:
-    """Solve a @ x = b for jet matrices/vectors (b: (..., k) or (..., k, p))."""
-    inv = jet_inv(a)
-    if b.c.ndim == a.c.ndim:
-        return jmatmul(inv, b)
-    return jmatvec(inv, b)
+    """Solve a @ x = b, b of shape (..., k) or (..., k, p), degree by degree."""
+    sp, starts = a.space, a.space.deg_starts
+    a0inv = np.linalg.inv(a.value)
+    rhs, out = ("j", "i") if b.c.ndim < a.c.ndim else ("jk", "ik")  # component letters
+    if _is_constant(a):
+        return jeinsum(f"...ij,...{rhs}->...{out}", Jet.constant(sp, a0inv, a.order), b)
+    apply = f"...ij,...{rhs}r->...{out}r"
+    # degree 0 everywhere; each higher degree is written before it is read
+    x = np.repeat(np.einsum(apply, a0inv, b.c[..., :1]), sp.n, axis=-1)
+    for d in range(1, sp.order + 1):
+        t = sp.pairs(sp.order, d - 1)
+        seg = t.starts[starts[d]:starts[d + 1]]
+        rows = slice(seg[0], t.starts[starts[d + 1]] if d < sp.order else None)
+        terms = np.einsum(f"...ijr,...{rhs}r->...{out}r", a.c.take(t.a[rows], axis=-1),
+                          x.take(t.b[rows], axis=-1))
+        sums = np.add.reduceat(terms * t.c[rows], seg - seg[0], axis=-1)
+        x[..., starts[d]:starts[d + 1]] = np.einsum(
+            apply, a0inv, b.c[..., starts[d]:starts[d + 1]] - sums)
+    return Jet(sp, x, min(a.order, b.order))
 
 
 def jdet(m: Jet) -> Jet:
@@ -492,26 +502,14 @@ def jdet(m: Jet) -> Jet:
     d = m.c.shape[-2]
     out = None
     for perm in itertools.permutations(range(d)):
-        sign = _perm_sign(perm)
         term = m[..., 0, perm[0]]
         for i in range(1, d):
             term = term * m[..., i, perm[i]]
-        term = term * float(sign)
+        term = term * float(_perm_sign(perm))
         out = term if out is None else out + term
     return out
 
 
 def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1 by the parity of the inversions of a sequence of distinct values."""
+    return (-1) ** sum(p > q for p, q in itertools.combinations(perm, 2))

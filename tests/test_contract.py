@@ -11,8 +11,9 @@ roundoff.  The last section keeps the second copies of single operations
 (transpose, Wirtinger derivative, antisymmetrization, N±, block assembly)
 that were deleted in favour of one implementation.  ``leibniz_jeinsum`` and
 ``leibniz_mul`` are the full gather/``reduceat`` products, and
-``neumann_inv`` and ``taylor_compose`` the full Neumann series and Taylor
-composition, kept as the oracles of the degree rule.  ``ref_sin_pair_grad``
+``neumann_inv`` and ``taylor_compose`` the Neumann series that ``jet_inv``
+used and the full Taylor composition, kept as the oracles of the degree
+rule and of the degree-recursive ``jet_solve``.  ``ref_sin_pair_grad``
 and ``ref_constant_velocity`` are the stacked gradient and the broadcast
 ``jmatvec`` that the flow's velocity replaced, and ``ref_unprepped_courant``
 and ``ref_gcs_residual_jets`` the bracket and ``gcs_nijenhuis`` loop that
@@ -1151,11 +1152,12 @@ def test_kodaira_structures_equal_the_frame_products(seed, kodaira_model):
                     assert np.array_equal(np.signbit(a.c), np.signbit(b.c))
 
 
-# -- the degree rule at degree 0 in jet_inv and Taylor composition -------------
+# -- the degree rule at degree 0 in jet_solve and Taylor composition -----------
 
 
 def neumann_inv(m):
-    """``jet_inv`` without the constant rule: the Neumann series always."""
+    """The inverse by the exactly truncated Neumann series around the value
+    part, always, with no constant rule."""
     sp = m.space
     d = m.c.shape[-2]
     m0inv_j = Jet.constant(sp, np.linalg.inv(m.value), m.order)
@@ -1241,6 +1243,46 @@ def test_constant_jet_inv_equals_neumann(dim, order, draw):
     assert np.array_equal(new.c, old.c)
 
 
+def recursion_lookups(sp):
+    """The product tables one non-constant ``jet_solve`` reads: degree d
+    takes the rows of pairs(order, d - 1) with an output of degree d."""
+    return [(sp, sp.order, d - 1) for d in range(1, sp.order + 1)]
+
+
+@pytest.mark.parametrize("rhs", [(3,), (3, 2)], ids=["vector", "matrix"])
+@pytest.mark.parametrize("dim,order", DEGREE_SPACES)
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_jet_solve_matches_neumann(dim, order, rhs, data):
+    """For ``a`` of every top degree, the degree recursion agrees with the
+    Neumann series applied to ``b`` and ``a @ x`` reproduces ``b``, both to
+    roundoff of the terms summed (|a| |x|; derivative coefficients of x
+    reach 1e6 at order 3).  A non-constant ``a`` reads one table per degree;
+    a constant one takes the constant rule and is bitwise its constant
+    inverse applied to ``b``."""
+    top = data.draw(st.integers(0, order))
+    cplx_a, cplx_b, seed = data.draw(const_draws)
+    rng = np.random.default_rng(seed)
+    sp = jet_space(dim, order)
+    a = degree_jet(rng, sp, (8, 3, 3), cplx_a, top)
+    a.c[..., 0] += 4.0 * np.eye(3)
+    b = random_jet(rng, sp, (8,) + rhs, cplx_b, int(rng.integers(0, order + 1)))
+    apply = jmatvec if len(rhs) == 1 else jmatmul
+    with pairs_spy() as calls:
+        x = jet_solve(a, b)
+    if top:
+        assert calls == recursion_lookups(sp)
+    else:
+        assert_constant_rule(calls, "a")
+        old = apply(Jet.constant(sp, np.linalg.inv(a.value), a.order), b)
+        assert x.order == old.order and x.c.dtype == old.c.dtype
+        assert np.array_equal(x.c, old.c)
+    atol = ATOL * max(1.0, np.abs(a.c).max() * np.abs(x.c).max())
+    for new, old in ((x, apply(neumann_inv(a), b)), (apply(a, x), b)):
+        assert new.order == old.order
+        np.testing.assert_allclose(new.c, old.c, rtol=RTOL, atol=atol)
+
+
 @pytest.mark.parametrize("fn", ELEMENTARY)
 @pytest.mark.parametrize("dim,order", DEGREE_SPACES)
 @settings(max_examples=6, deadline=None)
@@ -1260,18 +1302,20 @@ def test_constant_compose_equals_taylor(dim, order, fn, draw):
 @pytest.mark.parametrize("dim,order", DEGREE_SPACES)
 def test_nan_derivative_takes_the_full_inverse_and_composition(dim, order):
     """A NaN in one derivative coefficient of an otherwise constant input
-    is not a zero: the Neumann series and every power of du run, and the
+    is not a zero: the degree recursion and every power of du run, and the
     NaN reaches the result's derivative coefficients."""
     rng = np.random.default_rng(8)
     sp = jet_space(dim, order)
     for pos in (1, sp.n - 1):
         m = constant_jet(invertible_jet(rng, sp, True, order))
         m.c[2, 1, 0, pos] = np.nan
-        with inv_matmul_spy() as calls:
+        with pairs_spy() as calls:
             new = jet_inv(m)
-        assert len(calls) == order + 2
-        assert np.isnan(new.c[..., 1:]).any()
-        assert np.array_equal(new.c, neumann_inv(m).c, equal_nan=True)
+        assert calls == recursion_lookups(sp)
+        assert np.isnan(new.c[2, ..., 1:]).any() and np.isfinite(new.value).all()
+        # NaN in the same entries as the series, the rest equal to roundoff
+        np.testing.assert_allclose(new.c, neumann_inv(m).c, rtol=RTOL, atol=ATOL,
+                                   equal_nan=True)
         x = constant_jet(positive_jet(rng, sp, False, order))
         x.c[5, pos] = np.nan
         for fn in ELEMENTARY:

@@ -244,6 +244,43 @@ def test_nan_in_pair_fails_closed(torus_bundle, torus_points, monkeypatch):
     assert not check.passed
 
 
+def test_failed_pair_reports_its_clause_and_point(monkeypatch):
+    """I1 perturbed at one of 16 points no longer commutes with I2 there:
+    the pair-compatibility record names the commutation clause and that
+    point, and both survive the JSON round trip.  A passing record carries
+    neither."""
+    from pbhverify import suites
+    from pbhverify.report import VerificationReport
+    build = suites.gcs_from_form
+    config = SuiteConfig(suite="gpk-example2", model="torus", samples=16, seed=42)
+    passing = {c.name: c for c in run_suite(config).checks}["pair-compatibility"]
+    assert passing.passed
+    assert "failed_clause" not in passing.extra and "point_index" not in passing.extra
+    calls = []
+
+    def skewed(beta):
+        i_field = build(beta)
+        calls.append(beta)
+        if len(calls) > 1:  # only the first structure, built from beta1
+            return i_field
+
+        def fn(jc):
+            out = i_field.fn(jc).copy()
+            out.c[5, 0, 1, 0] += 0.5
+            return out
+
+        return Field(i_field.chart, "tensor", fn, cost=i_field.cost)
+
+    monkeypatch.setattr(suites, "gcs_from_form", skewed)
+    rep = run_suite(config)
+    check = {c.name: c for c in rep.checks}["pair-compatibility"]
+    assert not check.passed and check.extra["commute"] > 0.1
+    assert check.extra["failed_clause"] == "commute"
+    assert check.extra["point_index"] == 5
+    back = {c.name: c for c in VerificationReport.from_json(rep.to_json()).checks}
+    assert back["pair-compatibility"].extra == check.extra
+
+
 def test_integrability_on_polynomial_sections(torus_bundle, torus_points):
     i1 = gcs_from_form(torus_bundle.beta1)
     secs = random_poly_sections(torus_bundle.chart, 8, 17)

@@ -280,11 +280,11 @@ def test_gpk_flow_work_count(monkeypatch):
     """Deterministic work guard, on both models: one RK4 integration of the
     main flow (100 steps, 4 velocity calls each, plus the escape check) and
     the two calibration flows (5 and 10 steps).  F^K is constant on both,
-    so no velocity call inverts a jet or evaluates F^K, and each takes one
+    so no velocity call solves a jet system or evaluates F^K, and each takes one
     ``sincos``.  Each of the four ``gcs_nijenhuis`` calls takes two
     gradients, of the stacked sections and of their images under I."""
     calls, flows, inside, inner = [], [], [], []
-    velocity, init, inv = HamiltonianFlow.velocity, HamiltonianFlow.__init__, jets.jet_inv
+    velocity, init, solve = HamiltonianFlow.velocity, HamiltonianFlow.__init__, models.jet_solve
     sincos, grad, nijenhuis = Jet.sincos, gencomplex.jgrad, suites.gcs_nijenhuis
     sincos_calls, nij_calls, grads = [], [], []
 
@@ -308,10 +308,10 @@ def test_gpk_flow_work_count(monkeypatch):
 
         flow.f_k = dataclasses.replace(flow.f_k, fn=fk_spy)
 
-    def inv_spy(m):
+    def solve_spy(a, b):
         if inside:
-            inner.append("jet_inv")
-        return inv(m)
+            inner.append("jet_solve")
+        return solve(a, b)
 
     def sincos_spy(x):
         if inside:
@@ -328,7 +328,7 @@ def test_gpk_flow_work_count(monkeypatch):
 
     monkeypatch.setattr(HamiltonianFlow, "velocity", counted)
     monkeypatch.setattr(HamiltonianFlow, "__init__", tracked)
-    monkeypatch.setattr(jets, "jet_inv", inv_spy)
+    monkeypatch.setattr(models, "jet_solve", solve_spy)
     monkeypatch.setattr(Jet, "sincos", sincos_spy)
     monkeypatch.setattr(suites, "gcs_nijenhuis", nijenhuis_spy)
     monkeypatch.setattr(gencomplex, "jgrad", grad_spy)
@@ -379,51 +379,52 @@ def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
 
 
 @pytest.fixture
-def inv_products(monkeypatch):
-    """The order of the matrix being inverted, once per jet matrix product
-    made inside ``jet_inv`` (called from ``jets`` or ``structures``)."""
-    inside, products = [], []
-    inv, matmul = jets.jet_inv, jets.jmatmul
+def solve_lookups(monkeypatch):
+    """The order of the matrix being solved against, with the degrees of
+    every ``JetSpace.pairs`` lookup made inside ``jet_solve`` (called from
+    ``jets.jet_inv``, ``structures`` or ``models``)."""
+    inside, lookups = [], []
+    solve, pairs = jets.jet_solve, JetSpace.pairs
 
-    def inv_spy(m):
-        inside.append(m.order)
+    def solve_spy(a, b):
+        inside.append(a.order)
         try:
-            return inv(m)
+            return solve(a, b)
         finally:
             inside.pop()
 
-    def matmul_spy(a, b):
+    def pairs_spy(sp, da, db):
         if inside:
-            products.append(inside[-1])
-        return matmul(a, b)
+            lookups.append((inside[-1], da, db))
+        return pairs(sp, da, db)
 
-    monkeypatch.setattr(jets, "jet_inv", inv_spy)
-    monkeypatch.setattr(structures, "jet_inv", inv_spy)
-    monkeypatch.setattr(jets, "jmatmul", matmul_spy)
-    return products
+    for module in (jets, structures, models):
+        monkeypatch.setattr(module, "jet_solve", solve_spy)
+    monkeypatch.setattr(JetSpace, "pairs", pairs_spy)
+    return lookups
 
 
 @pytest.mark.parametrize("model_name", ["torus", "kodaira"])
-def test_velocity_inverts_without_the_neumann_series(model_name, torus_model,
-                                                     kodaira_model, inv_products):
+def test_velocity_inverts_without_the_degree_recursion(model_name, torus_model,
+                                                       kodaira_model, solve_lookups):
     """F^K has constant chart components on both models (on kodaira the x1
-    terms of the frame cancel), so the solve in one velocity evaluation
-    inverts it with no jet matrix product."""
+    terms of the frame cancel), so the flow inverts it once and one velocity
+    evaluation makes no product-table lookup inside ``jet_solve``."""
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 3)
     bundle = example2_build(model, Example2Params(t=0.1), plan)
     flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
     flow.velocity(jet_coords(4, 2, plan.sample(model.chart)))
-    assert inv_products == []
+    assert solve_lookups == []
 
 
-def test_kodaira_metric_inverse_runs_the_neumann_series(kodaira_model, inv_products):
+def test_kodaira_metric_inverse_runs_the_degree_recursion(kodaira_model, solve_lookups):
     """The kodaira metric depends on x1, so the Christoffel symbols invert
-    it through the series: order + 2 products."""
+    it through the degree recursion: one table per degree 1..order."""
     plan = SamplePlan(8, 3)
     g = kodaira_model.triple.g
     levi_civita(g).gamma_fn(jet_coords(4, 3, plan.sample(kodaira_model.chart)))
-    assert inv_products == [3] * 5
+    assert solve_lookups == [(3, 3, d - 1) for d in (1, 2, 3)]
 
 
 def _counted(field, calls, framed=True):
