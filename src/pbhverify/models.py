@@ -15,10 +15,9 @@ from .structures import (BihermitianData, ParaHyperTriple,
                          worst)
 from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          constant_metric, form_field, form_full_matrix,
-                         form_from_matrix, frame_field, jet_coords, jet_solve,
-                         jet_space, jgrad, jmatmul, jtranspose,
-                         metric_field)
-from .tensorcalc.fields import _scale
+                         form_from_matrix, frame_field, jet_coords, jet_space,
+                         jgrad, jmatmul, jtranspose, metric_field)
+from .tensorcalc.fields import _chart_coeffs, _scale
 from .tensorcalc.calculus import _stack
 
 __all__ = ["ModelError", "IntegratorError", "FlowTimeError", "ModelDescriptor",
@@ -351,7 +350,7 @@ def conformal_metric(model: ModelDescriptor) -> Field:
     def fn(jc):
         return _scale(g0.fn(jc), jc[:, 0].sin().exp())
 
-    return metric_field(model.chart, fn).memoized()
+    return metric_field(model.chart, fn, cost=g0.cost).memoized()
 
 
 def example2_build(model: ModelDescriptor, params: Example2Params,
@@ -394,14 +393,13 @@ def unit_spacelike_vector(g: Field, pts) -> np.ndarray:
 class HamiltonianFlow:
     """Fixed-step RK4 integration of the F^K-Hamiltonian vector field of f.
 
-    The velocity solves i_V F^K = df.  When F^K is a frame constant of degree
-    0 in x1 (both shipped models at their default parameters) its chart
-    matrix is one constant: the transposed full matrix is inverted once, at
-    construction, and each velocity contracts that inverse with every
-    coefficient of the gradient of f in one ``np.einsum`` (a constant factor
-    multiplies each coefficient by its value), bitwise the jet solve's
-    result.  Any other F^K (degree 1 or 2 in x1, or no frame constant) is
-    evaluated at each stage input and solved there as jets.
+    The velocity solves i_V F^K = df: V = (F^T)^-1 df for the chart matrix
+    F = P^-T M P^-1 of the frame constant F^K, and (F^T)^-1 = P (M^T)^-1 P^T
+    is a bivector frame constant.  (M^T)^-1 is computed once, at
+    construction; each velocity contracts each of its chart coefficients in
+    x1 with the gradient of f in one ``np.einsum`` and sums the terms by
+    Horner's rule in x1.  At degree 0 in x1 (both shipped models at their
+    default parameters) that is one einsum.
 
     Positions are integrated as jets, so the flow map's derivatives through
     third order ride along (variational equations included).  Each RK4
@@ -414,25 +412,25 @@ class HamiltonianFlow:
     is compared with ``np.array_equal``; any other query integrates anew."""
 
     def __init__(self, f_k: Field, fexpr: FExpr, t: float, step: float):
+        frame, d = f_k.frame, f_k.chart.dim
+        if frame is None:
+            raise ValueError("the Hamiltonian flow needs F^K as a frame constant")
         self.f_k = f_k
         self.fexpr = fexpr
         self.t = t
         self.step = step
         self._cache = []
-        self._fk_inv = None
-        frame, d = f_k.frame, f_k.chart.dim
-        if frame is not None and frame.x1_degree == 0:
-            full = form_full_matrix(Jet.constant(jet_space(d, 0), frame.coeffs[0]), d)
-            self._fk_inv = np.linalg.inv(full.value.T)
+        full = form_full_matrix(Jet.constant(jet_space(d, 0), frame.coeffs[0]), d)
+        self._inv_coeffs = _chart_coeffs("bivector", frame.e, np.linalg.inv(full.value.T))
 
     def velocity(self, y: Jet) -> Jet:
-        # map X -> i_X F has matrix M[j, i] = F[i, j]
-        if self._fk_inv is not None:
-            grad = self.fexpr.grad(y)
-            return Jet(grad.space, np.einsum("ij,...jr->...ir", self._fk_inv, grad.c),
-                       grad.order)
-        m = form_full_matrix(self.f_k.fn(y), self.f_k.chart.dim)
-        return jet_solve(jtranspose(m), self.fexpr.grad(y))
+        grad = self.fexpr.grad(y)
+        terms = [Jet(grad.space, np.einsum("ij,...jr->...ir", c, grad.c), grad.order)
+                 for c in self._inv_coeffs]
+        out = terms.pop()
+        while terms:
+            out = y[:, :1] * out + terms.pop()
+        return out
 
     def flow_jet(self, jc: Jet) -> Jet:
         for stored, y in self._cache:

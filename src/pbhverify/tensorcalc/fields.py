@@ -17,8 +17,8 @@ layout by kind:
 internally (exterior derivatives, Christoffels, flow Jacobians); evaluation
 seeds coordinate jets of order ``requested + cost``.
 
-Frame constants.  A scalar, an endo, a metric or a 2-form may carry a
-``FrameConstant``: its components ``m`` in the frame whose columns are
+Frame constants.  A scalar, an endo, a metric, a bivector or a 2-form may
+carry a ``FrameConstant``: its components ``m`` in the frame whose columns are
 P(x) = I + x1 E, x1 the first coordinate and E a nilpotent generator
 (E^2 = 0; E = 0 is the coordinate frame).  Its kind gives the chart
 expression, a polynomial of degree at most two in x1 since P^-1 = I - x1 E:
@@ -26,6 +26,8 @@ expression, a polynomial of degree at most two in x1 since P^-1 = I - x1 E:
   scalar    m           (invariant)
   endo      P M P^-1    = M + x1 (EM - ME) - x1^2 EME
   metric    P^-T G P^-1 = G - x1 (E^T G + GE) + x1^2 E^T G E
+  bivector  P B P^T     = B + x1 (EB + BE^T) + x1^2 E B E^T, which is the
+            inverse of the metric or 2-form P^-T M P^-1 when B = M^-1
   2-form    the metric rule on the matrix F with F(X, Y) = X^T F Y, whose
             entries above the diagonal are the combo components
 
@@ -86,10 +88,6 @@ class FrameConstant:
     e: np.ndarray
     m: np.ndarray
     coeffs: tuple
-
-    @property
-    def x1_degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass
@@ -189,6 +187,8 @@ def _chart_coeffs(kind, e, m):
         cs = [m, e @ m - m @ e, -(e @ m @ e)]
     elif kind in ("metric", "form"):
         cs = [m, -(e.T @ m + m @ e), e.T @ m @ e]
+    elif kind == "bivector":
+        cs = [m, e @ m + m @ e.T, e @ m @ e.T]
     else:
         raise ValueError(f"no frame conjugation rule for kind {kind!r}")
     if kind == "form":
@@ -224,8 +224,8 @@ def _frame_constant(kind, e, m) -> FrameConstant:
 
 
 def frame_field(chart, kind, e, m, degree=0, name="") -> Field:
-    """The ``kind`` field (scalar, endo, metric, or 2-form with ``m`` its matrix)
-    whose components in the frame I + x1 ``e`` are the constant ``m``."""
+    """The ``kind`` field (for a 2-form, ``m`` is its matrix) whose
+    components in the frame I + x1 ``e`` are the constant ``m``."""
     frame = _frame_constant(kind, e, m)
     return Field(chart, kind, _x1_polynomial(frame.coeffs), degree=degree,
                  name=name, frame=frame)

@@ -27,7 +27,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pbhverify.gencomplex import (_courant, _prep, b_transform,
                                   courant_bracket, gcs_nijenhuis, pairing,
@@ -35,11 +35,11 @@ from pbhverify.gencomplex import (_courant, _prep, b_transform,
 from pbhverify.models import Example2Params, example2_build
 from pbhverify.structures import (HermitianPair, chern_connection, levi_civita,
                                   max_abs)
-from pbhverify.tensorcalc import (Field, SamplePlan, coordinate_vector, d_scalar,
-                                  exterior_derivative, form_combos,
+from pbhverify.tensorcalc import (ChartDomain, Field, SamplePlan, coordinate_vector,
+                                  d_scalar, exterior_derivative, form_combos,
                                   form_field, form_from_matrix, form_full,
-                                  form_full_matrix, interior_product, jeinsum,
-                                  jet_coords, jet_inv, jet_solve, jet_space,
+                                  form_full_matrix, frame_field, interior_product,
+                                  jeinsum, jet_coords, jet_inv, jet_solve, jet_space,
                                   jgrad, jmatmul, jmatvec,
                                   jtrace, jtranspose, lie_bracket, metric_field,
                                   nijenhuis_tensor, oneform_field,
@@ -1493,7 +1493,9 @@ def test_frame_constants_equal_the_frame_products(seed, kodaira_model):
     from their frame constants are bitwise the jet products P M P^-1 (endos)
     and P^-T M P^-1 (metric, and F^K read above the diagonal) of their
     frame components, at orders 0-3 on coordinate and flowed jets; the
-    frame components of K and S are those of the frame formulas.  F^K of
+    frame components of K and S are those of the frame formulas; and the
+    bivector frame constant of the inverse of F^K's frame matrix times F^K's
+    chart matrix is exactly I there.  F^K of
     the certified candidate is constant at the default parameters and of
     degree 1 in x1 (coefficient 1.0) at c = 0.75; j1_open keeps its x1^2
     term."""
@@ -1514,7 +1516,9 @@ def test_frame_constants_equal_the_frame_products(seed, kodaira_model):
             _, _, kf, sf = ref_frame_constants(data.jp.frame.m, data.jm.frame.m)
             np.testing.assert_allclose(data.k_endo.frame.m, kf, rtol=0, atol=1e-15)
             np.testing.assert_allclose(data.s_endo.frame.m, sf, rtol=0, atol=1e-15)
-            degrees[params.c, ci] = f_k.frame.x1_degree
+            degrees[params.c, ci] = len(f_k.frame.coeffs) - 1
+            fk0 = form_full_matrix(f_k.eval_jet(np.zeros((1, 4))), 4).value[0]
+            fk_inv = frame_field(chart, "bivector", f_k.frame.e, np.linalg.inv(fk0))
             endos = t.js + (data.k_endo, data.s_endo)
             for order in range(4):
                 jc = jet_coords(4, order, pts)
@@ -1524,12 +1528,73 @@ def test_frame_constants_equal_the_frame_products(seed, kodaira_model):
                     assert_jets_equal(t.g.fn(x), ref_frame_metric(x, t.g.frame.m))
                     assert_jets_equal(f_k.fn(x), form_from_matrix(
                         ref_frame_metric(x, f_k.frame.m), 4))
+                    assert_jets_equal(jmatmul(fk_inv.fn(x), form_full_matrix(f_k.fn(x), 4)),
+                                      _broadcast_const(x, np.eye(4)))
     assert degrees[0.0, 2] == 0 and degrees[0.75, 2] == 1
     certified = fundamental_form(
         kodaira_model.triple.g,
         example2_build(kodaira_model, FRAME_PARAMS[1], SamplePlan(8, seed)).data.k_endo)
     assert np.abs(certified.frame.coeffs[1]).max() == 1.0
-    assert _kodaira_triple(chart, *cands[1], KODAIRA_FRAME_METRIC).j1.frame.x1_degree == 2
+    assert len(_kodaira_triple(chart, *cands[1], KODAIRA_FRAME_METRIC).j1.frame.coeffs) == 3
+
+
+KODAIRA_E = np.zeros((4, 4))
+KODAIRA_E[3, 1] = 1.0
+SMALL_INTS = st.integers(-2, 2)
+
+
+@st.composite
+def rank_one_nilpotent(draw):
+    """u v^T with v = (u.u) w - (u.w) u, so v^T u = 0, in small integers."""
+    u, w = (np.array(draw(st.lists(SMALL_INTS, min_size=4, max_size=4)), dtype=float)
+            for _ in range(2))
+    return np.outer(u, (u @ u) * w - (u @ w) * u)
+
+
+@st.composite
+def rank_two_nilpotent(draw):
+    """Q N Q^-1 with N^2 = 0 of rank up to two and Q a permuted integer
+    shear, whose inverse is integer too."""
+    n = np.zeros((4, 4))
+    n[2, 0], n[3, 1] = draw(SMALL_INTS), draw(SMALL_INTS)
+    i, j = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    k = draw(SMALL_INTS)
+    perm = np.eye(4)[draw(st.permutations(range(4)))]
+    shear, unshear = np.eye(4), np.eye(4)
+    shear[i, j], unshear[i, j] = k, -k
+    return perm @ shear @ n @ unshear @ perm.T
+
+
+RANK_TWO_E = np.zeros((4, 4))
+RANK_TWO_E[2, 0] = RANK_TWO_E[3, 1] = 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@example(RANK_TWO_E, [1.0, 0.0, 0.0, 0.0, 0.0, 1.0])  # both x1^2 terms nonzero
+@given(st.one_of(st.just(np.zeros((4, 4))), st.just(KODAIRA_E), rank_one_nilpotent(),
+                 rank_two_nilpotent()),
+       st.lists(st.floats(-3, 3), min_size=6, max_size=6))
+def test_bivector_frame_constant_inverts_the_form(e, upper):
+    """For a nilpotent E (E^2 = 0) and an invertible antisymmetric F, the
+    bivector frame constant of F^-1 times the chart matrix of the 2-form
+    frame constant of F is I at orders 0-3: P F^-1 P^T P^-T F P^-1.  Each
+    chart entry grows with (1 + x1 max|E|)^2, so roundoff is bounded by
+    eps cond(F) (1 + max|E|)^4 on the unit box, times a small constant."""
+    assert not (e @ e).any()
+    f = np.zeros((4, 4))
+    f[np.triu_indices(4, 1)] = upper
+    f = f - f.T
+    cond = np.linalg.cond(f)
+    assume(cond < 1e8)
+    chart = ChartDomain(4, ((0.0, 1.0),) * 4)
+    inverse = frame_field(chart, "bivector", e, np.linalg.inv(f))
+    form = frame_field(chart, "form", e, f, degree=2)
+    tol = 16 * np.finfo(float).eps * cond * (1.0 + np.abs(e).max()) ** 4
+    pts = SamplePlan(8, 1).sample(chart)
+    for order in range(4):
+        jc = jet_coords(4, order, pts)
+        prod = jmatmul(inverse.fn(jc), form_full_matrix(form.fn(jc), 4))
+        assert np.abs(prod.c - _broadcast_const(jc, np.eye(4)).c).max() <= tol
 
 
 def ref_sin_pair_grad(i, j):
@@ -1547,8 +1612,9 @@ def ref_sin_pair_grad(i, j):
 
 def ref_constant_velocity(flow, grad, y):
     """The constant-F^K velocity as a broadcast constant jet times the
-    gradient, through ``jmatvec``."""
-    return jmatvec(_broadcast_const(y, flow._fk_inv), grad(y))
+    gradient, through ``jmatvec``, with the inverse of F^K's chart value."""
+    fk = form_full_matrix(flow.f_k.eval_jet(y.value[:1]), 4).value[0]
+    return jmatvec(_broadcast_const(y, np.linalg.inv(fk.T)), grad(y))
 
 
 @pytest.mark.parametrize("model_name", ["torus", "kodaira"])
@@ -1573,23 +1639,23 @@ def test_velocity_equals_the_removed_contraction(model_name, torus_model, kodair
 
 @pytest.mark.parametrize("model_name,params", [("torus", FRAME_PARAMS[0]),
                                                ("kodaira", FRAME_PARAMS[0]),
-                                               ("kodaira", FRAME_PARAMS[1])])
+                                               ("kodaira", FRAME_PARAMS[1]),
+                                               ("kodaira", LIFT_PARAMS[2])])
 def test_velocity_equals_the_jet_solve(model_name, params, torus_model, kodaira_model,
                                        monkeypatch):
-    """The flow's velocity is bitwise the jet solve it replaces, on
-    coordinate and flowed jets of orders 0-3.  With F^K constant it inverts
-    no jet and evaluates no F^K; at c = 0.75 on kodaira (F^K of degree 1 in
-    x1) it takes the jet solve."""
-    from pbhverify import models
+    """The flow's velocity is the jet solve it replaces, on coordinate and
+    flowed jets of orders 0-3, for F^K constant and for F^K of degree 1 in
+    x1 (c != 0 on kodaira), for every named Hamiltonian.  It inverts no jet
+    and evaluates no F^K.  The results are bitwise equal except where the
+    x1 term meets a nonzero gradient component (``sin14`` at c != 0): the
+    sums then run in another order, and agree to roundoff."""
     from pbhverify.models import F_CATALOG, HamiltonianFlow
+    from pbhverify.tensorcalc import jets
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 42)
     bundle = example2_build(model, params, plan)
     f_k = bundle.f_k
     mover = HamiltonianFlow(f_k, F_CATALOG["sin14"], 0.1, 2e-2)
-    fexpr = F_CATALOG["sin2"]
-    flow = HamiltonianFlow(f_k, fexpr, 0.1, 1e-3)
-    jet_path = f_k.frame.x1_degree > 0
     calls = []
     fk_fn = f_k.fn
 
@@ -1601,15 +1667,22 @@ def test_velocity_equals_the_jet_solve(model_name, params, torus_model, kodaira_
         calls.append("F^K")
         return fk_fn(jc)
 
-    monkeypatch.setattr(models, "jet_solve", solve_spy)
+    flows = {name: HamiltonianFlow(f_k, fexpr, 0.1, 1e-3)
+             for name, fexpr in F_CATALOG.items()}
+    monkeypatch.setattr(jets, "jet_solve", solve_spy)
     monkeypatch.setattr(f_k, "fn", fk_spy)
     for order in range(4):
         jc = jet_coords(4, order, plan.sample(model.chart))
         for y in (jc, mover.flow_jet(jc)):
-            calls.clear()
-            new = flow.velocity(y)
-            assert calls == (["F^K", "solve"] if jet_path else [])
-            old = jet_solve(jtranspose(form_full_matrix(fk_fn(y), 4)),
-                            ref_sin_pair_grad(0, 1)(y))
-            assert_jets_equal(new, old)
-    assert f_k.frame.x1_degree == (1 if params.c else 0)
+            for name, flow in flows.items():
+                calls.clear()
+                new = flow.velocity(y)
+                assert calls == []
+                old = jet_solve(jtranspose(form_full_matrix(fk_fn(y), 4)),
+                                flow.fexpr.grad(y))
+                if name == "sin14" and params.c:
+                    err = np.abs(new.c - old.c).max()
+                    assert err <= 4 * np.finfo(float).eps * np.abs(old.c).max()
+                else:
+                    assert_jets_equal(new, old)
+    assert len(f_k.frame.coeffs) == (2 if params.c else 1)

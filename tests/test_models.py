@@ -16,7 +16,8 @@ from pbhverify.models import (Example2Params, F_CATALOG, FlowTimeError,
 from pbhverify.structures import BihermitianData, levi_civita, max_abs
 from pbhverify.suites import SuiteConfig, run_suite
 from pbhverify.tensorcalc import (SamplePlan, evaluate_form,
-                                  exterior_derivative, jets, wedge)
+                                  exterior_derivative, jets, jgrad, metric_field,
+                                  wedge)
 from pbhverify.tensorcalc.jets import Jet, JetSpace, jet_coords
 
 
@@ -276,15 +277,26 @@ def test_other_queries_integrate_anew(torus_bundle, torus_points):
         assert np.array_equal(out.c, _fresh(flow, jc).c)
 
 
+def test_flow_requires_a_frame_constant(torus_bundle):
+    """The velocity applies the inverse of F^K as a bivector frame constant,
+    so an F^K without frame components is refused when the flow is built."""
+    plain = dataclasses.replace(torus_bundle.f_k, frame=None)
+    with pytest.raises(ValueError, match="frame constant"):
+        HamiltonianFlow(plain, F_CATALOG["sin2"], 0.1, 1e-2)
+
+
 def test_gpk_flow_work_count(monkeypatch):
-    """Deterministic work guard, on both models: one RK4 integration of the
-    main flow (100 steps, 4 velocity calls each, plus the escape check) and
-    the two calibration flows (5 and 10 steps).  F^K is constant on both,
-    so no velocity call solves a jet system or evaluates F^K, and each takes one
-    ``sincos``.  Each of the four ``gcs_nijenhuis`` calls takes two
-    gradients, of the stacked sections and of their images under I."""
+    """Deterministic work guard, on both models and on kodaira at b = 0,
+    c = 0.75, where F^K depends on x1: one RK4 integration of the main flow
+    (100 steps, 4 velocity calls each, plus the escape check) and two
+    calibration flows (5 and 10 steps) per coupled pair the order check
+    tries: one pair, or at c = 0.75 two, (1, 2) leaving its residuals at
+    roundoff.  F^K is a frame constant on each, so no velocity call solves
+    a jet system or evaluates F^K, and each takes one ``sincos``.  Each of
+    the four ``gcs_nijenhuis`` calls takes two gradients, of the stacked
+    sections and of their images under I."""
     calls, flows, inside, inner = [], [], [], []
-    velocity, init, solve = HamiltonianFlow.velocity, HamiltonianFlow.__init__, models.jet_solve
+    velocity, init, solve = HamiltonianFlow.velocity, HamiltonianFlow.__init__, jets.jet_solve
     sincos, grad, nijenhuis = Jet.sincos, gencomplex.jgrad, suites.gcs_nijenhuis
     sincos_calls, nij_calls, grads = [], [], []
 
@@ -328,20 +340,21 @@ def test_gpk_flow_work_count(monkeypatch):
 
     monkeypatch.setattr(HamiltonianFlow, "velocity", counted)
     monkeypatch.setattr(HamiltonianFlow, "__init__", tracked)
-    monkeypatch.setattr(models, "jet_solve", solve_spy)
+    monkeypatch.setattr(jets, "jet_solve", solve_spy)
     monkeypatch.setattr(Jet, "sincos", sincos_spy)
     monkeypatch.setattr(suites, "gcs_nijenhuis", nijenhuis_spy)
     monkeypatch.setattr(gencomplex, "jgrad", grad_spy)
-    for model in ("torus", "kodaira"):
+    for model, pair, n in (("torus", {}, 461), ("kodaira", {}, 461),
+                           ("kodaira", dict(b=0.0, c=0.75), 521)):
         calls.clear()
         flows.clear()
         sincos_calls.clear()
         nij_calls.clear()
         grads.clear()
         rep = run_suite(SuiteConfig(suite="gpk-example2", model=model, samples=16,
-                                    t=0.1, f_expr="sin2", step=1e-3))
+                                    t=0.1, f_expr="sin2", step=1e-3, **pair))
         assert rep.passed
-        assert len(calls) == len(sincos_calls) == 461
+        assert len(calls) == len(sincos_calls) == n
         assert inner == []
         # gradients taken before each call: two per call, none outside them
         assert nij_calls == [0, 2, 4, 6] and len(grads) == 8
@@ -352,37 +365,44 @@ def test_gpk_flow_work_count(monkeypatch):
 @pytest.mark.parametrize("model_name", ["torus", "kodaira"])
 def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
                                                      kodaira_model, monkeypatch):
-    """F^K is constant on both models at the default pair parameters, so
-    one velocity evaluation makes no jet contraction of two non-constant
-    factors; on kodaira with c != 0 F^K depends on x1, and it does."""
+    """F^K is a frame constant on both models, so one velocity evaluation
+    makes no ``jeinsum`` contraction (no ``JetSpace.pairs`` lookup).  On
+    kodaira with c != 0, where F^K is affine in x1, the x1 term takes one
+    ``Jet.__mul__`` by the jet of x1; F^K constant takes none."""
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 3)
-    full = []
-    pairs = JetSpace.pairs
+    lookups, products = [], []
+    pairs, mul = JetSpace.pairs, Jet.__mul__
 
-    def spy(sp, da, db):
-        if da and db:
-            full.append((da, db))
+    def pairs_spy(sp, da, db):
+        lookups.append((da, db))
         return pairs(sp, da, db)
 
-    cases = [(Example2Params(t=0.1), False)]
+    def mul_spy(a, b):
+        products.append(a)
+        return mul(a, b)
+
+    cases = [(Example2Params(t=0.1), 0)]
     if model_name == "kodaira":
-        cases.append((Example2Params(b=0.0, c=0.75, t=0.1), True))
-    for params, contracts in cases:
+        cases.append((Example2Params(b=0.0, c=0.75, t=0.1), 1))
+    for params, n in cases:
         bundle = example2_build(model, params, plan)
         flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
-        full.clear()
+        y = jet_coords(4, 2, plan.sample(model.chart))
+        products.clear()
         with monkeypatch.context() as m:
-            m.setattr(JetSpace, "pairs", spy)
-            flow.velocity(jet_coords(4, 2, plan.sample(model.chart)))
-        assert bool(full) == contracts
+            m.setattr(JetSpace, "pairs", pairs_spy)
+            m.setattr(Jet, "__mul__", mul_spy)
+            flow.velocity(y)
+        x1_terms = [x for x in products if np.array_equal(x.c, y.c[:, :1])]
+        assert lookups == [] and len(x1_terms) == n
 
 
 @pytest.fixture
 def solve_lookups(monkeypatch):
     """The order of the matrix being solved against, with the degrees of
     every ``JetSpace.pairs`` lookup made inside ``jet_solve`` (called from
-    ``jets.jet_inv``, ``structures`` or ``models``)."""
+    ``jets.jet_inv`` or ``structures``)."""
     inside, lookups = [], []
     solve, pairs = jets.jet_solve, JetSpace.pairs
 
@@ -398,7 +418,7 @@ def solve_lookups(monkeypatch):
             lookups.append((inside[-1], da, db))
         return pairs(sp, da, db)
 
-    for module in (jets, structures, models):
+    for module in (jets, structures):
         monkeypatch.setattr(module, "jet_solve", solve_spy)
     monkeypatch.setattr(JetSpace, "pairs", pairs_spy)
     return lookups
@@ -463,3 +483,25 @@ def test_k_and_s_evaluate_each_structure_once(model_name, torus_model, kodaira_m
             jm_calls.clear()
             field.fn(jc)
             assert len(jp_calls) == len(jm_calls) == (0 if framed else 1)
+
+
+def test_conformal_metric_keeps_the_base_metric_cost(torus_model, conformal_metric,
+                                                     torus_points):
+    """A base metric whose evaluation consumes a derivative order (here the
+    torus metric G as the Jacobian of x -> G x, one ``jgrad``) passes that
+    cost to its conformal rescaling, which is then seeded deep enough: at
+    orders 0-2 it equals the rescaling of the constant G."""
+    g0 = torus_model.triple.g.frame.m
+
+    def fn(jc):
+        return jgrad(Jet(jc.space, np.einsum("ij,bjr->bir", g0, jc.c), jc.order))
+
+    g = metric_field(torus_model.chart, fn, cost=1)
+    model = dataclasses.replace(torus_model,
+                                triple=dataclasses.replace(torus_model.triple, g=g))
+    rescaled = models.conformal_metric(model)
+    assert rescaled.cost == 1
+    for order in range(3):
+        new, old = (f.eval_jet(torus_points, order) for f in (rescaled, conformal_metric))
+        assert new.order == old.order == order
+        assert np.array_equal(new.c[..., :old.space.n], old.c)
