@@ -18,7 +18,8 @@ and ``ref_constant_velocity`` are the stacked gradient and the broadcast
 ``jmatvec`` that the flow's velocity replaced, and ``ref_unprepped_courant``
 and ``ref_gcs_residual_jets`` the bracket and ``gcs_nijenhuis`` loop that
 took every section's gradient in each bracket; the package must match them
-bitwise.
+bitwise.  ``ref_lattice_residual`` is the per-transformation deck check
+that the batched one replaced, also matched bitwise.
 """
 
 import dataclasses
@@ -34,7 +35,7 @@ from pbhverify.gencomplex import (_courant, _prep, b_transform,
                                   random_poly_sections, random_poly_two_form)
 from pbhverify.models import Example2Params, example2_build
 from pbhverify.structures import (HermitianPair, chern_connection, levi_civita,
-                                  max_abs)
+                                  max_abs, worst)
 from pbhverify.tensorcalc import (ChartDomain, Field, SamplePlan, coordinate_vector,
                                   d_scalar, exterior_derivative, form_combos,
                                   form_field, form_from_matrix, form_full,
@@ -1686,3 +1687,81 @@ def test_velocity_equals_the_jet_solve(model_name, params, torus_model, kodaira_
                 else:
                     assert_jets_equal(new, old)
     assert len(f_k.frame.coeffs) == (2 if params.c else 1)
+
+
+# -- the batched deck check against the per-transformation loop ---------------
+
+
+def ref_lattice_residual(model, pts):
+    """Deck invariance by the loop that the batched check replaced: per deck
+    transformation, each of J1-J3 and g evaluated at the points and at their
+    images, and inv(lin) taken again."""
+    res = 0.0
+    for lin, shift in model.lattice:
+        moved = pts @ lin.T + shift
+        lin_inv = np.linalg.inv(lin)
+        for j in model.triple.js:
+            a = j.eval(moved)
+            b = np.einsum("ij,bjk,kl->bil", lin, j.eval(pts), lin_inv)
+            res = worst(res, max_abs(a - b))
+        ga = model.triple.g.eval(moved)
+        gb = np.einsum("ji,bjk,kl->bil", lin_inv, model.triple.g.eval(pts), lin_inv)
+        res = worst(res, max_abs(ga - gb))
+    return res
+
+
+def kodaira_candidate_models(kodaira_model):
+    from pbhverify.models import ModelDescriptor, _kodaira_candidates, _kodaira_triple
+    chart = kodaira_model.chart
+    return [ModelDescriptor("kodaira", chart,
+                            _kodaira_triple(chart, j1f, j2f, KODAIRA_FRAME_METRIC),
+                            kodaira_model.lattice)
+            for j1f, j2f in _kodaira_candidates()]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_lattice_residual_equals_the_loop(seed, torus_model, kodaira_model):
+    """The batched deck check is bitwise the per-transformation loop on the
+    torus and on every kodaira candidate (j1_open's residual is roundoff,
+    not zero)."""
+    residuals = []
+    for model in [torus_model] + kodaira_candidate_models(kodaira_model):
+        pts = SamplePlan(16, seed).sample(model.chart)
+        residuals.append(model.lattice_residual(pts))
+        assert_bitwise(residuals[-1], ref_lattice_residual(model, pts))
+    assert residuals[2] > 0.0
+
+
+def test_nan_at_one_deck_image_fails_certification(kodaira_model):
+    """A NaN in J2 at one point, the image of the first sample under the
+    shear generator, makes the deck residual NaN in the batch as in the
+    loop, and certification fails there, on the last residual."""
+    from pbhverify.models import ModelDescriptor, ModelError
+    plan = SamplePlan(16, 42)
+    pts = plan.sample(kodaira_model.chart)
+    lin, shift = kodaira_model.lattice[-1]
+    target = (pts[:1] @ lin.T + shift)[0]
+    j2 = kodaira_model.triple.j2
+
+    def poisoned(jc):
+        out = j2.fn(jc)
+        c = out.c.copy()
+        c[np.all(jc.value == target, axis=-1), 0, 0, 0] = np.nan
+        return Jet(out.space, c, out.order)
+
+    triple = dataclasses.replace(kodaira_model.triple,
+                                 j2=dataclasses.replace(j2, fn=poisoned))
+    model = ModelDescriptor("kodaira", kodaira_model.chart, triple, kodaira_model.lattice)
+    assert np.isnan(model.lattice_residual(pts))
+    assert np.isnan(ref_lattice_residual(model, pts))
+    with pytest.raises(ModelError, match="'nijenhuis': 0.0, 'lattice': nan}"):
+        model.certify(plan)
+    assert not model.certified
+
+
+def test_empty_lattice_has_zero_residual(torus_model, plan):
+    from pbhverify.models import ModelDescriptor
+    model = ModelDescriptor("open box", torus_model.chart, torus_model.triple)
+    pts = plan.sample(model.chart)
+    assert model.lattice_residual(pts) == 0.0 == ref_lattice_residual(model, pts)
+    assert model.certify(plan)["lattice"] == 0.0 and model.certified

@@ -10,12 +10,13 @@ import pytest
 from pbhverify import gencomplex, models, structures, suites
 from pbhverify.flagmodel import _flag_domain
 from pbhverify.models import (Example2Params, F_CATALOG, FlowTimeError,
-                              HamiltonianFlow, ModelError, example2_build,
-                              flow_pullback_form, get_model, hamiltonian_deform,
-                              kodaira_phk, torus_phk, unit_spacelike_vector)
+                              HamiltonianFlow, ModelDescriptor, ModelError,
+                              example2_build, flow_pullback_form, get_model,
+                              hamiltonian_deform, kodaira_phk, torus_phk,
+                              unit_spacelike_vector)
 from pbhverify.structures import BihermitianData, levi_civita, max_abs
 from pbhverify.suites import SuiteConfig, run_suite
-from pbhverify.tensorcalc import (SamplePlan, evaluate_form,
+from pbhverify.tensorcalc import (Field, SamplePlan, evaluate_form,
                                   exterior_derivative, jets, jgrad, metric_field,
                                   wedge)
 from pbhverify.tensorcalc.jets import Jet, JetSpace, jet_coords
@@ -206,26 +207,105 @@ def test_uncertified_model_rejected(plan):
 
 def test_kodaira_candidate_search_is_exercised(monkeypatch):
     """The shipped candidate family contains inadmissible assignments; the
-    certified one must still be found.  Certified alone, candidate 0 fails
-    only metric compatibility, candidate 1 closedness and the Nijenhuis
-    condition, and candidate 2 passes with every residual exactly zero."""
+    certified one must still be found.  Candidate 0 fails only metric
+    compatibility, candidate 1 closedness and the Nijenhuis condition, and
+    candidate 2 passes with every residual exactly zero.  Certification
+    stops at the first failing residual, so candidate 0's error names
+    algebra and compatibility only and candidate 1's stops at closedness;
+    the residuals past the stop are read from the triple and the deck
+    check directly."""
     m = kodaira_phk()
     assert m.certify(SamplePlan(8, 2))["closedness"] < 1e-12
+    plan = SamplePlan(16, 986)
+    pts = plan.sample(m.chart)
+
+    def residuals(cand):
+        triple = models._kodaira_triple(m.chart, *cand, m.triple.g.frame.m)
+        model = ModelDescriptor("kodaira", m.chart, triple, m.lattice)
+        return {"algebra": triple.algebra_residual(pts),
+                "compatibility": triple.compatibility_residual(pts),
+                "closedness": triple.closedness_residual(pts),
+                "nijenhuis": triple.nijenhuis_residual(pts),
+                "lattice": model.lattice_residual(pts)}
 
     def certified_alone(cand):
         monkeypatch.setattr(models, "_kodaira_candidates", lambda: [cand])
         try:
-            return kodaira_phk().certify(SamplePlan(16, 986))
+            return kodaira_phk().certify(plan)
         except ModelError as exc:
             return ast.literal_eval(str(exc).split("failed certification: ")[1])
 
     cands = models._kodaira_candidates()
-    bad0, bad1, good = (certified_alone(c) for c in cands)
+    bad0, bad1, good = (residuals(c) for c in cands)
     assert bad0 == {"algebra": 0.0, "compatibility": 2.0, "closedness": 0.0,
                     "nijenhuis": 0.0, "lattice": 0.0}
     assert bad1["closedness"] == 1.0 and bad1["nijenhuis"] == 4.0
     assert max(bad1[k] for k in ("algebra", "compatibility", "lattice")) < 1e-12
     assert good == dict.fromkeys(good, 0.0) and len(good) == 5
+    msg0, msg1, passed = (certified_alone(c) for c in cands)
+    assert list(msg0) == ["algebra", "compatibility"]
+    assert list(msg1) == ["algebra", "compatibility", "closedness"]
+    assert msg0 == {k: bad0[k] for k in msg0} and msg1 == {k: bad1[k] for k in msg1}
+    assert passed == good
+
+
+def test_failed_recertification_clears_certified(plan, monkeypatch):
+    """A model whose latest certification failed is no longer certified, so
+    the pair construction refuses it."""
+    m = torus_phk()
+    m.certify(SamplePlan(8, 2))
+    example2_build(m, Example2Params(), plan)
+    monkeypatch.setitem(models.CERTIFY_TOLERANCES, "lattice", -1.0)
+    with pytest.raises(ModelError, match="failed certification"):
+        m.certify(SamplePlan(8, 2))
+    assert not m.certified
+    with pytest.raises(ModelError, match="must be certified"):
+        example2_build(m, Example2Params(), plan)
+
+
+def test_flipped_shear_generator_fails_the_lattice_check(kodaira_model):
+    """(x1, x2, x3, x4) -> (x1 + 1, x2, x3, x4 - x2) does not preserve the
+    coframe (it pulls e4 = dx4 - x1 dx2 back to e4 - 2 dx2): with
+    it in place of the shipped shear generator the deck residual is 2.0 and
+    certification fails on the lattice, the last residual."""
+    shear, shift = kodaira_model.lattice[3]
+    assert shear[3, 1] == 1.0 and np.array_equal(shift, np.eye(4)[0])
+    flipped = shear.copy()
+    flipped[3, 1] = -1.0
+    mutant = ModelDescriptor("kodaira", kodaira_model.chart, kodaira_model.triple,
+                             kodaira_model.lattice[:3] + ((flipped, shift),))
+    plan = SamplePlan(16, 986)
+    assert mutant.lattice_residual(plan.sample(mutant.chart)) == 2.0
+    with pytest.raises(ModelError, match="'nijenhuis': 0.0, 'lattice': 2.0}"):
+        mutant.certify(plan)
+    assert not mutant.certified
+
+
+def test_kodaira_certification_work_count(monkeypatch):
+    """Deterministic work guard on one ``SuiteContext(kodaira).model``: the
+    candidate search stops candidate 0 after compatibility (3 + 4 field
+    evaluations) and candidate 1 after closedness (3 more), and each of the
+    two full certifications, the search's of candidate 2 and the run's own,
+    takes 21: 3 + 4 + 3 for the first three residuals, 3 for the Nijenhuis
+    residual and 8 for the deck check, which evaluates each of J1-J3 and g
+    once at the points and once at all deck images."""
+    calls, certs = [], []
+    eval_jet, certify = Field.eval_jet, ModelDescriptor.certify
+
+    def counted(field, *args, **kwargs):
+        calls.append(field)
+        return eval_jet(field, *args, **kwargs)
+
+    def counted_certify(model, plan):
+        certs.append(plan)
+        return certify(model, plan)
+
+    monkeypatch.setattr(Field, "eval_jet", counted)
+    monkeypatch.setattr(ModelDescriptor, "certify", counted_certify)
+    model = suites.SuiteContext(SuiteConfig(model="kodaira", seed=42)).model
+    assert model.certified
+    assert [(p.count, p.seed) for p in certs] == [(16, 986)] * 3 + [(16, 49)]
+    assert len(calls) == 7 + 10 + 21 + 21
 
 
 # -- one integration per flow -------------------------------------------------
