@@ -388,7 +388,7 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
         return out
 
     jp = endo_field(chart, lambda jc: _broadcast_const(jc, j1m))
-    jm = endo_field(chart, jm_fn)
+    jm = endo_field(chart, jm_fn).memoized()
     g = metric_field(chart, lambda jc: _broadcast_const(jc, np.asarray(g_matrix, float)))
     data = BihermitianData(g, jp, jm)
 

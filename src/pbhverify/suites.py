@@ -244,9 +244,8 @@ class SuiteContext:
             raise ConfigError(
                 "the flag model hosts only the theorem4 suite; pick torus "
                 "or kodaira for structure suites")
-        m = get_model(self.config.model)
-        m.certify(SamplePlan(min(16, self.config.samples), self.config.seed + 7))
-        return m
+        return get_model(self.config.model,
+                         SamplePlan(min(16, self.config.samples), self.config.seed + 7))
 
     @cached_property
     def bundle(self):

@@ -204,25 +204,13 @@ class Jet:
     def shape(self):
         return self.c.shape[:-1]
 
-    def partials(self, alpha):
-        """Raw partial for a multi-index tuple (testing aid)."""
-        if sum(alpha) > self.order:
-            raise ValueError("partial order exceeds jet validity")
-        return self.c[..., self.space.index[tuple(alpha)]]
-
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
             idx = (idx,)
         return Jet(self.space, self.c[idx + (slice(None),)], self.order)
 
-    def reshape(self, *shape):
-        return Jet(self.space, self.c.reshape(tuple(shape) + (self.space.n,)), self.order)
-
     def copy(self):
         return Jet(self.space, self.c.copy(), self.order)
-
-    def astype(self, dtype):
-        return Jet(self.space, self.c.astype(dtype), self.order)
 
     # -- ring operations ----------------------------------------------------
 
@@ -397,8 +385,9 @@ def jet_coords(dim: int, order: int, points: np.ndarray) -> Jet:
 
 
 def _is_constant(x: Jet) -> bool:
-    """Every derivative coefficient is exactly zero (NaN counts as nonzero)."""
-    return not x.c[..., 1:].any()
+    """Every derivative coefficient is exactly zero (NaN counts as nonzero);
+    an order-0 space has none, so its jets are constant without a scan."""
+    return x.space.order == 0 or not x.c[..., 1:].any()
 
 
 def _top_degree(x: Jet) -> int:

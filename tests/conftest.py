@@ -14,9 +14,7 @@ def torus_model():
 
 @pytest.fixture(scope="session")
 def kodaira_model():
-    m = kodaira_phk()
-    m.certify(SamplePlan(16, 1))
-    return m
+    return kodaira_phk(SamplePlan(16, 1))
 
 
 @pytest.fixture(scope="session")

@@ -258,3 +258,23 @@ def test_derivative_chain_evaluates_k_once(synthetic, torus_points, monkeypatch)
     dn = levi_civita(lf.data.g).cov_deriv_endo(lf.n).eval(torus_points)
     nabla_n_rhs_residuals(lf.values(torus_points), dn=dn)
     assert calls == [len(torus_points)]
+
+
+def test_synthetic_j_minus_is_evaluated_once_per_coordinate_jet(monkeypatch):
+    """A kodaira ``engel`` run evaluates the synthetic J- closure once per
+    distinct coordinate jet: 8 times (47 before it was memoized)."""
+    calls = []
+    make = engel.endo_field
+
+    def spy(chart, fn, *args, **kwargs):
+        if fn.__name__ == "jm_fn":
+            inner = fn
+
+            def fn(jc):
+                calls.append((jc.c.shape, jc.order))
+                return inner(jc)
+        return make(chart, fn, *args, **kwargs)
+
+    monkeypatch.setattr(engel, "endo_field", spy)
+    suites.run_suite(suites.SuiteConfig(suite="engel", model="kodaira", seed=42))
+    assert len(calls) == 8

@@ -1,10 +1,13 @@
-"""Every name a src/ module exports in ``__all__`` is used by code in src/ or
-perfbench/ (its tests aside): an export only tests call is test-only API,
-and belongs in the tests.
+"""Every name a src/ module exports in ``__all__``, and every public method
+of ``Jet``, is used by code in src/ or perfbench/ (its tests aside): an
+export or method only tests call is test-only API, and belongs in the tests.
 
 A use is an identifier (a name or an attribute) outside import statements
 and ``__all__`` lists; in perfbench/ a string constant counts too, since the
-tracer hooks the ops it times by name."""
+tracer hooks the ops it times by name.  The rule goes by name alone, so a
+``Jet`` method named like an ndarray method (``reshape`` and ``astype``
+were two) counts as used wherever an array calls it: the guard cannot see
+such a method go dead."""
 
 import ast
 from pathlib import Path
@@ -48,6 +51,14 @@ def _exports():
                     yield str(path.relative_to(SRC)), elt.value
 
 
+def _jet_methods():
+    """The public (non-underscore) methods and properties of ``Jet``."""
+    tree = ast.parse((SRC / "tensorcalc" / "jets.py").read_text())
+    jet = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Jet")
+    return [m.name for m in jet.body
+            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+
+
 def _used():
     out = set()
     for path in sorted(SRC.rglob("*.py")):
@@ -62,6 +73,13 @@ def test_every_export_is_used_outside_the_tests():
     used = _used()
     unused = [e for e in _exports() if e[1] not in used and e not in ALLOWED]
     assert not unused, unused
+
+
+def test_every_public_jet_method_is_used_outside_the_tests():
+    methods = _jet_methods()
+    assert "partial" in methods
+    used = _used()
+    assert not [m for m in methods if m not in used]
 
 
 def test_the_allowlist_is_needed():

@@ -28,7 +28,7 @@ def test_certifications(torus_model, kodaira_model):
 
 def test_unknown_model_rejected():
     with pytest.raises(ModelError):
-        get_model("nope")
+        get_model("nope", SamplePlan(8, 2))
 
 
 def test_params_invariants():
@@ -214,9 +214,9 @@ def test_kodaira_candidate_search_is_exercised(monkeypatch):
     algebra and compatibility only and candidate 1's stops at closedness;
     the residuals past the stop are read from the triple and the deck
     check directly."""
-    m = kodaira_phk()
-    assert m.certify(SamplePlan(8, 2))["closedness"] < 1e-12
     plan = SamplePlan(16, 986)
+    m = kodaira_phk(plan)
+    assert m.certify(SamplePlan(8, 2))["closedness"] < 1e-12
     pts = plan.sample(m.chart)
 
     def residuals(cand):
@@ -231,7 +231,7 @@ def test_kodaira_candidate_search_is_exercised(monkeypatch):
     def certified_alone(cand):
         monkeypatch.setattr(models, "_kodaira_candidates", lambda: [cand])
         try:
-            return kodaira_phk().certify(plan)
+            return kodaira_phk(plan).certify(plan)
         except ModelError as exc:
             return ast.literal_eval(str(exc).split("failed certification: ")[1])
 
@@ -283,9 +283,10 @@ def test_flipped_shear_generator_fails_the_lattice_check(kodaira_model):
 
 def test_kodaira_certification_work_count(monkeypatch):
     """Deterministic work guard on one ``SuiteContext(kodaira).model``: the
-    candidate search stops candidate 0 after compatibility (3 + 4 field
-    evaluations) and candidate 1 after closedness (3 more), and each of the
-    two full certifications, the search's of candidate 2 and the run's own,
+    candidate search is the run's certification, at the run's points
+    (16 at seed + 7), and nothing certifies the model again.  It stops
+    candidate 0 after compatibility (3 + 4 field evaluations) and candidate 1
+    after closedness (3 more), and the full certification of candidate 2
     takes 21: 3 + 4 + 3 for the first three residuals, 3 for the Nijenhuis
     residual and 8 for the deck check, which evaluates each of J1-J3 and g
     once at the points and once at all deck images."""
@@ -304,8 +305,8 @@ def test_kodaira_certification_work_count(monkeypatch):
     monkeypatch.setattr(ModelDescriptor, "certify", counted_certify)
     model = suites.SuiteContext(SuiteConfig(model="kodaira", seed=42)).model
     assert model.certified
-    assert [(p.count, p.seed) for p in certs] == [(16, 986)] * 3 + [(16, 49)]
-    assert len(calls) == 7 + 10 + 21 + 21
+    assert [(p.count, p.seed) for p in certs] == [(16, 49)] * 3
+    assert len(calls) == 7 + 10 + 21
 
 
 # -- one integration per flow -------------------------------------------------

@@ -129,7 +129,7 @@ def test_model_error_exit_code(monkeypatch):
     import pbhverify.suites as suites_mod
     from pbhverify.models import ModelError
 
-    def boom(name):
+    def boom(name, plan):
         raise ModelError("forced failure")
 
     monkeypatch.setattr(suites_mod, "get_model", boom)
