@@ -4,7 +4,7 @@ the block construction/extraction relating such pairs to bihermitian data."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,10 +17,10 @@ from .tensorcalc import (ChartDomain, Field, Jet, endo_field,
 from .tensorcalc.calculus import _stack
 from .tensorcalc.fields import _broadcast_const
 
-__all__ = ["coordinate_sections", "random_poly_sections",
-           "pairing", "pairing_matrix", "courant_bracket", "endo_conditions",
-           "apply_endo", "gcs_from_form", "gcs_nijenhuis", "b_transform",
-           "b_conjugate_endo", "check_gpk_pair", "GpkResult",
+__all__ = ["coordinate_sections", "constant_sections", "stack_axes",
+           "random_poly_sections", "pairing", "pairing_matrix", "courant_bracket",
+           "endo_conditions", "apply_endo", "gcs_from_form", "gcs_nijenhuis",
+           "b_transform", "b_conjugate_endo", "check_gpk_pair", "GpkResult",
            "gualtieri_build", "gualtieri_extract", "form_as_map",
            "random_poly_two_form", "validate_twist"]
 
@@ -31,12 +31,21 @@ def _join(vec: Jet, form: Jet) -> Jet:
                min(vec.order, form.order))
 
 
+def constant_sections(chart: ChartDomain, values) -> Field:
+    """The constant sections ``values`` (..., 2d), stacked: (B, ..., 2d)."""
+    return Field(chart, "section", lambda jc: _broadcast_const(jc, values))
+
+
 def coordinate_sections(chart: ChartDomain):
     """The 2 dim frame sections e_i + 0 and 0 + dx_i."""
-    def const(e):
-        return Field(chart, "section", lambda jc: _broadcast_const(jc, e))
+    return [constant_sections(chart, e) for e in np.eye(2 * chart.dim)]
 
-    return [const(e) for e in np.eye(2 * chart.dim)]
+
+def stack_axes(field: Field, axes: int) -> Field:
+    """``field`` with ``axes`` stack axes of length 1 after the batch axis,
+    over which the section operations broadcast as numpy does."""
+    pad = (slice(None),) + (None,) * axes
+    return replace(field, fn=lambda jc: field.fn(jc)[pad], frame=None)
 
 
 def _affine(chart, kind, const, lin, degree=0):
@@ -72,7 +81,7 @@ def random_poly_two_form(chart: ChartDomain, seed: int) -> Field:
 
 
 def pairing(a: Field, b: Field) -> Field:
-    """<X+xi, Y+eta> = (xi(Y) + eta(X)) / 2."""
+    """<X+xi, Y+eta> = (xi(Y) + eta(X)) / 2, over stack axes."""
     d = a.chart.dim
 
     def fn(jc):
@@ -97,6 +106,7 @@ ANGLE_FLOOR, GRAM_FLOOR = 1e-6, 1e-8
 
 
 def validate_twist(h: Field | None, pts):
+    """|d H| of a twisting 3-form (stacked or not); raises unless closed."""
     if h is None:
         return 0.0
     res = max_abs(exterior_derivative(h).eval(pts))
@@ -111,12 +121,6 @@ def _prep(a: Jet, d: int) -> tuple:
     and its half-swapped copy xi + X.  Both are gathers, so slicing a
     leading axis of the three commutes with preparing the slice."""
     return a, jgrad(a), Jet(a.space, np.roll(a.c, d, axis=-2), a.order)
-
-
-def _rows(prepped: tuple, rows: slice) -> tuple:
-    """The prepared pieces of the sections ``rows`` (axis 1) of a prepared
-    stack."""
-    return tuple(p[:, rows] for p in prepped)
 
 
 def _courant(pa: tuple, pb: tuple, h: Jet | None, d: int) -> Jet:
@@ -141,7 +145,7 @@ def _courant(pa: tuple, pb: tuple, h: Jet | None, d: int) -> Jet:
 
 def courant_bracket(a: Field, b: Field, h: Field | None = None) -> Field:
     """[X+xi, Y+eta]_H = [X,Y] + L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2
-    + i_Y i_X H."""
+    + i_Y i_X H, over stack axes (give H them with ``stack_axes``)."""
     d = a.chart.dim
 
     def fn(jc):
@@ -153,7 +157,7 @@ def courant_bracket(a: Field, b: Field, h: Field | None = None) -> Field:
 
 
 def apply_endo(i_field: Field, a: Field) -> Field:
-    """Section I(A) for an endomorphism field of T + T*."""
+    """Section I(A) for an endomorphism field of T + T*, over stack axes."""
     return Field(a.chart, "section", lambda jc: jmatvec(i_field.fn(jc), a.fn(jc)),
                  cost=max(i_field.cost, a.cost))
 
@@ -231,10 +235,13 @@ def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
     hv = None if h is None else form_full(h.fn(jc), d, 3)[:, None]
     s = _stack([sec.fn(jc) for sec in sections])  # (B, sections, 2d)
     ps, pi = _prep(s, d), _prep(jmatvec(iv, s), d)
+
+    def rows(sl):  # the prepared sections ``sl`` (axis 1) and their images
+        return tuple(p[:, sl] for p in ps), tuple(p[:, sl] for p in pi)
+
     out = 0.0
     for i in range(len(sections) - 1):
-        a, ia = _rows(ps, slice(i, i + 1)), _rows(pi, slice(i, i + 1))
-        b, ib = _rows(ps, slice(i + 1, None)), _rows(pi, slice(i + 1, None))
+        (a, ia), (b, ib) = rows(slice(i, i + 1)), rows(slice(i + 1, None))
         res = (_courant(a, b, hv, d) - _courant(ia, ib, hv, d)
                + jmatvec(iv, _courant(ia, b, hv, d) + _courant(a, ib, hv, d)))
         out = worst(out, max_abs(res))
@@ -242,7 +249,7 @@ def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
 
 
 def b_transform(a: Field, b2: Field) -> Field:
-    """e^b (X + xi) = X + xi + i_X b."""
+    """e^b (X + xi) = X + xi + i_X b, over stack axes."""
     d = a.chart.dim
 
     def fn(jc):

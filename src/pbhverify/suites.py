@@ -23,11 +23,11 @@ from .engel import (_rank_of, basis_identity_residuals, canonical_engel_span,
 from .flagmodel import (FlagParams, cp2_charts, cp2_transition, flag_charts,
                         tau_norm_sq)
 from .gencomplex import (apply_endo, b_conjugate_endo, b_transform,
-                         check_gpk_pair, coordinate_sections,
+                         check_gpk_pair, constant_sections,
                          courant_bracket, endo_conditions, gcs_from_form,
                          gcs_nijenhuis, gualtieri_build, gualtieri_extract,
                          pairing, random_poly_sections, random_poly_two_form,
-                         validate_twist)
+                         stack_axes, validate_twist)
 from .models import (Example2Params, HamiltonianFlow, _sin_pair,
                      complex_form, conformal_metric, example2_build,
                      flow_pullback_form, get_model, hamiltonian_deform,
@@ -385,23 +385,21 @@ def _closed_form_integrability(ctx: SuiteContext, reference):
 
 
 def suite_courant(ctx: SuiteContext):
-    m = ctx.model
-    chart = m.chart
+    chart = ctx.model.chart
     pts = ctx.points(count=min(12, ctx.config.samples))
-    secs = coordinate_sections(chart)
-    pair_list = [(secs[0], secs[1]), (secs[0], secs[chart.dim + 1]),
-                 (secs[1], secs[chart.dim]),
-                 (secs[0] + secs[chart.dim + 1], secs[1] + secs[chart.dim])]
+    e, d = np.eye(2 * chart.dim), chart.dim
+    # four section pairs (sa, sb), stacked on one axis
+    sa = constant_sections(chart, [e[0], e[0], e[1], e[0] + e[d + 1]])
+    sb = constant_sections(chart, [e[1], e[d + 1], e[d], e[1] + e[d]])
 
     worst_nat = 0.0
     for s in range(8):
-        b2 = random_poly_two_form(chart, ctx.config.seed + 100 + s)
+        b2 = stack_axes(random_poly_two_form(chart, ctx.config.seed + 100 + s), 1)
         db = exterior_derivative(b2)
         validate_twist(db, pts)
-        for (sa, sb) in pair_list:
-            lhs = courant_bracket(b_transform(sa, b2), b_transform(sb, b2))
-            rhs = b_transform(courant_bracket(sa, sb, db), b2)
-            worst_nat = worst(worst_nat, max_abs((lhs - rhs).eval(pts)))
+        lhs = courant_bracket(b_transform(sa, b2), b_transform(sb, b2))
+        rhs = b_transform(courant_bracket(sa, sb, db), b2)
+        worst_nat = worst(worst_nat, max_abs((lhs - rhs).eval(pts)))
 
     bundle = ctx.bundle
     integ_check = _closed_form_integrability(
@@ -416,25 +414,20 @@ def suite_courant(ctx: SuiteContext):
         pert[:, 0] = (base[:, 0] + jc[:, 2] * 0.5).c
         return Jet(base.space, pert, base.order)
 
-    bad_beta_im = form_field(chart, 2, bad_imag)
-    bad_beta = complex_form(bundle.f_k, bad_beta_im)
-    i_bad = gcs_from_form(bad_beta)
-    control = gcs_nijenhuis(i_bad, None, n_pts[:4])
+    bad_beta = complex_form(bundle.f_k, form_field(chart, 2, bad_imag))
+    control = gcs_nijenhuis(gcs_from_form(bad_beta), None, n_pts[:4])
 
-    pres = 0.0
-    applied = [apply_endo(i1, s) for s in secs]
-    for a_idx in range(len(secs)):
-        for b_idx in range(a_idx, len(secs)):
-            lhs = pairing(applied[a_idx], applied[b_idx])
-            rhs = pairing(secs[a_idx], secs[b_idx])
-            pres = worst(pres, max_abs(lhs.eval(n_pts) - rhs.eval(n_pts)))
+    # all ordered pairs of frame sections: rows (B, 2d, 1, 2d) by columns (B, 1, 2d, 2d)
+    rows, cols = constant_sections(chart, e[:, None]), constant_sections(chart, e[None])
+    i1s = stack_axes(i1, 2)
+    lhs = pairing(apply_endo(i1s, rows), apply_endo(i1s, cols))
+    pres = max_abs(lhs.eval(n_pts) - pairing(rows, cols).eval(n_pts))
 
     # with the shipped shear action and bracket naturality, the structure
     # integrable for the (H - db)-twist is the e^{+b}-conjugate
     b2 = random_poly_two_form(chart, ctx.config.seed + 77)
     conj = b_conjugate_endo(i1, b2, sign=1.0)
-    neg_db = -exterior_derivative(b2)
-    conj_res = gcs_nijenhuis(conj, neg_db, n_pts[:4])
+    conj_res = gcs_nijenhuis(conj, -exterior_derivative(b2), n_pts[:4])
 
     return [
         ctx.record("b-transform-naturality",

@@ -19,10 +19,14 @@ and ``ref_constant_velocity`` are the stacked gradient and the broadcast
 and ``ref_gcs_residual_jets`` the bracket and ``gcs_nijenhuis`` loop that
 took every section's gradient in each bracket; the package must match them
 bitwise.  ``ref_lattice_residual`` is the per-transformation deck check
-that the batched one replaced, also matched bitwise.
+that the batched one replaced, also matched bitwise, and
+``ref_b_transform_naturality`` and ``ref_pairing_preservation`` are the
+per-pair loops of the ``courant`` suite that its stacked evaluations
+replaced, matched bitwise too.
 """
 
 import dataclasses
+import itertools
 from contextlib import contextmanager
 from unittest import mock
 
@@ -30,9 +34,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pbhverify.gencomplex import (_courant, _prep, b_transform,
-                                  courant_bracket, gcs_nijenhuis, pairing,
-                                  random_poly_sections, random_poly_two_form)
+from pbhverify import suites
+from pbhverify.gencomplex import (_courant, _prep, apply_endo, b_transform,
+                                  coordinate_sections, courant_bracket,
+                                  gcs_nijenhuis, pairing, random_poly_sections,
+                                  random_poly_two_form, stack_axes, validate_twist)
 from pbhverify.models import Example2Params, example2_build
 from pbhverify.structures import (HermitianPair, chern_connection, levi_civita,
                                   max_abs, worst)
@@ -1765,3 +1771,101 @@ def test_empty_lattice_has_zero_residual(torus_model, plan):
     pts = plan.sample(model.chart)
     assert model.lattice_residual(pts) == 0.0 == ref_lattice_residual(model, pts)
     assert model.certify(plan)["lattice"] == 0.0 and model.certified
+
+
+# -- the stacked courant-suite checks against the per-pair loops --------------
+
+
+def ref_b_transform_naturality(chart, pts, seed):
+    """b-transform naturality by the loop that the stacked check replaced:
+    per random 2-form, one evaluation per section pair."""
+    secs = coordinate_sections(chart)
+    d = chart.dim
+    pair_list = [(secs[0], secs[1]), (secs[0], secs[d + 1]), (secs[1], secs[d]),
+                 (secs[0] + secs[d + 1], secs[1] + secs[d])]
+    res = 0.0
+    for s in range(8):
+        b2 = random_poly_two_form(chart, seed + 100 + s)
+        db = exterior_derivative(b2)
+        validate_twist(db, pts)
+        for sa, sb in pair_list:
+            lhs = courant_bracket(b_transform(sa, b2), b_transform(sb, b2))
+            rhs = b_transform(courant_bracket(sa, sb, db), b2)
+            res = worst(res, max_abs((lhs - rhs).eval(pts)))
+    return res
+
+
+def ref_pairing_preservation(i_field, pts):
+    """Pairing preservation by the loop over the frame-section pairs a <= b
+    that the stacked check replaced."""
+    secs = coordinate_sections(i_field.chart)
+    applied = [apply_endo(i_field, s) for s in secs]
+    res = 0.0
+    for a in range(len(secs)):
+        for b in range(a, len(secs)):
+            lhs = pairing(applied[a], applied[b])
+            rhs = pairing(secs[a], secs[b])
+            res = worst(res, max_abs(lhs.eval(pts) - rhs.eval(pts)))
+    return res
+
+
+@pytest.mark.parametrize("model", ["torus", "kodaira"])
+@pytest.mark.parametrize("seed", [42, 7])
+def test_courant_suite_checks_equal_the_loops(model, seed):
+    """Both stacked checks are bitwise the per-pair loops, on the run's own
+    model, structure and points."""
+    ctx = suites.SuiteContext(suites.SuiteConfig(suite="courant", model=model, seed=seed))
+    got = {c.name: c.residual for c in suites.suite_courant(ctx)}
+    chart = ctx.model.chart
+    assert_bitwise(got["b-transform-naturality"],
+                   ref_b_transform_naturality(chart, ctx.points(count=12), seed))
+    assert_bitwise(got["pairing-preservation"],
+                   ref_pairing_preservation(ctx.gcs_pair[0], ctx.points(count=8)))
+    assert got["b-transform-naturality"] > 0.0 and got["pairing-preservation"] > 0.0
+
+
+def stacked_sections(fields, pad):
+    """The section ``fields`` stacked on axis 1 as one field, indexed by
+    ``pad`` to place length-1 stack axes."""
+    return Field(fields[0].chart, "section",
+                 lambda jc: _stack([f.fn(jc) for f in fields])[pad],
+                 cost=max(f.cost for f in fields))
+
+
+@settings(max_examples=20, deadline=None)
+@given(section_cases, st.integers(1, 3), st.integers(1, 3), st.booleans())
+def test_section_ops_broadcast_over_leading_axes(torus_model, case, n, m, outer):
+    """``courant_bracket`` (with and without a twist), ``b_transform``,
+    ``apply_endo`` and ``pairing`` on stacked sections, either zipped
+    (B, n) with (B, n) or outer (B, n, 1) with (B, 1, m), the 2-form, twist
+    and endomorphism given the stack axes by ``stack_axes``: each slice is
+    bitwise the evaluation on that one pair.  ``validate_twist`` reads the
+    same residual from the stacked twist."""
+    seed, b_seed, twisted, order = case
+    chart = torus_model.chart
+    pts = SamplePlan(8, seed % 1000).sample(chart)
+    m = m if outer else n
+    secs = random_poly_sections(chart, n + m, seed)
+    b2 = random_poly_two_form(chart, b_seed)
+    h = exterior_derivative(b2) if twisted else None
+    i_field = random_affine_endo(chart, np.random.default_rng(seed))
+    axes = 2 if outer else 1
+    pad_a = (slice(None), slice(None), None) if outer else (slice(None),)
+    pad_b = (slice(None), None) if outer else (slice(None),)
+    sa, sb = stacked_sections(secs[:n], pad_a), stacked_sections(secs[n:], pad_b)
+    hs = None if h is None else stack_axes(h, axes)
+    b2s, i_s = stack_axes(b2, axes), stack_axes(i_field, axes)
+    assert validate_twist(hs, pts) == validate_twist(h, pts)
+    ops = [(courant_bracket(sa, sb, hs), lambda a, b: courant_bracket(a, b, h)),
+           (b_transform(sa, b2s), lambda a, b: b_transform(a, b2)),
+           (apply_endo(i_s, sb), lambda a, b: apply_endo(i_field, b)),
+           (pairing(sa, sb), pairing)]
+    pairs = list(itertools.product(range(n), range(m)) if outer else zip(range(n), range(n)))
+    for new, per_item in ops:
+        got = new.eval_jet(pts, order)
+        for i, j in pairs:
+            # a stack axis of length 1 broadcasts: index it at 0
+            idx = tuple(k if size > 1 else 0
+                        for k, size in zip((i, j)[:axes], got.c.shape[1:]))
+            want = per_item(secs[i], secs[n + j]).eval_jet(pts, order)
+            assert_jets_equal(got[(slice(None),) + idx], want)

@@ -374,3 +374,59 @@ def test_deformed_pair_and_extraction(torus_model, plan):
     from pbhverify.structures import BihermitianData, check_p_gradient
     data_t = BihermitianData(ge, jpe, jme, name="deformed")
     assert check_p_gradient(data_t, pts[:8]) < 1e-6
+
+
+# -- the stacked courant-suite checks: mutants and work count ----------------
+
+
+def courant_run(monkeypatch, seed=42, **patches):
+    from pbhverify import suites
+    for name, value in patches.items():
+        monkeypatch.setattr(suites, name, value)
+    rep = run_suite(SuiteConfig(suite="courant", model="torus", seed=seed))
+    return {c.name: c for c in rep.checks}
+
+
+@pytest.mark.parametrize("seed, reading", [(42, 1.9433), (7, 1.6466)])
+def test_naturality_check_sees_a_flipped_shear(monkeypatch, seed, reading):
+    """A b_transform that adds -i_X b is natural for the twist -db, not db:
+    the batched b-transform-naturality check fails, and nothing else."""
+    checks = courant_run(monkeypatch, seed,
+                         b_transform=lambda a, b2: b_transform(a, -b2))
+    nat = checks.pop("b-transform-naturality")
+    assert not nat.passed and nat.residual == pytest.approx(reading, abs=1e-4)
+    assert all(c.passed for c in checks.values())
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_pairing_check_sees_a_scaled_structure(monkeypatch, seed):
+    """Scaling I(A) by 1.001 scales the pairing of the images by 1.001^2:
+    the batched pairing-preservation check reads 0.5 * 0.002001 and fails."""
+    checks = courant_run(monkeypatch, seed,
+                         apply_endo=lambda i, a: apply_endo(i, a) * 1.001)
+    pres = checks.pop("pairing-preservation")
+    assert not pres.passed and pres.residual == pytest.approx(1.0005e-3, rel=1e-9)
+    assert all(c.passed for c in checks.values())
+
+
+def test_courant_suite_work_count(monkeypatch):
+    """Deterministic work guard on one torus ``courant`` run: the
+    naturality check evaluates once per random 2-form (8 stacked brackets
+    of four section pairs, plus 8 twist validations) and the pairing check
+    once for all frame-section pairs."""
+    from pbhverify import gencomplex
+    evals, brackets = [], []
+    eval_jet, courant = Field.eval_jet, gencomplex._courant
+
+    def counted_eval(field, *args, **kwargs):
+        evals.append(field)
+        return eval_jet(field, *args, **kwargs)
+
+    def counted_courant(*args):
+        brackets.append(args)
+        return courant(*args)
+
+    monkeypatch.setattr(Field, "eval_jet", counted_eval)
+    monkeypatch.setattr(gencomplex, "_courant", counted_courant)
+    assert all(c.passed for c in courant_run(monkeypatch).values())
+    assert (len(evals), len(brackets)) == (42, 192)
