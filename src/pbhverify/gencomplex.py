@@ -12,8 +12,9 @@ from .structures import DegeneracyError, fundamental_form, max_abs, worst
 from .tensorcalc import (ChartDomain, Field, Jet, endo_field,
                          exterior_derivative, form_combos, form_field,
                          form_from_matrix, form_full, form_full_matrix,
-                         jeinsum, jet_coords, jet_inv, jgrad, jmatmul,
-                         jmatvec, jtranspose, metric_field, scalar_field)
+                         jeinsum, jet_coords, jet_inv, jet_prefix, jet_space,
+                         jgrad, jmatmul, jmatvec, jtranspose, metric_field,
+                         scalar_field)
 from .tensorcalc.calculus import _stack
 from .tensorcalc.fields import _broadcast_const
 
@@ -218,7 +219,16 @@ def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
     section pairs A before B (frame sections first).  I, H and every section
     are evaluated once, and the sections and their images under I are
     prepared (``_prep``) once; each section is bracketed against all later
-    ones in one batched call on slices of the prepared stacks."""
+    ones in one batched call on slices of the prepared stacks.
+
+    The brackets run at degree 0.  The residual is a value (``max_abs``),
+    and the value of a Courant bracket reads only the values and first
+    partials of its sections and the value of H, so after ``_prep`` (the one
+    derivative) the prepared stacks, I and H are cut to their values, jets
+    in ``jet_space(d, 0)`` (``jet_prefix``).  Each product's value is the
+    same single Leibniz term as at full order, so every row's residual value
+    is bitwise the full-order loop's, and a NaN in a value or first partial
+    still reaches it."""
     chart = i_field.chart
     d = chart.dim
     sections = list(extra_sections)
@@ -232,9 +242,12 @@ def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
                 0 if h is None else h.cost)
     jc = jet_coords(d, order, pts)
     iv = i_field.fn(jc)[:, None]
-    hv = None if h is None else form_full(h.fn(jc), d, 3)[:, None]
     s = _stack([sec.fn(jc) for sec in sections])  # (B, sections, 2d)
-    ps, pi = _prep(s, d), _prep(jmatvec(iv, s), d)
+    sp0 = jet_space(d, 0)
+    ps = [jet_prefix(p, sp0) for p in _prep(s, d)]
+    pi = [jet_prefix(p, sp0) for p in _prep(jmatvec(iv, s), d)]
+    iv = jet_prefix(iv, sp0)
+    hv = None if h is None else jet_prefix(form_full(h.fn(jc), d, 3)[:, None], sp0)
 
     def rows(sl):  # the prepared sections ``sl`` (axis 1) and their images
         return tuple(p[:, sl] for p in ps), tuple(p[:, sl] for p in pi)

@@ -15,8 +15,8 @@ from .structures import (BihermitianData, ParaHyperTriple,
                          worst)
 from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          constant_metric, form_field, form_full_matrix,
-                         form_from_matrix, frame_field, jet_coords, jet_space,
-                         jgrad, jmatmul, jtranspose, metric_field)
+                         form_from_matrix, frame_field, jet_coords, jet_prefix,
+                         jet_space, jgrad, jmatmul, jtranspose, metric_field)
 from .tensorcalc.fields import _chart_coeffs, _scale
 from .tensorcalc.calculus import _stack
 
@@ -257,6 +257,8 @@ F_CATALOG = {
     # couples directions that the Hamiltonian field of the torus F^K moves,
     # so its flow is genuinely curved there
     "sin14": _sin_pair(0, 3, "sin14"),
+    # curved on kodaira, where the flows of sin2 and sin14 are shears
+    "sin13": _sin_pair(0, 2, "sin13"),
 }
 
 
@@ -476,7 +478,7 @@ def _prefix_slice(jc: Jet, stored: Jet, y: Jet) -> Jet | None:
     rows, n = jc.c.shape[0], jc.space.n
     if jc.order > stored.order or not np.array_equal(jc.c, stored.c[:rows, ..., :n]):
         return None
-    return Jet(jc.space, y.c[:rows, ..., :n].copy(), y.order - stored.order + jc.order)
+    return jet_prefix(y[:rows], jc.space, y.order - stored.order + jc.order).copy()
 
 
 def flow_pullback_form(flow: HamiltonianFlow, omega: Field) -> Field:

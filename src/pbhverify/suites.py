@@ -261,6 +261,17 @@ class SuiteContext:
         return gcs_from_form(self.bundle.beta1), gcs_from_form(self.bundle.beta2)
 
     @cached_property
+    def closed_integrability(self):
+        """Torsion of both structures of ``gcs_pair`` against the coordinate
+        frame and eight random polynomial sections, and the number of points;
+        the courant and gpk-example2 suites both record it."""
+        n_pts = self.points(count=min(8, self.config.samples))
+        extra_secs = random_poly_sections(self.model.chart, 8, self.config.seed + 31)
+        integ = worst(*(gcs_nijenhuis(i, None, n_pts, extra_sections=extra_secs)
+                        for i in self.gcs_pair))
+        return integ, len(n_pts)
+
+    @cached_property
     def deformed_pair(self):
         """The generalized complex structures of the deformed gamma1, gamma2."""
         return gcs_from_form(self.deformed.gamma1), gcs_from_form(self.deformed.gamma2)
@@ -374,16 +385,6 @@ def suite_lemma1(ctx: SuiteContext):
 # suite: courant
 
 
-def _closed_form_integrability(ctx: SuiteContext, reference):
-    """Torsion of both structures of ``ctx.gcs_pair`` against the coordinate
-    frame and eight random polynomial sections."""
-    n_pts = ctx.points(count=min(8, ctx.config.samples))
-    extra_secs = random_poly_sections(ctx.model.chart, 8, ctx.config.seed + 31)
-    integ = worst(*(gcs_nijenhuis(i, None, n_pts, extra_sections=extra_secs)
-                    for i in ctx.gcs_pair))
-    return ctx.record("closed-form-integrability", reference, integ, len(n_pts))
-
-
 def suite_courant(ctx: SuiteContext):
     chart = ctx.model.chart
     pts = ctx.points(count=min(12, ctx.config.samples))
@@ -402,8 +403,6 @@ def suite_courant(ctx: SuiteContext):
         worst_nat = worst(worst_nat, max_abs((lhs - rhs).eval(pts)))
 
     bundle = ctx.bundle
-    integ_check = _closed_form_integrability(
-        ctx, "torsion of the structures built from the closed complex 2-forms")
     i1 = ctx.gcs_pair[0]
     n_pts = ctx.points(count=min(8, ctx.config.samples))
 
@@ -433,7 +432,9 @@ def suite_courant(ctx: SuiteContext):
         ctx.record("b-transform-naturality",
                    "bracket of sheared sections equals sheared twisted bracket "
                    "(8 random polynomial 2-forms)", worst_nat, len(pts)),
-        integ_check,
+        ctx.record("closed-form-integrability",
+                   "torsion of the structures built from the closed complex "
+                   "2-forms", *ctx.closed_integrability),
         ctx.record("nonclosed-form-control",
                    "negative control: non-closed imaginary part must produce a "
                    "large torsion residual", control, 4),
@@ -476,8 +477,9 @@ def suite_gpk_example2(ctx: SuiteContext):
     a = params.a
     root = float(np.sqrt(a * a - 1.0))
 
-    def fval(form, vecs):
-        return evaluate_form(form.eval_jet(pts), vecs, d, len(vecs)).value
+    def fval(form, vecs):  # values only, in the frame's order-0 space
+        return evaluate_form(Jet.constant(jet_space(d, 0), form.eval(pts)), vecs, d,
+                             len(vecs)).value
 
     table = worst(max_abs(fval(wedge(wp, wp), frame) - 4 * (a + 1)),
                   max_abs(fval(wedge(wm, wm), frame) + 4 * (a - 1)),
@@ -533,7 +535,8 @@ def suite_gpk_example2(ctx: SuiteContext):
     checks.append(ctx.record("structure-conditions",
                              "square and pairing conditions for both structures",
                              worst(*conds), len(pts)))
-    checks.append(_closed_form_integrability(ctx, "torsion of both structures"))
+    checks.append(ctx.record("closed-form-integrability", "torsion of both structures",
+                             *ctx.closed_integrability))
     checks.append(_record_gpk_pair(ctx, "pair-compatibility",
                                    "commutation, eigenbundle split, "
                                    "transversality and pairing rank",

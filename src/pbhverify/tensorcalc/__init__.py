@@ -2,8 +2,8 @@
 
 from .charts import ChartDomain, DomainError, ExcludedLocus, SamplePlan
 from .jets import (Jet, JetSpace, jdet, jeinsum, jet_coords, jet_inv,
-                   jet_solve, jet_space, jgrad, jmatmul, jmatvec, jtrace,
-                   jtranspose)
+                   jet_prefix, jet_solve, jet_space, jgrad, jmatmul, jmatvec,
+                   jtrace, jtranspose)
 from .fields import (Field, bivector_field, constant_endo, constant_metric,
                      coordinate_vector, endo_field, form_field, frame_field,
                      frame_lift, metric_field, oneform_field, same_frame,

@@ -70,8 +70,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["JetSpace", "Jet", "jet_space", "jet_coords", "jeinsum", "jgrad",
-           "jmatvec", "jmatmul", "jtranspose", "jet_inv", "jet_solve",
+__all__ = ["JetSpace", "Jet", "jet_space", "jet_coords", "jet_prefix", "jeinsum",
+           "jgrad", "jmatvec", "jmatmul", "jtranspose", "jet_inv", "jet_solve",
            "jdet", "jtrace"]
 
 
@@ -178,7 +178,10 @@ class Jet:
     """Batched jet: coefficient array of shape (..., space.n).
 
     ``order`` tracks how many derivative orders are still valid; coefficients
-    of higher degree are kept identically zero and must not be read.
+    of higher degree are unspecified and must not be read.  They are not
+    kept zero: a product computes every degree of the space, so a factor
+    valid to a lower order than the space (a ``jgrad`` result, say) gives a
+    product with nonzero coefficients above its own order.
     """
 
     __slots__ = ("space", "c", "order")
@@ -382,6 +385,17 @@ def jet_coords(dim: int, order: int, points: np.ndarray) -> Jet:
         for i in range(dim):
             c[:, i, sp.index[tuple(1 if j == i else 0 for j in range(dim))]] = 1.0
     return Jet(sp, c)
+
+
+def jet_prefix(a: Jet, space: JetSpace, order: int | None = None) -> Jet:
+    """``a``'s coefficients through degree ``space.order`` (a prefix of the
+    degree-ordered multi-indices) as a jet in ``space``, of ``a``'s
+    dimension; valid to ``order``, by default min(a.order, space.order).
+    The coefficients are a view of ``a.c``."""
+    if space.dim != a.space.dim or space.order > a.space.order:
+        raise ValueError("a prefix needs a space of the same dimension and no higher order")
+    valid = min(a.order, space.order) if order is None else order
+    return Jet(space, a.c[..., :space.n], valid)
 
 
 def _is_constant(x: Jet) -> bool:

@@ -354,6 +354,50 @@ def test_conjugation_twist_shift(torus_bundle, torus_points):
     assert gcs_nijenhuis(conj2, db, torus_points[:3]) < 1e-12
 
 
+def test_gcs_nijenhuis_brackets_at_degree_0(torus_bundle, torus_points, monkeypatch):
+    """Every operand of every Courant bracket in ``gcs_nijenhuis``, twisted
+    and untwisted, is a jet of ``jet_space(d, 0)``: the residual reads only
+    values, so the brackets run on the values of the prepared stacks."""
+    from pbhverify import gencomplex
+    from pbhverify.tensorcalc import jet_space
+    courant, calls = gencomplex._courant, []
+
+    def spy(pa, pb, h, d):
+        calls.append((*pa, *pb, h))
+        return courant(pa, pb, h, d)
+
+    monkeypatch.setattr(gencomplex, "_courant", spy)
+    chart = torus_bundle.chart
+    i1 = gcs_from_form(torus_bundle.beta1)
+    b2 = random_poly_two_form(chart, 119)
+    secs = random_poly_sections(chart, 2, 31)
+    for i_field, h in ((i1, None),
+                       (b_conjugate_endo(i1, b2, sign=1.0), -exterior_derivative(b2))):
+        calls.clear()
+        gcs_nijenhuis(i_field, h, torus_points[:3], secs)
+        assert len(calls) == 4 * 9  # four brackets per row, ten sections
+        operands = [x for call in calls for x in call if x is not None]
+        assert len(operands) == len(calls) * (6 if h is None else 7)
+        assert all(x.space is jet_space(4, 0) and x.order == 0 for x in operands)
+
+
+@pytest.mark.parametrize("coeff", [0, 1, 3])
+def test_nan_in_a_section_reaches_the_residual(torus_bundle, torus_points, coeff):
+    """A NaN in one section's value (coefficient 0) or first partial
+    (d_1, d_3) at one point makes the residual NaN: the degree-0 brackets
+    read both."""
+    i1 = gcs_from_form(torus_bundle.beta1)
+    base = random_poly_sections(torus_bundle.chart, 1, 31)[0]
+
+    def fn(jc):
+        out = base.fn(jc).copy()
+        out.c[1, 5, coeff] = np.nan
+        return out
+
+    sec = Field(base.chart, "section", fn)
+    assert np.isnan(gcs_nijenhuis(i1, None, torus_points[:3], [sec]))
+
+
 def test_deformed_pair_and_extraction(torus_model, plan):
     pts = plan.sample(torus_model.chart)
     bundle = example2_build(torus_model,

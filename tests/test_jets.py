@@ -3,7 +3,10 @@ frozen symbolic value."""
 
 import numpy as np
 
-from pbhverify.tensorcalc import jet_coords, jet_inv, jet_space, jdet, jmatmul
+import pytest
+
+from pbhverify.tensorcalc import (jet_coords, jet_inv, jet_prefix, jet_space, jdet,
+                                  jmatmul)
 from pbhverify.tensorcalc.jets import Jet, JetSpace
 
 from jet_helpers import partials
@@ -96,6 +99,24 @@ def test_multi_indices_of_lower_orders_are_prefixes():
         for k in (0, 1, 2):
             lo, hi = JetSpace(d, k).multi, JetSpace(d, k + 1).multi
             assert hi[:len(lo)] == lo
+
+
+def test_jet_prefix_is_the_lower_order_quantity():
+    """``jet_prefix`` of a product at order 3 to order 1 or 0 is the product
+    computed at that order, valid to the lower order; a space of another
+    dimension or a higher order is refused."""
+    pts = np.array([[0.3, -0.7, 1.1, 0.05], [1.0, 2.0, -0.5, 0.25]])
+    x3 = jet_coords(4, 3, pts)
+    f3 = (x3[:, 0] * x3[:, 1]).sin()
+    for k in (0, 1):
+        xk = jet_coords(4, k, pts)
+        cut = jet_prefix(f3, jet_space(4, k))
+        assert cut.space is xk.space and cut.order == k
+        assert np.array_equal(cut.c, (xk[:, 0] * xk[:, 1]).sin().c)
+    assert jet_prefix(x3, jet_space(4, 1), order=0).order == 0
+    for space in (jet_space(6, 1), jet_space(4, 4)):
+        with pytest.raises(ValueError, match="prefix"):
+            jet_prefix(x3, space)
 
 
 def test_sincos_is_sin_and_cos_from_one_set_of_powers(monkeypatch):

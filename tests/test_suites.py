@@ -41,6 +41,51 @@ def test_nan_in_frame_endomorphism_fails_closed(torus_model):
     assert not check["split-quaternion-relations"].passed
 
 
+def test_closed_form_integrability_is_computed_once_per_context(monkeypatch):
+    """An ``all`` run on the torus brackets each structure of the closed pair
+    once, and the courant and gpk-example2 records carry that one residual,
+    each under its own reference."""
+    from pbhverify import suites
+    nijenhuis, init = suites.gcs_nijenhuis, SuiteContext.__init__
+    structures, contexts = [], []
+
+    def spy(i_field, *args, **kwargs):
+        structures.append(i_field)
+        return nijenhuis(i_field, *args, **kwargs)
+
+    def tracked(ctx, config):
+        init(ctx, config)
+        contexts.append(ctx)
+
+    monkeypatch.setattr(suites, "gcs_nijenhuis", spy)
+    monkeypatch.setattr(SuiteContext, "__init__", tracked)
+    rep = run_suite(SuiteConfig(suite="all", model="torus", samples=16))
+    (ctx,) = contexts
+    assert [sum(s is i for s in structures) for i in ctx.gcs_pair] == [1, 1]
+    first, second = [c for c in rep.checks if c.name == "closed-form-integrability"]
+    assert first.passed and first.residual == second.residual
+    assert first.reference != second.reference
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_gpk_suite_runs_on_forms_of_cost_1(t):
+    """The frame table evaluates the 2-forms' values in its frame's order-0
+    jet space, so forms whose evaluation consumes a derivative order no
+    longer raise "jets from different spaces": with the torus forms F^K, w'
+    and w'' re-declared at cost 1 (same values), gpk-example2 gives the
+    shipped residuals."""
+    import dataclasses
+    from pbhverify.suites import suite_gpk_example2
+    cfg = SuiteConfig(suite="gpk-example2", model="torus", samples=16, t=t)
+    shipped = [(c.name, c.residual) for c in run_suite(cfg).checks]
+    ctx = SuiteContext(cfg)
+    bundle = ctx.bundle
+    for name in ("f_k", "omega_p", "omega_pp"):  # the forms the others are built from
+        setattr(bundle, name, dataclasses.replace(getattr(bundle, name), cost=1))
+    assert bundle.beta1.cost == bundle.omega_minus.cost == 1
+    assert [(c.name, c.residual) for c in suite_gpk_example2(ctx)] == shipped
+
+
 def test_catalog_matches_emitted_checks():
     """Every catalogued check is emitted and every emitted one catalogued,
     each declared once and recorded at its default tolerance; the
