@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import (BihermitianData, _branch_root, levi_civita,
-                         max_abs)
+from .structures import BihermitianData, _branch_root, max_abs
 from .tensorcalc import (ChartDomain, Field, bracket_jets, coordinate_vector,
                          d_scalar, endo_field, jet_inv, jmatvec, jtranspose,
                          metric_field, oneform_field, scalar_field,
@@ -26,7 +25,7 @@ from .tensorcalc.fields import _broadcast_const, _scale, memoize_fn
 __all__ = ["RankTowerReport", "n_endos", "lee_fields", "LeeFields",
            "LeeValues", "rank_tower", "theorem7_check", "Theorem7Report",
            "canonical_engel_span", "integrable_control_span",
-           "other_control_span", "SyntheticBihermitian", "synthetic_data",
+           "other_control_span", "synthetic_data",
            "basis_identity_residuals", "nabla_n_rhs_residuals"]
 
 RANK_FLOOR = 1e-8  # singular values up to this share of the largest count as 0
@@ -123,10 +122,10 @@ def _branch(p_field: Field, sign: float) -> Field:
     return scalar_field(p_field.chart, fn, cost=p_field.cost)
 
 
-def n_endos(jp: Field, jm: Field, p_field: Field):
+def n_endos(data: BihermitianData):
     """N± = J+ + (p ± sqrt(p^2 - 1)) J-; square-zero of rank two on the
     strict |p| > 1 locus, with kernels the K eigendistributions."""
-    return tuple(jp + jm * _branch(p_field, sign) for sign in (1.0, -1.0))
+    return tuple(data.jp + data.jm * _branch(data.p, sign) for sign in (1.0, -1.0))
 
 
 @dataclass
@@ -183,15 +182,17 @@ class LeeFields:
                          d.p.eval(pts), self.f_field.eval(pts))
 
 
-def lee_fields(g: Field, jp: Field, jm: Field, theta_p: Field | None = None,
-               theta_m: Field | None = None, name="") -> LeeFields:
+def lee_fields(data: BihermitianData, theta_p: Field | None = None,
+               theta_m: Field | None = None) -> LeeFields:
+    """The Lee-form fields of ``data``; theta± default to the Lee forms of
+    its pairs."""
+    g = data.g
     chart = g.chart
-    data = BihermitianData(g, jp, jm, name=name)
     if theta_p is None:
         theta_p = data.pair_plus.theta
     if theta_m is None:
         theta_m = data.pair_minus.theta
-    n = n_endos(jp, jm, data.p)[1]
+    n = n_endos(data)[1]
 
     def fn(jc):
         """X, Y and |theta+|^2 from one inverse of g."""
@@ -323,7 +324,7 @@ def theorem7_check(lf: LeeFields, pts) -> Theorem7Report:
     null geodesic (X-component of nabla_Y Y vanishes in the natural frame) or
     the distribution Span(X, Y) is Engel; degenerate points are reported
     inconclusive, never silently skipped."""
-    conn = levi_civita(lf.data.g)
+    conn = lf.data.pair_plus.lc
     lv = lf.values(pts)
     frame, fr_rank = lv.frame()
     mask = lv.definitive_mask() & (fr_rank == 4)
@@ -352,25 +353,14 @@ def theorem7_check(lf: LeeFields, pts) -> Theorem7Report:
 # synthetic locally-prescribed data
 
 
-@dataclass
-class SyntheticBihermitian:
-    g: Field
-    jp: Field
-    jm: Field
-    theta_p: Field
-    theta_m: Field
-
-    def lee(self) -> LeeFields:
-        return lee_fields(self.g, self.jp, self.jm, self.theta_p, self.theta_m)
-
-
 def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
-                   degenerate: bool = False) -> SyntheticBihermitian:
-    """Pointwise-valid structures with varying p = -a(x): J-(x) is a varying
-    split-quaternion combination, and theta+ is prescribed through the
-    gradient rule theta+ = dp o K / sqrt(p^2 - 1), theta- = -theta+, which
-    makes the distribution identities exact without global integrability.
-    With ``degenerate`` the Lee forms are prescribed to vanish instead."""
+                   degenerate: bool = False) -> LeeFields:
+    """The Lee-form fields of pointwise-valid structures with varying
+    p = -a(x): J-(x) is a varying split-quaternion combination, and theta+
+    is prescribed through the gradient rule theta+ = dp o K / sqrt(p^2 - 1),
+    theta- = -theta+, which makes the distribution identities exact without
+    global integrability.  With ``degenerate`` the Lee forms are prescribed
+    to vanish instead."""
     j1m, j2m, j3m = quaternion_frame
 
     def a_fn(jc):
@@ -394,7 +384,7 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
 
     if degenerate:
         zero = oneform_field(chart, lambda jc: _stack([jc[:, 0] * 0.0] * chart.dim))
-        return SyntheticBihermitian(g, jp, jm, zero, zero)
+        return lee_fields(data, zero, zero)
 
     dp = d_scalar(scalar_field(chart, lambda jc: -a_fn(jc), cost=0))
 
@@ -404,5 +394,4 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
         return _scale(comp, data.s_root.fn(jc).reciprocal())
 
     theta_p = oneform_field(chart, theta_fn, cost=1).memoized()
-    theta_m = -theta_p
-    return SyntheticBihermitian(g, jp, jm, theta_p, theta_m)
+    return lee_fields(data, theta_p, -theta_p)

@@ -8,7 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .structures import DegeneracyError, fundamental_form, max_abs, worst
+from .structures import (BihermitianData, DegeneracyError, fundamental_form,
+                         max_abs, worst)
 from .tensorcalc import (ChartDomain, Field, Jet, endo_field,
                          exterior_derivative, form_combos, form_field,
                          form_from_matrix, form_full, form_full_matrix,
@@ -16,7 +17,7 @@ from .tensorcalc import (ChartDomain, Field, Jet, endo_field,
                          jgrad, jmatmul, jmatvec, jtranspose, metric_field,
                          scalar_field)
 from .tensorcalc.calculus import _stack
-from .tensorcalc.fields import _broadcast_const
+from .tensorcalc.fields import _broadcast_const, memoize_fn
 
 __all__ = ["coordinate_sections", "constant_sections", "stack_axes",
            "random_poly_sections", "pairing", "pairing_matrix", "courant_bracket",
@@ -274,14 +275,14 @@ def b_transform(a: Field, b2: Field) -> Field:
     return Field(a.chart, "section", fn, cost=max(a.cost, b2.cost))
 
 
-def b_conjugate_endo(i_field: Field, b2: Field, sign: float = 1.0) -> Field:
-    """e^{sign b} I e^{-sign b} as an endomorphism field."""
+def b_conjugate_endo(i_field: Field, b2: Field) -> Field:
+    """e^b I e^{-b} as an endomorphism field."""
     chart = i_field.chart
     d = chart.dim
 
     def fn(jc):
         iv = i_field.fn(jc)
-        bmap = form_as_map(b2.fn(jc), d) * sign
+        bmap = form_as_map(b2.fn(jc), d)
         eye = _broadcast_const(bmap, np.eye(d))
         zero = eye * 0.0
         return jmatmul(_blocks(eye, zero, bmap, eye),
@@ -372,18 +373,20 @@ def gualtieri_build(g: Field, jp: Field, jm: Field, b2: Field | None = None):
                            (jtranspose(jpv) + jtranspose(jmv) * s) * (-0.5))
 
         out = Field(chart, "tensor", fn, cost=max(g.cost, jp.cost, jm.cost))
-        return out if b2 is None else b_conjugate_endo(out, b2, sign=1.0)
+        return out if b2 is None else b_conjugate_endo(out, b2)
 
     return make(1), make(2)
 
 
 def gualtieri_extract(i1: Field, i2: Field):
-    """Recover (g, J+, J-, b) fields from a commuting pair via the graph
-    maps of the +-1 eigenbundles of G = I1 I2."""
+    """Recover the bihermitian data (g, J+, J-) and the 2-form b from a
+    commuting pair via the graph maps of the +-1 eigenbundles of G = I1 I2,
+    computed once per coordinate jet."""
     chart = i1.chart
     d = chart.dim
+    cost = max(i1.cost, i2.cost)
 
-    def blocks(jc):
+    def graph_maps(jc):
         gv = jmatmul(i1.fn(jc), i2.fn(jc))
         a = gv[:, :d, :d]
         b = gv[:, :d, d:]
@@ -393,11 +396,13 @@ def gualtieri_extract(i1: Field, i2: Field):
         c_minus = jmatmul(binv, -eye - a)
         return c_plus, c_minus
 
+    blocks = memoize_fn(graph_maps)
+
     # with the shipped block construction the +1 eigenbundle is the graph of
     # b - g and the -1 eigenbundle the graph of b + g
     def g_fn(jc):
         cp, cm = blocks(jc)
-        return (cm - cp) * 0.5
+        return jtranspose((cm - cp) * 0.5)
 
     def b_fn(jc):
         cp, cm = blocks(jc)
@@ -405,17 +410,13 @@ def gualtieri_extract(i1: Field, i2: Field):
         return form_from_matrix(jtranspose(m), d)
 
     def j_fn(jc, sign):
-        cp, cm = blocks(jc)
         # J+ acts on the graph of b + g (the -1 eigenbundle here), J- on b - g
-        c = cm if sign > 0 else cp
+        c = blocks(jc)[1 if sign > 0 else 0]
         iv = i1.fn(jc)
         # project I1 (X + C X) to the tangent part
-        lift_top = iv[:, :d, :d] + jmatmul(iv[:, :d, d:], c)
-        return lift_top
+        return iv[:, :d, :d] + jmatmul(iv[:, :d, d:], c)
 
-    g_field = metric_field(chart, lambda jc: jtranspose(g_fn(jc)),
-                           cost=max(i1.cost, i2.cost)).memoized()
-    b_field = form_field(chart, 2, b_fn, cost=max(i1.cost, i2.cost))
-    jp_field = endo_field(chart, lambda jc: j_fn(jc, +1), cost=max(i1.cost, i2.cost)).memoized()
-    jm_field = endo_field(chart, lambda jc: j_fn(jc, -1), cost=max(i1.cost, i2.cost)).memoized()
-    return g_field, jp_field, jm_field, b_field
+    data = BihermitianData(metric_field(chart, g_fn, cost=cost),
+                           endo_field(chart, lambda jc: j_fn(jc, +1), cost=cost),
+                           endo_field(chart, lambda jc: j_fn(jc, -1), cost=cost))
+    return data, form_field(chart, 2, b_fn, cost=cost)

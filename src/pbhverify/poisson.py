@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import (HermitianPair, chern_connection, d_pm_F, levi_civita,
-                         max_abs)
-from .tensorcalc import (Field, Jet, bivector_field, d_scalar, endo_field,
+from .structures import BihermitianData, HermitianPair, max_abs
+from .tensorcalc import (Field, Jet, bivector_field, d_scalar,
                          exterior_derivative, form_combos, form_field,
                          form_from_matrix, form_full, form_full_matrix,
                          jeinsum, jet_coords, jet_inv, jgrad, jmatmul,
@@ -19,7 +18,7 @@ from .tensorcalc import (Field, Jet, bivector_field, d_scalar, endo_field,
 from .tensorcalc.calculus import _full_index
 from .tensorcalc.fields import _broadcast_const
 
-__all__ = ["ComplexBivector", "q_endo", "pi_bivector", "check_holomorphic",
+__all__ = ["ComplexBivector", "pi_bivector", "check_holomorphic",
            "schouten_bb", "schouten_vb", "cyclic_nabla_q_form",
            "lower_trivector", "ddc_scalar",
            "standard_complex_matrix", "holo_bracket", "holo_apply",
@@ -28,22 +27,13 @@ __all__ = ["ComplexBivector", "q_endo", "pi_bivector", "check_holomorphic",
            "type_02_projector_matrix", "theorem4_hypotheses"]
 
 
-def q_endo(jp: Field, jm: Field) -> Field:
-    """Q = [J+, J-]."""
-    def fn(jc):
-        a, b = jp.fn(jc), jm.fn(jc)
-        return jmatmul(a, b) - jmatmul(b, a)
-
-    return endo_field(jp.chart, fn, cost=max(jp.cost, jm.cost))
-
-
 @dataclass
 class ComplexBivector:
     """Complex bivector with its g-lowered complex 2-form."""
 
     bivector: Field   # (B, d, d) complex antisymmetric
     lowered: Field    # complex 2-form (combo components)
-    pair: HermitianPair
+    pair: HermitianPair  # (g, J+) of the data it was built from
 
     def type_20_residual(self, pts) -> float:
         """The lowered form must be (0,2): L(JX, Y) = -i L(X, Y)."""
@@ -66,23 +56,23 @@ OPPOSITE_TOL = 1e-8  # pi_bivector warns above this |d^J+ F+ + d^J- F-|
 COMMUTE_TOL = 1e-9  # ddc_commuting_fields rejects fields with a larger |[U, V]|
 
 
-def pi_bivector(g: Field, jp: Field, jm: Field, check_points=None) -> ComplexBivector:
+def pi_bivector(data: BihermitianData, check_points=None) -> ComplexBivector:
     """Lowered form L(X,Y) = g(QX,Y) + i g(QX, J+Y); the bivector is of type
     (2,0) for J+ and vanishes exactly when the structures commute.
 
     With ``check_points`` the opposite-torsion precondition of the pipeline
     (the two 3-forms of the pair sum to zero) is measured and a warning is
     emitted if violated."""
+    g, jp, q = data.g, data.jp, data.q
     chart = g.chart
     d = chart.dim
     if check_points is not None:
-        res = max_abs(d_pm_F(HermitianPair(g, jp)).eval(check_points)
-                      + d_pm_F(HermitianPair(g, jm)).eval(check_points))
+        res = max_abs(data.pair_plus.torsion.eval(check_points)
+                      + data.pair_minus.torsion.eval(check_points))
         if res > OPPOSITE_TOL:
             warnings.warn(f"opposite-torsion precondition violated: residual "
                           f"{res:.3g}; the bivector need not be holomorphic",
                           RuntimeWarning, stacklevel=2)
-    q = q_endo(jp, jm)
 
     def lowered_fn(jc):
         gv = g.fn(jc)
@@ -94,7 +84,8 @@ def pi_bivector(g: Field, jp: Field, jm: Field, check_points=None) -> ComplexBiv
         c = omega.c.astype(np.complex128) + 1j * omega_j.c
         return form_from_matrix(Jet(omega.space, c, min(omega.order, omega_j.order)), d)
 
-    lowered = form_field(chart, 2, lowered_fn, cost=max(g.cost, jp.cost, jm.cost)).memoized()
+    lowered = form_field(chart, 2, lowered_fn,
+                         cost=max(g.cost, jp.cost, data.jm.cost)).memoized()
 
     def biv_fn(jc):
         lv = form_full_matrix(lowered.fn(jc), d)
@@ -102,7 +93,7 @@ def pi_bivector(g: Field, jp: Field, jm: Field, check_points=None) -> ComplexBiv
         return jmatmul(ginv, jmatmul(lv, ginv))
 
     biv = bivector_field(chart, biv_fn, cost=max(lowered.cost, g.cost)).memoized()
-    return ComplexBivector(biv, lowered, HermitianPair(g, jp))
+    return ComplexBivector(biv, lowered, data.pair_plus)
 
 
 def type_02_projector_matrix(l_mat: np.ndarray, j_mat: np.ndarray) -> np.ndarray:
@@ -114,11 +105,11 @@ def type_02_projector_matrix(l_mat: np.ndarray, j_mat: np.ndarray) -> np.ndarray
     return 0.25 * (l_mat - ljj) + 0.25j * (lj_left + lj_right)
 
 
-def check_holomorphic(pi: ComplexBivector, pair: HermitianPair, pts) -> float:
+def check_holomorphic(pi: ComplexBivector, pts) -> float:
     """Residual of D_{X + i J X} Pi over coordinate X, with D the Chern
-    connection of the pair."""
-    conn = chern_connection(pair)
-    f = conn.cov_deriv_tensor(pi.bivector.fn, (True, True), pi.bivector.cost)
+    connection of the bivector's pair (g, J+)."""
+    pair = pi.pair
+    f = pair.chern.cov_deriv_tensor(pi.bivector.fn, (True, True), pi.bivector.cost)
     dcov = f.eval(pts)                       # (B, i, j, k) complex values
     jv = pair.j.eval(pts)
     # contract with V = e_i + i J e_i: D_V = D_i + i J^m_i D_m
@@ -160,14 +151,13 @@ def schouten_vb(v: Field, p: Field) -> Field:
     return bivector_field(chart, fn, cost=max(v.cost, p.cost) + 1)
 
 
-def cyclic_nabla_q_form(g: Field, jp: Field, jm: Field, pts) -> np.ndarray:
+def cyclic_nabla_q_form(data: BihermitianData, pts) -> np.ndarray:
     """Cyclic sum over (X,Y,Z) of g((nabla_{QX} Q) Y, Z) as a full 3-tensor
     of values; vanishing is the Levi-Civita route to the Jacobi identity."""
-    conn = levi_civita(g)
-    q = q_endo(jp, jm)
-    dq = conn.cov_deriv_endo(q).eval(pts)  # (B, l, j, y)
+    q = data.q
+    dq = data.pair_plus.lc.cov_deriv_endo(q).eval(pts)  # (B, l, j, y)
     qv = q.eval(pts)
-    gv = g.eval(pts)
+    gv = data.g.eval(pts)
     t = np.einsum("blx,bljy,bjz->bxyz", qv, dq, gv)
     return t + np.einsum("bxyz->byzx", t) + np.einsum("bxyz->bzxy", t)
 
@@ -306,7 +296,7 @@ def ddc_commuting_fields(u_hol: Field, v_hol: Field, phi: Field, pts) -> dict:
     return {"commute": commute_res, "residual": float(np.abs(lhs - rhs).max())}
 
 
-def chern_identity_residuals(g: Field, jp: Field, jm: Field, pts) -> dict:
+def chern_identity_residuals(data: BihermitianData, pts) -> dict:
     """The covariant-derivative identities relating the Chern connection of
     (g, J+) to the second structure, valid when the two 3-forms of the pair
     are opposite (d^J+ F+ = -d^J- F-):
@@ -321,18 +311,15 @@ def chern_identity_residuals(g: Field, jp: Field, jm: Field, pts) -> dict:
 
     with dJF = d^{J+} F+, Q = [J+, J-], P = J+J- + J-J+.
     """
-    pair = HermitianPair(g, jp)
-    chern = chern_connection(pair)
-    lc = levi_civita(g)
-    q = q_endo(jp, jm)
-    dpf = d_pm_F(pair)
+    g, jp, jm, q, pair = data.g, data.jp, data.jm, data.q, data.pair_plus
+    chern = pair.chern
     d = g.chart.dim
 
     gv = g.eval(pts)
     jpv = jp.eval(pts)
     jmv = jm.eval(pts)
     pv = jpv @ jmv + jmv @ jpv
-    t = form_full(dpf.eval_jet(pts), d, 3).value
+    t = form_full(pair.torsion.eval_jet(pts), d, 3).value
 
     djm = chern.cov_deriv_endo(jm).eval(pts)       # (B, i, j, k): (D_i J-)^j_k
     # 2 g((D_X J-)Y, Z): contract the component index with g
@@ -357,7 +344,7 @@ def chern_identity_residuals(g: Field, jp: Field, jm: Field, pts) -> dict:
     gdq_j = np.einsum("bax,bajy,bjm,bmz->bxyz", jpv, dq, gv, jpv)
     res3 = gdq - gdq_j
 
-    dq_lc = lc.cov_deriv_endo(q).eval(pts)
+    dq_lc = pair.lc.cov_deriv_endo(q).eval(pts)
     lhs_q = 2.0 * np.einsum("bxjy,bjz->bxyz", dq_lc, gv)
     res4 = lhs_q - dj3(eye, pv, eye) - dj3(eye, eye, pv) \
         - 2.0 * dj3(eye, jmv, jpv) - 2.0 * dj3(eye, jpv, jmv)

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensorcalc import (Field, Jet, d_scalar, exterior_derivative,
+from .tensorcalc import (Field, Jet, d_scalar, endo_field, exterior_derivative,
                          form_field, form_from_matrix, form_full, frame_field,
                          frame_lift, jeinsum, jet_coords, jet_inv, jet_solve,
                          jgrad, jmatmul, jmatvec, jtrace, jtranspose,
@@ -23,7 +23,7 @@ from .tensorcalc.calculus import _wedge_table
 
 __all__ = ["HermitianPair", "ParaHyperTriple", "BihermitianData",
            "DegeneracyError", "BranchError", "lee_form", "lee_condition",
-           "levi_civita", "chern_connection", "d_pm_F", "build_parahypercomplex",
+           "levi_civita", "build_parahypercomplex",
            "check_p_gradient", "Connection", "fundamental_form", "max_abs",
            "worst"]
 
@@ -66,7 +66,15 @@ def fundamental_form(g: Field, j: Field) -> Field:
 
 @dataclass
 class HermitianPair:
-    """Metric + compatible (almost) complex structure with derived objects."""
+    """A metric g with a compatible (almost) complex structure J.  It owns
+    the objects they determine, each built once, on first use:
+
+      f        the fundamental form F(X, Y) = g(JX, Y)
+      theta    the Lee form, theta ^ F = dF
+      lc       the Levi-Civita connection of g
+      chern    the Chern connection, built on ``lc``:
+               g(D_X Y, Z) = g(nabla_X Y, Z) - (1/2) dF(JX, Y, Z)
+      torsion  the 3-form d^J F, (d^J F)(X, Y, Z) = -dF(JX, JY, JZ)"""
 
     g: Field
     j: Field
@@ -79,6 +87,29 @@ class HermitianPair:
     @cached_property
     def theta(self) -> Field:
         return lee_form(self)
+
+    @cached_property
+    def lc(self) -> Connection:
+        return levi_civita(self.g)
+
+    @cached_property
+    def chern(self) -> Connection:
+        d = self.g.chart.dim
+        df = exterior_derivative(self.f)
+
+        def gamma_fn(jc):
+            gam = self.lc.gamma_fn(jc)
+            ginv = jet_inv(self.g.fn(jc))
+            dfv = form_full(df.fn(jc), d, 3)
+            # correction^k_{ij} = -1/2 g^{kl} dF(J e_i, e_j, e_l)
+            jdf = jeinsum("...ai,...ajl->...ijl", self.j.fn(jc), dfv)
+            return gam + jeinsum("...kl,...ijl->...kij", ginv, jdf) * (-0.5)
+
+        return Connection(self.g.chart, gamma_fn, cost=max(self.lc.cost, df.cost))
+
+    @cached_property
+    def torsion(self) -> Field:
+        return -pullback_linear(self.j, exterior_derivative(self.f))
 
 
 @dataclass
@@ -229,31 +260,6 @@ def levi_civita(g: Field) -> Connection:
     return Connection(chart, gamma_fn, cost=g.cost + 1)
 
 
-def chern_connection(pair: HermitianPair) -> Connection:
-    """g(D_X Y, Z) = g(nabla_X Y, Z) - (1/2) dF(JX, Y, Z)."""
-    chart = pair.g.chart
-    d = chart.dim
-    lc = levi_civita(pair.g)
-    df = exterior_derivative(pair.f)
-
-    def gamma_fn(jc):
-        gam = lc.gamma_fn(jc)
-        ginv = jet_inv(pair.g.fn(jc))
-        jv = pair.j.fn(jc)
-        dfv = form_full(df.fn(jc), d, 3)
-        # correction^k_{ij} = -1/2 g^{kl} dF(J e_i, e_j, e_l)
-        jdf = jeinsum("...ai,...ajl->...ijl", jv, dfv)
-        return gam + jeinsum("...kl,...ijl->...kij", ginv, jdf) * (-0.5)
-
-    return Connection(chart, gamma_fn, cost=max(lc.cost, df.cost))
-
-
-def d_pm_F(pair: HermitianPair) -> Field:
-    """d^c-type 3-form: (d^J F)(X,Y,Z) = -dF(JX, JY, JZ)."""
-    df = exterior_derivative(pair.f)
-    return -pullback_linear(pair.j, df)
-
-
 def _pairing(jpjm: Jet) -> Jet:
     """p = tr(J+ J-) / 4 from the product J+ J-."""
     return jtrace(jpjm) * 0.25
@@ -266,7 +272,17 @@ def _branch_root(p: Jet) -> Jet:
 
 @dataclass
 class BihermitianData:
-    """g with two compatible complex structures; K, S on the |p| > 1 locus.
+    """A metric g with two compatible complex structures J+ and J-.  It owns
+    the objects they determine, each built once, on first use:
+
+      pair_plus, pair_minus  the Hermitian pairs (g, J+) and (g, J-), which
+                             own F±, the Lee forms theta±, the Levi-Civita
+                             and Chern connections and the 3-forms d^J± F±
+      p                      the pairing tr(J+ J-) / 4
+      s_root                 sqrt(p^2 - 1), positive branch
+      k_endo, s_endo         K and S, on the |p| > 1 locus
+      q                      the commutator Q = [J+, J-]
+
     K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate.  Each
     of p, sqrt(p^2 - 1), K and S has one jet formula; when J+ and J- are
     constant in one frame, ``frame_lift`` evaluates it once, at x1 = 0, for
@@ -300,6 +316,15 @@ class BihermitianData:
     def s_root(self) -> Field:
         """sqrt(p^2 - 1), positive branch."""
         return self._lifted("scalar", lambda jc: _branch_root(self.p.fn(jc)))
+
+    @cached_property
+    def q(self) -> Field:
+        """Q = [J+, J-]."""
+        def fn(jc):
+            a, b = self.jp.fn(jc), self.jm.fn(jc)
+            return jmatmul(a, b) - jmatmul(b, a)
+
+        return endo_field(self.g.chart, fn, cost=max(self.jp.cost, self.jm.cost))
 
     @cached_property
     def k_endo(self) -> Field:
@@ -338,7 +363,7 @@ def build_parahypercomplex(jp: Field, jm: Field, g: Field, pts,
 
 
 def check_p_gradient(data: BihermitianData, pts) -> float:
-    """Residual of 2 d(g-pairing of J+, J-) + (theta+ - theta-) o [J+, J-]."""
+    """Residual of 2 d(g-pairing of J+, J-) + (theta+ - theta-) o Q."""
     chart = data.g.chart
     dgp = d_scalar(data.p * (-2.0))  # the g-pairing of J+ and J-
     thp = data.pair_plus.theta
@@ -346,11 +371,9 @@ def check_p_gradient(data: BihermitianData, pts) -> float:
 
     def fn(jc):
         d2 = dgp.fn(jc) * 2.0
-        jpv, jmv = data.jp.fn(jc), data.jm.fn(jc)
-        q = jmatmul(jpv, jmv) - jmatmul(jmv, jpv)
         dth = thp.fn(jc) - thm.fn(jc)
         # (theta o Q)_i = theta_a Q^a_i
-        comp = jmatvec(jtranspose(q), dth)
+        comp = jmatvec(jtranspose(data.q.fn(jc)), dth)
         return d2 + comp
 
     f = oneform_field(chart, fn, cost=max(dgp.cost, thp.cost, thm.cost))

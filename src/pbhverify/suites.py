@@ -35,11 +35,11 @@ from .models import (Example2Params, HamiltonianFlow, _sin_pair,
                      unit_spacelike_vector)
 from .poisson import (chern_identity_residuals, check_holomorphic,
                       cyclic_nabla_q_form, ddc_commuting_fields, holo_bracket,
-                      lower_trivector, pi_bivector, q_endo, schouten_bb,
+                      lower_trivector, pi_bivector, schouten_bb,
                       theorem4_hypotheses, type_02_projector_matrix)
 from .report import CheckRecord, VerificationReport
 from .structures import (BihermitianData, HermitianPair, check_p_gradient,
-                         d_pm_F, lee_condition, levi_civita, max_abs, worst)
+                         lee_condition, max_abs, worst)
 from .tensorcalc import (Field, Jet, SamplePlan, bivector_field, d_scalar,
                          evaluate_form, exterior_derivative, form_combos,
                          form_field, form_full_matrix, jmatmul, jtranspose,
@@ -256,6 +256,15 @@ class SuiteContext:
         return hamiltonian_deform(self.bundle, self.plan)
 
     @cached_property
+    def conformal(self):
+        """J+ = J1 and J- = a J1 + b J2 + c J3 with the conformally rescaled
+        model metric; the lemma1 and engel suites both read it."""
+        t = self.model.triple
+        return BihermitianData(conformal_metric(self.model), t.j1,
+                               j_minus(t, self.config.example2_params()),
+                               name="conformal")
+
+    @cached_property
     def gcs_pair(self):
         """The generalized complex structures of the closed forms beta1, beta2."""
         return gcs_from_form(self.bundle.beta1), gcs_from_form(self.bundle.beta2)
@@ -325,39 +334,33 @@ def suite_parahyperkahler(ctx: SuiteContext):
 
 
 def suite_lemma1(ctx: SuiteContext):
-    m = ctx.model
     pts = ctx.points()
-    ghat = conformal_metric(m)
-    p = ctx.config.example2_params()
-    t = m.triple
-    jm = j_minus(t, p)
-    data = BihermitianData(ghat, t.j1, jm, name="lemma1")
-    d = m.chart.dim
+    data = ctx.conformal
+    ghat, pair_p = data.g, data.pair_plus
+    d = ghat.chart.dim
 
     # algebra of the derived K, S
     kv = data.k_endo.eval_jet(pts)
     sv = data.s_endo.eval_jet(pts)
-    jv = t.j1.eval_jet(pts)
+    jv = data.jp.eval_jet(pts)
     eye = _broadcast_const(kv, np.eye(d))
     gv = ghat.eval_jet(pts)
     alg = worst(max_abs(jmatmul(kv, kv) - eye), max_abs(jmatmul(sv, sv) - eye),
                 max_abs(jmatmul(jv, kv) - sv),
-                max_abs(data.p.eval(pts) - (-p.a)),
+                max_abs(data.p.eval(pts) - (-ctx.config.a)),
                 max_abs(jmatmul(jmatmul(jtranspose(kv), gv), kv) + gv))
 
     nk = max_abs(nijenhuis_tensor(data.k_endo).eval(pts))
     ns = max_abs(nijenhuis_tensor(data.s_endo).eval(pts))
 
-    pair_p = HermitianPair(ghat, t.j1)
-    theta_p = pair_p.theta
     theta_k = HermitianPair(ghat, data.k_endo).theta
     theta_s = HermitianPair(ghat, data.s_endo).theta
-    tp = theta_p.eval(pts)
+    tp = pair_p.theta.eval(pts)
     lee_eq = worst(max_abs(theta_k.eval(pts) - tp), max_abs(theta_s.eval(pts) - tp))
 
     # the top forms have a single component
     fp = pair_p.f
-    fm = HermitianPair(ghat, jm).f
+    fm = data.pair_minus.f
     top = wedge(fp, fp).eval(pts)[:, 0]
     topm = wedge(fm, fm).eval(pts)[:, 0]
     orient = 0.0 if np.all(np.sign(top) == np.sign(topm)) else 1.0
@@ -425,7 +428,7 @@ def suite_courant(ctx: SuiteContext):
     # with the shipped shear action and bracket naturality, the structure
     # integrable for the (H - db)-twist is the e^{+b}-conjugate
     b2 = random_poly_two_form(chart, ctx.config.seed + 77)
-    conj = b_conjugate_endo(i1, b2, sign=1.0)
+    conj = b_conjugate_endo(i1, b2)
     conj_res = gcs_nijenhuis(conj, -exterior_derivative(b2), n_pts[:4])
 
     return [
@@ -554,12 +557,11 @@ def suite_gpk_example2(ctx: SuiteContext):
                              "reproduces the spinor-line structures", cross,
                              len(pts)))
 
-    dpf = d_pm_F(bundle.data.pair_plus)
-    dmf = d_pm_F(bundle.data.pair_minus)
+    data = bundle.data
+    torsion_sum = data.pair_plus.torsion.eval(pts) + data.pair_minus.torsion.eval(pts)
     checks.append(ctx.record("opposite-torsion-forms",
                              "the two torsion 3-forms sum to zero (untwisted "
-                             "case)", max_abs(dpf.eval(pts) + dmf.eval(pts)),
-                             len(pts)))
+                             "case)", max_abs(torsion_sum), len(pts)))
 
     if params.t != 0.0:
         checks.extend(_deformed_checks(ctx))
@@ -668,19 +670,19 @@ def _deformed_checks(ctx: SuiteContext):
 # suite: poisson
 
 
-def _poisson_block(ctx, g, jp, jm, pts):
-    pi = pi_bivector(g, jp, jm, check_points=pts[: min(6, len(pts))])
-    pair = HermitianPair(g, jp)
+def _poisson_block(data: BihermitianData, pts):
+    g = data.g
+    pi = pi_bivector(data, check_points=pts[: min(6, len(pts))])
     out = {}
     out["type"] = pi.type_20_residual(pts)
     out["anti"] = pi.omega_11_residual(pts)
-    out["holo"] = check_holomorphic(pi, pair, pts)
+    out["holo"] = check_holomorphic(pi, pts)
     br = schouten_bb(pi.bivector, pi.bivector)
     out["jacobi"] = max_abs(np.abs(br.eval(pts)))
     re_pi = bivector_field(g.chart, lambda jc: pi.bivector.fn(jc).real,
                            cost=pi.bivector.cost)
     br_re = schouten_bb(re_pi, re_pi)
-    cyc = cyclic_nabla_q_form(g, jp, jm, pts)
+    cyc = cyclic_nabla_q_form(data, pts)
     out["cyclic"] = float(np.abs(cyc).max())
     low = lower_trivector(br_re.eval(pts), g.eval(pts), g.chart.dim)
     out["agree"] = float(np.abs(low - 2.0 * cyc).max())
@@ -691,11 +693,11 @@ def _poisson_block(ctx, g, jp, jm, pts):
 
 
 def suite_poisson(ctx: SuiteContext):
-    bundle = ctx.bundle
+    data = ctx.bundle.data
     pts = ctx.points()
-    g, jp, jm = bundle.g, bundle.data.jp, bundle.data.jm
+    g, jp = data.g, data.jp
     d = 4
-    pi, res = _poisson_block(ctx, g, jp, jm, pts)
+    pi, res = _poisson_block(data, pts)
     checks = [
         ctx.record("bivector-type", "the lowered form is pure anti-type",
                    res["type"], len(pts)),
@@ -713,12 +715,12 @@ def suite_poisson(ctx: SuiteContext):
                    "conjugate", res["reality"], len(pts)),
     ]
 
-    pi0 = pi_bivector(g, jp, jp)
+    pi0 = pi_bivector(BihermitianData(g, jp, jp))
     checks.append(ctx.record("commuting-control", "commuting pair yields the "
                              "zero bivector",
                              max_abs(np.abs(pi0.bivector.eval(pts))), len(pts)))
 
-    qv = q_endo(jp, jm).eval(pts)
+    qv = data.q.eval(pts)
     gv = g.eval(pts)
     lowered_re = np.einsum("bpq,bpi,bqj->bij", pi.bivector.eval(pts).real, gv, gv)
     omega = np.swapaxes(qv, 1, 2) @ gv
@@ -735,7 +737,7 @@ def suite_poisson(ctx: SuiteContext):
                              "anti-type projector squares to itself",
                              float(np.abs(proj2 - proj1).max()), len(pts)))
 
-    cres = chern_identity_residuals(g, jp, jm, pts)
+    cres = chern_identity_residuals(data, pts)
     checks.append(ctx.record("chern-connection-identities",
                              "derivative identities linking the connection to "
                              "the second structure",
@@ -744,9 +746,8 @@ def suite_poisson(ctx: SuiteContext):
                              len(pts), extra=cres))
 
     if ctx.config.t != 0.0:
-        ge, jpe, jme, _ = gualtieri_extract(*ctx.deformed_pair)
         sub = pts[: min(10, len(pts))]
-        _, dres = _poisson_block(ctx, ge, jpe, jme, sub)
+        _, dres = _poisson_block(gualtieri_extract(*ctx.deformed_pair)[0], sub)
         checks.append(ctx.record("deformed-poisson",
                                  "full pipeline on the extracted deformed "
                                  "quadruple",
@@ -857,8 +858,7 @@ def suite_theorem4(ctx: SuiteContext):
 
 
 def suite_engel(ctx: SuiteContext):
-    m = ctx.model
-    chart = m.chart
+    chart = ctx.model.chart
     pts = ctx.points()
     checks = []
 
@@ -878,9 +878,7 @@ def suite_engel(ctx: SuiteContext):
 
     # constant-p bihermitian data: distribution integrable wherever the
     # generators span a plane (null Lee forms do not obstruct the tower)
-    ghat = conformal_metric(m)
-    t = m.triple
-    lf = lee_fields(ghat, t.j1, j_minus(t, ctx.config.example2_params()))
+    lf = lee_fields(ctx.conformal)
     cv = lf.values(pts)
     mask = _rank_of(np.stack([cv.x, cv.y], axis=2)) == 2
     rep4 = rank_tower((lf.x, lf.y), pts[mask]) if mask.any() else None
@@ -895,8 +893,7 @@ def suite_engel(ctx: SuiteContext):
     # mode is model-independent algebra)
     j1m, j2m, j3m, gmat = standard_split_quaternion_frame()
     qf = (j1m, j2m, j3m)
-    syn = synthetic_data(chart, qf, gmat)
-    slf = syn.lee()
+    slf = synthetic_data(chart, qf, gmat)
     sv = slf.values(pts)
     smask = sv.definitive_mask()
     basis = basis_identity_residuals(sv, smask)
@@ -938,7 +935,7 @@ def suite_engel(ctx: SuiteContext):
                              worst(eqy, anti), len(pts),
                              inconclusive=int((~smask).sum())))
 
-    n_plus, n_minus = n_endos(syn.jp, syn.jm, slf.data.p)
+    n_plus, n_minus = n_endos(slf.data)
     npv = n_plus.eval(pts)
     nmv = n_minus.eval(pts)
     proj_m = 0.5 * (np.eye(4) - sv.k)
@@ -959,8 +956,7 @@ def suite_engel(ctx: SuiteContext):
                              0.0 if np.all(fr_ranks == 4) else 1.0,
                              int(smask.sum()), inconclusive=int((~smask).sum())))
 
-    syn0 = synthetic_data(chart, qf, gmat, degenerate=True)
-    rep0 = theorem7_check(syn0.lee(), pts[:8])
+    rep0 = theorem7_check(synthetic_data(chart, qf, gmat, degenerate=True), pts[:8])
     all_inc = rep0.verdicts.count("inconclusive") == len(rep0.verdicts)
     checks.append(ctx.record("degenerate-inputs-inconclusive",
                              "vanishing Lee forms yield inconclusive verdicts, "
@@ -970,7 +966,7 @@ def suite_engel(ctx: SuiteContext):
     # the rule-vs-jets comparison is a tensor identity on honest Hermitian
     # data; it needs no non-null Lee forms
     crule = nabla_n_rhs_residuals(
-        cv, dn=levi_civita(ghat).cov_deriv_endo(lf.n).eval(pts))
+        cv, dn=lf.data.pair_plus.lc.cov_deriv_endo(lf.n).eval(pts))
     checks.append(ctx.record("derivative-rule-microscope",
                              "derivative rule for the nilpotent endo against "
                              "honest jet differentiation",

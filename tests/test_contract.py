@@ -40,8 +40,7 @@ from pbhverify.gencomplex import (_courant, _prep, apply_endo, b_transform,
                                   gcs_nijenhuis, pairing, random_poly_sections,
                                   random_poly_two_form, stack_axes, validate_twist)
 from pbhverify.models import Example2Params, example2_build
-from pbhverify.structures import (HermitianPair, chern_connection, levi_civita,
-                                  max_abs, worst)
+from pbhverify.structures import HermitianPair, levi_civita, max_abs, worst
 from pbhverify.tensorcalc import (ChartDomain, Field, SamplePlan, coordinate_vector,
                                   d_scalar, exterior_derivative, form_combos,
                                   form_field, form_from_matrix, form_full,
@@ -257,7 +256,7 @@ def test_chern_connection_matches_loop(kodaira_jets, kodaira_pairs):
     for pair in kodaira_pairs:
         dfv = form_full(exterior_derivative(pair.f).fn(jc), 4, 3)
         old = loop_chern(pair.g.fn(jc), pair.j.fn(jc), dfv)
-        assert_jets_close(chern_connection(pair).gamma_fn(jc), old)
+        assert_jets_close(pair.chern.gamma_fn(jc), old)
         df_sizes.append(np.abs(dfv.value).max())
     assert max(df_sizes) > 0.1
 
@@ -497,7 +496,7 @@ def test_gcs_nijenhuis_matches_per_pair_loop_on_model(torus_bundle, torus_points
     i1 = gcs_from_form(torus_bundle.beta1)
     i_bad = gcs_from_form(complex_form(torus_bundle.f_k, form_field(chart, 2, bad_imag)))
     b2 = random_poly_two_form(chart, 119)
-    conj = b_conjugate_endo(i1, b2, sign=1.0)
+    conj = b_conjugate_endo(i1, b2)
     pts = torus_points[:3]
     secs = random_poly_sections(chart, 2, 31)
     frame = ref_coordinate_sections(chart) + ref_poly_sections(chart, 2, 31)
@@ -567,7 +566,7 @@ def test_gcs_nijenhuis_equals_the_unprepped_loop(seed, monkeypatch):
     b2 = random_poly_two_form(chart, seed + 77)
     cases = [(i, None, pts, random_poly_sections(chart, 8, seed + 31))
              for i in ctx.gcs_pair]
-    cases.append((b_conjugate_endo(ctx.gcs_pair[0], b2, sign=1.0),
+    cases.append((b_conjugate_endo(ctx.gcs_pair[0], b2),
                   -exterior_derivative(b2), pts[:4], ()))
     cases += [(i, None, pts, ()) for i in ctx.deformed_pair]
     seen = []
@@ -836,19 +835,20 @@ def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
     inverse of g."""
     from pbhverify.engel import lee_fields, n_endos, synthetic_data
     from pbhverify.models import standard_split_quaternion_frame
+    from pbhverify.structures import BihermitianData
     model, jc = kodaira_jets
     t = model.triple
     g2 = kodaira_pairs[1].g
     j1m, j2m, j3m, gmat = standard_split_quaternion_frame()
-    lfs = [lee_fields(g2, t.j1, t.j1 * 1.25 + t.j2 * 0.75),
-           synthetic_data(model.chart, (j1m, j2m, j3m), gmat).lee()]
+    lfs = [lee_fields(BihermitianData(g2, t.j1, t.j1 * 1.25 + t.j2 * 0.75)),
+           synthetic_data(model.chart, (j1m, j2m, j3m), gmat)]
     for lf in lfs:
         x, y, tnorm, f, n, n_pm = ref_engel(lf, jc)
         assert_jets_equal(lf.x.fn(jc), x)
         assert_jets_equal(lf.y.fn(jc), y)
         assert_jets_equal(lf.theta_norm_sq.fn(jc), tnorm)
         assert_jets_equal(lf.f_field.fn(jc), f)
-        new_pm = n_endos(lf.data.jp, lf.data.jm, lf.data.p)
+        new_pm = n_endos(lf.data)
         assert_jets_equal(new_pm[1].fn(jc), n)
         assert_jets_equal(lf.n.fn(jc), n)
         for new, old in zip(new_pm, n_pm):
@@ -893,8 +893,7 @@ def test_p_gradient_matches_written_out_pairing(kodaira_jets, monkeypatch):
     from pbhverify.models import standard_split_quaternion_frame
     model, jc = kodaira_jets
     j1m, j2m, j3m, gmat = standard_split_quaternion_frame()
-    syn = synthetic_data(model.chart, (j1m, j2m, j3m), gmat)
-    data = structures.BihermitianData(syn.g, syn.jp, syn.jm)
+    data = synthetic_data(model.chart, (j1m, j2m, j3m), gmat).data
     pts = jc.value
     old = ref_check_p_gradient(data, pts)
     monkeypatch.setattr(structures, "max_abs", np.asarray)
@@ -913,7 +912,7 @@ def test_block_assemblies_match_removed_copies(torus_bundle, kodaira_jets):
     assert_jets_equal(i1.fn(jc), ref_gcs_from_form(b.beta1.fn(jc), 4))
     b2 = random_poly_two_form(b.chart, 77)
     for sign in (1.0, -1.0):
-        assert_jets_equal(b_conjugate_endo(i1, b2, sign).fn(jc),
+        assert_jets_equal(b_conjugate_endo(i1, b2 * sign).fn(jc),
                           ref_b_conjugate(i1.fn(jc), b2.fn(jc), 4, sign))
     g, jp, jm = b.g * (-1.5), b.data.jm * (-1.0), b.data.jp * (-1.0)
     from pbhverify.structures import fundamental_form

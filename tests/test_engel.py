@@ -10,7 +10,7 @@ from pbhverify.engel import (basis_identity_residuals, canonical_engel_span,
                              integrable_control_span, lee_fields, n_endos,
                              nabla_n_rhs_residuals, other_control_span,
                              rank_tower, synthetic_data, theorem7_check)
-from pbhverify.structures import levi_civita
+from pbhverify.structures import BihermitianData, levi_civita
 from pbhverify.tensorcalc import (Field, coordinate_vector, d_scalar,
                                   jet_coords, lie_bracket)
 
@@ -47,8 +47,9 @@ def _lee_cases(model):
     """The conformally rescaled pair at constant p, and synthetic data."""
     t = model.triple
     j1m, j2m, j3m, gmat = models.standard_split_quaternion_frame()
-    return (lee_fields(models.conformal_metric(model), t.j1, t.j1 * 1.25 + t.j2 * 0.75),
-            synthetic_data(model.chart, (j1m, j2m, j3m), gmat).lee())
+    return (lee_fields(BihermitianData(models.conformal_metric(model), t.j1,
+                                       t.j1 * 1.25 + t.j2 * 0.75)),
+            synthetic_data(model.chart, (j1m, j2m, j3m), gmat))
 
 
 def _spans(model, pts):
@@ -131,15 +132,15 @@ def test_constant_p_near_degenerate_generators_inconclusive(monkeypatch):
 def test_frame_lift_falls_back_on_varying_structures(synthetic):
     """The synthetic J- varies and carries no frame constant, so p,
     sqrt(p^2 - 1), K and S keep their jet formulas."""
-    data = synthetic.lee().data
+    data = synthetic.data
     assert data.jp.frame is None and data.jm.frame is None
     for field in (data.p, data.s_root, data.k_endo, data.s_endo):
         assert field.frame is None
 
 
 def test_nilpotent_endos(torus_model, torus_points, synthetic):
-    lf = synthetic.lee()
-    n_plus, n_minus = n_endos(synthetic.jp, synthetic.jm, lf.data.p)
+    lf = synthetic
+    n_plus, n_minus = n_endos(lf.data)
     npv = n_plus.eval(torus_points)
     nmv = n_minus.eval(torus_points)
     # square-zero, rank two
@@ -157,7 +158,7 @@ def test_nilpotent_endos(torus_model, torus_points, synthetic):
 
 
 def test_basis_identities_synthetic(synthetic, torus_points):
-    v = synthetic.lee().values(torus_points)
+    v = synthetic.values(torus_points)
     mask = v.definitive_mask()
     assert mask.sum() > 0
     res = basis_identity_residuals(v, mask)
@@ -165,7 +166,7 @@ def test_basis_identities_synthetic(synthetic, torus_points):
 
 
 def test_gradient_identities_synthetic(synthetic, torus_points):
-    lf = synthetic.lee()
+    lf = synthetic
     v = lf.values(torus_points)
     mask = v.definitive_mask()
     df = d_scalar(lf.f_field).eval(torus_points)
@@ -175,16 +176,17 @@ def test_gradient_identities_synthetic(synthetic, torus_points):
 
 
 def test_generators_in_kernel(synthetic, torus_points):
-    v = synthetic.lee().values(torus_points)
+    v = synthetic.values(torus_points)
     mask = v.definitive_mask()
-    n_mat = synthetic.jp.eval(torus_points) + v.f[:, None, None] * synthetic.jm.eval(torus_points)
+    n_mat = (synthetic.data.jp.eval(torus_points)
+             + v.f[:, None, None] * synthetic.data.jm.eval(torus_points))
     x, y = v.x, v.y
     assert np.abs(np.einsum("bij,bj->bi", n_mat, x))[mask].max() < 1e-12
     assert np.abs(np.einsum("bij,bj->bi", n_mat, y))[mask].max() < 1e-12
 
 
 def test_derivative_chain_synthetic(synthetic, torus_points):
-    v = synthetic.lee().values(torus_points)
+    v = synthetic.values(torus_points)
     res = nabla_n_rhs_residuals(v, mask=v.definitive_mask())
     assert res["(nabla_Y N)Y"] < 1e-12
     assert res["2(nabla_{J+Y} N)Y - 2pf|th|^2 Y"] < 1e-12
@@ -196,7 +198,7 @@ def test_derivative_rule_against_jets_conformal(torus_model, conformal_metric,
                                                 torus_points):
     t = torus_model.triple
     jm = t.j1 * 1.25 + t.j2 * 0.75
-    lf = lee_fields(conformal_metric, t.j1, jm)
+    lf = lee_fields(BihermitianData(conformal_metric, t.j1, jm))
     v = lf.values(torus_points)
     dn = levi_civita(conformal_metric).cov_deriv_endo(lf.n).eval(torus_points)
     res = nabla_n_rhs_residuals(v, mask=v.definitive_mask(), dn=dn)
@@ -207,7 +209,7 @@ def test_constant_p_distribution_integrable(torus_model, conformal_metric,
                                             torus_points):
     t = torus_model.triple
     jm = t.j1 * 1.25 + t.j2 * 0.75
-    lf = lee_fields(conformal_metric, t.j1, jm)
+    lf = lee_fields(BihermitianData(conformal_metric, t.j1, jm))
     mask = lf.values(torus_points).definitive_mask()
     rep = rank_tower((lf.x, lf.y), torus_points[mask])
     assert rep.verdict == "integrable"
@@ -219,22 +221,22 @@ def test_degenerate_theta_inconclusive(torus_model, torus_points):
           t.j3.eval(torus_points[:1])[0])
     syn0 = synthetic_data(torus_model.chart, qf, np.diag([1.0, 1.0, -1.0, -1.0]),
                           degenerate=True)
-    rep = theorem7_check(syn0.lee(), torus_points[:8])
+    rep = theorem7_check(syn0, torus_points[:8])
     assert rep.counts() == {"inconclusive": 8}
 
 
 def test_theorem7_reports_hypothesis_residual(synthetic, torus_points):
-    rep = theorem7_check(synthetic.lee(), torus_points[:8])
+    rep = theorem7_check(synthetic, torus_points[:8])
     assert rep.extras["theta+ + theta-"] < 1e-12
     assert len(rep.verdicts) == 8
     assert set(rep.verdicts) <= {"geodesic", "engel", "other", "inconclusive"}
 
 
 def test_frame_completeness(synthetic, torus_points):
-    v = synthetic.lee().values(torus_points)
+    v = synthetic.values(torus_points)
     mask = v.definitive_mask()
     x, y = v.x, v.y
-    jp = synthetic.jp.eval(torus_points)
+    jp = synthetic.data.jp.eval(torus_points)
     frame = np.stack([x, y, np.einsum("bij,bj->bi", jp, x),
                       np.einsum("bij,bj->bi", jp, y)], axis=2)
     assert np.all(np.linalg.matrix_rank(frame[mask]) == 4)
@@ -245,7 +247,7 @@ def test_frame_completeness(synthetic, torus_points):
 def test_derivative_chain_evaluates_k_once(synthetic, torus_points, monkeypatch):
     """The record and the chain with the jet comparison evaluate K once
     (each nabla_n used to evaluate it again, 20 times per call)."""
-    lf = synthetic.lee()
+    lf = synthetic
     k, calls = lf.data.k_endo, []
     field_eval = Field.eval
 

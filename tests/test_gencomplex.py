@@ -324,7 +324,8 @@ def test_block_construction_and_matched_cross_validation(torus_bundle,
     assert gcs_nijenhuis(g1, None, torus_points[:3]) < 1e-12
     assert check_gpk_pair(g1, g2, torus_points).ok
     # round trip through extraction
-    ge, jpe, jme, be = gualtieri_extract(g1, g2)
+    data, be = gualtieri_extract(g1, g2)
+    ge, jpe, jme = data.g, data.jp, data.jm
     assert np.abs(ge.eval(torus_points) - b.g.eval(torus_points)).max() < 1e-13
     assert max_abs(be.eval(torus_points)) < 1e-13
     assert np.abs(jpe.eval(torus_points) - b.data.jp.eval(torus_points)).max() < 1e-13
@@ -348,9 +349,9 @@ def test_conjugation_twist_shift(torus_bundle, torus_points):
     i1 = gcs_from_form(torus_bundle.beta1)
     b2 = random_poly_two_form(torus_bundle.chart, 119)
     db = exterior_derivative(b2)
-    conj = b_conjugate_endo(i1, b2, sign=1.0)
+    conj = b_conjugate_endo(i1, b2)
     assert gcs_nijenhuis(conj, -db, torus_points[:3]) < 1e-12
-    conj2 = b_conjugate_endo(i1, b2, sign=-1.0)
+    conj2 = b_conjugate_endo(i1, -b2)
     assert gcs_nijenhuis(conj2, db, torus_points[:3]) < 1e-12
 
 
@@ -372,7 +373,7 @@ def test_gcs_nijenhuis_brackets_at_degree_0(torus_bundle, torus_points, monkeypa
     b2 = random_poly_two_form(chart, 119)
     secs = random_poly_sections(chart, 2, 31)
     for i_field, h in ((i1, None),
-                       (b_conjugate_endo(i1, b2, sign=1.0), -exterior_derivative(b2))):
+                       (b_conjugate_endo(i1, b2), -exterior_derivative(b2))):
         calls.clear()
         gcs_nijenhuis(i_field, h, torus_points[:3], secs)
         assert len(calls) == 4 * 9  # four brackets per row, ten sections
@@ -408,15 +409,15 @@ def test_deformed_pair_and_extraction(torus_model, plan):
     res = check_gpk_pair(i1, i2, pts, tol_commute=1e-6)
     assert res.ok
     assert gcs_nijenhuis(i1, None, pts[:4]) < 1e-6
-    ge, jpe, jme, be = gualtieri_extract(i1, i2)
+    data_t, _ = gualtieri_extract(i1, i2)
+    jpe, jme = data_t.jp, data_t.jm
     p_t = np.trace(jpe.eval(pts) @ jme.eval(pts), axis1=1, axis2=2) / 4.0
     assert p_t.max() < -1.0  # strictly one-sided, nonconstant
     assert p_t.std() > 1e-3
     jv = jpe.eval(pts)
     assert np.abs(jv @ jv + np.eye(4)).max() < 1e-10
     # gradient identity for the trace pairing on the deformed quadruple
-    from pbhverify.structures import BihermitianData, check_p_gradient
-    data_t = BihermitianData(ge, jpe, jme, name="deformed")
+    from pbhverify.structures import check_p_gradient
     assert check_p_gradient(data_t, pts[:8]) < 1e-6
 
 

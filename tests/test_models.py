@@ -19,7 +19,7 @@ from pbhverify.suites import SuiteConfig, run_suite
 from pbhverify.tensorcalc import (Field, SamplePlan, evaluate_form,
                                   exterior_derivative, jets, jgrad, metric_field,
                                   wedge)
-from pbhverify.tensorcalc.jets import Jet, JetSpace, jet_coords
+from pbhverify.tensorcalc.jets import Jet, JetSpace, jet_coords, jet_prefix, jet_space
 
 
 def test_certifications(torus_model, kodaira_model):
@@ -586,3 +586,70 @@ def test_conformal_metric_keeps_the_base_metric_cost(torus_model, conformal_metr
         new, old = (f.eval_jet(torus_points, order) for f in (rescaled, conformal_metric))
         assert new.order == old.order == order
         assert np.array_equal(new.c[..., :old.space.n], old.c)
+
+
+def _grad_error(grad, fexpr, pts, k):
+    """max |grad - jgrad(value)| over the coefficients through degree k, and
+    max |grad|; the jet gradient of the value is taken one order deeper."""
+    want = jet_prefix(jgrad(fexpr.value(jet_coords(4, k + 1, pts))), jet_space(4, k))
+    got = grad(jet_coords(4, k, pts))
+    assert got.order == want.order == k
+    return float(np.abs(got.c - want.c).max()), float(np.abs(want.c).max())
+
+
+GRAD_EPS = 4.0  # the bound, in units of eps * max|grad|
+
+
+@pytest.mark.parametrize("name", sorted(F_CATALOG))
+@pytest.mark.parametrize("k", range(4))
+def test_hamiltonian_gradients_match_the_jet_gradient_of_the_value(name, k, torus_points):
+    """Each hand-written ``grad`` of the catalog is the jet gradient of its
+    ``value`` through order k, to a few eps of max|grad| (measured: exact
+    for const, at most 1.2e-16 for the sine pairs and 7.8e-16 for gauss)."""
+    fexpr = F_CATALOG[name]
+    err, scale = _grad_error(fexpr.grad, fexpr, torus_points, k)
+    assert err <= GRAD_EPS * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("name", sorted(set(F_CATALOG) - {"const"}))
+def test_a_sign_flipped_gradient_component_fails_the_bound(name, torus_points):
+    """The bound above sees a wrong sign in any gradient component that is
+    not identically zero (const has none)."""
+    fexpr = F_CATALOG[name]
+    value = fexpr.grad(jet_coords(4, 0, torus_points)).value
+    live = np.flatnonzero(np.abs(value).max(axis=0) > 0)
+    assert len(live) == 2
+    for i in live:
+        def flipped(jc, i=i):
+            out = fexpr.grad(jc).copy()
+            out.c[:, i] *= -1.0
+            return out
+
+        err, scale = _grad_error(flipped, fexpr, torus_points, 1)
+        assert err > GRAD_EPS * np.finfo(float).eps * scale
+
+
+# which catalog Hamiltonians flow as shears, x -> x + t V, on each model
+SHEARS = {"torus": {"sin2": "shear", "gauss": "shear", "sin13": "shear",
+                    "sin14": "curved", "const": "no flow"},
+          "kodaira": {"sin2": "shear", "gauss": "shear", "sin14": "shear",
+                      "sin13": "curved", "const": "no flow"}}
+
+
+@pytest.mark.parametrize("model_name", sorted(SHEARS))
+def test_which_catalog_hamiltonians_flow_as_shears(model_name, plan):
+    """A shear's velocity does not change when the coordinates it moves are
+    shifted: RK4 integrates it exactly.  A curved flow's velocity does."""
+    model = get_model(model_name, plan)
+    bundle = example2_build(model, Example2Params(), plan)
+    pts = plan.sample(model.chart)
+    kinds = {}
+    for name, fexpr in F_CATALOG.items():
+        flow = HamiltonianFlow(bundle.f_k, fexpr, 0.1, 1e-3)
+        v = flow.velocity(jet_coords(4, 0, pts)).value
+        moved = np.flatnonzero((v != 0.0).any(axis=0))
+        shifted = pts.copy()
+        shifted[:, moved] += 0.5
+        same = np.array_equal(flow.velocity(jet_coords(4, 0, shifted)).value, v)
+        kinds[name] = "no flow" if not len(moved) else "shear" if same else "curved"
+    assert kinds == SHEARS[model_name]

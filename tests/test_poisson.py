@@ -7,10 +7,10 @@ from pbhverify.gencomplex import gcs_from_form, gualtieri_extract
 from pbhverify.models import Example2Params, example2_build, hamiltonian_deform
 from pbhverify.poisson import (check_holomorphic, chern_identity_residuals,
                                cyclic_nabla_q_form, ddc_commuting_fields,
-                               lower_trivector, pi_bivector, q_endo,
+                               lower_trivector, pi_bivector,
                                schouten_bb, schouten_vb,
                                type_02_projector_matrix)
-from pbhverify.structures import HermitianPair, max_abs
+from pbhverify.structures import BihermitianData, max_abs
 from pbhverify.tensorcalc import (Field, bivector_field, form_combos,
                                   form_full_matrix, scalar_field,
                                   vector_field)
@@ -19,29 +19,29 @@ from pbhverify.tensorcalc.calculus import _stack
 
 def test_pi_type_and_commuting_control(torus_bundle, torus_points):
     b = torus_bundle
-    pi = pi_bivector(b.g, b.data.jp, b.data.jm)
+    pi = pi_bivector(b.data)
     assert pi.type_20_residual(torus_points) < 1e-13
     assert pi.omega_11_residual(torus_points) < 1e-13
     assert np.abs(pi.bivector.eval(torus_points)).max() > 0.1
-    pi0 = pi_bivector(b.g, b.data.jp, b.data.jp)
+    pi0 = pi_bivector(BihermitianData(b.g, b.data.jp, b.data.jp))
     assert np.abs(pi0.bivector.eval(torus_points)).max() == 0.0
 
 
 def test_chern_holomorphicity(torus_bundle, torus_points):
     b = torus_bundle
-    pi = pi_bivector(b.g, b.data.jp, b.data.jm)
-    assert check_holomorphic(pi, HermitianPair(b.g, b.data.jp), torus_points) < 1e-13
+    pi = pi_bivector(b.data)
+    assert check_holomorphic(pi, torus_points) < 1e-13
 
 
 def test_jacobi_both_routes_and_agreement(torus_bundle, torus_points):
     b = torus_bundle
-    pi = pi_bivector(b.g, b.data.jp, b.data.jm)
+    pi = pi_bivector(b.data)
     br = schouten_bb(pi.bivector, pi.bivector)
     assert max_abs(np.abs(br.eval(torus_points))) < 1e-12
     re_pi = bivector_field(b.chart, lambda jc: pi.bivector.fn(jc).real,
                            cost=pi.bivector.cost)
     br_re = schouten_bb(re_pi, re_pi)
-    cyc = cyclic_nabla_q_form(b.g, b.data.jp, b.data.jm, torus_points)
+    cyc = cyclic_nabla_q_form(b.data, torus_points)
     assert np.abs(cyc).max() < 1e-12
     low = lower_trivector(br_re.eval(torus_points), b.g.eval(torus_points), 4)
     assert np.abs(low - 2.0 * cyc).max() < 1e-12
@@ -109,9 +109,9 @@ def _scale_biv(m, s):
 
 def test_endomorphism_correspondence_and_projector(torus_bundle, torus_points):
     b = torus_bundle
-    pi = pi_bivector(b.g, b.data.jp, b.data.jm)
+    pi = pi_bivector(b.data)
     gv = b.g.eval(torus_points)
-    qv = q_endo(b.data.jp, b.data.jm).eval(torus_points)
+    qv = b.data.q.eval(torus_points)
     lowered_re = np.einsum("bpq,bpi,bqj->bij", pi.bivector.eval(torus_points).real,
                            gv, gv)
     omega = np.swapaxes(qv, 1, 2) @ gv
@@ -189,8 +189,8 @@ def test_chern_identities_deformed(torus_model, plan):
     deformed = hamiltonian_deform(bundle, plan)
     i1 = gcs_from_form(deformed.gamma1)
     i2 = gcs_from_form(deformed.gamma2)
-    ge, jpe, jme, _ = gualtieri_extract(i1, i2)
-    res = chern_identity_residuals(ge, jpe, jme, pts)
+    data, _ = gualtieri_extract(i1, i2)
+    res = chern_identity_residuals(data, pts)
     assert res["dJF_scale"] > 1e-3  # genuinely twisted data
     for key in ("chern1", "chern2", "derP", "nablaQ"):
         assert res[key] < 1e-10
@@ -201,10 +201,25 @@ def test_full_poisson_pipeline_on_deformed_data(torus_model, plan):
     bundle = example2_build(torus_model,
                             Example2Params(t=0.1, f_name="sin2", step=1e-3), plan)
     deformed = hamiltonian_deform(bundle, plan)
-    ge, jpe, jme, _ = gualtieri_extract(gcs_from_form(deformed.gamma1),
-                                        gcs_from_form(deformed.gamma2))
-    pi = pi_bivector(ge, jpe, jme)
+    data, _ = gualtieri_extract(gcs_from_form(deformed.gamma1),
+                                gcs_from_form(deformed.gamma2))
+    pi = pi_bivector(data)
     assert pi.type_20_residual(pts) < 1e-12
-    assert check_holomorphic(pi, HermitianPair(ge, jpe), pts) < 1e-12
+    assert check_holomorphic(pi, pts) < 1e-12
     br = schouten_bb(pi.bivector, pi.bivector)
     assert max_abs(np.abs(br.eval(pts))) < 1e-12
+
+
+@pytest.mark.parametrize("model,f_expr", [("torus", "sin14"), ("kodaira", "sin13")])
+def test_poisson_suite_on_curved_flows(model, f_expr):
+    """The poisson suite at t = 0.1 on a Hamiltonian whose flow is curved
+    (the default sin2 flows as a shear): every check passes, and
+    ``deformed-poisson`` runs the pipeline on the data extracted from the
+    deformed pair (measured: 3.6e-14 on torus, 5.7e-14 on kodaira)."""
+    from pbhverify.suites import SuiteConfig, run_suite
+    report = run_suite(SuiteConfig(suite="poisson", model=model, samples=16,
+                                   t=0.1, f_expr=f_expr))
+    checks = {c.name: c for c in report.checks}
+    assert all(c.passed for c in report.checks)
+    deformed = checks["deformed-poisson"]
+    assert deformed.points == 10 and 0.0 < deformed.residual

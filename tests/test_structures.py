@@ -5,8 +5,8 @@ import pytest
 
 from pbhverify.structures import (BihermitianData, BranchError, HermitianPair,
                                   build_parahypercomplex, check_p_gradient,
-                                  chern_connection, d_pm_F, lee_condition,
-                                  lee_form, levi_civita, max_abs)
+                                  lee_condition, lee_form, levi_civita,
+                                  max_abs)
 from pbhverify.tensorcalc import (SamplePlan, d_scalar, exterior_derivative,
                                   form_full, form_full_matrix, jmatmul, jtrace,
                                   jtranspose, nijenhuis_tensor, pullback_linear,
@@ -164,32 +164,32 @@ def test_fubini_study_metricity():
 
 def test_chern_connection(torus_model, conformal_metric, torus_points):
     pair0 = HermitianPair(torus_model.triple.g, torus_model.triple.j1)
-    ch0 = chern_connection(pair0)
+    ch0 = pair0.chern
     lc0 = levi_civita(torus_model.triple.g)
     jc = jet_coords(4, 1, torus_points)
     # pseudo-Kahler: the Chern connection is the Levi-Civita connection
     assert np.abs(ch0.gamma_fn(jc).value - lc0.gamma_fn(jc).value).max() == 0.0
 
     pair = HermitianPair(conformal_metric, torus_model.triple.j1)
-    ch = chern_connection(pair)
+    ch = pair.chern
     assert max_abs(ch.cov_deriv_endo(pair.j).eval(torus_points)) < 1e-12
     assert cov_deriv_metric_residual(ch, conformal_metric, torus_points) < 1e-12
 
 
 def test_d_pm_f_identities(torus_model, conformal_metric, torus_points):
     pair0 = HermitianPair(torus_model.triple.g, torus_model.triple.j1)
-    assert max_abs(d_pm_F(pair0).eval(torus_points)) == 0.0
+    assert max_abs(pair0.torsion.eval(torus_points)) == 0.0
 
     pair = HermitianPair(conformal_metric, torus_model.triple.j1)
-    dpf = d_pm_F(pair)
+    dpf = pair.torsion
     alt = pullback_linear(pair.j, wedge(pair.theta, pair.f)) * (-1.0)
     assert max_abs(dpf.eval(torus_points) - alt.eval(torus_points)) < 1e-12
     assert type_30_03_residual(dpf, pair.j, torus_points) < 1e-12
 
 
 def test_torus_pair_opposite_torsion(torus_bundle, torus_points):
-    dpf = d_pm_F(torus_bundle.data.pair_plus)
-    dmf = d_pm_F(torus_bundle.data.pair_minus)
+    dpf = torus_bundle.data.pair_plus.torsion
+    dmf = torus_bundle.data.pair_minus.torsion
     assert max_abs(dpf.eval(torus_points) + dmf.eval(torus_points)) < 1e-12
 
 

@@ -10,6 +10,7 @@ from pbhverify.models import (Example2Params, IntegratorError, example2_build,
                               hamiltonian_deform)
 from pbhverify.poisson import pi_bivector
 from pbhverify.report import VerificationReport
+from pbhverify.structures import BihermitianData
 from pbhverify.suites import (CATALOG, ORDER_ROUNDOFF_FLOOR, SuiteConfig,
                               SuiteContext, run_suite)
 
@@ -213,11 +214,12 @@ def test_pi_bivector_precondition_warning(torus_model, conformal_metric,
     # opposite-torsion precondition
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pi_bivector(conformal_metric, t.j1, jm, check_points=torus_points[:4])
+        pi_bivector(BihermitianData(conformal_metric, t.j1, jm),
+                    check_points=torus_points[:4])
     assert any(issubclass(w.category, RuntimeWarning) for w in caught)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pi_bivector(t.g, t.j1, jm, check_points=torus_points[:4])
+        pi_bivector(BihermitianData(t.g, t.j1, jm), check_points=torus_points[:4])
     assert not caught
 
 
