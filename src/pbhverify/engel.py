@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import standard_split_quaternion_frame
 from .structures import BihermitianData, _branch_root, max_abs
 from .tensorcalc import (ChartDomain, Field, bracket_jets, coordinate_vector,
                          d_scalar, endo_field, jet_inv, jmatvec, jtranspose,
@@ -246,11 +247,14 @@ def nabla_n_rhs_residuals(lv: LeeValues, mask=None, dn=None) -> dict:
       2 (nabla_{J+Y} N) Y = 2 p f |theta+|^2 Y,
       N[X, Y] = f sqrt(p^2-1) |theta+|^2 Y  (so N[X,Y] is parallel to Y).
 
-    The covariant derivative is evaluated from the derivative rule itself
-    (the identity chain being tested is algebraic).  When ``dn``, the
-    (B, i, j_comp, k_arg) values of ``Connection.cov_deriv_endo(N)`` at the
-    same points, is given, the rule's left side is compared with that
-    honest jet differentiation.
+    Returns each residual, and the part of N[X, Y] off Span(Y), as the
+    largest |residual| / max(1, |theta+|^2) over the points of ``mask``
+    (every point when it is None).  The covariant derivative is evaluated
+    from the derivative rule itself (the identity chain being tested is
+    algebraic).  When ``dn``, the (B, i, j_comp, k_arg) values of
+    ``Connection.cov_deriv_endo(N)`` at the same points, is given, the rule
+    at every pair of coordinate vectors is compared with that honest jet
+    differentiation under "derivative-rule vs jets".
     """
     g, ginv, jp, jm, kv = lv.g, lv.ginv, lv.jp, lv.jm, lv.k
     thp, thm, x, y = lv.theta_p, lv.theta_m, lv.x, lv.y
@@ -263,29 +267,32 @@ def nabla_n_rhs_residuals(lv: LeeValues, mask=None, dn=None) -> dict:
     thp_sharp = np.einsum("bij,bj->bi", ginv, thp)
     thm_sharp = np.einsum("bij,bj->bi", ginv, thm)
 
-    def nabla_j(u, v, j, theta, theta_sharp):
-        """2 (nabla_u J) v from the Lee rule."""
-        guv = np.einsum("bi,bij,bj->b", u, g, v)
-        ju = np.einsum("bij,bj->bi", j, u)
-        jv = np.einsum("bij,bj->bi", j, v)
-        gjuv = np.einsum("bi,bij,bj->b", ju, g, v)
-        th_jv = np.einsum("bi,bi->b", theta, jv)
-        th_v = np.einsum("bi,bi->b", theta, v)
-        jtheta = np.einsum("bij,bj->bi", j, theta_sharp)
-        return (guv[:, None] * jtheta + gjuv[:, None] * theta_sharp
-                + th_jv[:, None] * u - th_v[:, None] * ju)
-
-    def df_along(u):
-        """u(f) from the gradient rule df = -(f/2)(theta+ - theta-) o K, the
-        p-gradient identity specialized to f = p - sqrt(p^2 - 1)."""
-        ku = np.einsum("bij,bj->bi", kv, u)
-        return -0.5 * f * np.einsum("bi,bi->b", thp - thm, ku)
-
     def nabla_n(u, v):
-        term = 0.5 * (nabla_j(u, v, jp, thp, thp_sharp)
-                      + f[:, None] * nabla_j(u, v, jm, thm, thm_sharp))
-        jmv = np.einsum("bij,bj->bi", jm, v)
-        return term + df_along(u)[:, None] * jmv
+        """(nabla_u N) v from the Lee rule, for u and v of shape (B, ..., d)
+        that broadcast together; u(f) is the gradient rule
+        df = -(f/2)(theta+ - theta-) o K, the p-gradient identity
+        specialized to f = p - sqrt(p^2 - 1)."""
+        at = (slice(None),) + (None,) * (max(u.ndim, v.ndim) - 2)
+        gb, fb = g[at], f[at]
+
+        def nabla_j(j, theta, theta_sharp):
+            """2 (nabla_u J) v."""
+            j, theta, theta_sharp = j[at], theta[at], theta_sharp[at]
+            guv = np.einsum("...i,...ij,...j->...", u, gb, v)
+            ju = np.einsum("...ij,...j->...i", j, u)
+            jv = np.einsum("...ij,...j->...i", j, v)
+            gjuv = np.einsum("...i,...ij,...j->...", ju, gb, v)
+            th_jv = np.einsum("...i,...i->...", theta, jv)
+            th_v = np.einsum("...i,...i->...", theta, v)
+            jtheta = np.einsum("...ij,...j->...i", j, theta_sharp)
+            return (guv[..., None] * jtheta + gjuv[..., None] * theta_sharp
+                    + th_jv[..., None] * u - th_v[..., None] * ju)
+
+        term = 0.5 * (nabla_j(jp, thp, thp_sharp)
+                      + fb[..., None] * nabla_j(jm, thm, thm_sharp))
+        ku = np.einsum("...ij,...j->...i", kv[at], u)
+        uf = -0.5 * fb * np.einsum("...i,...i->...", (thp - thm)[at], ku)
+        return term + uf[..., None] * np.einsum("...ij,...j->...i", jm[at], v)
 
     jy = np.einsum("bij,bj->bi", jp, y)
     r1 = nabla_n(y, y)
@@ -303,18 +310,18 @@ def nabla_n_rhs_residuals(lv: LeeValues, mask=None, dn=None) -> dict:
     off = nxy - (np.einsum("bi,bi->b", nxy, yhat))[:, None] * yhat
     out["N[X,Y] off Span(Y)"] = np.abs(off / scale)[mask].max(initial=0.0)
     if dn is not None:
-        lhs = np.einsum("bijk->bikj", dn).reshape(len(g), 16, 4)
-        basis = [np.tile(np.eye(4)[i], (len(g), 1)) for i in range(4)]
-        rhs = np.stack([nabla_n(basis[i], basis[k])
-                        for i in range(4) for k in range(4)], axis=1)
-        out["derivative-rule vs jets"] = np.abs((lhs - rhs) / scale[:, None])[mask].max(initial=0.0)
+        # rhs[b, i, k] = (nabla_{e_i} N) e_k, against dn[b, i, :, k]
+        e = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
+        rhs = nabla_n(e[:, :, None], e[:, None])
+        lhs = np.einsum("bijk->bikj", dn)
+        out["derivative-rule vs jets"] = np.abs((lhs - rhs) / scale[:, None, None])[mask].max(initial=0.0)
     return out
 
 
 @dataclass
 class Theorem7Report:
     verdicts: list
-    extras: dict
+    theta_sum: float           # max |theta+ + theta-|
 
     counts = _verdict_counts
 
@@ -323,14 +330,16 @@ def theorem7_check(lf: LeeFields, pts) -> Theorem7Report:
     """Pointwise trichotomy: with non-null theta+ the flow of Y is either a
     null geodesic (X-component of nabla_Y Y vanishes in the natural frame) or
     the distribution Span(X, Y) is Engel; degenerate points are reported
-    inconclusive, never silently skipped."""
-    conn = lf.data.pair_plus.lc
+    inconclusive, never silently skipped.  Returns the per-point verdicts
+    and max |theta+ + theta-|: the opposite-Lee-form hypothesis is
+    reported, not enforced.  nabla_Y Y is evaluated only when some point is
+    definitive."""
     lv = lf.values(pts)
     frame, fr_rank = lv.frame()
     mask = lv.definitive_mask() & (fr_rank == 4)
-    nyy = conn.nabla_vector(lf.y, lf.y).eval(pts)
     verdicts = ["inconclusive"] * len(pts)
     if mask.any():
+        nyy = lf.data.pair_plus.lc.nabla_vector(lf.y, lf.y).eval(pts)
         coeff = np.linalg.solve(frame[mask], nyy[mask][..., None])[..., 0]
         scale = np.maximum(1.0, np.abs(coeff).max(axis=1))
         geo = np.abs(coeff[:, 0]) / scale <= GEODESIC_FLOOR
@@ -341,27 +350,21 @@ def theorem7_check(lf: LeeFields, pts) -> Theorem7Report:
             tower = rank_tower((lf.x, lf.y), pts[idx[~geo]])
             for i, tv in zip(idx[~geo], tower.verdicts):
                 verdicts[i] = "engel" if tv == "engel" else "other"
-    extras = nabla_n_rhs_residuals(lv, mask=mask,
-                                   dn=conn.cov_deriv_endo(lf.n).eval(pts))
-    # the opposite-Lee-form hypothesis is reported, not enforced; the chain
-    # consequences above are only expected to vanish when it holds
-    extras["theta+ + theta-"] = max_abs(lv.theta_p + lv.theta_m)
-    return Theorem7Report(verdicts, extras)
+    return Theorem7Report(verdicts, max_abs(lv.theta_p + lv.theta_m))
 
 
 # --------------------------------------------------------------------------
 # synthetic locally-prescribed data
 
 
-def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
-                   degenerate: bool = False) -> LeeFields:
+def synthetic_data(chart: ChartDomain) -> LeeFields:
     """The Lee-form fields of pointwise-valid structures with varying
-    p = -a(x): J-(x) is a varying split-quaternion combination, and theta+
-    is prescribed through the gradient rule theta+ = dp o K / sqrt(p^2 - 1),
-    theta- = -theta+, which makes the distribution identities exact without
-    global integrability.  With ``degenerate`` the Lee forms are prescribed
-    to vanish instead."""
-    j1m, j2m, j3m = quaternion_frame
+    p = -a(x) on ``chart``, over the constant split-quaternion frame J1, J2,
+    J3 and metric diag(1, 1, -1, -1): J+ = J1, J-(x) = a J1 + b J2 + c J3
+    varies, and theta+ is prescribed through the gradient rule
+    theta+ = dp o K / sqrt(p^2 - 1), theta- = -theta+, which makes the
+    distribution identities exact without global integrability."""
+    j1m, j2m, j3m, g_matrix = standard_split_quaternion_frame()
 
     def a_fn(jc):
         return (jc[:, 0].sin() * jc[:, 1].cos()) * SYNTHETIC_AMP + SYNTHETIC_A0
@@ -379,13 +382,8 @@ def synthetic_data(chart: ChartDomain, quaternion_frame, g_matrix,
 
     jp = endo_field(chart, lambda jc: _broadcast_const(jc, j1m))
     jm = endo_field(chart, jm_fn).memoized()
-    g = metric_field(chart, lambda jc: _broadcast_const(jc, np.asarray(g_matrix, float)))
+    g = metric_field(chart, lambda jc: _broadcast_const(jc, g_matrix))
     data = BihermitianData(g, jp, jm)
-
-    if degenerate:
-        zero = oneform_field(chart, lambda jc: _stack([jc[:, 0] * 0.0] * chart.dim))
-        return lee_fields(data, zero, zero)
-
     dp = d_scalar(scalar_field(chart, lambda jc: -a_fn(jc), cost=0))
 
     def theta_fn(jc):

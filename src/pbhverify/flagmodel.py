@@ -83,17 +83,14 @@ def fs_two_form(h_entries, dz_forms, n_real: int, normalization: float) -> Jet:
     with dz_a given by real-frame complex component jets (B, n_real)."""
     h11, h12, h22 = h_entries
     h = ((0, 0, h11), (0, 1, h12), (1, 0, h12.conj()), (1, 1, h22))
-    combos = form_combos(n_real, 2)
-    comps = []
-    for (p, q) in combos:
-        term = None
-        for (a, b, hab) in h:
-            dza = dz_forms[a]
-            dzb = dz_forms[b].conj()
-            t = hab * (dza[:, p] * dzb[:, q] - dza[:, q] * dzb[:, p])
-            term = t if term is None else term + t
-        comps.append((term * (1j * normalization)).real)
-    return _stack(comps)
+    p, q = np.array(form_combos(n_real, 2)).T
+    term = None
+    for (a, b, hab) in h:
+        dza = dz_forms[a]
+        dzb = dz_forms[b].conj()
+        t = hab[:, None] * (dza[:, p] * dzb[:, q] - dza[:, q] * dzb[:, p])
+        term = t if term is None else term + t
+    return (term * (1j * normalization)).real
 
 
 def _const_dz_form(jc, alpha, n_real):
@@ -343,11 +340,7 @@ class FlagBundle:
         cy = yf1 * a - yf2 * b
         zz1 = self.z1_hol(jc)
         zz2 = self.z2_hol(jc)
-        coef = 1j / (3.0 * lam)
-        comps = []
-        for alphai in range(3):
-            comps.append((cx * zz2[:, alphai] - cy * zz1[:, alphai]) * coef)
-        return _stack(comps)
+        return (cx[:, None] * zz2 - cy[:, None] * zz1) * (1j / (3.0 * lam))
 
     def hypothesis_i_residual(self, pts, lam: float) -> float:
         """sigma o F0 - dbar X^{1,0} on the chart frame."""

@@ -511,7 +511,7 @@ class DeformedBundle:
     flow: HamiltonianFlow
     gamma1: Field
     gamma2: Field
-    fk_pullback: Field
+    preserve_residual: float   # max |Phi* F^K - F^K| at the plan's points
 
 
 def hamiltonian_deform(bundle: Example2Bundle, plan: SamplePlan) -> DeformedBundle:
@@ -529,13 +529,12 @@ def hamiltonian_deform(bundle: Example2Bundle, plan: SamplePlan) -> DeformedBund
     flow.flow_jet(jet_coords(bundle.chart.dim, pulled.cost + 1, pts))
     gamma1 = complex_form(bundle.f_k, bundle.omega_p + pulled)
     gamma2 = complex_form(-bundle.f_k, bundle.omega_p - pulled)
-    fk_pull = flow_pullback_form(flow, bundle.f_k)
-    guard = max_abs(fk_pull.eval(pts) - bundle.f_k.eval(pts))
+    guard = max_abs(flow_pullback_form(flow, bundle.f_k).eval(pts) - bundle.f_k.eval(pts))
     if guard > PRESERVE_TOL:
         raise IntegratorError(
             f"flow does not preserve the reference form: residual {guard:.3g} "
             f"with step {params.step:g}")
-    return DeformedBundle(bundle, flow, gamma1, gamma2, fk_pull)
+    return DeformedBundle(bundle, flow, gamma1, gamma2, guard)
 
 
 def get_model(name: str, plan: SamplePlan) -> ModelDescriptor:

@@ -282,11 +282,7 @@ def ddc_commuting_fields(u_hol: Field, v_hol: Field, phi: Field, pts) -> dict:
         phiv = phi.fn(jc)
         uphi = holo_apply(xi, phiv)
         vphi = holo_apply(eta, phiv)
-        m = xi.c.shape[1]
-        wc = np.zeros((xi.c.shape[0], m, xi.space.n), dtype=np.complex128)
-        for a in range(m):
-            wc[:, a] = (uphi * eta[:, a] - vphi * xi[:, a]).c
-        w = Jet(xi.space, wc, min(uphi.order, xi.order))
+        w = uphi[:, None] * eta - vphi[:, None] * xi
         rhs = 1j * dbar_matrix(w, dim)
         return lhs, rhs
 

@@ -70,6 +70,7 @@ class HermitianPair:
     the objects they determine, each built once, on first use:
 
       f        the fundamental form F(X, Y) = g(JX, Y)
+      df       its exterior derivative dF
       theta    the Lee form, theta ^ F = dF
       lc       the Levi-Civita connection of g
       chern    the Chern connection, built on ``lc``:
@@ -85,6 +86,10 @@ class HermitianPair:
         return fundamental_form(self.g, self.j)
 
     @cached_property
+    def df(self) -> Field:
+        return exterior_derivative(self.f)
+
+    @cached_property
     def theta(self) -> Field:
         return lee_form(self)
 
@@ -95,21 +100,20 @@ class HermitianPair:
     @cached_property
     def chern(self) -> Connection:
         d = self.g.chart.dim
-        df = exterior_derivative(self.f)
 
         def gamma_fn(jc):
             gam = self.lc.gamma_fn(jc)
             ginv = jet_inv(self.g.fn(jc))
-            dfv = form_full(df.fn(jc), d, 3)
+            dfv = form_full(self.df.fn(jc), d, 3)
             # correction^k_{ij} = -1/2 g^{kl} dF(J e_i, e_j, e_l)
             jdf = jeinsum("...ai,...ajl->...ijl", self.j.fn(jc), dfv)
             return gam + jeinsum("...kl,...ijl->...kij", ginv, jdf) * (-0.5)
 
-        return Connection(self.g.chart, gamma_fn, cost=max(self.lc.cost, df.cost))
+        return Connection(self.g.chart, gamma_fn, cost=max(self.lc.cost, self.df.cost))
 
     @cached_property
     def torsion(self) -> Field:
-        return -pullback_linear(self.j, exterior_derivative(self.f))
+        return -pullback_linear(self.j, self.df)
 
 
 @dataclass
@@ -174,11 +178,10 @@ def lee_form(pair: HermitianPair) -> Field:
     chart = pair.g.chart
     if chart.dim != 4:
         raise ValueError("Lee form solve is defined in dimension 4 only")
-    df = exterior_derivative(pair.f)
 
     def fn(jc):
         m = _lee_solve_matrix(pair.f.fn(jc))
-        rhs = df.fn(jc)
+        rhs = pair.df.fn(jc)
         ranks = np.linalg.matrix_rank(m.value)
         if np.any(ranks < 4):
             bad = int(np.argmax(ranks < 4))

@@ -31,8 +31,7 @@ from .gencomplex import (apply_endo, b_conjugate_endo, b_transform,
 from .models import (Example2Params, HamiltonianFlow, _sin_pair,
                      complex_form, conformal_metric, example2_build,
                      flow_pullback_form, get_model, hamiltonian_deform,
-                     j_minus, standard_split_quaternion_frame,
-                     unit_spacelike_vector)
+                     j_minus, unit_spacelike_vector)
 from .poisson import (chern_identity_residuals, check_holomorphic,
                       cyclic_nabla_q_form, ddc_commuting_fields, holo_bracket,
                       lower_trivector, pi_bivector, schouten_bb,
@@ -43,7 +42,7 @@ from .structures import (BihermitianData, HermitianPair, check_p_gradient,
 from .tensorcalc import (Field, Jet, SamplePlan, bivector_field, d_scalar,
                          evaluate_form, exterior_derivative, form_combos,
                          form_field, form_full_matrix, jmatmul, jtranspose,
-                         nijenhuis_tensor, wedge)
+                         nijenhuis_tensor, wedge, zero_form)
 from .tensorcalc.charts import ChartDomain, ExcludedLocus
 from .tensorcalc.fields import _broadcast_const
 from .tensorcalc.jets import jet_coords, jet_space
@@ -274,7 +273,7 @@ class SuiteContext:
         """Torsion of both structures of ``gcs_pair`` against the coordinate
         frame and eight random polynomial sections, and the number of points;
         the courant and gpk-example2 suites both record it."""
-        n_pts = self.points(count=min(8, self.config.samples))
+        n_pts = self.points()[:8]
         extra_secs = random_poly_sections(self.model.chart, 8, self.config.seed + 31)
         integ = worst(*(gcs_nijenhuis(i, None, n_pts, extra_sections=extra_secs)
                         for i in self.gcs_pair))
@@ -285,10 +284,8 @@ class SuiteContext:
         """The generalized complex structures of the deformed gamma1, gamma2."""
         return gcs_from_form(self.deformed.gamma1), gcs_from_form(self.deformed.gamma2)
 
-    def points(self, chart=None, count=None):
-        chart = chart or self.model.chart
-        plan = self.plan if count is None else SamplePlan(count, self.config.seed)
-        return plan.sample(chart)
+    def points(self, chart=None):
+        return self.plan.sample(chart or self.model.chart)
 
     def record(self, name, reference, residual, pts_count, inconclusive=0,
                extra=None) -> CheckRecord:
@@ -390,7 +387,7 @@ def suite_lemma1(ctx: SuiteContext):
 
 def suite_courant(ctx: SuiteContext):
     chart = ctx.model.chart
-    pts = ctx.points(count=min(12, ctx.config.samples))
+    pts = ctx.points()[:12]
     e, d = np.eye(2 * chart.dim), chart.dim
     # four section pairs (sa, sb), stacked on one axis
     sa = constant_sections(chart, [e[0], e[0], e[1], e[0] + e[d + 1]])
@@ -407,7 +404,7 @@ def suite_courant(ctx: SuiteContext):
 
     bundle = ctx.bundle
     i1 = ctx.gcs_pair[0]
-    n_pts = ctx.points(count=min(8, ctx.config.samples))
+    n_pts = ctx.points()[:8]
 
     # negative control: spoil closedness of the imaginary part
     def bad_imag(jc):
@@ -591,8 +588,7 @@ def _deformed_checks(ctx: SuiteContext):
     checks = []
     checks.append(ctx.record("flow-preserves-reference-form",
                              "flow pullback of the reference symplectic form",
-                             max_abs(deformed.fk_pullback.eval(pts)
-                                     - bundle.f_k.eval(pts)), len(pts)))
+                             deformed.preserve_residual, len(pts)))
 
     # integrator order on a curved calibration flow: sin x_i sin x_j for the
     # first pair (i, j) that F^K couples at the points and whose flow moves
@@ -658,7 +654,7 @@ def _deformed_checks(ctx: SuiteContext):
                                    "transversality, pairing rank",
                                    ctx.deformed_pair, pts))
 
-    n_pts = ctx.points(count=min(8, ctx.config.samples))
+    n_pts = ctx.points()[:8]
     integ = worst(*(gcs_nijenhuis(i, None, n_pts) for i in ctx.deformed_pair))
     checks.append(ctx.record("deformed-integrability",
                              "torsion of the deformed structures", integ,
@@ -891,9 +887,7 @@ def suite_engel(ctx: SuiteContext):
 
     # locally-prescribed data on the standard constant frame (the synthetic
     # mode is model-independent algebra)
-    j1m, j2m, j3m, gmat = standard_split_quaternion_frame()
-    qf = (j1m, j2m, j3m)
-    slf = synthetic_data(chart, qf, gmat)
+    slf = synthetic_data(chart)
     sv = slf.values(pts)
     smask = sv.definitive_mask()
     basis = basis_identity_residuals(sv, smask)
@@ -956,7 +950,8 @@ def suite_engel(ctx: SuiteContext):
                              0.0 if np.all(fr_ranks == 4) else 1.0,
                              int(smask.sum()), inconclusive=int((~smask).sum())))
 
-    rep0 = theorem7_check(synthetic_data(chart, qf, gmat, degenerate=True), pts[:8])
+    zero = zero_form(chart, 1)
+    rep0 = theorem7_check(lee_fields(slf.data, zero, zero), pts[:8])
     all_inc = rep0.verdicts.count("inconclusive") == len(rep0.verdicts)
     checks.append(ctx.record("degenerate-inputs-inconclusive",
                              "vanishing Lee forms yield inconclusive verdicts, "
@@ -978,7 +973,7 @@ def suite_engel(ctx: SuiteContext):
                              "reported", 0.0, 12,
                              inconclusive=rep7.verdicts.count("inconclusive"),
                              extra={"counts": str(rep7.counts()),
-                                    "theta_sum": float(rep7.extras["theta+ + theta-"])}))
+                                    "theta_sum": rep7.theta_sum}))
     return checks
 
 

@@ -562,7 +562,7 @@ def test_gcs_nijenhuis_equals_the_unprepped_loop(seed, monkeypatch):
     ctx = SuiteContext(SuiteConfig(suite="gpk-example2", model="torus", t=0.1,
                                    seed=seed))
     chart = ctx.model.chart
-    pts = ctx.points(count=8)
+    pts = ctx.points()[:8]
     b2 = random_poly_two_form(chart, seed + 77)
     cases = [(i, None, pts, random_poly_sections(chart, 8, seed + 31))
              for i in ctx.gcs_pair]
@@ -599,7 +599,7 @@ def test_curved_flow_deformed_integrability_equals_the_full_order_loop(model_nam
     checks = {c.name: c for c in suite_gpk_example2(ctx)}
     assert all(c.passed for c in checks.values())
     assert checks["flow-preserves-reference-form"].residual > 0.0
-    pts = ctx.points(count=8)
+    pts = ctx.points()[:8]
     ref = worst(*(max(max_abs(r) for r in ref_gcs_residual_jets(i, None, pts))
                   for i in ctx.deformed_pair))
     assert checks["deformed-integrability"].residual == ref
@@ -834,14 +834,12 @@ def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
     over the kodaira chart.  The generators X, Y and |theta+|^2 share one
     inverse of g."""
     from pbhverify.engel import lee_fields, n_endos, synthetic_data
-    from pbhverify.models import standard_split_quaternion_frame
     from pbhverify.structures import BihermitianData
     model, jc = kodaira_jets
     t = model.triple
     g2 = kodaira_pairs[1].g
-    j1m, j2m, j3m, gmat = standard_split_quaternion_frame()
     lfs = [lee_fields(BihermitianData(g2, t.j1, t.j1 * 1.25 + t.j2 * 0.75)),
-           synthetic_data(model.chart, (j1m, j2m, j3m), gmat)]
+           synthetic_data(model.chart)]
     for lf in lfs:
         x, y, tnorm, f, n, n_pm = ref_engel(lf, jc)
         assert_jets_equal(lf.x.fn(jc), x)
@@ -890,15 +888,66 @@ def test_p_gradient_matches_written_out_pairing(kodaira_jets, monkeypatch):
     pointwise (``max_abs`` passes the residual values through)."""
     from pbhverify import structures
     from pbhverify.engel import synthetic_data
-    from pbhverify.models import standard_split_quaternion_frame
     model, jc = kodaira_jets
-    j1m, j2m, j3m, gmat = standard_split_quaternion_frame()
-    data = synthetic_data(model.chart, (j1m, j2m, j3m), gmat).data
+    data = synthetic_data(model.chart).data
     pts = jc.value
     old = ref_check_p_gradient(data, pts)
     monkeypatch.setattr(structures, "max_abs", np.asarray)
     assert np.array_equal(structures.check_p_gradient(data, pts), old)
     assert np.abs(d_scalar(data.p).eval(pts)).max() > 0.01
+
+
+def ref_derivative_rule_table(lv):
+    """(nabla_{e_i} N) e_k from the Lee rule for each of the 16 pairs of
+    coordinate vectors, one call per pair on tiled basis vectors, stacked
+    as (B, 16, 4) with pair index 4 i + k."""
+    g, ginv, jp, jm, kv = lv.g, lv.ginv, lv.jp, lv.jm, lv.k
+    thp, thm, f = lv.theta_p, lv.theta_m, lv.f
+    thp_sharp = np.einsum("bij,bj->bi", ginv, thp)
+    thm_sharp = np.einsum("bij,bj->bi", ginv, thm)
+
+    def nabla_j(u, v, j, theta, theta_sharp):
+        guv = np.einsum("bi,bij,bj->b", u, g, v)
+        ju = np.einsum("bij,bj->bi", j, u)
+        jv = np.einsum("bij,bj->bi", j, v)
+        gjuv = np.einsum("bi,bij,bj->b", ju, g, v)
+        th_jv = np.einsum("bi,bi->b", theta, jv)
+        th_v = np.einsum("bi,bi->b", theta, v)
+        jtheta = np.einsum("bij,bj->bi", j, theta_sharp)
+        return (guv[:, None] * jtheta + gjuv[:, None] * theta_sharp
+                + th_jv[:, None] * u - th_v[:, None] * ju)
+
+    def df_along(u):
+        ku = np.einsum("bij,bj->bi", kv, u)
+        return -0.5 * f * np.einsum("bi,bi->b", thp - thm, ku)
+
+    def nabla_n(u, v):
+        term = 0.5 * (nabla_j(u, v, jp, thp, thp_sharp)
+                      + f[:, None] * nabla_j(u, v, jm, thm, thm_sharp))
+        jmv = np.einsum("bij,bj->bi", jm, v)
+        return term + df_along(u)[:, None] * jmv
+
+    basis = [np.tile(np.eye(4)[i], (len(g), 1)) for i in range(4)]
+    return np.stack([nabla_n(basis[i], basis[k])
+                     for i in range(4) for k in range(4)], axis=1)
+
+
+@pytest.mark.parametrize("model", ["torus", "kodaira"])
+def test_derivative_rule_table_equals_the_pair_loop(model):
+    """The broadcast coordinate-frame table of nabla_n_rhs_residuals equals
+    the per-pair loop bitwise, on the conformal pair and on synthetic data:
+    given the loop's table as the jet side, "derivative-rule vs jets" is
+    exactly 0, which holds only if every entry agrees."""
+    from pbhverify.engel import lee_fields, nabla_n_rhs_residuals, synthetic_data
+    ctx = suites.SuiteContext(suites.SuiteConfig(suite="engel", model=model))
+    pts = ctx.points()
+    for lf in (lee_fields(ctx.conformal), synthetic_data(ctx.model.chart)):
+        lv = lf.values(pts)
+        old = ref_derivative_rule_table(lv).reshape(len(pts), 4, 4, 4)
+        assert np.abs(old).max() > 0.1
+        dn = np.einsum("bikj->bijk", old)
+        assert nabla_n_rhs_residuals(lv, dn=dn)["derivative-rule vs jets"] == 0.0
+        assert nabla_n_rhs_residuals(lv, dn=dn * (1.0 + 1e-15))["derivative-rule vs jets"] > 0.0
 
 
 def test_block_assemblies_match_removed_copies(torus_bundle, kodaira_jets):
@@ -1839,9 +1888,9 @@ def test_courant_suite_checks_equal_the_loops(model, seed):
     got = {c.name: c.residual for c in suites.suite_courant(ctx)}
     chart = ctx.model.chart
     assert_bitwise(got["b-transform-naturality"],
-                   ref_b_transform_naturality(chart, ctx.points(count=12), seed))
+                   ref_b_transform_naturality(chart, ctx.points()[:12], seed))
     assert_bitwise(got["pairing-preservation"],
-                   ref_pairing_preservation(ctx.gcs_pair[0], ctx.points(count=8)))
+                   ref_pairing_preservation(ctx.gcs_pair[0], ctx.points()[:8]))
     assert got["b-transform-naturality"] > 0.0 and got["pairing-preservation"] > 0.0
 
 

@@ -12,15 +12,12 @@ from pbhverify.engel import (basis_identity_residuals, canonical_engel_span,
                              rank_tower, synthetic_data, theorem7_check)
 from pbhverify.structures import BihermitianData, levi_civita
 from pbhverify.tensorcalc import (Field, coordinate_vector, d_scalar,
-                                  jet_coords, lie_bracket)
+                                  jet_coords, lie_bracket, zero_form)
 
 
 @pytest.fixture(scope="module")
-def synthetic(torus_model, torus_points):
-    t = torus_model.triple
-    qf = (t.j1.eval(torus_points[:1])[0], t.j2.eval(torus_points[:1])[0],
-          t.j3.eval(torus_points[:1])[0])
-    return synthetic_data(torus_model.chart, qf, np.diag([1.0, 1.0, -1.0, -1.0]))
+def synthetic(torus_model):
+    return synthetic_data(torus_model.chart)
 
 
 def test_rank_tower_controls(torus_model, torus_points):
@@ -46,10 +43,9 @@ def test_degenerate_span_rejected(torus_model, torus_points):
 def _lee_cases(model):
     """The conformally rescaled pair at constant p, and synthetic data."""
     t = model.triple
-    j1m, j2m, j3m, gmat = models.standard_split_quaternion_frame()
     return (lee_fields(BihermitianData(models.conformal_metric(model), t.j1,
                                        t.j1 * 1.25 + t.j2 * 0.75)),
-            synthetic_data(model.chart, (j1m, j2m, j3m), gmat))
+            synthetic_data(model.chart))
 
 
 def _spans(model, pts):
@@ -215,19 +211,15 @@ def test_constant_p_distribution_integrable(torus_model, conformal_metric,
     assert rep.verdict == "integrable"
 
 
-def test_degenerate_theta_inconclusive(torus_model, torus_points):
-    t = torus_model.triple
-    qf = (t.j1.eval(torus_points[:1])[0], t.j2.eval(torus_points[:1])[0],
-          t.j3.eval(torus_points[:1])[0])
-    syn0 = synthetic_data(torus_model.chart, qf, np.diag([1.0, 1.0, -1.0, -1.0]),
-                          degenerate=True)
-    rep = theorem7_check(syn0, torus_points[:8])
+def test_degenerate_theta_inconclusive(torus_model, torus_points, synthetic):
+    zero = zero_form(torus_model.chart, 1)
+    rep = theorem7_check(lee_fields(synthetic.data, zero, zero), torus_points[:8])
     assert rep.counts() == {"inconclusive": 8}
 
 
 def test_theorem7_reports_hypothesis_residual(synthetic, torus_points):
     rep = theorem7_check(synthetic, torus_points[:8])
-    assert rep.extras["theta+ + theta-"] < 1e-12
+    assert rep.theta_sum < 1e-12
     assert len(rep.verdicts) == 8
     assert set(rep.verdicts) <= {"geodesic", "engel", "other", "inconclusive"}
 
@@ -264,7 +256,8 @@ def test_derivative_chain_evaluates_k_once(synthetic, torus_points, monkeypatch)
 
 def test_synthetic_j_minus_is_evaluated_once_per_coordinate_jet(monkeypatch):
     """A kodaira ``engel`` run evaluates the synthetic J- closure once per
-    distinct coordinate jet: 8 times (47 before it was memoized)."""
+    distinct coordinate jet: 7 times (47 before it was memoized, 8 while the
+    degenerate control built a J- of its own)."""
     calls = []
     make = engel.endo_field
 
@@ -279,4 +272,4 @@ def test_synthetic_j_minus_is_evaluated_once_per_coordinate_jet(monkeypatch):
 
     monkeypatch.setattr(engel, "endo_field", spy)
     suites.run_suite(suites.SuiteConfig(suite="engel", model="kodaira", seed=42))
-    assert len(calls) == 8
+    assert len(calls) == 7

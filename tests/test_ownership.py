@@ -70,3 +70,23 @@ def test_lemma1_and_engel_share_one_conformal_pair(counts):
     """An ``all`` run builds the conformal metric once, for both suites."""
     run(suite="all", model="torus", t=0.1)
     assert counts["conformal_metric"] == 1
+
+
+@pytest.mark.parametrize("model", ["torus", "kodaira"])
+def test_engel_differentiates_n_and_y_once(model, monkeypatch):
+    """A 64-sample ``engel`` run differentiates N once, for the
+    derivative-rule microscope, and Y along itself once, for the synthetic
+    trichotomy (3 and 2 when the trichotomy also compared the derivative
+    rule, whose result no check read, and the control with vanishing Lee
+    forms took nabla_Y Y at no definitive point)."""
+    out = Counter()
+    for name in ("cov_deriv_endo", "nabla_vector"):
+        def counted(self, *args, _name=name, _fn=getattr(structures.Connection, name)):
+            out[_name] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(structures.Connection, name, counted)
+    report = suites.run_suite(suites.SuiteConfig(suite="engel", model=model,
+                                                 samples=64, seed=42))
+    assert all(c.passed for c in report.checks)
+    assert (out["cov_deriv_endo"], out["nabla_vector"]) == (1, 1)
