@@ -1647,15 +1647,19 @@ RANK_TWO_E[2, 0] = RANK_TWO_E[3, 1] = 1.0
 
 @settings(max_examples=60, deadline=None)
 @example(RANK_TWO_E, [1.0, 0.0, 0.0, 0.0, 0.0, 1.0])  # both x1^2 terms nonzero
+@example(np.zeros((4, 4)), [1e-05, 3.0, 3.0, 1.0, 1.0, 1.0])  # |inv(F) F - I| ~ 1e-5
 @given(st.one_of(st.just(np.zeros((4, 4))), st.just(KODAIRA_E), rank_one_nilpotent(),
                  rank_two_nilpotent()),
        st.lists(st.floats(-3, 3), min_size=6, max_size=6))
 def test_bivector_frame_constant_inverts_the_form(e, upper):
     """For a nilpotent E (E^2 = 0) and an invertible antisymmetric F, the
-    bivector frame constant of F^-1 times the chart matrix of the 2-form
-    frame constant of F is I at orders 0-3: P F^-1 P^T P^-T F P^-1.  Each
+    chart matrix of the 2-form frame constant of F times the bivector frame
+    constant of F^-1 is I at orders 0-3: P^-T F P^-1 P F^-1 P^T.  Each
     chart entry grows with (1 + x1 max|E|)^2, so roundoff is bounded by
-    eps cond(F) (1 + max|E|)^4 on the unit box, times a small constant."""
+    eps cond(F) (1 + max|E|)^4 on the unit box, times a small constant.
+    The product is taken in this order because ``np.linalg.inv`` solves
+    F X = I: the right residual F X - I is within eps cond(F), while the
+    left one X F - I is only within eps cond(F)^2."""
     assert not (e @ e).any()
     f = np.zeros((4, 4))
     f[np.triu_indices(4, 1)] = upper
@@ -1669,7 +1673,7 @@ def test_bivector_frame_constant_inverts_the_form(e, upper):
     pts = SamplePlan(8, 1).sample(chart)
     for order in range(4):
         jc = jet_coords(4, order, pts)
-        prod = jmatmul(inverse.fn(jc), form_full_matrix(form.fn(jc), 4))
+        prod = jmatmul(form_full_matrix(form.fn(jc), 4), inverse.fn(jc))
         assert np.abs(prod.c - _broadcast_const(jc, np.eye(4)).c).max() <= tol
 
 
