@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .structures import (BihermitianData, DegeneracyError, fundamental_form,
-                         max_abs, worst)
+                         max_abs)
 from .tensorcalc import (ChartDomain, Field, Jet, endo_field,
                          exterior_derivative, form_combos, form_field,
                          form_from_matrix, form_full, form_full_matrix,
@@ -219,17 +219,18 @@ def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
     """Max residual of N_H(A, B) = [A,B] - [IA,IB] + I[IA,B] + I[A,IB] over
     section pairs A before B (frame sections first).  I, H and every section
     are evaluated once, and the sections and their images under I are
-    prepared (``_prep``) once; each section is bracketed against all later
-    ones in one batched call on slices of the prepared stacks.
+    prepared (``_prep``) once; all pairs i < j (``np.triu_indices``) are
+    bracketed in one batch, each bracket gathering its two prepared stacks
+    along the section axis when it runs.
 
     The brackets run at degree 0.  The residual is a value (``max_abs``),
     and the value of a Courant bracket reads only the values and first
     partials of its sections and the value of H, so after ``_prep`` (the one
     derivative) the prepared stacks, I and H are cut to their values, jets
     in ``jet_space(d, 0)`` (``jet_prefix``).  Each product's value is the
-    same single Leibniz term as at full order, so every row's residual value
-    is bitwise the full-order loop's, and a NaN in a value or first partial
-    still reaches it."""
+    same single Leibniz term as at full order, so every pair's residual
+    value is bitwise that of a full-order loop over rows (as tested), and a
+    NaN in a value or first partial still reaches it."""
     chart = i_field.chart
     d = chart.dim
     sections = list(extra_sections)
@@ -249,17 +250,15 @@ def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
     pi = [jet_prefix(p, sp0) for p in _prep(jmatvec(iv, s), d)]
     iv = jet_prefix(iv, sp0)
     hv = None if h is None else jet_prefix(form_full(h.fn(jc), d, 3)[:, None], sp0)
+    first, second = np.triu_indices(len(sections), 1)
 
-    def rows(sl):  # the prepared sections ``sl`` (axis 1) and their images
-        return tuple(p[:, sl] for p in ps), tuple(p[:, sl] for p in pi)
+    def bracket(pa, pb):  # the pairs' first and second prepared operands
+        return _courant(tuple(p[:, first] for p in pa),
+                        tuple(p[:, second] for p in pb), hv, d)
 
-    out = 0.0
-    for i in range(len(sections) - 1):
-        (a, ia), (b, ib) = rows(slice(i, i + 1)), rows(slice(i + 1, None))
-        res = (_courant(a, b, hv, d) - _courant(ia, ib, hv, d)
-               + jmatvec(iv, _courant(ia, b, hv, d) + _courant(a, ib, hv, d)))
-        out = worst(out, max_abs(res))
-    return out
+    res = (bracket(ps, ps) - bracket(pi, pi)
+           + jmatvec(iv, bracket(pi, ps) + bracket(ps, pi)))
+    return max_abs(res)  # NaN if any pair's residual is NaN
 
 
 def b_transform(a: Field, b2: Field) -> Field:

@@ -549,9 +549,11 @@ def ref_gcs_residual_jets(i_field, h, pts, extra_sections=()):
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_gcs_nijenhuis_equals_the_unprepped_loop(seed, monkeypatch):
-    """``gcs_nijenhuis`` on prepared section stacks, bracketing at degree 0,
-    gives bitwise each row's residual value, and so the residual, of the
-    full-order loop that took every section's gradient in each bracket: for
+    """``gcs_nijenhuis`` on prepared section stacks, bracketing all section
+    pairs in one degree-0 batch, gives bitwise each pair's residual value,
+    and so the residual, of the full-order row loop that took every
+    section's gradient in each bracket: its one residual table is the loop's
+    rows concatenated in ``np.triu_indices`` order.  This holds for
     the gpk-example2 suite's calls on the torus at t = 0.1, namely the
     closed-form pair with 16 sections, the b-conjugated structure twisted by
     -d b, and the deformed pair.  The higher coefficients of the residual
@@ -580,9 +582,9 @@ def test_gcs_nijenhuis_equals_the_unprepped_loop(seed, monkeypatch):
         seen.clear()
         new = gcs_nijenhuis(i_field, h, p, extra_sections=extra)
         old = ref_gcs_residual_jets(i_field, h, p, extra)
-        assert len(seen) == len(old) == 7 + len(extra)
-        for n, o in zip(seen, old):
-            assert np.array_equal(n.value, o.value)
+        assert len(seen) == 1 and len(old) == 7 + len(extra)
+        rows = np.concatenate([o.value for o in old], axis=1)
+        assert np.array_equal(seen[0].value, rows)
         assert new == max(max_abs(o) for o in old)
 
 

@@ -140,7 +140,7 @@ def test_degenerate_imaginary_part_rejected(torus_model, torus_points):
 
 
 def test_gcs_nijenhuis_refuses_points_outside_the_chart(torus_bundle, torus_points):
-    """The bracket loop checks its points against the chart box first."""
+    """``gcs_nijenhuis`` checks its points against the chart box first."""
     i1 = gcs_from_form(torus_bundle.beta1)
     outside = np.array([[99.0, 0.0, 0.0, 0.0]])
     assert not torus_bundle.chart.contains(outside).any()
@@ -376,7 +376,7 @@ def test_gcs_nijenhuis_brackets_at_degree_0(torus_bundle, torus_points, monkeypa
                        (b_conjugate_endo(i1, b2), -exterior_derivative(b2))):
         calls.clear()
         gcs_nijenhuis(i_field, h, torus_points[:3], secs)
-        assert len(calls) == 4 * 9  # four brackets per row, ten sections
+        assert len(calls) == 4  # four brackets, all 45 pairs in each
         operands = [x for call in calls for x in call if x is not None]
         assert len(operands) == len(calls) * (6 if h is None else 7)
         assert all(x.space is jet_space(4, 0) and x.order == 0 for x in operands)
@@ -397,6 +397,49 @@ def test_nan_in_a_section_reaches_the_residual(torus_bundle, torus_points, coeff
 
     sec = Field(base.chart, "section", fn)
     assert np.isnan(gcs_nijenhuis(i1, None, torus_points[:3], [sec]))
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("coeff", [0, 1, 3])
+def test_nan_in_the_last_section_reaches_the_residual(torus_bundle, torus_points,
+                                                      coeff, twisted):
+    """A NaN in only the last of eleven sections, in its value (coefficient
+    0) or a first partial (d_1, d_3) at one point, makes the residual NaN,
+    untwisted and twisted by -d b: the one batch over the pairs i < j
+    reaches the last section, which only the pairs (i, S - 1) hold."""
+    chart = torus_bundle.chart
+    i_field, h = gcs_from_form(torus_bundle.beta1), None
+    if twisted:
+        b2 = random_poly_two_form(chart, 119)
+        i_field, h = b_conjugate_endo(i_field, b2), -exterior_derivative(b2)
+    *secs, last = random_poly_sections(chart, 3, 31)
+
+    def fn(jc):
+        out = last.fn(jc).copy()
+        out.c[1, 5, coeff] = np.nan
+        return out
+
+    pts = torus_points[:3]
+    assert gcs_nijenhuis(i_field, h, pts, [*secs, last]) < 1e-12
+    assert np.isnan(gcs_nijenhuis(i_field, h, pts, [*secs, Field(chart, "section", fn)]))
+
+
+def test_gcs_nijenhuis_memory_guard():
+    """Each bracket gathers its two prepared stacks over the section pairs
+    when it runs: the traced peak of one 16-section, 8-point torus
+    closed-form-integrability call stays under 2 MiB (gathering all four
+    stacks up front peaks at about 2.4 MiB)."""
+    import tracemalloc
+    from pbhverify.suites import SuiteContext
+    ctx = SuiteContext(SuiteConfig(suite="courant", model="torus", seed=42))
+    secs = random_poly_sections(ctx.model.chart, 8, 42 + 31)
+    tracemalloc.start()
+    try:
+        gcs_nijenhuis(ctx.gcs_pair[0], None, ctx.points()[:8], extra_sections=secs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_deformed_pair_and_extraction(torus_model, plan):
@@ -474,4 +517,4 @@ def test_courant_suite_work_count(monkeypatch):
     monkeypatch.setattr(Field, "eval_jet", counted_eval)
     monkeypatch.setattr(gencomplex, "_courant", counted_courant)
     assert all(c.passed for c in courant_run(monkeypatch).values())
-    assert (len(evals), len(brackets)) == (42, 192)
+    assert (len(evals), len(brackets)) == (42, 32)
