@@ -16,14 +16,14 @@ import numpy as np
 
 from .models import standard_split_quaternion_frame
 from .structures import BihermitianData, _branch_root, max_abs
-from .tensorcalc import (ChartDomain, Field, bracket_jets, coordinate_vector,
-                         d_scalar, endo_field, jet_inv, jmatvec, jtranspose,
-                         metric_field, oneform_field, scalar_field,
-                         vector_field)
+from .tensorcalc import (ChartDomain, Field, bracket_jets, constant_endo,
+                         constant_metric, coordinate_vector, d_scalar,
+                         endo_field, jet_inv, jmatvec, jtranspose,
+                         oneform_field, scalar_field, vector_field)
 from .tensorcalc.calculus import _stack
 from .tensorcalc.fields import _broadcast_const, _scale, memoize_fn
 
-__all__ = ["RankTowerReport", "n_endos", "lee_fields", "LeeFields",
+__all__ = ["RankTowerReport", "lee_fields", "LeeFields",
            "LeeValues", "rank_tower", "theorem7_check", "Theorem7Report",
            "canonical_engel_span", "integrable_control_span",
            "other_control_span", "synthetic_data",
@@ -111,22 +111,7 @@ def other_control_span(chart: ChartDomain) -> tuple[Field, Field]:
 
 
 # --------------------------------------------------------------------------
-# endomorphisms N± and the Lee-form fields
-
-
-def _branch(p_field: Field, sign: float) -> Field:
-    """p + sign sqrt(p^2 - 1); with ``sign=-1.0`` the branch function f."""
-    def fn(jc):
-        p = p_field.fn(jc)
-        return p + _branch_root(p) * sign
-
-    return scalar_field(p_field.chart, fn, cost=p_field.cost)
-
-
-def n_endos(data: BihermitianData):
-    """N± = J+ + (p ± sqrt(p^2 - 1)) J-; square-zero of rank two on the
-    strict |p| > 1 locus, with kernels the K eigendistributions."""
-    return tuple(data.jp + data.jm * _branch(data.p, sign) for sign in (1.0, -1.0))
+# the Lee-form fields
 
 
 @dataclass
@@ -161,7 +146,7 @@ class LeeValues:
 
 @dataclass
 class LeeFields:
-    """X = N theta+#, Y = theta+# - K theta-#, and diagnostics."""
+    """X = N- theta+#, Y = theta+# - K theta-#, and diagnostics."""
 
     x: Field
     y: Field
@@ -169,8 +154,6 @@ class LeeFields:
     theta_m: Field
     theta_norm_sq: Field       # |theta+|^2 via g^{-1}
     data: BihermitianData
-    f_field: Field             # f = p - sqrt(p^2 - 1)
-    n: Field                   # N = J+ + f J-
 
     def values(self, pts) -> LeeValues:
         """The record the identity checks read, evaluated once at ``pts``."""
@@ -180,7 +163,7 @@ class LeeFields:
                          d.k_endo.eval(pts), self.theta_p.eval(pts),
                          self.theta_m.eval(pts), self.x.eval(pts),
                          self.y.eval(pts), self.theta_norm_sq.eval(pts),
-                         d.p.eval(pts), self.f_field.eval(pts))
+                         d.p.eval(pts), d.branch.eval(pts))
 
 
 def lee_fields(data: BihermitianData, theta_p: Field | None = None,
@@ -189,11 +172,8 @@ def lee_fields(data: BihermitianData, theta_p: Field | None = None,
     its pairs."""
     g = data.g
     chart = g.chart
-    if theta_p is None:
-        theta_p = data.pair_plus.theta
-    if theta_m is None:
-        theta_m = data.pair_minus.theta
-    n = n_endos(data)[1]
+    theta_p = data.pair_plus.theta if theta_p is None else theta_p
+    theta_m = data.pair_minus.theta if theta_m is None else theta_m
 
     def fn(jc):
         """X, Y and |theta+|^2 from one inverse of g."""
@@ -201,16 +181,16 @@ def lee_fields(data: BihermitianData, theta_p: Field | None = None,
         thp = theta_p.fn(jc)
         tp_sharp = jmatvec(ginv, thp)
         tm_sharp = jmatvec(ginv, theta_m.fn(jc))
-        x = jmatvec(n.fn(jc), tp_sharp)
+        x = jmatvec(data.n_minus.fn(jc), tp_sharp)
         y = tp_sharp - jmatvec(data.k_endo.fn(jc), tm_sharp)
         return x, y, (thp * tp_sharp).sum(axis=-1)
 
     gens = memoize_fn(fn)
-    cost = max(n.cost, g.cost, theta_p.cost, theta_m.cost)
+    cost = max(data.n_minus.cost, g.cost, theta_p.cost, theta_m.cost)
     x = vector_field(chart, lambda jc: gens(jc)[0], cost=cost)
     y = vector_field(chart, lambda jc: gens(jc)[1], cost=cost)
     tnorm = scalar_field(chart, lambda jc: gens(jc)[2], cost=cost)
-    return LeeFields(x, y, theta_p, theta_m, tnorm, data, _branch(data.p, -1.0), n)
+    return LeeFields(x, y, theta_p, theta_m, tnorm, data)
 
 
 def basis_identity_residuals(lv: LeeValues, mask=None) -> dict:
@@ -380,10 +360,8 @@ def synthetic_data(chart: ChartDomain) -> LeeFields:
         out = out + _scale(_broadcast_const(jc, j3m), c)
         return out
 
-    jp = endo_field(chart, lambda jc: _broadcast_const(jc, j1m))
-    jm = endo_field(chart, jm_fn).memoized()
-    g = metric_field(chart, lambda jc: _broadcast_const(jc, g_matrix))
-    data = BihermitianData(g, jp, jm)
+    data = BihermitianData(constant_metric(chart, g_matrix), constant_endo(chart, j1m),
+                           endo_field(chart, jm_fn).memoized())
     dp = d_scalar(scalar_field(chart, lambda jc: -a_fn(jc), cost=0))
 
     def theta_fn(jc):

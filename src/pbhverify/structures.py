@@ -283,13 +283,15 @@ class BihermitianData:
                              and Chern connections and the 3-forms d^J± F±
       p                      the pairing tr(J+ J-) / 4
       s_root                 sqrt(p^2 - 1), positive branch
+      branch                 the branch function f = p - sqrt(p^2 - 1)
+      n_plus, n_minus        N± = J+ + (p ± sqrt(p^2 - 1)) J-, square-zero
       k_endo, s_endo         K and S, on the |p| > 1 locus
       q                      the commutator Q = [J+, J-]
 
     K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate.  Each
-    of p, sqrt(p^2 - 1), K and S has one jet formula; when J+ and J- are
+    of p, sqrt(p^2 - 1), f, K and S has one jet formula; when J+ and J- are
     constant in one frame, ``frame_lift`` evaluates it once, at x1 = 0, for
-    its frame components."""
+    its frame components.  N± are plain field algebra, not lifted."""
 
     g: Field
     jp: Field
@@ -321,6 +323,18 @@ class BihermitianData:
         return self._lifted("scalar", lambda jc: _branch_root(self.p.fn(jc)))
 
     @cached_property
+    def branch(self) -> Field:
+        return _branch(self, -1.0)
+
+    @cached_property
+    def n_plus(self) -> Field:
+        return self.jp + self.jm * _branch(self, 1.0)
+
+    @cached_property
+    def n_minus(self) -> Field:
+        return self.jp + self.jm * self.branch
+
+    @cached_property
     def q(self) -> Field:
         """Q = [J+, J-]."""
         def fn(jc):
@@ -350,6 +364,15 @@ class BihermitianData:
             return -_scale(num, s.reciprocal())
 
         return self._lifted("endo", fn)
+
+
+def _branch(data: BihermitianData, sign: float) -> Field:
+    """p + sign sqrt(p^2 - 1) of ``data``; the branch function f at -1."""
+    def fn(jc):
+        p = data.p.fn(jc)
+        return p + _branch_root(p) * sign
+
+    return data._lifted("scalar", fn)
 
 
 def build_parahypercomplex(jp: Field, jm: Field, g: Field, pts,

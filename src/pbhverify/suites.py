@@ -17,9 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .engel import (_rank_of, basis_identity_residuals, canonical_engel_span,
-                    integrable_control_span, lee_fields, n_endos,
-                    nabla_n_rhs_residuals, other_control_span, rank_tower,
-                    synthetic_data, theorem7_check)
+                    integrable_control_span, lee_fields, nabla_n_rhs_residuals,
+                    other_control_span, rank_tower, synthetic_data, theorem7_check)
 from .flagmodel import (FlagParams, cp2_charts, cp2_transition, flag_charts,
                         tau_norm_sq)
 from .gencomplex import (apply_endo, b_conjugate_endo, b_transform,
@@ -191,6 +190,8 @@ class SuiteConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         for name, value in self.tol.items():
             try:
                 default, mode = check_spec(name)
@@ -459,9 +460,9 @@ def suite_gpk_example2(ctx: SuiteContext):
     checks = []
 
     fk, wp, wm = bundle.f_k, bundle.omega_plus, bundle.omega_minus
-    bih = worst(max_abs(wedge(fk, wp).eval(pts)), max_abs(wedge(fk, wm).eval(pts)),
-                max_abs(wedge(wp, wm).eval(pts)),
-                max_abs((wedge(wp, wp) + wedge(wm, wm) - wedge(fk, fk) * 4.0).eval(pts)))
+    kp, km, pm, pp, mm, kk = (wedge(u, v).eval(pts) for u, v in (
+        (fk, wp), (fk, wm), (wp, wm), (wp, wp), (wm, wm), (fk, fk)))
+    bih = worst(max_abs(kp), max_abs(km), max_abs(pm), max_abs(pp + mm - kk * 4.0))
     checks.append(ctx.record("form-conditions",
                              "degeneracy conditions for the two closed complex "
                              "2-forms", bih, len(pts)))
@@ -477,21 +478,22 @@ def suite_gpk_example2(ctx: SuiteContext):
     a = params.a
     root = float(np.sqrt(a * a - 1.0))
 
-    def fval(form, vecs):  # values only, in the frame's order-0 space
-        return evaluate_form(Jet.constant(jet_space(d, 0), form.eval(pts)), vecs, d,
+    def fval(values, vecs):  # form values on the frame, in its order-0 space
+        return evaluate_form(Jet.constant(jet_space(d, 0), values), vecs, d,
                              len(vecs)).value
 
-    table = worst(max_abs(fval(wedge(wp, wp), frame) - 4 * (a + 1)),
-                  max_abs(fval(wedge(wm, wm), frame) + 4 * (a - 1)),
-                  max_abs(fval(wedge(wp, wm), frame)),
-                  max_abs(fval(wedge(fk, fk), frame) - 2.0),
-                  max_abs(fval(wedge(fk, wp), frame)),
-                  max_abs(fval(wedge(fk, wm), frame)),
-                  max_abs(fval(wp, frame[:2]) + root),
-                  max_abs(fval(wm, frame[:2]) - root),
-                  max_abs(fval(wp, [frame[0], frame[2]])),
-                  max_abs(fval(wp, [frame[0], frame[3]]) + (a + 1)),
-                  max_abs(fval(wm, [frame[0], frame[3]]) - (a - 1)))
+    wpv, wmv = wp.eval(pts), wm.eval(pts)
+    table = worst(max_abs(fval(pp, frame) - 4 * (a + 1)),
+                  max_abs(fval(mm, frame) + 4 * (a - 1)),
+                  max_abs(fval(pm, frame)),
+                  max_abs(fval(kk, frame) - 2.0),
+                  max_abs(fval(kp, frame)),
+                  max_abs(fval(km, frame)),
+                  max_abs(fval(wpv, frame[:2]) + root),
+                  max_abs(fval(wmv, frame[:2]) - root),
+                  max_abs(fval(wpv, [frame[0], frame[2]])),
+                  max_abs(fval(wpv, [frame[0], frame[3]]) + (a + 1)),
+                  max_abs(fval(wmv, [frame[0], frame[3]]) - (a - 1)))
     checks.append(ctx.record("frame-table",
                              "orthonormal-frame evaluation table of the three "
                              "2-forms and their wedges", table, len(pts)))
@@ -674,7 +676,7 @@ def _poisson_block(data: BihermitianData, pts):
     out["anti"] = pi.omega_11_residual(pts)
     out["holo"] = check_holomorphic(pi, pts)
     br = schouten_bb(pi.bivector, pi.bivector)
-    out["jacobi"] = max_abs(np.abs(br.eval(pts)))
+    out["jacobi"] = max_abs(br.eval(pts))
     re_pi = bivector_field(g.chart, lambda jc: pi.bivector.fn(jc).real,
                            cost=pi.bivector.cost)
     br_re = schouten_bb(re_pi, re_pi)
@@ -684,7 +686,7 @@ def _poisson_block(data: BihermitianData, pts):
     out["agree"] = float(np.abs(low - 2.0 * cyc).max())
     conj_pi = bivector_field(g.chart, lambda jc: pi.bivector.fn(jc).conj(),
                              cost=pi.bivector.cost)
-    out["reality"] = max_abs(np.abs(schouten_bb(conj_pi, pi.bivector).eval(pts)))
+    out["reality"] = max_abs(schouten_bb(conj_pi, pi.bivector).eval(pts))
     return pi, out
 
 
@@ -714,7 +716,7 @@ def suite_poisson(ctx: SuiteContext):
     pi0 = pi_bivector(BihermitianData(g, jp, jp))
     checks.append(ctx.record("commuting-control", "commuting pair yields the "
                              "zero bivector",
-                             max_abs(np.abs(pi0.bivector.eval(pts))), len(pts)))
+                             max_abs(pi0.bivector.eval(pts)), len(pts)))
 
     qv = data.q.eval(pts)
     gv = g.eval(pts)
@@ -897,7 +899,7 @@ def suite_engel(ctx: SuiteContext):
                              inconclusive=int((~smask).sum()),
                              extra=basis))
 
-    df = d_scalar(slf.f_field).eval(pts)
+    df = d_scalar(slf.data.branch).eval(pts)
     f, tn = sv.f, sv.theta_norm_sq
     scale = np.maximum(1.0, np.abs(tn))
     xf_res = np.abs(np.einsum("bi,bi->b", df, sv.x) / scale)[smask].max(initial=0.0)
@@ -920,8 +922,8 @@ def suite_engel(ctx: SuiteContext):
     ths = np.einsum("bij,bj->bi", sv.ginv, sv.theta_p)
     v = np.einsum("bij,bj->bi", jpv @ jmv, ths)
     eqy = np.abs((np.einsum("bi,bij,bj->b", ths, sv.g, v) - sv.p * tn) / scale)[smask].max(initial=0.0)
-    nmat = jpv + f[:, None, None] * jmv
-    anti = np.abs(nmat @ jpv + jpv @ nmat
+    npv, nmv = slf.data.n_plus.eval(pts), slf.data.n_minus.eval(pts)
+    anti = np.abs(nmv @ jpv + jpv @ nmv
                   - 2.0 * (sv.p * f - 1.0)[:, None, None] * np.eye(4)).max()
     checks.append(ctx.record("pairing-eigenstructure",
                              "dual-vector pairing identity and the "
@@ -929,9 +931,6 @@ def suite_engel(ctx: SuiteContext):
                              worst(eqy, anti), len(pts),
                              inconclusive=int((~smask).sum())))
 
-    n_plus, n_minus = n_endos(slf.data)
-    npv = n_plus.eval(pts)
-    nmv = n_minus.eval(pts)
     proj_m = 0.5 * (np.eye(4) - sv.k)
     proj_p = 0.5 * (np.eye(4) + sv.k)
     ranks = _rank_of(npv)
@@ -961,7 +960,7 @@ def suite_engel(ctx: SuiteContext):
     # the rule-vs-jets comparison is a tensor identity on honest Hermitian
     # data; it needs no non-null Lee forms
     crule = nabla_n_rhs_residuals(
-        cv, dn=lf.data.pair_plus.lc.cov_deriv_endo(lf.n).eval(pts))
+        cv, dn=lf.data.pair_plus.lc.cov_deriv_endo(lf.data.n_minus).eval(pts))
     checks.append(ctx.record("derivative-rule-microscope",
                              "derivative rule for the nilpotent endo against "
                              "honest jet differentiation",

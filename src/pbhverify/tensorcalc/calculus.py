@@ -132,8 +132,7 @@ def d_scalar(f: Field) -> Field:
 
 def wedge(a: Field, b: Field) -> Field:
     chart = _check_chart(a, b)
-    k = a.degree if a.kind != "oneform" else 1
-    l = b.degree if b.kind != "oneform" else 1
+    k, l = a.degree, b.degree
     if k + l > chart.dim:
         return zero_form(chart, chart.dim)
     table = _wedge_table(chart.dim, k, l)

@@ -685,7 +685,7 @@ def ref_lower_trivector(tri_vals, g_vals, dim, triples):
 def ref_engel(lf, jc):
     """X = N theta+#, Y = theta+# - K theta-#, |theta+|^2, f and
     N = J+ + f J- as lee_fields and the jet derivative rule built them, with
-    g inverted once per dual vector, and the N± of n_endos."""
+    g inverted once per dual vector, and N± = J+ + (p ± sqrt(p^2 - 1)) J-."""
     data = lf.data
     f_field = data.p.fn(jc) - (data.p.fn(jc) ** 2 - 1.0).sqrt()
     p = data.p.fn(jc)
@@ -835,7 +835,7 @@ def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
     """Constant p on the rescaled kodaira pair; varying p on synthetic data
     over the kodaira chart.  The generators X, Y and |theta+|^2 share one
     inverse of g."""
-    from pbhverify.engel import lee_fields, n_endos, synthetic_data
+    from pbhverify.engel import lee_fields, synthetic_data
     from pbhverify.structures import BihermitianData
     model, jc = kodaira_jets
     t = model.triple
@@ -847,20 +847,18 @@ def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
         assert_jets_equal(lf.x.fn(jc), x)
         assert_jets_equal(lf.y.fn(jc), y)
         assert_jets_equal(lf.theta_norm_sq.fn(jc), tnorm)
-        assert_jets_equal(lf.f_field.fn(jc), f)
-        new_pm = n_endos(lf.data)
-        assert_jets_equal(new_pm[1].fn(jc), n)
-        assert_jets_equal(lf.n.fn(jc), n)
-        for new, old in zip(new_pm, n_pm):
+        assert_jets_equal(lf.data.branch.fn(jc), f)
+        assert_jets_equal(lf.data.n_minus.fn(jc), n)
+        for new, old in zip((lf.data.n_plus, lf.data.n_minus), n_pm):
             assert_jets_equal(new.fn(jc), old)
-    assert np.abs(lfs[1].f_field.fn(jc).c[..., 1:]).max() > 0.01  # p varies
+    assert np.abs(lfs[1].data.branch.fn(jc).c[..., 1:]).max() > 0.01  # p varies
     # the jet derivative rule differentiates the same N
     lf = lfs[1]
     conn = levi_civita(lf.data.g)
     pts = jc.value[:4]
     old_n = Field(model.chart, "endo", lambda c: ref_engel(lf, c)[4],
                   cost=max(lf.data.jp.cost, lf.data.jm.cost, lf.data.p.cost))
-    assert np.array_equal(conn.cov_deriv_endo(lf.n).eval(pts),
+    assert np.array_equal(conn.cov_deriv_endo(lf.data.n_minus).eval(pts),
                           conn.cov_deriv_endo(old_n).eval(pts))
 
 

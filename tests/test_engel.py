@@ -7,7 +7,7 @@ import pytest
 
 from pbhverify import engel, models, suites
 from pbhverify.engel import (basis_identity_residuals, canonical_engel_span,
-                             integrable_control_span, lee_fields, n_endos,
+                             integrable_control_span, lee_fields,
                              nabla_n_rhs_residuals, other_control_span,
                              rank_tower, synthetic_data, theorem7_check)
 from pbhverify.structures import BihermitianData, levi_civita
@@ -127,16 +127,17 @@ def test_constant_p_near_degenerate_generators_inconclusive(monkeypatch):
 
 def test_frame_lift_falls_back_on_varying_structures(synthetic):
     """The synthetic J- varies and carries no frame constant, so p,
-    sqrt(p^2 - 1), K and S keep their jet formulas."""
+    sqrt(p^2 - 1), f, K and S keep their jet formulas although J+ is a
+    frame constant."""
     data = synthetic.data
-    assert data.jp.frame is None and data.jm.frame is None
-    for field in (data.p, data.s_root, data.k_endo, data.s_endo):
+    assert data.jp.frame is not None and data.jm.frame is None
+    for field in (data.p, data.s_root, data.branch, data.k_endo, data.s_endo):
         assert field.frame is None
 
 
 def test_nilpotent_endos(torus_model, torus_points, synthetic):
     lf = synthetic
-    n_plus, n_minus = n_endos(lf.data)
+    n_plus, n_minus = lf.data.n_plus, lf.data.n_minus
     npv = n_plus.eval(torus_points)
     nmv = n_minus.eval(torus_points)
     # square-zero, rank two
@@ -165,7 +166,7 @@ def test_gradient_identities_synthetic(synthetic, torus_points):
     lf = synthetic
     v = lf.values(torus_points)
     mask = v.definitive_mask()
-    df = d_scalar(lf.f_field).eval(torus_points)
+    df = d_scalar(lf.data.branch).eval(torus_points)
     x, y, f, tn = v.x, v.y, v.f, v.theta_norm_sq
     assert np.abs(np.einsum("bi,bi->b", df, x))[mask].max() < 1e-12
     assert np.abs(np.einsum("bi,bi->b", df, y) + f * tn)[mask].max() < 1e-12
@@ -196,7 +197,7 @@ def test_derivative_rule_against_jets_conformal(torus_model, conformal_metric,
     jm = t.j1 * 1.25 + t.j2 * 0.75
     lf = lee_fields(BihermitianData(conformal_metric, t.j1, jm))
     v = lf.values(torus_points)
-    dn = levi_civita(conformal_metric).cov_deriv_endo(lf.n).eval(torus_points)
+    dn = levi_civita(conformal_metric).cov_deriv_endo(lf.data.n_minus).eval(torus_points)
     res = nabla_n_rhs_residuals(v, mask=v.definitive_mask(), dn=dn)
     assert res["derivative-rule vs jets"] < 1e-12
 
@@ -249,7 +250,7 @@ def test_derivative_chain_evaluates_k_once(synthetic, torus_points, monkeypatch)
         return field_eval(field, pts)
 
     monkeypatch.setattr(Field, "eval", spy)
-    dn = levi_civita(lf.data.g).cov_deriv_endo(lf.n).eval(torus_points)
+    dn = levi_civita(lf.data.g).cov_deriv_endo(lf.data.n_minus).eval(torus_points)
     nabla_n_rhs_residuals(lf.values(torus_points), dn=dn)
     assert calls == [len(torus_points)]
 

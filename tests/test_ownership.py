@@ -1,15 +1,109 @@
 """Each derived object of a bihermitian structure is built once per run: the
 ``BihermitianData`` and ``HermitianPair`` that own Q, the connections, the
-Lee forms and the torsion forms are shared by every check that reads them.
+Lee forms, the torsion forms, the branch function and N± are shared by every
+check that reads them.
 
 The counts are of constructions and of evaluations that miss the memo, so
-they are exact and do not depend on timing."""
+they are exact and do not depend on timing.  The audit wraps every Field
+builder in every module that binds it, and fails when a run calls one
+builder twice on the same inputs outside the allowlist."""
 
-from collections import Counter
+import sys
+from collections import Counter, defaultdict
 
 import pytest
 
 from pbhverify import structures, suites
+
+# module under pbhverify -> the Field builders it defines
+BUILDERS = {
+    "tensorcalc.calculus": ("exterior_derivative", "d_scalar", "wedge",
+                            "interior_product", "pullback_linear", "nijenhuis_tensor"),
+    "gencomplex": ("pairing", "courant_bracket", "apply_endo", "gcs_from_form",
+                   "b_transform", "b_conjugate_endo", "gualtieri_build",
+                   "gualtieri_extract"),
+    "structures": ("fundamental_form", "lee_form", "levi_civita", "_branch"),
+    "poisson": ("pi_bivector", "schouten_bb", "schouten_vb", "ddc_scalar"),
+    "engel": ("lee_fields",),
+    "models": ("complex_form", "j_minus", "conformal_metric", "flow_pullback_form"),
+}
+AUDIT_RUNS = (("all", "torus"), ("all", "kodaira"), ("engel", "kodaira"))
+
+# (builder, calling function) -> why it may build twice on the same inputs
+_CERTIFY = ("model certification and the parahyperkahler suite each build it, "
+            "at different point sets")
+_DDC = ("theorem4's lambda fit and its ddc-commuting lemma each build dd^c of "
+        "f o p1; perfbench/workloads.py calls the (u, v, phi, pts) signature of "
+        "ddc_commuting_fields, so it cannot take the built form")
+_OMEGA = "two owners of one frame constant: F of (g, J1) in the triple and in the pair"
+ALLOWED = {
+    ("exterior_derivative", "ParaHyperTriple.closedness_residual"): _CERTIFY,
+    ("nijenhuis_tensor", "ParaHyperTriple.nijenhuis_residual"): _CERTIFY,
+    ("ddc_scalar", "FlagBundle.lambda_fit"): _DDC,
+    ("ddc_scalar", "ddc_commuting_fields"): _DDC,
+    ("d_scalar", "ddc_scalar"): _DDC,
+    ("fundamental_form", "ParaHyperTriple.omegas"): _OMEGA,
+    ("fundamental_form", "HermitianPair.f"): _OMEGA,
+}
+
+
+def _caller(frame):
+    """The function running ``frame``, past comprehensions and lambdas, as
+    ``Class.method`` or ``function``."""
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    owner = frame.f_locals.get("self")
+    name = frame.f_code.co_name
+    return name if owner is None else f"{type(owner).__name__}.{name}"
+
+
+def _key(value):
+    """Numbers and strings by value, every other input by identity."""
+    return value if isinstance(value, (int, float, str, type(None))) else id(value)
+
+
+@pytest.fixture(scope="module")
+def builds():
+    """For each of ``AUDIT_RUNS`` (t = 0.1), the callers of each builder
+    call, by (builder, inputs).  Every argument is held until the runs end,
+    so no freed id is reused by a later, different input."""
+    out, held, now = {}, [], None
+
+    def wrap(name, fn):
+        def built(*args, **kwargs):
+            held.append((args, kwargs))
+            key = (name, tuple(map(_key, args)),
+                   tuple((k, _key(v)) for k, v in sorted(kwargs.items())))
+            out[now][key].append(_caller(sys._getframe(1)))
+            return fn(*args, **kwargs)
+
+        return built
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("pbhverify")]
+    with pytest.MonkeyPatch.context() as mp:
+        for module, names in BUILDERS.items():
+            for name in names:
+                fn = getattr(sys.modules["pbhverify." + module], name)
+                wrapped = wrap(name, fn)
+                for m in modules:
+                    for attr, value in list(vars(m).items()):
+                        if value is fn:
+                            mp.setattr(m, attr, wrapped)
+        for now in AUDIT_RUNS:
+            out[now] = defaultdict(list)
+            run(suite=now[0], model=now[1], t=0.1)
+    return out
+
+
+def _repeats(calls):
+    """(builder, caller) for each caller of a build made twice on the same
+    inputs."""
+    return {(key[0], c) for key, callers in calls.items() if len(callers) > 1
+            for c in callers}
+
+
+def _count(calls, builder):
+    return sum(len(callers) for key, callers in calls.items() if key[0] == builder)
 
 
 @pytest.fixture
@@ -90,3 +184,27 @@ def test_engel_differentiates_n_and_y_once(model, monkeypatch):
                                                  samples=64, seed=42))
     assert all(c.passed for c in report.checks)
     assert (out["cov_deriv_endo"], out["nabla_vector"]) == (1, 1)
+
+
+def test_no_builder_repeats_an_input_outside_the_allowlist(builds):
+    """The branch function, N± and the Example-2 wedges used to be built
+    again by each reader (11 branch functions for 4 inputs, 16 wedges for
+    10 in one ``all`` run)."""
+    for run_key in (("all", "torus"), ("all", "kodaira")):
+        bad = sorted(_repeats(builds[run_key]) - set(ALLOWED))
+        assert not bad, (run_key, bad)
+
+
+def test_the_allowlist_is_needed(builds):
+    """Each allowlisted repeat still happens."""
+    seen = _repeats(builds["all", "torus"]) | _repeats(builds["all", "kodaira"])
+    assert set(ALLOWED) <= seen
+
+
+def test_branch_functions_and_wedges_are_built_once_per_input(builds):
+    """An ``all`` run builds 3 branch functions (f of the conformal and of
+    the synthetic data, and p + sqrt(p^2 - 1) for the synthetic N+) and 10
+    wedges; a kodaira ``engel`` run builds the same 3 branch functions."""
+    torus = builds["all", "torus"]
+    assert (_count(torus, "_branch"), _count(torus, "wedge")) == (3, 10)
+    assert _count(builds["engel", "kodaira"], "_branch") == 3

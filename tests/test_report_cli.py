@@ -145,6 +145,17 @@ def test_env_seed_fallback(monkeypatch, tmp_path):
     assert doc["config"]["seed"] == "11"
 
 
+def test_negative_seed_is_a_configuration_error(monkeypatch, capsys):
+    """A negative seed exits 2 with a configuration error, from the flag
+    and from the environment, instead of a traceback from the generator."""
+    args = ["--suite", "parahyperkahler", "--samples", "8", "--quiet"]
+    assert main(args + ["--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    monkeypatch.setenv("PBH_SEED", "-1")
+    assert main(args) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_list_suites_catalog():
     text = list_suites()
     for name in ("parahyperkahler", "lemma1", "courant", "gpk-example2",
