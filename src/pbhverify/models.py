@@ -465,7 +465,7 @@ class HamiltonianFlow:
         v = self.velocity(jc).value
         speed = float(np.abs(v).max())
         min_side = min(hi - lo for lo, hi in box)
-        if abs(self.t) * speed > ESCAPE_FRACTION * min_side:
+        if not (abs(self.t) * speed <= ESCAPE_FRACTION * min_side):  # NaN fails
             raise FlowTimeError(
                 f"flow time too large: t*|V| = {abs(self.t)*speed:.3g} exceeds "
                 f"{ESCAPE_FRACTION} * box side {min_side:.3g}")
@@ -530,7 +530,7 @@ def hamiltonian_deform(bundle: Example2Bundle, plan: SamplePlan) -> DeformedBund
     gamma1 = complex_form(bundle.f_k, bundle.omega_p + pulled)
     gamma2 = complex_form(-bundle.f_k, bundle.omega_p - pulled)
     guard = max_abs(flow_pullback_form(flow, bundle.f_k).eval(pts) - bundle.f_k.eval(pts))
-    if guard > PRESERVE_TOL:
+    if not (guard <= PRESERVE_TOL):  # a NaN residual fails too
         raise IntegratorError(
             f"flow does not preserve the reference form: residual {guard:.3g} "
             f"with step {params.step:g}")

@@ -1,8 +1,11 @@
 """Verification suite catalog and runner.
 
 Each suite is an ordered list of named checks; a check evaluates one family
-of identities at sampled points and records the worst residual against its
-tolerance.  ``CATALOG`` declares every suite and check once.  Tolerance
+of identities at sampled points and records its residual against its
+tolerance by one rule, ``SuiteContext.record``: the largest |entry| of all
+its residual parts, where a NaN fails closed and an empty part counts as 0;
+points outside its mask are inconclusive, and a check with no definitive
+point fails.  ``CATALOG`` declares every suite and check once.  Tolerance
 overrides must be finite, may only loosen the shipped defaults and never
 drop below 1e-14.
 """
@@ -37,7 +40,7 @@ from .poisson import (chern_identity_residuals, check_holomorphic,
                       theorem4_hypotheses, type_02_projector_matrix)
 from .report import CheckRecord, VerificationReport
 from .structures import (BihermitianData, HermitianPair, check_p_gradient,
-                         lee_condition, max_abs, worst)
+                         lee_condition)
 from .tensorcalc import (Field, Jet, SamplePlan, bivector_field, d_scalar,
                          evaluate_form, exterior_derivative, form_combos,
                          form_field, form_full_matrix, jmatmul, jtranspose,
@@ -272,13 +275,13 @@ class SuiteContext:
     @cached_property
     def closed_integrability(self):
         """Torsion of both structures of ``gcs_pair`` against the coordinate
-        frame and eight random polynomial sections, and the number of points;
-        the courant and gpk-example2 suites both record it."""
+        frame and eight random polynomial sections, as residual parts, and
+        the number of points; the courant and gpk-example2 suites both
+        record it."""
         n_pts = self.points()[:8]
         extra_secs = random_poly_sections(self.model.chart, 8, self.config.seed + 31)
-        integ = worst(*(gcs_nijenhuis(i, None, n_pts, extra_sections=extra_secs)
-                        for i in self.gcs_pair))
-        return integ, len(n_pts)
+        return tuple(gcs_nijenhuis(i, None, n_pts, extra_sections=extra_secs)
+                     for i in self.gcs_pair), len(n_pts)
 
     @cached_property
     def deformed_pair(self):
@@ -288,21 +291,42 @@ class SuiteContext:
     def points(self, chart=None):
         return self.plan.sample(chart or self.model.chart)
 
-    def record(self, name, reference, residual, pts_count, inconclusive=0,
-               extra=None) -> CheckRecord:
+    def record(self, name, reference, residual, pts_count, extra=None,
+               mask=None) -> CheckRecord:
+        """The check ``name`` against its catalog tolerance and mode.
+        ``residual`` is a number, recorded as is, or parts for
+        ``reduce_parts``; ``mask``, a boolean array, is True where the check
+        is definitive and the other points are inconclusive.  A residual that
+        is not finite fails, and so does a check with no definitive point,
+        except degenerate-inputs-inconclusive, whose outcome is that count."""
         tol = self.config.tolerance(name)
         exceeds = check_spec(name)[1] == EXCEEDS
         extra = dict(extra or {})
         if exceeds:
             extra["mode"] = EXCEEDS
-        if not np.isfinite(residual):
-            passed = False
-        elif exceeds:
-            passed = residual > tol
-        else:
-            passed = residual <= tol
+        inconclusive, definitive = 0, True
+        if mask is not None:
+            inconclusive = int(np.count_nonzero(~mask))
+            definitive = mask.any() or name == "degenerate-inputs-inconclusive"
+        if not np.isscalar(residual):
+            residual = reduce_parts(residual, mask)
+        passed = (definitive and np.isfinite(residual)
+                  and (residual > tol if exceeds else residual <= tol))
         return CheckRecord(name, reference, float(residual), tol, pts_count,
                            bool(passed), inconclusive, extra)
+
+
+def reduce_parts(parts, mask=None) -> float:
+    """The largest |entry| of any part, NaN if any entry is NaN; an empty
+    part counts as 0 and a Jet part by its values.  ``mask`` restricts each
+    array and Jet part to its True points (the leading axis); a number is a
+    part reduced already and no mask applies to it."""
+    peaks = [0.0]
+    for part in parts:
+        arr = part.value if isinstance(part, Jet) else np.asarray(part)
+        arr = arr[mask] if mask is not None and arr.ndim else arr
+        peaks.append(np.max(np.abs(arr)) if arr.size else 0.0)
+    return float(np.max(peaks))
 
 
 # --------------------------------------------------------------------------
@@ -343,34 +367,27 @@ def suite_lemma1(ctx: SuiteContext):
     jv = data.jp.eval_jet(pts)
     eye = _broadcast_const(kv, np.eye(d))
     gv = ghat.eval_jet(pts)
-    alg = worst(max_abs(jmatmul(kv, kv) - eye), max_abs(jmatmul(sv, sv) - eye),
-                max_abs(jmatmul(jv, kv) - sv),
-                max_abs(data.p.eval(pts) - (-ctx.config.a)),
-                max_abs(jmatmul(jmatmul(jtranspose(kv), gv), kv) + gv))
-
-    nk = max_abs(nijenhuis_tensor(data.k_endo).eval(pts))
-    ns = max_abs(nijenhuis_tensor(data.s_endo).eval(pts))
+    alg = (jmatmul(kv, kv) - eye, jmatmul(sv, sv) - eye, jmatmul(jv, kv) - sv,
+           data.p.eval(pts) - (-ctx.config.a),
+           jmatmul(jmatmul(jtranspose(kv), gv), kv) + gv)
 
     theta_k = HermitianPair(ghat, data.k_endo).theta
     theta_s = HermitianPair(ghat, data.s_endo).theta
     tp = pair_p.theta.eval(pts)
-    lee_eq = worst(max_abs(theta_k.eval(pts) - tp), max_abs(theta_s.eval(pts) - tp))
+    lee_eq = (theta_k.eval(pts) - tp, theta_s.eval(pts) - tp)
 
     # the top forms have a single component
-    fp = pair_p.f
-    fm = data.pair_minus.f
-    top = wedge(fp, fp).eval(pts)[:, 0]
-    topm = wedge(fm, fm).eval(pts)[:, 0]
+    top, topm = (wedge(f, f).eval(pts)[:, 0] for f in (pair_p.f, data.pair_minus.f))
     orient = 0.0 if np.all(np.sign(top) == np.sign(topm)) else 1.0
-
-    pres = check_p_gradient(data, pts)
 
     return [
         ctx.record("parahypercomplex-algebra",
                    "K and S from the anticommuting pair: squares, J+K = S, "
                    "anti-isometry of K", alg, len(pts)),
-        ctx.record("nijenhuis-K", "integrability of the derived K", nk, len(pts)),
-        ctx.record("nijenhuis-S", "integrability of the derived S", ns, len(pts)),
+        ctx.record("nijenhuis-K", "integrability of the derived K",
+                   [nijenhuis_tensor(data.k_endo).eval(pts)], len(pts)),
+        ctx.record("nijenhuis-S", "integrability of the derived S",
+                   [nijenhuis_tensor(data.s_endo).eval(pts)], len(pts)),
         ctx.record("lee-form-equality", "Lee forms of (g,K) and (g,S) equal that "
                    "of (g,J+)", lee_eq, len(pts)),
         ctx.record("lee-form-conditioning", "condition number of the Lee solve",
@@ -378,7 +395,7 @@ def suite_lemma1(ctx: SuiteContext):
         ctx.record("orientation-agreement", "top powers of the two fundamental "
                    "forms have one sign", orient, len(pts)),
         ctx.record("p-gradient-constant", "gradient identity for the trace "
-                   "pairing at constant p", pres, len(pts)),
+                   "pairing at constant p", check_p_gradient(data, pts), len(pts)),
     ]
 
 
@@ -394,14 +411,14 @@ def suite_courant(ctx: SuiteContext):
     sa = constant_sections(chart, [e[0], e[0], e[1], e[0] + e[d + 1]])
     sb = constant_sections(chart, [e[1], e[d + 1], e[d], e[1] + e[d]])
 
-    worst_nat = 0.0
+    nat = []
     for s in range(8):
         b2 = stack_axes(random_poly_two_form(chart, ctx.config.seed + 100 + s), 1)
         db = exterior_derivative(b2)
         validate_twist(db, pts)
         lhs = courant_bracket(b_transform(sa, b2), b_transform(sb, b2))
         rhs = b_transform(courant_bracket(sa, sb, db), b2)
-        worst_nat = worst(worst_nat, max_abs((lhs - rhs).eval(pts)))
+        nat.append((lhs - rhs).eval(pts))
 
     bundle = ctx.bundle
     i1 = ctx.gcs_pair[0]
@@ -421,7 +438,7 @@ def suite_courant(ctx: SuiteContext):
     rows, cols = constant_sections(chart, e[:, None]), constant_sections(chart, e[None])
     i1s = stack_axes(i1, 2)
     lhs = pairing(apply_endo(i1s, rows), apply_endo(i1s, cols))
-    pres = max_abs(lhs.eval(n_pts) - pairing(rows, cols).eval(n_pts))
+    pres = [lhs.eval(n_pts) - pairing(rows, cols).eval(n_pts)]
 
     # with the shipped shear action and bracket naturality, the structure
     # integrable for the (H - db)-twist is the e^{+b}-conjugate
@@ -432,7 +449,7 @@ def suite_courant(ctx: SuiteContext):
     return [
         ctx.record("b-transform-naturality",
                    "bracket of sheared sections equals sheared twisted bracket "
-                   "(8 random polynomial 2-forms)", worst_nat, len(pts)),
+                   "(8 random polynomial 2-forms)", nat, len(pts)),
         ctx.record("closed-form-integrability",
                    "torsion of the structures built from the closed complex "
                    "2-forms", *ctx.closed_integrability),
@@ -462,10 +479,9 @@ def suite_gpk_example2(ctx: SuiteContext):
     fk, wp, wm = bundle.f_k, bundle.omega_plus, bundle.omega_minus
     kp, km, pm, pp, mm, kk = (wedge(u, v).eval(pts) for u, v in (
         (fk, wp), (fk, wm), (wp, wm), (wp, wp), (wm, wm), (fk, fk)))
-    bih = worst(max_abs(kp), max_abs(km), max_abs(pm), max_abs(pp + mm - kk * 4.0))
     checks.append(ctx.record("form-conditions",
                              "degeneracy conditions for the two closed complex "
-                             "2-forms", bih, len(pts)))
+                             "2-forms", (kp, km, pm, pp + mm - kk * 4.0), len(pts)))
 
     # the frame x, J+ x, K x, S+ x with x a unit spacelike vector
     x = unit_spacelike_vector(bundle.g, pts)
@@ -483,17 +499,12 @@ def suite_gpk_example2(ctx: SuiteContext):
                              len(vecs)).value
 
     wpv, wmv = wp.eval(pts), wm.eval(pts)
-    table = worst(max_abs(fval(pp, frame) - 4 * (a + 1)),
-                  max_abs(fval(mm, frame) + 4 * (a - 1)),
-                  max_abs(fval(pm, frame)),
-                  max_abs(fval(kk, frame) - 2.0),
-                  max_abs(fval(kp, frame)),
-                  max_abs(fval(km, frame)),
-                  max_abs(fval(wpv, frame[:2]) + root),
-                  max_abs(fval(wmv, frame[:2]) - root),
-                  max_abs(fval(wpv, [frame[0], frame[2]])),
-                  max_abs(fval(wpv, [frame[0], frame[3]]) + (a + 1)),
-                  max_abs(fval(wmv, [frame[0], frame[3]]) - (a - 1)))
+    table = (fval(pp, frame) - 4 * (a + 1), fval(mm, frame) + 4 * (a - 1),
+             fval(pm, frame), fval(kk, frame) - 2.0, fval(kp, frame),
+             fval(km, frame), fval(wpv, frame[:2]) + root,
+             fval(wmv, frame[:2]) - root, fval(wpv, [frame[0], frame[2]]),
+             fval(wpv, [frame[0], frame[3]]) + (a + 1),
+             fval(wmv, [frame[0], frame[3]]) - (a - 1))
     checks.append(ctx.record("frame-table",
                              "orthonormal-frame evaluation table of the three "
                              "2-forms and their wedges", table, len(pts)))
@@ -508,7 +519,7 @@ def suite_gpk_example2(ctx: SuiteContext):
         - 1j * a * np.einsum("bij,bj->bi", jmv, u)
     checks.append(ctx.record("eigenspace-membership",
                              "intersection equation for the common eigenspace "
-                             "of the pair", float(np.abs(memb).max()), len(pts)))
+                             "of the pair", [memb], len(pts)))
 
     # pairing identity on two constructed sections
     y2 = (np.einsum("bij,bj->bi", spv, jpx) - a * np.einsum("bij,bj->bi", smv, jpx)) / root
@@ -529,14 +540,13 @@ def suite_gpk_example2(ctx: SuiteContext):
     rhs = -np.real(np.einsum("bi,bij,bj->b", u, beta1_full - np.conj(beta2_full), np.conj(v)))
     checks.append(ctx.record("pairing-identity",
                              "split pairing of lifted sections against the "
-                             "difference form", float(np.abs(lhs - rhs).max()),
-                             len(pts)))
+                             "difference form", [lhs - rhs], len(pts)))
 
     i1, i2 = ctx.gcs_pair
     conds = endo_conditions(i1, pts) + endo_conditions(i2, pts)
     checks.append(ctx.record("structure-conditions",
                              "square and pairing conditions for both structures",
-                             worst(*conds), len(pts)))
+                             conds, len(pts)))
     checks.append(ctx.record("closed-form-integrability", "torsion of both structures",
                              *ctx.closed_integrability))
     checks.append(_record_gpk_pair(ctx, "pair-compatibility",
@@ -544,13 +554,9 @@ def suite_gpk_example2(ctx: SuiteContext):
                                    "transversality and pairing rank",
                                    ctx.gcs_pair, pts, signatures=True))
 
-    gm = bundle.g * (-root)
-    jpm = bundle.data.jm * (-1.0)
-    jmm = bundle.data.jp * (-1.0)
-    bm = bundle.f_k * float(a)
-    b1, b2 = gualtieri_build(gm, jpm, jmm, bm)
-    cross = worst(float(np.abs(i1.eval(pts) - b1.eval(pts)).max()),
-                  float(np.abs(i2.eval(pts) - b2.eval(pts)).max()))
+    b1, b2 = gualtieri_build(bundle.g * (-root), bundle.data.jm * (-1.0),
+                             bundle.data.jp * (-1.0), bundle.f_k * float(a))
+    cross = (i1.eval(pts) - b1.eval(pts), i2.eval(pts) - b2.eval(pts))
     checks.append(ctx.record("construction-cross-validation",
                              "block construction on the matched quadruple "
                              "reproduces the spinor-line structures", cross,
@@ -560,7 +566,7 @@ def suite_gpk_example2(ctx: SuiteContext):
     torsion_sum = data.pair_plus.torsion.eval(pts) + data.pair_minus.torsion.eval(pts)
     checks.append(ctx.record("opposite-torsion-forms",
                              "the two torsion 3-forms sum to zero (untwisted "
-                             "case)", max_abs(torsion_sum), len(pts)))
+                             "case)", [torsion_sum], len(pts)))
 
     if params.t != 0.0:
         checks.extend(_deformed_checks(ctx))
@@ -597,12 +603,12 @@ def _deformed_checks(ctx: SuiteContext):
     # the residuals off roundoff; (0, 3) on the torus and (0, 2) on kodaira,
     # where sin x1 sin x4 flows exactly
     fk = bundle.f_k.eval(pts)
-    floor = ORDER_ROUNDOFF_FLOOR * float(np.abs(fk).max())
+    floor = ORDER_ROUNDOFF_FLOOR * reduce_parts([fk])
 
     def fk_res(calibration, step):
         flow = HamiltonianFlow(bundle.f_k, calibration, 0.1, step)
         pb = flow_pullback_form(flow, bundle.f_k)
-        return max_abs(pb.eval(pts) - fk)
+        return reduce_parts([pb.eval(pts) - fk])
 
     combos = form_combos(bundle.chart.dim, 2)
     r_coarse = r_fine = 0.0
@@ -614,16 +620,14 @@ def _deformed_checks(ctx: SuiteContext):
         if not (r_coarse <= floor and r_fine <= floor):  # a NaN stops here too
             break
         at_roundoff.append(calibration.name)
-    ratio = r_coarse / max(r_fine, 1e-300)
+    measured = not (r_coarse <= floor and r_fine <= floor)
+    ratio = r_coarse / max(r_fine, 1e-300) if measured else 0.0
     extra = {"coarse": float(r_coarse), "fine": float(r_fine)}
-    inconclusive = 0
     roundoff = f"{', '.join(at_roundoff)}: both residuals at roundoff"
-    if r_coarse <= floor and r_fine <= floor:
+    if not measured:
         # every calibration flow leaves both residuals at roundoff (or exactly
         # zero), so no ratio measures an order: none is recorded, the check
         # is inconclusive and fails closed
-        inconclusive = len(pts)
-        ratio = 0.0
         extra["calibration"] = (
             "both residuals exactly zero" if r_coarse == r_fine == 0.0 else
             f"{roundoff}, at or below {ORDER_ROUNDOFF_FLOOR:g} max|F^K| = {floor:.3g}")
@@ -632,10 +636,10 @@ def _deformed_checks(ctx: SuiteContext):
     checks.append(ctx.record("integrator-order",
                              "halving the step divides the flow residual by the "
                              "fourth-order factor", ratio, len(pts),
-                             inconclusive=inconclusive, extra=extra))
+                             extra=extra, mask=np.full(len(pts), measured)))
 
-    closed = worst(max_abs(exterior_derivative(deformed.gamma1).eval(pts)),
-                   max_abs(exterior_derivative(deformed.gamma2).eval(pts)))
+    closed = (exterior_derivative(deformed.gamma1).eval(pts),
+              exterior_derivative(deformed.gamma2).eval(pts))
     checks.append(ctx.record("deformed-forms-closed",
                              "the deformed complex 2-forms stay closed",
                              closed, len(pts)))
@@ -645,8 +649,7 @@ def _deformed_checks(ctx: SuiteContext):
                        cost=deformed.gamma2.cost)
     gd = deformed.gamma1 - deformed.gamma2
     gdc = deformed.gamma1 - conj2
-    degen = worst(max_abs(wedge(gd, gd).eval(pts)),
-                  max_abs(wedge(gdc, gdc).eval(pts)))
+    degen = (wedge(gd, gd).eval(pts), wedge(gdc, gdc).eval(pts))
     checks.append(ctx.record("deformed-form-degeneracy",
                              "squares of the difference forms vanish and the "
                              "differences are nowhere zero", degen, len(pts)))
@@ -657,7 +660,7 @@ def _deformed_checks(ctx: SuiteContext):
                                    ctx.deformed_pair, pts))
 
     n_pts = ctx.points()[:8]
-    integ = worst(*(gcs_nijenhuis(i, None, n_pts) for i in ctx.deformed_pair))
+    integ = [gcs_nijenhuis(i, None, n_pts) for i in ctx.deformed_pair]
     checks.append(ctx.record("deformed-integrability",
                              "torsion of the deformed structures", integ,
                              len(n_pts)))
@@ -676,17 +679,17 @@ def _poisson_block(data: BihermitianData, pts):
     out["anti"] = pi.omega_11_residual(pts)
     out["holo"] = check_holomorphic(pi, pts)
     br = schouten_bb(pi.bivector, pi.bivector)
-    out["jacobi"] = max_abs(br.eval(pts))
+    out["jacobi"] = reduce_parts([br.eval(pts)])
     re_pi = bivector_field(g.chart, lambda jc: pi.bivector.fn(jc).real,
                            cost=pi.bivector.cost)
     br_re = schouten_bb(re_pi, re_pi)
     cyc = cyclic_nabla_q_form(data, pts)
-    out["cyclic"] = float(np.abs(cyc).max())
+    out["cyclic"] = reduce_parts([cyc])
     low = lower_trivector(br_re.eval(pts), g.eval(pts), g.chart.dim)
-    out["agree"] = float(np.abs(low - 2.0 * cyc).max())
+    out["agree"] = reduce_parts([low - 2.0 * cyc])
     conj_pi = bivector_field(g.chart, lambda jc: pi.bivector.fn(jc).conj(),
                              cost=pi.bivector.cost)
-    out["reality"] = max_abs(schouten_bb(conj_pi, pi.bivector).eval(pts))
+    out["reality"] = reduce_parts([schouten_bb(conj_pi, pi.bivector).eval(pts)])
     return pi, out
 
 
@@ -716,7 +719,7 @@ def suite_poisson(ctx: SuiteContext):
     pi0 = pi_bivector(BihermitianData(g, jp, jp))
     checks.append(ctx.record("commuting-control", "commuting pair yields the "
                              "zero bivector",
-                             max_abs(pi0.bivector.eval(pts)), len(pts)))
+                             [pi0.bivector.eval(pts)], len(pts)))
 
     qv = data.q.eval(pts)
     gv = g.eval(pts)
@@ -725,7 +728,7 @@ def suite_poisson(ctx: SuiteContext):
     checks.append(ctx.record("endomorphism-correspondence",
                              "raising the real lowered form recovers the "
                              "commutator endomorphism",
-                             float(np.abs(lowered_re - omega).max()), len(pts)))
+                             [lowered_re - omega], len(pts)))
 
     lv = form_full_matrix(pi.lowered.eval_jet(pts), d).value
     jv = jp.eval(pts)
@@ -733,15 +736,14 @@ def suite_poisson(ctx: SuiteContext):
     proj2 = type_02_projector_matrix(proj1, jv)
     checks.append(ctx.record("type-projector-idempotent",
                              "anti-type projector squares to itself",
-                             float(np.abs(proj2 - proj1).max()), len(pts)))
+                             [proj2 - proj1], len(pts)))
 
     cres = chern_identity_residuals(data, pts)
     checks.append(ctx.record("chern-connection-identities",
                              "derivative identities linking the connection to "
                              "the second structure",
-                             worst(cres["chern1"], cres["chern2"], cres["derP"],
-                                   cres["nablaQ"]),
-                             len(pts), extra=cres))
+                             (cres["chern1"], cres["chern2"], cres["derP"],
+                              cres["nablaQ"]), len(pts), extra=cres))
 
     if ctx.config.t != 0.0:
         sub = pts[: min(10, len(pts))]
@@ -749,8 +751,8 @@ def suite_poisson(ctx: SuiteContext):
         checks.append(ctx.record("deformed-poisson",
                                  "full pipeline on the extracted deformed "
                                  "quadruple",
-                                 worst(dres["type"], dres["holo"], dres["jacobi"],
-                                       dres["agree"]), len(sub), extra=dres))
+                                 (dres["type"], dres["holo"], dres["jacobi"],
+                                  dres["agree"]), len(sub), extra=dres))
     return checks
 
 
@@ -764,12 +766,11 @@ def suite_theorem4(ctx: SuiteContext):
     charts = cp2_charts()
     checks = []
 
-    chart_res = 0.0
+    chart_res = []
     for name, ch in charts.items():
         pts = SamplePlan(cfg.samples, cfg.seed + 3).sample(ch.chart)
         jc = jet_coords(4, 1, pts)
-        chart_res = worst(chart_res, max_abs(ch.xf_closed(jc) - ch.xf_jet(jc)),
-                          max_abs(ch.yf_closed(jc) - ch.yf_jet(jc)))
+        chart_res += [ch.xf_closed(jc) - ch.xf_jet(jc), ch.yf_closed(jc) - ch.yf_jet(jc)]
     checks.append(ctx.record("chart-derivative-closed-forms",
                              "closed-form field derivatives of the log-norm "
                              "against jet differentiation, all three charts",
@@ -777,13 +778,13 @@ def suite_theorem4(ctx: SuiteContext):
 
     z = charts["z"]
     pts_z = SamplePlan(cfg.samples, cfg.seed + 4).sample(z.chart)
-    cons = 0.0
+    cons = []
     for nm in ("u", "v"):
         pts_o = cp2_transition("z", nm, pts_z)
         jc_z = jet_coords(4, 1, pts_z)
         jc_o = jet_coords(4, 1, pts_o)
-        cons = worst(cons, max_abs(z.xf_closed(jc_z) - charts[nm].xf_closed(jc_o)),
-                     max_abs(z.yf_closed(jc_z) - charts[nm].yf_closed(jc_o)))
+        cons += [z.xf_closed(jc_z) - charts[nm].xf_closed(jc_o),
+                 z.yf_closed(jc_z) - charts[nm].yf_closed(jc_o)]
     checks.append(ctx.record("chart-consistency",
                              "the derivative functions glue across charts",
                              cons, len(pts_z)))
@@ -791,8 +792,7 @@ def suite_theorem4(ctx: SuiteContext):
     fb = flag_charts(params)
     fpts = SamplePlan(min(32, cfg.samples), cfg.seed + 5).sample(fb.chart)
     jc = jet_coords(4, 1, pts_z)
-    comm = float(np.abs(holo_bracket(z.x_hol(jc), z.y_hol(jc)).value).max())
-    comm = worst(comm, fb.bracket_residual(fpts))
+    comm = (holo_bracket(z.x_hol(jc), z.y_hol(jc)), fb.bracket_residual(fpts))
     checks.append(ctx.record("commuting-fields", "the two torus-action fields "
                              "commute in every chart", comm, len(fpts)))
 
@@ -810,7 +810,7 @@ def suite_theorem4(ctx: SuiteContext):
     checks.append(ctx.record("form-spectrum",
                              "largest deviation of the eigenvalues of K^-1 F0 "
                              "from {a, a, b, b, (a+b)/2, (a+b)/2}",
-                             float(np.abs(eig - spectrum).max()), len(fpts)))
+                             [eig - spectrum], len(fpts)))
 
     hyp = theorem4_hypotheses(fb, fpts, fpts[: max(8, len(fpts) // 2)])
     checks.append(ctx.record("curvature-ratio-fit",
@@ -885,7 +885,7 @@ def suite_engel(ctx: SuiteContext):
                              "constant anticommutator function makes the "
                              "distribution integrable",
                              1.0 - n_int / max(1, int(mask.sum())),
-                             int(mask.sum()), inconclusive=int((~mask).sum())))
+                             int(mask.sum()), mask=mask))
 
     # locally-prescribed data on the standard constant frame (the synthetic
     # mode is model-independent algebra)
@@ -895,41 +895,40 @@ def suite_engel(ctx: SuiteContext):
     basis = basis_identity_residuals(sv, smask)
     checks.append(ctx.record("null-frame-identities",
                              "null-frame pairings of the distribution "
-                             "generators", worst(*basis.values()), len(pts),
-                             inconclusive=int((~smask).sum()),
-                             extra=basis))
+                             "generators", basis.values(), len(pts),
+                             extra=basis, mask=smask))
 
     df = d_scalar(slf.data.branch).eval(pts)
     f, tn = sv.f, sv.theta_norm_sq
     scale = np.maximum(1.0, np.abs(tn))
-    xf_res = np.abs(np.einsum("bi,bi->b", df, sv.x) / scale)[smask].max(initial=0.0)
-    yf_res = np.abs((np.einsum("bi,bi->b", df, sv.y) + f * tn) / scale)[smask].max(initial=0.0)
+    grad = {"X(f)": reduce_parts([np.einsum("bi,bi->b", df, sv.x) / scale], smask),
+            "Y(f)+f|th|^2": reduce_parts(
+                [(np.einsum("bi,bi->b", df, sv.y) + f * tn) / scale], smask)}
     checks.append(ctx.record("gradient-identities",
                              "the branch function is constant along one "
                              "generator and scales along the other",
-                             worst(xf_res, yf_res), len(pts),
-                             inconclusive=int((~smask).sum()),
-                             extra={"X(f)": float(xf_res), "Y(f)+f|th|^2": float(yf_res)}))
+                             grad.values(), len(pts), extra=grad, mask=smask))
 
     chain = nabla_n_rhs_residuals(sv, mask=smask)
     checks.append(ctx.record("derivative-chain",
                              "derivative-rule consequences for the nilpotent "
-                             "endomorphism", worst(*chain.values()), len(pts),
-                             inconclusive=int((~smask).sum()), extra=chain))
+                             "endomorphism", chain.values(), len(pts),
+                             extra=chain, mask=smask))
 
     # Eq-(Y)-type pairing and the anticommutation relation
     jpv, jmv = sv.jp, sv.jm
     ths = np.einsum("bij,bj->bi", sv.ginv, sv.theta_p)
     v = np.einsum("bij,bj->bi", jpv @ jmv, ths)
-    eqy = np.abs((np.einsum("bi,bij,bj->b", ths, sv.g, v) - sv.p * tn) / scale)[smask].max(initial=0.0)
+    eqy = (np.einsum("bi,bij,bj->b", ths, sv.g, v) - sv.p * tn) / scale
     npv, nmv = slf.data.n_plus.eval(pts), slf.data.n_minus.eval(pts)
-    anti = np.abs(nmv @ jpv + jpv @ nmv
-                  - 2.0 * (sv.p * f - 1.0)[:, None, None] * np.eye(4)).max()
+    # the anticommutation relation is judged at every point, not only the
+    # definitive ones
+    anti = reduce_parts([nmv @ jpv + jpv @ nmv
+                         - 2.0 * (sv.p * f - 1.0)[:, None, None] * np.eye(4)])
     checks.append(ctx.record("pairing-eigenstructure",
                              "dual-vector pairing identity and the "
                              "anticommutation relation of the nilpotent endo",
-                             worst(eqy, anti), len(pts),
-                             inconclusive=int((~smask).sum())))
+                             (eqy, anti), len(pts), mask=smask))
 
     proj_m = 0.5 * (np.eye(4) - sv.k)
     proj_p = 0.5 * (np.eye(4) + sv.k)
@@ -938,24 +937,22 @@ def suite_engel(ctx: SuiteContext):
     checks.append(ctx.record("nilpotent-endos",
                              "squares vanish, kernels are the eigenplanes of "
                              "the product structure, rank two",
-                             worst(max_abs(npv @ npv), max_abs(nmv @ nmv),
-                                   max_abs(npv @ proj_m), max_abs(nmv @ proj_p),
-                                   rank_bad), len(pts)))
+                             (npv @ npv, nmv @ nmv, npv @ proj_m, nmv @ proj_p,
+                              rank_bad), len(pts)))
 
-    fr_ranks = sv.frame()[1][smask]
     checks.append(ctx.record("frame-completeness",
                              "the four distribution-frame fields span at "
                              "definitive points",
-                             0.0 if np.all(fr_ranks == 4) else 1.0,
-                             int(smask.sum()), inconclusive=int((~smask).sum())))
+                             0.0 if np.all(sv.frame()[1][smask] == 4) else 1.0,
+                             int(smask.sum()), mask=smask))
 
     zero = zero_form(chart, 1)
     rep0 = theorem7_check(lee_fields(slf.data, zero, zero), pts[:8])
-    all_inc = rep0.verdicts.count("inconclusive") == len(rep0.verdicts)
+    inc0 = np.array(rep0.verdicts) == "inconclusive"
     checks.append(ctx.record("degenerate-inputs-inconclusive",
                              "vanishing Lee forms yield inconclusive verdicts, "
-                             "never a pass", 0.0 if all_inc else 1.0, 8,
-                             inconclusive=rep0.verdicts.count("inconclusive")))
+                             "never a pass", 0.0 if inc0.all() else 1.0, 8,
+                             mask=~inc0))
 
     # the rule-vs-jets comparison is a tensor identity on honest Hermitian
     # data; it needs no non-null Lee forms
@@ -970,9 +967,9 @@ def suite_engel(ctx: SuiteContext):
     checks.append(ctx.record("theorem7-trichotomy",
                              "pointwise trichotomy executes with verdicts "
                              "reported", 0.0, 12,
-                             inconclusive=rep7.verdicts.count("inconclusive"),
                              extra={"counts": str(rep7.counts()),
-                                    "theta_sum": rep7.theta_sum}))
+                                    "theta_sum": rep7.theta_sum},
+                             mask=np.array(rep7.verdicts) != "inconclusive"))
     return checks
 
 

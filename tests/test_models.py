@@ -199,6 +199,17 @@ def test_escape_check_reads_the_escape_fraction(torus_model, plan, monkeypatch):
         hamiltonian_deform(b, plan)
 
 
+def test_escape_check_fails_closed_on_nan(torus_model, plan, monkeypatch):
+    """A NaN speed fails the escape check: ``t * nan > bound`` is False, so
+    the check reads ``not (t * speed <= bound)``."""
+    velocity = models.HamiltonianFlow.velocity
+    monkeypatch.setattr(models.HamiltonianFlow, "velocity",
+                        lambda self, y: velocity(self, y) * np.nan)
+    b = example2_build(torus_model, Example2Params(t=0.1), plan)
+    with pytest.raises(FlowTimeError):
+        hamiltonian_deform(b, plan)
+
+
 def test_uncertified_model_rejected(plan):
     fresh = torus_phk()
     with pytest.raises(ModelError):

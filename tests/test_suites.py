@@ -13,6 +13,8 @@ from pbhverify.report import VerificationReport
 from pbhverify.structures import BihermitianData
 from pbhverify.suites import (CATALOG, ORDER_ROUNDOFF_FLOOR, SuiteConfig,
                               SuiteContext, run_suite)
+from pbhverify.tensorcalc import Jet
+from pbhverify.tensorcalc.jets import jet_space
 
 
 def test_nan_in_frame_endomorphism_fails_closed(torus_model):
@@ -112,6 +114,74 @@ def test_record_fails_non_finite_residuals():
     assert ctx.record("integrator-order", "", 16.0, 1).passed
     assert ctx.record("metric-compatibility", "", 0.0, 1).passed
 
+    # parts: abs-max over every entry of every part; NaN anywhere fails
+    part = np.full((4, 3), 1e-13)
+    rec = ctx.record("metric-compatibility", "", (part, -2e-12, np.zeros(0)), 4)
+    assert rec.passed and rec.residual == 2e-12
+    for bad in (float("nan"), np.array([0.0, np.nan])):
+        assert not ctx.record("metric-compatibility", "", (part, bad), 4).passed
+    spotted = part.copy()
+    spotted[3, 2] = np.nan
+    rec = ctx.record("metric-compatibility", "", (np.zeros(2), spotted), 4)
+    assert np.isnan(rec.residual) and not rec.passed
+    # a Jet part contributes its values, not its derivatives
+    coeffs = np.zeros(part.shape + (5,))
+    coeffs[..., 0], coeffs[..., 1] = part, 1.0
+    jet = Jet(jet_space(4, 1), coeffs)
+    assert ctx.record("metric-compatibility", "", [jet], 4).residual == 1e-13
+    # an empty part reduces to 0
+    rec = ctx.record("metric-compatibility", "", [np.zeros((0, 4))], 1)
+    assert rec.residual == 0.0 and rec.passed
+
+    # a mask restricts array parts to its points and counts the rest
+    # inconclusive
+    mask = np.array([True, True, False, True])
+    spotted = np.zeros(4)
+    spotted[2] = np.nan
+    rec = ctx.record("metric-compatibility", "", (spotted,), 4, mask=mask)
+    assert rec.passed and rec.residual == 0.0 and rec.inconclusive == 1
+    # a mask with no True point fails, whatever the residual ...
+    none = np.zeros(4, dtype=bool)
+    rec = ctx.record("metric-compatibility", "", (np.zeros(4),), 4, mask=none)
+    assert not rec.passed and rec.inconclusive == 4
+    assert not ctx.record("theorem7-trichotomy", "", 0.0, 4, mask=none).passed
+    # ... except for the check whose outcome is its inconclusive count
+    rec = ctx.record("degenerate-inputs-inconclusive", "", 0.0, 4, mask=none)
+    assert rec.passed and rec.inconclusive == 4
+
+    # the benchmark's call form: a float and extras, recorded as given
+    rec = ctx.record("chart-consistency", "ref", 3e-15, 64, extra={"k": 1.5})
+    assert (rec.residual, rec.points, rec.passed, rec.inconclusive) == (3e-15, 64, True, 0)
+    assert rec.extra == {"k": 1.5} and rec.reference == "ref"
+
+
+# the engel checks judged only where the synthetic Lee forms are non-null
+ZERO_LEE_FAILS = {"null-frame-identities", "gradient-identities",
+                  "derivative-chain", "pairing-eigenstructure",
+                  "frame-completeness", "theorem7-trichotomy"}
+
+
+@pytest.mark.parametrize("model", ["torus", "kodaira"])
+def test_engel_without_definitive_points_fails_closed(model, monkeypatch):
+    """With zero synthetic Lee forms no point is definitive, so every check
+    judged at definitive points fails instead of recording 0 over none;
+    every other engel check keeps its verdict."""
+    from pbhverify import suites
+    from pbhverify.engel import lee_fields
+    from pbhverify.tensorcalc import zero_form
+    synthetic_data = suites.synthetic_data
+
+    def zero_lee(chart):
+        zero = zero_form(chart, 1)
+        return lee_fields(synthetic_data(chart).data, zero, zero)
+
+    monkeypatch.setattr(suites, "synthetic_data", zero_lee)
+    rep = run_suite(SuiteConfig(suite="engel", model=model, samples=16))
+    assert {c.name for c in rep.checks if not c.passed} == ZERO_LEE_FAILS
+    for c in rep.checks:
+        if c.name in ZERO_LEE_FAILS:
+            assert c.inconclusive == (16 if c.name != "theorem7-trichotomy" else 12)
+
 
 def test_kodaira_gpk_suite_passes():
     rep = run_suite(SuiteConfig(suite="gpk-example2", model="kodaira",
@@ -201,6 +271,19 @@ def test_integrator_guard(torus_model, plan):
     b = example2_build(torus_model,
                        Example2Params(a=1.25, b=0.75, t=0.4, f_name="sin14",
                                       step=0.4), plan)
+    with pytest.raises(IntegratorError):
+        hamiltonian_deform(b, plan)
+
+
+def test_integrator_guard_fails_closed_on_nan(torus_model, plan, monkeypatch):
+    """A NaN preservation residual trips the guard: ``nan > PRESERVE_TOL`` is
+    False, so the guard reads ``not (guard <= PRESERVE_TOL)``."""
+    from pbhverify.models import HamiltonianFlow
+    velocity = HamiltonianFlow.velocity
+    monkeypatch.setattr(HamiltonianFlow, "velocity",
+                        lambda self, y: velocity(self, y) * np.nan)
+    monkeypatch.setattr(HamiltonianFlow, "escape_check", lambda self, pts, box: None)
+    b = example2_build(torus_model, Example2Params(t=0.1), plan)
     with pytest.raises(IntegratorError):
         hamiltonian_deform(b, plan)
 
