@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import standard_split_quaternion_frame
-from .structures import BihermitianData, _branch_root, max_abs
+from .structures import BihermitianData, _branch_root, max_abs, reduce_parts
 from .tensorcalc import (ChartDomain, Field, bracket_jets, constant_endo,
                          constant_metric, coordinate_vector, d_scalar,
                          endo_field, jet_inv, jmatvec, jtranspose,
@@ -197,8 +197,6 @@ def basis_identity_residuals(lv: LeeValues, mask=None) -> dict:
     """Null-frame identities of the distribution generators."""
     g, jp, x, y = lv.g, lv.jp, lv.x, lv.y
     tn, p, f = lv.theta_norm_sq, lv.p, lv.f
-    if mask is None:
-        mask = np.ones(len(g), dtype=bool)
 
     def pair(u, v):
         return np.einsum("bi,bij,bj->b", u, g, v)
@@ -207,15 +205,15 @@ def basis_identity_residuals(lv: LeeValues, mask=None) -> dict:
     jy = np.einsum("bij,bj->bi", jp, y)
     scale = np.maximum(1.0, np.abs(tn))
     out = {
-        "g(X,X)": np.abs(pair(x, x) / scale)[mask].max(initial=0.0),
-        "g(Y,Y)": np.abs(pair(y, y) / scale)[mask].max(initial=0.0),
-        "g(X,Y)": np.abs(pair(x, y) / scale)[mask].max(initial=0.0),
-        "g(X,J+X)": np.abs(pair(x, jx) / scale)[mask].max(initial=0.0),
-        "g(Y,J+Y)": np.abs(pair(y, jy) / scale)[mask].max(initial=0.0),
+        "g(X,X)": reduce_parts([pair(x, x) / scale], mask),
+        "g(Y,Y)": reduce_parts([pair(y, y) / scale], mask),
+        "g(X,Y)": reduce_parts([pair(x, y) / scale], mask),
+        "g(X,J+X)": reduce_parts([pair(x, jx) / scale], mask),
+        "g(Y,J+Y)": reduce_parts([pair(y, jy) / scale], mask),
         "g(J+X,Y)-2(fp-1)|th|^2":
-            np.abs((pair(jx, y) - 2 * (f * p - 1) * tn) / scale)[mask].max(initial=0.0),
+            reduce_parts([(pair(jx, y) - 2 * (f * p - 1) * tn) / scale], mask),
         "g(J+X,Y)-(f^2-1)|th|^2":
-            np.abs((pair(jx, y) - (f * f - 1) * tn) / scale)[mask].max(initial=0.0),
+            reduce_parts([(pair(jx, y) - (f * f - 1) * tn) / scale], mask),
     }
     return out
 
@@ -240,8 +238,6 @@ def nabla_n_rhs_residuals(lv: LeeValues, mask=None, dn=None) -> dict:
     thp, thm, x, y = lv.theta_p, lv.theta_m, lv.x, lv.y
     tn, p, f = lv.theta_norm_sq, lv.p, lv.f
     s = np.sqrt(p * p - 1.0)
-    if mask is None:
-        mask = np.ones(len(g), dtype=bool)
     scale = np.maximum(1.0, np.abs(tn))[:, None]
 
     thp_sharp = np.einsum("bij,bj->bi", ginv, thp)
@@ -280,21 +276,21 @@ def nabla_n_rhs_residuals(lv: LeeValues, mask=None, dn=None) -> dict:
     nxy = nabla_n(y, x) - nabla_n(x, y)   # N[X,Y] via nabla and N X = N Y = 0
     r3 = nxy - (f * s * tn)[:, None] * y
     out = {
-        "(nabla_Y N)Y": np.abs(r1 / scale)[mask].max(initial=0.0),
-        "2(nabla_{J+Y} N)Y - 2pf|th|^2 Y": np.abs(r2 / scale)[mask].max(initial=0.0),
-        "N[X,Y] - f sqrt(p^2-1)|th|^2 Y": np.abs(r3 / scale)[mask].max(initial=0.0),
+        "(nabla_Y N)Y": reduce_parts([r1 / scale], mask),
+        "2(nabla_{J+Y} N)Y - 2pf|th|^2 Y": reduce_parts([r2 / scale], mask),
+        "N[X,Y] - f sqrt(p^2-1)|th|^2 Y": reduce_parts([r3 / scale], mask),
     }
     # component of N[X,Y] off Span(Y)
     ynorm = np.linalg.norm(y, axis=1, keepdims=True)
     yhat = y / np.maximum(ynorm, 1e-30)
     off = nxy - (np.einsum("bi,bi->b", nxy, yhat))[:, None] * yhat
-    out["N[X,Y] off Span(Y)"] = np.abs(off / scale)[mask].max(initial=0.0)
+    out["N[X,Y] off Span(Y)"] = reduce_parts([off / scale], mask)
     if dn is not None:
         # rhs[b, i, k] = (nabla_{e_i} N) e_k, against dn[b, i, :, k]
         e = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
         rhs = nabla_n(e[:, :, None], e[:, None])
         lhs = np.einsum("bijk->bikj", dn)
-        out["derivative-rule vs jets"] = np.abs((lhs - rhs) / scale[:, None, None])[mask].max(initial=0.0)
+        out["derivative-rule vs jets"] = reduce_parts([(lhs - rhs) / scale[:, None, None]], mask)
     return out
 
 

@@ -7,6 +7,7 @@ anticommuting pair of complex structures on a neutral 4-manifold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +26,7 @@ __all__ = ["HermitianPair", "ParaHyperTriple", "BihermitianData",
            "DegeneracyError", "BranchError", "lee_form", "lee_condition",
            "levi_civita", "build_parahypercomplex",
            "check_p_gradient", "Connection", "fundamental_form", "max_abs",
-           "worst"]
+           "reduce_parts", "worst"]
 
 
 class DegeneracyError(ValueError):
@@ -40,14 +41,29 @@ class BranchError(ValueError):
 BRANCH_MARGIN = 0.05  # K and S divide by sqrt(p^2 - 1), which is 0 at |p| = 1
 
 
+def reduce_parts(parts, mask=None) -> float:
+    """The one residual reduction: the largest |entry| of any part, NaN if
+    any entry is NaN (``max(0.0, nan)`` is 0.0); an empty part counts as 0
+    and a Jet part by its values.  ``mask`` restricts each array and Jet
+    part to its True points (the leading axis); a number is a part reduced
+    already and no mask applies to it."""
+    peaks = []
+    for part in parts:
+        arr = part.value if isinstance(part, Jet) else np.asarray(part)
+        arr = arr[mask] if mask is not None and arr.ndim else arr
+        if arr.size:
+            peaks.append(float(np.abs(arr).max()))
+    return math.nan if any(map(math.isnan, peaks)) else max(peaks, default=0.0)
+
+
 def max_abs(x) -> float:
-    arr = x.value if isinstance(x, Jet) else np.asarray(x)
-    return float(np.abs(arr).max()) if arr.size else 0.0
+    """``reduce_parts`` of the one part ``x``."""
+    return reduce_parts([x])
 
 
 def worst(*xs) -> float:
-    """The largest residual, NaN if any is NaN (``max(0.0, nan)`` is 0.0)."""
-    return float(np.max(np.asarray(xs, dtype=np.float64)))
+    """``reduce_parts`` of residuals that are reduced already."""
+    return reduce_parts(xs)
 
 
 def fundamental_form(g: Field, j: Field) -> Field:

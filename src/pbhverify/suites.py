@@ -40,7 +40,7 @@ from .poisson import (chern_identity_residuals, check_holomorphic,
                       theorem4_hypotheses, type_02_projector_matrix)
 from .report import CheckRecord, VerificationReport
 from .structures import (BihermitianData, HermitianPair, check_p_gradient,
-                         lee_condition)
+                         lee_condition, reduce_parts)
 from .tensorcalc import (Field, Jet, SamplePlan, bivector_field, d_scalar,
                          evaluate_form, exterior_derivative, form_combos,
                          form_field, form_full_matrix, jmatmul, jtranspose,
@@ -314,19 +314,6 @@ class SuiteContext:
                   and (residual > tol if exceeds else residual <= tol))
         return CheckRecord(name, reference, float(residual), tol, pts_count,
                            bool(passed), inconclusive, extra)
-
-
-def reduce_parts(parts, mask=None) -> float:
-    """The largest |entry| of any part, NaN if any entry is NaN; an empty
-    part counts as 0 and a Jet part by its values.  ``mask`` restricts each
-    array and Jet part to its True points (the leading axis); a number is a
-    part reduced already and no mask applies to it."""
-    peaks = [0.0]
-    for part in parts:
-        arr = part.value if isinstance(part, Jet) else np.asarray(part)
-        arr = arr[mask] if mask is not None and arr.ndim else arr
-        peaks.append(np.max(np.abs(arr)) if arr.size else 0.0)
-    return float(np.max(peaks))
 
 
 # --------------------------------------------------------------------------

@@ -155,6 +155,27 @@ def test_record_fails_non_finite_residuals():
     assert rec.extra == {"k": 1.5} and rec.reference == "ref"
 
 
+def test_one_residual_reduction(monkeypatch):
+    """``structures.reduce_parts`` is the only implementation of the rule:
+    ``max_abs`` and ``worst`` delegate to it, and neither ``suites`` nor
+    ``engel`` writes an abs-max reduction of its own."""
+    import inspect
+    import re
+    from pbhverify import engel, structures, suites
+    seen = []
+    reduce_parts = structures.reduce_parts
+    monkeypatch.setattr(structures, "reduce_parts",
+                        lambda *a: seen.append(a) or reduce_parts(*a))
+    assert structures.max_abs(np.array([-3.0, 1.0])) == 3.0
+    assert np.isnan(structures.worst(1.0, np.nan, 0.0))
+    assert len(seen) == 2
+    for mod in (suites, engel):
+        src = inspect.getsource(mod)
+        assert ".max(initial=" not in src
+        assert not re.search(r"np\.abs\([^\n]*\)\[mask\]\.max\(", src)
+    assert not re.search(r"\b(max_abs|worst)\(", inspect.getsource(suites))
+
+
 # the engel checks judged only where the synthetic Lee forms are non-null
 ZERO_LEE_FAILS = {"null-frame-identities", "gradient-identities",
                   "derivative-chain", "pairing-eigenstructure",
