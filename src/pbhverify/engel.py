@@ -133,7 +133,7 @@ class LeeValues:
 
     def definitive_mask(self):
         tn = self.theta_norm_sq
-        scale = max(1.0, float(np.abs(tn).max()))
+        scale = max(1.0, max_abs(tn))
         return np.abs(tn) > THETA_FLOOR * scale
 
     def frame(self):

@@ -99,7 +99,7 @@ def _const_dz_form(jc, alpha, n_real):
     c = np.zeros((b, n_real, jc.space.n), dtype=np.complex128)
     c[:, 2 * alpha, 0] = 1.0
     c[:, 2 * alpha + 1, 0] = 1.0j
-    return Jet(jc.space, c, jc.order)
+    return Jet(jc.space, c)
 
 
 # --------------------------------------------------------------------------
@@ -252,7 +252,7 @@ class FlagBundle:
             # the base forms have constant components, so scale the
             # coefficient jet by the component values
             parts.append(base.c[:, :, :1] * coef.c[:, None, :])
-        dw2 = Jet(jc.space, parts[0] + parts[1] + parts[2], min(jc.order, c_z1.order))
+        dw2 = Jet(c_z1.space, parts[0] + parts[1] + parts[2])
         return dz1, dz2, dw1, dw2
 
     @cached_property
@@ -319,13 +319,12 @@ class FlagBundle:
             den = np.einsum("bc,bc->b", rhs, rhs)
             ratios.append(num / den)
             # per-point proportionality must be exact, not just in projection
-            resid = np.abs(lhs - (num / den)[:, None] * rhs).max()
-            scale = np.abs(lhs).max()
-            if resid > 1e-8 * max(scale, 1.0):
+            resid = max_abs(lhs - (num / den)[:, None] * rhs)
+            if resid > 1e-8 * max(max_abs(lhs), 1.0):
                 raise ValueError(f"dd^c(f) not proportional to the form: {resid:.3g}")
         allr = np.concatenate(ratios)
         mean = float(allr.mean())
-        spread = float(np.abs(allr - mean).max() / abs(mean))
+        spread = max_abs(allr - mean) / abs(mean)
         return mean, spread
 
     def x10_hol(self, jc, lam: float) -> Jet:
@@ -350,8 +349,7 @@ class FlagBundle:
         f0v = form_full_matrix(self.f0.fn(jc), 6).value.astype(np.complex128)
         lhs = sigma_compose_form(z1rf, z2rf, f0v)
         rhs = dbar_matrix(self.x10_hol(jc, lam), 6)
-        scale = max(1.0, float(np.abs(lhs).max()))
-        return float(np.abs(lhs - rhs).max() / scale)
+        return max_abs(lhs - rhs) / max(1.0, max_abs(lhs))
 
     def hypothesis_ii_residual(self, pts, lam: float) -> float:
         """Schouten bracket [Re X^{1,0}, Im sigma]."""
@@ -391,7 +389,7 @@ class FlagBundle:
     def bracket_residual(self, pts) -> float:
         jc = jet_coords(6, 1, np.atleast_2d(pts))
         br = holo_bracket(self.z1_hol(jc), self.z2_hol(jc))
-        return float(np.abs(br.value).max())
+        return max_abs(br)
 
 
 def flag_charts(params: FlagParams) -> FlagBundle:

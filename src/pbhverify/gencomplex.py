@@ -13,7 +13,7 @@ from .structures import (BihermitianData, DegeneracyError, fundamental_form,
 from .tensorcalc import (ChartDomain, Field, Jet, endo_field,
                          exterior_derivative, form_combos, form_field,
                          form_from_matrix, form_full, form_full_matrix,
-                         jeinsum, jet_coords, jet_inv, jet_prefix, jet_space,
+                         jeinsum, jet_common, jet_coords, jet_inv, jet_prefix, jet_space,
                          jgrad, jmatmul, jmatvec, jtranspose, metric_field,
                          scalar_field)
 from .tensorcalc.calculus import _stack
@@ -29,8 +29,8 @@ __all__ = ["coordinate_sections", "constant_sections", "stack_axes",
 
 def _join(vec: Jet, form: Jet) -> Jet:
     """Stack a vector jet and a covector jet (..., d) into (..., 2d)."""
-    return Jet(vec.space, np.concatenate([vec.c, form.c], axis=-2),
-               min(vec.order, form.order))
+    vec, form = jet_common(vec, form)
+    return Jet(vec.space, np.concatenate([vec.c, form.c], axis=-2))
 
 
 def constant_sections(chart: ChartDomain, values) -> Field:
@@ -55,7 +55,7 @@ def _affine(chart, kind, const, lin, degree=0):
     def fn(jc):
         c = np.einsum("ij,...jr->...ir", lin, jc.c)
         c[..., 0] += const
-        return Jet(jc.space, c, jc.order)
+        return Jet(jc.space, c)
 
     return Field(chart, kind, fn, degree=degree)
 
@@ -122,7 +122,7 @@ def _prep(a: Jet, d: int) -> tuple:
     Courant bracket reads from it: its gradient, ga[..., k, j] = d_j a_k,
     and its half-swapped copy xi + X.  Both are gathers, so slicing a
     leading axis of the three commutes with preparing the slice."""
-    return a, jgrad(a), Jet(a.space, np.roll(a.c, d, axis=-2), a.order)
+    return a, jgrad(a), Jet(a.space, np.roll(a.c, d, axis=-2))
 
 
 def _courant(pa: tuple, pb: tuple, h: Jet | None, d: int) -> Jet:
@@ -172,7 +172,7 @@ def endo_conditions(i_field: Field, pts) -> tuple:
     sq = max_abs(jmatmul(iv, iv) + eye)
     p = pairing_matrix(dd // 2)
     pv = iv.value
-    pres = float(np.abs(np.einsum("bji,jk,bkl->bil", pv, p, pv) - p).max())
+    pres = max_abs(np.einsum("bji,jk,bkl->bil", pv, p, pv) - p)
     return sq, pres
 
 
@@ -183,10 +183,11 @@ def form_as_map(form_jet: Jet, d: int) -> Jet:
 
 def _blocks(top_left: Jet, top_right: Jet, bottom_left: Jet, bottom_right: Jet) -> Jet:
     """The (..., 2d, 2d) endomorphism of T + T* with four (..., d, d) blocks."""
+    top_left, top_right, bottom_left, bottom_right = jet_common(
+        top_left, top_right, bottom_left, bottom_right)
     top = np.concatenate([top_left.c, top_right.c], axis=-2)
     bottom = np.concatenate([bottom_left.c, bottom_right.c], axis=-2)
-    order = min(top_left.order, top_right.order, bottom_left.order, bottom_right.order)
-    return Jet(top_left.space, np.concatenate([top, bottom], axis=-3), order)
+    return Jet(top_left.space, np.concatenate([top, bottom], axis=-3))
 
 
 def gcs_from_form(beta: Field) -> Field:
@@ -199,8 +200,8 @@ def gcs_from_form(beta: Field) -> Field:
 
     def fn(jc):
         bv = beta.fn(jc)
-        b_map = form_as_map(Jet(bv.space, bv.c.real.copy(), bv.order), d)
-        w_map = form_as_map(Jet(bv.space, bv.c.imag.copy(), bv.order), d)
+        b_map = form_as_map(Jet(bv.space, bv.c.real.copy()), d)
+        w_map = form_as_map(Jet(bv.space, bv.c.imag.copy()), d)
         det = np.linalg.det(w_map.value)
         if np.any(np.abs(det) < 1e-12):
             bad = int(np.argmin(np.abs(det)))
@@ -226,11 +227,16 @@ def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
     The brackets run at degree 0.  The residual is a value (``max_abs``),
     and the value of a Courant bracket reads only the values and first
     partials of its sections and the value of H, so after ``_prep`` (the one
-    derivative) the prepared stacks, I and H are cut to their values, jets
-    in ``jet_space(d, 0)`` (``jet_prefix``).  Each product's value is the
-    same single Leibniz term as at full order, so every pair's residual
-    value is bitwise that of a full-order loop over rows (as tested), and a
-    NaN in a value or first partial still reaches it."""
+    derivative) the prepared stacks, I and H are cut to their values:
+    ``jet_prefix`` gives each as a jet in ``jet_space(d, 0)`` whose array is
+    a view of its value coefficients.  A gradient is stored one order below
+    its jet and a product runs at the lower order of its factors, so without
+    the cut a product of two values (X^a Y^b in the twist term), or of a
+    value and a gradient when the evaluation order exceeds 1, would run
+    above degree 0.  Each product's value is the same single Leibniz term as
+    at full order, so every pair's residual value is bitwise that of a
+    full-order loop over rows (as tested), and a NaN in a value or first
+    partial still reaches it."""
     chart = i_field.chart
     d = chart.dim
     sections = list(extra_sections)
@@ -306,13 +312,13 @@ def check_gpk_pair(i1: Field, i2: Field, pts, tol_commute=1e-9) -> GpkResult:
     v1 = i1.eval(pts)
     v2 = i2.eval(pts)
     res = {}
-    comm = np.abs(v1 @ v2 - v2 @ v1).max()
-    res["commute"] = float(comm)
-    if not comm <= tol_commute:
-        bad = int(np.argmax(np.abs(v1 @ v2 - v2 @ v1).reshape(len(pts), -1).max(axis=1)))
+    comm = v1 @ v2 - v2 @ v1
+    res["commute"] = max_abs(comm)
+    if not res["commute"] <= tol_commute:
+        bad = int(np.argmax(np.abs(comm).reshape(len(pts), -1).max(axis=1)))
         return GpkResult(False, res, "commute", bad)
     g = v1 @ v2
-    res["involution"] = float(np.abs(g @ g - np.eye(2 * d)).max())
+    res["involution"] = max_abs(g @ g - np.eye(2 * d))
     if not res["involution"] <= 1e-7:
         return GpkResult(False, res, "involution", -1)
     p_pair = pairing_matrix(d)

@@ -15,8 +15,8 @@ from .structures import (BihermitianData, ParaHyperTriple,
                          worst)
 from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          constant_metric, form_field, form_full_matrix,
-                         form_from_matrix, frame_field, jet_coords, jet_prefix,
-                         jet_space, jgrad, jmatmul, jtranspose, metric_field)
+                         form_from_matrix, frame_field, jet_common, jet_coords,
+                         jet_prefix, jet_space, jgrad, jmatmul, jtranspose, metric_field)
 from .tensorcalc.fields import _chart_coeffs, _scale
 from .tensorcalc.calculus import _stack
 
@@ -224,12 +224,12 @@ def _sin_pair(i, j, name) -> FExpr:
 
     def grad(jc):
         s, c = jc[:, [i, j]].sincos()
-        left = Jet(s.space, np.stack([c.c[:, 0], s.c[:, 0]], axis=1), s.order)
-        right = Jet(s.space, np.stack([s.c[:, 1], c.c[:, 1]], axis=1), s.order)
+        left = Jet(s.space, np.stack([c.c[:, 0], s.c[:, 0]], axis=1))
+        right = Jet(s.space, np.stack([s.c[:, 1], c.c[:, 1]], axis=1))
         prod = left * right
         out = np.zeros(jc.c.shape, dtype=prod.c.dtype)
         out[:, [i, j]] = prod.c
-        return Jet(jc.space, out, prod.order)
+        return Jet(jc.space, out)
 
     return FExpr(name, value, grad)
 
@@ -295,9 +295,8 @@ class Example2Params:
 def complex_form(re: Field, im: Field) -> Field:
     """Complex 2-form re + i im from two real 2-form fields."""
     def fn(jc):
-        a = re.fn(jc)
-        b = im.fn(jc)
-        return Jet(a.space, a.c.astype(np.complex128) + 1j * b.c, min(a.order, b.order))
+        a, b = jet_common(re.fn(jc), im.fn(jc))
+        return Jet(a.space, a.c.astype(np.complex128) + 1j * b.c)
 
     return form_field(re.chart, 2, fn, cost=max(re.cost, im.cost))
 
@@ -434,7 +433,7 @@ class HamiltonianFlow:
 
     def velocity(self, y: Jet) -> Jet:
         grad = self.fexpr.grad(y)
-        terms = [Jet(grad.space, np.einsum("ij,...jr->...ir", c, grad.c), grad.order)
+        terms = [Jet(grad.space, np.einsum("ij,...jr->...ir", c, grad.c))
                  for c in self._inv_coeffs]
         out = terms.pop()
         while terms:
@@ -473,12 +472,11 @@ class HamiltonianFlow:
 
 def _prefix_slice(jc: Jet, stored: Jet, y: Jet) -> Jet | None:
     """The flowed jet of ``jc`` cut from ``y``, the flow of ``stored``, when
-    ``jc`` is a row and coefficient prefix of ``stored`` valid to no higher
-    order; else None."""
+    ``jc`` is a row and coefficient prefix of ``stored``; else None."""
     rows, n = jc.c.shape[0], jc.space.n
-    if jc.order > stored.order or not np.array_equal(jc.c, stored.c[:rows, ..., :n]):
+    if not np.array_equal(jc.c, stored.c[:rows, ..., :n]):
         return None
-    return jet_prefix(y[:rows], jc.space, y.order - stored.order + jc.order).copy()
+    return jet_prefix(y[:rows], jc.space).copy()
 
 
 def flow_pullback_form(flow: HamiltonianFlow, omega: Field) -> Field:

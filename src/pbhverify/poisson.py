@@ -13,7 +13,7 @@ from .structures import BihermitianData, HermitianPair, max_abs
 from .tensorcalc import (Field, Jet, bivector_field, d_scalar,
                          exterior_derivative, form_combos, form_field,
                          form_from_matrix, form_full, form_full_matrix,
-                         jeinsum, jet_coords, jet_inv, jgrad, jmatmul,
+                         jeinsum, jet_common, jet_coords, jet_inv, jgrad, jmatmul,
                          jmatvec, jtranspose, oneform_field)
 from .tensorcalc.calculus import _full_index
 from .tensorcalc.fields import _broadcast_const
@@ -41,7 +41,7 @@ class ComplexBivector:
         lv = form_full_matrix(self.lowered.eval_jet(pts), d).value
         jv = self.pair.j.eval(pts)
         res = np.einsum("bai,baj->bij", jv, lv) + 1j * lv
-        return float(np.abs(res).max())
+        return max_abs(res)
 
     def omega_11_residual(self, pts) -> float:
         """(1,1)-part of the real part: Omega(JX, JY) + Omega(X, Y) = 0."""
@@ -49,7 +49,7 @@ class ComplexBivector:
         lv = form_full_matrix(self.lowered.eval_jet(pts), d).value.real
         jv = self.pair.j.eval(pts)
         res = np.einsum("bai,bcj,bac->bij", jv, jv, lv) + lv
-        return float(np.abs(res).max())
+        return max_abs(res)
 
 
 OPPOSITE_TOL = 1e-8  # pi_bivector warns above this |d^J+ F+ + d^J- F-|
@@ -81,8 +81,9 @@ def pi_bivector(data: BihermitianData, check_points=None) -> ComplexBivector:
         qtg = jmatmul(jtranspose(qv), gv)
         omega = qtg  # Omega[i, j] = g(Q e_i, e_j)
         omega_j = jmatmul(qtg, jv)  # Omega(Q e_i, J e_j) = (Q^T g J)[i, j]
+        omega, omega_j = jet_common(omega, omega_j)
         c = omega.c.astype(np.complex128) + 1j * omega_j.c
-        return form_from_matrix(Jet(omega.space, c, min(omega.order, omega_j.order)), d)
+        return form_from_matrix(Jet(omega.space, c), d)
 
     lowered = form_field(chart, 2, lowered_fn,
                          cost=max(g.cost, jp.cost, data.jm.cost)).memoized()
@@ -114,7 +115,7 @@ def check_holomorphic(pi: ComplexBivector, pts) -> float:
     jv = pair.j.eval(pts)
     # contract with V = e_i + i J e_i: D_V = D_i + i J^m_i D_m
     contracted = dcov + 1j * np.einsum("bmi,bmjk->bijk", jv, dcov)
-    return float(np.abs(contracted).max())
+    return max_abs(contracted)
 
 
 def schouten_bb(p: Field, q: Field) -> Field:
@@ -131,7 +132,7 @@ def schouten_bb(p: Field, q: Field) -> Field:
         t = (jeinsum("...xl,...yzl->...xyz", pv, jgrad(qv))
              + jeinsum("...xl,...yzl->...xyz", qv, jgrad(pv)))
         c = t.c[..., i, j, k, :] + t.c[..., j, k, i, :] + t.c[..., k, i, j, :]
-        return Jet(t.space, c, t.order)
+        return Jet(t.space, c)
 
     return Field(chart, "form", fn, degree=3, cost=max(p.cost, q.cost) + 1)
 
@@ -203,7 +204,7 @@ def holo_realframe_components(xi: Jet) -> Jet:
     c = np.zeros((b, 2 * m, xi.space.n), dtype=np.complex128)
     c[:, 0::2] = 0.5 * xi.c
     c[:, 1::2] = -0.5j * xi.c
-    return Jet(xi.space, c, xi.order)
+    return Jet(xi.space, c)
 
 
 def _wirtinger_matrix(m: int, dim: int, sign: float) -> np.ndarray:
@@ -219,7 +220,7 @@ def _wirtinger(u: Jet, m: int, sign: float) -> Jet:
     trailing component axis."""
     g = jgrad(u)
     w = _wirtinger_matrix(m, g.space.dim, sign)
-    return Jet(g.space, np.einsum("bq,...qr->...br", w, g.c), g.order)
+    return Jet(g.space, np.einsum("bq,...qr->...br", w, g.c))
 
 
 def holo_apply(xi: Jet, phi: Jet) -> Jet:
@@ -289,7 +290,7 @@ def ddc_commuting_fields(u_hol: Field, v_hol: Field, phi: Field, pts) -> dict:
     cost = max(u_hol.cost, v_hol.cost, phi.cost + 2)
     jc = jet_coords(dim, cost, np.atleast_2d(pts))
     lhs, rhs = lhs_rhs(jc)
-    return {"commute": commute_res, "residual": float(np.abs(lhs - rhs).max())}
+    return {"commute": commute_res, "residual": max_abs(lhs - rhs)}
 
 
 def chern_identity_residuals(data: BihermitianData, pts) -> dict:
@@ -345,13 +346,13 @@ def chern_identity_residuals(data: BihermitianData, pts) -> dict:
     res4 = lhs_q - dj3(eye, pv, eye) - dj3(eye, eye, pv) \
         - 2.0 * dj3(eye, jmv, jpv) - 2.0 * dj3(eye, jpv, jmv)
 
-    scale = max(1.0, float(np.abs(t).max()), float(np.abs(lhs).max()))
+    scale = max(1.0, max_abs(t), max_abs(lhs))
     return {
-        "chern1": float(np.abs(res1).max() / scale),
-        "chern2": float(np.abs(res2).max() / scale),
-        "derP": float(np.abs(res3).max() / scale),
-        "nablaQ": float(np.abs(res4).max() / scale),
-        "dJF_scale": float(np.abs(t).max()),
+        "chern1": max_abs(res1) / scale,
+        "chern2": max_abs(res2) / scale,
+        "derP": max_abs(res3) / scale,
+        "nablaQ": max_abs(res4) / scale,
+        "dJF_scale": max_abs(t),
     }
 
 

@@ -184,8 +184,7 @@ class ParaHyperTriple:
 
 def _lee_solve_matrix(fv: Jet) -> Jet:
     """Column l of the Lee solve matrix is dx_l ^ F on 3-combos."""
-    return Jet(fv.space, np.einsum("olb,...br->...olr", _wedge_table(4, 1, 2), fv.c),
-               fv.order)
+    return Jet(fv.space, np.einsum("olb,...br->...olr", _wedge_table(4, 1, 2), fv.c))
 
 
 def lee_form(pair: HermitianPair) -> Field:
@@ -243,7 +242,7 @@ class Connection:
             tv = t_fn(jc)
             gam = self.gamma_fn(jc)
             dt = jgrad(tv)
-            out = Jet(dt.space, np.moveaxis(dt.c, -2, -4), dt.order)
+            out = Jet(dt.space, np.moveaxis(dt.c, -2, -4))
             if upper[0]:
                 out = out + jeinsum("...jim,...mk->...ijk", gam, tv)
             else:
@@ -270,11 +269,11 @@ def levi_civita(g: Field) -> Connection:
             bad = int(np.argmin(np.abs(det)))
             raise DegeneracyError(f"metric degenerate at point index {bad}")
         ginv = jet_inv(gv)
-        dg = jgrad(gv).c  # dg[i, j, l] = d_l g_ij
+        dg = jgrad(gv)  # dg[i, j, l] = d_l g_ij
         # s[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-        s = (np.einsum("...jlir->...lijr", dg) + np.einsum("...iljr->...lijr", dg)
-             - np.einsum("...ijlr->...lijr", dg))
-        return jeinsum("...kl,...lij->...kij", ginv, Jet(gv.space, s, gv.order - 1)) * 0.5
+        s = (np.einsum("...jlir->...lijr", dg.c) + np.einsum("...iljr->...lijr", dg.c)
+             - np.einsum("...ijlr->...lijr", dg.c))
+        return jeinsum("...kl,...lij->...kij", ginv, Jet(dg.space, s)) * 0.5
 
     return Connection(chart, gamma_fn, cost=g.cost + 1)
 

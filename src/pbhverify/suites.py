@@ -416,7 +416,7 @@ def suite_courant(ctx: SuiteContext):
         base = bundle.omega_plus.fn(jc)
         pert = base.c.copy()
         pert[:, 0] = (base[:, 0] + jc[:, 2] * 0.5).c
-        return Jet(base.space, pert, base.order)
+        return Jet(base.space, pert)
 
     bad_beta = complex_form(bundle.f_k, form_field(chart, 2, bad_imag))
     control = gcs_nijenhuis(gcs_from_form(bad_beta), None, n_pts[:4])

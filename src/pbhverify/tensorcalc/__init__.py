@@ -1,7 +1,7 @@
 """Jet-based tensor calculus on chart domains."""
 
 from .charts import ChartDomain, DomainError, ExcludedLocus, SamplePlan
-from .jets import (Jet, JetSpace, jdet, jeinsum, jet_coords, jet_inv,
+from .jets import (Jet, JetSpace, jdet, jeinsum, jet_common, jet_coords, jet_inv,
                    jet_prefix, jet_solve, jet_space, jgrad, jmatmul, jmatvec,
                    jtrace, jtranspose)
 from .fields import (Field, bivector_field, constant_endo, constant_metric,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import (Field, form_field, oneform_field, scalar_field,
                      vector_field, zero_form)
-from .jets import Jet, _perm_sign, jdet, jeinsum, jgrad
+from .jets import Jet, _perm_sign, jdet, jeinsum, jet_common, jgrad, jtranspose
 
 __all__ = ["form_combos", "combo_index", "exterior_derivative", "wedge",
            "interior_product", "pullback_linear", "lie_bracket",
@@ -104,10 +104,8 @@ def _check_chart(*fields):
 
 def _stack(jets):
     """Stack m jets (B, ...) into one jet (B, m, ...)."""
-    space = jets[0].space
-    order = min(j.order for j in jets)
-    c = np.stack([j.c for j in jets], axis=1)
-    return Jet(space, c, order)
+    jets = jet_common(*jets)
+    return Jet(jets[0].space, np.stack([j.c for j in jets], axis=1))
 
 
 def exterior_derivative(omega: Field) -> Field:
@@ -121,7 +119,7 @@ def exterior_derivative(omega: Field) -> Field:
 
     def fn(jc):
         g = jgrad(omega.fn(jc))
-        return Jet(g.space, np.einsum("osi,...sir->...or", table, g.c), g.order)
+        return Jet(g.space, np.einsum("osi,...sir->...or", table, g.c))
 
     return form_field(chart, k + 1, fn, cost=omega.cost + 1)
 
@@ -139,7 +137,7 @@ def wedge(a: Field, b: Field) -> Field:
 
     def fn(jc):
         wa = a.fn(jc)
-        ta = Jet(wa.space, np.einsum("oab,...ar->...obr", table, wa.c), wa.order)
+        ta = Jet(wa.space, np.einsum("oab,...ar->...obr", table, wa.c))
         return jeinsum("...ob,...b->...o", ta, b.fn(jc))
 
     return form_field(chart, k + l, fn, cost=max(a.cost, b.cost))
@@ -155,7 +153,7 @@ def interior_product(x: Field, omega: Field) -> Field:
     def fn(jc):
         xv = x.fn(jc)
         w = omega.fn(jc)
-        tw = Jet(w.space, np.einsum("ois,...sr->...oir", table, w.c), w.order)
+        tw = Jet(w.space, np.einsum("ois,...sr->...oir", table, w.c))
         return jeinsum("...oi,...i->...o", tw, xv)
 
     if k == 1:
@@ -176,7 +174,7 @@ def pullback_linear(a: Field, omega: Field) -> Field:
         for s, x in enumerate(slots):
             t = jeinsum(f"...{slots},...{x}z->...{slots[:s]}z{slots[s + 1:]}", t, av)
         flat = t.c.reshape(t.c.shape[:-k - 1] + (-1, t.space.n))
-        return Jet(t.space, flat[..., combo_pos, :], t.order)
+        return Jet(t.space, flat[..., combo_pos, :])
 
     return form_field(chart, k, fn, cost=max(a.cost, omega.cost))
 
@@ -184,9 +182,7 @@ def pullback_linear(a: Field, omega: Field) -> Field:
 def evaluate_form(omega_jet: Jet, vectors, dim: int, k: int) -> Jet:
     """Evaluate form components (B, ncomb) on k vector jets (each (B, d))."""
     combos = form_combos(dim, k)
-    vstack = Jet(vectors[0].space,
-                 np.stack([v.c for v in vectors], axis=2),
-                 min(v.order for v in vectors))  # (B, d, k)
+    vstack = jtranspose(_stack(vectors))  # (B, d, k)
     out = None
     for ci, c in enumerate(combos):
         rows = np.array(c)
@@ -201,8 +197,7 @@ def form_full(omega_jet: Jet, dim: int, k: int) -> Jet:
     (..., d, ..., d) tensor."""
     idx, sign = _full_index(dim, k)
     c = omega_jet.c[..., idx, :] * sign[:, None]
-    return Jet(omega_jet.space, c.reshape(c.shape[:-2] + (dim,) * k + c.shape[-1:]),
-               omega_jet.order)
+    return Jet(omega_jet.space, c.reshape(c.shape[:-2] + (dim,) * k + c.shape[-1:]))
 
 
 def form_full_matrix(omega_jet: Jet, dim: int) -> Jet:
@@ -214,7 +209,7 @@ def form_from_matrix(m_jet: Jet, dim: int) -> Jet:
     """Matrix (B, d, d) -> 2-form combo components (B, C(d,2)) read from
     its entries above the diagonal."""
     i, j = np.array(form_combos(dim, 2)).T
-    return Jet(m_jet.space, m_jet.c[:, i, j], m_jet.order)
+    return Jet(m_jet.space, m_jet.c[:, i, j])
 
 
 def bracket_jets(xv: Jet, yv: Jet) -> Jet:
@@ -244,6 +239,6 @@ def nijenhuis_tensor(j_endo: Field) -> Field:
         # u[:, i, j] - u[:, j, i] with u[a, i, j] = J^b_i d_b J^a_j + J^a_c d_j J^c_i
         u = (jeinsum("...bi,...ajb->...aij", jv, dj)
              + jeinsum("...ac,...cij->...aij", jv, dj))
-        return Jet(u.space, u.c[..., ii, jj, :] - u.c[..., jj, ii, :], u.order)
+        return Jet(u.space, u.c[..., ii, jj, :] - u.c[..., jj, ii, :])
 
     return Field(chart, "tensor", fn, cost=j_endo.cost + 1)

@@ -246,7 +246,7 @@ def frame_lift(field: Field, *inputs: Field) -> Field:
 def _scale(v: Jet, s: Jet) -> Jet:
     """Multiply component jet v (B, ..., n) by scalar jet s (B, n)."""
     extra = v.c.ndim - s.c.ndim
-    ss = Jet(s.space, s.c.reshape(s.c.shape[:1] + (1,) * extra + s.c.shape[1:]), s.order)
+    ss = Jet(s.space, s.c.reshape(s.c.shape[:1] + (1,) * extra + s.c.shape[1:]))
     return v * ss
 
 
@@ -282,8 +282,7 @@ def _broadcast_const(jc, arr):
     """Constant jet of ``arr`` at each of jc's points: one zero-filled
     coefficient array, value slot assigned from a broadcast view."""
     arr = np.asarray(arr)
-    return Jet.constant(jc.space, np.broadcast_to(arr, jc.c.shape[:1] + arr.shape),
-                        jc.order)
+    return Jet.constant(jc.space, np.broadcast_to(arr, jc.c.shape[:1] + arr.shape))
 
 
 def constant_endo(chart, matrix, name=""):

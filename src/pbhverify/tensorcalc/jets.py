@@ -7,6 +7,20 @@ and elementary-function expressions carry no truncation error beyond float64
 roundoff.  Coefficient arrays carry arbitrary leading axes (batch of points,
 tensor component axes); the multi-index axis is always last.
 
+Storage rule: a jet valid to order k lives in ``jet_space(dim, k)``, and its
+array holds exactly the coefficients through degree k, so every stored
+coefficient is valid and ``Jet.order`` is its space's order.  Multi-indices
+are degree-ordered, so the multi-indices of a lower order are a prefix of
+those of a higher one, and cutting a jet to a lower order is a view of a
+coefficient prefix (``jet_prefix``).  Building a ``Jet`` with an order below
+its space's stores that prefix in the lower space; ``jgrad`` and
+``Jet.partial`` write straight into ``jet_space(dim, order - 1)``; and every
+operation on two jets (``+``, ``-``, ``*``, ``jeinsum``, ``jet_solve``, and
+the sites that join jets' arrays) first brings both to the lower of their
+spaces (``jet_common``).  So no kernel computes a coefficient above the
+order its result is valid to, and the degree rule below scans only valid
+coefficients.
+
 Tensor contractions go through two primitives: ``jeinsum(spec, a, b)`` is
 one jet product contracted over component axes as ``np.einsum(spec)`` would
 contract scalars, and ``jgrad(a)`` returns all first partials as a new
@@ -70,8 +84,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["JetSpace", "Jet", "jet_space", "jet_coords", "jet_prefix", "jeinsum",
-           "jgrad", "jmatvec", "jmatmul", "jtranspose", "jet_inv", "jet_solve",
+__all__ = ["JetSpace", "Jet", "jet_space", "jet_coords", "jet_prefix", "jet_common",
+           "jeinsum", "jgrad", "jmatvec", "jmatmul", "jtranspose", "jet_inv", "jet_solve",
            "jdet", "jtrace"]
 
 
@@ -177,25 +191,33 @@ def _as_coeffs(space, x):
 class Jet:
     """Batched jet: coefficient array of shape (..., space.n).
 
-    ``order`` tracks how many derivative orders are still valid; coefficients
-    of higher degree are unspecified and must not be read.  They are not
-    kept zero: a product computes every degree of the space, so a factor
-    valid to a lower order than the space (a ``jgrad`` result, say) gives a
-    product with nonzero coefficients above its own order.
+    Every coefficient is valid: ``order``, the number of derivative orders
+    the jet carries, is its space's order.  ``Jet(space, c, order)`` with an
+    order below ``space.order`` stores the coefficient prefix of ``c``
+    through degree ``order`` (a view) in ``jet_space(space.dim, order)``.
     """
 
-    __slots__ = ("space", "c", "order")
+    __slots__ = ("space", "c")
 
     def __init__(self, space: JetSpace, c: np.ndarray, order: int | None = None):
+        if order is not None and order != space.order:
+            if not 0 <= order < space.order:
+                raise ValueError(f"a jet in a space of order {space.order} "
+                                 f"cannot be valid to order {order}")
+            space = jet_space(space.dim, order)
+            c = c[..., :space.n]
         self.space = space
         self.c = c
-        self.order = space.order if order is None else order
+
+    @property
+    def order(self) -> int:
+        return self.space.order
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(space, values, order=None):
-        return Jet(space, _as_coeffs(space, values), order)
+    def constant(space, values):
+        return Jet(space, _as_coeffs(space, values))
 
     # -- basic views --------------------------------------------------------
 
@@ -210,59 +232,58 @@ class Jet:
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
             idx = (idx,)
-        return Jet(self.space, self.c[idx + (slice(None),)], self.order)
+        return Jet(self.space, self.c[idx + (slice(None),)])
 
     def copy(self):
-        return Jet(self.space, self.c.copy(), self.order)
+        return Jet(self.space, self.c.copy())
 
     # -- ring operations ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise ValueError("jets from different spaces")
-            return other
-        return Jet.constant(self.space, other)
+    def _pair(self, other):
+        """``self`` and ``other`` (a jet, or values as a constant jet) in one
+        space."""
+        if not isinstance(other, Jet):
+            return self, Jet.constant(self.space, other)
+        if other.space is self.space:
+            return self, other
+        return jet_common(self, other)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.space, self.c + o.c, min(self.order, o.order))
+        a, b = self._pair(other)
+        return Jet(a.space, a.c + b.c)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.space, self.c - o.c, min(self.order, o.order))
+        a, b = self._pair(other)
+        return Jet(a.space, a.c - b.c)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.space, o.c - self.c, min(self.order, o.order))
+        a, b = self._pair(other)
+        return Jet(a.space, b.c - a.c)
 
     def __neg__(self):
-        return Jet(self.space, -self.c, self.order)
+        return Jet(self.space, -self.c)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.c * np.asarray(other)[..., None], self.order)
-        o = other
-        if o.space is not self.space:
-            raise ValueError("jets from different spaces")
-        sp = self.space
+            return Jet(self.space, self.c * np.asarray(other)[..., None])
+        a, o = self._pair(other)
+        sp = a.space
         if _is_constant(o):
-            return Jet(sp, self.c * o.c[..., :1], min(self.order, o.order))
-        if _is_constant(self):
-            return Jet(sp, self.c[..., :1] * o.c, min(self.order, o.order))
-        prod = self.c[..., sp.prod_a] * o.c[..., sp.prod_b]
+            return Jet(sp, a.c * o.c[..., :1])
+        if _is_constant(a):
+            return Jet(sp, a.c[..., :1] * o.c)
+        prod = a.c[..., sp.prod_a] * o.c[..., sp.prod_b]
         prod = prod * sp.prod_c
-        out = np.add.reduceat(prod, sp.prod_starts, axis=-1)
-        return Jet(sp, out, min(self.order, o.order))
+        return Jet(sp, np.add.reduceat(prod, sp.prod_starts, axis=-1))
 
     def __rmul__(self, other):
-        return Jet(self.space, self.c * np.asarray(other)[..., None], self.order)
+        return Jet(self.space, self.c * np.asarray(other)[..., None])
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.c / np.asarray(other)[..., None], self.order)
+            return Jet(self.space, self.c / np.asarray(other)[..., None])
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -272,7 +293,7 @@ class Jet:
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers")
         if k == 0:
-            return Jet.constant(self.space, np.ones(self.shape, dtype=self.c.dtype), self.order)
+            return Jet.constant(self.space, np.ones(self.shape, dtype=self.c.dtype))
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -284,10 +305,8 @@ class Jet:
         """Jet of the i-th coordinate derivative; drops one valid order."""
         if self.order < 1:
             raise ValueError("jet order exhausted; cannot differentiate")
-        src = self.space.grad_src[i]
-        out = np.zeros_like(self.c)
-        out[..., :len(src)] = self.c[..., src]
-        return Jet(self.space, out, self.order - 1)
+        sp = self.space
+        return Jet(sp, self.c.take(sp.grad_src[i], axis=-1), sp.order - 1)
 
     # -- analytic functions via Taylor composition --------------------------
 
@@ -306,7 +325,7 @@ class Jet:
         if not _is_constant(self):  # else every power of self - value is zero
             du = self.c.copy()
             du[..., 0] = 0
-            term = Jet(sp, du, self.order)
+            term = Jet(sp, du)
             fact = 1.0
             power = term
             for m in range(1, min(self.order, len(derivs) - 1) + 1):
@@ -315,7 +334,7 @@ class Jet:
                     outs[k] = outs[k] + power.c * (ds[m] / fact)[..., None]
                 if m < self.order:
                     power = power * term
-        jets = tuple(Jet(sp, out, self.order) for out in outs)
+        jets = tuple(Jet(sp, out) for out in outs)
         return jets if more else jets[0]
 
     def reciprocal(self):
@@ -354,15 +373,15 @@ class Jet:
     # -- complex helpers ----------------------------------------------------
 
     def conj(self):
-        return Jet(self.space, np.conj(self.c), self.order)
+        return Jet(self.space, np.conj(self.c))
 
     @property
     def real(self):
-        return Jet(self.space, self.c.real.copy(), self.order)
+        return Jet(self.space, self.c.real.copy())
 
     @property
     def imag(self):
-        return Jet(self.space, self.c.imag.copy(), self.order)
+        return Jet(self.space, self.c.imag.copy())
 
     # -- reductions over component axes -------------------------------------
 
@@ -370,7 +389,7 @@ class Jet:
         """Sum over a component axis (negative axes count from the
         coefficient axis, so -1 is the last component axis)."""
         ax = axis - 1 if axis < 0 else axis
-        return Jet(self.space, self.c.sum(axis=ax), self.order)
+        return Jet(self.space, self.c.sum(axis=ax))
 
 
 def jet_coords(dim: int, order: int, points: np.ndarray) -> Jet:
@@ -387,15 +406,23 @@ def jet_coords(dim: int, order: int, points: np.ndarray) -> Jet:
     return Jet(sp, c)
 
 
-def jet_prefix(a: Jet, space: JetSpace, order: int | None = None) -> Jet:
+def jet_prefix(a: Jet, space: JetSpace) -> Jet:
     """``a``'s coefficients through degree ``space.order`` (a prefix of the
     degree-ordered multi-indices) as a jet in ``space``, of ``a``'s
-    dimension; valid to ``order``, by default min(a.order, space.order).
-    The coefficients are a view of ``a.c``."""
+    dimension.  The coefficients are a view of ``a.c``."""
     if space.dim != a.space.dim or space.order > a.space.order:
         raise ValueError("a prefix needs a space of the same dimension and no higher order")
-    valid = min(a.order, space.order) if order is None else order
-    return Jet(space, a.c[..., :space.n], valid)
+    return Jet(a.space, a.c, space.order)
+
+
+def jet_common(*jets: Jet) -> tuple:
+    """The jets in one space, the lowest-order one among theirs: a jet of a
+    higher order is cut to its coefficient prefix there (a view).  Jets of
+    different dimensions raise."""
+    sp = min((j.space for j in jets), key=lambda s: s.order)
+    if any(j.space.dim != sp.dim for j in jets):
+        raise ValueError("jets from different spaces")
+    return tuple(j if j.space is sp else Jet(j.space, j.c, sp.order) for j in jets)
 
 
 def _is_constant(x: Jet) -> bool:
@@ -420,7 +447,7 @@ def jeinsum(spec: str, a: Jet, b: Jet) -> Jet:
     analogue of ``np.einsum(spec, a, b)``, e.g. ``"...ij,...jk->...ik"``.
     The letter ``r`` is reserved for the coefficient axis."""
     if a.space is not b.space:
-        raise ValueError("jets from different spaces")
+        a, b = jet_common(a, b)
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
     sp = a.space
@@ -433,25 +460,22 @@ def jeinsum(spec: str, a: Jet, b: Jet) -> Jet:
         full = np.zeros(c.shape[:-1] + (sp.n,), dtype=c.dtype)
         full[..., :len(t.starts)] = c
         c = full
-    return Jet(sp, c, min(a.order, b.order))
+    return Jet(sp, c)
 
 
 def jgrad(a: Jet) -> Jet:
-    """All first partials as a new trailing component axis: (..., dim);
-    drops one valid order."""
+    """All first partials as a new trailing component axis: (..., dim), in
+    ``jet_space(dim, order - 1)``."""
     if a.order < 1:
         raise ValueError("jet order exhausted; cannot differentiate")
-    sp = a.space
-    out = np.zeros(a.c.shape[:-1] + (sp.dim, sp.n), dtype=a.c.dtype)
-    out[..., :sp.grad_src.shape[1]] = a.c[..., sp.grad_src]
-    return Jet(sp, out, a.order - 1)
+    return Jet(a.space, a.c.take(a.space.grad_src, axis=-1), a.order - 1)
 
 
 # -- jet linear algebra (component axes are the trailing non-coefficient axes)
 
 
 def jtranspose(a: Jet) -> Jet:
-    return Jet(a.space, np.swapaxes(a.c, -2, -3), a.order)
+    return Jet(a.space, np.swapaxes(a.c, -2, -3))
 
 
 def jmatvec(a: Jet, v: Jet) -> Jet:
@@ -475,16 +499,18 @@ def jtrace(a: Jet) -> Jet:
 def jet_inv(m: Jet) -> Jet:
     """Inverse of a batched square jet matrix: ``jet_solve(m, I)``."""
     eye = np.broadcast_to(np.eye(m.c.shape[-2]), m.value.shape)
-    return jet_solve(m, Jet.constant(m.space, eye, m.order))
+    return jet_solve(m, Jet.constant(m.space, eye))
 
 
 def jet_solve(a: Jet, b: Jet) -> Jet:
     """Solve a @ x = b, b of shape (..., k) or (..., k, p), degree by degree."""
+    if a.space is not b.space:
+        a, b = jet_common(a, b)
     sp, starts = a.space, a.space.deg_starts
     a0inv = np.linalg.inv(a.value)
     rhs, out = ("j", "i") if b.c.ndim < a.c.ndim else ("jk", "ik")  # component letters
     if _is_constant(a):
-        return jeinsum(f"...ij,...{rhs}->...{out}", Jet.constant(sp, a0inv, a.order), b)
+        return jeinsum(f"...ij,...{rhs}->...{out}", Jet.constant(sp, a0inv), b)
     apply = f"...ij,...{rhs}r->...{out}r"
     # degree 0 everywhere; each higher degree is written before it is read
     x = np.repeat(np.einsum(apply, a0inv, b.c[..., :1]), sp.n, axis=-1)
@@ -497,7 +523,7 @@ def jet_solve(a: Jet, b: Jet) -> Jet:
         sums = np.add.reduceat(terms * t.c[rows], seg - seg[0], axis=-1)
         x[..., starts[d]:starts[d + 1]] = np.einsum(
             apply, a0inv, b.c[..., starts[d]:starts[d + 1]] - sums)
-    return Jet(sp, x, min(a.order, b.order))
+    return Jet(sp, x)
 
 
 def jdet(m: Jet) -> Jet:

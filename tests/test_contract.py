@@ -22,11 +22,15 @@ bitwise.  ``ref_lattice_residual`` is the per-transformation deck check
 that the batched one replaced, also matched bitwise, and
 ``ref_b_transform_naturality`` and ``ref_pairing_preservation`` are the
 per-pair loops of the ``courant`` suite that its stacked evaluations
-replaced, matched bitwise too.
+replaced, matched bitwise too.  The storage rule (every result lives in
+the space of its order) is checked against the full-space loop oracles of
+``jet_helpers``: the kernel's coefficients must be the oracle's valid
+prefix.
 """
 
 import dataclasses
 import itertools
+import math
 from contextlib import contextmanager
 from unittest import mock
 
@@ -55,6 +59,9 @@ from pbhverify.tensorcalc.fields import _broadcast_const
 from pbhverify.tensorcalc.fields import _scale
 from pbhverify.tensorcalc.jets import Jet, JetSpace
 
+from jet_helpers import (embed, leibniz, leibniz_mul as full_mul, loop_partial,
+                         neumann_solve, taylor)
+
 RTOL = ATOL = 1e-12
 SPACES = [(4, 3), (6, 3)]
 # (leading shape of a, leading shape of b); the last pair broadcasts
@@ -82,9 +89,10 @@ def loop_jmatmul(a, b):
     return out
 
 
-def stacked_partials(a):
-    parts = [a.partial(i) for i in range(a.space.dim)]
-    return Jet(a.space, np.stack([p.c for p in parts], axis=-2), parts[0].order)
+def stacked_partials(a, space):
+    """The loop partials of ``a`` in ``space`` stacked on a trailing axis."""
+    parts = [loop_partial(a, i, space) for i in range(a.space.dim)]
+    return Jet(parts[0].space, np.stack([p.c for p in parts], axis=-2))
 
 
 def random_jet(rng, space, shape, complex_coeffs, order):
@@ -96,9 +104,13 @@ def random_jet(rng, space, shape, complex_coeffs, order):
 
 
 def assert_jets_close(new, old):
+    """``new`` is stored in the space of its order and agrees with ``old``
+    through that order (``old`` may keep higher coefficients)."""
     assert new.order == old.order
-    assert new.c.shape == old.c.shape
-    np.testing.assert_allclose(new.c, old.c, rtol=RTOL, atol=ATOL)
+    assert new.space is jet_space(new.space.dim, new.order)
+    ref = old.c[..., :new.space.n]
+    assert new.c.shape == ref.shape
+    np.testing.assert_allclose(new.c, ref, rtol=RTOL, atol=ATOL)
 
 
 cases = st.tuples(st.sampled_from(SPACES), st.sampled_from(LEADING),
@@ -117,7 +129,7 @@ def test_jmatmul_and_jmatvec_match_loops(case, k):
     assert_jets_close(jmatmul(a, b), loop_jmatmul(a, b))
     assert_jets_close(jmatvec(a, v), loop_jmatvec(a, v))
     assert_jets_close(jeinsum("...ij,...kj->...ik", a, a), loop_jmatmul(
-        a, Jet(sp, np.swapaxes(a.c, -2, -3), a.order)))
+        a, Jet(a.space, np.swapaxes(a.c, -2, -3))))
 
 
 @settings(max_examples=20, deadline=None)
@@ -128,8 +140,8 @@ def test_jgrad_matches_stacked_partials(case):
     sp = jet_space(dim, order)
     a = random_jet(rng, sp, lead + (3,), cplx, int(rng.integers(1, order + 1)))
     g = jgrad(a)
-    assert g.c.shape == a.c.shape[:-1] + (dim, sp.n)
-    assert_jets_close(g, stacked_partials(a))
+    assert g.c.shape == a.c.shape[:-1] + (dim, jet_space(dim, a.order - 1).n)
+    assert_jets_close(g, stacked_partials(a, sp))
 
 
 def test_mismatched_spaces_and_exhausted_order_raise():
@@ -140,6 +152,8 @@ def test_mismatched_spaces_and_exhausted_order_raise():
         jeinsum("...i,...i->...", a, b)
     with pytest.raises(ValueError):
         jgrad(Jet(a.space, a.c, 0))
+    with pytest.raises(ValueError, match="cannot be valid"):
+        Jet(a.space, a.c, 4)
 
 
 # -- removed loop versions of the connection and Nijenhuis contractions -------
@@ -974,20 +988,17 @@ def test_block_assemblies_match_removed_copies(torus_bundle, kodaira_jets):
 # -- the degree rule against the full Leibniz product --------------------------
 
 
+def higher(a, b):
+    return max(a.space, b.space, key=lambda s: s.order)
+
+
 def leibniz_jeinsum(spec, a, b):
-    sp = a.space
-    ins, out = spec.split("->")
-    sa, sb = ins.split(",")
-    prod = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., sp.prod_a], b.c[..., sp.prod_b])
-    prod *= sp.prod_c
-    return Jet(sp, np.add.reduceat(prod, sp.prod_starts, axis=-1), min(a.order, b.order))
+    """The full-table product in the higher of the operands' spaces."""
+    return leibniz(spec, a, b, higher(a, b))
 
 
 def leibniz_mul(a, b):
-    sp = a.space
-    prod = a.c[..., sp.prod_a] * b.c[..., sp.prod_b]
-    prod = prod * sp.prod_c
-    return Jet(sp, np.add.reduceat(prod, sp.prod_starts, axis=-1), min(a.order, b.order))
+    return full_mul(a, b, higher(a, b))
 
 
 CONST_SPACES = [(4, 1), (4, 2), (4, 3), (6, 3)]
@@ -1236,11 +1247,11 @@ def neumann_inv(m):
     part, always, with no constant rule."""
     sp = m.space
     d = m.c.shape[-2]
-    m0inv_j = Jet.constant(sp, np.linalg.inv(m.value), m.order)
+    m0inv_j = Jet.constant(sp, np.linalg.inv(m.value))
     pert = m.c.copy()
     pert[..., 0] = 0
     e = jmatmul(m0inv_j, Jet(sp, pert, m.order))
-    eye = Jet.constant(sp, np.broadcast_to(np.eye(d), m.value.shape).copy(), m.order)
+    eye = Jet.constant(sp, np.broadcast_to(np.eye(d), m.value.shape).copy())
     acc = term = eye
     for k in range(1, m.order + 1):
         term = jmatmul(term, e)
@@ -1333,9 +1344,10 @@ def test_jet_solve_matches_neumann(dim, order, rhs, data):
     """For ``a`` of every top degree, the degree recursion agrees with the
     Neumann series applied to ``b`` and ``a @ x`` reproduces ``b``, both to
     roundoff of the terms summed (|a| |x|; derivative coefficients of x
-    reach 1e6 at order 3).  A non-constant ``a`` reads one table per degree;
-    a constant one takes the constant rule and is bitwise its constant
-    inverse applied to ``b``."""
+    reach 1e6 at order 3).  The solve runs in the space of ``b``'s order,
+    the lower one, where ``a`` is its prefix.  A prefix of ``a`` that is not
+    constant reads one table per degree; a constant one takes the constant
+    rule and is bitwise its constant inverse applied to ``b``."""
     top = data.draw(st.integers(0, order))
     cplx_a, cplx_b, seed = data.draw(const_draws)
     rng = np.random.default_rng(seed)
@@ -1346,11 +1358,12 @@ def test_jet_solve_matches_neumann(dim, order, rhs, data):
     apply = jmatvec if len(rhs) == 1 else jmatmul
     with pairs_spy() as calls:
         x = jet_solve(a, b)
-    if top:
-        assert calls == recursion_lookups(sp)
+    assert x.space is b.space
+    if min(top, b.order):
+        assert calls == recursion_lookups(b.space)
     else:
         assert_constant_rule(calls, "a")
-        old = apply(Jet.constant(sp, np.linalg.inv(a.value), a.order), b)
+        old = apply(Jet.constant(b.space, np.linalg.inv(a.value)), b)
         assert x.order == old.order and x.c.dtype == old.c.dtype
         assert np.array_equal(x.c, old.c)
     atol = ATOL * max(1.0, np.abs(a.c).max() * np.abs(x.c).max())
@@ -1432,6 +1445,60 @@ def assert_same_finite_values(new, old):
     assert np.array_equal(*per_point) and per_point[0][:4].all()
     both = fin_new & fin_old
     assert np.array_equal(new.value[both], old.value[both])
+
+
+# -- the storage rule: a result lives in the space of its order ---------------
+
+
+def oracle_results(a, b, v, x, sp):
+    """(kernel result, full-space oracle in ``sp``) for each kernel on the
+    (8, 3, 3) jets a (invertible) and b, the (8, 3) jet v and the (8,) jet
+    x (inside every elementary function's domain)."""
+    low = min(a.order, b.order)
+    xv = x.value
+    recip = [(-1.0) ** m * math.factorial(m) / xv ** (m + 1) for m in range(sp.order + 1)]
+    sins = [np.sin(xv), np.cos(xv), -np.sin(xv), -np.cos(xv)] * 2
+    eye = Jet.constant(sp, np.broadcast_to(np.eye(3), a.value.shape))
+    pairs = [(a * b, full_mul(a, b, sp)),
+             (a + b, Jet(sp, embed(a, sp) + embed(b, sp), low)),
+             (a - b, Jet(sp, embed(a, sp) - embed(b, sp), low)),
+             (jeinsum("...ij,...kj->...ik", a, b), leibniz("...ij,...kj->...ik", a, b, sp)),
+             (jet_solve(a, v), neumann_solve(a, v, sp)),
+             (jet_inv(a), neumann_solve(a, eye, sp)),
+             (x.exp(), taylor(x, [np.exp(xv)] * (sp.order + 1), sp)),
+             (x.reciprocal(), taylor(x, recip, sp))]
+    pairs += zip(x.sincos(), (taylor(x, sins[:sp.order + 1], sp),
+                              taylor(x, sins[1:sp.order + 2], sp)))
+    if a.order:
+        pairs.append((jgrad(a), stacked_partials(a, sp)))
+        pairs += [(a.partial(i), loop_partial(a, i, sp)) for i in range(sp.dim)]
+    return pairs
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+@pytest.mark.parametrize("dim,order", [(4, 3), (4, 4), (6, 3)])
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_results_live_in_the_space_of_their_order(dim, order, mixed, data):
+    """Every kernel, on operands valid to equal or to different orders,
+    returns a jet stored in ``jet_space(dim, order)`` of its own order whose
+    coefficients are the valid prefix of a full-space loop oracle, to
+    roundoff of the largest oracle coefficient times the largest of ``a``
+    (|a| |x| bounds the roundoff of the solves)."""
+    ka = data.draw(st.integers(0, order))
+    kb = data.draw(st.integers(0, order).filter(lambda k: (k != ka) == mixed))
+    cplx, seed = data.draw(inv_draws)
+    rng = np.random.default_rng(seed)
+    sp = jet_space(dim, order)
+    a = invertible_jet(rng, sp, cplx, ka)
+    b = random_jet(rng, sp, (8, 3, 3), cplx, kb)
+    v = random_jet(rng, sp, (8, 3), cplx, kb)
+    x = positive_jet(rng, sp, cplx, ka)
+    for new, old in oracle_results(a, b, v, x, sp):
+        assert new.space is jet_space(dim, new.order)
+        scale = max(1.0, np.abs(old.c).max() * np.abs(a.c).max())
+        assert new.order == old.order and new.c.shape == old.c.shape
+        np.testing.assert_allclose(new.c, old.c, rtol=RTOL, atol=ATOL * scale)
 
 
 def ref_p(data, jc):

@@ -3,12 +3,15 @@ byte for byte, as ``to_json`` (and so the CLI) writes them, with
 ``wall_time_s`` set to 0.
 
 A change that should move no residual (a refactor, a performance change)
-must leave every golden as it is.  When a residual is meant to move,
-regenerate the goldens and list each moved record in CHANGES.md:
+must leave every golden as it is.  On a mismatch the test names each moved
+field, check by check, with its golden and its new string.  When a residual
+is meant to move, regenerate the goldens and list each moved record in
+CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -36,9 +39,39 @@ def golden_text(stem: str) -> str:
     return rep.to_json()
 
 
+def _fields(node, path=()):
+    """(path, string) for each leaf of a parsed report; a check (the one
+    list holds the checks) is keyed by its name, and a name's later
+    occurrences by name and count."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        seen, items = {}, []
+        for check in node:
+            name = check["name"]
+            seen[name] = count = seen.get(name, 0) + 1
+            items.append((name if count == 1 else f"{name} ({count})", check))
+    else:
+        yield path, node
+        return
+    for key, value in items:
+        yield from _fields(value, path + (key,))
+
+
+def moved_fields(new: str, old: str) -> list:
+    """One line per field whose string differs between two reports."""
+    a, b = dict(_fields(json.loads(old))), dict(_fields(json.loads(new)))
+    return [f"{'/'.join(k)}: {a.get(k, '(absent)')} -> {b.get(k, '(absent)')}"
+            for k in dict.fromkeys([*a, *b]) if a.get(k) != b.get(k)]
+
+
 @pytest.mark.parametrize("stem", sorted(CONFIGS))
 def test_report_matches_golden(stem):
-    assert golden_text(stem) == (GOLDEN / f"{stem}.json").read_text()
+    new, old = golden_text(stem), (GOLDEN / f"{stem}.json").read_text()
+    moved = moved_fields(new, old)
+    if moved:
+        pytest.fail(f"{stem}.json, golden -> new:\n" + "\n".join(moved), pytrace=False)
+    assert new == old
 
 
 if __name__ == "__main__":

@@ -113,7 +113,6 @@ def test_jet_prefix_is_the_lower_order_quantity():
         cut = jet_prefix(f3, jet_space(4, k))
         assert cut.space is xk.space and cut.order == k
         assert np.array_equal(cut.c, (xk[:, 0] * xk[:, 1]).sin().c)
-    assert jet_prefix(x3, jet_space(4, 1), order=0).order == 0
     for space in (jet_space(6, 1), jet_space(4, 4)):
         with pytest.raises(ValueError, match="prefix"):
             jet_prefix(x3, space)
@@ -139,7 +138,7 @@ def test_sincos_is_sin_and_cos_from_one_set_of_powers(monkeypatch):
                 if cplx:
                     c = c + 1j * rng.normal(size=c.shape)
                 c[..., sp.degree > valid] = 0.0
-                for x in (Jet(sp, c, valid), Jet.constant(sp, c[..., 0], valid)):
+                for x in (Jet(sp, c, valid), Jet.constant(jet_space(dim, valid), c[..., 0])):
                     with monkeypatch.context() as m:
                         m.setattr(Jet, "__mul__", counted)
                         products.clear()

@@ -358,9 +358,14 @@ def test_other_queries_integrate_anew(torus_bundle, torus_points):
     flow = HamiltonianFlow(torus_bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-2)
     flow.flow_jet(jet_coords(4, 1, torus_points))
     full = jet_coords(4, 2, torus_points[:8])
+    # built valid to order 1, an order-2 jet is stored as its order-1 prefix:
+    # a row and coefficient prefix of the stored input, served by slicing
+    cut = Jet(full.space, full.c, 1)
+    out = flow.flow_jet(cut)
+    assert len(flow._cache) == 1
+    assert out.space is cut.space and np.array_equal(out.c, _fresh(flow, cut).c)
     for jc in (jet_coords(4, 1, torus_points + 1e-3),   # shifted points
                jet_coords(4, 1, torus_points[1:]),      # not a row prefix
-               Jet(full.space, full.c, 1),               # valid to order 1 only
                full):                                    # a higher order
         before = len(flow._cache)
         out = flow.flow_jet(jc)

@@ -157,11 +157,12 @@ def test_record_fails_non_finite_residuals():
 
 def test_one_residual_reduction(monkeypatch):
     """``structures.reduce_parts`` is the only implementation of the rule:
-    ``max_abs`` and ``worst`` delegate to it, and neither ``suites`` nor
-    ``engel`` writes an abs-max reduction of its own."""
+    ``max_abs`` and ``worst`` delegate to it, and none of ``suites``,
+    ``engel``, ``poisson``, ``flagmodel`` and ``gencomplex`` writes a
+    whole-array abs-max reduction of its own."""
     import inspect
     import re
-    from pbhverify import engel, structures, suites
+    from pbhverify import engel, flagmodel, gencomplex, poisson, structures, suites
     seen = []
     reduce_parts = structures.reduce_parts
     monkeypatch.setattr(structures, "reduce_parts",
@@ -169,10 +170,11 @@ def test_one_residual_reduction(monkeypatch):
     assert structures.max_abs(np.array([-3.0, 1.0])) == 3.0
     assert np.isnan(structures.worst(1.0, np.nan, 0.0))
     assert len(seen) == 2
-    for mod in (suites, engel):
+    for mod in (suites, engel, poisson, flagmodel, gencomplex):
         src = inspect.getsource(mod)
         assert ".max(initial=" not in src
         assert not re.search(r"np\.abs\([^\n]*\)\[mask\]\.max\(", src)
+        assert not re.search(r"np\.abs\([^\n]*\)\.max\(\)", src), mod.__name__
     assert not re.search(r"\b(max_abs|worst)\(", inspect.getsource(suites))
 
 
