@@ -199,9 +199,16 @@ def kodaira_phk(plan: SamplePlan) -> ModelDescriptor:
 
 @dataclass(frozen=True)
 class FExpr:
+    """A named Hamiltonian f of the chart coordinates.  ``value`` maps a
+    coordinate jet (B, dim) to f, and ``grad`` to the components of df at
+    the coordinates ``support``, (B, len(support)), in that order: every
+    other component of df is zero by construction, so ``grad`` leaves it
+    out and the flow contracts F^K's inverse over ``support`` only."""
+
     name: str
     value: callable
     grad: callable
+    support: tuple
 
 
 def _f_const(jc):
@@ -209,15 +216,15 @@ def _f_const(jc):
 
 
 def _f_const_grad(jc):
-    z = jc[:, 0] * 0.0
-    return _stack([z, z, z, z])
+    return jc[:, :0]  # no component of df is nonzero
 
 
 def _sin_pair(i, j, name) -> FExpr:
     """sin x_i sin x_j and its gradient, from one Taylor series of the
-    coordinate pair (x_i, x_j).  The two nonzero gradient components are one
-    jet product, (cos x_i, sin x_i) times (sin x_j, cos x_j), left factors
-    first, so they are bitwise cos x_i sin x_j and sin x_i cos x_j."""
+    coordinate pair (x_i, x_j).  The gradient's two components, on the
+    support (i, j), are one jet product, (cos x_i, sin x_i) times
+    (sin x_j, cos x_j), left factors first, so they are bitwise
+    cos x_i sin x_j and sin x_i cos x_j."""
     def value(jc):
         s, _ = jc[:, [i, j]].sincos()
         return s[:, 0] * s[:, 1]
@@ -226,12 +233,9 @@ def _sin_pair(i, j, name) -> FExpr:
         s, c = jc[:, [i, j]].sincos()
         left = Jet(s.space, np.stack([c.c[:, 0], s.c[:, 0]], axis=1))
         right = Jet(s.space, np.stack([s.c[:, 1], c.c[:, 1]], axis=1))
-        prod = left * right
-        out = np.zeros(jc.c.shape, dtype=prod.c.dtype)
-        out[:, [i, j]] = prod.c
-        return Jet(jc.space, out)
+        return left * right
 
-    return FExpr(name, value, grad)
+    return FExpr(name, value, grad, (i, j))
 
 
 def _gauss_u(jc):
@@ -246,14 +250,13 @@ def _f_gauss(jc):
 
 def _f_gauss_grad(jc):
     e = _f_gauss(jc)
-    z = jc[:, 0] * 0.0
-    return _stack([e * jc[:, 0].sin() * (-1.0), e * jc[:, 1].sin() * (-1.0), z, z])
+    return _stack([e * jc[:, 0].sin() * (-1.0), e * jc[:, 1].sin() * (-1.0)])
 
 
 F_CATALOG = {
-    "const": FExpr("const", _f_const, _f_const_grad),
+    "const": FExpr("const", _f_const, _f_const_grad, ()),
     "sin2": _sin_pair(0, 1, "sin2"),
-    "gauss": FExpr("gauss", _f_gauss, _f_gauss_grad),
+    "gauss": FExpr("gauss", _f_gauss, _f_gauss_grad, (0, 1)),
     # couples directions that the Hamiltonian field of the torus F^K moves,
     # so its flow is genuinely curved there
     "sin14": _sin_pair(0, 3, "sin14"),
@@ -404,10 +407,21 @@ class HamiltonianFlow:
     The velocity solves i_V F^K = df: V = (F^T)^-1 df for the chart matrix
     F = P^-T M P^-1 of the frame constant F^K, and (F^T)^-1 = P (M^T)^-1 P^T
     is a bivector frame constant.  (M^T)^-1 is computed once, at
-    construction; each velocity contracts each of its chart coefficients in
-    x1 with the gradient of f in one ``np.einsum`` and sums the terms by
-    Horner's rule in x1.  At degree 0 in x1 (both shipped models at their
-    default parameters) that is one einsum.
+    construction, and of each of its chart coefficients in x1 the flow
+    keeps only the columns of ``fexpr.support``, where df can be nonzero,
+    dropping trailing coefficients that are zero there (the x1 term at
+    c != 0 on kodaira for ``sin2``, ``gauss`` and ``const``).  Each velocity
+    contracts each kept coefficient with the gradient on the support in one
+    ``np.einsum`` and sums the terms by Horner's rule in x1.  At degree 0 in
+    x1 (both shipped models at their default parameters) that is one
+    einsum.  Every catalog support has at most two coordinates, so each
+    velocity component sums at most two nonzero products and is bitwise the
+    contraction with the full gradient.
+
+    RK4 builds each stage point k h + y and the update in owned arrays with
+    in-place operations, in the order ((k1 + 2 k2) + 2 k3 + k4) (dt / 6) + y
+    of the out-of-place stages, so each flowed coefficient is bitwise
+    theirs.
 
     Positions are integrated as jets, so the flow map's derivatives through
     third order ride along (variational equations included).  Each RK4
@@ -429,7 +443,12 @@ class HamiltonianFlow:
         self.step = step
         self._cache = []
         full = form_full_matrix(Jet.constant(jet_space(d, 0), frame.coeffs[0]), d)
-        self._inv_coeffs = _chart_coeffs("bivector", frame.e, np.linalg.inv(full.value.T))
+        support = list(fexpr.support)
+        terms = [c[:, support] for c in
+                 _chart_coeffs("bivector", frame.e, np.linalg.inv(full.value.T))]
+        while len(terms) > 1 and not terms[-1].any():
+            terms.pop()
+        self._inv_coeffs = terms
 
     def velocity(self, y: Jet) -> Jet:
         grad = self.fexpr.grad(y)
@@ -447,15 +466,24 @@ class HamiltonianFlow:
                 return hit
         n = max(1, int(round(abs(self.t) / self.step)))
         dt = self.t / n
-        y = jc
+        sp, y = jc.space, jc.c
         for _ in range(n):
-            k1 = self.velocity(y)
-            k2 = self.velocity(y + k1 * (dt / 2.0))
-            k3 = self.velocity(y + k2 * (dt / 2.0))
-            k4 = self.velocity(y + k3 * dt)
-            y = y + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
-        self._cache.append((jc, y))
-        return y
+            k1 = self.velocity(Jet(sp, y)).c
+            k2 = self.velocity(Jet(sp, _stage(k1, dt / 2.0, y))).c
+            k3 = self.velocity(Jet(sp, _stage(k2, dt / 2.0, y))).c
+            k4 = self.velocity(Jet(sp, _stage(k3, dt, y))).c
+            # ((k1 + 2 k2) + 2 k3 + k4) (dt / 6) + y, in k1's array
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= dt / 6.0
+            k1 += y
+            y = k1
+        out = Jet(sp, y)
+        self._cache.append((jc, out))
+        return out
 
     def escape_check(self, pts, box):
         """Crude smallness condition: t * max speed <= ESCAPE_FRACTION * min
@@ -468,6 +496,13 @@ class HamiltonianFlow:
             raise FlowTimeError(
                 f"flow time too large: t*|V| = {abs(self.t)*speed:.3g} exceeds "
                 f"{ESCAPE_FRACTION} * box side {min_side:.3g}")
+
+
+def _stage(k, h, y):
+    """The RK4 stage point k h + y, in a new array."""
+    s = k * h
+    s += y
+    return s
 
 
 def _prefix_slice(jc: Jet, stored: Jet, y: Jet) -> Jet | None:

@@ -164,10 +164,12 @@ def cyclic_nabla_q_form(data: BihermitianData, pts) -> np.ndarray:
 
 
 def lower_trivector(tri_vals: np.ndarray, g_vals: np.ndarray, dim: int):
-    """Trivector combo values -> lowered full 3-tensor values."""
+    """Trivector combo values -> lowered full 3-tensor values, contracted
+    pairwise (p, then q, then r)."""
     idx, sign = _full_index(dim, 3)
     full = (tri_vals[:, idx] * sign).reshape(tri_vals.shape[:1] + (dim, dim, dim))
-    return np.einsum("bpqr,bpx,bqy,brz->bxyz", full, g_vals, g_vals, g_vals)
+    return np.einsum("bpqr,bpx,bqy,brz->bxyz", full, g_vals, g_vals, g_vals,
+                     optimize=["einsum_path", (0, 1), (0, 2), (0, 1)])
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +340,8 @@ def chern_identity_residuals(data: BihermitianData, pts) -> dict:
 
     dq = chern.cov_deriv_endo(q).eval(pts)
     gdq = np.einsum("bxjy,bjz->bxyz", dq, gv)        # g((D_x Q) e_y, e_z)
-    gdq_j = np.einsum("bax,bajy,bjm,bmz->bxyz", jpv, dq, gv, jpv)
+    gdq_j = np.einsum("bax,bajy,bjm,bmz->bxyz", jpv, dq, gv, jpv,  # left to right
+                      optimize=["einsum_path", (0, 1), (0, 1), (0, 1)])
     res3 = gdq - gdq_j
 
     dq_lc = pair.lc.cov_deriv_endo(q).eval(pts)

@@ -6,12 +6,20 @@ operand's order), compute there over the whole product table or by a loop
 over multi-indices, and return a ``Jet`` valid to the order of the result,
 which the constructor cuts to the valid prefix.  The package kernels must
 equal that prefix.
+
+The last section keeps the Hamiltonian flow as it was before its velocity
+was contracted over the gradient's support: the full-width gradients of the
+catalog Hamiltonians (zero off the support), every chart coefficient of
+F^K's inverse in x1, and out-of-place RK4 stages, with every sine, cosine
+and exponential a full-table ``taylor`` composition.
 """
 
 import math
 
 import numpy as np
 
+from pbhverify.tensorcalc import form_full_matrix, jet_space
+from pbhverify.tensorcalc.fields import _chart_coeffs
 from pbhverify.tensorcalc.jets import Jet
 
 
@@ -93,3 +101,85 @@ def neumann_solve(a, b, space):
         term = leibniz(spec, e, term, space) * -1.0
         acc = acc + term
     return Jet(space, acc.c, min(a.order, b.order))
+
+
+# -- the flow before the support contraction -----------------------------------
+
+
+def _sin_derivs(x):
+    s, c = np.sin(x.value), np.cos(x.value)
+    return [s, c, -s, -c, s][:x.order + 1], [c, -s, -c, s, c][:x.order + 1]
+
+
+def ref_sin(x):
+    return taylor(x, _sin_derivs(x)[0], x.space)
+
+
+def ref_cos(x):
+    return taylor(x, _sin_derivs(x)[1], x.space)
+
+
+def ref_exp(x):
+    return taylor(x, [np.exp(x.value)] * (x.order + 1), x.space)
+
+
+# the coordinate pair of each sine-pair Hamiltonian sin x_i sin x_j
+SIN_PAIRS = {"sin2": (0, 1), "sin14": (0, 3), "sin13": (0, 2)}
+
+
+def ref_full_gradient(name, jc):
+    """df of the catalog Hamiltonian ``name`` at every coordinate, (B, dim),
+    zero off its support."""
+    if name in SIN_PAIRS:
+        i, j = SIN_PAIRS[name]
+        x = jc[:, [i, j]]
+        s, c = ref_sin(x), ref_cos(x)
+        left = Jet(s.space, np.stack([c.c[:, 0], s.c[:, 0]], axis=1))
+        right = Jet(s.space, np.stack([s.c[:, 1], c.c[:, 1]], axis=1))
+        out = np.zeros(jc.c.shape)
+        out[:, [i, j]] = (left * right).c
+        return Jet(jc.space, out)
+    z = jc[:, 0] * 0.0
+    if name == "const":
+        comps = [z, z, z, z]
+    elif name == "gauss":
+        s1, s2 = ref_sin(jc[:, 0] * 0.5), ref_sin(jc[:, 1] * 0.5)
+        e = ref_exp((s1 * s1 + s2 * s2) * (-2.0))
+        comps = [e * ref_sin(jc[:, 0]) * (-1.0), e * ref_sin(jc[:, 1]) * (-1.0), z, z]
+    else:
+        raise ValueError(f"no oracle gradient for {name!r}")
+    return Jet(jc.space, np.stack([q.c for q in comps], axis=1))
+
+
+def ref_inverse_coeffs(f_k):
+    """The chart coefficients in x1 of the inverse of F^K's transpose, a
+    bivector frame constant, at every component."""
+    frame, d = f_k.frame, f_k.chart.dim
+    full = form_full_matrix(Jet.constant(jet_space(d, 0), frame.coeffs[0]), d)
+    return _chart_coeffs("bivector", frame.e, np.linalg.inv(full.value.T))
+
+
+def ref_velocity(f_k, name, y):
+    """Each inverse coefficient contracted with the full gradient, the
+    terms summed by Horner's rule in x1."""
+    grad = ref_full_gradient(name, y)
+    terms = [Jet(grad.space, np.einsum("ij,...jr->...ir", c, grad.c))
+             for c in ref_inverse_coeffs(f_k)]
+    out = terms.pop()
+    while terms:
+        out = y[:, :1] * out + terms.pop()
+    return out
+
+
+def ref_flow(f_k, name, jc, t, step):
+    """Fixed-step RK4 of ``ref_velocity`` with out-of-place stages."""
+    n = max(1, int(round(abs(t) / step)))
+    dt = t / n
+    y = jc
+    for _ in range(n):
+        k1 = ref_velocity(f_k, name, y)
+        k2 = ref_velocity(f_k, name, y + k1 * (dt / 2.0))
+        k3 = ref_velocity(f_k, name, y + k2 * (dt / 2.0))
+        k4 = ref_velocity(f_k, name, y + k3 * dt)
+        y = y + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
+    return y

@@ -11,9 +11,10 @@ roundoff.  The last section keeps the second copies of single operations
 (transpose, Wirtinger derivative, antisymmetrization, N±, block assembly)
 that were deleted in favour of one implementation.  ``leibniz_jeinsum`` and
 ``leibniz_mul`` are the full gather/``reduceat`` products, and
-``neumann_inv`` and ``taylor_compose`` the Neumann series that ``jet_inv``
-used and the full Taylor composition, kept as the oracles of the degree
-rule and of the degree-recursive ``jet_solve``.  ``ref_sin_pair_grad``
+``neumann_inv`` and ``full_table_compose`` the Neumann series that
+``jet_inv`` used and the full-table Taylor composition, kept as the oracles
+of the degree rule, of the degree-recursive ``jet_solve`` and of the power
+tables.  ``ref_sin_pair_grad``
 and ``ref_constant_velocity`` are the stacked gradient and the broadcast
 ``jmatvec`` that the flow's velocity replaced, and ``ref_unprepped_courant``
 and ``ref_gcs_residual_jets`` the bracket and ``gcs_nijenhuis`` loop that
@@ -43,7 +44,7 @@ from pbhverify.gencomplex import (_courant, _prep, apply_endo, b_transform,
                                   coordinate_sections, courant_bracket,
                                   gcs_nijenhuis, pairing, random_poly_sections,
                                   random_poly_two_form, stack_axes, validate_twist)
-from pbhverify.models import Example2Params, example2_build
+from pbhverify.models import F_CATALOG, Example2Params, HamiltonianFlow, example2_build
 from pbhverify.structures import HermitianPair, levi_civita, max_abs, worst
 from pbhverify.tensorcalc import (ChartDomain, Field, SamplePlan, coordinate_vector,
                                   d_scalar, exterior_derivative, form_combos,
@@ -60,7 +61,8 @@ from pbhverify.tensorcalc.fields import _scale
 from pbhverify.tensorcalc.jets import Jet, JetSpace
 
 from jet_helpers import (embed, leibniz, leibniz_mul as full_mul, loop_partial,
-                         neumann_solve, taylor)
+                         neumann_solve, ref_flow, ref_inverse_coeffs, ref_velocity,
+                         taylor)
 
 RTOL = ATOL = 1e-12
 SPACES = [(4, 3), (6, 3)]
@@ -685,7 +687,9 @@ def ref_fundamental_form(gv, jv):
     return _stack([m[:, i, j] for (i, j) in form_combos(gv.c.shape[1], 2)])
 
 
-def ref_lower_trivector(tri_vals, g_vals, dim, triples):
+def ref_lower_trivector(tri_vals, g_vals, dim, triples, optimize=False):
+    """The full 3-tensor by a loop over permutations, lowered by one
+    einsum: the four-operand loop, or contracted along ``optimize``."""
     full = np.zeros(tri_vals.shape[:1] + (dim, dim, dim), dtype=tri_vals.dtype)
     import itertools as it
     for ci, combo in enumerate(triples):
@@ -693,7 +697,8 @@ def ref_lower_trivector(tri_vals, g_vals, dim, triples):
             sign = 1.0 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
             idx = tuple(combo[p] for p in perm)
             full[(slice(None),) + idx] = sign * tri_vals[:, ci]
-    return np.einsum("bpqr,bpx,bqy,brz->bxyz", full, g_vals, g_vals, g_vals)
+    return np.einsum("bpqr,bpx,bqy,brz->bxyz", full, g_vals, g_vals, g_vals,
+                     optimize=optimize)
 
 
 def ref_engel(lf, jc):
@@ -835,14 +840,19 @@ def test_top_form_component_matches_frame_evaluation(kodaira_jets, kodaira_pairs
 
 
 def test_lower_trivector_matches_permutation_loop(kodaira_model, torus_model, plan):
+    """Bitwise the permutation loop contracted pairwise (p, then q, then
+    r), and the four-operand loop to roundoff."""
     from pbhverify.poisson import lower_trivector
     rng = np.random.default_rng(5)
+    pairwise = ["einsum_path", (0, 1), (0, 2), (0, 1)]
     for model in (torus_model, kodaira_model):
         pts = plan.sample(model.chart)
         tri = rng.normal(size=(len(pts), 4))
         g = model.triple.g.eval(pts)
-        assert np.array_equal(lower_trivector(tri, g, 4),
-                              ref_lower_trivector(tri, g, 4, form_combos(4, 3)))
+        new = lower_trivector(tri, g, 4)
+        assert np.array_equal(new, ref_lower_trivector(tri, g, 4, form_combos(4, 3), pairwise))
+        np.testing.assert_allclose(new, ref_lower_trivector(tri, g, 4, form_combos(4, 3)),
+                                   rtol=RTOL, atol=ATOL)
 
 
 def test_engel_fields_match_removed_copies(kodaira_jets, kodaira_pairs):
@@ -1259,22 +1269,11 @@ def neumann_inv(m):
     return jmatmul(acc, m0inv_j)
 
 
-def taylor_compose(self, derivs):
-    """``Jet._compose`` without the constant rule: every power of du."""
-    sp = self.space
-    du = self.c.copy()
-    du[..., 0] = 0
-    dtype = np.result_type(self.c.dtype, derivs[0].dtype)
-    out = np.zeros(self.shape + (sp.n,), dtype=dtype)
-    out[..., 0] = derivs[0]
-    term = power = Jet(sp, du, self.order)
-    fact = 1.0
-    for m in range(1, min(self.order, len(derivs) - 1) + 1):
-        fact *= m
-        out = out + power.c * (derivs[m] / fact)[..., None]
-        if m < self.order:
-            power = power * term
-    return Jet(sp, out, self.order)
+def full_table_compose(self, *lists):
+    """``Jet._compose`` as the full-table ``taylor`` oracle, with no
+    constant rule and no power tables: one sum per list of derivatives."""
+    outs = tuple(taylor(self, list(ds), self.space) for ds in lists)
+    return outs if len(lists) > 1 else outs[0]
 
 
 ELEMENTARY = ["reciprocal", "sqrt", "exp", "log", "sin", "cos"]
@@ -1382,10 +1381,74 @@ def test_constant_compose_equals_taylor(dim, order, fn, draw):
     sp = jet_space(dim, order)
     x = constant_jet(positive_jet(rng, sp, cplx, int(rng.integers(0, order + 1))))
     new = getattr(x, fn)()
-    with mock.patch.object(Jet, "_compose", taylor_compose):
+    with mock.patch.object(Jet, "_compose", full_table_compose):
         old = getattr(x, fn)()
     assert new.order == old.order and new.c.dtype == old.c.dtype
     assert np.array_equal(new.c, old.c)
+
+
+POWER_SPACES = [(4, 2), (4, 3), (4, 4), (6, 3)]
+
+
+@pytest.mark.parametrize("fn", ELEMENTARY + ["sincos"])
+@pytest.mark.parametrize("dim,order", POWER_SPACES)
+@settings(max_examples=6, deadline=None)
+@given(inv_draws, st.integers(1, 4))
+def test_power_tables_compose_as_the_full_table(dim, order, fn, draw, low):
+    """Powers of du through ``JetSpace.power_pairs`` give every composition
+    the full-table ``taylor`` gives, up to the sign of a zero, also when
+    du has no coefficient below degree ``low`` (so high powers vanish)."""
+    cplx, seed = draw
+    rng = np.random.default_rng(seed)
+    sp = jet_space(dim, order)
+    x = positive_jet(rng, sp, cplx, order)
+    x.c[..., 1:sp.deg_starts[min(low, order)]] = 0.0
+    new = getattr(x, fn)()
+    with mock.patch.object(Jet, "_compose", full_table_compose):
+        old = getattr(x, fn)()
+    for a, b in zip(*((new, old) if fn == "sincos" else ((new,), (old,)))):
+        assert a.order == b.order and a.c.dtype == b.c.dtype
+        assert np.array_equal(a.c, b.c)
+
+
+def test_power_tables_are_the_nonzero_rows_of_the_full_table():
+    """Table m holds the full table's rows with deg a >= m and deg b >= 1
+    (a power of du has no coefficient below degree m, du none at degree 0),
+    and the whole segment of an output with three or more of those rows,
+    in the full table's order, with one ``reduceat`` segment per output of
+    degree >= m + 1."""
+    for dim, order in DEGREE_SPACES:
+        sp = jet_space(dim, order)
+        rows = {(int(x), int(y)): i for i, (x, y) in enumerate(zip(sp.prod_a, sp.prod_b))}
+        for m in range(1, order):
+            live = [i for i in range(len(sp.prod_out))
+                    if sp.degree[sp.prod_a[i]] >= m and sp.degree[sp.prod_b[i]] >= 1]
+            many = {g for g in sp.prod_out[live] if list(sp.prod_out[live]).count(g) > 2}
+            want = sorted(set(live) | {i for i, g in enumerate(sp.prod_out) if g in many})
+            t = sp.power_pairs(m)
+            idx = [rows[int(x), int(y)] for x, y in zip(t.a, t.b)]
+            assert idx == want
+            assert np.array_equal(t.c, sp.prod_c[idx])
+            outs = sp.prod_out[idx]
+            assert np.array_equal(outs[t.starts], np.arange(sp.deg_starts[m + 1], sp.n))
+            assert np.array_equal(np.unique(outs), outs[t.starts])
+        assert sorted(sp._powers) == list(range(1, order))
+
+
+@pytest.mark.parametrize("dim,order", POWER_SPACES)
+def test_nan_derivative_reaches_every_composition(dim, order):
+    """A NaN in one derivative coefficient of a general input reaches the
+    result's derivative coefficients through the power tables."""
+    rng = np.random.default_rng(10)
+    sp = jet_space(dim, order)
+    for pos in (1, sp.deg_starts[order] - 1, sp.n - 1):
+        x = positive_jet(rng, sp, False, order)
+        x.c[5, pos] = np.nan
+        for fn in ELEMENTARY + ["sincos"]:
+            outs = getattr(x, fn)()
+            for out in (outs if fn == "sincos" else (outs,)):
+                assert np.isnan(out.c[5, 1:]).any() and np.isfinite(out.value).all()
+                assert np.isfinite(np.delete(out.c, 5, axis=0)).all()
 
 
 @pytest.mark.parametrize("dim,order", DEGREE_SPACES)
@@ -1409,7 +1472,7 @@ def test_nan_derivative_takes_the_full_inverse_and_composition(dim, order):
         x.c[5, pos] = np.nan
         for fn in ELEMENTARY:
             new = getattr(x, fn)()
-            with mock.patch.object(Jet, "_compose", taylor_compose):
+            with mock.patch.object(Jet, "_compose", full_table_compose):
                 old = getattr(x, fn)()
             assert np.isnan(new.c[5, 1:]).any()
             assert np.array_equal(new.c, old.c, equal_nan=True)
@@ -1429,7 +1492,7 @@ def test_nonfinite_constant_value_stays_nonfinite(bad):
     with np.errstate(invalid="ignore", divide="ignore"):
         for fn in ELEMENTARY:
             new = getattr(x, fn)()
-            with mock.patch.object(Jet, "_compose", taylor_compose):
+            with mock.patch.object(Jet, "_compose", full_table_compose):
                 old = getattr(x, fn)()
             assert_same_finite_values(new, old)
         new, old = jet_inv(m), neumann_inv(m)
@@ -1538,7 +1601,7 @@ def test_pair_fields_equal_removed_formulas(model_name, seed, torus_model, kodai
     jc = jet_coords(4, 3, plan.sample(model.chart))
     for field, ref in ((data.p, ref_p), (data.s_root, ref_s_root),
                        (data.k_endo, ref_k_endo), (data.s_endo, ref_s_endo)):
-        with mock.patch.object(Jet, "_compose", taylor_compose):
+        with mock.patch.object(Jet, "_compose", full_table_compose):
             old = ref(data, jc)
         new = field.fn(jc)
         if model_name == "torus" or field is not data.k_endo:
@@ -1767,9 +1830,9 @@ def ref_constant_velocity(flow, grad, y):
 @pytest.mark.parametrize("model_name", ["torus", "kodaira"])
 def test_velocity_equals_the_removed_contraction(model_name, torus_model, kodaira_model):
     """At the default pair parameters the gradients of sin2, sin14 and
-    sin13 and the flow's velocity are bitwise the stacked gradient and the
-    broadcast ``jmatvec`` they replace, on coordinate and flowed jets of
-    orders 0-3."""
+    sin13 (on their supports) and the flow's velocity are bitwise the
+    stacked gradient and the broadcast ``jmatvec`` they replace, on
+    coordinate and flowed jets of orders 0-3."""
     from pbhverify.models import F_CATALOG, HamiltonianFlow
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 42)
@@ -1781,8 +1844,17 @@ def test_velocity_equals_the_removed_contraction(model_name, torus_model, kodair
         for order in range(4):
             jc = jet_coords(4, order, plan.sample(model.chart))
             for y in (jc, mover.flow_jet(jc)):
-                assert_jets_equal(fexpr.grad(y), ref(y))
+                assert fexpr.support == (i, j)
+                assert_jets_equal(fexpr.grad(y), ref(y)[:, [i, j]])
                 assert_jets_equal(flow.velocity(y), ref_constant_velocity(flow, ref, y))
+
+
+def full_gradient(fexpr, y):
+    """``fexpr.grad(y)`` at every coordinate, zero off its support."""
+    grad = fexpr.grad(y)
+    out = np.zeros(y.c.shape, dtype=grad.c.dtype)
+    out[:, list(fexpr.support)] = grad.c
+    return Jet(y.space, out)
 
 
 @pytest.mark.parametrize("model_name,params", [("torus", FRAME_PARAMS[0]),
@@ -1791,7 +1863,8 @@ def test_velocity_equals_the_removed_contraction(model_name, torus_model, kodair
                                                ("kodaira", LIFT_PARAMS[2])])
 def test_velocity_equals_the_jet_solve(model_name, params, torus_model, kodaira_model,
                                        monkeypatch):
-    """The flow's velocity is the jet solve it replaces, on coordinate and
+    """The flow's velocity is the jet solve it replaces, of F^K's transpose
+    against the full gradient, on coordinate and
     flowed jets of orders 0-3, for F^K constant and for F^K of degree 1 in
     x1 (c != 0 on kodaira), for every named Hamiltonian.  It inverts no jet
     and evaluates no F^K.  The results are bitwise equal except where the
@@ -1827,13 +1900,46 @@ def test_velocity_equals_the_jet_solve(model_name, params, torus_model, kodaira_
                 new = flow.velocity(y)
                 assert calls == []
                 old = jet_solve(jtranspose(form_full_matrix(fk_fn(y), 4)),
-                                flow.fexpr.grad(y))
+                                full_gradient(flow.fexpr, y))
                 if name in ("sin14", "sin13") and params.c:
                     err = np.abs(new.c - old.c).max()
                     assert err <= 4 * np.finfo(float).eps * np.abs(old.c).max()
                 else:
                     assert_jets_equal(new, old)
     assert len(f_k.frame.coeffs) == (2 if params.c else 1)
+
+
+FLOW_CASES = ([("torus", FRAME_PARAMS[0], name) for name in ("sin2", "sin14", "gauss", "const")]
+              + [("kodaira", FRAME_PARAMS[0], "sin13")]
+              + [("kodaira", params, name) for params in (FRAME_PARAMS[1], LIFT_PARAMS[2])
+                 for name in sorted(F_CATALOG)])
+
+
+@pytest.mark.parametrize("model_name,params,name", FLOW_CASES,
+                         ids=[f"{m}-c{p.c:g}-{n}" for m, p, n in FLOW_CASES])
+def test_flow_equals_the_full_gradient_oracle(model_name, params, name, torus_model,
+                                              kodaira_model):
+    """The velocity contracted over the gradient's support, with the x1
+    terms that are zero there trimmed, and the in-place RK4 stages equal
+    the full-gradient velocity and out-of-place RK4 of ``jet_helpers``
+    bitwise (``array_equal``), on coordinate and flowed jets of orders 0-3.
+    At c != 0 on kodaira F^K's inverse has an x1 term; it meets the support
+    of sin14 and sin13 only, and the flow drops it for the others."""
+    model = torus_model if model_name == "torus" else kodaira_model
+    plan = SamplePlan(8, 42)
+    f_k = example2_build(model, params, plan).f_k
+    mover = HamiltonianFlow(f_k, F_CATALOG["sin14"], 0.1, 2e-2)
+    fexpr = F_CATALOG[name]
+    flow = HamiltonianFlow(f_k, fexpr, 0.1, 2e-2)
+    full = ref_inverse_coeffs(f_k)
+    meets = any(c[:, list(fexpr.support)].any() for c in full[1:])
+    assert len(full) == (2 if params.c else 1)
+    assert len(flow._inv_coeffs) == (len(full) if meets else 1)
+    for order in range(4):
+        jc = jet_coords(4, order, plan.sample(model.chart))
+        for y in (jc, mover.flow_jet(jc)):
+            assert_jets_equal(flow.velocity(y), ref_velocity(f_k, name, y))
+            assert_jets_equal(flow.flow_jet(y), ref_flow(f_k, name, y, 0.1, 2e-2))
 
 
 # -- the batched deck check against the per-transformation loop ---------------

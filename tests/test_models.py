@@ -464,8 +464,10 @@ def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
                                                      kodaira_model, monkeypatch):
     """F^K is a frame constant on both models, so one velocity evaluation
     makes no ``jeinsum`` contraction (no ``JetSpace.pairs`` lookup).  On
-    kodaira with c != 0, where F^K is affine in x1, the x1 term takes one
-    ``Jet.__mul__`` by the jet of x1; F^K constant takes none."""
+    kodaira with c != 0, where F^K is affine in x1, the x1 term of its
+    inverse meets the gradient of sin13 and takes one ``Jet.__mul__`` by
+    the jet of x1; it is zero on the support of sin2, which takes none, as
+    F^K constant does."""
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 3)
     lookups, products = [], []
@@ -479,12 +481,13 @@ def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
         products.append(a)
         return mul(a, b)
 
-    cases = [(Example2Params(t=0.1), 0)]
+    cases = [(Example2Params(t=0.1), "sin2", 0)]
     if model_name == "kodaira":
-        cases.append((Example2Params(b=0.0, c=0.75, t=0.1), 1))
-    for params, n in cases:
+        curved = Example2Params(b=0.0, c=0.75, t=0.1)
+        cases += [(curved, "sin2", 0), (curved, "sin13", 1)]
+    for params, name, n in cases:
         bundle = example2_build(model, params, plan)
-        flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
+        flow = HamiltonianFlow(bundle.f_k, F_CATALOG[name], 0.1, 1e-3)
         y = jet_coords(4, 2, plan.sample(model.chart))
         products.clear()
         with monkeypatch.context() as m:
@@ -493,6 +496,42 @@ def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
             flow.velocity(y)
         x1_terms = [x for x in products if np.array_equal(x.c, y.c[:, :1])]
         assert lookups == [] and len(x1_terms) == n
+
+
+@pytest.mark.parametrize("model_name,params", [("torus", Example2Params(t=0.1)),
+                                               ("kodaira", Example2Params(b=0.0, c=0.75,
+                                                                          t=0.1))])
+def test_sin2_velocity_makes_one_jet_product(model_name, params, torus_model,
+                                             kodaira_model, monkeypatch):
+    """Work pin of one RK4 stage: an order-2 sin2 velocity makes exactly one
+    Jet x Jet product, the gradient's, and its ``sincos`` composition makes
+    none (powers of du go through ``JetSpace.power_pairs``).  On kodaira at
+    c != 0 the x1 term of F^K's inverse is zero on sin2's support and is
+    not applied."""
+    model = torus_model if model_name == "torus" else kodaira_model
+    plan = SamplePlan(8, 3)
+    bundle = example2_build(model, params, plan)
+    flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
+    y = jet_coords(4, 2, plan.sample(model.chart))
+    mul, compose = Jet.__mul__, Jet._compose
+    composing, products = [], []
+
+    def mul_spy(a, b):
+        if isinstance(b, Jet):
+            products.append("in _compose" if composing else "outside")
+        return mul(a, b)
+
+    def compose_spy(x, *lists):
+        composing.append(x)
+        try:
+            return compose(x, *lists)
+        finally:
+            composing.pop()
+
+    monkeypatch.setattr(Jet, "__mul__", mul_spy)
+    monkeypatch.setattr(Jet, "_compose", compose_spy)
+    flow.velocity(y)
+    assert products == ["outside"]
 
 
 @pytest.fixture
@@ -604,13 +643,20 @@ def test_conformal_metric_keeps_the_base_metric_cost(torus_model, conformal_metr
         assert np.array_equal(new.c[..., :old.space.n], old.c)
 
 
+def _value_gradient(fexpr, pts, k):
+    """The jet gradient of ``value`` through degree k, taken one order
+    deeper, at every coordinate."""
+    return jet_prefix(jgrad(fexpr.value(jet_coords(4, k + 1, pts))), jet_space(4, k))
+
+
 def _grad_error(grad, fexpr, pts, k):
-    """max |grad - jgrad(value)| over the coefficients through degree k, and
-    max |grad|; the jet gradient of the value is taken one order deeper."""
-    want = jet_prefix(jgrad(fexpr.value(jet_coords(4, k + 1, pts))), jet_space(4, k))
+    """max |grad - jgrad(value)| over the coefficients through degree k at
+    the coordinates of ``support``, and max |grad| there."""
+    want = _value_gradient(fexpr, pts, k)[:, list(fexpr.support)]
     got = grad(jet_coords(4, k, pts))
-    assert got.order == want.order == k
-    return float(np.abs(got.c - want.c).max()), float(np.abs(want.c).max())
+    assert got.order == want.order == k and got.shape == want.shape
+    return (float(np.abs(got.c - want.c).max(initial=0.0)),
+            float(np.abs(want.c).max(initial=0.0)))
 
 
 GRAD_EPS = 4.0  # the bound, in units of eps * max|grad|
@@ -620,17 +666,38 @@ GRAD_EPS = 4.0  # the bound, in units of eps * max|grad|
 @pytest.mark.parametrize("k", range(4))
 def test_hamiltonian_gradients_match_the_jet_gradient_of_the_value(name, k, torus_points):
     """Each hand-written ``grad`` of the catalog is the jet gradient of its
-    ``value`` through order k, to a few eps of max|grad| (measured: exact
-    for const, at most 1.2e-16 for the sine pairs and 7.8e-16 for gauss)."""
+    ``value`` on its ``support`` through order k, to a few eps of max|grad|
+    (measured: exact for const, whose support is empty, at most 1.2e-16 for
+    the sine pairs and 7.8e-16 for gauss)."""
     fexpr = F_CATALOG[name]
     err, scale = _grad_error(fexpr.grad, fexpr, torus_points, k)
     assert err <= GRAD_EPS * np.finfo(float).eps * scale
 
 
+def _off_support(fexpr, pts, k):
+    """max |jgrad(value)| through degree k at the coordinates off ``support``."""
+    off = [i for i in range(4) if i not in fexpr.support]
+    return float(np.abs(_value_gradient(fexpr, pts, k).c[:, off]).max())
+
+
+@pytest.mark.parametrize("name", sorted(F_CATALOG))
+def test_hamiltonian_gradients_vanish_off_their_support(name, torus_points):
+    """The jet gradient of each catalog ``value`` is exactly zero off the
+    declared ``support`` through order 3, so the flow may contract F^K's
+    inverse over the support alone; a support missing any of its
+    coordinates fails."""
+    fexpr = F_CATALOG[name]
+    for k in range(4):
+        assert _off_support(fexpr, torus_points, k) == 0.0
+    for i in fexpr.support:
+        narrowed = dataclasses.replace(fexpr, support=tuple(j for j in fexpr.support if j != i))
+        assert _off_support(narrowed, torus_points, 1) > 0.0
+
+
 @pytest.mark.parametrize("name", sorted(set(F_CATALOG) - {"const"}))
 def test_a_sign_flipped_gradient_component_fails_the_bound(name, torus_points):
-    """The bound above sees a wrong sign in any gradient component that is
-    not identically zero (const has none)."""
+    """The bound above sees a wrong sign in either component of the
+    gradient on its support (const has none)."""
     fexpr = F_CATALOG[name]
     value = fexpr.grad(jet_coords(4, 0, torus_points)).value
     live = np.flatnonzero(np.abs(value).max(axis=0) > 0)
