@@ -408,20 +408,13 @@ class HamiltonianFlow:
     F = P^-T M P^-1 of the frame constant F^K, and (F^T)^-1 = P (M^T)^-1 P^T
     is a bivector frame constant.  (M^T)^-1 is computed once, at
     construction, and of each of its chart coefficients in x1 the flow
-    keeps only the columns of ``fexpr.support``, where df can be nonzero,
-    dropping trailing coefficients that are zero there (the x1 term at
-    c != 0 on kodaira for ``sin2``, ``gauss`` and ``const``).  Each velocity
-    contracts each kept coefficient with the gradient on the support in one
-    ``np.einsum`` and sums the terms by Horner's rule in x1.  At degree 0 in
-    x1 (both shipped models at their default parameters) that is one
-    einsum.  Every catalog support has at most two coordinates, so each
-    velocity component sums at most two nonzero products and is bitwise the
-    contraction with the full gradient.
-
-    RK4 builds each stage point k h + y and the update in owned arrays with
-    in-place operations, in the order ((k1 + 2 k2) + 2 k3 + k4) (dt / 6) + y
-    of the out-of-place stages, so each flowed coefficient is bitwise
-    theirs.
+    keeps only the columns of ``fexpr.support``, where df can be nonzero.
+    Each velocity contracts each kept coefficient with the gradient on the
+    support in one ``np.einsum`` and sums the terms by Horner's rule in x1.
+    At degree 0 in x1 (both shipped models at their default parameters)
+    that is one einsum.  Every catalog support has at most two coordinates,
+    so each velocity component sums at most two nonzero products and is
+    bitwise the contraction with the full gradient.
 
     Positions are integrated as jets, so the flow map's derivatives through
     third order ride along (variational equations included).  Each RK4
@@ -444,11 +437,8 @@ class HamiltonianFlow:
         self._cache = []
         full = form_full_matrix(Jet.constant(jet_space(d, 0), frame.coeffs[0]), d)
         support = list(fexpr.support)
-        terms = [c[:, support] for c in
-                 _chart_coeffs("bivector", frame.e, np.linalg.inv(full.value.T))]
-        while len(terms) > 1 and not terms[-1].any():
-            terms.pop()
-        self._inv_coeffs = terms
+        self._inv_coeffs = [c[:, support] for c in
+                            _chart_coeffs("bivector", frame.e, np.linalg.inv(full.value.T))]
 
     def velocity(self, y: Jet) -> Jet:
         grad = self.fexpr.grad(y)
@@ -466,24 +456,15 @@ class HamiltonianFlow:
                 return hit
         n = max(1, int(round(abs(self.t) / self.step)))
         dt = self.t / n
-        sp, y = jc.space, jc.c
+        y = jc
         for _ in range(n):
-            k1 = self.velocity(Jet(sp, y)).c
-            k2 = self.velocity(Jet(sp, _stage(k1, dt / 2.0, y))).c
-            k3 = self.velocity(Jet(sp, _stage(k2, dt / 2.0, y))).c
-            k4 = self.velocity(Jet(sp, _stage(k3, dt, y))).c
-            # ((k1 + 2 k2) + 2 k3 + k4) (dt / 6) + y, in k1's array
-            k2 *= 2.0
-            k1 += k2
-            k3 *= 2.0
-            k1 += k3
-            k1 += k4
-            k1 *= dt / 6.0
-            k1 += y
-            y = k1
-        out = Jet(sp, y)
-        self._cache.append((jc, out))
-        return out
+            k1 = self.velocity(y)
+            k2 = self.velocity(y + k1 * (dt / 2.0))
+            k3 = self.velocity(y + k2 * (dt / 2.0))
+            k4 = self.velocity(y + k3 * dt)
+            y = y + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
+        self._cache.append((jc, y))
+        return y
 
     def escape_check(self, pts, box):
         """Crude smallness condition: t * max speed <= ESCAPE_FRACTION * min
@@ -496,13 +477,6 @@ class HamiltonianFlow:
             raise FlowTimeError(
                 f"flow time too large: t*|V| = {abs(self.t)*speed:.3g} exceeds "
                 f"{ESCAPE_FRACTION} * box side {min_side:.3g}")
-
-
-def _stage(k, h, y):
-    """The RK4 stage point k h + y, in a new array."""
-    s = k * h
-    s += y
-    return s
 
 
 def _prefix_slice(jc: Jet, stored: Jet, y: Jet) -> Jet | None:

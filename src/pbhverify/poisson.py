@@ -340,7 +340,8 @@ def chern_identity_residuals(data: BihermitianData, pts) -> dict:
 
     dq = chern.cov_deriv_endo(q).eval(pts)
     gdq = np.einsum("bxjy,bjz->bxyz", dq, gv)        # g((D_x Q) e_y, e_z)
-    gdq_j = np.einsum("bax,bajy,bjm,bmz->bxyz", jpv, dq, gv, jpv,  # left to right
+    # (jpv dq)(gv jpv): einsum appends each intermediate to its operands
+    gdq_j = np.einsum("bax,bajy,bjm,bmz->bxyz", jpv, dq, gv, jpv,
                       optimize=["einsum_path", (0, 1), (0, 1), (0, 1)])
     res3 = gdq - gdq_j
 
