@@ -18,6 +18,7 @@ from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          form_from_matrix, frame_field, jet_common, jet_coords,
                          jet_prefix, jet_space, jgrad, jmatmul, jtranspose, metric_field)
 from .tensorcalc.fields import _chart_coeffs, _scale
+from .tensorcalc.jets import _sine_derivs
 from .tensorcalc.calculus import _stack
 
 __all__ = ["ModelError", "IntegratorError", "FlowTimeError", "ModelDescriptor",
@@ -221,21 +222,29 @@ def _f_const_grad(jc):
 
 def _sin_pair(i, j, name) -> FExpr:
     """sin x_i sin x_j and its gradient, from one Taylor series of the
-    coordinate pair (x_i, x_j).  The gradient's two components, on the
-    support (i, j), are one jet product, (cos x_i, sin x_i) times
-    (sin x_j, cos x_j), left factors first, so they are bitwise
+    coordinate pair (x_i, x_j).  The gradient composes the pair once, with
+    derivatives that differ by entry, so that row 0 is (cos x_i, sin x_j)
+    and row 1 is (sin x_i, cos x_j); its two components, on the support
+    (i, j), are then one jet product of the two columns, (cos x_i, sin x_i)
+    times (sin x_j, cos x_j), left factors first, so they are bitwise
     cos x_i sin x_j and sin x_i cos x_j."""
+    pair = np.array([i, j])
+
     def value(jc):
         s, _ = jc[:, [i, j]].sincos()
         return s[:, 0] * s[:, 1]
 
     def grad(jc):
-        s, c = jc[:, [i, j]].sincos()
-        left = Jet(s.space, np.stack([c.c[:, 0], s.c[:, 0]], axis=1))
-        right = Jet(s.space, np.stack([s.c[:, 1], c.c[:, 1]], axis=1))
-        return left * right
+        x = Jet(jc.space, jc.c[:, None, pair])  # (B, 1, 2): one row, broadcast to two
+        s, c = np.sin(x.value), np.cos(x.value)
+        # entry (r, q) starts from cos where r == q, else from sin
+        rows = x._compose(_sine_derivs(np.where(_EYE2, c, s), np.where(_EYE2, -s, c), x.order))
+        return Jet(rows.space, rows.c[:, :, 0]) * Jet(rows.space, rows.c[:, :, 1])
 
     return FExpr(name, value, grad, (i, j))
+
+
+_EYE2 = np.eye(2, dtype=bool)
 
 
 def _gauss_u(jc):

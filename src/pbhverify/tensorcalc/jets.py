@@ -61,7 +61,29 @@ zero would regroup the sum (711 of 11,200 coefficients of ``sin`` at
 is bitwise the full-table one's up to the sign of a zero; at order 2 no
 output keeps three rows, and the square takes 16 of the 45 rows.  The
 structure of du^m drops the rows, not a scan of its values, and a NaN in a
-derivative coefficient reaches the result through the m = 1 term.
+derivative coefficient reaches the result through the m = 1 term.  Each
+derivs[m] broadcasts against the value, so one call can sum several
+series from one set of powers: ``sincos`` stacks sin and cos on a leading
+axis, and a derivative array that differs by column gives each column
+its own function (the flow's sine-pair gradient); the sums take one
+multiply-add per power for all of them, each entry bitwise the sum of its
+own series.  Every elementary function generates its derivative list for
+any order.
+
+Segment sums: ``Jet.__mul__`` and the power steps sum each output's rows
+in ``reduceat``'s grouping, p0 + ((p1 + p2) + p3): numpy adds a segment's
+first row to the pairwise sum of the rest, and its pairwise sum adds fewer
+than 8 float64 terms (4 complex ones) one after another.  A table none of
+whose outputs has more than 4 rows (the full and power tables of every
+space of order <= 2) also holds them as fixed-width (width, n_out) arrays,
+``LeibnizPairs.segments``, a short segment repeating its first row with
+coefficient 0; ``_leibniz`` gathers those and adds the rows as whole
+arrays, one ufunc call per row instead of one ``reduceat`` inner loop per
+output and point, bitwise ``reduceat``'s result up to the sign of a zero
+(an inf in a repeated row's factor makes that output NaN rather than
+inf).  Wider tables keep ``reduceat``: at (4, 3), (6, 3) and (2, 3), 8 or
+6 rows wide, the padding and the extra adds cost more than they save.
+``jeinsum`` and ``jet_solve`` sum with ``reduceat`` throughout.
 
 The rule reaches the other two kernels at degree 0.  ``jet_solve`` with a
 matrix whose derivative coefficients are all exactly zero is one constant
@@ -157,6 +179,10 @@ class JetSpace:
         # reduceat segment starts: every output index appears (gamma = gamma + 0)
         starts = np.searchsorted(self.prod_out, np.arange(self.n))
         self.prod_starts = starts.astype(np.int64)
+        # the full table with its segments, the table of ``Jet.__mul__``
+        self.product = LeibnizPairs(self.prod_a, self.prod_b, self.prod_c, self.prod_starts,
+                                    False, _segments(self.prod_out, self.prod_a,
+                                                     self.prod_b, self.prod_c))
         deg_a, deg_b = self.degree[self.prod_a], self.degree[self.prod_b]
         self._pairs = {}
         for da in range(self.order + 1):
@@ -188,10 +214,11 @@ class JetSpace:
         for m in range(1, self.order):
             keep = (deg_a >= m) & (deg_b >= 1)
             keep |= (np.bincount(self.prod_out[keep], minlength=self.n) > 2)[self.prod_out]
+            out, a, b, c = (x[keep] for x in (self.prod_out, self.prod_a,
+                                              self.prod_b, self.prod_c))
             self._powers[m] = LeibnizPairs(
-                self.prod_a[keep], self.prod_b[keep], self.prod_c[keep],
-                np.searchsorted(self.prod_out[keep], np.arange(self.deg_starts[m + 1], self.n)),
-                False)
+                a, b, c, np.searchsorted(out, np.arange(self.deg_starts[m + 1], self.n)),
+                False, _segments(out, a, b, c))
 
     def power_pairs(self, m: int) -> "LeibnizPairs":
         """The product-table rows that multiply the m-th power of a jet
@@ -212,13 +239,47 @@ class JetSpace:
 
 
 class LeibnizPairs(NamedTuple):
-    """One table of ``JetSpace.pairs``."""
+    """One table of ``JetSpace.pairs``, ``JetSpace.product`` or
+    ``JetSpace.power_pairs``: rows sorted by output, with the ``reduceat``
+    start of each output's segment."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     starts: np.ndarray
     trivial: bool  # one pair per output, coefficient 1
+    segments: "Segments | None" = None
+
+
+class Segments(NamedTuple):
+    """The rows of a table laid out as (width, n_out) arrays: row k of the
+    i-th output of the table sits at [k, i].  A segment shorter than
+    ``width`` repeats its first row with coefficient 0."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    width: int
+
+
+# the widest segment summed row by row as reduceat groups it, in every
+# dtype (module docstring, "Segment sums")
+_SEGMENT_WIDTH = 4
+
+
+def _segments(out, a, b, c):
+    """The fixed-width layout of the rows (a, b, c), sorted by their outputs
+    ``out`` (a run of consecutive indices, each present), or None when an
+    output has more than ``_SEGMENT_WIDTH`` rows."""
+    counts = np.bincount(out - out[0])
+    width = int(counts.max())
+    if width > _SEGMENT_WIDTH:
+        return None
+    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    k = np.arange(width)[:, None]
+    live = k < counts
+    row = np.where(live, first + k, first)
+    return Segments(a[row], b[row], np.where(live, c[row], 0.0), width)
 
 
 def _as_coeffs(space, x):
@@ -315,9 +376,7 @@ class Jet:
             return Jet(sp, a.c * o.c[..., :1])
         if _is_constant(a):
             return Jet(sp, a.c[..., :1] * o.c)
-        prod = a.c[..., sp.prod_a] * o.c[..., sp.prod_b]
-        prod = prod * sp.prod_c
-        return Jet(sp, np.add.reduceat(prod, sp.prod_starts, axis=-1))
+        return Jet(sp, _leibniz(sp.product, a.c, o.c))
 
     def __rmul__(self, other):
         return Jet(self.space, self.c * np.asarray(other)[..., None])
@@ -351,41 +410,40 @@ class Jet:
 
     # -- analytic functions via Taylor composition --------------------------
 
-    def _compose(self, derivs, *more):
-        """sum_m derivs[m]/m! * (self - value)^m, truncated at self.order.
-        Each further list in ``more`` (of the same length) gives one more
-        such sum from the same powers, and the sums come back as a tuple;
-        each is bitwise the sum its list alone would give."""
+    def _compose(self, derivs):
+        """sum_m derivs[m]/m! * (self - value)^m for m through self.order.
+        Each derivs[m] broadcasts against the value, and the result has the
+        broadcast shape: derivative arrays with leading axes stack several
+        series, or give each column its own, all from one set of powers, and
+        each entry is bitwise the sum its own derivatives alone would give."""
         sp = self.space
-        lists = (derivs,) + more
-        outs = []
-        for ds in lists:
-            dtype = np.result_type(self.c.dtype, ds[0].dtype)
-            outs.append(np.zeros(self.shape + (sp.n,), dtype=dtype))
-            outs[-1][..., 0] = ds[0]
+        dtype = np.result_type(self.c.dtype, derivs[0].dtype)
+        out = np.zeros(np.broadcast(self.value, derivs[0]).shape + (sp.n,), dtype)
+        out[..., 0] = derivs[0]
         if not _is_constant(self):  # else every power of self - value is zero
             du = self.c.copy()
             du[..., 0] = 0
             fact = 1.0
             power = du
-            for m in range(1, min(self.order, len(derivs) - 1) + 1):
+            for m in range(1, self.order + 1):
                 fact *= m
-                for k, ds in enumerate(lists):
-                    outs[k] += power * (ds[m] / fact)[..., None]
+                out += power * (derivs[m] / fact)[..., None]
                 if m < self.order:
                     power = _next_power(sp, power, du, m)
-        jets = tuple(Jet(sp, out) for out in outs)
-        return jets if more else jets[0]
+        return Jet(sp, out)
 
     def reciprocal(self):
         v = self.value
-        d = [1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4, 24.0 / v**5]
-        return self._compose([np.asarray(x) for x in d[: self.order + 1]])
+        return self._compose([np.asarray((-1) ** m * math.factorial(m) / v ** (m + 1))
+                              for m in range(self.order + 1)])
 
     def sqrt(self):
         r = np.sqrt(self.value)
-        d = [r, 0.5 / r, -0.25 / r**3, 0.375 / r**5, -0.9375 / r**7]
-        return self._compose([np.asarray(x) for x in d[: self.order + 1]])
+        derivs, coef = [r], 1.0
+        for m in range(1, self.order + 1):
+            coef *= 1.5 - m  # d^m/dv^m v^(1/2) = (1/2)(-1/2)...(3/2 - m) v^(1/2 - m)
+            derivs.append(np.asarray(coef / r ** (2 * m - 1)))
+        return self._compose(derivs)
 
     def exp(self):
         e = np.exp(self.value)
@@ -393,22 +451,24 @@ class Jet:
 
     def log(self):
         v = self.value
-        d = [np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4]
-        return self._compose([np.asarray(x) for x in d[: self.order + 1]])
+        return self._compose([np.log(v)] + [
+            np.asarray((-1) ** (m - 1) * math.factorial(m - 1) / v ** m)
+            for m in range(1, self.order + 1)])
 
     def sin(self):
         s, c = np.sin(self.value), np.cos(self.value)
-        return self._compose([s, c, -s, -c, s][: self.order + 1])
+        return self._compose(_sine_derivs(s, c, self.order))
 
     def cos(self):
         s, c = np.sin(self.value), np.cos(self.value)
-        return self._compose([c, -s, -c, s, c][: self.order + 1])
+        return self._compose(_sine_derivs(c, -s, self.order))
 
     def sincos(self):
-        """(sin, cos) from one set of powers; bitwise sin() and cos()."""
+        """(sin, cos) from one set of powers, stacked in one series;
+        bitwise sin() and cos()."""
         s, c = np.sin(self.value), np.cos(self.value)
-        n = self.order + 1
-        return self._compose([s, c, -s, -c, s][:n], [c, -s, -c, s, c][:n])
+        both = self._compose(_sine_derivs(np.array([s, c]), np.array([c, -s]), self.order))
+        return both[0], both[1]
 
     # -- complex helpers ----------------------------------------------------
 
@@ -465,10 +525,28 @@ def jet_common(*jets: Jet) -> tuple:
     return tuple(j if j.space is sp else Jet(j.space, j.c, sp.order) for j in jets)
 
 
+def _sine_derivs(d0, d1, order):
+    """d0, d1, -d0, -d1, d0, ... through ``order``: the derivatives of a
+    sine or cosine series whose first two are d0 and d1, each minus the one
+    two before it."""
+    derivs = [d0, d1][:order + 1]
+    while len(derivs) <= order:
+        derivs.append(-derivs[-2])
+    return derivs
+
+
 def _is_constant(x: Jet) -> bool:
     """Every derivative coefficient is exactly zero (NaN counts as nonzero);
-    an order-0 space has none, so its jets are constant without a scan."""
-    return x.space.order == 0 or not x.c[..., 1:].any()
+    an order-0 space has none, so its jets are constant without a scan.  The
+    first entry's coefficients are read first, as Python floats: a nonzero
+    one there decides without scanning the array, which is most of the
+    calls on a non-constant jet."""
+    if x.space.order == 0:
+        return True
+    c = x.c
+    if c.size and any(c[(0,) * (c.ndim - 1)].tolist()[1:]):
+        return False
+    return not c[..., 1:].any()
 
 
 def _top_degree(x: Jet) -> int:
@@ -485,12 +563,36 @@ def _top_degree(x: Jet) -> int:
 def _next_power(sp, power, du, m):
     """du^(m+1) from ``power`` = du^m through ``sp.power_pairs(m)``; the
     coefficients below degree m + 1 are zero."""
-    t = sp.power_pairs(m)
-    prod = power[..., t.a] * du[..., t.b]
-    prod *= t.c
-    out = np.zeros_like(power)
-    np.add.reduceat(prod, t.starts, axis=-1, out=out[..., sp.deg_starts[m + 1]:])
+    out = np.zeros(power.shape, power.dtype)
+    _leibniz(sp.power_pairs(m), power, du, out[..., sp.deg_starts[m + 1]:])
     return out
+
+
+def _leibniz(t, x, y, out=None):
+    """The Leibniz sums of table ``t`` for coefficient arrays x and y, each
+    output's rows summed as ``np.add.reduceat`` sums its segment.  A table
+    with ``segments`` gathers their fixed-width layout and adds its rows as
+    p0 + ((p1 + p2) + p3), reduceat's own grouping, so the result is
+    bitwise reduceat's up to the sign of a zero (a padding row adds an exact
+    zero, or a NaN where the row it repeats multiplies an inf); a wider
+    table gathers its rows and calls reduceat.  Written into ``out`` when
+    given, else into a new C-ordered array."""
+    seg = t.segments
+    if seg is None:
+        prod = x[..., t.a] * y[..., t.b]
+        return np.add.reduceat(prod * t.c, t.starts, axis=-1, out=out)
+    # the fancy gathers come back coefficient-axis-major, so each row below
+    # is one contiguous block
+    p = x[..., seg.a] * y[..., seg.b] * seg.c
+    if out is None:
+        out = np.empty(p.shape[:-2] + p.shape[-1:], p.dtype)
+    if seg.width == 1:
+        out[...] = p[..., 0, :]
+        return out
+    rest = p[..., 1, :]
+    for k in range(2, seg.width):
+        rest = rest + p[..., k, :]
+    return np.add(p[..., 0, :], rest, out=out)
 
 
 def jeinsum(spec: str, a: Jet, b: Jet) -> Jet:

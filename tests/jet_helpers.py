@@ -5,7 +5,8 @@ below take their operands into one larger space (``embed``: zero above each
 operand's order), compute there over the whole product table or by a loop
 over multi-indices, and return a ``Jet`` valid to the order of the result,
 which the constructor cuts to the valid prefix.  The package kernels must
-equal that prefix.
+equal that prefix.  ``reduceat_leibniz`` is the gather-and-``reduceat``
+kernel of one product table, the oracle of the segment sums.
 
 The last section keeps the Hamiltonian flow as it was before its velocity
 was contracted over the gradient's support: the full-width gradients of the
@@ -36,6 +37,16 @@ def embed(jet, space):
     c = np.zeros(jet.c.shape[:-1] + (space.n,), dtype=jet.c.dtype)
     c[..., :jet.space.n] = jet.c
     return c
+
+
+def reduceat_leibniz(t, x, y):
+    """The Leibniz sums of table ``t`` (a ``LeibnizPairs``: ``JetSpace.product``,
+    ``power_pairs(m)`` or ``pairs(da, db)``) for coefficient arrays x and y,
+    every row gathered and each output's segment summed by
+    ``np.add.reduceat``: the kernel the fixed-width segment sums replaced."""
+    prod = x[..., t.a] * y[..., t.b]
+    prod = prod * t.c
+    return np.add.reduceat(prod, t.starts, axis=-1)
 
 
 def _product(a, b, space, contract):
@@ -74,10 +85,12 @@ def loop_partial(a, i, space):
 
 def taylor(x, derivs, space):
     """sum_m derivs[m] / m! (x - x0)^m for ``x`` embedded in ``space``, with
-    every power a ``leibniz`` product there; valid to x.order."""
+    every power a ``leibniz`` product there; valid to x.order.  Each
+    derivs[m] broadcasts against the value, as in ``Jet._compose``."""
     du = Jet(space, embed(x, space))
     du.c[..., 0] = 0
-    out = np.zeros(du.c.shape, dtype=np.result_type(du.c.dtype, derivs[0].dtype))
+    shape = np.broadcast_shapes(du.shape, np.shape(derivs[0])) + (space.n,)
+    out = np.zeros(shape, dtype=np.result_type(du.c.dtype, derivs[0].dtype))
     out[..., 0] = derivs[0]
     power = du
     for m in range(1, space.order + 1):
@@ -108,7 +121,9 @@ def neumann_solve(a, b, space):
 
 def _sin_derivs(x):
     s, c = np.sin(x.value), np.cos(x.value)
-    return [s, c, -s, -c, s][:x.order + 1], [c, -s, -c, s, c][:x.order + 1]
+    cycle = [s, c, -s, -c]
+    return ([cycle[m % 4] for m in range(x.order + 1)],
+            [cycle[(m + 1) % 4] for m in range(x.order + 1)])
 
 
 def ref_sin(x):

@@ -10,7 +10,9 @@ run in a different order, so agreement is to a tolerance fixed from float64
 roundoff.  The last section keeps the second copies of single operations
 (transpose, Wirtinger derivative, antisymmetrization, N±, block assembly)
 that were deleted in favour of one implementation.  ``leibniz_jeinsum`` and
-``leibniz_mul`` are the full gather/``reduceat`` products, and
+``leibniz_mul`` are the full gather/``reduceat`` products,
+``reduceat_leibniz`` the gather/``reduceat`` kernel of one table (the
+oracle of the segment sums of ``Jet.__mul__`` and the power steps), and
 ``neumann_inv`` and ``full_table_compose`` the Neumann series that
 ``jet_inv`` used and the full-table Taylor composition, kept as the oracles
 of the degree rule, of the degree-recursive ``jet_solve`` and of the power
@@ -58,11 +60,11 @@ from pbhverify.tensorcalc import (ChartDomain, Field, SamplePlan, coordinate_vec
 from pbhverify.tensorcalc.calculus import _stack
 from pbhverify.tensorcalc.fields import _broadcast_const
 from pbhverify.tensorcalc.fields import _scale
-from pbhverify.tensorcalc.jets import Jet, JetSpace
+from pbhverify.tensorcalc.jets import Jet, JetSpace, _next_power
 
 from jet_helpers import (embed, leibniz, leibniz_mul as full_mul, loop_partial,
-                         neumann_solve, ref_flow, ref_inverse_coeffs, ref_velocity,
-                         taylor)
+                         neumann_solve, reduceat_leibniz, ref_flow, ref_inverse_coeffs,
+                         ref_velocity, taylor)
 
 RTOL = ATOL = 1e-12
 SPACES = [(4, 3), (6, 3)]
@@ -1269,11 +1271,10 @@ def neumann_inv(m):
     return jmatmul(acc, m0inv_j)
 
 
-def full_table_compose(self, *lists):
+def full_table_compose(self, derivs):
     """``Jet._compose`` as the full-table ``taylor`` oracle, with no
-    constant rule and no power tables: one sum per list of derivatives."""
-    outs = tuple(taylor(self, list(ds), self.space) for ds in lists)
-    return outs if len(lists) > 1 else outs[0]
+    constant rule and no power tables."""
+    return taylor(self, list(derivs), self.space)
 
 
 ELEMENTARY = ["reciprocal", "sqrt", "exp", "log", "sin", "cos"]
@@ -1433,6 +1434,120 @@ def test_power_tables_are_the_nonzero_rows_of_the_full_table():
             assert np.array_equal(outs[t.starts], np.arange(sp.deg_starts[m + 1], sp.n))
             assert np.array_equal(np.unique(outs), outs[t.starts])
         assert sorted(sp._powers) == list(range(1, order))
+
+
+# the float64 spaces of the segment-sum oracle; (4, 4) and complex
+# operands are drawn as well, whichever kernel they take
+KERNEL_SPACES = [(4, 1), (4, 2), (4, 3), (6, 3), (2, 3)]
+kernel_draws = st.tuples(st.sampled_from(LEADING), st.booleans(), st.integers(0, 2**32 - 1))
+
+
+def test_segments_lay_out_the_table_rows():
+    """``JetSpace.product`` and every power table carry segments exactly
+    when no output has more than 4 rows (every space of order <= 2 here);
+    output i's rows sit in column i in the table's order, and a shorter
+    segment repeats its first row with coefficient 0."""
+    for dim, order in KERNEL_SPACES + [(4, 4), (6, 2), (1, 3)]:
+        sp = jet_space(dim, order)
+        for t in [sp.product] + [sp.power_pairs(m) for m in range(1, order)]:
+            counts = np.diff(np.append(t.starts, len(t.a)))
+            seg = t.segments
+            assert (seg is not None) == (counts.max() <= 4)
+            if seg is None:
+                continue
+            assert seg.a.shape == seg.b.shape == seg.c.shape == (seg.width, len(t.starts))
+            assert seg.width == counts.max()
+            for i, (start, count) in enumerate(zip(t.starts, counts)):
+                rows = slice(start, start + count)
+                assert np.array_equal(seg.a[:count, i], t.a[rows])
+                assert np.array_equal(seg.b[:count, i], t.b[rows])
+                assert np.array_equal(seg.c[:count, i], t.c[rows])
+                assert (seg.a[count:, i] == t.a[start]).all() and (seg.b[count:, i] == t.b[start]).all()
+                assert (seg.c[count:, i] == 0.0).all()
+        assert (sp.product.segments is not None) == (order <= 2 or dim == 1 and order <= 3)
+
+
+@pytest.mark.parametrize("dim,order", KERNEL_SPACES + [(4, 4)])
+@settings(max_examples=8, deadline=None)
+@given(st.data(), kernel_draws)
+def test_product_matches_the_reduceat_kernel(dim, order, data, draw):
+    """``Jet.__mul__`` of two non-constant factors, at drawn top degrees,
+    equals the ``reduceat`` kernel over the full table bitwise up to the
+    sign of a zero (``array_equal`` counts -0.0 and 0.0 as equal): in
+    float64 through the segment sums where the table has them, and for
+    complex operands and (4, 4) too, whichever kernel they take."""
+    (shape_a, shape_b), cplx, seed = draw
+    da, db = data.draw(st.tuples(st.integers(1, order), st.integers(1, order)))
+    rng = np.random.default_rng(seed)
+    sp = jet_space(dim, order)
+    a = degree_jet(rng, sp, shape_a, cplx, da)
+    b = degree_jet(rng, sp, shape_b, data.draw(st.booleans()) and cplx, db)
+    new, old = (a * b).c, reduceat_leibniz(sp.product, a.c, b.c)
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert np.array_equal(new, old)
+    assert new.flags.c_contiguous
+
+
+def test_product_of_integer_coefficients_is_float():
+    """Integer coefficient arrays multiply to the float64 Leibniz sums,
+    through the segment sums and through ``reduceat``."""
+    for dim, order in ((2, 2), (2, 3)):
+        sp = jet_space(dim, order)
+        a = Jet(sp, np.arange(2 * sp.n).reshape(2, sp.n))
+        new = (a * a).c
+        assert new.dtype == np.float64
+        assert np.array_equal(new, reduceat_leibniz(sp.product, a.c * 1.0, a.c * 1.0))
+
+
+@pytest.mark.parametrize("dim,order", [(4, 2), (4, 3), (6, 3), (2, 3), (4, 4), (1, 3)])
+@settings(max_examples=6, deadline=None)
+@given(kernel_draws)
+def test_powers_match_the_reduceat_kernel(dim, order, draw):
+    """Every power step of ``_compose`` (``_next_power`` through
+    ``power_pairs(m)``) equals the ``reduceat`` kernel over the full table
+    bitwise up to the sign of a zero, for float64 and complex du."""
+    (shape, _), cplx, seed = draw
+    rng = np.random.default_rng(seed)
+    sp = jet_space(dim, order)
+    du = random_jet(rng, sp, shape, cplx, order).c
+    du[..., 0] = 0
+    power = du
+    for m in range(1, order):
+        new = _next_power(sp, power, du, m)
+        old = reduceat_leibniz(sp.product, power, du)
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+        power = old
+
+
+@pytest.mark.parametrize("dim,order", KERNEL_SPACES + [(4, 4)])
+def test_nan_derivative_reaches_the_product_and_powers(dim, order):
+    """A NaN in one derivative coefficient of a factor reaches exactly the
+    outputs the ``reduceat`` kernel of the same table gives NaN, in
+    products and in powers, through the segment sums and through
+    ``reduceat``; the finite ones agree as above."""
+    rng = np.random.default_rng(12)
+    sp = jet_space(dim, order)
+    for pos in (1, sp.deg_starts[order] - 1, sp.n - 1):
+        for cplx in (False, True):
+            a = random_jet(rng, sp, (8,), cplx, order)
+            b = random_jet(rng, sp, (8,), False, order)
+            a.c[3, pos] = np.nan
+            for x, y in ((a, b), (b, a)):
+                new, old = (x * y).c, reduceat_leibniz(sp.product, x.c, y.c)
+                assert np.isnan(new[3, 1:]).any() and np.isfinite(np.delete(new, 3, axis=0)).all()
+                assert np.array_equal(new, old, equal_nan=True)
+            du = a.c.copy()
+            du[..., 0] = 0
+            power = du
+            for m in range(1, order):
+                # the power table's own rows: the full table also multiplies
+                # the NaN by the structural zeros of du^m
+                old = np.zeros_like(power)
+                old[..., sp.deg_starts[m + 1]:] = reduceat_leibniz(sp.power_pairs(m), power, du)
+                power = _next_power(sp, power, du, m)
+                assert np.array_equal(power, old, equal_nan=True)
+                if sp.degree[pos] + m <= order:  # du^(m+1) has a term in it
+                    assert np.isnan(power[3]).any()
 
 
 @pytest.mark.parametrize("dim,order", POWER_SPACES)

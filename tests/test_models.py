@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -174,6 +175,30 @@ def test_flow_determinism(torus_model, plan):
         d = hamiltonian_deform(b, plan)
         vals.append(d.gamma1.eval(pts).tobytes())
     assert vals[0] == vals[1]
+
+
+# sha256 of the main integration's flowed coefficients (plus 0.0, so the
+# sign of a zero is not pinned) at seed 42 with 16 samples, t = 0.1
+FLOWED_JET_DIGESTS = {
+    ("torus", "sin2"): "801697a82ea133fad95fd4f78ba88dd0864b5e424970d2c52ee3214d328e9e9d",
+    ("torus", "sin14"): "1dd9ee3f6b7f9fa77451a65f5582137c5c9c586f9d360d578b3d5627b8b0f34e",
+    ("kodaira", "sin13"): "531e4bfd1b20921202dfae6bd2ed567bc090677eb0ff4387f66bcaa6e82f95bc",
+}
+
+
+@pytest.mark.parametrize("model_name,f_name", sorted(FLOWED_JET_DIGESTS))
+def test_flowed_jets_are_pinned(model_name, f_name):
+    """Every coefficient of the flowed order-2 jets is bitwise what it was
+    when the velocity's Leibniz sums went through ``np.add.reduceat``: a
+    kernel that regroups a sum moves the digest, which no full-gradient
+    oracle built on the same ``Jet.__mul__`` can see."""
+    plan = SamplePlan(16, 42)
+    bundle = example2_build(get_model(model_name, plan),
+                            Example2Params(t=0.1, f_name=f_name), plan)
+    (_, flowed), = hamiltonian_deform(bundle, plan).flow._cache
+    assert flowed.c.shape == (16, 4, 15) and flowed.c.dtype == np.float64
+    digest = hashlib.sha256((flowed.c + 0.0).tobytes()).hexdigest()
+    assert digest == FLOWED_JET_DIGESTS[model_name, f_name]
 
 
 def test_flow_escape_guard(torus_model, plan):
@@ -389,13 +414,14 @@ def test_gpk_flow_work_count(monkeypatch):
     calibration flows (5 and 10 steps) per coupled pair the order check
     tries: one pair, or at c = 0.75 two, (1, 2) leaving its residuals at
     roundoff.  F^K is a frame constant on each, so no velocity call solves
-    a jet system or evaluates F^K, and each takes one ``sincos``.  Each of
+    a jet system or evaluates F^K, and each takes one Taylor composition
+    (``Jet._compose``), the gradient's sines and cosines.  Each of
     the four ``gcs_nijenhuis`` calls takes two gradients, of the stacked
     sections and of their images under I."""
     calls, flows, inside, inner = [], [], [], []
     velocity, init, solve = HamiltonianFlow.velocity, HamiltonianFlow.__init__, jets.jet_solve
-    sincos, grad, nijenhuis = Jet.sincos, gencomplex.jgrad, suites.gcs_nijenhuis
-    sincos_calls, nij_calls, grads = [], [], []
+    compose, grad, nijenhuis = Jet._compose, gencomplex.jgrad, suites.gcs_nijenhuis
+    compose_calls, nij_calls, grads = [], [], []
 
     def counted(flow, y):
         calls.append(flow)
@@ -422,10 +448,10 @@ def test_gpk_flow_work_count(monkeypatch):
             inner.append("jet_solve")
         return solve(a, b)
 
-    def sincos_spy(x):
+    def compose_spy(x, derivs):
         if inside:
-            sincos_calls.append(x)
-        return sincos(x)
+            compose_calls.append(x)
+        return compose(x, derivs)
 
     def nijenhuis_spy(*args, **kwargs):
         nij_calls.append(len(grads))
@@ -438,20 +464,20 @@ def test_gpk_flow_work_count(monkeypatch):
     monkeypatch.setattr(HamiltonianFlow, "velocity", counted)
     monkeypatch.setattr(HamiltonianFlow, "__init__", tracked)
     monkeypatch.setattr(jets, "jet_solve", solve_spy)
-    monkeypatch.setattr(Jet, "sincos", sincos_spy)
+    monkeypatch.setattr(Jet, "_compose", compose_spy)
     monkeypatch.setattr(suites, "gcs_nijenhuis", nijenhuis_spy)
     monkeypatch.setattr(gencomplex, "jgrad", grad_spy)
     for model, pair, n in (("torus", {}, 461), ("kodaira", {}, 461),
                            ("kodaira", dict(b=0.0, c=0.75), 521)):
         calls.clear()
         flows.clear()
-        sincos_calls.clear()
+        compose_calls.clear()
         nij_calls.clear()
         grads.clear()
         rep = run_suite(SuiteConfig(suite="gpk-example2", model=model, samples=16,
                                     t=0.1, f_expr="sin2", step=1e-3, **pair))
         assert rep.passed
-        assert len(calls) == len(sincos_calls) == n
+        assert len(calls) == len(compose_calls) == n
         assert inner == []
         # gradients taken before each call: two per call, none outside them
         assert nij_calls == [0, 2, 4, 6] and len(grads) == 8
@@ -497,7 +523,7 @@ def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
 
 def test_sin2_velocity_makes_one_jet_product(torus_model, monkeypatch):
     """Work pin of one RK4 stage: an order-2 sin2 velocity on the torus
-    makes exactly one Jet x Jet product, the gradient's, and its ``sincos``
+    makes exactly one Jet x Jet product, the gradient's, and its Taylor
     composition makes none (powers of du go through
     ``JetSpace.power_pairs``)."""
     plan = SamplePlan(8, 3)
