@@ -305,12 +305,12 @@ class Example2Params:
 
 
 def complex_form(re: Field, im: Field) -> Field:
-    """Complex 2-form re + i im from two real 2-form fields."""
+    """Complex 2-form re + i im from two real 2-form fields, memoized."""
     def fn(jc):
         a, b = jet_common(re.fn(jc), im.fn(jc))
         return Jet(a.space, a.c.astype(np.complex128) + 1j * b.c)
 
-    return form_field(re.chart, 2, fn, cost=max(re.cost, im.cost))
+    return form_field(re.chart, 2, fn, cost=max(re.cost, im.cost)).memoized()
 
 
 @dataclass
@@ -498,7 +498,8 @@ def _prefix_slice(jc: Jet, stored: Jet, y: Jet) -> Jet | None:
 
 
 def flow_pullback_form(flow: HamiltonianFlow, omega: Field) -> Field:
-    """(Phi* omega)_x(u, v) = omega_{Phi(x)}(DPhi u, DPhi v) via jet transport."""
+    """(Phi* omega)_x(u, v) = omega_{Phi(x)}(DPhi u, DPhi v) via jet transport,
+    memoized."""
     chart = omega.chart
     d = chart.dim
 
@@ -509,7 +510,7 @@ def flow_pullback_form(flow: HamiltonianFlow, omega: Field) -> Field:
         m = jmatmul(jtranspose(jac), jmatmul(w, jac))
         return form_from_matrix(m, d)
 
-    return form_field(chart, 2, fn, cost=omega.cost + 1)
+    return form_field(chart, 2, fn, cost=omega.cost + 1).memoized()
 
 
 class FlowTimeError(ValueError):

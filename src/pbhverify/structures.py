@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensorcalc import (Field, Jet, d_scalar, endo_field, exterior_derivative,
+from .tensorcalc import (Field, Jet, d_scalar, exterior_derivative,
                          form_field, form_from_matrix, form_full, frame_field,
                          frame_lift, jeinsum, jet_coords, jet_inv, jet_solve,
                          jgrad, jmatmul, jmatvec, jtrace, jtranspose,
@@ -304,9 +304,10 @@ class BihermitianData:
       q                      the commutator Q = [J+, J-]
 
     K and S take p and sqrt(p^2 - 1) from the J+ and J- they evaluate.  Each
-    of p, sqrt(p^2 - 1), f, K and S has one jet formula; when J+ and J- are
-    constant in one frame, ``frame_lift`` evaluates it once, at x1 = 0, for
-    its frame components.  N± are plain field algebra, not lifted."""
+    of p, sqrt(p^2 - 1), f, K, S and Q has one jet formula; when J+ and J-
+    are constant in one frame, ``frame_lift`` evaluates it once, at x1 = 0,
+    for its frame components, and otherwise it is memoized.  N± are plain
+    field algebra, not lifted; N- is memoized, N+ (read once per jet) not."""
 
     g: Field
     jp: Field
@@ -315,9 +316,11 @@ class BihermitianData:
 
     def _lifted(self, kind, fn) -> Field:
         """The ``kind`` field evaluated by ``fn`` from J+ and J-, lifted to
-        a frame constant when they are constant in one frame."""
+        a frame constant when they are constant in one frame, else memoized
+        (a frame constant evaluates as a polynomial in x1 already)."""
         field = Field(self.g.chart, kind, fn, cost=max(self.jp.cost, self.jm.cost))
-        return frame_lift(field, self.jp, self.jm)
+        lifted = frame_lift(field, self.jp, self.jm)
+        return field.memoized() if lifted is field else lifted
 
     @cached_property
     def p(self) -> Field:
@@ -347,7 +350,7 @@ class BihermitianData:
 
     @cached_property
     def n_minus(self) -> Field:
-        return self.jp + self.jm * self.branch
+        return (self.jp + self.jm * self.branch).memoized()
 
     @cached_property
     def q(self) -> Field:
@@ -356,7 +359,7 @@ class BihermitianData:
             a, b = self.jp.fn(jc), self.jm.fn(jc)
             return jmatmul(a, b) - jmatmul(b, a)
 
-        return endo_field(self.g.chart, fn, cost=max(self.jp.cost, self.jm.cost))
+        return self._lifted("endo", fn)
 
     @cached_property
     def k_endo(self) -> Field:

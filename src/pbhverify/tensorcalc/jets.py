@@ -56,10 +56,8 @@ below degree m.  du^(m+1) is ``power`` times ``du`` through
 The dropped rows multiply an exact zero.  An output with three or more
 kept rows keeps its whole segment, zeros included, because ``reduceat``
 adds a segment's first row to the sum of the rest, and dropping a leading
-zero would regroup the sum (711 of 11,200 coefficients of ``sin`` at
-(4, 3) moved, by up to 2.2e-15).  So for a finite input every composition
-is bitwise the full-table one's up to the sign of a zero; at order 2 no
-output keeps three rows, and the square takes 16 of the 45 rows.  The
+zero would regroup the sum.  So for a finite input every composition is
+bitwise the full-table one's up to the sign of a zero.  The
 structure of du^m drops the rows, not a scan of its values, and a NaN in a
 derivative coefficient reaches the result through the m = 1 term.  Each
 derivs[m] broadcasts against the value, so one call can sum several
@@ -103,13 +101,10 @@ inverse jet: x_0 = inv(a0) b_0, and degree d applies inv(a0) to b_d minus
 the terms C(gamma, alpha) a_alpha x_beta with |alpha| >= 1, the rows of
 ``pairs(order, d - 1)`` with a degree-d output; ``jet_inv(m)`` is
 ``jet_solve(m, I)``.  It gathers with ``take(idx, axis=-1)``, which returns
-a C-contiguous array: a fancy-indexed ``x[..., idx]`` is
-coefficient-axis-major, and ``einsum("...ijr,...jkr->...ikr")`` on two of
-those at (64, 4, 4, 165) takes 5.5 ms against 0.6-0.7 ms on C-contiguous
-copies.  ``jeinsum`` keeps fancy gathers: ``take`` there changed
-``verify_s`` by -10% (breadth-kodaira), +4% (courant-torus) and -1%
-(gpk-flow-torus) over a Neumann-series solve, by -2%, +6% and -3% over
-this one, and moved ``closed-form-integrability`` 8.88e-15 -> 1.07e-14.
+a C-contiguous array, where a fancy-indexed ``x[..., idx]`` is
+coefficient-axis-major and ``np.einsum`` contracts it far more slowly.
+``jeinsum`` keeps fancy gathers: ``take`` there changes the order in which
+``np.einsum`` sums, and so moves residuals by roundoff.
 """
 
 from __future__ import annotations

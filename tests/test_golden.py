@@ -9,8 +9,12 @@ is meant to move, regenerate the goldens and list each moved record in
 CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+With ``--seed N --out DIR`` the script writes the five reports at seed N
+into DIR instead, so two checkouts compare with one ``diff -r``.
 """
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -31,10 +35,10 @@ CONFIGS = {
 }
 
 
-def golden_text(stem: str) -> str:
-    """The report of ``CONFIGS[stem]`` as ``to_json`` writes it, with
-    ``wall_time_s`` set to 0."""
-    rep = run_suite(SuiteConfig(seed=42, samples=64, **CONFIGS[stem]))
+def golden_text(stem: str, seed: int = 42) -> str:
+    """The report of ``CONFIGS[stem]`` at ``seed`` as ``to_json`` writes it,
+    with ``wall_time_s`` set to 0."""
+    rep = run_suite(SuiteConfig(seed=seed, samples=64, **CONFIGS[stem]))
     rep.wall_time_s = 0.0
     return rep.to_json()
 
@@ -75,7 +79,16 @@ def test_report_matches_golden(stem):
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+    parser = argparse.ArgumentParser(
+        description="Write the reports of the golden configurations, wall_time_s = 0.")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--out", type=Path, default=GOLDEN,
+                        help="directory to write to (default: the goldens)")
+    args = parser.parse_args()
+    if args.seed != 42 and args.out.resolve() == GOLDEN.resolve():
+        parser.error("the goldens are the seed-42 reports: give --out for another seed")
+    args.out.mkdir(parents=True, exist_ok=True)
     for stem in CONFIGS:
-        (GOLDEN / f"{stem}.json").write_text(golden_text(stem))
-        print(f"wrote {GOLDEN / f'{stem}.json'}", file=sys.stderr)
+        path = args.out / f"{stem}.json"
+        path.write_text(golden_text(stem, args.seed))
+        print(f"wrote {path}", file=sys.stderr)

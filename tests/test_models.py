@@ -201,6 +201,75 @@ def test_flowed_jets_are_pinned(model_name, f_name):
     assert digest == FLOWED_JET_DIGESTS[model_name, f_name]
 
 
+# Oracles from facts about Hamiltonian flows, not from the engine's kernels.
+# The velocity solves i_V F^K = df, so df(V) = F^K(V, V) = 0 and f o Phi_t = f
+# as jets, at every order; RK4's drift is O(|t| step^4).  On the curved
+# flows (torus sin14, kodaira sin13; t = 0.1, step 1e-3, 64 samples) it
+# reads 2.4e-15 to 6.8e-15 at seeds 42 and 7, and an RK4 with update
+# weights (1, 3, 1, 1)/6 reads 9.0e-12 to 9.4e-12.
+CONSERVED_BOUND = 1e-13
+CURVED = [("torus", "sin14", 42), ("torus", "sin14", 7),
+          ("kodaira", "sin13", 42), ("kodaira", "sin13", 7)]
+
+
+def _deformed_flow(model_name, f_name, seed):
+    """The main integration's flow and its order-2 input jet, as a t = 0.1
+    ``gpk-example2`` run at ``seed`` builds them."""
+    ctx = suites.SuiteContext(SuiteConfig(model=model_name, f_expr=f_name,
+                                          seed=seed, t=0.1))
+    return ctx.deformed.flow, jet_coords(4, 2, ctx.points())
+
+
+def _conservation_residual(flow, jc, flowed):
+    """max |f o Phi_t - f| over every coefficient of the order-2 jets."""
+    return float(np.abs(flow.fexpr.value(flowed).c - flow.fexpr.value(jc).c).max())
+
+
+def _faulty_rk4(flow, jc):
+    """The engine's RK4 schedule with the update weights (1, 3, 1, 1)/6."""
+    n = max(1, int(round(abs(flow.t) / flow.step)))
+    dt = flow.t / n
+    y = jc
+    for _ in range(n):
+        k1 = flow.velocity(y)
+        k2 = flow.velocity(y + k1 * (dt / 2.0))
+        k3 = flow.velocity(y + k2 * (dt / 2.0))
+        k4 = flow.velocity(y + k3 * dt)
+        y = y + (k1 + k2 * 3.0 + k3 + k4) * (dt / 6.0)
+    return y
+
+
+@pytest.mark.parametrize("model_name,f_name,seed", CURVED)
+def test_curved_flows_conserve_the_hamiltonian(model_name, f_name, seed):
+    flow, jc = _deformed_flow(model_name, f_name, seed)
+    assert _conservation_residual(flow, jc, flow.flow_jet(jc)) <= CONSERVED_BOUND
+
+
+@pytest.mark.parametrize("model_name,f_name,seed", CURVED)
+def test_a_wrong_rk4_weight_breaks_conservation(model_name, f_name, seed):
+    flow, jc = _deformed_flow(model_name, f_name, seed)
+    assert _conservation_residual(flow, jc, _faulty_rk4(flow, jc)) > CONSERVED_BOUND
+
+
+@pytest.mark.parametrize("model_name,f_name,shear", [
+    ("torus", "sin2", True), ("torus", "gauss", True), ("kodaira", "sin2", True),
+    ("torus", "sin14", False), ("kodaira", "sin13", False)])
+def test_a_shear_flows_to_the_straight_line(model_name, f_name, shear):
+    """A shear's velocity is constant along its flow, so Phi_t = id + t V,
+    up to one rounding per RK4 step of the flowed coordinates: within
+    n eps max|Phi_t| for n steps (measured 4.4e-14, 4.3e-14 and 5.6e-15
+    against 1.4e-13, 1.4e-13 and 2.2e-14).  A curved flow leaves the line
+    (by 1.0e-2)."""
+    flow, jc = _deformed_flow(model_name, f_name, 42)
+    flowed = flow.flow_jet(jc)
+    gap = np.abs(flowed.c - (jc + flow.velocity(jc) * flow.t).c).max()
+    steps = max(1, int(round(abs(flow.t) / flow.step)))
+    bound = steps * np.finfo(np.float64).eps * np.abs(flowed.c).max()
+    assert (gap <= bound) == shear
+    if not shear:
+        assert gap > 1e-3
+
+
 def test_flow_escape_guard(torus_model, plan):
     b = example2_build(torus_model, Example2Params(t=40.0, f_name="sin2"), plan)
     with pytest.raises(FlowTimeError):

@@ -10,10 +10,12 @@ builder twice on the same inputs outside the allowlist."""
 
 import sys
 from collections import Counter, defaultdict
+from functools import cached_property
 
 import pytest
 
 from pbhverify import structures, suites
+from pbhverify.tensorcalc import Field
 
 # module under pbhverify -> the Field builders it defines
 BUILDERS = {
@@ -208,3 +210,59 @@ def test_branch_functions_and_wedges_are_built_once_per_input(builds):
     torus = builds["all", "torus"]
     assert (_count(torus, "_branch"), _count(torus, "wedge")) == (3, 10)
     assert _count(builds["engel", "kodaira"], "_branch") == 3
+
+
+FORMULAS = ("p", "branch", "k_endo", "q", "n_minus")
+
+
+def test_derived_pair_fields_run_once_per_jet(monkeypatch):
+    """In 64-sample kodaira ``engel`` and ``poisson`` runs, p, f, K, Q and
+    N- of each pair run their jet formula once per distinct coordinate jet
+    (p ran 20 times on 9 jets, f 11 on 8, K 13 on 8, Q 8 on 3 and N- 9 on
+    8 when each read evaluated it again).  The count wraps the formula itself, beneath any memo or frame
+    lift: the first field that ``frame_lift`` or ``memoized`` takes inside
+    the owner's property, else the field the property returns.  A frame
+    constant runs its formula once, at the zero point."""
+    runs = Counter()  # (formula, owner, input jet) -> runs
+    held = []  # every owner, so no freed id is reused
+    building = []  # [formula name or None once counted, owner], innermost last
+    memoized, frame_lift = Field.memoized, structures.frame_lift
+
+    def count_formula(field):
+        if building and building[-1][0] is not None:
+            (name, data), fn = building[-1], field.fn
+            building[-1][0] = None
+            held.append(data)
+
+            def counted(jc):
+                runs[name, id(data), jc.order, jc.c.tobytes()] += 1
+                return fn(jc)
+
+            field.fn = counted
+        return field
+
+    def built(name, prop):
+        def build(data):
+            building.append([name, data])
+            try:
+                return count_formula(prop(data))
+            finally:
+                building.pop()
+
+        wrapped = cached_property(build)
+        wrapped.__set_name__(structures.BihermitianData, name)
+        return wrapped
+
+    monkeypatch.setattr(Field, "memoized", lambda f: memoized(count_formula(f)))
+    monkeypatch.setattr(structures, "frame_lift",
+                        lambda f, *inputs: frame_lift(count_formula(f), *inputs))
+    for name in FORMULAS:
+        prop = vars(structures.BihermitianData)[name].func
+        monkeypatch.setattr(structures.BihermitianData, name, built(name, prop))
+    for suite in ("engel", "poisson"):
+        report = suites.run_suite(suites.SuiteConfig(suite=suite, model="kodaira",
+                                                     samples=64, seed=42))
+        assert all(c.passed for c in report.checks)
+    assert {key[0] for key in runs} == set(FORMULAS)
+    repeated = sorted({key[0] for key, n in runs.items() if n > 1})
+    assert not repeated, repeated
