@@ -18,7 +18,7 @@ from .models import standard_split_quaternion_frame
 from .structures import BihermitianData, _branch_root, max_abs, reduce_parts
 from .tensorcalc import (ChartDomain, Field, bracket_jets, constant_endo,
                          constant_metric, coordinate_vector, d_scalar,
-                         endo_field, jet_inv, jmatvec, jtranspose,
+                         endo_field, jet_inv, jet_prefix, jmatvec, jtranspose,
                          oneform_field, scalar_field, vector_field)
 from .tensorcalc.calculus import _stack
 from .tensorcalc.fields import _broadcast_const, _scale, memoize_fn
@@ -169,7 +169,7 @@ class LeeFields:
 def lee_fields(data: BihermitianData, theta_p: Field | None = None,
                theta_m: Field | None = None) -> LeeFields:
     """The Lee-form fields of ``data``; theta± default to the Lee forms of
-    its pairs."""
+    its pairs.  g^-1, N-, K and theta± enter at the generators' order."""
     g = data.g
     chart = g.chart
     theta_p = data.pair_plus.theta if theta_p is None else theta_p
@@ -177,12 +177,13 @@ def lee_fields(data: BihermitianData, theta_p: Field | None = None,
 
     def fn(jc):
         """X, Y and |theta+|^2 from one inverse of g."""
-        ginv = jet_inv(g.fn(jc))
-        thp = theta_p.fn(jc)
+        keep = jc.order - cost
+        thp = theta_p.fn_at(jc, keep)
+        ginv = jet_inv(jet_prefix(g.fn(jc), thp.space))
         tp_sharp = jmatvec(ginv, thp)
-        tm_sharp = jmatvec(ginv, theta_m.fn(jc))
-        x = jmatvec(data.n_minus.fn(jc), tp_sharp)
-        y = tp_sharp - jmatvec(data.k_endo.fn(jc), tm_sharp)
+        tm_sharp = jmatvec(ginv, theta_m.fn_at(jc, keep))
+        x = jmatvec(data.n_minus.fn_at(jc, keep), tp_sharp)
+        y = tp_sharp - jmatvec(data.k_endo.fn_at(jc, keep), tm_sharp)
         return x, y, (thp * tp_sharp).sum(axis=-1)
 
     gens = memoize_fn(fn)
@@ -361,9 +362,10 @@ def synthetic_data(chart: ChartDomain) -> LeeFields:
     dp = d_scalar(scalar_field(chart, lambda jc: -a_fn(jc), cost=0))
 
     def theta_fn(jc):
-        # (dp o K)_i = dp_a K^a_i
-        comp = jmatvec(jtranspose(data.k_endo.fn(jc)), dp.fn(jc))
-        return _scale(comp, data.s_root.fn(jc).reciprocal())
+        # (dp o K)_i = dp_a K^a_i; K and sqrt(p^2 - 1) at dp's order
+        keep = jc.order - 1
+        comp = jmatvec(jtranspose(data.k_endo.fn_at(jc, keep)), dp.fn(jc))
+        return _scale(comp, data.s_root.fn_at(jc, keep).reciprocal())
 
     theta_p = oneform_field(chart, theta_fn, cost=1).memoized()
     return lee_fields(data, theta_p, -theta_p)

@@ -505,8 +505,8 @@ def flow_pullback_form(flow: HamiltonianFlow, omega: Field) -> Field:
 
     def fn(jc):
         y = flow.flow_jet(jc)
-        w = form_full_matrix(omega.fn(y), d)
         jac = jgrad(y)  # jac[i, j] = d_j Phi^i
+        w = form_full_matrix(omega.fn_at(y, jac.order - omega.cost), d)
         m = jmatmul(jtranspose(jac), jmatmul(w, jac))
         return form_from_matrix(m, d)
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .tensorcalc import (Field, Jet, d_scalar, exterior_derivative,
                          form_field, form_from_matrix, form_full, frame_field,
-                         frame_lift, jeinsum, jet_coords, jet_inv, jet_solve,
-                         jgrad, jmatmul, jmatvec, jtrace, jtranspose,
+                         frame_lift, jeinsum, jet_coords, jet_inv, jet_prefix,
+                         jet_solve, jgrad, jmatmul, jmatvec, jtrace, jtranspose,
                          nijenhuis_tensor, oneform_field, pullback_linear,
                          same_frame, vector_field)
 from .tensorcalc.fields import _scale, _broadcast_const, memoize_fn
@@ -89,8 +89,8 @@ class HermitianPair:
       df       its exterior derivative dF
       theta    the Lee form, theta ^ F = dF
       lc       the Levi-Civita connection of g
-      chern    the Chern connection, built on ``lc``:
-               g(D_X Y, Z) = g(nabla_X Y, Z) - (1/2) dF(JX, Y, Z)
+      chern    the Chern connection, built on ``lc``, with g^-1 and J at dF's
+               order: g(D_X Y, Z) = g(nabla_X Y, Z) - (1/2) dF(JX, Y, Z)
       torsion  the 3-form d^J F, (d^J F)(X, Y, Z) = -dF(JX, JY, JZ)"""
 
     g: Field
@@ -119,10 +119,10 @@ class HermitianPair:
 
         def gamma_fn(jc):
             gam = self.lc.gamma_fn(jc)
-            ginv = jet_inv(self.g.fn(jc))
             dfv = form_full(self.df.fn(jc), d, 3)
+            ginv = jet_inv(jet_prefix(self.g.fn(jc), dfv.space))
             # correction^k_{ij} = -1/2 g^{kl} dF(J e_i, e_j, e_l)
-            jdf = jeinsum("...ai,...ajl->...ijl", self.j.fn(jc), dfv)
+            jdf = jeinsum("...ai,...ajl->...ijl", self.j.fn_at(jc, dfv.order), dfv)
             return gam + jeinsum("...kl,...ijl->...kij", ginv, jdf) * (-0.5)
 
         return Connection(self.g.chart, gamma_fn, cost=max(self.lc.cost, self.df.cost))
@@ -195,8 +195,8 @@ def lee_form(pair: HermitianPair) -> Field:
         raise ValueError("Lee form solve is defined in dimension 4 only")
 
     def fn(jc):
-        m = _lee_solve_matrix(pair.f.fn(jc))
         rhs = pair.df.fn(jc)
+        m = _lee_solve_matrix(jet_prefix(pair.f.fn(jc), rhs.space))
         ranks = np.linalg.matrix_rank(m.value)
         if np.any(ranks < 4):
             bad = int(np.argmax(ranks < 4))
@@ -259,7 +259,7 @@ class Connection:
 
 
 def levi_civita(g: Field) -> Connection:
-    """Christoffel symbols from jet derivatives of g."""
+    """Christoffel symbols from jet derivatives of g, with g^-1 at dg's order."""
     chart = g.chart
 
     def gamma_fn(jc):
@@ -268,8 +268,8 @@ def levi_civita(g: Field) -> Connection:
         if np.any(np.abs(det) < 1e-13):
             bad = int(np.argmin(np.abs(det)))
             raise DegeneracyError(f"metric degenerate at point index {bad}")
-        ginv = jet_inv(gv)
         dg = jgrad(gv)  # dg[i, j, l] = d_l g_ij
+        ginv = jet_inv(jet_prefix(gv, dg.space))
         # s[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
         s = (np.einsum("...jlir->...lijr", dg.c) + np.einsum("...iljr->...lijr", dg.c)
              - np.einsum("...ijlr->...lijr", dg.c))
@@ -417,7 +417,7 @@ def check_p_gradient(data: BihermitianData, pts) -> float:
         d2 = dgp.fn(jc) * 2.0
         dth = thp.fn(jc) - thm.fn(jc)
         # (theta o Q)_i = theta_a Q^a_i
-        comp = jmatvec(jtranspose(data.q.fn(jc)), dth)
+        comp = jmatvec(jtranspose(data.q.fn_at(jc, dth.order)), dth)
         return d2 + comp
 
     f = oneform_field(chart, fn, cost=max(dgp.cost, thp.cost, thm.cost))

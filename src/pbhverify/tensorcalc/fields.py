@@ -15,7 +15,12 @@ layout by kind:
 
 ``cost`` is the number of derivative orders the evaluation consumes
 internally (exterior derivatives, Christoffels, flow Jacobians); evaluation
-seeds coordinate jets of order ``requested + cost``.
+seeds coordinate jets of order ``requested + cost``.  A closure evaluates
+an operand it only multiplies, and never differentiates, at the order its
+result keeps, ``operand.fn_at(jc, jc.order - cost)``; an inverse or solve
+takes its operand's prefix at its partner's order.  Jet kernels commute
+with the prefix bitwise (a vector solve cut onto the constant path aside),
+so no value moves.  An operand a memo also reads at full order stays there.
 
 Frame constants.  A scalar, an endo, a metric, a bivector or a 2-form may
 carry a ``FrameConstant``: its components ``m`` in the frame whose columns are
@@ -53,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .charts import ChartDomain
-from .jets import Jet, jet_coords
+from .jets import Jet, jet_coords, jet_prefix, jet_space
 
 __all__ = ["Field", "scalar_field", "vector_field", "oneform_field",
            "form_field", "endo_field", "metric_field", "bivector_field",
@@ -111,6 +116,10 @@ class Field:
         if out.order < order:
             raise RuntimeError(f"field {self.name or self.kind}: order bookkeeping violated")
         return out
+
+    def fn_at(self, jc: Jet, order: int) -> Jet:
+        """``fn`` at the prefix of ``jc`` that yields a jet valid to ``order``."""
+        return self.fn(jet_prefix(jc, jet_space(jc.space.dim, order + self.cost)))
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.eval_jet(points, 0).value

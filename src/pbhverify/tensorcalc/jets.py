@@ -87,9 +87,11 @@ The rule reaches the other two kernels at degree 0.  ``jet_solve`` with a
 matrix whose derivative coefficients are all exactly zero is one constant
 ``jeinsum`` of ``inv(a0)`` with ``b``, and ``_compose`` of a constant jet
 returns ``derivs[0]`` as a constant jet with no powers of the zero
-perturbation.  For a finite input every coefficient equals the full
-path's up to the sign of a zero: the full path adds products with an
-exact zero, which can turn a ``-0.0`` into ``0.0``.  The test is on the
+perturbation.  For a finite input a composition, and a solve for a
+matrix ``b``, equal the full path's up to the sign of a zero (the full
+path adds products with an exact zero, which can turn a ``-0.0`` into
+``0.0``); a solve for a vector ``b`` agrees to roundoff only, since
+``np.einsum`` contracts it in another loop.  The test is on the
 input, as for products: a NaN in a derivative coefficient takes the full
 path and reaches the result.  A non-finite value leaves a non-finite
 value at the same points as the full path; the full path also spreads

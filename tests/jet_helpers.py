@@ -8,6 +8,13 @@ which the constructor cuts to the valid prefix.  The package kernels must
 equal that prefix.  ``reduceat_leibniz`` is the gather-and-``reduceat``
 kernel of one product table, the oracle of the segment sums.
 
+``order_cuts`` records the jets ``jet_common`` cuts to a lower order, by
+the field closure that made the operation: a cut of a jet that is not
+constant is work done above the order the result keeps.  Run as a script
+it prints that table for one configuration:
+
+    PYTHONPATH=src python tests/jet_helpers.py --suite engel --model kodaira
+
 The last section keeps the Hamiltonian flow as it was before its velocity
 was contracted over the gradient's support: the full-width gradients of the
 catalog Hamiltonians (zero off the support), every chart coefficient of
@@ -15,11 +22,16 @@ F^K's inverse in x1, and out-of-place RK4 stages, with every sine, cosine
 and exponential a full-table ``taylor`` composition.
 """
 
+import argparse
+import contextlib
 import math
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from pbhverify.tensorcalc import form_full_matrix, jet_space
+from pbhverify.tensorcalc import form_full_matrix, jet_space, jets
 from pbhverify.tensorcalc.fields import _chart_coeffs
 from pbhverify.tensorcalc.jets import Jet
 
@@ -116,6 +128,72 @@ def neumann_solve(a, b, space):
     return Jet(space, acc.c, min(a.order, b.order))
 
 
+def _caller(frame):
+    """The innermost field closure (a frame with a local ``jc``) on the
+    stack from ``frame``, else the innermost frame outside
+    ``tensorcalc/jets.py``, as ``module:qualname``."""
+    outside = None
+    while frame is not None:
+        code = frame.f_code
+        path = Path(code.co_filename)
+        if (path.parent.name, path.name) != ("tensorcalc", "jets.py"):
+            label = f"{path.stem}:{getattr(code, 'co_qualname', code.co_name)}"
+            if "jc" in code.co_varnames:
+                return label
+            outside = outside or label
+        frame = frame.f_back
+    return outside
+
+
+@contextlib.contextmanager
+def order_cuts():
+    """Record each cut ``jet_common`` makes of a jet that is not constant,
+    in every module that binds it: yields a list that collects one
+    (caller, from order, to order) per cut jet, ``caller`` as ``_caller``
+    names it."""
+    cuts, common = [], jets.jet_common
+
+    def recording(*args):
+        out = common(*args)
+        to = out[0].order
+        orders = [j.order for j in args if j.order > to and not jets._is_constant(j)]
+        if orders:
+            caller = _caller(sys._getframe(1))
+            cuts.extend((caller, k, to) for k in orders)
+        return out
+
+    bound = [m for name, m in list(sys.modules.items())
+             if name.startswith("pbhverify") and getattr(m, "jet_common", None) is common]
+    for module in bound:
+        module.jet_common = recording
+    try:
+        yield cuts
+    finally:
+        for module in bound:
+            module.jet_common = common
+
+
+def main(argv=None):
+    """Print each (caller, from, to) that ``order_cuts`` records in one
+    configuration, with its count, most frequent first."""
+    from pbhverify.suites import SuiteConfig, run_suite
+
+    parser = argparse.ArgumentParser(
+        description="Print the order_cuts table of one run_suite configuration "
+                    "(64 samples, seed 42).")
+    parser.add_argument("--suite", required=True)
+    parser.add_argument("--model", required=True)
+    parser.add_argument("--t", type=float, default=0.0)
+    args = parser.parse_args(argv)
+    with order_cuts() as cuts:
+        run_suite(SuiteConfig(suite=args.suite, model=args.model, t=args.t))
+    rows = Counter(cuts).most_common()
+    width = max((len(caller) for (caller, _, _), _ in rows), default=6)
+    print(f"{'caller':<{width}}  from  to  cuts")
+    for (caller, k, to), n in rows:
+        print(f"{caller:<{width}}  {k:>4}  {to:>2}  {n:>4}")
+
+
 # -- the flow before the support contraction -----------------------------------
 
 
@@ -198,3 +276,7 @@ def ref_flow(f_k, name, jc, t, step):
         k4 = ref_velocity(f_k, name, y + k3 * dt)
         y = y + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
     return y
+
+
+if __name__ == "__main__":
+    main()

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import jet_helpers
+from jet_helpers import order_cuts
 from pbhverify import engel, models, suites
 from pbhverify.engel import (basis_identity_residuals, canonical_engel_span,
                              integrable_control_span, lee_fields,
@@ -12,7 +14,8 @@ from pbhverify.engel import (basis_identity_residuals, canonical_engel_span,
                              rank_tower, synthetic_data, theorem7_check)
 from pbhverify.structures import BihermitianData, levi_civita
 from pbhverify.tensorcalc import (Field, coordinate_vector, d_scalar,
-                                  jet_coords, lie_bracket, zero_form)
+                                  jet_coords, jet_prefix, jet_space, lie_bracket,
+                                  zero_form)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +98,8 @@ def test_rank_tower_evaluates_each_generator_once(torus_model, torus_points):
 
 
 def test_generators_invert_g_once(torus_model, kodaira_model, plan, monkeypatch):
-    """X, Y and |theta+|^2 at one coordinate jet invert g once between them."""
+    """X, Y and |theta+|^2 at one coordinate jet invert g once between them,
+    at the generators' order: the inverse's argument is g's prefix there."""
     calls, inv = [], engel.jet_inv
     monkeypatch.setattr(engel, "jet_inv", lambda m: calls.append(m) or inv(m))
     for model in (torus_model, kodaira_model):
@@ -105,7 +109,9 @@ def test_generators_invert_g_once(torus_model, kodaira_model, plan, monkeypatch)
             for field in (lf.x, lf.y, lf.theta_norm_sq):
                 field.fn(jc)
             assert len(calls) == 1
-            assert np.array_equal(calls[0].c, lf.data.g.fn(jc).c)
+            want = jet_prefix(lf.data.g.fn(jc), jet_space(4, 3 - lf.x.cost))
+            assert calls[0].space is want.space
+            assert np.array_equal(calls[0].c, want.c)
 
 
 def test_constant_p_near_degenerate_generators_inconclusive(monkeypatch):
@@ -257,8 +263,9 @@ def test_derivative_chain_evaluates_k_once(synthetic, torus_points, monkeypatch)
 
 def test_synthetic_j_minus_is_evaluated_once_per_coordinate_jet(monkeypatch):
     """A kodaira ``engel`` run evaluates the synthetic J- closure once per
-    distinct coordinate jet: 7 times (47 before it was memoized, 8 while the
-    degenerate control built a J- of its own)."""
+    distinct coordinate jet: 6 times (47 before it was memoized, 8 while the
+    degenerate control built a J- of its own, 7 while the Lee-form
+    generators and theta+ evaluated K at the order-3 coordinate jet)."""
     calls = []
     make = engel.endo_field
 
@@ -273,4 +280,35 @@ def test_synthetic_j_minus_is_evaluated_once_per_coordinate_jet(monkeypatch):
 
     monkeypatch.setattr(engel, "endo_field", spy)
     suites.run_suite(suites.SuiteConfig(suite="engel", model="kodaira", seed=42))
-    assert len(calls) == 7
+    assert len(calls) == 6
+
+
+# the closures that multiply operands they never differentiate: each
+# evaluates those at the order its result keeps (``Field.fn_at``)
+OPERAND_SITES = {"engel:lee_fields.<locals>.fn",
+                 "engel:synthetic_data.<locals>.theta_fn",
+                 "structures:levi_civita.<locals>.gamma_fn",
+                 "structures:HermitianPair.chern.<locals>.gamma_fn"}
+
+
+def test_operands_are_evaluated_at_the_order_they_keep():
+    """In a kodaira ``engel`` run no jet product of the Lee-form generators,
+    of the synthetic theta+ or of the Christoffel symbols cuts an operand
+    that is not constant (they used to evaluate g^-1, N- and K at order 3
+    for an order-2 result); the brackets of the rank tower still cut, since
+    they differentiate the generators they multiply."""
+    with order_cuts() as cuts:
+        suites.run_suite(suites.SuiteConfig(suite="engel", model="kodaira", seed=42))
+    callers = {caller for caller, _, _ in cuts}
+    assert "calculus:bracket_jets" in callers
+    assert not callers & OPERAND_SITES
+
+
+def test_order_cut_table_prints(capsys):
+    """``python tests/jet_helpers.py --suite engel --model kodaira`` prints
+    the cut table of that run, one (caller, from, to) row with its count."""
+    jet_helpers.main(["--suite", "engel", "--model", "kodaira"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["caller", "from", "to", "cuts"]
+    assert rows and all(len(row.split()) == 4 for row in rows)
+    assert any(row.split()[:3] == ["calculus:bracket_jets", "2", "1"] for row in rows)
