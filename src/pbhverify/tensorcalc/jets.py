@@ -60,53 +60,58 @@ zero would regroup the sum.  So for a finite input every composition is
 bitwise the full-table one's up to the sign of a zero.  The
 structure of du^m drops the rows, not a scan of its values, and a NaN in a
 derivative coefficient reaches the result through the m = 1 term.  Each
-derivs[m] broadcasts against the value, so one call can sum several
-series from one set of powers: ``sincos`` stacks sin and cos on a leading
-axis, and a derivative array that differs by column gives each column
-its own function (the flow's sine-pair gradient); the sums take one
-multiply-add per power for all of them, each entry bitwise the sum of its
-own series.  Every elementary function generates its derivative list for
-any order.
+derivs[m] broadcasts against the value, so one call sums several series
+from one set of powers (``sincos`` stacks sin and cos; the flow's
+sine-pair gradient gives each column its own function), each entry
+bitwise the sum of its own series.  Every elementary function generates
+its derivative list for any order.
 
-Segment sums: ``Jet.__mul__`` and the power steps sum each output's rows
-in ``reduceat``'s grouping, p0 + ((p1 + p2) + p3): numpy adds a segment's
-first row to the pairwise sum of the rest, and its pairwise sum adds fewer
-than 8 float64 terms (4 complex ones) one after another.  A table none of
-whose outputs has more than 4 rows (the full and power tables of every
-space of order <= 2) also holds them as fixed-width (width, n_out) arrays,
-``LeibnizPairs.segments``, a short segment repeating its first row with
-coefficient 0; ``_leibniz`` gathers those and adds the rows as whole
-arrays, one ufunc call per row instead of one ``reduceat`` inner loop per
-output and point, bitwise ``reduceat``'s result up to the sign of a zero
-(an inf in a repeated row's factor makes that output NaN rather than
-inf).  Wider tables keep ``reduceat``: at (4, 3), (6, 3) and (2, 3), 8 or
-6 rows wide, the padding and the extra adds cost more than they save.
-``jeinsum`` and ``jet_solve`` sum with ``reduceat`` throughout.
+Segment sums: a table none of whose outputs has more than 4 rows (the
+full and power tables of every space of order <= 2) also holds its rows
+as fixed-width (width, n_out) arrays, ``LeibnizPairs.segments``, a short
+segment repeating its first row with coefficient 0.  ``_leibniz`` adds
+those rows as whole arrays in ``reduceat``'s grouping, p0 + ((p1 + p2) +
+p3), bitwise ``reduceat``'s sums up to the sign of a zero (an inf in a
+repeated row's factor makes that output NaN rather than inf), as
+``test_product_matches_the_reduceat_kernel`` pins.  A table with a wider
+segment, and every table of ``jeinsum`` and ``jet_solve``, sums with
+``reduceat``.
 
-The rule reaches the other two kernels at degree 0.  ``jet_solve`` with a
-matrix whose derivative coefficients are all exactly zero is one constant
-``jeinsum`` of ``inv(a0)`` with ``b``, and ``_compose`` of a constant jet
-returns ``derivs[0]`` as a constant jet with no powers of the zero
-perturbation.  For a finite input a composition, and a solve for a
-matrix ``b``, equal the full path's up to the sign of a zero (the full
-path adds products with an exact zero, which can turn a ``-0.0`` into
-``0.0``); a solve for a vector ``b`` agrees to roundoff only, since
-``np.einsum`` contracts it in another loop.  The test is on the
+Direction rule: a space is wide when its full table has no segments
+(dims 2, 4 and 6 at order >= 3).  There ``Jet.__mul__`` and ``jeinsum``
+scan each factor once for its top degree and direction bits, the
+coordinates of the multi-indices holding a nonzero coefficient (NaN
+counts as nonzero).  For a union of bits neither empty nor every
+coordinate the kernel takes ``JetSpace.within``: the rows of its table
+(the full table, or ``pairs`` of the top degrees) whose ``a`` and ``b``
+use only those coordinates, their sums scattered into zeros.  An output
+in those coordinates keeps its whole segment in order, so its sum is
+bitwise the same, and every other output is a sum of exact zeros
+(``test_direction_rule_matches_the_full_rows``).  A factor with a
+coefficient that is not finite takes every row, so NaN and inf spread as
+on the full path (``test_nonfinite_factor_takes_the_full_rows``).
+Narrow tables keep every row.  Which products of a kodaira run take the
+rule is pinned by ``test_wide_products_take_the_rows_of_their_directions``.
+
+The degree rule reaches the other two kernels at degree 0: ``jet_solve``
+with a constant matrix is one constant ``jeinsum`` of ``inv(a0)`` with
+``b``, and ``_compose`` of a constant jet returns ``derivs[0]`` with no
+powers of the zero perturbation.  For a finite input both equal the full
+path up to the sign of a zero, but for a solve for a vector ``b``, which
+``np.einsum`` contracts in another loop, to roundoff.  The test is on the
 input, as for products: a NaN in a derivative coefficient takes the full
-path and reaches the result.  A non-finite value leaves a non-finite
-value at the same points as the full path; the full path also spreads
-it, through ``0 * inf`` and ``NaN * 0``, into other entries and into the
-derivative coefficients, which the constant path leaves zero.
+path.  A non-finite value stays non-finite at the same points; the full
+path also spreads it, through ``0 * inf`` and ``NaN * 0``, into other
+entries and into the derivative coefficients, which the constant path
+leaves zero.
 
 ``jet_solve(a, b)`` recurses over degrees, with no Neumann series and no
 inverse jet: x_0 = inv(a0) b_0, and degree d applies inv(a0) to b_d minus
 the terms C(gamma, alpha) a_alpha x_beta with |alpha| >= 1, the rows of
 ``pairs(order, d - 1)`` with a degree-d output; ``jet_inv(m)`` is
-``jet_solve(m, I)``.  It gathers with ``take(idx, axis=-1)``, which returns
-a C-contiguous array, where a fancy-indexed ``x[..., idx]`` is
-coefficient-axis-major and ``np.einsum`` contracts it far more slowly.
-``jeinsum`` keeps fancy gathers: ``take`` there changes the order in which
-``np.einsum`` sums, and so moves residuals by roundoff.
+``jet_solve(m, I)``.  It gathers with ``take(idx, axis=-1)``, whose
+C-contiguous result ``np.einsum`` contracts fastest; ``jeinsum`` keeps
+fancy gathers, as ``take`` there would move residuals by roundoff.
 """
 
 from __future__ import annotations
@@ -152,6 +157,9 @@ class JetSpace:
         self.degree = np.array([sum(m) for m in self.multi], dtype=np.int64)
         # degree d occupies [deg_starts[d], deg_starts[d + 1])
         self.deg_starts = np.searchsorted(self.degree, np.arange(order + 2))
+        # bit i of bits[k] is set when multi-index k has a positive entry i
+        self.bits = np.array([sum(1 << i for i, e in enumerate(m) if e) for m in self.multi])
+        self._within = {}
         self._build_product_table()
         self._build_power_tables()
         self._build_grad_table()
@@ -200,6 +208,18 @@ class JetSpace:
         prefix of the multi-indices); every table is built with the space."""
         return self._pairs[da, db]
 
+    def within(self, da: int, db: int, bits: int) -> tuple:
+        """The rows of ``pairs(da, db)`` whose ``a`` and ``b`` use only the
+        coordinates in the bit set ``bits``, and their outputs; built once."""
+        if (da, db, bits) not in self._within:
+            t = self._pairs[da, db]
+            live = (self.bits[:len(t.starts)] & ~bits) == 0
+            rows = np.flatnonzero(np.repeat(live, np.diff(t.starts, append=len(t.a))))
+            cut = t._replace(a=t.a[rows], b=t.b[rows], c=t.c[rows],
+                             starts=np.searchsorted(rows, t.starts[live]))
+            self._within[da, db, bits] = cut, np.flatnonzero(live)
+        return self._within[da, db, bits]
+
     def _build_power_tables(self):
         # (u - u0)^m has no coefficient below degree m and u - u0 none at
         # degree 0, so its product with u - u0 needs only the rows with
@@ -236,9 +256,9 @@ class JetSpace:
 
 
 class LeibnizPairs(NamedTuple):
-    """One table of ``JetSpace.pairs``, ``JetSpace.product`` or
-    ``JetSpace.power_pairs``: rows sorted by output, with the ``reduceat``
-    start of each output's segment."""
+    """One table of ``JetSpace.pairs`` (or its ``within`` cut), ``product``
+    or ``power_pairs``: rows sorted by output, with the ``reduceat`` start
+    of each output's segment."""
 
     a: np.ndarray
     b: np.ndarray
@@ -373,6 +393,10 @@ class Jet:
             return Jet(sp, a.c * o.c[..., :1])
         if _is_constant(a):
             return Jet(sp, a.c[..., :1] * o.c)
+        if sp.product.segments is None:  # wide: the direction rule
+            t, outs = _directed(sp, sp.order, sp.order, _scan(a)[1] | _scan(o)[1], a, o)
+            c = _leibniz(t, a.c, o.c)
+            return Jet(sp, c if outs is None else _widen(c, outs, sp.n))
         return Jet(sp, _leibniz(sp.product, a.c, o.c))
 
     def __rmul__(self, other):
@@ -557,6 +581,26 @@ def _top_degree(x: Jet) -> int:
     return 1
 
 
+def _scan(x: Jet) -> tuple:
+    """(top degree, direction bits) of ``x``; NaN counts as nonzero."""
+    nz = np.flatnonzero(np.any(x.c, axis=tuple(range(x.c.ndim - 1))))
+    return int(x.space.degree[nz].max(initial=0)), int(np.bitwise_or.reduce(x.space.bits[nz]))
+
+
+def _directed(sp, da, db, bits, a, b):
+    """``sp.pairs(da, db)``, or its rows ``within`` partial ``bits`` of finite factors."""
+    if 0 < bits < (1 << sp.dim) - 1 and np.isfinite(a.c).all() and np.isfinite(b.c).all():
+        return sp.within(da, db, bits)
+    return sp.pairs(da, db), None
+
+
+def _widen(c, outs, n):
+    """Sums ``c`` written at outputs ``outs`` (None: a prefix) of n zeros."""
+    full = np.zeros(c.shape[:-1] + (n,), c.dtype)
+    full[..., slice(c.shape[-1]) if outs is None else outs] = c
+    return full
+
+
 def _next_power(sp, power, du, m):
     """du^(m+1) from ``power`` = du^m through ``sp.power_pairs(m)``; the
     coefficients below degree m + 1 are zero."""
@@ -600,17 +644,17 @@ def jeinsum(spec: str, a: Jet, b: Jet) -> Jet:
         a, b = jet_common(a, b)
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    sp = a.space
-    t = sp.pairs(_top_degree(a), _top_degree(b))
+    sp, outs = a.space, None
+    if sp.product.segments is None:  # wide: the direction rule
+        (da, ba), (db, bb) = _scan(a), _scan(b)
+        t, outs = _directed(sp, da, db, ba | bb, a, b)
+    else:
+        t = sp.pairs(_top_degree(a), _top_degree(b))
     c = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., t.a], b.c[..., t.b])
     if not t.trivial:
         c *= t.c
         c = np.add.reduceat(c, t.starts, axis=-1)
-    if len(t.starts) < sp.n:
-        full = np.zeros(c.shape[:-1] + (sp.n,), dtype=c.dtype)
-        full[..., :len(t.starts)] = c
-        c = full
-    return Jet(sp, c)
+    return Jet(sp, c if c.shape[-1] == sp.n else _widen(c, outs, sp.n))
 
 
 def jgrad(a: Jet) -> Jet:

@@ -6,7 +6,9 @@ operand's order), compute there over the whole product table or by a loop
 over multi-indices, and return a ``Jet`` valid to the order of the result,
 which the constructor cuts to the valid prefix.  The package kernels must
 equal that prefix.  ``reduceat_leibniz`` is the gather-and-``reduceat``
-kernel of one product table, the oracle of the segment sums.
+kernel of one product table, the oracle of the segment sums, and
+``pairs_jeinsum`` the ``jeinsum`` of every row of a degree table, the
+oracle of the direction rule.
 
 ``order_cuts`` records the jets ``jet_common`` cuts to a lower order, by
 the field closure that made the operation: a cut of a jet that is not
@@ -14,6 +16,12 @@ constant is work done above the order the result keeps.  Run as a script
 it prints that table for one configuration:
 
     PYTHONPATH=src python tests/jet_helpers.py --suite engel --model kodaira
+
+``direction_audit`` records, for every jet product taken through a
+Leibniz table in any space, the coordinates its factors depend on and the
+rows of the table in those coordinates (``JetSpace.within``) against the
+table's rows, and whether the kernel took those rows (the direction rule
+of the wide spaces).  ``--directions`` prints that table instead.
 
 The last section keeps the Hamiltonian flow as it was before its velocity
 was contracted over the gradient's support: the full-width gradients of the
@@ -33,7 +41,7 @@ import numpy as np
 
 from pbhverify.tensorcalc import form_full_matrix, jet_space, jets
 from pbhverify.tensorcalc.fields import _chart_coeffs
-from pbhverify.tensorcalc.jets import Jet
+from pbhverify.tensorcalc.jets import Jet, JetSpace
 
 
 def partials(jet, alpha):
@@ -59,6 +67,22 @@ def reduceat_leibniz(t, x, y):
     prod = x[..., t.a] * y[..., t.b]
     prod = prod * t.c
     return np.add.reduceat(prod, t.starts, axis=-1)
+
+
+def pairs_jeinsum(spec, a, b):
+    """``jeinsum`` of a and b, of one space, through ``pairs`` of their top
+    degrees with every row and output: the kernel without the direction
+    rule, as a coefficient array (..., n)."""
+    sp = a.space
+    t = sp.pairs(jets._top_degree(a), jets._top_degree(b))
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    c = np.einsum(f"{sa}r,{sb}r->{out}r", a.c[..., t.a], b.c[..., t.b])
+    if not t.trivial:
+        c = np.add.reduceat(c * t.c, t.starts, axis=-1)
+    full = np.zeros(c.shape[:-1] + (sp.n,), c.dtype)
+    full[..., :c.shape[-1]] = c
+    return full
 
 
 def _product(a, b, space, contract):
@@ -173,9 +197,65 @@ def order_cuts():
             module.jet_common = common
 
 
+@contextlib.contextmanager
+def direction_audit():
+    """Record every product through a Leibniz table: each ``jeinsum``, and
+    each ``Jet.__mul__`` of two jets neither of which is constant, in any
+    space.  Yields a list that collects one (kernel, caller, dim, order,
+    bits, kept, rows, used) per product: ``bits`` is the union of the
+    factors' direction bits, ``rows`` the size of the table the product
+    consults (``pairs`` of the factors' top degrees for ``jeinsum``, the
+    full table for ``*``), ``kept`` its rows in those directions (all of
+    them for bits that are empty or every coordinate, or a factor that is
+    not finite), and ``used`` whether the kernel took ``JetSpace.within``."""
+    records, taken = [], []
+    within, mul, einsum = JetSpace.within, Jet.__mul__, jets.jeinsum
+
+    def recording_within(space, da, db, bits):
+        taken.append(bits)
+        return within(space, da, db, bits)
+
+    def audit(kernel, a, b, full, call):
+        a, b = jets.jet_common(a, b)
+        sp, (da, ba), (db, bb) = a.space, jets._scan(a), jets._scan(b)
+        if full:
+            da = db = sp.order
+        rows = kept = len(sp.pairs(da, db).a)
+        finite = np.isfinite(a.c).all() and np.isfinite(b.c).all()
+        if 0 < ba | bb < (1 << sp.dim) - 1 and finite:
+            kept = len(within(sp, da, db, ba | bb)[0].a)
+        before = len(taken)
+        out = call()
+        records.append((kernel, _caller(sys._getframe(2)), sp.dim, sp.order, ba | bb,
+                        kept, rows, len(taken) > before))
+        return out
+
+    def audited_mul(a, other):
+        if (not isinstance(other, Jet) or jets._is_constant(a)
+                or jets._is_constant(jets.jet_common(a, other)[1])):
+            return mul(a, other)
+        return audit("mul", a, other, True, lambda: mul(a, other))
+
+    def audited_jeinsum(spec, a, b):
+        return audit("jeinsum", a, b, False, lambda: einsum(spec, a, b))
+
+    bound = [m for name, m in list(sys.modules.items())
+             if name.startswith("pbhverify") and getattr(m, "jeinsum", None) is einsum]
+    JetSpace.within, Jet.__mul__ = recording_within, audited_mul
+    for module in bound:
+        module.jeinsum = audited_jeinsum
+    try:
+        yield records
+    finally:
+        JetSpace.within, Jet.__mul__ = within, mul
+        for module in bound:
+            module.jeinsum = einsum
+
+
 def main(argv=None):
     """Print each (caller, from, to) that ``order_cuts`` records in one
-    configuration, with its count, most frequent first."""
+    configuration, with its count, most frequent first; with
+    ``--directions``, each row of ``direction_audit`` instead."""
     from pbhverify.suites import SuiteConfig, run_suite
 
     parser = argparse.ArgumentParser(
@@ -184,9 +264,22 @@ def main(argv=None):
     parser.add_argument("--suite", required=True)
     parser.add_argument("--model", required=True)
     parser.add_argument("--t", type=float, default=0.0)
+    parser.add_argument("--directions", action="store_true",
+                        help="print the direction_audit table of every jet product instead")
     args = parser.parse_args(argv)
+    config = SuiteConfig(suite=args.suite, model=args.model, t=args.t)
+    if args.directions:
+        with direction_audit() as records:
+            run_suite(config)
+        table = Counter(records).most_common()
+        width = max((len(caller) for (_, caller, *_), _ in table), default=6)
+        print(f"kernel   {'caller':<{width}}  dim  order  bits  kept  rows  used  products")
+        for (kernel, caller, dim, order, bits, kept, rows, used), n in table:
+            print(f"{kernel:<7}  {caller:<{width}}  {dim:>3}  {order:>5}  {bits:>4}  "
+                  f"{kept:>4}  {rows:>4}  {str(used):>4}  {n:>8}")
+        return
     with order_cuts() as cuts:
-        run_suite(SuiteConfig(suite=args.suite, model=args.model, t=args.t))
+        run_suite(config)
     rows = Counter(cuts).most_common()
     width = max((len(caller) for (caller, _, _), _ in rows), default=6)
     print(f"{'caller':<{width}}  from  to  cuts")

@@ -12,7 +12,8 @@ roundoff.  The last section keeps the second copies of single operations
 that were deleted in favour of one implementation.  ``leibniz_jeinsum`` and
 ``leibniz_mul`` are the full gather/``reduceat`` products,
 ``reduceat_leibniz`` the gather/``reduceat`` kernel of one table (the
-oracle of the segment sums of ``Jet.__mul__`` and the power steps), and
+oracle of the segment sums of ``Jet.__mul__`` and the power steps, and
+with ``pairs_jeinsum`` of the direction rule of the wide tables), and
 ``neumann_inv`` and ``full_table_compose`` the Neumann series that
 ``jet_inv`` used and the full-table Taylor composition, kept as the oracles
 of the degree rule, of the degree-recursive ``jet_solve`` and of the power
@@ -63,8 +64,8 @@ from pbhverify.tensorcalc.fields import _scale
 from pbhverify.tensorcalc.jets import Jet, JetSpace, _next_power
 
 from jet_helpers import (embed, leibniz, leibniz_mul as full_mul, loop_partial,
-                         neumann_solve, reduceat_leibniz, ref_flow, ref_inverse_coeffs,
-                         ref_velocity, taylor)
+                         neumann_solve, pairs_jeinsum, reduceat_leibniz, ref_flow,
+                         ref_inverse_coeffs, ref_velocity, taylor)
 
 RTOL = ATOL = 1e-12
 SPACES = [(4, 3), (6, 3)]
@@ -1632,6 +1633,123 @@ def test_nan_derivative_reaches_the_product_and_powers(dim, order):
                 assert np.array_equal(power, old, equal_nan=True)
                 if sp.degree[pos] + m <= order:  # du^(m+1) has a term in it
                     assert np.isnan(power[3]).any()
+
+
+# the spaces of the direction rule (full tables without segments), and the
+# products it covers: (spec, None for ``*``; shape of a; shape of b)
+DIRECTION_SPACES = [(4, 3), (4, 4), (6, 3), (2, 3)]
+DIRECTION_PRODUCTS = [(None, (8, 4, 4), (8, 4, 4)), (None, (8, 1, 3), (8, 2, 3)),
+                      ("...ij,...jk->...ik", (8, 3, 4), (8, 4, 2)),
+                      ("...ij,...jk->...ik", (8, 4, 4), (1, 4, 4)),
+                      ("...ij,...j->...i", (8, 3, 4), (8, 4)),
+                      ("...p,...q->...pq", (8, 3), (8, 2))]
+
+
+def direction_operands(data, dim, order, product):
+    """Two jets of ``jet_space(dim, order)``, real or complex, each zero at
+    every multi-index that uses a coordinate outside its drawn bit set and
+    above its drawn top degree (at least 1 for ``*``, whose constant
+    factors take a broadcast multiply instead of a table)."""
+    spec, *shapes = product
+    sp, low = jet_space(dim, order), 1 if spec is None else 0
+    cplx_a, cplx_b, seed = data.draw(const_draws)
+    rng = np.random.default_rng(seed)
+    out = []
+    for shape, cplx in zip(shapes, (cplx_a, cplx_b)):
+        bits = data.draw(st.integers(1, (1 << dim) - 1))
+        jet = degree_jet(rng, sp, shape, cplx, data.draw(st.integers(low, order)))
+        jet.c[..., (sp.bits & ~bits) != 0] = 0.0
+        out.append(jet)
+    return out
+
+
+def direction_products(spec, a, b):
+    """The kernel's product of a and b and the full path's: ``*`` against
+    ``reduceat_leibniz`` over the full table, ``jeinsum`` against
+    ``pairs_jeinsum``."""
+    if spec is None:
+        return (a * b).c, reduceat_leibniz(a.space.product, a.c, b.c)
+    return jeinsum(spec, a, b).c, pairs_jeinsum(spec, a, b)
+
+
+@contextmanager
+def within_spy():
+    """Record the direction bits of every ``JetSpace.within`` lookup."""
+    calls = []
+    within = JetSpace.within
+
+    def spy(space, da, db, bits):
+        calls.append(bits)
+        return within(space, da, db, bits)
+
+    with mock.patch.object(JetSpace, "within", spy):
+        yield calls
+
+
+def test_direction_tables_are_the_rows_in_their_directions():
+    """``within(da, db, bits)`` keeps, in order, exactly the rows of
+    ``pairs(da, db)`` whose output uses only the coordinates in ``bits``
+    (so do its ``a`` and ``b``), with each kept output's whole segment; an
+    x1-only product at (4, 3) keeps 10 of the full table's 165 rows and 7
+    of the 95 of ``pairs(1, 3)``."""
+    for dim, order in DIRECTION_SPACES:
+        sp = jet_space(dim, order)
+        for (da, db), bits in itertools.product(
+                [(order, order), (1, order), (0, order), (2, 1)], range(1 << dim)):
+            t = sp.pairs(da, db)
+            new, outs = sp.within(da, db, bits)
+            out = np.repeat(np.arange(len(t.starts)), np.diff(t.starts, append=len(t.a)))
+            keep = (sp.bits[out] & ~bits) == 0
+            assert np.array_equal(outs, np.flatnonzero((sp.bits[:len(t.starts)] & ~bits) == 0))
+            for name in "abc":
+                assert np.array_equal(getattr(new, name), getattr(t, name)[keep])
+            assert np.array_equal(new.starts, np.searchsorted(out[keep], outs))
+            assert ((sp.bits[new.a] | sp.bits[new.b]) & ~bits == 0).all()
+            assert new.trivial == t.trivial and sp.within(da, db, bits)[0] is new
+    sp = jet_space(4, 3)
+    assert (len(sp.within(3, 3, 1)[0].a), len(sp.prod_a)) == (10, 165)
+    assert (len(sp.within(1, 3, 1)[0].a), len(sp.pairs(1, 3).a)) == (7, 95)
+
+
+@pytest.mark.parametrize("product", DIRECTION_PRODUCTS)
+@pytest.mark.parametrize("dim,order", DIRECTION_SPACES)
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_direction_rule_matches_the_full_rows(dim, order, product, data):
+    """``Jet.__mul__`` and ``jeinsum`` of factors that depend on some of the
+    coordinates equal the products over every row of their tables bitwise
+    up to the sign of a zero (``array_equal`` counts -0.0 and 0.0 as
+    equal), and take ``within`` exactly when the factors' directions are
+    neither empty nor every coordinate."""
+    a, b = direction_operands(data, dim, order, product)
+    sp = a.space
+    union = 0
+    for x in (a, b):
+        for k in np.flatnonzero(np.any(x.c != 0, axis=tuple(range(x.c.ndim - 1)))):
+            union |= int(sp.bits[k])
+    with within_spy() as calls:
+        new, old = direction_products(product[0], a, b)
+    assert calls == ([union] if 0 < union < (1 << dim) - 1 else [])
+    assert new.dtype == old.dtype and np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("product", DIRECTION_PRODUCTS)
+@pytest.mark.parametrize("dim,order", DIRECTION_SPACES)
+@settings(max_examples=4, deadline=None)
+@given(st.data())
+def test_nonfinite_factor_takes_the_full_rows(dim, order, product, bad, data):
+    """A NaN or inf at any coefficient of a factor sends both kernels
+    through every row of their tables, so it spreads through ``0 * inf``
+    and ``NaN * 0`` as the full path spreads it."""
+    a, b = direction_operands(data, dim, order, product)
+    x = data.draw(st.sampled_from([a, b]))
+    x.c[(0,) * (x.c.ndim - 1) + (data.draw(st.integers(0, a.space.n - 1)),)] = bad
+    with np.errstate(invalid="ignore"), within_spy() as calls:
+        new, old = direction_products(product[0], a, b)
+    assert not calls
+    assert not np.isfinite(new).all()
+    assert np.array_equal(new, old, equal_nan=True)
 
 
 @pytest.mark.parametrize("dim,order", POWER_SPACES)

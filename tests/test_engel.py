@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import jet_helpers
-from jet_helpers import order_cuts
+from jet_helpers import direction_audit, order_cuts
 from pbhverify import engel, models, suites
 from pbhverify.engel import (basis_identity_residuals, canonical_engel_span,
                              integrable_control_span, lee_fields,
@@ -312,3 +312,35 @@ def test_order_cut_table_prints(capsys):
     assert header.split() == ["caller", "from", "to", "cuts"]
     assert rows and all(len(row.split()) == 4 for row in rows)
     assert any(row.split()[:3] == ["calculus:bracket_jets", "2", "1"] for row in rows)
+
+
+def test_wide_products_take_the_rows_of_their_directions():
+    """Every field of the kodaira conformal pair depends on x1 alone, so in
+    a kodaira ``engel`` run the two order-3 ``J^T g`` products of
+    ``fundamental_form`` take the x1 rows of ``pairs(1, 3)``, 7 of 95, and
+    the ``_scale`` product of the conformal metric the x1 rows of the full
+    table, 10 of 165.  Torus ``courant`` and ``gpk-example2`` at t = 0.1
+    multiply no order-3 jets, and take no cut table."""
+    with direction_audit() as records:
+        suites.run_suite(suites.SuiteConfig(suite="engel", model="kodaira", seed=42))
+    used = [r[:7] for r in records if r[7]]
+    assert used.count(("jeinsum", "structures:fundamental_form.<locals>.fn",
+                       4, 3, 1, 7, 95)) == 2
+    assert used.count(("mul", "models:conformal_metric.<locals>.fn", 4, 3, 1, 10, 165)) == 1
+    for suite, t in (("courant", 0.0), ("gpk-example2", 0.1)):
+        with direction_audit() as records:
+            suites.run_suite(suites.SuiteConfig(suite=suite, model="torus", seed=42, t=t))
+        assert records and not any(r[7] for r in records)
+
+
+def test_direction_table_prints(capsys):
+    """``python tests/jet_helpers.py --suite engel --model kodaira
+    --directions`` prints the direction audit of that run, one (kernel,
+    caller, dim, order, bits, kept, rows, used) row with its count."""
+    jet_helpers.main(["--suite", "engel", "--model", "kodaira", "--directions"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["kernel", "caller", "dim", "order", "bits", "kept",
+                              "rows", "used", "products"]
+    assert rows and all(len(row.split()) == 9 for row in rows)
+    assert ["jeinsum", "structures:fundamental_form.<locals>.fn", "4", "3", "1", "7",
+            "95", "True", "2"] in [row.split() for row in rows]
