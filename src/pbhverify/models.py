@@ -18,7 +18,6 @@ from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          form_from_matrix, frame_field, jet_common, jet_coords,
                          jet_prefix, jet_space, jgrad, jmatmul, jtranspose, metric_field)
 from .tensorcalc.fields import _chart_coeffs, _scale
-from .tensorcalc.jets import _sine_derivs
 from .tensorcalc.calculus import _stack
 
 __all__ = ["ModelError", "IntegratorError", "FlowTimeError", "ModelDescriptor",
@@ -204,7 +203,9 @@ class FExpr:
     coordinate jet (B, dim) to f, and ``grad`` to the components of df at
     the coordinates ``support``, (B, len(support)), in that order: every
     other component of df is zero by construction, so ``grad`` leaves it
-    out and the flow contracts F^K's inverse over ``support`` only."""
+    out and the flow contracts F^K's inverse over ``support`` only.
+    ``grad`` is the jet gradient of ``value`` to a few eps of max|grad|
+    (``test_hamiltonian_gradients_match_the_jet_gradient_of_the_value``)."""
 
     name: str
     value: callable
@@ -220,31 +221,42 @@ def _f_const_grad(jc):
     return jc[:, :0]  # no component of df is nonzero
 
 
-def _sin_pair(i, j, name) -> FExpr:
-    """sin x_i sin x_j and its gradient, from one Taylor series of the
-    coordinate pair (x_i, x_j).  The gradient composes the pair once, with
-    derivatives that differ by entry, so that row 0 is (cos x_i, sin x_j)
-    and row 1 is (sin x_i, cos x_j); its two components, on the support
-    (i, j), are then one jet product of the two columns, (cos x_i, sin x_i)
-    times (sin x_j, cos x_j), left factors first, so they are bitwise
-    cos x_i sin x_j and sin x_i cos x_j."""
-    pair = np.array([i, j])
+def _sin_products(name, *pairs) -> FExpr:
+    """The sum of sin x_i sin x_j over ``pairs`` (i, j), and its gradient on
+    the pairs' coordinates in order of first appearance.  ``value`` is the
+    ``sincos`` product.  ``grad`` takes cos x_i sin x_j = (S+ - S-)/2 and
+    sin x_i cos x_j = (S+ + S-)/2 for S+- = sin(x_i +- x_j), from one
+    composition of ``sin`` over every pair's sum and difference and no jet
+    product; a coordinate in several pairs sums its terms in pair order.
+    That is the product form to 8 eps max(1, |coefficient|)
+    (``test_sine_product_gradients_equal_the_product_form``) and bitwise the
+    same formula over the reference series of ``tests/jet_helpers.py``
+    (``test_flow_equals_the_full_gradient_oracle``)."""
+    support = tuple(dict.fromkeys(k for pair in pairs for k in pair))
+    cols, blocks = list(support), np.eye(len(pairs))
+    at = [support.index(k) for pair in pairs for k in pair]  # i, j of each pair
+    # rows x_i + x_j, x_i - x_j of each pair over the support's columns, and
+    # d_i, d_j of each pair from those sines: every row has two nonzero
+    # entries (+-1, +-1/2), so each product rounds once, as a + b does
+    sums = np.einsum("rq,qc->rc", np.kron(blocks, [[1.0, 1.0], [1.0, -1.0]]),
+                     np.eye(len(cols))[at])  # not @: no BLAS call at import
+    halves = np.kron(blocks, [[0.5, -0.5], [0.5, 0.5]])
+    first = [at.index(k) for k in range(len(cols))]
+    repeats = [(k, q) for q, k in enumerate(at) if q != first[k]]
 
     def value(jc):
-        s, _ = jc[:, [i, j]].sincos()
-        return s[:, 0] * s[:, 1]
+        s, _ = jc[:, cols].sincos()
+        out = [s[:, support.index(a)] * s[:, support.index(b)] for a, b in pairs]
+        return sum(out[1:], out[0])
 
     def grad(jc):
-        x = Jet(jc.space, jc.c[:, None, pair])  # (B, 1, 2): one row, broadcast to two
-        s, c = np.sin(x.value), np.cos(x.value)
-        # entry (r, q) starts from cos where r == q, else from sin
-        rows = x._compose(_sine_derivs(np.where(_EYE2, c, s), np.where(_EYE2, -s, c), x.order))
-        return Jet(rows.space, rows.c[:, :, 0]) * Jet(rows.space, rows.c[:, :, 1])
+        parts = halves @ Jet(jc.space, sums @ jc.c[:, cols]).sin().c
+        out = parts[:, first]
+        for k, q in repeats:  # a coordinate in several pairs, summed in pair order
+            out[:, k] += parts[:, q]
+        return Jet(jc.space, out)
 
-    return FExpr(name, value, grad, (i, j))
-
-
-_EYE2 = np.eye(2, dtype=bool)
+    return FExpr(name, value, grad, support)
 
 
 def _gauss_u(jc):
@@ -264,13 +276,15 @@ def _f_gauss_grad(jc):
 
 F_CATALOG = {
     "const": FExpr("const", _f_const, _f_const_grad, ()),
-    "sin2": _sin_pair(0, 1, "sin2"),
+    "sin2": _sin_products("sin2", (0, 1)),
     "gauss": FExpr("gauss", _f_gauss, _f_gauss_grad, (0, 1)),
     # couples directions that the Hamiltonian field of the torus F^K moves,
     # so its flow is genuinely curved there
-    "sin14": _sin_pair(0, 3, "sin14"),
+    "sin14": _sin_products("sin14", (0, 3)),
     # curved on kodaira, where the flows of sin2 and sin14 are shears
-    "sin13": _sin_pair(0, 2, "sin13"),
+    "sin13": _sin_products("sin13", (0, 2)),
+    # sin x1 (sin x3 + sin x4): curved on both models
+    "sin134": _sin_products("sin134", (0, 2), (0, 3)),
 }
 
 
@@ -421,9 +435,9 @@ class HamiltonianFlow:
     Each velocity contracts each kept coefficient with the gradient on the
     support in one ``np.einsum`` and sums the terms by Horner's rule in x1.
     At degree 0 in x1 (both shipped models at their default parameters)
-    that is one einsum.  Every catalog support has at most two coordinates,
-    so each velocity component sums at most two nonzero products and is
-    bitwise the contraction with the full gradient.
+    that is one einsum, and a sine-product velocity makes no jet product.
+    Each velocity is bitwise the contraction with the full gradient, zero
+    off the support (``test_flow_equals_the_full_gradient_oracle``).
 
     Positions are integrated as jets, so the flow map's derivatives through
     third order ride along (variational equations included).  Each RK4

@@ -30,7 +30,7 @@ from .gencomplex import (apply_endo, b_conjugate_endo, b_transform,
                          gcs_nijenhuis, gualtieri_build, gualtieri_extract,
                          pairing, random_poly_sections, random_poly_two_form,
                          stack_axes, validate_twist)
-from .models import (Example2Params, HamiltonianFlow, _sin_pair,
+from .models import (Example2Params, HamiltonianFlow, _sin_products,
                      complex_form, conformal_metric, example2_build,
                      flow_pullback_form, get_model, hamiltonian_deform,
                      j_minus, unit_spacelike_vector)
@@ -602,7 +602,7 @@ def _deformed_checks(ctx: SuiteContext):
     at_roundoff = []  # calibrations whose residuals are both at roundoff
     for k in np.flatnonzero((fk != 0.0).any(axis=0)):
         i, j = combos[k]
-        calibration = _sin_pair(i, j, f"sin{i + 1}{j + 1}")
+        calibration = _sin_products(f"sin{i + 1}{j + 1}", (i, j))
         r_coarse, r_fine = fk_res(calibration, 2e-2), fk_res(calibration, 1e-2)
         if not (r_coarse <= floor and r_fine <= floor):  # a NaN stops here too
             break

@@ -22,6 +22,12 @@ Leibniz table in any space, the coordinates its factors depend on and the
 rows of the table in those coordinates (``JetSpace.within``) against the
 table's rows, and whether the kernel took those rows (the direction rule
 of the wide spaces).  ``--directions`` prints that table instead.
+``--time N`` instead runs the configuration N times in one process and
+prints the min and median wall seconds, so two checkouts time a curved
+flow the same way:
+
+    PYTHONPATH=src python tests/jet_helpers.py --suite gpk-example2 \
+        --model kodaira --t 0.1 --f-expr sin134 --time 8
 
 The last section keeps the Hamiltonian flow as it was before its velocity
 was contracted over the gradient's support: the full-width gradients of the
@@ -33,7 +39,9 @@ and exponential a full-table ``taylor`` composition.
 import argparse
 import contextlib
 import math
+import statistics
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -255,7 +263,8 @@ def direction_audit():
 def main(argv=None):
     """Print each (caller, from, to) that ``order_cuts`` records in one
     configuration, with its count, most frequent first; with
-    ``--directions``, each row of ``direction_audit`` instead."""
+    ``--directions``, each row of ``direction_audit`` instead, and with
+    ``--time N`` the min and median wall seconds of N runs."""
     from pbhverify.suites import SuiteConfig, run_suite
 
     parser = argparse.ArgumentParser(
@@ -264,10 +273,26 @@ def main(argv=None):
     parser.add_argument("--suite", required=True)
     parser.add_argument("--model", required=True)
     parser.add_argument("--t", type=float, default=0.0)
-    parser.add_argument("--directions", action="store_true",
-                        help="print the direction_audit table of every jet product instead")
+    parser.add_argument("--f-expr", default="sin2", help="named Hamiltonian of the flow")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--directions", action="store_true",
+                      help="print the direction_audit table of every jet product instead")
+    mode.add_argument("--time", type=int, metavar="N",
+                      help="run the configuration N times and print the min and "
+                           "median wall seconds instead")
     args = parser.parse_args(argv)
-    config = SuiteConfig(suite=args.suite, model=args.model, t=args.t)
+    config = SuiteConfig(suite=args.suite, model=args.model, t=args.t, f_expr=args.f_expr)
+    if args.time is not None:
+        if args.time < 1:
+            parser.error("--time needs at least one run")
+        times = []
+        for _ in range(args.time):
+            start = time.perf_counter()
+            run_suite(config)
+            times.append(time.perf_counter() - start)
+        print(f"runs {len(times)}  min {min(times):.4f} s  "
+              f"median {statistics.median(times):.4f} s")
+        return
     if args.directions:
         with direction_audit() as records:
             run_suite(config)
@@ -309,21 +334,24 @@ def ref_exp(x):
     return taylor(x, [np.exp(x.value)] * (x.order + 1), x.space)
 
 
-# the coordinate pair of each sine-pair Hamiltonian sin x_i sin x_j
-SIN_PAIRS = {"sin2": (0, 1), "sin14": (0, 3), "sin13": (0, 2)}
+# the coordinate pairs (i, j) of each sine-product Hamiltonian, the sum of
+# sin x_i sin x_j over its pairs
+SIN_PAIRS = {"sin2": ((0, 1),), "sin14": ((0, 3),), "sin13": ((0, 2),),
+             "sin134": ((0, 2), (0, 3))}
 
 
 def ref_full_gradient(name, jc):
     """df of the catalog Hamiltonian ``name`` at every coordinate, (B, dim),
-    zero off its support."""
+    zero off its support.  A sine pair's components are cos x_i sin x_j =
+    (S+ - S-)/2 and sin x_i cos x_j = (S+ + S-)/2 for S+- = sin(x_i +- x_j),
+    each sine a full-table ``taylor`` composition; a coordinate in several
+    pairs sums their components in pair order."""
     if name in SIN_PAIRS:
-        i, j = SIN_PAIRS[name]
-        x = jc[:, [i, j]]
-        s, c = ref_sin(x), ref_cos(x)
-        left = Jet(s.space, np.stack([c.c[:, 0], s.c[:, 0]], axis=1))
-        right = Jet(s.space, np.stack([s.c[:, 1], c.c[:, 1]], axis=1))
         out = np.zeros(jc.c.shape)
-        out[:, [i, j]] = (left * right).c
+        for i, j in SIN_PAIRS[name]:
+            plus, minus = ref_sin(jc[:, i] + jc[:, j]), ref_sin(jc[:, i] - jc[:, j])
+            out[:, i] += ((plus - minus) * 0.5).c
+            out[:, j] += ((plus + minus) * 0.5).c
         return Jet(jc.space, out)
     z = jc[:, 0] * 0.0
     if name == "const":

@@ -17,12 +17,13 @@ with ``pairs_jeinsum`` of the direction rule of the wide tables), and
 ``neumann_inv`` and ``full_table_compose`` the Neumann series that
 ``jet_inv`` used and the full-table Taylor composition, kept as the oracles
 of the degree rule, of the degree-recursive ``jet_solve`` and of the power
-tables.  ``ref_sin_pair_grad``
-and ``ref_constant_velocity`` are the stacked gradient and the broadcast
-``jmatvec`` that the flow's velocity replaced, and ``ref_unprepped_courant``
+tables.  ``ref_constant_velocity`` is the broadcast ``jmatvec`` that the
+flow's velocity replaced, and ``ref_unprepped_courant``
 and ``ref_gcs_residual_jets`` the bracket and ``gcs_nijenhuis`` loop that
 took every section's gradient in each bracket; the package must match them
-bitwise.  ``ref_lattice_residual`` is the per-transformation deck check
+bitwise.  ``ref_product_form_grad`` is the product form cos x_i sin x_j,
+sin x_i cos x_j that the angle-sum sine gradients replaced, matched to
+8 eps.  ``ref_lattice_residual`` is the per-transformation deck check
 that the batched one replaced, also matched bitwise, and
 ``ref_b_transform_naturality`` and ``ref_pairing_preservation`` are the
 per-pair loops of the ``courant`` suite that its stacked evaluations
@@ -33,6 +34,7 @@ prefix.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -63,9 +65,10 @@ from pbhverify.tensorcalc.fields import _broadcast_const
 from pbhverify.tensorcalc.fields import _scale
 from pbhverify.tensorcalc.jets import Jet, JetSpace, _next_power
 
-from jet_helpers import (embed, leibniz, leibniz_mul as full_mul, loop_partial,
-                         neumann_solve, pairs_jeinsum, reduceat_leibniz, ref_flow,
-                         ref_inverse_coeffs, ref_velocity, taylor)
+from jet_helpers import (SIN_PAIRS, embed, leibniz, leibniz_mul as full_mul,
+                         loop_partial, neumann_solve, pairs_jeinsum, reduceat_leibniz,
+                         ref_cos, ref_flow, ref_full_gradient, ref_inverse_coeffs,
+                         ref_sin, ref_velocity, taylor)
 
 RTOL = ATOL = 1e-12
 SPACES = [(4, 3), (6, 3)]
@@ -607,7 +610,8 @@ def test_gcs_nijenhuis_equals_the_unprepped_loop(seed, monkeypatch):
         assert new == max(max_abs(o) for o in old)
 
 
-@pytest.mark.parametrize("model_name,f_expr", [("torus", "sin14"), ("kodaira", "sin13")])
+@pytest.mark.parametrize("model_name,f_expr", [("torus", "sin14"), ("kodaira", "sin13"),
+                                               ("torus", "sin134"), ("kodaira", "sin134")])
 def test_curved_flow_deformed_integrability_equals_the_full_order_loop(model_name, f_expr):
     """gpk-example2 at t = 0.1 on a Hamiltonian whose flow is curved (the
     default ``sin2`` flows as a shear, which RK4 integrates exactly): every
@@ -2126,19 +2130,6 @@ def test_bivector_frame_constant_inverts_the_form(e, upper):
         assert np.abs(prod.c - _broadcast_const(jc, np.eye(4)).c).max() <= tol
 
 
-def ref_sin_pair_grad(i, j):
-    """The gradient of sin x_i sin x_j from one ``sincos`` per coordinate,
-    two products and a stack with zero jets."""
-    def grad(jc):
-        (si, ci), (sj, cj) = jc[:, i].sincos(), jc[:, j].sincos()
-        comps = [jc[:, 0] * 0.0] * jc.shape[1]
-        comps[i] = ci * sj
-        comps[j] = si * cj
-        return _stack(comps)
-
-    return grad
-
-
 def ref_constant_velocity(flow, grad, y):
     """The constant-F^K velocity as a broadcast constant jet times the
     gradient, through ``jmatvec``, with the inverse of F^K's chart value."""
@@ -2148,24 +2139,97 @@ def ref_constant_velocity(flow, grad, y):
 
 @pytest.mark.parametrize("model_name", ["torus", "kodaira"])
 def test_velocity_equals_the_removed_contraction(model_name, torus_model, kodaira_model):
-    """At the default pair parameters the gradients of sin2, sin14 and
-    sin13 (on their supports) and the flow's velocity are bitwise the
-    stacked gradient and the broadcast ``jmatvec`` they replace, on
-    coordinate and flowed jets of orders 0-3."""
+    """At the default pair parameters the gradients of every sine-product
+    Hamiltonian (on their supports) and the flow's velocity are bitwise the
+    full-gradient oracle of ``jet_helpers`` and the broadcast ``jmatvec``
+    they replace, on coordinate and flowed jets of orders 0-3."""
     from pbhverify.models import F_CATALOG, HamiltonianFlow
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 42)
     f_k = example2_build(model, Example2Params(), plan).f_k
     mover = HamiltonianFlow(f_k, F_CATALOG["sin14"], 0.1, 2e-2)
-    for name, (i, j) in (("sin2", (0, 1)), ("sin14", (0, 3)), ("sin13", (0, 2))):
-        fexpr, ref = F_CATALOG[name], ref_sin_pair_grad(i, j)
+    for name, pairs in SIN_PAIRS.items():
+        fexpr = F_CATALOG[name]
+        ref = functools.partial(ref_full_gradient, name)
+        support = list(dict.fromkeys(k for pair in pairs for k in pair))
         flow = HamiltonianFlow(f_k, fexpr, 0.1, 1e-3)
         for order in range(4):
             jc = jet_coords(4, order, plan.sample(model.chart))
             for y in (jc, mover.flow_jet(jc)):
-                assert fexpr.support == (i, j)
-                assert_jets_equal(fexpr.grad(y), ref(y)[:, [i, j]])
+                assert list(fexpr.support) == support
+                assert_jets_equal(fexpr.grad(y), ref(y)[:, support])
                 assert_jets_equal(flow.velocity(y), ref_constant_velocity(flow, ref, y))
+
+
+def ref_product_form_grad(pairs, y):
+    """cos x_i sin x_j and sin x_i cos x_j from the reference series and
+    ``*``, summed per coordinate over ``pairs``, on the support in order."""
+    support = list(dict.fromkeys(k for pair in pairs for k in pair))
+    out = np.zeros(y.c.shape)
+    for i, j in pairs:
+        out[:, i] += (ref_cos(y[:, i]) * ref_sin(y[:, j])).c
+        out[:, j] += (ref_sin(y[:, i]) * ref_cos(y[:, j])).c
+    return Jet(y.space, out[:, support])
+
+
+SINE_PRODUCT_EPS = 8.0  # the bound, in units of eps * max(1, max|coefficient|)
+
+
+def _sine_product_errors(model, grad_of):
+    """(error, bound) of ``grad_of(name)`` against the product form for
+    every sine-product Hamiltonian, on coordinate and flowed jets of orders
+    0-3 at the default pair parameters."""
+    plan = SamplePlan(8, 42)
+    f_k = example2_build(model, Example2Params(), plan).f_k
+    mover = HamiltonianFlow(f_k, F_CATALOG["sin134"], 0.1, 2e-2)
+    out = []
+    for name, pairs in SIN_PAIRS.items():
+        for order in range(4):
+            jc = jet_coords(4, order, plan.sample(model.chart))
+            for y in (jc, mover.flow_jet(jc)):
+                got, want = grad_of(name)(y), ref_product_form_grad(pairs, y)
+                assert got.order == want.order and got.shape == want.shape
+                scale = max(1.0, float(np.abs(want.c).max()))
+                out.append((float(np.abs(got.c - want.c).max()),
+                            SINE_PRODUCT_EPS * np.finfo(float).eps * scale))
+    return out
+
+
+@pytest.mark.parametrize("model_name", ["torus", "kodaira"])
+def test_sine_product_gradients_equal_the_product_form(model_name, torus_model,
+                                                       kodaira_model):
+    """Every sine-product gradient, composed by the angle-sum formula, is
+    the product form cos x_i sin x_j, sin x_i cos x_j (summed per
+    coordinate for sin134) to SINE_PRODUCT_EPS eps max(1, max|coefficient|)
+    on coordinate and flowed jets of orders 0-3 (measured: at most 2.5)."""
+    model = torus_model if model_name == "torus" else kodaira_model
+    for err, bound in _sine_product_errors(model, lambda name: F_CATALOG[name].grad):
+        assert err <= bound
+
+
+def test_a_sign_flipped_difference_sine_fails_the_product_form_bound(torus_model,
+                                                                     monkeypatch):
+    """The bound above sees S- = sin(x_i - x_j) with its sign flipped, in
+    every sine-product gradient on every jet order."""
+    sin = Jet.sin
+
+    def flipped_sin(x):
+        s = sin(x)
+        half = s.c.shape[1] // 2
+        s.c[:, half:] *= -1.0
+        return s
+
+    def flipped(name):
+        def grad(y):
+            with monkeypatch.context() as m:
+                m.setattr(Jet, "sin", flipped_sin)
+                return F_CATALOG[name].grad(y)
+
+        return grad
+
+    errors = _sine_product_errors(torus_model, flipped)
+    assert len(errors) == 2 * 4 * len(SIN_PAIRS)
+    assert all(err > bound for err, bound in errors)
 
 
 def full_gradient(fexpr, y):
@@ -2187,8 +2251,9 @@ def test_velocity_equals_the_jet_solve(model_name, params, torus_model, kodaira_
     flowed jets of orders 0-3, for F^K constant and for F^K of degree 1 in
     x1 (c != 0 on kodaira), for every named Hamiltonian.  It inverts no jet
     and evaluates no F^K.  The results are bitwise equal except where the
-    x1 term meets a nonzero gradient component (``sin14`` and ``sin13`` at
-    c != 0): the sums then run in another order, and agree to roundoff."""
+    x1 term, nonzero in rows and columns 3 and 4, meets a nonzero gradient
+    component (``sin14``, ``sin13`` and ``sin134`` at c != 0): the sums then
+    run in another order, and agree to roundoff."""
     from pbhverify.models import F_CATALOG, HamiltonianFlow
     from pbhverify.tensorcalc import jets
     model = torus_model if model_name == "torus" else kodaira_model
@@ -2220,7 +2285,7 @@ def test_velocity_equals_the_jet_solve(model_name, params, torus_model, kodaira_
                 assert calls == []
                 old = jet_solve(jtranspose(form_full_matrix(fk_fn(y), 4)),
                                 full_gradient(flow.fexpr, y))
-                if name in ("sin14", "sin13") and params.c:
+                if params.c and {2, 3} & set(flow.fexpr.support):
                     err = np.abs(new.c - old.c).max()
                     assert err <= 4 * np.finfo(float).eps * np.abs(old.c).max()
                 else:
@@ -2228,8 +2293,9 @@ def test_velocity_equals_the_jet_solve(model_name, params, torus_model, kodaira_
     assert len(f_k.frame.coeffs) == (2 if params.c else 1)
 
 
-FLOW_CASES = ([("torus", FRAME_PARAMS[0], name) for name in ("sin2", "sin14", "gauss", "const")]
-              + [("kodaira", FRAME_PARAMS[0], "sin13")]
+FLOW_CASES = ([("torus", FRAME_PARAMS[0], name)
+               for name in ("sin2", "sin14", "sin134", "gauss", "const")]
+              + [("kodaira", FRAME_PARAMS[0], name) for name in ("sin13", "sin134")]
               + [("kodaira", params, name) for params in (FRAME_PARAMS[1], LIFT_PARAMS[2])
                  for name in sorted(F_CATALOG)])
 
@@ -2242,7 +2308,8 @@ def test_flow_equals_the_full_gradient_oracle(model_name, params, name, torus_mo
     equal the full-gradient velocity and RK4 of ``jet_helpers`` bitwise
     (``array_equal``), on coordinate and flowed jets of orders 0-3.  At
     c != 0 on kodaira F^K's inverse has an x1 term; it meets the support of
-    sin14 and sin13 only, and is zero on the supports of the others."""
+    sin14, sin13 and sin134 only, and is zero on the supports of the
+    others."""
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 42)
     f_k = example2_build(model, params, plan).f_k

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import jet_helpers
 from pbhverify import gencomplex, models, structures, suites
 from pbhverify.flagmodel import _flag_domain
 from pbhverify.models import (Example2Params, F_CATALOG, FlowTimeError,
@@ -178,20 +179,24 @@ def test_flow_determinism(torus_model, plan):
 
 
 # sha256 of the main integration's flowed coefficients (plus 0.0, so the
-# sign of a zero is not pinned) at seed 42 with 16 samples, t = 0.1
+# sign of a zero is not pinned) at seed 42 with 16 samples, t = 0.1, with
+# the sine-product gradients by the angle-sum formula
 FLOWED_JET_DIGESTS = {
-    ("torus", "sin2"): "801697a82ea133fad95fd4f78ba88dd0864b5e424970d2c52ee3214d328e9e9d",
-    ("torus", "sin14"): "1dd9ee3f6b7f9fa77451a65f5582137c5c9c586f9d360d578b3d5627b8b0f34e",
-    ("kodaira", "sin13"): "531e4bfd1b20921202dfae6bd2ed567bc090677eb0ff4387f66bcaa6e82f95bc",
+    ("torus", "sin2"): "9bbd5433d55cb2392dda427948d432081131ec9fc71ef7e6d7c98461172e5c41",
+    ("torus", "sin14"): "9524f49892d00ec847f6825ef676cd4586fa6f4d4785f74764f586fddcf701bd",
+    ("torus", "sin134"): "eb601bdc0d6739d0081c9c7af8c72a30dcf1168cb547c4f31c18b5439dec953d",
+    ("kodaira", "sin13"): "4a8fec2a8f480017933cd5d43bbd01ecd232e7c617320ecbed56c99940da68f3",
+    ("kodaira", "sin134"): "1e20f80f137e773c4e7379ba11d5f3f8fb1a643680cd420202b913d6c1cf5c80",
 }
 
 
 @pytest.mark.parametrize("model_name,f_name", sorted(FLOWED_JET_DIGESTS))
 def test_flowed_jets_are_pinned(model_name, f_name):
-    """Every coefficient of the flowed order-2 jets is bitwise what it was
-    when the velocity's Leibniz sums went through ``np.add.reduceat``: a
-    kernel that regroups a sum moves the digest, which no full-gradient
-    oracle built on the same ``Jet.__mul__`` can see."""
+    """Every coefficient of the flowed order-2 jets is pinned: a kernel that
+    regroups a sum of the gradient's Taylor composition (its power steps
+    are segment sums in ``np.add.reduceat``'s grouping) or of the
+    contraction moves the digest, which no full-gradient oracle built on
+    the same kernels can see."""
     plan = SamplePlan(16, 42)
     bundle = example2_build(get_model(model_name, plan),
                             Example2Params(t=0.1, f_name=f_name), plan)
@@ -206,10 +211,13 @@ def test_flowed_jets_are_pinned(model_name, f_name):
 # as jets, at every order; RK4's drift is O(|t| step^4).  On the curved
 # flows (torus sin14, kodaira sin13; t = 0.1, step 1e-3, 64 samples) it
 # reads 2.4e-15 to 6.8e-15 at seeds 42 and 7, and an RK4 with update
-# weights (1, 3, 1, 1)/6 reads 9.0e-12 to 9.4e-12.
+# weights (1, 3, 1, 1)/6 reads 9.0e-12 to 9.4e-12.  sin134, curved on both
+# models, reads 1.1e-14 to 1.7e-14, and 3.0e-11 to 4.1e-11 with those weights.
 CONSERVED_BOUND = 1e-13
 CURVED = [("torus", "sin14", 42), ("torus", "sin14", 7),
-          ("kodaira", "sin13", 42), ("kodaira", "sin13", 7)]
+          ("kodaira", "sin13", 42), ("kodaira", "sin13", 7),
+          ("torus", "sin134", 42), ("torus", "sin134", 7),
+          ("kodaira", "sin134", 42), ("kodaira", "sin134", 7)]
 
 
 def _deformed_flow(model_name, f_name, seed):
@@ -253,7 +261,8 @@ def test_a_wrong_rk4_weight_breaks_conservation(model_name, f_name, seed):
 
 @pytest.mark.parametrize("model_name,f_name,shear", [
     ("torus", "sin2", True), ("torus", "gauss", True), ("kodaira", "sin2", True),
-    ("torus", "sin14", False), ("kodaira", "sin13", False)])
+    ("torus", "sin14", False), ("kodaira", "sin13", False),
+    ("torus", "sin134", False), ("kodaira", "sin134", False)])
 def test_a_shear_flows_to_the_straight_line(model_name, f_name, shear):
     """A shear's velocity is constant along its flow, so Phi_t = id + t V,
     up to one rounding per RK4 step of the flowed coordinates: within
@@ -590,34 +599,57 @@ def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
         assert lookups == [] and len(x1_terms) == n
 
 
-def test_sin2_velocity_makes_one_jet_product(torus_model, monkeypatch):
-    """Work pin of one RK4 stage: an order-2 sin2 velocity on the torus
-    makes exactly one Jet x Jet product, the gradient's, and its Taylor
-    composition makes none (powers of du go through
+def test_sine_product_velocity_makes_no_jet_product(torus_model, monkeypatch):
+    """Work pin of one RK4 stage: an order-2 velocity of each sine-product
+    Hamiltonian on the torus makes one Taylor composition, the gradient's
+    ``sin`` over the coordinate sums and differences, and no Jet x Jet
+    product, inside it or outside (powers of du go through
     ``JetSpace.power_pairs``)."""
     plan = SamplePlan(8, 3)
     bundle = example2_build(torus_model, Example2Params(t=0.1), plan)
-    flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
     y = jet_coords(4, 2, plan.sample(torus_model.chart))
+    flows = [HamiltonianFlow(bundle.f_k, F_CATALOG[name], 0.1, 1e-3)
+             for name in ("sin2", "sin14", "sin13", "sin134")]
     mul, compose = Jet.__mul__, Jet._compose
-    composing, products = [], []
+    composed, products = [], []
 
     def mul_spy(a, b):
         if isinstance(b, Jet):
-            products.append("in _compose" if composing else "outside")
+            products.append(b)
         return mul(a, b)
 
     def compose_spy(x, *lists):
-        composing.append(x)
-        try:
-            return compose(x, *lists)
-        finally:
-            composing.pop()
+        composed.append(x)
+        return compose(x, *lists)
 
     monkeypatch.setattr(Jet, "__mul__", mul_spy)
     monkeypatch.setattr(Jet, "_compose", compose_spy)
-    flow.velocity(y)
-    assert products == ["outside"]
+    for flow in flows:
+        composed.clear()
+        flow.velocity(y)
+        assert len(composed) == 1 and products == []
+        # the sum and the difference of each coordinate pair, in one series
+        assert composed[0].shape == (8, 2 * len(jet_helpers.SIN_PAIRS[flow.fexpr.name]))
+
+
+def test_curved_flow_timing_prints(capsys, monkeypatch):
+    """``python tests/jet_helpers.py ... --f-expr sin134 --time N`` runs the
+    configuration N times in one process, with that Hamiltonian, and prints
+    the min and median wall seconds."""
+    configs, run = [], suites.run_suite
+
+    def run_spy(config):
+        configs.append(config)
+        return run(config)
+
+    monkeypatch.setattr(suites, "run_suite", run_spy)
+    jet_helpers.main(["--suite", "gpk-example2", "--model", "kodaira", "--t", "0.1",
+                      "--f-expr", "sin134", "--time", "1"])
+    words = capsys.readouterr().out.split()
+    assert words[:3] == ["runs", "1", "min"] and words[4:6] == ["s", "median"]
+    assert float(words[3]) == float(words[6]) > 0.0
+    assert [(c.suite, c.model, c.t, c.f_expr) for c in configs] == [
+        ("gpk-example2", "kodaira", 0.1, "sin134")]
 
 
 @pytest.fixture
@@ -784,12 +816,12 @@ def test_hamiltonian_gradients_vanish_off_their_support(name, torus_points):
 
 @pytest.mark.parametrize("name", sorted(set(F_CATALOG) - {"const"}))
 def test_a_sign_flipped_gradient_component_fails_the_bound(name, torus_points):
-    """The bound above sees a wrong sign in either component of the
-    gradient on its support (const has none)."""
+    """The bound above sees a wrong sign in any component of the gradient
+    on its support (const has none)."""
     fexpr = F_CATALOG[name]
     value = fexpr.grad(jet_coords(4, 0, torus_points)).value
     live = np.flatnonzero(np.abs(value).max(axis=0) > 0)
-    assert len(live) == 2
+    assert len(live) == len(fexpr.support)
     for i in live:
         def flipped(jc, i=i):
             out = fexpr.grad(jc).copy()
@@ -802,9 +834,9 @@ def test_a_sign_flipped_gradient_component_fails_the_bound(name, torus_points):
 
 # which catalog Hamiltonians flow as shears, x -> x + t V, on each model
 SHEARS = {"torus": {"sin2": "shear", "gauss": "shear", "sin13": "shear",
-                    "sin14": "curved", "const": "no flow"},
+                    "sin14": "curved", "sin134": "curved", "const": "no flow"},
           "kodaira": {"sin2": "shear", "gauss": "shear", "sin14": "shear",
-                      "sin13": "curved", "const": "no flow"}}
+                      "sin13": "curved", "sin134": "curved", "const": "no flow"}}
 
 
 @pytest.mark.parametrize("model_name", sorted(SHEARS))

@@ -210,7 +210,8 @@ def test_full_poisson_pipeline_on_deformed_data(torus_model, plan):
     assert max_abs(np.abs(br.eval(pts))) < 1e-12
 
 
-@pytest.mark.parametrize("model,f_expr", [("torus", "sin14"), ("kodaira", "sin13")])
+@pytest.mark.parametrize("model,f_expr", [("torus", "sin14"), ("kodaira", "sin13"),
+                                          ("torus", "sin134"), ("kodaira", "sin134")])
 def test_poisson_suite_on_curved_flows(model, f_expr):
     """The poisson suite at t = 0.1 on a Hamiltonian whose flow is curved
     (the default sin2 flows as a shear): every check passes, and

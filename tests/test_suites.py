@@ -232,7 +232,7 @@ def test_zero_calibration_is_inconclusive(monkeypatch):
     inconclusive and fails closed.  sin x1 sin x4 flows exactly on kodaira."""
     from pbhverify import suites
     from pbhverify.models import F_CATALOG
-    monkeypatch.setattr(suites, "_sin_pair", lambda i, j, name: F_CATALOG["sin14"])
+    monkeypatch.setattr(suites, "_sin_products", lambda name, *pairs: F_CATALOG["sin14"])
     rep = run_suite(SuiteConfig(suite="gpk-example2", model="kodaira",
                                 samples=8, t=0.1))
     order = {c.name: c for c in rep.checks}["integrator-order"]
@@ -268,8 +268,8 @@ def test_roundoff_calibration_is_inconclusive(monkeypatch, seed):
     every pair flows sin x1 sin x2, which F^K at c = 0.75 preserves to
     roundoff (max|F^K| = 1, so the floor is ORDER_ROUNDOFF_FLOOR)."""
     from pbhverify import models, suites
-    monkeypatch.setattr(suites, "_sin_pair",
-                        lambda i, j, name: models._sin_pair(0, 1, name))
+    monkeypatch.setattr(suites, "_sin_products",
+                        lambda name, *pairs: models._sin_products(name, (0, 1)))
     rep = run_suite(SuiteConfig(suite="gpk-example2", model="kodaira", samples=16,
                                 seed=seed, a=1.25, b=0.0, c=0.75, t=0.1))
     checks = {c.name: c for c in rep.checks}
