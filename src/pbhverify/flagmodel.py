@@ -22,6 +22,7 @@ from .tensorcalc import (ChartDomain, Field, Jet, bivector_field, form_combos,
                          form_field, form_full_matrix, jeinsum, jet_coords,
                          jtranspose, scalar_field, vector_field)
 from .tensorcalc.charts import ExcludedLocus
+from .tensorcalc.fields import memoize_fn
 from .tensorcalc.calculus import _stack
 from .structures import max_abs
 
@@ -144,18 +145,28 @@ class CP2Chart:
         return (z1 * d1 * self.x_coeff[0] + z2 * d2 * self.x_coeff[1] + self.x_const,
                 z1 * d1 * self.y_coeff[0] + z2 * d2 * self.y_coeff[1] + self.y_const)
 
+    @cached_property
+    def _closed_pair(self):
+        """(Xf, Yf) in closed form, computed once per coordinate jet."""
+        return memoize_fn(lambda jc: self.field_derivatives(*self.coords(jc)))
+
+    @cached_property
+    def _log_norm(self):
+        """f = log |tau|^2, evaluated once per coordinate jet."""
+        return memoize_fn(self.f_field().fn)
+
     def xf_closed(self, jc) -> Jet:
-        return self.field_derivatives(*self.coords(jc))[0]
+        return self._closed_pair(jc)[0]
 
     def yf_closed(self, jc) -> Jet:
-        return self.field_derivatives(*self.coords(jc))[1]
+        return self._closed_pair(jc)[1]
 
     def xf_jet(self, jc) -> Jet:
         """X f by Wirtinger differentiation of the honest potential."""
-        return holo_apply(self.x_hol(jc), self.f_field().fn(jc))
+        return holo_apply(self.x_hol(jc), self._log_norm(jc))
 
     def yf_jet(self, jc) -> Jet:
-        return holo_apply(self.y_hol(jc), self.f_field().fn(jc))
+        return holo_apply(self.y_hol(jc), self._log_norm(jc))
 
 
 def _cp2_domain(name):

@@ -11,8 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .structures import (BihermitianData, ParaHyperTriple,
-                         build_parahypercomplex, fundamental_form, max_abs,
-                         worst)
+                         build_parahypercomplex, fundamental_form, max_abs)
 from .tensorcalc import (ChartDomain, Field, Jet, SamplePlan, constant_endo,
                          constant_metric, form_field, form_full_matrix,
                          form_from_matrix, frame_field, jet_common, jet_coords,
@@ -51,39 +50,45 @@ class ModelDescriptor:
     lattice: tuple = ()  # (lin, shift) pairs, the deck maps x -> lin x + shift
     certified: bool = dc_field(default=False, init=False)
 
-    def certify(self, plan: SamplePlan) -> dict:
+    def certify(self, plan: SamplePlan, pts=None) -> dict:
         """The residuals in the order of ``CERTIFY_TOLERANCES``, up to the
-        first that is not within its tolerance (NaN included)."""
+        first that is not within its tolerance (NaN included), at the plan's
+        sample ``pts`` (drawn if not given).  J1-J3, stacked at order 1, and g
+        are evaluated there once; the fundamental forms for closedness, and
+        the stack and g at all deck images, once more."""
         self.certified = False
-        pts = plan.sample(self.chart)
+        pts = plan.sample(self.chart) if pts is None else pts
         t = self.triple
-        checks = {"algebra": t.algebra_residual, "compatibility": t.compatibility_residual,
-                  "closedness": t.closedness_residual, "nijenhuis": t.nijenhuis_residual,
-                  "lattice": self.lattice_residual}
+        js, gv = t.stack(pts, 1), t.g.eval_jet(pts)
+        checks = {"algebra": lambda: t.algebra_residual(pts, js, gv),
+                  "compatibility": lambda: t.compatibility_residual(pts, js, gv),
+                  "closedness": lambda: t.closedness_residual(pts, js, gv),
+                  "nijenhuis": lambda: t.nijenhuis_residual(pts, js, gv),
+                  "lattice": lambda: self.lattice_residual(pts, js, gv)}
         res = {}
         for key, tol in CERTIFY_TOLERANCES.items():
-            res[key] = checks[key](pts)
+            res[key] = checks[key]()
             if not res[key] <= tol:
                 raise ModelError(f"model {self.name} failed certification: {res}")
         self.certified = True
         return res
 
-    def lattice_residual(self, pts) -> float:
-        """Deck-transformation invariance of g and the J's: components at the
-        translated point must match the conjugated components at x.  Each
-        field is evaluated once at ``pts`` and once at all deck images."""
+    def lattice_residual(self, pts, js=None, gv=None) -> float:
+        """Deck-transformation invariance of g and the J's: at the image of x
+        they must be lin J lin^-1 and lin^-T g lin^-1 of their values at x, for
+        all deck maps in one einsum (``js`` and ``gv`` as for the triple's)."""
         if not self.lattice:
             return 0.0
+        t = self.triple
+        js, gv = (t.stack(pts), t.g.eval_jet(pts)) if js is None else (js, gv)
         moved = np.concatenate([pts @ lin.T + shift for lin, shift in self.lattice])
-        pairs = [(lin, np.linalg.inv(lin)) for lin, _ in self.lattice]
-        # J -> lin J lin^-1 and g -> lin^-T g lin^-1; ``left`` picks lin or lin^-1
-        res = 0.0
-        for f, spec, left in ([(j, "ij,bjk,kl->bil", 0) for j in self.triple.js]
-                              + [(self.triple.g, "ji,bjk,kl->bil", 1)]):
-            at_x = f.eval(pts)
-            want = np.concatenate([np.einsum(spec, pair[left], at_x, pair[1]) for pair in pairs])
-            res = worst(res, max_abs(f.eval(moved) - want))
-        return res
+        lins = np.stack([lin for lin, _ in self.lattice])
+        invs = np.linalg.inv(lins)
+        left = np.concatenate([np.repeat(lins[:, None], 3, 1), invs.swapaxes(1, 2)[:, None]], 1)
+        at_x = np.concatenate([js.value, gv.value[:, None]], axis=1)
+        got = np.concatenate([t.stack(moved).value, t.g.eval(moved)[:, None]], axis=1)
+        want = np.einsum("lfij,bfjk,lkm->lbfim", left, at_x, invs)
+        return max_abs(got - want.reshape(got.shape))
 
 
 # --------------------------------------------------------------------------
@@ -170,22 +175,17 @@ def kodaira_phk(plan: SamplePlan) -> ModelDescriptor:
     g_frame[0, 3] = g_frame[3, 0] = 1.0
     g_frame[1, 2] = g_frame[2, 1] = 1.0
 
-    errors = []
+    # deck transformations: pure translations in x2, x3, x4 and the
+    # sheared x1-generator (x1, x2, x3, x4) -> (x1+1, x2, x3, x4+x2)
+    shear = np.eye(4)
+    shear[3, 1] = 1.0
+    lattice = tuple((np.eye(4), np.eye(4)[i]) for i in (1, 2, 3)) + ((shear, np.eye(4)[0]),)
+    errors, pts = [], plan.sample(chart)  # one draw for every candidate
     for j1f, j2f in _kodaira_candidates():
-        triple = _kodaira_triple(chart, j1f, j2f, g_frame)
-        # deck transformations: pure translations in x2, x3, x4 and the
-        # sheared x1-generator (x1, x2, x3, x4) -> (x1+1, x2, x3, x4+x2)
-        shear = np.eye(4)
-        shear[3, 1] = 1.0
-        lattice = (
-            (np.eye(4), np.eye(4)[1]),
-            (np.eye(4), np.eye(4)[2]),
-            (np.eye(4), np.eye(4)[3]),
-            (shear, np.eye(4)[0]),
-        )
-        model = ModelDescriptor("kodaira", chart, triple, lattice)
+        model = ModelDescriptor("kodaira", chart, _kodaira_triple(chart, j1f, j2f, g_frame),
+                                lattice)
         try:
-            model.certify(plan)
+            model.certify(plan, pts)
             return model
         except ModelError as exc:
             errors.append(str(exc))
@@ -429,25 +429,22 @@ class HamiltonianFlow:
 
     The velocity solves i_V F^K = df: V = (F^T)^-1 df for the chart matrix
     F = P^-T M P^-1 of the frame constant F^K, and (F^T)^-1 = P (M^T)^-1 P^T
-    is a bivector frame constant.  (M^T)^-1 is computed once, at
-    construction, and of each of its chart coefficients in x1 the flow
-    keeps only the columns of ``fexpr.support``, where df can be nonzero.
-    Each velocity contracts each kept coefficient with the gradient on the
-    support in one ``np.einsum`` and sums the terms by Horner's rule in x1.
-    At degree 0 in x1 (both shipped models at their default parameters)
-    that is one einsum, and a sine-product velocity makes no jet product.
-    Each velocity is bitwise the contraction with the full gradient, zero
-    off the support (``test_flow_equals_the_full_gradient_oracle``).
+    is a bivector frame constant, computed once.  Of each of its chart
+    coefficients in x1 the flow keeps the columns of ``fexpr.support``,
+    where df can be nonzero, contracts each with the gradient in one
+    ``np.einsum`` and sums the terms by Horner's rule in x1: bitwise the
+    contraction with the full gradient, zero off the support
+    (``test_flow_equals_the_full_gradient_oracle``).
 
-    Positions are integrated as jets, so the flow map's derivatives through
-    third order ride along (variational equations included).  Each RK4
-    integration adds one (input jet, flowed jet) entry to ``_cache``.  A
-    query whose coordinate jet equals a row prefix and a coefficient prefix
-    of a stored input (fewer points of the same sample sequence, a lower
-    order) is served by slicing the stored result: truncated Taylor
-    arithmetic computes each row and each lower-degree coefficient from the
-    same rows and coefficients of its inputs, in the same order.  The prefix
-    is compared with ``np.array_equal``; any other query integrates anew."""
+    Positions are integrated as jets, so the flow map's derivatives ride
+    along (variational equations), to order 2 in a deformation's one
+    integration.  Each integration adds one (input jet, flowed jet) entry
+    to ``_cache``.  A query whose coordinate jet is a row and coefficient
+    prefix of a stored input (fewer points of the same sample sequence, a
+    lower order; ``np.array_equal``) is served by slicing the stored
+    result, bitwise what integrating it would give, since truncated Taylor
+    arithmetic computes each row and lower-degree coefficient from the same
+    ones of its inputs, in the same order.  Any other query integrates anew."""
 
     def __init__(self, f_k: Field, fexpr: FExpr, t: float, step: float):
         frame, d = f_k.frame, f_k.chart.dim

@@ -16,11 +16,11 @@ import numpy as np
 from .tensorcalc import (Field, Jet, d_scalar, exterior_derivative,
                          form_field, form_from_matrix, form_full, frame_field,
                          frame_lift, jeinsum, jet_coords, jet_inv, jet_prefix,
-                         jet_solve, jgrad, jmatmul, jmatvec, jtrace, jtranspose,
-                         nijenhuis_tensor, oneform_field, pullback_linear,
+                         jet_solve, jet_space, jgrad, jmatmul, jmatvec, jtrace,
+                         jtranspose, nijenhuis_jets, oneform_field, pullback_linear,
                          same_frame, vector_field)
 from .tensorcalc.fields import _scale, _broadcast_const, memoize_fn
-from .tensorcalc.calculus import _wedge_table
+from .tensorcalc.calculus import _d_table, _stack, _wedge_table
 
 __all__ = ["HermitianPair", "ParaHyperTriple", "BihermitianData",
            "DegeneracyError", "BranchError", "lee_form", "lee_condition",
@@ -132,9 +132,17 @@ class HermitianPair:
         return -pullback_linear(self.j, self.df)
 
 
+# J_a J_b = SIGN[a, b] T[INDEX[a, b]] for T = (J1, J2, J3, I), and J_a^T g J_a = sign_a g
+SPLIT_QUATERNION_INDEX = np.array([[3, 2, 1], [2, 3, 0], [1, 0, 3]])
+SPLIT_QUATERNION_SIGN = np.array([[-1.0, 1.0, -1.0], [-1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+COMPATIBILITY_SIGN = np.array([1.0, -1.0, -1.0])
+
+
 @dataclass
 class ParaHyperTriple:
-    """Almost para-hyperhermitian structure {g, J1, J2, J3}."""
+    """Almost para-hyperhermitian structure {g, J1, J2, J3}.  Each residual
+    takes ``pts`` and, if the caller holds them there, J1-J3 from their
+    fields (not frames) as one order-1 ``stack`` ``js`` and g at order 0 ``gv``."""
 
     g: Field
     j1: Field
@@ -150,36 +158,32 @@ class ParaHyperTriple:
     def omegas(self):
         return tuple(fundamental_form(self.g, j) for j in self.js)
 
-    def algebra_residual(self, pts) -> float:
-        """Split-quaternion multiplication table residual: all nine products."""
-        d = self.g.chart.dim
-        jv = [j.eval_jet(pts) for j in self.js]
-        eye = _broadcast_const(jv[0], np.eye(d))
-        return worst(
-            # squares: J1^2 = -Id, J2^2 = J3^2 = +Id
-            max_abs(jmatmul(jv[0], jv[0]) + eye),
-            max_abs(jmatmul(jv[1], jv[1]) - eye),
-            max_abs(jmatmul(jv[2], jv[2]) - eye),
-            # products: J1J2 = J3 = -J2J1, J2J3 = -J1 = -J3J2, J3J1 = J2 = -J1J3
-            max_abs(jmatmul(jv[0], jv[1]) - jv[2]),
-            max_abs(jmatmul(jv[1], jv[0]) + jv[2]),
-            max_abs(jmatmul(jv[1], jv[2]) + jv[0]),
-            max_abs(jmatmul(jv[2], jv[1]) - jv[0]),
-            max_abs(jmatmul(jv[2], jv[0]) - jv[1]),
-            max_abs(jmatmul(jv[0], jv[2]) + jv[1]))
+    def stack(self, pts, order: int = 0) -> Jet:
+        """J1, J2, J3 at ``pts``, valid to ``order``, as one (B, 3, d, d) jet."""
+        return _stack([j.eval_jet(pts, order) for j in self.js])
 
-    def compatibility_residual(self, pts) -> float:
-        """g(J1 X, J1 Y) = -g(J2 X, J2 Y) = -g(J3 X, J3 Y) = g(X, Y)."""
-        gv = self.g.eval_jet(pts)
-        return worst(*(max_abs(jmatmul(jmatmul(jtranspose(jv), gv), jv) - gv * sign)
-                       for sign, jv in zip((1.0, -1.0, -1.0),
-                                           (j.eval_jet(pts) for j in self.js))))
+    def algebra_residual(self, pts, js=None, gv=None) -> float:
+        """All nine products J_a J_b against the split-quaternion table."""
+        js = self.stack(pts) if js is None else jet_prefix(js, jet_space(js.space.dim, 0))
+        eye = _broadcast_const(js, np.eye(js.c.shape[-2])).c[:, None]
+        want = np.concatenate([js.c, eye], axis=1)[:, SPLIT_QUATERNION_INDEX]
+        return max_abs(jeinsum("...aij,...bjk->...abik", js, js)
+                       - Jet(js.space, want * SPLIT_QUATERNION_SIGN[..., None, None, None]))
 
-    def closedness_residual(self, pts) -> float:
-        return worst(*(max_abs(exterior_derivative(om).eval(pts)) for om in self.omegas))
+    def compatibility_residual(self, pts, js=None, gv=None) -> float:
+        """g(J1 X, J1 Y) = -g(J2 X, J2 Y) = -g(J3 X, J3 Y) = g(X, Y), at g's order."""
+        js = self.stack(pts) if js is None else js
+        gv = self.g.eval_jet(pts) if gv is None else gv
+        jtgj = jeinsum("...aik,...akl->...ail", jeinsum("...aji,...jk->...aik", js, gv), js)
+        want = gv.c[:, None] * COMPATIBILITY_SIGN[:, None, None, None]
+        return max_abs(jtgj - Jet(gv.space, want))
 
-    def nijenhuis_residual(self, pts) -> float:
-        return worst(*(max_abs(nijenhuis_tensor(j).eval(pts)) for j in self.js))
+    def closedness_residual(self, pts, js=None, gv=None) -> float:
+        dw = jgrad(_stack([w.eval_jet(pts, 1) for w in self.omegas]))
+        return max_abs(np.einsum("osi,...sir->...or", _d_table(self.g.chart.dim, 2), dw.c))
+
+    def nijenhuis_residual(self, pts, js=None, gv=None) -> float:
+        return max_abs(nijenhuis_jets(self.stack(pts, 1) if js is None else js))
 
 
 def _lee_solve_matrix(fv: Jet) -> Jet:

@@ -321,20 +321,20 @@ class SuiteContext:
 
 
 def suite_parahyperkahler(ctx: SuiteContext):
-    m = ctx.model
     pts = ctx.points()
-    t = m.triple
+    t = ctx.model.triple
+    js, gv = t.stack(pts, 1), t.g.eval_jet(pts)
     return [
         ctx.record("split-quaternion-relations",
                    "products of the three frame endomorphisms",
-                   t.algebra_residual(pts), len(pts)),
+                   t.algebra_residual(pts, js, gv), len(pts)),
         ctx.record("metric-compatibility",
                    "g(J1 X, J1 Y) = -g(J2 X, J2 Y) = -g(J3 X, J3 Y) = g(X, Y)",
-                   t.compatibility_residual(pts), len(pts)),
+                   t.compatibility_residual(pts, js, gv), len(pts)),
         ctx.record("fundamental-forms-closed", "d of all three 2-forms",
-                   t.closedness_residual(pts), len(pts)),
+                   t.closedness_residual(pts, js, gv), len(pts)),
         ctx.record("nijenhuis-vanishing", "torsion tensors of the frame structures",
-                   t.nijenhuis_residual(pts), len(pts)),
+                   t.nijenhuis_residual(pts, js, gv), len(pts)),
     ]
 
 

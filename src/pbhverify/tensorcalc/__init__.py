@@ -9,6 +9,6 @@ from .fields import (Field, bivector_field, constant_endo, constant_metric,
                      frame_lift, metric_field, oneform_field, same_frame,
                      scalar_field, vector_field, zero_form)
 from .calculus import (bracket_jets, combo_index, d_scalar, evaluate_form,
-                       exterior_derivative, form_combos, form_from_matrix,
-                       form_full, form_full_matrix, interior_product,
-                       lie_bracket, nijenhuis_tensor, pullback_linear, wedge)
+                       exterior_derivative, form_combos, form_from_matrix, form_full,
+                       form_full_matrix, interior_product, lie_bracket, nijenhuis_jets,
+                       nijenhuis_tensor, pullback_linear, wedge)

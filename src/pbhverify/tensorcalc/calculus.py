@@ -18,9 +18,9 @@ from .fields import (Field, form_field, oneform_field, scalar_field,
 from .jets import Jet, _perm_sign, jdet, jeinsum, jet_common, jgrad, jtranspose
 
 __all__ = ["form_combos", "combo_index", "exterior_derivative", "wedge",
-           "interior_product", "pullback_linear", "lie_bracket",
-           "bracket_jets", "d_scalar", "form_full", "form_full_matrix",
-           "form_from_matrix", "evaluate_form", "nijenhuis_tensor"]
+           "interior_product", "pullback_linear", "lie_bracket", "bracket_jets",
+           "d_scalar", "form_full", "form_full_matrix", "form_from_matrix",
+           "evaluate_form", "nijenhuis_jets", "nijenhuis_tensor"]
 
 
 @lru_cache(maxsize=None)
@@ -225,20 +225,19 @@ def lie_bracket(x: Field, y: Field) -> Field:
                         cost=max(x.cost, y.cost) + 1)
 
 
+def nijenhuis_jets(jv: Jet) -> Jet:
+    """``nijenhuis_tensor`` of endo jets (..., d, d); drops one valid order."""
+    ii, jj = np.array(form_combos(jv.c.shape[-2], 2)).T
+    dj = jgrad(jv)  # dj[a, j, b] = d_b J^a_j
+    # [Je_i, e_j] = -d_j(J e_i) and [e_i, e_j] = 0, so N(e_i, e_j) =
+    # u[:, i, j] - u[:, j, i] with u[a, i, j] = J^b_i d_b J^a_j + J^a_c d_j J^c_i
+    u = (jeinsum("...bi,...ajb->...aij", jv, dj)
+         + jeinsum("...ac,...cij->...aij", jv, dj))
+    return Jet(u.space, u.c[..., ii, jj, :] - u.c[..., jj, ii, :])
+
+
 def nijenhuis_tensor(j_endo: Field) -> Field:
     """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2 [X, Y] on coordinate
     frame pairs (i < j); output components (B, d, npairs)."""
-    chart = j_endo.chart
-    d = chart.dim
-    ii, jj = np.array(form_combos(d, 2)).T
-
-    def fn(jc):
-        jv = j_endo.fn(jc)
-        dj = jgrad(jv)  # dj[a, j, b] = d_b J^a_j
-        # [Je_i, e_j] = -d_j(J e_i) and [e_i, e_j] = 0, so N(e_i, e_j) =
-        # u[:, i, j] - u[:, j, i] with u[a, i, j] = J^b_i d_b J^a_j + J^a_c d_j J^c_i
-        u = (jeinsum("...bi,...ajb->...aij", jv, dj)
-             + jeinsum("...ac,...cij->...aij", jv, dj))
-        return Jet(u.space, u.c[..., ii, jj, :] - u.c[..., jj, ii, :])
-
-    return Field(chart, "tensor", fn, cost=j_endo.cost + 1)
+    return Field(j_endo.chart, "tensor", lambda jc: nijenhuis_jets(j_endo.fn(jc)),
+                 cost=j_endo.cost + 1)

@@ -29,6 +29,11 @@ flow the same way:
     PYTHONPATH=src python tests/jet_helpers.py --suite gpk-example2 \
         --model kodaira --t 0.1 --f-expr sin134 --time 8
 
+With ``--certify`` (no ``--suite``) it times ``models.get_model`` alone, the
+model's build and certification at the plan a default run certifies at:
+
+    PYTHONPATH=src python tests/jet_helpers.py --model kodaira --certify --time 300
+
 The last section keeps the Hamiltonian flow as it was before its velocity
 was contracted over the gradient's support: the full-width gradients of the
 catalog Hamiltonians (zero off the support), every chart coefficient of
@@ -264,13 +269,15 @@ def main(argv=None):
     """Print each (caller, from, to) that ``order_cuts`` records in one
     configuration, with its count, most frequent first; with
     ``--directions``, each row of ``direction_audit`` instead, and with
-    ``--time N`` the min and median wall seconds of N runs."""
-    from pbhverify.suites import SuiteConfig, run_suite
+    ``--time N`` the min and median wall seconds of N runs (of
+    ``models.get_model`` alone with ``--certify``)."""
+    from pbhverify import models, suites
+    from pbhverify.tensorcalc import SamplePlan
 
     parser = argparse.ArgumentParser(
         description="Print the order_cuts table of one run_suite configuration "
                     "(64 samples, seed 42).")
-    parser.add_argument("--suite", required=True)
+    parser.add_argument("--suite", help="required unless --certify")
     parser.add_argument("--model", required=True)
     parser.add_argument("--t", type=float, default=0.0)
     parser.add_argument("--f-expr", default="sin2", help="named Hamiltonian of the flow")
@@ -280,22 +287,35 @@ def main(argv=None):
     mode.add_argument("--time", type=int, metavar="N",
                       help="run the configuration N times and print the min and "
                            "median wall seconds instead")
+    parser.add_argument("--certify", action="store_true",
+                        help="with --time, time building and certifying the model "
+                             "(models.get_model) instead of the suite")
     args = parser.parse_args(argv)
-    config = SuiteConfig(suite=args.suite, model=args.model, t=args.t, f_expr=args.f_expr)
+    if args.certify and args.time is None:
+        parser.error("--certify needs --time N")
+    if args.suite is None and not args.certify:
+        parser.error("--suite is required")
+    config = suites.SuiteConfig(suite=args.suite or "all", model=args.model, t=args.t,
+                                f_expr=args.f_expr)
     if args.time is not None:
         if args.time < 1:
             parser.error("--time needs at least one run")
+        # the plan SuiteContext.model certifies at
+        plan = SamplePlan(min(16, config.samples), config.seed + 7)
         times = []
         for _ in range(args.time):
             start = time.perf_counter()
-            run_suite(config)
+            if args.certify:
+                models.get_model(args.model, plan)
+            else:
+                suites.run_suite(config)
             times.append(time.perf_counter() - start)
-        print(f"runs {len(times)}  min {min(times):.4f} s  "
-              f"median {statistics.median(times):.4f} s")
+        print(f"runs {len(times)}  min {min(times):.6f} s  "
+              f"median {statistics.median(times):.6f} s")
         return
     if args.directions:
         with direction_audit() as records:
-            run_suite(config)
+            suites.run_suite(config)
         table = Counter(records).most_common()
         width = max((len(caller) for (_, caller, *_), _ in table), default=6)
         print(f"kernel   {'caller':<{width}}  dim  order  bits  kept  rows  used  products")
@@ -304,7 +324,7 @@ def main(argv=None):
                   f"{kept:>4}  {rows:>4}  {str(used):>4}  {n:>8}")
         return
     with order_cuts() as cuts:
-        run_suite(config)
+        suites.run_suite(config)
     rows = Counter(cuts).most_common()
     width = max((len(caller) for (caller, _, _), _ in rows), default=6)
     print(f"{'caller':<{width}}  from  to  cuts")

@@ -24,7 +24,10 @@ took every section's gradient in each bracket; the package must match them
 bitwise.  ``ref_product_form_grad`` is the product form cos x_i sin x_j,
 sin x_i cos x_j that the angle-sum sine gradients replaced, matched to
 8 eps.  ``ref_lattice_residual`` is the per-transformation deck check
-that the batched one replaced, also matched bitwise, and
+that the batched one replaced, and ``ref_algebra_residual``,
+``ref_compatibility_residual``, ``ref_closedness_residual`` and
+``ref_nijenhuis_residual`` the per-product triple residuals that the
+stacked ones replaced, all matched bitwise, and
 ``ref_b_transform_naturality`` and ``ref_pairing_preservation`` are the
 per-pair loops of the ``courant`` suite that its stacked evaluations
 replaced, matched bitwise too.  The storage rule (every result lives in
@@ -33,6 +36,7 @@ the space of its order) is checked against the full-space loop oracles of
 prefix.
 """
 
+import ast
 import dataclasses
 import functools
 import itertools
@@ -2345,6 +2349,48 @@ def ref_lattice_residual(model, pts):
     return res
 
 
+def ref_algebra_residual(triple, pts):
+    """The split-quaternion table product by product, each J evaluated on
+    its own."""
+    d = triple.g.chart.dim
+    jv = [j.eval_jet(pts) for j in triple.js]
+    eye = _broadcast_const(jv[0], np.eye(d))
+    return worst(
+        max_abs(jmatmul(jv[0], jv[0]) + eye),
+        max_abs(jmatmul(jv[1], jv[1]) - eye),
+        max_abs(jmatmul(jv[2], jv[2]) - eye),
+        max_abs(jmatmul(jv[0], jv[1]) - jv[2]),
+        max_abs(jmatmul(jv[1], jv[0]) + jv[2]),
+        max_abs(jmatmul(jv[1], jv[2]) + jv[0]),
+        max_abs(jmatmul(jv[2], jv[1]) - jv[0]),
+        max_abs(jmatmul(jv[2], jv[0]) - jv[1]),
+        max_abs(jmatmul(jv[0], jv[2]) + jv[1]))
+
+
+def ref_compatibility_residual(triple, pts):
+    """J^T g J - sign g per J, with J and g evaluated again for each."""
+    gv = triple.g.eval_jet(pts)
+    return worst(*(max_abs(jmatmul(jmatmul(jtranspose(jv), gv), jv) - gv * sign)
+                   for sign, jv in zip((1.0, -1.0, -1.0),
+                                       (j.eval_jet(pts) for j in triple.js))))
+
+
+def ref_closedness_residual(triple, pts):
+    """d of each fundamental form through its own ``exterior_derivative``."""
+    return worst(*(max_abs(exterior_derivative(om).eval(pts)) for om in triple.omegas))
+
+
+def ref_nijenhuis_residual(triple, pts):
+    """Each J's own ``nijenhuis_tensor`` field."""
+    return worst(*(max_abs(nijenhuis_tensor(j).eval(pts)) for j in triple.js))
+
+
+REF_TRIPLE_RESIDUALS = {"algebra": ref_algebra_residual,
+                        "compatibility": ref_compatibility_residual,
+                        "closedness": ref_closedness_residual,
+                        "nijenhuis": ref_nijenhuis_residual}
+
+
 def kodaira_candidate_models(kodaira_model):
     from pbhverify.models import ModelDescriptor, _kodaira_candidates, _kodaira_triple
     chart = kodaira_model.chart
@@ -2365,6 +2411,105 @@ def test_lattice_residual_equals_the_loop(seed, torus_model, kodaira_model):
         residuals.append(model.lattice_residual(pts))
         assert_bitwise(residuals[-1], ref_lattice_residual(model, pts))
     assert residuals[2] > 0.0
+
+
+def certified_residuals(model, plan):
+    """``certify``'s residual dict, passed or failed."""
+    from pbhverify.models import ModelError
+    try:
+        return model.certify(plan)
+    except ModelError as exc:
+        return ast.literal_eval(str(exc).split("failed certification: ")[1])
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_stacked_triple_residuals_equal_the_loops(seed, torus_model, kodaira_model):
+    """Each stacked residual is bitwise the per-product loop on the torus,
+    the shipped kodaira model and every kodaira candidate: called alone,
+    given the shared stack, and in ``certify`` up to where it stops."""
+    models_ = [torus_model, kodaira_model] + kodaira_candidate_models(kodaira_model)
+    for model in models_:
+        plan = SamplePlan(16, seed)
+        pts = plan.sample(model.chart)
+        t = model.triple
+        js, gv = t.stack(pts, 1), t.g.eval_jet(pts)
+        ref = {key: fn(t, pts) for key, fn in REF_TRIPLE_RESIDUALS.items()}
+        ref["lattice"] = ref_lattice_residual(model, pts)
+        alone = {"algebra": t.algebra_residual(pts),
+                 "compatibility": t.compatibility_residual(pts),
+                 "closedness": t.closedness_residual(pts),
+                 "nijenhuis": t.nijenhuis_residual(pts),
+                 "lattice": model.lattice_residual(pts)}
+        shared = {"algebra": t.algebra_residual(pts, js, gv),
+                  "compatibility": t.compatibility_residual(pts, js, gv),
+                  "closedness": t.closedness_residual(pts, js, gv),
+                  "nijenhuis": t.nijenhuis_residual(pts, js, gv),
+                  "lattice": model.lattice_residual(pts, js, gv)}
+        certified = certified_residuals(model, plan)
+        for got in (alone, shared, certified):
+            for key, value in got.items():
+                assert_bitwise(value, ref[key])
+    # candidate 0 stops at compatibility, candidate 1 at closedness
+    assert [len(certified_residuals(m, SamplePlan(16, seed))) for m in models_] == [5, 5, 2, 3, 5]
+
+
+def poisoned_j2_model(model):
+    """``model`` with J2's closure NaN in its [0, 2] entry at every point
+    and every coefficient, and J2's frame components kept: a residual that
+    read the frame instead of evaluating J2 would not see it."""
+    j2 = model.triple.j2
+
+    def poisoned(jc):
+        out = j2.fn(jc).copy()
+        out.c[:, 0, 2] = np.nan
+        return out
+
+    triple = dataclasses.replace(model.triple, j2=dataclasses.replace(j2, fn=poisoned))
+    assert triple.j2.frame is j2.frame
+    return type(model)(model.name, model.chart, triple, model.lattice)
+
+
+def test_poisoned_closure_reaches_every_stacked_residual(torus_model, kodaira_model):
+    """Every residual that reads the stack of J1-J3 is NaN when J2's closure
+    is, called alone and with the shared stack, and certification fails at
+    the first residual.  Closedness reads the fundamental forms, which are
+    frame constants of (g, J), so it stays 0."""
+    from pbhverify.models import ModelError
+    plan = SamplePlan(16, 42)
+    for model in (poisoned_j2_model(torus_model), poisoned_j2_model(kodaira_model)):
+        pts = plan.sample(model.chart)
+        t = model.triple
+        js, gv = t.stack(pts, 1), t.g.eval_jet(pts)
+        stacked = [t.algebra_residual(pts), t.compatibility_residual(pts),
+                   t.nijenhuis_residual(pts), model.lattice_residual(pts),
+                   t.algebra_residual(pts, js, gv), t.compatibility_residual(pts, js, gv),
+                   t.nijenhuis_residual(pts, js, gv), model.lattice_residual(pts, js, gv)]
+        assert all(np.isnan(stacked))
+        assert np.isnan(ref_algebra_residual(t, pts))
+        assert t.closedness_residual(pts) == 0.0 == ref_closedness_residual(t, pts)
+        with pytest.raises(ModelError, match=r"\{'algebra': nan\}"):
+            model.certify(plan)
+        assert not model.certified
+
+
+@pytest.mark.parametrize("name", ["SPLIT_QUATERNION_SIGN", "COMPATIBILITY_SIGN"])
+def test_a_flipped_sign_fails_certification(name, torus_model, kodaira_model, monkeypatch):
+    """With any one sign of the split-quaternion table, or of the metric
+    compatibility, flipped, the shipped models fail certification there:
+    the residual compares some T with -T, for T one of J1-J3, I or g, whose
+    entries include a 1, so it reads at least 2."""
+    from pbhverify import structures
+    from pbhverify.models import ModelDescriptor
+    key = "algebra" if name == "SPLIT_QUATERNION_SIGN" else "compatibility"
+    shipped = getattr(structures, name)
+    for at in np.ndindex(shipped.shape):
+        flipped = shipped.copy()
+        flipped[at] = -flipped[at]
+        monkeypatch.setattr(structures, name, flipped)
+        for model in (torus_model, kodaira_model):
+            fresh = ModelDescriptor(model.name, model.chart, model.triple, model.lattice)
+            assert certified_residuals(fresh, SamplePlan(16, 42))[key] >= 2.0, at
+            assert not fresh.certified
 
 
 def test_nan_at_one_deck_image_fails_certification(kodaira_model):

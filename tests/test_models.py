@@ -398,12 +398,16 @@ def test_flipped_shear_generator_fails_the_lattice_check(kodaira_model):
 def test_kodaira_certification_work_count(monkeypatch):
     """Deterministic work guard on one ``SuiteContext(kodaira).model``: the
     candidate search is the run's certification, at the run's points
-    (16 at seed + 7), and nothing certifies the model again.  It stops
-    candidate 0 after compatibility (3 + 4 field evaluations) and candidate 1
-    after closedness (3 more), and the full certification of candidate 2
-    takes 21: 3 + 4 + 3 for the first three residuals, 3 for the Nijenhuis
-    residual and 8 for the deck check, which evaluates each of J1-J3 and g
-    once at the points and once at all deck images."""
+    (16 at seed + 7, drawn once for the three candidates), and nothing
+    certifies the model again.  Each certification evaluates the triple
+    once, J1-J3 at order 1 and g at order 0 (4 field evaluations), and the
+    algebra, compatibility and Nijenhuis residuals read only that.
+    Candidate 0 stops after compatibility (4), candidate 1 after
+    closedness, which evaluates the three fundamental forms (4 + 3), and
+    the full certification of candidate 2 takes 11: those 7 and 4 for the
+    deck check, which reuses the values at the points and evaluates J1-J3
+    and g once at all deck images (38 when each residual evaluated the
+    triple again)."""
     calls, certs = [], []
     eval_jet, certify = Field.eval_jet, ModelDescriptor.certify
 
@@ -411,16 +415,16 @@ def test_kodaira_certification_work_count(monkeypatch):
         calls.append(field)
         return eval_jet(field, *args, **kwargs)
 
-    def counted_certify(model, plan):
+    def counted_certify(model, plan, *pts):
         certs.append(plan)
-        return certify(model, plan)
+        return certify(model, plan, *pts)
 
     monkeypatch.setattr(Field, "eval_jet", counted)
     monkeypatch.setattr(ModelDescriptor, "certify", counted_certify)
     model = suites.SuiteContext(SuiteConfig(model="kodaira", seed=42)).model
     assert model.certified
     assert [(p.count, p.seed) for p in certs] == [(16, 49)] * 3
-    assert len(calls) == 7 + 10 + 21
+    assert len(calls) == 4 + 7 + 11
 
 
 # -- one integration per flow -------------------------------------------------
@@ -650,6 +654,28 @@ def test_curved_flow_timing_prints(capsys, monkeypatch):
     assert float(words[3]) == float(words[6]) > 0.0
     assert [(c.suite, c.model, c.t, c.f_expr) for c in configs] == [
         ("gpk-example2", "kodaira", 0.1, "sin134")]
+
+
+def test_certification_timing_prints(capsys, monkeypatch):
+    """``python tests/jet_helpers.py --model M --certify --time N`` builds and
+    certifies the model N times through ``models.get_model``, at the plan a
+    default run certifies at (16 samples at seed 42 + 7), runs no suite, and
+    prints the min and median wall seconds; ``--certify`` needs ``--time``."""
+    calls, get_model = [], models.get_model
+
+    def get_spy(name, plan):
+        calls.append((name, plan.count, plan.seed))
+        return get_model(name, plan)
+
+    monkeypatch.setattr(models, "get_model", get_spy)
+    monkeypatch.setattr(suites, "run_suite", lambda config: pytest.fail("ran a suite"))
+    jet_helpers.main(["--model", "kodaira", "--certify", "--time", "2"])
+    words = capsys.readouterr().out.split()
+    assert words[:3] == ["runs", "2", "min"] and words[4:6] == ["s", "median"]
+    assert 0.0 < float(words[3]) <= float(words[6])
+    assert calls == [("kodaira", 16, 49)] * 2
+    with pytest.raises(SystemExit):
+        jet_helpers.main(["--model", "torus", "--certify"])
 
 
 @pytest.fixture

@@ -32,15 +32,11 @@ BUILDERS = {
 AUDIT_RUNS = (("all", "torus"), ("all", "kodaira"), ("engel", "kodaira"))
 
 # (builder, calling function) -> why it may build twice on the same inputs
-_CERTIFY = ("model certification and the parahyperkahler suite each build it, "
-            "at different point sets")
 _DDC = ("theorem4's lambda fit and its ddc-commuting lemma each build dd^c of "
         "f o p1; perfbench/workloads.py calls the (u, v, phi, pts) signature of "
         "ddc_commuting_fields, so it cannot take the built form")
 _OMEGA = "two owners of one frame constant: F of (g, J1) in the triple and in the pair"
 ALLOWED = {
-    ("exterior_derivative", "ParaHyperTriple.closedness_residual"): _CERTIFY,
-    ("nijenhuis_tensor", "ParaHyperTriple.nijenhuis_residual"): _CERTIFY,
     ("ddc_scalar", "FlagBundle.lambda_fit"): _DDC,
     ("ddc_scalar", "ddc_commuting_fields"): _DDC,
     ("d_scalar", "ddc_scalar"): _DDC,
