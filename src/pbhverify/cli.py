@@ -13,6 +13,7 @@ import sys
 from dataclasses import fields
 
 from .models import F_CATALOG, FlowTimeError, ModelError
+from .structures import BranchError
 from .suites import ConfigError, SuiteConfig, list_suites, run_suite
 
 __all__ = ["main", "build_parser", "parse_config_file"]
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run_suite(cfg)
-    except (ConfigError, FlowTimeError) as exc:
+    except (ConfigError, FlowTimeError, BranchError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ModelError as exc:

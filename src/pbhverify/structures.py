@@ -26,7 +26,7 @@ __all__ = ["HermitianPair", "ParaHyperTriple", "BihermitianData",
            "DegeneracyError", "BranchError", "lee_form", "lee_condition",
            "levi_civita", "build_parahypercomplex",
            "check_p_gradient", "Connection", "fundamental_form", "max_abs",
-           "reduce_parts", "worst"]
+           "reduce_parts"]
 
 
 class DegeneracyError(ValueError):
@@ -59,11 +59,6 @@ def reduce_parts(parts, mask=None) -> float:
 def max_abs(x) -> float:
     """``reduce_parts`` of the one part ``x``."""
     return reduce_parts([x])
-
-
-def worst(*xs) -> float:
-    """``reduce_parts`` of residuals that are reduced already."""
-    return reduce_parts(xs)
 
 
 def fundamental_form(g: Field, j: Field) -> Field:
@@ -406,7 +401,8 @@ def build_parahypercomplex(jp: Field, jm: Field, g: Field, pts,
     bad = np.abs(pv) <= 1.0 + BRANCH_MARGIN
     if np.any(bad):
         pt = np.atleast_2d(pts)[bad][0]
-        raise BranchError(f"|p| <= 1 + {BRANCH_MARGIN} at sampled point {pt} (p={pv[bad][0]:.6g})")
+        raise BranchError(f"|p| <= 1 + BRANCH_MARGIN = {1 + BRANCH_MARGIN:g} at sampled "
+                          f"point {pt} (p={pv[bad][0]:.6g})")
     return data
 
 

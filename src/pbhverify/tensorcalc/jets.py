@@ -8,18 +8,13 @@ roundoff.  Coefficient arrays carry arbitrary leading axes (batch of points,
 tensor component axes); the multi-index axis is always last.
 
 Storage rule: a jet valid to order k lives in ``jet_space(dim, k)``, and its
-array holds exactly the coefficients through degree k, so every stored
-coefficient is valid and ``Jet.order`` is its space's order.  Multi-indices
-are degree-ordered, so the multi-indices of a lower order are a prefix of
-those of a higher one, and cutting a jet to a lower order is a view of a
-coefficient prefix (``jet_prefix``).  Building a ``Jet`` with an order below
-its space's stores that prefix in the lower space; ``jgrad`` and
-``Jet.partial`` write straight into ``jet_space(dim, order - 1)``; and every
-operation on two jets (``+``, ``-``, ``*``, ``jeinsum``, ``jet_solve``, and
-the sites that join jets' arrays) first brings both to the lower of their
-spaces (``jet_common``).  So no kernel computes a coefficient above the
-order its result is valid to, and the degree rule below scans only valid
-coefficients.
+array holds exactly the coefficients through degree k.  Multi-indices are
+degree-ordered, so cutting a jet to a lower order is a view of a coefficient
+prefix (``jet_prefix``), and every operation on two jets first brings both
+to the lower of their spaces (``jet_common``): no kernel computes a
+coefficient above the order its result is valid to
+(``test_results_live_in_the_space_of_their_order``,
+``test_kernels_commute_with_the_prefix``).
 
 Tensor contractions go through two primitives: ``jeinsum(spec, a, b)`` is
 one jet product contracted over component axes as ``np.einsum(spec)`` would
@@ -27,83 +22,57 @@ contract scalars, and ``jgrad(a)`` returns all first partials as a new
 trailing component axis.  Constant signed index tables (exterior derivative,
 wedge, interior product) act on coefficient arrays with plain ``np.einsum``.
 
+Leibniz tables: a product sums rows (output, a, b, coefficient) of its
+space's full Leibniz table, each output's rows as ``np.add.reduceat`` sums
+its segment.  One builder, ``JetSpace._table``, makes every table from a
+mask over the full table's rows, in its order: ``product`` (every row),
+``pairs`` and ``within`` (the rules below), and ``power_pairs(m)``, the
+rows that can be nonzero in du^m du for a du with no constant term, which
+``_compose`` uses to sum derivs[m] / m! du^m.
+
 Degree rule: a factor's top degree is the highest degree holding a nonzero
-derivative coefficient (0 for a constant).  For factors of top degrees
-``da`` and ``db`` the only Leibniz pairs with a nonzero product are the
-rows of the full product table whose ``a`` index has degree <= da and
-whose ``b`` index has degree <= db, and every output above degree
-``da + db`` is zero.  ``JetSpace.pairs(da, db)`` holds those rows, a
-subsequence of the full table in its order; ``jeinsum`` gathers,
-contracts, scales and ``reduceat``-sums only them.  ``pairs(order,
-order)`` is the full table, and ``pairs(0, k)`` has one pair per output
-with coefficient 1, so a constant factor skips the scaling and the
-``reduceat``.  Each output sums the same nonzero terms in the same order
-as the full product.  Where an output keeps at most two terms (a constant
-factor, or two factors of top degree <= 1) the result is bitwise the full
-product's; with three or more, ``reduceat`` may group the sum differently
-when the full table's first row for that output was a dropped zero, and
-the results agree to roundoff.  ``Jet.__mul__`` takes only the constant
-case, as one broadcast multiply.  The rule tests the input, not a flag: a
-NaN in a derivative coefficient is not zero, so it raises that factor's
-top degree and reaches the result, and a NaN or inf in a constant
-factor's value still makes the product's value non-finite.
+coefficient (0 for a constant).  ``jeinsum`` takes ``pairs(da, db)``, the
+rows whose ``a`` has degree <= da and ``b`` degree <= db; with a constant
+factor the table is ``trivial`` (one coefficient-1 row per output) and skips
+the scaling and the sum.  ``Jet.__mul__`` takes only the constant case, as
+one broadcast multiply, and ``jet_solve`` and ``_compose`` take it for a
+constant matrix or argument (``test_degree_jeinsum_matches_leibniz``,
+``test_constant_solve_agrees_with_the_recursion``,
+``test_constant_compose_equals_taylor``).
 
-Power tables: ``_compose`` sums derivs[m] / m! du^m for the nilpotent
-part du = u - u0, which has no coefficient at degree 0, so du^m has none
-below degree m.  du^(m+1) is ``power`` times ``du`` through
-``JetSpace.power_pairs(m)``: the full table's rows with ``deg a >= m`` and
-``deg b >= 1``, in its order, writing only the outputs of degree >= m + 1.
-The dropped rows multiply an exact zero.  An output with three or more
-kept rows keeps its whole segment, zeros included, because ``reduceat``
-adds a segment's first row to the sum of the rest, and dropping a leading
-zero would regroup the sum.  So for a finite input every composition is
-bitwise the full-table one's up to the sign of a zero.  The
-structure of du^m drops the rows, not a scan of its values, and a NaN in a
-derivative coefficient reaches the result through the m = 1 term.  Each
-derivs[m] broadcasts against the value, so one call sums several series
-from one set of powers (``sincos`` stacks sin and cos; the flow's
-sine-pair gradient gives each column its own function), each entry
-bitwise the sum of its own series.  Every elementary function generates
-its derivative list for any order.
+Direction rule: in a wide space, whose full table has an output with more
+than 4 rows (dims 2, 4 and 6 at order >= 3), ``Jet.__mul__`` and ``jeinsum``
+also scan the factors' direction bits, the coordinates of their nonzero
+coefficients.  For bits neither empty nor every coordinate they take
+``within``, the rows whose output uses only those coordinates, and scatter
+the sums into zeros (``test_direction_rule_matches_the_full_rows``;
+``test_wide_products_take_the_rows_of_their_directions`` pins which
+products of a kodaira run take it).
 
-Segment sums: a table none of whose outputs has more than 4 rows (the
-full and power tables of every space of order <= 2) also holds its rows
-as fixed-width (width, n_out) arrays, ``LeibnizPairs.segments``, a short
-segment repeating its first row with coefficient 0.  ``_leibniz`` adds
-those rows as whole arrays in ``reduceat``'s grouping, p0 + ((p1 + p2) +
-p3), bitwise ``reduceat``'s sums up to the sign of a zero (an inf in a
-repeated row's factor makes that output NaN rather than inf), as
-``test_product_matches_the_reduceat_kernel`` pins.  A table with a wider
-segment, and every table of ``jeinsum`` and ``jet_solve``, sums with
-``reduceat``.
+NaN rule: the rules test the input, not a flag.  A NaN derivative
+coefficient counts as nonzero, so it raises its factor's top degree and
+bits and reaches the result, through products and powers alike; a factor
+with a coefficient that is not finite skips the direction rule; and a
+non-finite constant value leaves the result non-finite at the same points
+(``test_nan_derivative_reaches_the_product_and_powers``,
+``test_nonfinite_factor_takes_the_full_rows``,
+``test_nonfinite_constant_value_stays_nonfinite``).
 
-Direction rule: a space is wide when its full table has no segments
-(dims 2, 4 and 6 at order >= 3).  There ``Jet.__mul__`` and ``jeinsum``
-scan each factor once for its top degree and direction bits, the
-coordinates of the multi-indices holding a nonzero coefficient (NaN
-counts as nonzero).  For a union of bits neither empty nor every
-coordinate the kernel takes ``JetSpace.within``: the rows of its table
-(the full table, or ``pairs`` of the top degrees) whose ``a`` and ``b``
-use only those coordinates, their sums scattered into zeros.  An output
-in those coordinates keeps its whole segment in order, so its sum is
-bitwise the same, and every other output is a sum of exact zeros
-(``test_direction_rule_matches_the_full_rows``).  A factor with a
-coefficient that is not finite takes every row, so NaN and inf spread as
-on the full path (``test_nonfinite_factor_takes_the_full_rows``).
-Narrow tables keep every row.  Which products of a kodaira run take the
-rule is pinned by ``test_wide_products_take_the_rows_of_their_directions``.
-
-The degree rule reaches the other two kernels at degree 0: ``jet_solve``
-with a constant matrix is one constant ``jeinsum`` of ``inv(a0)`` with
-``b``, and ``_compose`` of a constant jet returns ``derivs[0]`` with no
-powers of the zero perturbation.  For a finite input both equal the full
-path up to the sign of a zero, but for a solve for a vector ``b``, which
-``np.einsum`` contracts in another loop, to roundoff.  The test is on the
-input, as for products: a NaN in a derivative coefficient takes the full
-path.  A non-finite value stays non-finite at the same points; the full
-path also spreads it, through ``0 * inf`` and ``NaN * 0``, into other
-entries and into the derivative coefficients, which the constant path
-leaves zero.
+Bitwise guarantee: for a finite input every product and composition equals
+the ``reduceat`` sums over the full table up to the sign of a zero.  The
+direction and power tables keep each output's whole segment (a power
+table, wherever three or more of its rows are kept), so ``reduceat`` groups
+its sum as on the full table.  Two cases agree only to roundoff: the degree
+rule, where an output keeps three or more terms and its full segment began
+with a dropped zero row, and the constant ``jet_solve`` for a vector ``b``.
+A product or power table none of whose outputs has more than 4 rows (every
+space of order <= 2) also carries ``Segments``, added as p0 + ((p1 + p2) +
+p3), ``reduceat``'s grouping (``test_product_matches_the_reduceat_kernel``,
+``test_powers_match_the_reduceat_kernel``,
+``test_power_tables_compose_as_the_full_table``).  Each derivs[m] of
+``_compose`` broadcasts against the value, so one call sums several series
+from one set of powers, each entry bitwise its own series'
+(``test_sincos_is_sin_and_cos_from_one_set_of_powers``).
 
 ``jet_solve(a, b)`` recurses over degrees, with no Neumann series and no
 inverse jet: x_0 = inv(a0) b_0, and degree d applies inv(a0) to b_d minus
@@ -159,83 +128,65 @@ class JetSpace:
         self.deg_starts = np.searchsorted(self.degree, np.arange(order + 2))
         # bit i of bits[k] is set when multi-index k has a positive entry i
         self.bits = np.array([sum(1 << i for i, e in enumerate(m) if e) for m in self.multi])
-        self._within = {}
+        self._cuts = {}  # (da, db, bits) -> _cut's table and outputs
         self._build_product_table()
-        self._build_power_tables()
         self._build_grad_table()
 
     def _build_product_table(self):
-        # raw-partials Leibniz: (fg)^(gamma) = sum_{alpha+beta=gamma} C(gamma,alpha) f^(a) g^(b)
-        rows = []
-        for ia, a in enumerate(self.multi):
-            for ib, b in enumerate(self.multi):
-                if sum(a) + sum(b) > self.order:
-                    continue
-                g = tuple(x + y for x, y in zip(a, b))
-                coef = 1.0
-                for x, y in zip(a, b):
-                    coef *= math.comb(x + y, x)
-                rows.append((self.index[g], ia, ib, coef))
-        rows.sort(key=lambda r: r[0])
-        self.prod_out = np.array([r[0] for r in rows], dtype=np.int64)
-        self.prod_a = np.array([r[1] for r in rows], dtype=np.int64)
-        self.prod_b = np.array([r[2] for r in rows], dtype=np.int64)
-        self.prod_c = np.array([r[3] for r in rows], dtype=np.float64)
-        # reduceat segment starts: every output index appears (gamma = gamma + 0)
-        starts = np.searchsorted(self.prod_out, np.arange(self.n))
-        self.prod_starts = starts.astype(np.int64)
-        # the full table with its segments, the table of ``Jet.__mul__``
-        self.product = LeibnizPairs(self.prod_a, self.prod_b, self.prod_c, self.prod_starts,
-                                    False, _segments(self.prod_out, self.prod_a,
-                                                     self.prod_b, self.prod_c))
-        deg_a, deg_b = self.degree[self.prod_a], self.degree[self.prod_b]
-        self._pairs = {}
-        for da in range(self.order + 1):
-            for db in range(self.order + 1):
-                keep = (deg_a <= da) & (deg_b <= db)
-                n_out = self.deg_starts[min(da + db, self.order) + 1]
-                # one pair per output only with a constant factor, whose
-                # pairs (0, g) or (g, 0) have coefficient 1
-                self._pairs[da, db] = LeibnizPairs(
-                    self.prod_a[keep], self.prod_b[keep], self.prod_c[keep],
-                    np.searchsorted(self.prod_out[keep], np.arange(n_out)),
-                    int(keep.sum()) == n_out)
-
-    def pairs(self, da: int, db: int) -> "LeibnizPairs":
-        """The product-table rows whose ``a`` index has degree <= da and
-        whose ``b`` index has degree <= db, in the full table's order, with
-        the ``reduceat`` starts of the outputs through degree da + db (a
-        prefix of the multi-indices); every table is built with the space."""
-        return self._pairs[da, db]
-
-    def within(self, da: int, db: int, bits: int) -> tuple:
-        """The rows of ``pairs(da, db)`` whose ``a`` and ``b`` use only the
-        coordinates in the bit set ``bits``, and their outputs; built once."""
-        if (da, db, bits) not in self._within:
-            t = self._pairs[da, db]
-            live = (self.bits[:len(t.starts)] & ~bits) == 0
-            rows = np.flatnonzero(np.repeat(live, np.diff(t.starts, append=len(t.a))))
-            cut = t._replace(a=t.a[rows], b=t.b[rows], c=t.c[rows],
-                             starts=np.searchsorted(rows, t.starts[live]))
-            self._within[da, db, bits] = cut, np.flatnonzero(live)
-        return self._within[da, db, bits]
-
-    def _build_power_tables(self):
+        # raw-partials Leibniz: (fg)^(gamma) = sum_{alpha+beta=gamma} C(gamma,alpha) f^(a) g^(b),
+        # one row per (alpha, beta) in row-major order, stably sorted by gamma
+        multi = np.array(self.multi, dtype=np.int64).reshape(self.n, self.dim)
+        ia, ib = np.nonzero(self.degree[:, None] + self.degree <= self.order)
+        g = multi[ia] + multi[ib]
+        out = np.array([self.index[tuple(x)] for x in g.tolist()], dtype=np.int64)
+        rows = np.argsort(out, kind="stable")
+        binom = np.array([[math.comb(i, j) for j in range(self.order + 1)]
+                          for i in range(self.order + 1)], dtype=np.float64)
+        self.prod_out, self.prod_a, self.prod_b = out[rows], ia[rows], ib[rows]
+        self.prod_c = binom[g, multi[ia]].prod(axis=-1)[rows]
+        self.product = self._table(np.ones(len(rows), bool), False, segments=True)[0]
+        self.prod_starts = self.product.starts
         # (u - u0)^m has no coefficient below degree m and u - u0 none at
-        # degree 0, so its product with u - u0 needs only the rows with
-        # deg a >= m and deg b >= 1; an output with three or more of them
-        # keeps its whole segment, so reduceat groups its sum as the full
-        # product does (a sum of at most two nonzero terms has one grouping)
+        # degree 0; an output with three or more such rows keeps its whole
+        # segment (module docstring, "Bitwise guarantee")
         deg_a, deg_b = self.degree[self.prod_a], self.degree[self.prod_b]
         self._powers = {}
         for m in range(1, self.order):
             keep = (deg_a >= m) & (deg_b >= 1)
             keep |= (np.bincount(self.prod_out[keep], minlength=self.n) > 2)[self.prod_out]
-            out, a, b, c = (x[keep] for x in (self.prod_out, self.prod_a,
-                                              self.prod_b, self.prod_c))
-            self._powers[m] = LeibnizPairs(
-                a, b, c, np.searchsorted(out, np.arange(self.deg_starts[m + 1], self.n)),
-                False, _segments(out, a, b, c))
+            self._powers[m] = self._table(keep, False, segments=True)[0]
+
+    def _table(self, keep, trivial, segments=False):
+        """The full table's rows where the mask ``keep`` is set, in its
+        order, with one ``reduceat`` start per output they write, and those
+        outputs; with ``segments``, also their fixed-width layout."""
+        out, a, b, c = (x[keep] for x in (self.prod_out, self.prod_a, self.prod_b, self.prod_c))
+        starts = np.flatnonzero(np.diff(out, prepend=-1))
+        seg = _segments(a, b, c, starts) if segments else None
+        return LeibnizPairs(a, b, c, starts, trivial, seg), out[starts]
+
+    def _cut(self, da, db, bits):
+        """``_table`` of the rows with deg a <= da and deg b <= db whose
+        output uses only the coordinates in the bit set ``bits``; built on
+        first lookup."""
+        key = da, db, bits
+        if key not in self._cuts:
+            keep = ((self.degree[self.prod_a] <= da) & (self.degree[self.prod_b] <= db)
+                    & ((self.bits[self.prod_out] & ~bits) == 0))
+            self._cuts[key] = self._table(keep, min(da, db) == 0)
+        return self._cuts[key]
+
+    def pairs(self, da: int, db: int) -> "LeibnizPairs":
+        """The product-table rows whose ``a`` index has degree <= da and
+        whose ``b`` index has degree <= db, in the full table's order, with
+        the ``reduceat`` starts of the outputs through degree da + db (a
+        prefix of the multi-indices)."""
+        return self._cut(da, db, (1 << self.dim) - 1)[0]
+
+    def within(self, da: int, db: int, bits: int) -> tuple:
+        """The rows of ``pairs(da, db)`` whose ``a`` and ``b`` use only the
+        coordinates in the bit set ``bits``, and their outputs."""
+        return self._cut(da, db, bits)
 
     def power_pairs(self, m: int) -> "LeibnizPairs":
         """The product-table rows that multiply the m-th power of a jet
@@ -243,7 +194,7 @@ class JetSpace:
         deg a >= m and deg b >= 1, and the whole segment of an output with
         three or more of them, in the full table's order, with the
         ``reduceat`` starts of the outputs of degree >= m + 1 (a suffix of
-        the multi-indices); every table is built with the space."""
+        the multi-indices)."""
         return self._powers[m]
 
     def _build_grad_table(self):
@@ -256,9 +207,10 @@ class JetSpace:
 
 
 class LeibnizPairs(NamedTuple):
-    """One table of ``JetSpace.pairs`` (or its ``within`` cut), ``product``
-    or ``power_pairs``: rows sorted by output, with the ``reduceat`` start
-    of each output's segment."""
+    """One table of ``JetSpace._table``: the rows of the full table that
+    its mask keeps, in the full table's order, with the ``reduceat`` start of
+    each output they write; ``segments`` only on ``product`` and the power
+    tables, where no output has more than 4 rows."""
 
     a: np.ndarray
     b: np.ndarray
@@ -280,22 +232,21 @@ class Segments(NamedTuple):
 
 
 # the widest segment summed row by row as reduceat groups it, in every
-# dtype (module docstring, "Segment sums")
+# dtype (module docstring, "Bitwise guarantee")
 _SEGMENT_WIDTH = 4
 
 
-def _segments(out, a, b, c):
-    """The fixed-width layout of the rows (a, b, c), sorted by their outputs
-    ``out`` (a run of consecutive indices, each present), or None when an
-    output has more than ``_SEGMENT_WIDTH`` rows."""
-    counts = np.bincount(out - out[0])
+def _segments(a, b, c, starts):
+    """The fixed-width layout of the rows (a, b, c), whose outputs' segments
+    begin at ``starts``, or None when an output has more than
+    ``_SEGMENT_WIDTH`` rows."""
+    counts = np.diff(starts, append=len(a))
     width = int(counts.max())
     if width > _SEGMENT_WIDTH:
         return None
-    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
     k = np.arange(width)[:, None]
     live = k < counts
-    row = np.where(live, first + k, first)
+    row = np.where(live, starts + k, starts)
     return Segments(a[row], b[row], np.where(live, c[row], 0.0), width)
 
 

@@ -54,7 +54,7 @@ from pbhverify.gencomplex import (_courant, _prep, apply_endo, b_transform,
                                   gcs_nijenhuis, pairing, random_poly_sections,
                                   random_poly_two_form, stack_axes, validate_twist)
 from pbhverify.models import F_CATALOG, Example2Params, HamiltonianFlow, example2_build
-from pbhverify.structures import HermitianPair, levi_civita, max_abs, worst
+from pbhverify.structures import HermitianPair, levi_civita, max_abs, reduce_parts
 from pbhverify.tensorcalc import (ChartDomain, Field, SamplePlan, coordinate_vector,
                                   d_scalar, exterior_derivative, form_combos,
                                   form_field, form_from_matrix, form_full,
@@ -629,8 +629,8 @@ def test_curved_flow_deformed_integrability_equals_the_full_order_loop(model_nam
     assert all(c.passed for c in checks.values())
     assert checks["flow-preserves-reference-form"].residual > 0.0
     pts = ctx.points()[:8]
-    ref = worst(*(max(max_abs(r) for r in ref_gcs_residual_jets(i, None, pts))
-                  for i in ctx.deformed_pair))
+    ref = reduce_parts(max(max_abs(r) for r in ref_gcs_residual_jets(i, None, pts))
+                       for i in ctx.deformed_pair)
     assert checks["deformed-integrability"].residual == ref
 
 
@@ -2342,10 +2342,10 @@ def ref_lattice_residual(model, pts):
         for j in model.triple.js:
             a = j.eval(moved)
             b = np.einsum("ij,bjk,kl->bil", lin, j.eval(pts), lin_inv)
-            res = worst(res, max_abs(a - b))
+            res = reduce_parts([res, max_abs(a - b)])
         ga = model.triple.g.eval(moved)
         gb = np.einsum("ji,bjk,kl->bil", lin_inv, model.triple.g.eval(pts), lin_inv)
-        res = worst(res, max_abs(ga - gb))
+        res = reduce_parts([res, max_abs(ga - gb)])
     return res
 
 
@@ -2355,7 +2355,7 @@ def ref_algebra_residual(triple, pts):
     d = triple.g.chart.dim
     jv = [j.eval_jet(pts) for j in triple.js]
     eye = _broadcast_const(jv[0], np.eye(d))
-    return worst(
+    return reduce_parts([
         max_abs(jmatmul(jv[0], jv[0]) + eye),
         max_abs(jmatmul(jv[1], jv[1]) - eye),
         max_abs(jmatmul(jv[2], jv[2]) - eye),
@@ -2364,25 +2364,25 @@ def ref_algebra_residual(triple, pts):
         max_abs(jmatmul(jv[1], jv[2]) + jv[0]),
         max_abs(jmatmul(jv[2], jv[1]) - jv[0]),
         max_abs(jmatmul(jv[2], jv[0]) - jv[1]),
-        max_abs(jmatmul(jv[0], jv[2]) + jv[1]))
+        max_abs(jmatmul(jv[0], jv[2]) + jv[1])])
 
 
 def ref_compatibility_residual(triple, pts):
     """J^T g J - sign g per J, with J and g evaluated again for each."""
     gv = triple.g.eval_jet(pts)
-    return worst(*(max_abs(jmatmul(jmatmul(jtranspose(jv), gv), jv) - gv * sign)
-                   for sign, jv in zip((1.0, -1.0, -1.0),
-                                       (j.eval_jet(pts) for j in triple.js))))
+    return reduce_parts(max_abs(jmatmul(jmatmul(jtranspose(jv), gv), jv) - gv * sign)
+                        for sign, jv in zip((1.0, -1.0, -1.0),
+                                            (j.eval_jet(pts) for j in triple.js)))
 
 
 def ref_closedness_residual(triple, pts):
     """d of each fundamental form through its own ``exterior_derivative``."""
-    return worst(*(max_abs(exterior_derivative(om).eval(pts)) for om in triple.omegas))
+    return reduce_parts(max_abs(exterior_derivative(om).eval(pts)) for om in triple.omegas)
 
 
 def ref_nijenhuis_residual(triple, pts):
     """Each J's own ``nijenhuis_tensor`` field."""
-    return worst(*(max_abs(nijenhuis_tensor(j).eval(pts)) for j in triple.js))
+    return reduce_parts(max_abs(nijenhuis_tensor(j).eval(pts)) for j in triple.js)
 
 
 REF_TRIPLE_RESIDUALS = {"algebra": ref_algebra_residual,
@@ -2565,7 +2565,7 @@ def ref_b_transform_naturality(chart, pts, seed):
         for sa, sb in pair_list:
             lhs = courant_bracket(b_transform(sa, b2), b_transform(sb, b2))
             rhs = b_transform(courant_bracket(sa, sb, db), b2)
-            res = worst(res, max_abs((lhs - rhs).eval(pts)))
+            res = reduce_parts([res, max_abs((lhs - rhs).eval(pts))])
     return res
 
 
@@ -2579,7 +2579,7 @@ def ref_pairing_preservation(i_field, pts):
         for b in range(a, len(secs)):
             lhs = pairing(applied[a], applied[b])
             rhs = pairing(secs[a], secs[b])
-            res = worst(res, max_abs(lhs.eval(pts) - rhs.eval(pts)))
+            res = reduce_parts([res, max_abs(lhs.eval(pts) - rhs.eval(pts))])
     return res
 
 

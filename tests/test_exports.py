@@ -3,11 +3,13 @@ of ``Jet``, is used by code in src/ or perfbench/ (its tests aside): an
 export or method only tests call is test-only API, and belongs in the tests.
 
 A use is an identifier (a name or an attribute) outside import statements
-and ``__all__`` lists; in perfbench/ a string constant counts too, since the
-tracer hooks the ops it times by name.  The rule goes by name alone, so a
-``Jet`` method named like an ndarray method (``reshape`` and ``astype``
-were two) counts as used wherever an array calls it: the guard cannot see
-such a method go dead."""
+and ``__all__`` lists.  In perfbench/ a string constant counts too, since the
+tracer hooks the ops it times by name, but a bare name counts only if the
+file imports it from pbhverify: a local variable named like an export
+(``flag_model_report``'s ``worst`` was one) is not a use of it.  The rule
+goes by name alone, so a ``Jet`` method named like an ndarray method
+(``reshape`` and ``astype`` were two) counts as used wherever an array
+calls it: the guard cannot see such a method go dead."""
 
 import ast
 from pathlib import Path
@@ -25,19 +27,27 @@ def _is_all(node):
             and any(getattr(t, "id", None) == "__all__" for t in node.targets))
 
 
-def _uses(tree, strings):
+def _imported(tree):
+    """The names ``tree`` imports from pbhverify modules."""
+    return {alias.asname or alias.name for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "pbhverify"
+            for alias in n.names}
+
+
+def _uses(tree, perfbench):
     skip = {id(n) for stmt in ast.walk(tree)
             if isinstance(stmt, (ast.Import, ast.ImportFrom)) or _is_all(stmt)
             for n in ast.walk(stmt)}
+    names = _imported(tree) if perfbench else None
     out = set()
     for n in ast.walk(tree):
         if id(n) in skip:
             continue
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and (names is None or n.id in names):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
-        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+        elif perfbench and isinstance(n, ast.Constant) and isinstance(n.value, str):
             out.add(n.value)
     return out
 
@@ -62,10 +72,10 @@ def _jet_methods():
 def _used():
     out = set()
     for path in sorted(SRC.rglob("*.py")):
-        out |= _uses(ast.parse(path.read_text()), strings=False)
+        out |= _uses(ast.parse(path.read_text()), perfbench=False)
     for path in sorted(PERFBENCH.rglob("*.py")):
         if "tests" not in path.relative_to(PERFBENCH).parts:
-            out |= _uses(ast.parse(path.read_text()), strings=True)
+            out |= _uses(ast.parse(path.read_text()), perfbench=True)
     return out
 
 

@@ -136,6 +136,19 @@ def test_model_error_exit_code(monkeypatch):
     assert main(["--suite", "parahyperkahler", "--samples", "8", "--quiet"]) == 3
 
 
+def test_branch_margin_is_a_configuration_error(capsys):
+    """At 1 < a <= 1 + BRANCH_MARGIN the suites that build the
+    para-hypercomplex branch exit 2 naming the margin, without raising;
+    the suites that do not build it still pass."""
+    flags = ["--model", "torus", "--a", "1.01", "--b", "0.14177446878757827",
+             "--c", "0", "--quiet"]
+    for suite in ("courant", "gpk-example2", "poisson", "all"):
+        assert main(flags + ["--suite", suite]) == 2
+        assert "BRANCH_MARGIN" in capsys.readouterr().err
+    for suite in ("parahyperkahler", "lemma1", "engel"):
+        assert main(flags + ["--suite", suite]) == 0
+
+
 def test_env_seed_fallback(monkeypatch, tmp_path):
     monkeypatch.setenv("PBH_SEED", "11")
     rc = main(["--suite", "parahyperkahler", "--samples", "8", "--quiet",

@@ -118,6 +118,43 @@ def test_levi_civita_flat_and_conformal(torus_model, conformal_metric,
     assert torsion_residual(lc, torus_points) == 0.0
 
 
+def test_nabla_vector_matches_sympy_christoffel(torus_model, conformal_metric,
+                                                torus_points):
+    """nabla_X Y of the Levi-Civita connection of e^{sin x1} g equals
+    X^i d_i Y^k + Gamma^k_ij X^i Y^j with Gamma from sympy's derivatives of
+    the same metric, for polynomial X and Y at two chart points."""
+    import sympy
+    from pbhverify.tensorcalc import vector_field
+    from pbhverify.tensorcalc.calculus import _stack
+
+    xs = sympy.symbols("x1:5")
+    pts = torus_points[:2]
+    g0 = torus_model.triple.g.eval(pts)
+    assert np.array_equal(g0[0], g0[1])  # the flat metric is constant
+    g = sympy.exp(sympy.sin(xs[0])) * sympy.Matrix(g0[0])
+    ginv = g.inv()
+    gamma = [[[sum(ginv[k, m] * (sympy.diff(g[j, m], xs[i]) + sympy.diff(g[i, m], xs[j])
+                                 - sympy.diff(g[i, j], xs[m])) for m in range(4)) / 2
+               for j in range(4)] for i in range(4)] for k in range(4)]
+    x_sym = [xs[1], xs[0] * xs[2], 1, xs[3] ** 2]
+    y_sym = [xs[0] * xs[3], xs[2], xs[1] ** 2, xs[0] + xs[1]]
+    nabla = [sum(x_sym[i] * (sympy.diff(y_sym[k], xs[i])
+                             + sum(gamma[k][i][j] * y_sym[j] for j in range(4)))
+                 for i in range(4)) for k in range(4)]
+    want = np.array([[float(c.subs(dict(zip(xs, pt)))) for c in nabla] for pt in pts])
+
+    def x_fn(jc):
+        return _stack([jc[:, 1], jc[:, 0] * jc[:, 2], jc[:, 0] * 0 + 1.0, jc[:, 3] * jc[:, 3]])
+
+    def y_fn(jc):
+        return _stack([jc[:, 0] * jc[:, 3], jc[:, 2], jc[:, 1] * jc[:, 1], jc[:, 0] + jc[:, 1]])
+
+    chart = torus_model.chart
+    got = levi_civita(conformal_metric).nabla_vector(vector_field(chart, x_fn),
+                                                     vector_field(chart, y_fn)).eval(pts)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
 def test_metric_derivative_formula_conformal(torus_model, conformal_metric,
                                              torus_points):
     """(nabla_X F)(Y, Z) from the exterior derivative of F."""
