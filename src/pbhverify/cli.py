@@ -114,7 +114,6 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = _assemble_config(args)
-        cfg.validate()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -194,7 +194,7 @@ def lee_fields(data: BihermitianData, theta_p: Field | None = None,
     return LeeFields(x, y, theta_p, theta_m, tnorm, data)
 
 
-def basis_identity_residuals(lv: LeeValues, mask=None) -> dict:
+def basis_identity_residuals(lv: LeeValues, mask) -> dict:
     """Null-frame identities of the distribution generators."""
     g, jp, x, y = lv.g, lv.jp, lv.x, lv.y
     tn, p, f = lv.theta_norm_sq, lv.p, lv.f

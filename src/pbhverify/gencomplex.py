@@ -305,7 +305,7 @@ class GpkResult:
     signatures: tuple = ()
 
 
-def check_gpk_pair(i1: Field, i2: Field, pts, tol_commute=1e-9) -> GpkResult:
+def check_gpk_pair(i1: Field, i2: Field, pts, tol_commute) -> GpkResult:
     """Commutation, eigenspace split of G = I1 I2, transversality to T and
     nondegeneracy of the induced pairing, at every sampled point."""
     d = i1.chart.dim
@@ -357,8 +357,9 @@ def check_gpk_pair(i1: Field, i2: Field, pts, tol_commute=1e-9) -> GpkResult:
     return GpkResult(True, res, signatures=tuple(sorted(sigs)))
 
 
-def gualtieri_build(g: Field, jp: Field, jm: Field, b2: Field | None = None):
-    """Block construction of the commuting pair from (g, J+, J-, b)."""
+def gualtieri_build(g: Field, jp: Field, jm: Field):
+    """Block construction of the commuting pair from (g, J+, J-); its
+    b-transform is ``b_conjugate_endo`` of each."""
     chart = g.chart
     d = chart.dim
     fp = fundamental_form(g, jp)
@@ -377,8 +378,7 @@ def gualtieri_build(g: Field, jp: Field, jm: Field, b2: Field | None = None):
                            (fpm - fmm * s) * 0.5,
                            (jtranspose(jpv) + jtranspose(jmv) * s) * (-0.5))
 
-        out = Field(chart, "tensor", fn, cost=max(g.cost, jp.cost, jm.cost))
-        return out if b2 is None else b_conjugate_endo(out, b2)
+        return Field(chart, "tensor", fn, cost=max(g.cost, jp.cost, jm.cost))
 
     return make(1), make(2)
 

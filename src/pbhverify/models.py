@@ -29,9 +29,7 @@ TWO_PI = 2.0 * np.pi
 # the most RK4 steps a flow may take, |t| / step; a smaller step is a
 # configuration error rather than a run that does not end
 MAX_RK4_STEPS = 10**6
-# the largest model residuals certify() accepts; both shipped models give 0.0.
-# certify() computes them in this order, cheapest first, and stops at the
-# first that fails
+# the largest model residuals certify() accepts; both shipped models give 0.0
 CERTIFY_TOLERANCES = {"algebra": 1e-12, "compatibility": 1e-10,
                       "closedness": 1e-10, "nijenhuis": 1e-9, "lattice": 1e-12}
 ESCAPE_FRACTION = 0.25  # of the shortest box side, the most a flow may move a point
@@ -50,37 +48,34 @@ class ModelDescriptor:
     lattice: tuple = ()  # (lin, shift) pairs, the deck maps x -> lin x + shift
     certified: bool = dc_field(default=False, init=False)
 
-    def certify(self, plan: SamplePlan, pts=None) -> dict:
-        """The residuals in the order of ``CERTIFY_TOLERANCES``, up to the
-        first that is not within its tolerance (NaN included), at the plan's
-        sample ``pts`` (drawn if not given).  J1-J3, stacked at order 1, and g
-        are evaluated there once; the fundamental forms for closedness, and
-        the stack and g at all deck images, once more."""
+    def certify(self, plan: SamplePlan) -> dict:
+        """The residuals of ``CERTIFY_TOLERANCES``, in its order, at the
+        plan's sample points; ``ModelError`` lists all five if any is not
+        within its tolerance (NaN included).  J1-J3, stacked at order 1, and
+        g are evaluated there once; the fundamental forms for closedness,
+        and the stack and g at all deck images, once more."""
         self.certified = False
-        pts = plan.sample(self.chart) if pts is None else pts
+        pts = plan.sample(self.chart)
         t = self.triple
         js, gv = t.stack(pts, 1), t.g.eval_jet(pts)
-        checks = {"algebra": lambda: t.algebra_residual(pts, js, gv),
-                  "compatibility": lambda: t.compatibility_residual(pts, js, gv),
-                  "closedness": lambda: t.closedness_residual(pts, js, gv),
-                  "nijenhuis": lambda: t.nijenhuis_residual(pts, js, gv),
-                  "lattice": lambda: self.lattice_residual(pts, js, gv)}
-        res = {}
-        for key, tol in CERTIFY_TOLERANCES.items():
-            res[key] = checks[key]()
-            if not res[key] <= tol:
-                raise ModelError(f"model {self.name} failed certification: {res}")
+        res = {"algebra": t.algebra_residual(js),
+               "compatibility": t.compatibility_residual(js, gv),
+               "closedness": t.closedness_residual(pts),
+               "nijenhuis": t.nijenhuis_residual(js),
+               "lattice": self.lattice_residual(pts, js, gv)}
+        if not all(res[key] <= tol for key, tol in CERTIFY_TOLERANCES.items()):
+            raise ModelError(f"model {self.name} failed certification: {res}")
         self.certified = True
         return res
 
-    def lattice_residual(self, pts, js=None, gv=None) -> float:
+    def lattice_residual(self, pts, js, gv) -> float:
         """Deck-transformation invariance of g and the J's: at the image of x
-        they must be lin J lin^-1 and lin^-T g lin^-1 of their values at x, for
-        all deck maps in one einsum (``js`` and ``gv`` as for the triple's)."""
+        they must be lin J lin^-1 and lin^-T g lin^-1 of their values ``js``
+        (J1-J3 stacked) and ``gv`` at ``pts``, for all deck maps in one
+        einsum."""
         if not self.lattice:
             return 0.0
         t = self.triple
-        js, gv = (t.stack(pts), t.g.eval_jet(pts)) if js is None else (js, gv)
         moved = np.concatenate([pts @ lin.T + shift for lin, shift in self.lattice])
         lins = np.stack([lin for lin, _ in self.lattice])
         invs = np.linalg.inv(lins)
@@ -123,13 +118,13 @@ def torus_phk() -> ModelDescriptor:
 # Global coordinates with left-invariant coframe
 #   e1 = dx1, e2 = dx2, e3 = dx3, e4 = dx4 - x1 dx2   (so d e4 = -e1 ^ e2).
 # Structures are constant in the dual frame E1 = d1, E2 = d2 + x1 d4,
-# E3 = d3, E4 = d4; the shipped candidate family is searched and certified.
+# E3 = d3, E4 = d4.
 #
 # The frame matrix is P(x) = I + x1 E, its columns the E_a in chart
 # components, where E has a single 1 at [3, 1].  E^2 = 0, so each structure
 # is a frame constant (``tensorcalc.frame_field``) whose chart expression is
-# a polynomial of degree at most two in x1.  For the signed-permutation
-# candidates this is bitwise, sign bits included, the jet matrix product
+# a polynomial of degree at most two in x1.  For signed-permutation frame
+# components this is bitwise, sign bits included, the jet matrix product
 # P M P^-1 (kept as the oracle in the tests).
 
 _KODAIRA_E = np.zeros((4, 4))
@@ -146,51 +141,24 @@ def _kodaira_triple(chart, j1f, j2f, g_frame) -> ParaHyperTriple:
                            frame_endo(j1f @ j2f), name="kodaira")
 
 
-def _kodaira_candidates():
-    """Signed split-quaternion frame assignments tried in order; several are
-    deliberately inadmissible so certification does real work."""
-    def mat(pairs):
-        m = np.zeros((4, 4))
-        for i, j, s in pairs:
-            m[i, j] = s
-        return m
-
-    j1_good = mat([(1, 0, 1), (0, 1, -1), (3, 2, -1), (2, 3, 1)])
-    out = []
-    # fails metric compatibility (product-structure signs flipped)
-    out.append((j1_good, np.diag([1.0, -1.0, -1.0, 1.0])))
-    # passes the algebra but one fundamental form picks up the non-closed
-    # coframe wedge
-    j1_open = mat([(2, 0, 1), (3, 1, -1), (0, 2, -1), (1, 3, 1)])
-    out.append((j1_open, np.diag([1.0, 1.0, -1.0, -1.0])))
-    # the certified assignment
-    out.append((j1_good, np.diag([1.0, -1.0, 1.0, -1.0])))
-    return out
-
-
-def kodaira_phk(plan: SamplePlan) -> ModelDescriptor:
-    """The first shipped candidate that certifies at ``plan``, certified."""
+def kodaira_phk() -> ModelDescriptor:
+    """The Kodaira model, not yet certified: in the frame, J1 pairs E1 with
+    E2 and E3 with E4, J2 = diag(1, -1, 1, -1) and g pairs E1 with E4 and
+    E2 with E3."""
     chart = ChartDomain(4, tuple((0.0, 1.0) for _ in range(4)), name="kodaira")
+    j1 = np.zeros((4, 4))
+    j1[1, 0], j1[0, 1], j1[3, 2], j1[2, 3] = 1, -1, -1, 1
     g_frame = np.zeros((4, 4))
     g_frame[0, 3] = g_frame[3, 0] = 1.0
     g_frame[1, 2] = g_frame[2, 1] = 1.0
+    triple = _kodaira_triple(chart, j1, np.diag([1.0, -1.0, 1.0, -1.0]), g_frame)
 
     # deck transformations: pure translations in x2, x3, x4 and the
     # sheared x1-generator (x1, x2, x3, x4) -> (x1+1, x2, x3, x4+x2)
     shear = np.eye(4)
     shear[3, 1] = 1.0
     lattice = tuple((np.eye(4), np.eye(4)[i]) for i in (1, 2, 3)) + ((shear, np.eye(4)[0]),)
-    errors, pts = [], plan.sample(chart)  # one draw for every candidate
-    for j1f, j2f in _kodaira_candidates():
-        model = ModelDescriptor("kodaira", chart, _kodaira_triple(chart, j1f, j2f, g_frame),
-                                lattice)
-        try:
-            model.certify(plan, pts)
-            return model
-        except ModelError as exc:
-            errors.append(str(exc))
-    raise ModelError("no candidate coefficient assignment certifies on the "
-                     "nilmanifold coframe:\n" + "\n".join(errors))
+    return ModelDescriptor("kodaira", chart, triple, lattice)
 
 
 # --------------------------------------------------------------------------
@@ -566,12 +534,10 @@ def hamiltonian_deform(bundle: Example2Bundle, plan: SamplePlan) -> DeformedBund
 
 
 def get_model(name: str, plan: SamplePlan) -> ModelDescriptor:
-    """The named model, certified at ``plan``.  On kodaira the candidate
-    search is that certification, so a model is certified once per build."""
-    if name == "kodaira":
-        return kodaira_phk(plan)
-    if name != "torus":
+    """The named model, certified at ``plan``."""
+    builders = {"torus": torus_phk, "kodaira": kodaira_phk}
+    if name not in builders:
         raise ModelError(f"unknown model {name!r}")
-    model = torus_phk()
+    model = builders[name]()
     model.certify(plan)
     return model

@@ -360,16 +360,16 @@ def chern_identity_residuals(data: BihermitianData, pts) -> dict:
     }
 
 
-def theorem4_hypotheses(flag, pts, pts_ii=None) -> dict:
+def theorem4_hypotheses(flag, pts, pts_ii) -> dict:
     """On the flag-chart bundle: fit lambda from dd^c(ln |tau|^2 o p_k)
     = 3 lambda w_k, build the candidate (1,0) field, then check
       (i)  sigma o F0 = dbar X^{1,0}
-      (ii) [Re X^{1,0}, Im sigma] = 0 (Schouten bracket).
+      (ii) [Re X^{1,0}, Im sigma] = 0 (Schouten bracket), at ``pts_ii``.
     """
     lam_mean, lam_spread = flag.lambda_fit(pts)
     if lam_spread > 1e-4:
         raise ValueError(f"lambda fit inconsistent: relative spread {lam_spread:.3g}")
     res_i = flag.hypothesis_i_residual(pts, lam_mean)
-    res_ii = flag.hypothesis_ii_residual(pts if pts_ii is None else pts_ii, lam_mean)
+    res_ii = flag.hypothesis_ii_residual(pts_ii, lam_mean)
     return {"lambda": lam_mean, "lambda_spread": lam_spread,
             "hypothesis_i": res_i, "hypothesis_ii": res_ii}

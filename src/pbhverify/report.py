@@ -41,25 +41,6 @@ class CheckRecord:
                       for k, v in sorted(self.extra.items())},
         }
 
-    @staticmethod
-    def from_doc(doc: dict) -> "CheckRecord":
-        extra = {k: float(v) if _is_decimal(v) else v
-                 for k, v in doc.get("extra", {}).items()}
-        return CheckRecord(doc["name"], doc["reference"], float(doc["residual"]),
-                           float(doc["tolerance"]), int(doc["points"]),
-                           bool(doc["passed"]), int(doc.get("inconclusive", 0)),
-                           extra)
-
-
-def _is_decimal(v) -> bool:
-    if not isinstance(v, str):
-        return False
-    try:
-        float(v)
-        return True
-    except ValueError:
-        return False
-
 
 def _relation(c: CheckRecord) -> str:
     """The measured relation of residual to tolerance, whatever the check's
@@ -97,14 +78,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), indent=2, sort_keys=False) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "VerificationReport":
-        doc = json.loads(text)
-        rep = VerificationReport(doc["suite"], doc["model"], dict(doc["config"]),
-                                 [CheckRecord.from_doc(c) for c in doc["checks"]],
-                                 float(doc["wall_time_s"]), doc["engine_version"])
-        return rep
 
     def summary(self) -> str:
         lines = [f"suite {self.suite} on model {self.model} "

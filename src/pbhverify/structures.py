@@ -135,9 +135,9 @@ COMPATIBILITY_SIGN = np.array([1.0, -1.0, -1.0])
 
 @dataclass
 class ParaHyperTriple:
-    """Almost para-hyperhermitian structure {g, J1, J2, J3}.  Each residual
-    takes ``pts`` and, if the caller holds them there, J1-J3 from their
-    fields (not frames) as one order-1 ``stack`` ``js`` and g at order 0 ``gv``."""
+    """Almost para-hyperhermitian structure {g, J1, J2, J3}.  The residuals
+    read J1-J3 from their fields (not frames) as one order-1 ``stack`` ``js``
+    and g at order 0 ``gv``, evaluated once by the caller."""
 
     g: Field
     j1: Field
@@ -157,28 +157,26 @@ class ParaHyperTriple:
         """J1, J2, J3 at ``pts``, valid to ``order``, as one (B, 3, d, d) jet."""
         return _stack([j.eval_jet(pts, order) for j in self.js])
 
-    def algebra_residual(self, pts, js=None, gv=None) -> float:
+    def algebra_residual(self, js) -> float:
         """All nine products J_a J_b against the split-quaternion table."""
-        js = self.stack(pts) if js is None else jet_prefix(js, jet_space(js.space.dim, 0))
+        js = jet_prefix(js, jet_space(js.space.dim, 0))
         eye = _broadcast_const(js, np.eye(js.c.shape[-2])).c[:, None]
         want = np.concatenate([js.c, eye], axis=1)[:, SPLIT_QUATERNION_INDEX]
         return max_abs(jeinsum("...aij,...bjk->...abik", js, js)
                        - Jet(js.space, want * SPLIT_QUATERNION_SIGN[..., None, None, None]))
 
-    def compatibility_residual(self, pts, js=None, gv=None) -> float:
+    def compatibility_residual(self, js, gv) -> float:
         """g(J1 X, J1 Y) = -g(J2 X, J2 Y) = -g(J3 X, J3 Y) = g(X, Y), at g's order."""
-        js = self.stack(pts) if js is None else js
-        gv = self.g.eval_jet(pts) if gv is None else gv
         jtgj = jeinsum("...aik,...akl->...ail", jeinsum("...aji,...jk->...aik", js, gv), js)
         want = gv.c[:, None] * COMPATIBILITY_SIGN[:, None, None, None]
         return max_abs(jtgj - Jet(gv.space, want))
 
-    def closedness_residual(self, pts, js=None, gv=None) -> float:
+    def closedness_residual(self, pts) -> float:
         dw = jgrad(_stack([w.eval_jet(pts, 1) for w in self.omegas]))
         return max_abs(np.einsum("osi,...sir->...or", _d_table(self.g.chart.dim, 2), dw.c))
 
-    def nijenhuis_residual(self, pts, js=None, gv=None) -> float:
-        return max_abs(nijenhuis_jets(self.stack(pts, 1) if js is None else js))
+    def nijenhuis_residual(self, js) -> float:
+        return max_abs(nijenhuis_jets(js))
 
 
 def _lee_solve_matrix(fv: Jet) -> Jet:

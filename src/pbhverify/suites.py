@@ -327,14 +327,14 @@ def suite_parahyperkahler(ctx: SuiteContext):
     return [
         ctx.record("split-quaternion-relations",
                    "products of the three frame endomorphisms",
-                   t.algebra_residual(pts, js, gv), len(pts)),
+                   t.algebra_residual(js), len(pts)),
         ctx.record("metric-compatibility",
                    "g(J1 X, J1 Y) = -g(J2 X, J2 Y) = -g(J3 X, J3 Y) = g(X, Y)",
-                   t.compatibility_residual(pts, js, gv), len(pts)),
+                   t.compatibility_residual(js, gv), len(pts)),
         ctx.record("fundamental-forms-closed", "d of all three 2-forms",
-                   t.closedness_residual(pts, js, gv), len(pts)),
+                   t.closedness_residual(pts), len(pts)),
         ctx.record("nijenhuis-vanishing", "torsion tensors of the frame structures",
-                   t.nijenhuis_residual(pts, js, gv), len(pts)),
+                   t.nijenhuis_residual(js), len(pts)),
     ]
 
 
@@ -541,8 +541,10 @@ def suite_gpk_example2(ctx: SuiteContext):
                                    "transversality and pairing rank",
                                    ctx.gcs_pair, pts, signatures=True))
 
-    b1, b2 = gualtieri_build(bundle.g * (-root), bundle.data.jm * (-1.0),
-                             bundle.data.jp * (-1.0), bundle.f_k * float(a))
+    b_field = bundle.f_k * float(a)
+    b1, b2 = (b_conjugate_endo(i, b_field) for i in
+              gualtieri_build(bundle.g * (-root), bundle.data.jm * (-1.0),
+                              bundle.data.jp * (-1.0)))
     cross = (i1.eval(pts) - b1.eval(pts), i2.eval(pts) - b2.eval(pts))
     checks.append(ctx.record("construction-cross-validation",
                              "block construction on the matched quadruple "

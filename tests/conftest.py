@@ -14,7 +14,9 @@ def torus_model():
 
 @pytest.fixture(scope="session")
 def kodaira_model():
-    return kodaira_phk(SamplePlan(16, 1))
+    m = kodaira_phk()
+    m.certify(SamplePlan(16, 1))
+    return m
 
 
 @pytest.fixture(scope="session")

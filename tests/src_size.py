@@ -9,8 +9,11 @@ Each line of each ``*.py`` file is counted once, as
 - blank: any other line with nothing but whitespace;
 - code: every other line.
 
-The four counts of a file sum to its line count.  Prints one row per file
-and a total row.
+The four counts of a file sum to its line count.  Prints one row per file,
+a total row, the line count and the number of memo sites: a
+``.memoized()`` call or a direct ``memoize_fn(...)`` call, found by AST
+(the one inside a function named ``memoized`` is the mechanism, not a
+site; ``tests/test_memo_sites.py`` checks each site is made and hit).
 """
 
 import ast
@@ -49,17 +52,38 @@ def count(text: str) -> dict:
     return out
 
 
+def memo_sites(text: str) -> list:
+    """(first line, last line) of each call in ``text`` that makes a memo."""
+    tree = ast.parse(text)
+    mechanism = {id(n) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "memoized"
+                 for n in ast.walk(fn)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in mechanism:
+            continue
+        f = node.func
+        if ((isinstance(f, ast.Attribute) and f.attr == "memoized")
+                or (isinstance(f, ast.Name) and f.id == "memoize_fn")):
+            out.append((node.lineno, node.end_lineno))
+    return out
+
+
 def main(argv) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src")
     total = dict.fromkeys(KINDS, 0)
+    sites = 0
     print(f"{'file':48} " + " ".join(f"{k:>9}" for k in KINDS))
     for path in sorted(root.rglob("*.py")):
-        counts = count(path.read_text())
+        text = path.read_text()
+        counts = count(text)
+        sites += len(memo_sites(text))
         for k in KINDS:
             total[k] += counts[k]
         print(f"{str(path.relative_to(root)):48} " + " ".join(f"{counts[k]:9d}" for k in KINDS))
     print(f"{'total':48} " + " ".join(f"{total[k]:9d}" for k in KINDS))
     print(f"{'lines':48} {sum(total.values()):9d}")
+    print(f"{'memo sites':48} {sites:9d}")
     return 0
 
 

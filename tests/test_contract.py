@@ -36,7 +36,6 @@ the space of its order) is checked against the full-space loop oracles of
 prefix.
 """
 
-import ast
 import dataclasses
 import functools
 import itertools
@@ -73,6 +72,9 @@ from jet_helpers import (SIN_PAIRS, embed, leibniz, leibniz_mul as full_mul,
                          loop_partial, neumann_solve, pairs_jeinsum, reduceat_leibniz,
                          ref_cos, ref_flow, ref_full_gradient, ref_inverse_coeffs,
                          ref_sin, ref_velocity, taylor)
+from model_helpers import (KODAIRA_FRAME_METRIC, certified_residuals,
+                           kodaira_candidate_models, kodaira_candidates,
+                           kodaira_triples, lattice_residual)
 
 RTOL = ATOL = 1e-12
 SPACES = [(4, 3), (6, 3)]
@@ -1222,10 +1224,6 @@ def test_one_derivative_coefficient_is_not_constant(dim, order):
             assert np.array_equal((x * y).c, leibniz_mul(x, y).c)
 
 
-KODAIRA_FRAME_METRIC = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0],
-                                 [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-
-
 @pytest.mark.parametrize("seed", [42, 7])
 def test_kodaira_structures_equal_the_frame_products(seed, kodaira_model):
     """J1, J2, J3 and g of every kodaira candidate, evaluated as polynomials
@@ -1233,12 +1231,9 @@ def test_kodaira_structures_equal_the_frame_products(seed, kodaira_model):
     P^-T G P^-1 of the frame matrix, at orders 0-4, on coordinate jets and
     on flowed ones (x1 a general jet); the evaluation looks up no Leibniz
     table."""
-    from pbhverify.models import (F_CATALOG, HamiltonianFlow, _kodaira_candidates,
-                                  _kodaira_triple)
     chart = kodaira_model.chart
-    cands = _kodaira_candidates()
-    triples = [_kodaira_triple(chart, j1f, j2f, KODAIRA_FRAME_METRIC)
-               for j1f, j2f in cands]
+    cands = kodaira_candidates()
+    triples = kodaira_triples(chart)
     bundle = example2_build(kodaira_model, Example2Params(), SamplePlan(8, seed))
     flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin14"], 0.1, 2e-2)
     pts = SamplePlan(8, seed).sample(chart)
@@ -1975,12 +1970,9 @@ def test_lifted_frame_constants_equal_the_frame_formulas(params, torus_model,
     x1 = 0 are bitwise, sign bits included, those of the numpy formulas on
     the 4x4 frame components, for the torus triple and every kodaira
     candidate."""
-    from pbhverify.models import _kodaira_candidates, _kodaira_triple, j_minus
+    from pbhverify.models import j_minus
     from pbhverify.structures import BihermitianData
-    chart = kodaira_model.chart
-    triples = [torus_model.triple] + [
-        _kodaira_triple(chart, j1f, j2f, KODAIRA_FRAME_METRIC)
-        for j1f, j2f in _kodaira_candidates()]
+    triples = [torus_model.triple] + kodaira_triples(kodaira_model.chart)
     for t in triples:
         data = BihermitianData(t.g, t.j1, j_minus(t, params))
         refs = ref_frame_constants(data.jp.frame.m, data.jm.frame.m)
@@ -2030,18 +2022,16 @@ def test_frame_constants_equal_the_frame_products(seed, kodaira_model):
     the certified candidate is constant at the default parameters and of
     degree 1 in x1 (coefficient 1.0) at c = 0.75; j1_open keeps its x1^2
     term."""
-    from pbhverify.models import (F_CATALOG, HamiltonianFlow, _kodaira_candidates,
-                                  _kodaira_triple, j_minus)
+    from pbhverify.models import j_minus
     from pbhverify.structures import BihermitianData, fundamental_form
     chart = kodaira_model.chart
     pts = SamplePlan(8, seed).sample(chart)
     bundle = example2_build(kodaira_model, Example2Params(), SamplePlan(8, seed))
     flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin14"], 0.1, 2e-2)
-    cands = _kodaira_candidates()
+    triples = kodaira_triples(chart)
     degrees = {}
     for params in FRAME_PARAMS:
-        for ci, (j1f, j2f) in enumerate(cands):
-            t = _kodaira_triple(chart, j1f, j2f, KODAIRA_FRAME_METRIC)
+        for ci, t in enumerate(triples):
             data = BihermitianData(t.g, t.j1, j_minus(t, params))
             f_k = fundamental_form(t.g, data.k_endo)
             _, _, kf, sf = ref_frame_constants(data.jp.frame.m, data.jm.frame.m)
@@ -2066,7 +2056,7 @@ def test_frame_constants_equal_the_frame_products(seed, kodaira_model):
         kodaira_model.triple.g,
         example2_build(kodaira_model, FRAME_PARAMS[1], SamplePlan(8, seed)).data.k_endo)
     assert np.abs(certified.frame.coeffs[1]).max() == 1.0
-    assert len(_kodaira_triple(chart, *cands[1], KODAIRA_FRAME_METRIC).j1.frame.coeffs) == 3
+    assert len(triples[1].j1.frame.coeffs) == 3
 
 
 KODAIRA_E = np.zeros((4, 4))
@@ -2391,15 +2381,6 @@ REF_TRIPLE_RESIDUALS = {"algebra": ref_algebra_residual,
                         "nijenhuis": ref_nijenhuis_residual}
 
 
-def kodaira_candidate_models(kodaira_model):
-    from pbhverify.models import ModelDescriptor, _kodaira_candidates, _kodaira_triple
-    chart = kodaira_model.chart
-    return [ModelDescriptor("kodaira", chart,
-                            _kodaira_triple(chart, j1f, j2f, KODAIRA_FRAME_METRIC),
-                            kodaira_model.lattice)
-            for j1f, j2f in _kodaira_candidates()]
-
-
 @pytest.mark.parametrize("seed", [42, 7])
 def test_lattice_residual_equals_the_loop(seed, torus_model, kodaira_model):
     """The batched deck check is bitwise the per-transformation loop on the
@@ -2408,25 +2389,16 @@ def test_lattice_residual_equals_the_loop(seed, torus_model, kodaira_model):
     residuals = []
     for model in [torus_model] + kodaira_candidate_models(kodaira_model):
         pts = SamplePlan(16, seed).sample(model.chart)
-        residuals.append(model.lattice_residual(pts))
+        residuals.append(lattice_residual(model, pts))
         assert_bitwise(residuals[-1], ref_lattice_residual(model, pts))
     assert residuals[2] > 0.0
-
-
-def certified_residuals(model, plan):
-    """``certify``'s residual dict, passed or failed."""
-    from pbhverify.models import ModelError
-    try:
-        return model.certify(plan)
-    except ModelError as exc:
-        return ast.literal_eval(str(exc).split("failed certification: ")[1])
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_stacked_triple_residuals_equal_the_loops(seed, torus_model, kodaira_model):
     """Each stacked residual is bitwise the per-product loop on the torus,
-    the shipped kodaira model and every kodaira candidate: called alone,
-    given the shared stack, and in ``certify`` up to where it stops."""
+    the shipped kodaira model and every kodaira candidate: given the shared
+    stack, and in ``certify``, which lists all five passed or failed."""
     models_ = [torus_model, kodaira_model] + kodaira_candidate_models(kodaira_model)
     for model in models_:
         plan = SamplePlan(16, seed)
@@ -2435,22 +2407,16 @@ def test_stacked_triple_residuals_equal_the_loops(seed, torus_model, kodaira_mod
         js, gv = t.stack(pts, 1), t.g.eval_jet(pts)
         ref = {key: fn(t, pts) for key, fn in REF_TRIPLE_RESIDUALS.items()}
         ref["lattice"] = ref_lattice_residual(model, pts)
-        alone = {"algebra": t.algebra_residual(pts),
-                 "compatibility": t.compatibility_residual(pts),
-                 "closedness": t.closedness_residual(pts),
-                 "nijenhuis": t.nijenhuis_residual(pts),
-                 "lattice": model.lattice_residual(pts)}
-        shared = {"algebra": t.algebra_residual(pts, js, gv),
-                  "compatibility": t.compatibility_residual(pts, js, gv),
-                  "closedness": t.closedness_residual(pts, js, gv),
-                  "nijenhuis": t.nijenhuis_residual(pts, js, gv),
+        shared = {"algebra": t.algebra_residual(js),
+                  "compatibility": t.compatibility_residual(js, gv),
+                  "closedness": t.closedness_residual(pts),
+                  "nijenhuis": t.nijenhuis_residual(js),
                   "lattice": model.lattice_residual(pts, js, gv)}
         certified = certified_residuals(model, plan)
-        for got in (alone, shared, certified):
+        assert list(shared) == list(certified) == list(ref)
+        for got in (shared, certified):
             for key, value in got.items():
                 assert_bitwise(value, ref[key])
-    # candidate 0 stops at compatibility, candidate 1 at closedness
-    assert [len(certified_residuals(m, SamplePlan(16, seed))) for m in models_] == [5, 5, 2, 3, 5]
 
 
 def poisoned_j2_model(model):
@@ -2471,23 +2437,22 @@ def poisoned_j2_model(model):
 
 def test_poisoned_closure_reaches_every_stacked_residual(torus_model, kodaira_model):
     """Every residual that reads the stack of J1-J3 is NaN when J2's closure
-    is, called alone and with the shared stack, and certification fails at
-    the first residual.  Closedness reads the fundamental forms, which are
-    frame constants of (g, J), so it stays 0."""
+    is, and certification fails listing each of them.  Closedness reads the
+    fundamental forms, which are frame constants of (g, J), so it stays 0."""
     from pbhverify.models import ModelError
     plan = SamplePlan(16, 42)
     for model in (poisoned_j2_model(torus_model), poisoned_j2_model(kodaira_model)):
         pts = plan.sample(model.chart)
         t = model.triple
         js, gv = t.stack(pts, 1), t.g.eval_jet(pts)
-        stacked = [t.algebra_residual(pts), t.compatibility_residual(pts),
-                   t.nijenhuis_residual(pts), model.lattice_residual(pts),
-                   t.algebra_residual(pts, js, gv), t.compatibility_residual(pts, js, gv),
-                   t.nijenhuis_residual(pts, js, gv), model.lattice_residual(pts, js, gv)]
+        stacked = [t.algebra_residual(js), t.compatibility_residual(js, gv),
+                   t.nijenhuis_residual(js), model.lattice_residual(pts, js, gv)]
         assert all(np.isnan(stacked))
         assert np.isnan(ref_algebra_residual(t, pts))
         assert t.closedness_residual(pts) == 0.0 == ref_closedness_residual(t, pts)
-        with pytest.raises(ModelError, match=r"\{'algebra': nan\}"):
+        with pytest.raises(ModelError, match=r"\{'algebra': nan, 'compatibility': nan, "
+                                             r"'closedness': 0.0, 'nijenhuis': nan, "
+                                             r"'lattice': nan\}"):
             model.certify(plan)
         assert not model.certified
 
@@ -2532,7 +2497,7 @@ def test_nan_at_one_deck_image_fails_certification(kodaira_model):
     triple = dataclasses.replace(kodaira_model.triple,
                                  j2=dataclasses.replace(j2, fn=poisoned))
     model = ModelDescriptor("kodaira", kodaira_model.chart, triple, kodaira_model.lattice)
-    assert np.isnan(model.lattice_residual(pts))
+    assert np.isnan(lattice_residual(model, pts))
     assert np.isnan(ref_lattice_residual(model, pts))
     with pytest.raises(ModelError, match="'nijenhuis': 0.0, 'lattice': nan}"):
         model.certify(plan)
@@ -2543,7 +2508,7 @@ def test_empty_lattice_has_zero_residual(torus_model, plan):
     from pbhverify.models import ModelDescriptor
     model = ModelDescriptor("open box", torus_model.chart, torus_model.triple)
     pts = plan.sample(model.chart)
-    assert model.lattice_residual(pts) == 0.0 == ref_lattice_residual(model, pts)
+    assert lattice_residual(model, pts) == 0.0 == ref_lattice_residual(model, pts)
     assert model.certify(plan)["lattice"] == 0.0 and model.certified
 
 

@@ -1,15 +1,16 @@
 """Every name a src/ module exports in ``__all__``, and every public method
-of ``Jet``, is used by code in src/ or perfbench/ (its tests aside): an
-export or method only tests call is test-only API, and belongs in the tests.
+of every class in src/, is used by code in src/ or perfbench/ (its tests
+aside): an export or method only tests call is test-only API, and belongs in
+the tests.
 
 A use is an identifier (a name or an attribute) outside import statements
 and ``__all__`` lists.  In perfbench/ a string constant counts too, since the
 tracer hooks the ops it times by name, but a bare name counts only if the
 file imports it from pbhverify: a local variable named like an export
 (``flag_model_report``'s ``worst`` was one) is not a use of it.  The rule
-goes by name alone, so a ``Jet`` method named like an ndarray method
-(``reshape`` and ``astype`` were two) counts as used wherever an array
-calls it: the guard cannot see such a method go dead."""
+goes by name alone, so a method named like another class's method or an
+ndarray method (``Jet.reshape`` and ``Jet.astype`` were two) counts as used
+wherever that one is called: the guard cannot see such a method go dead."""
 
 import ast
 from pathlib import Path
@@ -61,12 +62,15 @@ def _exports():
                     yield str(path.relative_to(SRC)), elt.value
 
 
-def _jet_methods():
-    """The public (non-underscore) methods and properties of ``Jet``."""
-    tree = ast.parse((SRC / "tensorcalc" / "jets.py").read_text())
-    jet = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Jet")
-    return [m.name for m in jet.body
-            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+def _methods():
+    """(module path, class, method) for each public (non-underscore) method
+    and property of each class in src/."""
+    for path in sorted(SRC.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                for m in cls.body:
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                        yield str(path.relative_to(SRC)), cls.name, m.name
 
 
 def _used():
@@ -85,11 +89,11 @@ def test_every_export_is_used_outside_the_tests():
     assert not unused, unused
 
 
-def test_every_public_jet_method_is_used_outside_the_tests():
-    methods = _jet_methods()
-    assert "partial" in methods
+def test_every_public_method_is_used_outside_the_tests():
+    methods = list(_methods())
+    assert ("tensorcalc/jets.py", "Jet", "partial") in methods
     used = _used()
-    assert not [m for m in methods if m not in used]
+    assert not [m for m in methods if m[2] not in used]
 
 
 def test_the_allowlist_is_needed():

@@ -2,15 +2,16 @@
 that no evaluation reads twice only costs a key and a copy per call.
 
 A site is a ``.memoized()`` call or a direct ``memoize_fn(...)`` call (the
-one inside ``Field.memoized`` is the mechanism, not a site), found by AST.
+one inside ``Field.memoized`` is the mechanism, not a site), found by AST
+(``src_size.memo_sites``, which ``tests/src_size.py`` counts).
 The test wraps ``memoize_fn`` in every module that binds it, attributes each
 memo to the innermost site around its caller's line, and counts lookups and
 misses per site."""
 
-import ast
 import sys
 from pathlib import Path
 
+import src_size
 import pbhverify
 from pbhverify import suites
 from pbhverify.tensorcalc import fields
@@ -23,20 +24,8 @@ RUNS = (dict(suite="all", model="torus", t=0.1),
 
 def _sites():
     """(path, first line, last line) of each call that makes a memo."""
-    out = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        mechanism = {id(n) for fn in ast.walk(tree)
-                     if isinstance(fn, ast.FunctionDef) and fn.name == "memoized"
-                     for n in ast.walk(fn)}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or id(node) in mechanism:
-                continue
-            f = node.func
-            if ((isinstance(f, ast.Attribute) and f.attr == "memoized")
-                    or (isinstance(f, ast.Name) and f.id == "memoize_fn")):
-                out.append((str(path), node.lineno, node.end_lineno))
-    return out
+    return [(str(path), *span) for path in sorted(SRC.rglob("*.py"))
+            for span in src_size.memo_sites(path.read_text())]
 
 
 def _site_of(frame, sites):

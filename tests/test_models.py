@@ -1,6 +1,5 @@
 """Model certification, the anticommuting-pair bundle, and the flow."""
 
-import ast
 import dataclasses
 import hashlib
 import math
@@ -9,6 +8,8 @@ import numpy as np
 import pytest
 
 import jet_helpers
+from model_helpers import (certified_residuals, kodaira_candidate_models,
+                           kodaira_triples, lattice_residual)
 from pbhverify import gencomplex, models, structures, suites
 from pbhverify.flagmodel import _flag_domain
 from pbhverify.models import (Example2Params, F_CATALOG, FlowTimeError,
@@ -132,8 +133,8 @@ def test_invariance_under_rotating_b_c(torus_model, plan):
 
 
 def test_lattice_invariance(torus_model, kodaira_model, plan):
-    assert torus_model.lattice_residual(plan.sample(torus_model.chart)) == 0.0
-    assert kodaira_model.lattice_residual(plan.sample(kodaira_model.chart)) < 1e-13
+    assert lattice_residual(torus_model, plan.sample(torus_model.chart)) == 0.0
+    assert lattice_residual(kodaira_model, plan.sample(kodaira_model.chart)) < 1e-13
 
 
 def test_flow_trivial_cases(torus_model, plan):
@@ -319,48 +320,27 @@ def test_uncertified_model_rejected(plan):
         example2_build(fresh, Example2Params(), plan)
 
 
-def test_kodaira_candidate_search_is_exercised(monkeypatch):
-    """The shipped candidate family contains inadmissible assignments; the
-    certified one must still be found.  Candidate 0 fails only metric
-    compatibility, candidate 1 closedness and the Nijenhuis condition, and
-    candidate 2 passes with every residual exactly zero.  Certification
-    stops at the first failing residual, so candidate 0's error names
-    algebra and compatibility only and candidate 1's stops at closedness;
-    the residuals past the stop are read from the triple and the deck
-    check directly."""
+def test_inadmissible_kodaira_candidates_fail_certification():
+    """Of the three candidate assignments, the last is the shipped model's,
+    and it certifies with every residual exactly zero.  Candidate 0 fails
+    only metric compatibility, candidate 1 closedness and the Nijenhuis
+    condition; each error lists all five residuals, read from the one
+    evaluation certification makes."""
     plan = SamplePlan(16, 986)
-    m = kodaira_phk(plan)
-    assert m.certify(SamplePlan(8, 2))["closedness"] < 1e-12
-    pts = plan.sample(m.chart)
-
-    def residuals(cand):
-        triple = models._kodaira_triple(m.chart, *cand, m.triple.g.frame.m)
-        model = ModelDescriptor("kodaira", m.chart, triple, m.lattice)
-        return {"algebra": triple.algebra_residual(pts),
-                "compatibility": triple.compatibility_residual(pts),
-                "closedness": triple.closedness_residual(pts),
-                "nijenhuis": triple.nijenhuis_residual(pts),
-                "lattice": model.lattice_residual(pts)}
-
-    def certified_alone(cand):
-        monkeypatch.setattr(models, "_kodaira_candidates", lambda: [cand])
-        try:
-            return kodaira_phk(plan).certify(plan)
-        except ModelError as exc:
-            return ast.literal_eval(str(exc).split("failed certification: ")[1])
-
-    cands = models._kodaira_candidates()
-    bad0, bad1, good = (residuals(c) for c in cands)
+    shipped = kodaira_phk()
+    bad0, bad1, good = (certified_residuals(m, plan)
+                        for m in kodaira_candidate_models(shipped))
     assert bad0 == {"algebra": 0.0, "compatibility": 2.0, "closedness": 0.0,
                     "nijenhuis": 0.0, "lattice": 0.0}
+    assert list(bad1) == list(models.CERTIFY_TOLERANCES)
     assert bad1["closedness"] == 1.0 and bad1["nijenhuis"] == 4.0
     assert max(bad1[k] for k in ("algebra", "compatibility", "lattice")) < 1e-12
-    assert good == dict.fromkeys(good, 0.0) and len(good) == 5
-    msg0, msg1, passed = (certified_alone(c) for c in cands)
-    assert list(msg0) == ["algebra", "compatibility"]
-    assert list(msg1) == ["algebra", "compatibility", "closedness"]
-    assert msg0 == {k: bad0[k] for k in msg0} and msg1 == {k: bad1[k] for k in msg1}
-    assert passed == good
+    assert good == dict.fromkeys(models.CERTIFY_TOLERANCES, 0.0)
+    assert shipped.certify(plan) == good and shipped.certified
+    last = kodaira_triples(shipped.chart)[-1]
+    for ours, theirs in zip((last.g,) + last.js, (shipped.triple.g,) + shipped.triple.js):
+        assert np.array_equal(ours.frame.m, theirs.frame.m)
+        assert np.array_equal(ours.frame.e, theirs.frame.e)
 
 
 def test_failed_recertification_clears_certified(plan, monkeypatch):
@@ -389,25 +369,22 @@ def test_flipped_shear_generator_fails_the_lattice_check(kodaira_model):
     mutant = ModelDescriptor("kodaira", kodaira_model.chart, kodaira_model.triple,
                              kodaira_model.lattice[:3] + ((flipped, shift),))
     plan = SamplePlan(16, 986)
-    assert mutant.lattice_residual(plan.sample(mutant.chart)) == 2.0
+    assert lattice_residual(mutant, plan.sample(mutant.chart)) == 2.0
     with pytest.raises(ModelError, match="'nijenhuis': 0.0, 'lattice': 2.0}"):
         mutant.certify(plan)
     assert not mutant.certified
 
 
 def test_kodaira_certification_work_count(monkeypatch):
-    """Deterministic work guard on one ``SuiteContext(kodaira).model``: the
-    candidate search is the run's certification, at the run's points
-    (16 at seed + 7, drawn once for the three candidates), and nothing
-    certifies the model again.  Each certification evaluates the triple
-    once, J1-J3 at order 1 and g at order 0 (4 field evaluations), and the
-    algebra, compatibility and Nijenhuis residuals read only that.
-    Candidate 0 stops after compatibility (4), candidate 1 after
-    closedness, which evaluates the three fundamental forms (4 + 3), and
-    the full certification of candidate 2 takes 11: those 7 and 4 for the
-    deck check, which reuses the values at the points and evaluates J1-J3
-    and g once at all deck images (38 when each residual evaluated the
-    triple again)."""
+    """Deterministic work guard on one ``SuiteContext(kodaira).model``: it is
+    certified once, at the run's points (16 at seed + 7), and nothing
+    certifies it again.  The certification evaluates the triple once, J1-J3
+    at order 1 and g at order 0 (4 field evaluations), which the algebra,
+    compatibility and Nijenhuis residuals read; closedness evaluates the
+    three fundamental forms (3), and the deck check reuses the values at
+    the points and evaluates J1-J3 and g once at all deck images (4): 11
+    (22 when two inadmissible candidates were certified first, 38 when
+    each residual evaluated the triple again)."""
     calls, certs = [], []
     eval_jet, certify = Field.eval_jet, ModelDescriptor.certify
 
@@ -415,16 +392,16 @@ def test_kodaira_certification_work_count(monkeypatch):
         calls.append(field)
         return eval_jet(field, *args, **kwargs)
 
-    def counted_certify(model, plan, *pts):
+    def counted_certify(model, plan):
         certs.append(plan)
-        return certify(model, plan, *pts)
+        return certify(model, plan)
 
     monkeypatch.setattr(Field, "eval_jet", counted)
     monkeypatch.setattr(ModelDescriptor, "certify", counted_certify)
     model = suites.SuiteContext(SuiteConfig(model="kodaira", seed=42)).model
     assert model.certified
-    assert [(p.count, p.seed) for p in certs] == [(16, 49)] * 3
-    assert len(calls) == 4 + 7 + 11
+    assert [(p.count, p.seed) for p in certs] == [(16, 49)]
+    assert len(calls) == 11
 
 
 # -- one integration per flow -------------------------------------------------

@@ -1,6 +1,7 @@
 """Every defaulted parameter of a module-level function or method in src/ is
 set by some call in src/, and not only to its default: a value no caller
-changes is a constant, not an option."""
+changes is a constant, not an option.  Some call in src/ also leaves it
+out: a default that only tests rely on is a required parameter."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,10 @@ ALLOWED = {
     ("*", "name"): "a label for reports and messages, not a behaviour",
     ("gcs_nijenhuis", "include_frame"): "tests bracket only their own sections",
     ("SuiteContext.points", "chart"): "tests sample other charts with the suite plan",
+    ("oneform_field", "cost"): "the field-kind constructors share one signature, "
+                               "and cost 0 (no derivative of the input read) "
+                               "is the common case",
+    ("metric_field", "cost"): "as for oneform_field",
 }
 
 
@@ -115,6 +120,22 @@ def test_no_default_is_set_only_to_itself():
                 if values and all(v is not NOT_LITERAL and v == default for v in values):
                     constant.append(f"{path.relative_to(SRC)}: {qual}({param})")
     assert not constant, constant
+
+
+def test_every_default_is_omitted_by_a_caller():
+    """A call passing ``**kwargs`` may set the parameter, so it omits none."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+    calls = _src_calls(trees)
+    always_set = []
+    for path, tree in trees.items():
+        for qual, callee, params in _defaulted(tree):
+            for param, i, _ in params:
+                if (qual, param) in ALLOWED or ("*", param) in ALLOWED:
+                    continue
+                if not any(not star and param not in kws and (i is None or npos <= i)
+                           for npos, kws, star, _ in calls.get(callee, [])):
+                    always_set.append(f"{path.relative_to(SRC)}: {qual}({param})")
+    assert not always_set, always_set
 
 
 def test_the_allowlist_is_needed():

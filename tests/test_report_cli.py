@@ -1,13 +1,17 @@
 """Report round-trips, configuration handling and the exit-status contract."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from report_helpers import report_from_json
 from pbhverify.cli import main, parse_config_file
+from pbhverify.models import F_CATALOG
 from pbhverify.report import CheckRecord, VerificationReport
-from pbhverify.suites import (ConfigError, SuiteConfig, list_suites,
+from pbhverify.suites import (CATALOG, ConfigError, SuiteConfig, list_suites,
                               run_suite)
 
 
@@ -19,7 +23,7 @@ def test_report_round_trip(tmp_path):
          CheckRecord("b-check", "another", 2.0, 1e-9, 8, False, 3)],
         wall_time_s=1.5)
     text = rep.to_json()
-    back = VerificationReport.from_json(text)
+    back = report_from_json(text)
     assert back.to_json() == text
     assert back.checks[0].residual == rep.checks[0].residual
     assert not back.passed
@@ -147,6 +151,51 @@ def test_branch_margin_is_a_configuration_error(capsys):
         assert "BRANCH_MARGIN" in capsys.readouterr().err
     for suite in ("parahyperkahler", "lemma1", "engel"):
         assert main(flags + ["--suite", suite]) == 0
+
+
+# every suite with every model it accepts: flag hosts only theorem4
+SUITE_MODELS = ([(suite, model) for model in ("torus", "kodaira") for suite in (*CATALOG, "all")]
+                + [("theorem4", "flag")])
+
+
+@st.composite
+def cli_configs(draw):
+    """Command lines over the documented ranges: a > 1 on both sides of
+    1 + BRANCH_MARGIN with b, c on a^2 - b^2 - c^2 = 1, |t| <= 0.1 (inside
+    the escape bound on both models' sampled points), every Hamiltonian,
+    1-4 samples and any seed.  Values go as ``--x=VALUE``, which argparse
+    reads also for a negative number in exponent form."""
+    suite, model = draw(st.sampled_from(SUITE_MODELS))
+    a = draw(st.floats(1.0, 1.05, exclude_min=True) | st.floats(1.05, 3.0))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    r = math.sqrt(a * a - 1.0)
+    return [f"--suite={suite}", f"--model={model}", f"--a={a!r}",
+            f"--b={r * math.cos(phi)!r}", f"--c={r * math.sin(phi)!r}",
+            f"--t={draw(st.floats(-0.1, 0.1))!r}",
+            f"--f-expr={draw(st.sampled_from(sorted(F_CATALOG)))}",
+            f"--samples={draw(st.integers(1, 4))}",
+            f"--seed={draw(st.integers(min_value=0))}", "--quiet"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cli_configs())
+def test_every_accepted_configuration_ends_in_an_exit_status(argv):
+    """``main`` returns one of the documented statuses 0-3 for every drawn
+    configuration, and raises nothing."""
+    assert main(argv) in (0, 1, 2, 3)
+
+
+def test_main_validates_the_config_once(monkeypatch, capsys):
+    """``run_suite`` validates the configuration, and ``main`` maps its
+    ``ConfigError`` to exit 2 without validating first."""
+    calls = []
+    validate = SuiteConfig.validate
+    monkeypatch.setattr(SuiteConfig, "validate",
+                        lambda cfg: calls.append(cfg) or validate(cfg))
+    assert main(["--suite", "parahyperkahler", "--samples", "2", "--quiet"]) == 0
+    assert main(["--suite", "parahyperkahler", "--samples", "0", "--quiet"]) == 2
+    assert "configuration error: samples must be positive" in capsys.readouterr().err
+    assert len(calls) == 2
 
 
 def test_env_seed_fallback(monkeypatch, tmp_path):

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from report_helpers import report_from_json
 from pbhverify.cli import main
 from pbhverify.models import (Example2Params, IntegratorError, example2_build,
                               hamiltonian_deform)
 from pbhverify.poisson import pi_bivector
-from pbhverify.report import VerificationReport
 from pbhverify.structures import BihermitianData
 from pbhverify.suites import (CATALOG, ORDER_ROUNDOFF_FLOOR, SuiteConfig,
                               SuiteContext, run_suite)
@@ -35,7 +35,7 @@ def test_nan_in_frame_endomorphism_fails_closed(torus_model):
     bad = ParaHyperTriple(t.g, t.j1, endo_field(t.g.chart, fn), t.j3)
     ctx = SuiteContext(SuiteConfig(suite="parahyperkahler", samples=16))
     pts = ctx.points(torus_model.chart)
-    assert np.isnan(bad.algebra_residual(pts))
+    assert np.isnan(bad.algebra_residual(bad.stack(pts)))
     model = ModelDescriptor("torus", torus_model.chart, bad, torus_model.lattice)
     with pytest.raises(ModelError):
         model.certify(SamplePlan(16, 42))
@@ -219,7 +219,7 @@ def test_kodaira_flow_suite(tmp_path):
     path = tmp_path / "kodaira.json"
     assert main(["--suite", "gpk-example2", "--model", "kodaira", "--t", "0.1",
                  "--samples", "8", "--quiet", "--report", str(path)]) == 0
-    checks = {c.name: c for c in VerificationReport.from_json(path.read_text()).checks}
+    checks = {c.name: c for c in report_from_json(path.read_text()).checks}
     assert "deformed-forms-closed" in checks
     order = checks["integrator-order"]
     assert order.inconclusive == 0 and "calibration" not in order.extra
@@ -252,7 +252,7 @@ def test_calibration_skips_a_roundoff_pair(tmp_path, seed):
     assert main(["--suite", "gpk-example2", "--model", "kodaira", "--t", "0.1",
                  "--samples", "16", "--a", "1.25", "--b", "0", "--c", "0.75",
                  "--seed", str(seed), "--quiet", "--report", str(path)]) == 0
-    checks = {c.name: c for c in VerificationReport.from_json(path.read_text()).checks}
+    checks = {c.name: c for c in report_from_json(path.read_text()).checks}
     order = checks["integrator-order"]
     assert all(c.passed for c in checks.values())
     assert order.inconclusive == 0 and 15.5 < order.residual < 16.5
@@ -331,7 +331,7 @@ def test_pi_bivector_precondition_warning(torus_model, conformal_metric,
 def test_signature_report_present(torus_bundle, torus_points):
     from pbhverify.gencomplex import check_gpk_pair, gcs_from_form
     res = check_gpk_pair(gcs_from_form(torus_bundle.beta1),
-                         gcs_from_form(torus_bundle.beta2), torus_points)
+                         gcs_from_form(torus_bundle.beta2), torus_points, 1e-9)
     assert res.ok and len(res.signatures) >= 1
 
 
