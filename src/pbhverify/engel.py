@@ -27,7 +27,8 @@ __all__ = ["RankTowerReport", "lee_fields", "LeeFields",
            "LeeValues", "rank_tower", "theorem7_check", "Theorem7Report",
            "canonical_engel_span", "integrable_control_span",
            "other_control_span", "synthetic_data",
-           "basis_identity_residuals", "nabla_n_rhs_residuals"]
+           "basis_identity_residuals", "derivative_chain_residuals",
+           "derivative_rule_residual"]
 
 RANK_FLOOR = 1e-8  # singular values up to this share of the largest count as 0
 THETA_FLOOR = 1e-8  # |theta+|^2 up to this share of max(1, its max): inconclusive
@@ -219,7 +220,35 @@ def basis_identity_residuals(lv: LeeValues, mask) -> dict:
     return out
 
 
-def nabla_n_rhs_residuals(lv: LeeValues, mask=None, dn=None) -> dict:
+def _nabla_n(lv: LeeValues, u, v):
+    """(nabla_u N) v for N = J+ + f J- from the Lee-form derivative rule,
+    for u and v of shape (B, ..., d) that broadcast together; u(f) is the
+    gradient rule df = -(f/2)(theta+ - theta-) o K, the p-gradient identity
+    specialized to f = p - sqrt(p^2 - 1)."""
+    at = (slice(None),) + (None,) * (max(u.ndim, v.ndim) - 2)
+    gb, fb = lv.g[at], lv.f[at]
+
+    def nabla_j(j, theta):
+        """2 (nabla_u J) v."""
+        theta_sharp = np.einsum("bij,bj->bi", lv.ginv, theta)[at]
+        j, theta = j[at], theta[at]
+        guv = np.einsum("...i,...ij,...j->...", u, gb, v)
+        ju = np.einsum("...ij,...j->...i", j, u)
+        jv = np.einsum("...ij,...j->...i", j, v)
+        gjuv = np.einsum("...i,...ij,...j->...", ju, gb, v)
+        th_jv = np.einsum("...i,...i->...", theta, jv)
+        th_v = np.einsum("...i,...i->...", theta, v)
+        jtheta = np.einsum("...ij,...j->...i", j, theta_sharp)
+        return (guv[..., None] * jtheta + gjuv[..., None] * theta_sharp
+                + th_jv[..., None] * u - th_v[..., None] * ju)
+
+    term = 0.5 * (nabla_j(lv.jp, lv.theta_p) + fb[..., None] * nabla_j(lv.jm, lv.theta_m))
+    ku = np.einsum("...ij,...j->...i", lv.k[at], u)
+    uf = -0.5 * fb * np.einsum("...i,...i->...", (lv.theta_p - lv.theta_m)[at], ku)
+    return term + uf[..., None] * np.einsum("...ij,...j->...i", lv.jm[at], v)
+
+
+def derivative_chain_residuals(lv: LeeValues, mask) -> dict:
     """Consequences of the Lee-form derivative rule for N = J+ + f J-:
 
       (nabla_Y N) Y = 0,
@@ -227,54 +256,16 @@ def nabla_n_rhs_residuals(lv: LeeValues, mask=None, dn=None) -> dict:
       N[X, Y] = f sqrt(p^2-1) |theta+|^2 Y  (so N[X,Y] is parallel to Y).
 
     Returns each residual, and the part of N[X, Y] off Span(Y), as the
-    largest |residual| / max(1, |theta+|^2) over the points of ``mask``
-    (every point when it is None).  The covariant derivative is evaluated
-    from the derivative rule itself (the identity chain being tested is
-    algebraic).  When ``dn``, the (B, i, j_comp, k_arg) values of
-    ``Connection.cov_deriv_endo(N)`` at the same points, is given, the rule
-    at every pair of coordinate vectors is compared with that honest jet
-    differentiation under "derivative-rule vs jets".
-    """
-    g, ginv, jp, jm, kv = lv.g, lv.ginv, lv.jp, lv.jm, lv.k
-    thp, thm, x, y = lv.theta_p, lv.theta_m, lv.x, lv.y
-    tn, p, f = lv.theta_norm_sq, lv.p, lv.f
+    largest |residual| / max(1, |theta+|^2) over the points of ``mask``.
+    The covariant derivative is evaluated from the derivative rule itself
+    (the identity chain being tested is algebraic)."""
+    x, y, tn, p, f = lv.x, lv.y, lv.theta_norm_sq, lv.p, lv.f
     s = np.sqrt(p * p - 1.0)
     scale = np.maximum(1.0, np.abs(tn))[:, None]
-
-    thp_sharp = np.einsum("bij,bj->bi", ginv, thp)
-    thm_sharp = np.einsum("bij,bj->bi", ginv, thm)
-
-    def nabla_n(u, v):
-        """(nabla_u N) v from the Lee rule, for u and v of shape (B, ..., d)
-        that broadcast together; u(f) is the gradient rule
-        df = -(f/2)(theta+ - theta-) o K, the p-gradient identity
-        specialized to f = p - sqrt(p^2 - 1)."""
-        at = (slice(None),) + (None,) * (max(u.ndim, v.ndim) - 2)
-        gb, fb = g[at], f[at]
-
-        def nabla_j(j, theta, theta_sharp):
-            """2 (nabla_u J) v."""
-            j, theta, theta_sharp = j[at], theta[at], theta_sharp[at]
-            guv = np.einsum("...i,...ij,...j->...", u, gb, v)
-            ju = np.einsum("...ij,...j->...i", j, u)
-            jv = np.einsum("...ij,...j->...i", j, v)
-            gjuv = np.einsum("...i,...ij,...j->...", ju, gb, v)
-            th_jv = np.einsum("...i,...i->...", theta, jv)
-            th_v = np.einsum("...i,...i->...", theta, v)
-            jtheta = np.einsum("...ij,...j->...i", j, theta_sharp)
-            return (guv[..., None] * jtheta + gjuv[..., None] * theta_sharp
-                    + th_jv[..., None] * u - th_v[..., None] * ju)
-
-        term = 0.5 * (nabla_j(jp, thp, thp_sharp)
-                      + fb[..., None] * nabla_j(jm, thm, thm_sharp))
-        ku = np.einsum("...ij,...j->...i", kv[at], u)
-        uf = -0.5 * fb * np.einsum("...i,...i->...", (thp - thm)[at], ku)
-        return term + uf[..., None] * np.einsum("...ij,...j->...i", jm[at], v)
-
-    jy = np.einsum("bij,bj->bi", jp, y)
-    r1 = nabla_n(y, y)
-    r2 = 2.0 * nabla_n(jy, y) - 2.0 * (p * f * tn)[:, None] * y
-    nxy = nabla_n(y, x) - nabla_n(x, y)   # N[X,Y] via nabla and N X = N Y = 0
+    jy = np.einsum("bij,bj->bi", lv.jp, y)
+    r1 = _nabla_n(lv, y, y)
+    r2 = 2.0 * _nabla_n(lv, jy, y) - 2.0 * (p * f * tn)[:, None] * y
+    nxy = _nabla_n(lv, y, x) - _nabla_n(lv, x, y)   # N[X,Y] via nabla and N X = N Y = 0
     r3 = nxy - (f * s * tn)[:, None] * y
     out = {
         "(nabla_Y N)Y": reduce_parts([r1 / scale], mask),
@@ -286,13 +277,20 @@ def nabla_n_rhs_residuals(lv: LeeValues, mask=None, dn=None) -> dict:
     yhat = y / np.maximum(ynorm, 1e-30)
     off = nxy - (np.einsum("bi,bi->b", nxy, yhat))[:, None] * yhat
     out["N[X,Y] off Span(Y)"] = reduce_parts([off / scale], mask)
-    if dn is not None:
-        # rhs[b, i, k] = (nabla_{e_i} N) e_k, against dn[b, i, :, k]
-        e = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
-        rhs = nabla_n(e[:, :, None], e[:, None])
-        lhs = np.einsum("bijk->bikj", dn)
-        out["derivative-rule vs jets"] = reduce_parts([(lhs - rhs) / scale[:, None, None]], mask)
     return out
+
+
+def derivative_rule_residual(lv: LeeValues, dn) -> float:
+    """The derivative rule at every pair of coordinate vectors against
+    ``dn``, the (B, i, j_comp, k_arg) values of
+    ``Connection.cov_deriv_endo(N)`` at the same points (honest jet
+    differentiation), as the largest |difference| / max(1, |theta+|^2)."""
+    e = np.broadcast_to(np.eye(lv.g.shape[-1]), lv.g.shape)
+    # rhs[b, i, k] = (nabla_{e_i} N) e_k, against dn[b, i, :, k]
+    rhs = _nabla_n(lv, e[:, :, None], e[:, None])
+    lhs = np.einsum("bijk->bikj", dn)
+    scale = np.maximum(1.0, np.abs(lv.theta_norm_sq))
+    return reduce_parts([(lhs - rhs) / scale[:, None, None, None]])
 
 
 @dataclass

@@ -37,8 +37,8 @@ TWO_PI = 2.0 * np.pi
 class FlagParams:
     """Coefficients of F0 = a omega1 + b omega2 on the dense flag chart."""
 
-    a: int = 1
-    b: int = -2
+    a: int
+    b: int
 
     def __post_init__(self):
         if not (isinstance(self.a, int) and isinstance(self.b, int)):
@@ -103,13 +103,17 @@ def _const_dz_form(jc, alpha, n_real):
     return Jet(jc.space, c)
 
 
+def _log_tau_field(chart, coords) -> Field:
+    """f = log |tau|^2 at the complex coordinate pair ``coords(jc)``."""
+    return scalar_field(chart, lambda jc: tau_norm_sq(*coords(jc)).log())
+
+
 # --------------------------------------------------------------------------
 # CP^2 affine charts: fields X, Y, tau and the log-norm derivatives
 
 
 @dataclass
 class CP2Chart:
-    name: str
     chart: ChartDomain
     x_coeff: tuple       # X = (c1 z1, c2 z2) diagonal holomorphic field
     y_coeff: tuple
@@ -128,11 +132,7 @@ class CP2Chart:
         return _stack([z1 * self.y_coeff[0], z2 * self.y_coeff[1]])
 
     def f_field(self) -> Field:
-        def fn(jc):
-            z1, z2 = self.coords(jc)
-            return tau_norm_sq(z1, z2).log()
-
-        return scalar_field(self.chart, fn, name=f"log-tau-{self.name}")
+        return _log_tau_field(self.chart, self.coords)
 
     def _dlogdet(self, z1, z2):
         """Analytic d log det h / dz_a = -3 zbar_a / (1 + |z|^2)."""
@@ -169,25 +169,28 @@ class CP2Chart:
         return holo_apply(self.y_hol(jc), self._log_norm(jc))
 
 
-def _cp2_domain(name):
+# X scales the homogeneous coordinates by (e^t, e^{-t}, 1) and Y by
+# (1, 1, e^{-t}); the constants in Xf, Yf are the derivatives of
+# log |z_1 z_2|^2 along the fields
+_CP2_FIELDS = {  # chart -> (x_coeff, y_coeff, x_const, y_const)
+    "z": ((-2.0, -1.0), (0.0, -1.0), -3.0, -1.0),
+    "u": ((2.0, 1.0), (0.0, -1.0), 3.0, -1.0),
+    "v": ((1.0, -1.0), (1.0, 1.0), 0.0, 2.0),
+}
+
+
+def _cp2_chart(name) -> CP2Chart:
     loci = (
-        ExcludedLocus(lambda p: np.hypot(p[:, 0], p[:, 1]), label="z1=0"),
-        ExcludedLocus(lambda p: np.hypot(p[:, 2], p[:, 3]), label="z2=0"),
+        ExcludedLocus(lambda p: np.hypot(p[:, 0], p[:, 1])),
+        ExcludedLocus(lambda p: np.hypot(p[:, 2], p[:, 3])),
     )
-    return ChartDomain(4, tuple((-1.5, 1.5) for _ in range(4)), loci, name=name)
+    domain = ChartDomain(4, tuple((-1.5, 1.5) for _ in range(4)), loci, name=f"cp2-{name}")
+    return CP2Chart(domain, *_CP2_FIELDS[name])
 
 
 def cp2_charts() -> dict:
-    """The three standard affine charts with the diagonal-action fields.
-
-    X scales the homogeneous coordinates by (e^t, e^{-t}, 1) and Y by
-    (1, 1, e^{-t}); the constants in Xf, Yf are the derivatives of
-    log |z_1 z_2|^2 along the fields."""
-    return {
-        "z": CP2Chart("z", _cp2_domain("cp2-z"), (-2.0, -1.0), (0.0, -1.0), -3.0, -1.0),
-        "u": CP2Chart("u", _cp2_domain("cp2-u"), (2.0, 1.0), (0.0, -1.0), 3.0, -1.0),
-        "v": CP2Chart("v", _cp2_domain("cp2-v"), (1.0, -1.0), (1.0, 1.0), 0.0, 2.0),
-    }
+    """The three standard affine charts with the diagonal-action fields."""
+    return {name: _cp2_chart(name) for name in _CP2_FIELDS}
 
 
 def cp2_transition(name_from: str, name_to: str, pts: np.ndarray) -> np.ndarray:
@@ -223,10 +226,10 @@ def _flag_domain():
         return np.abs(1.0 + z1 * w1) / np.maximum(np.abs(z2), 1e-12)
 
     loci = (
-        ExcludedLocus(zmod(0), label="z1=0"),
-        ExcludedLocus(zmod(1), label="z2=0"),
-        ExcludedLocus(zmod(2), label="w1=0"),
-        ExcludedLocus(w2mod, margin=0.1, label="w2=0"),
+        ExcludedLocus(zmod(0)),
+        ExcludedLocus(zmod(1)),
+        ExcludedLocus(zmod(2)),
+        ExcludedLocus(w2mod, margin=0.1),
     )
     return ChartDomain(6, tuple((-1.5, 1.5) for _ in range(6)), loci, name="flag")
 
@@ -275,7 +278,7 @@ class FlagBundle:
             dz2 = _const_dz_form(jc, 1, 6)
             return fs_two_form(h, (dz1, dz2), 6, 1.0 / TWO_PI)
 
-        return form_field(self.chart, 2, fn, name="omega1").memoized()
+        return form_field(self.chart, 2, fn).memoized()
 
     @cached_property
     def omega2(self) -> Field:
@@ -285,7 +288,7 @@ class FlagBundle:
             _, _, dw1, dw2 = self._dw_forms(jc)
             return fs_two_form(h, (dw1, dw2), 6, 1.0 / TWO_PI)
 
-        return form_field(self.chart, 2, fn, name="omega2").memoized()
+        return form_field(self.chart, 2, fn).memoized()
 
     @cached_property
     def f0(self) -> Field:
@@ -304,19 +307,16 @@ class FlagBundle:
 
     @cached_property
     def f_p1(self) -> Field:
-        def fn(jc):
-            z1, z2 = self._z(jc)
-            return tau_norm_sq(z1, z2).log()
-
-        return scalar_field(self.chart, fn, name="f o p1")
+        return _log_tau_field(self.chart, self._z)
 
     @cached_property
     def f_p2(self) -> Field:
-        def fn(jc):
-            w1, w2 = self._w(jc)
-            return tau_norm_sq(w1, w2).log()
+        return _log_tau_field(self.chart, self._w)
 
-        return scalar_field(self.chart, fn, name="f o p2")
+    @cached_property
+    def _z_chart(self) -> CP2Chart:
+        """The z chart, whose field data both factors carry."""
+        return _cp2_chart("z")
 
     # -- lambda fit and the candidate field -----------------------------------
 
@@ -341,10 +341,8 @@ class FlagBundle:
     def x10_hol(self, jc, lam: float) -> Jet:
         z1, z2 = self._z(jc)
         w1, w2 = self._w(jc)
-        # both factors carry the z-chart data
-        z_chart = cp2_charts()["z"]
-        xf1, yf1 = z_chart.field_derivatives(z1, z2)
-        xf2, yf2 = z_chart.field_derivatives(w1, w2)
+        xf1, yf1 = self._z_chart.field_derivatives(z1, z2)
+        xf2, yf2 = self._z_chart.field_derivatives(w1, w2)
         a, b = float(self.params.a), float(self.params.b)
         cx = xf1 * a - xf2 * b
         cy = yf1 * a - yf2 * b

@@ -215,14 +215,13 @@ def gcs_from_form(beta: Field) -> Field:
     return Field(chart, "tensor", fn, cost=beta.cost).memoized()
 
 
-def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
-                  extra_sections=(), include_frame=True) -> float:
+def gcs_nijenhuis(i_field: Field, h: Field | None, pts, extra_sections=()) -> float:
     """Max residual of N_H(A, B) = [A,B] - [IA,IB] + I[IA,B] + I[A,IB] over
-    section pairs A before B (frame sections first).  I, H and every section
-    are evaluated once, and the sections and their images under I are
-    prepared (``_prep``) once; all pairs i < j (``np.triu_indices``) are
-    bracketed in one batch, each bracket gathering its two prepared stacks
-    along the section axis when it runs.
+    pairs A before B of the 2 dim frame sections, then ``extra_sections``.
+    I, H and every section are evaluated once, and the sections and their
+    images under I are prepared (``_prep``) once; all pairs i < j
+    (``np.triu_indices``) are bracketed in one batch, each bracket gathering
+    its two prepared stacks along the section axis when it runs.
 
     The brackets run at degree 0.  The residual is a value (``max_abs``),
     and the value of a Courant bracket reads only the values and first
@@ -239,11 +238,7 @@ def gcs_nijenhuis(i_field: Field, h: Field | None, pts,
     partial still reaches it."""
     chart = i_field.chart
     d = chart.dim
-    sections = list(extra_sections)
-    if include_frame:
-        sections = coordinate_sections(chart) + sections
-    if len(sections) < 2:
-        raise ValueError("gcs_nijenhuis needs at least two sections")
+    sections = coordinate_sections(chart) + list(extra_sections)
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     chart.require(pts)
     order = max(1 + max(f.cost for f in [i_field, *sections]),

@@ -45,7 +45,7 @@ class ModelDescriptor:
     name: str
     chart: ChartDomain
     triple: ParaHyperTriple
-    lattice: tuple = ()  # (lin, shift) pairs, the deck maps x -> lin x + shift
+    lattice: tuple  # (lin, shift) pairs, the deck maps x -> lin x + shift
     certified: bool = dc_field(default=False, init=False)
 
     def certify(self, plan: SamplePlan) -> dict:
@@ -104,10 +104,8 @@ def torus_phk() -> ModelDescriptor:
     """The torus model, not yet certified."""
     chart = ChartDomain(4, tuple((0.0, TWO_PI) for _ in range(4)), name="torus")
     j1, j2, j3, g = standard_split_quaternion_frame()
-    triple = ParaHyperTriple(constant_metric(chart, g, "g"),
-                             constant_endo(chart, j1, "J1"),
-                             constant_endo(chart, j2, "J2"),
-                             constant_endo(chart, j3, "J3"), name="torus")
+    triple = ParaHyperTriple(constant_metric(chart, g), constant_endo(chart, j1),
+                             constant_endo(chart, j2), constant_endo(chart, j3))
     lattice = tuple((np.eye(4), TWO_PI * np.eye(4)[i]) for i in range(4))
     return ModelDescriptor("torus", chart, triple, lattice)
 
@@ -138,7 +136,7 @@ def _kodaira_triple(chart, j1f, j2f, g_frame) -> ParaHyperTriple:
 
     return ParaHyperTriple(frame_field(chart, "metric", _KODAIRA_E, g_frame),
                            frame_endo(j1f), frame_endo(j2f),
-                           frame_endo(j1f @ j2f), name="kodaira")
+                           frame_endo(j1f @ j2f))
 
 
 def kodaira_phk() -> ModelDescriptor:
@@ -262,12 +260,12 @@ F_CATALOG = {
 
 @dataclass
 class Example2Params:
-    a: float = 1.25
-    b: float = 0.75
-    c: float = 0.0
-    f_name: str = "sin2"
-    t: float = 0.0
-    step: float = 1e-3
+    a: float
+    b: float
+    c: float
+    f_name: str
+    t: float
+    step: float
 
     def __post_init__(self):
         for name in ("a", "b", "c", "t", "step"):
@@ -276,7 +274,7 @@ class Example2Params:
         if abs(self.a**2 - self.b**2 - self.c**2 - 1.0) > 1e-12:
             raise ValueError("parameters must satisfy a^2 - b^2 - c^2 = 1")
         if not self.a >= 1.0 + 1e-6:
-            raise ValueError("parameter a must exceed 1")
+            raise ValueError("parameter a must be at least 1 + 1e-6")
         if self.f_name not in F_CATALOG:
             raise ValueError(f"unknown Hamiltonian {self.f_name!r}")
         if self.step <= 0:
@@ -364,7 +362,7 @@ def example2_build(model: ModelDescriptor, params: Example2Params,
     jp = t.j1
     jm = j_minus(t, params)
     pts = plan.sample(model.chart)
-    data = build_parahypercomplex(jp, jm, t.g, pts, name=f"{model.name}-pair")
+    data = build_parahypercomplex(jp, jm, t.g, pts)
     root = float(np.sqrt(params.a**2 - 1.0))
     s_plus = (jm - jp * params.a) * (-1.0 / root)
     s_minus = (jp - jm * params.a) * (1.0 / root)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 
@@ -25,8 +25,8 @@ class CheckRecord:
     tolerance: float
     points: int
     passed: bool
-    inconclusive: int = 0
-    extra: dict = field(default_factory=dict)
+    inconclusive: int
+    extra: dict
 
     def to_doc(self) -> dict:
         return {
@@ -58,8 +58,7 @@ class VerificationReport:
     model: str
     config: dict
     checks: list
-    wall_time_s: float = 0.0
-    engine_version: str = __version__
+    wall_time_s: float
 
     @property
     def passed(self) -> bool:
@@ -69,7 +68,7 @@ class VerificationReport:
         return {
             "suite": self.suite,
             "model": self.model,
-            "engine_version": self.engine_version,
+            "engine_version": __version__,
             "config": {k: str(v) for k, v in sorted(self.config.items())},
             "verdict": "pass" if self.passed else "fail",
             "checks": [c.to_doc() for c in self.checks],

@@ -90,7 +90,6 @@ class HermitianPair:
 
     g: Field
     j: Field
-    name: str = ""
 
     @cached_property
     def f(self) -> Field:
@@ -143,7 +142,6 @@ class ParaHyperTriple:
     j1: Field
     j2: Field
     j3: Field
-    name: str = ""
 
     @property
     def js(self):
@@ -309,7 +307,6 @@ class BihermitianData:
     g: Field
     jp: Field
     jm: Field
-    name: str = ""
 
     def _lifted(self, kind, fn) -> Field:
         """The ``kind`` field evaluated by ``fn`` from J+ and J-, lifted to
@@ -326,11 +323,11 @@ class BihermitianData:
 
     @cached_property
     def pair_plus(self) -> HermitianPair:
-        return HermitianPair(self.g, self.jp, name=self.name + "+")
+        return HermitianPair(self.g, self.jp)
 
     @cached_property
     def pair_minus(self) -> HermitianPair:
-        return HermitianPair(self.g, self.jm, name=self.name + "-")
+        return HermitianPair(self.g, self.jm)
 
     @cached_property
     def s_root(self) -> Field:
@@ -390,11 +387,10 @@ def _branch(data: BihermitianData, sign: float) -> Field:
     return data._lifted("scalar", fn)
 
 
-def build_parahypercomplex(jp: Field, jm: Field, g: Field, pts,
-                           name: str = "") -> BihermitianData:
+def build_parahypercomplex(jp: Field, jm: Field, g: Field, pts) -> BihermitianData:
     """K = [J+, J-] / (2 sqrt(p^2-1)), S = -(J- + p J+) / sqrt(p^2-1);
     valid only where |p| > 1 (checked on the sampled points)."""
-    data = BihermitianData(g, jp, jm, name=name)
+    data = BihermitianData(g, jp, jm)
     pv = data.p.eval(pts)
     bad = np.abs(pv) <= 1.0 + BRANCH_MARGIN
     if np.any(bad):

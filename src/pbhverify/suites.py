@@ -20,8 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .engel import (_rank_of, basis_identity_residuals, canonical_engel_span,
-                    integrable_control_span, lee_fields, nabla_n_rhs_residuals,
-                    other_control_span, rank_tower, synthetic_data, theorem7_check)
+                    derivative_chain_residuals, derivative_rule_residual,
+                    integrable_control_span, lee_fields, other_control_span,
+                    rank_tower, synthetic_data, theorem7_check)
 from .flagmodel import (FlagParams, cp2_charts, cp2_transition, flag_charts,
                         tau_norm_sq)
 from .gencomplex import (apply_endo, b_conjugate_endo, b_transform,
@@ -264,8 +265,7 @@ class SuiteContext:
         model metric; the lemma1 and engel suites both read it."""
         t = self.model.triple
         return BihermitianData(conformal_metric(self.model), t.j1,
-                               j_minus(t, self.config.example2_params()),
-                               name="conformal")
+                               j_minus(t, self.config.example2_params()))
 
     @cached_property
     def gcs_pair(self):
@@ -288,8 +288,8 @@ class SuiteContext:
         """The generalized complex structures of the deformed gamma1, gamma2."""
         return gcs_from_form(self.deformed.gamma1), gcs_from_form(self.deformed.gamma2)
 
-    def points(self, chart=None):
-        return self.plan.sample(chart or self.model.chart)
+    def points(self):
+        return self.plan.sample(self.model.chart)
 
     def record(self, name, reference, residual, pts_count, extra=None,
                mask=None) -> CheckRecord:
@@ -898,7 +898,7 @@ def suite_engel(ctx: SuiteContext):
                              "generator and scales along the other",
                              grad.values(), len(pts), extra=grad, mask=smask))
 
-    chain = nabla_n_rhs_residuals(sv, mask=smask)
+    chain = derivative_chain_residuals(sv, smask)
     checks.append(ctx.record("derivative-chain",
                              "derivative-rule consequences for the nilpotent "
                              "endomorphism", chain.values(), len(pts),
@@ -945,12 +945,11 @@ def suite_engel(ctx: SuiteContext):
 
     # the rule-vs-jets comparison is a tensor identity on honest Hermitian
     # data; it needs no non-null Lee forms
-    crule = nabla_n_rhs_residuals(
-        cv, dn=lf.data.pair_plus.lc.cov_deriv_endo(lf.data.n_minus).eval(pts))
+    crule = derivative_rule_residual(
+        cv, lf.data.pair_plus.lc.cov_deriv_endo(lf.data.n_minus).eval(pts))
     checks.append(ctx.record("derivative-rule-microscope",
                              "derivative rule for the nilpotent endo against "
-                             "honest jet differentiation",
-                             crule["derivative-rule vs jets"], len(pts)))
+                             "honest jet differentiation", crule, len(pts)))
 
     rep7 = theorem7_check(slf, pts[:12])
     checks.append(ctx.record("theorem7-trichotomy",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,6 @@ class ExcludedLocus:
 
     predicate: Callable[[np.ndarray], np.ndarray]
     margin: float = DEFAULT_MARGIN
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class ChartDomain:
     dim: int
     box: tuple  # ((lo, hi), ...) per coordinate
     excluded: tuple = ()
-    name: str = ""
+    name: str = field(kw_only=True)  # for DomainError messages
 
     def __post_init__(self):
         if self.dim not in (4, 6):
@@ -55,7 +54,7 @@ class ChartDomain:
         ok = self.contains(points)
         if not np.all(ok):
             bad = np.atleast_2d(points)[~ok][0]
-            raise DomainError(f"point outside domain {self.name or self.dim}: {bad}")
+            raise DomainError(f"point outside domain {self.name}: {bad}")
 
 
 @dataclass(frozen=True)

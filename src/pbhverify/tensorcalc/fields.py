@@ -102,19 +102,18 @@ class Field:
     fn: Callable[[Jet], Jet]
     degree: int = 0  # form degree where applicable
     cost: int = 0
-    name: str = ""
     frame: FrameConstant | None = None
 
     def memoized(self) -> "Field":
         return Field(self.chart, self.kind, memoize_fn(self.fn),
-                     degree=self.degree, cost=self.cost, name=self.name)
+                     degree=self.degree, cost=self.cost)
 
     def eval_jet(self, points: np.ndarray, order: int = 0) -> Jet:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         jc = jet_coords(self.chart.dim, order + self.cost, pts)
         out = self.fn(jc)
         if out.order < order:
-            raise RuntimeError(f"field {self.name or self.kind}: order bookkeeping violated")
+            raise RuntimeError(f"{self.kind} field: order bookkeeping violated")
         return out
 
     def fn_at(self, jc: Jet, order: int) -> Jet:
@@ -232,12 +231,11 @@ def _frame_constant(kind, e, m) -> FrameConstant:
     return FrameConstant(e, m, _chart_coeffs(kind, e, m))
 
 
-def frame_field(chart, kind, e, m, degree=0, name="") -> Field:
+def frame_field(chart, kind, e, m, degree=0) -> Field:
     """The ``kind`` field (for a 2-form, ``m`` is its matrix) whose
     components in the frame I + x1 ``e`` are the constant ``m``."""
     frame = _frame_constant(kind, e, m)
-    return Field(chart, kind, _x1_polynomial(frame.coeffs), degree=degree,
-                 name=name, frame=frame)
+    return Field(chart, kind, _x1_polynomial(frame.coeffs), degree=degree, frame=frame)
 
 
 def frame_lift(field: Field, *inputs: Field) -> Field:
@@ -259,32 +257,32 @@ def _scale(v: Jet, s: Jet) -> Jet:
     return v * ss
 
 
-def scalar_field(chart, fn, cost=0, name=""):
-    return Field(chart, "scalar", fn, cost=cost, name=name)
+def scalar_field(chart, fn, cost=0):
+    return Field(chart, "scalar", fn, cost=cost)
 
 
-def vector_field(chart, fn, cost=0, name=""):
-    return Field(chart, "vector", fn, cost=cost, name=name)
+def vector_field(chart, fn, cost=0):
+    return Field(chart, "vector", fn, cost=cost)
 
 
-def oneform_field(chart, fn, cost=0, name=""):
-    return Field(chart, "oneform", fn, degree=1, cost=cost, name=name)
+def oneform_field(chart, fn, cost=0):
+    return Field(chart, "oneform", fn, degree=1, cost=cost)
 
 
-def form_field(chart, k, fn, cost=0, name=""):
-    return Field(chart, "form", fn, degree=k, cost=cost, name=name)
+def form_field(chart, k, fn, cost=0):
+    return Field(chart, "form", fn, degree=k, cost=cost)
 
 
-def endo_field(chart, fn, cost=0, name=""):
-    return Field(chart, "endo", fn, cost=cost, name=name)
+def endo_field(chart, fn, cost=0):
+    return Field(chart, "endo", fn, cost=cost)
 
 
-def metric_field(chart, fn, cost=0, name=""):
-    return Field(chart, "metric", fn, cost=cost, name=name)
+def metric_field(chart, fn, cost=0):
+    return Field(chart, "metric", fn, cost=cost)
 
 
-def bivector_field(chart, fn, cost=0, name=""):
-    return Field(chart, "bivector", fn, cost=cost, name=name)
+def bivector_field(chart, fn, cost=0):
+    return Field(chart, "bivector", fn, cost=cost)
 
 
 def _broadcast_const(jc, arr):
@@ -294,18 +292,18 @@ def _broadcast_const(jc, arr):
     return Jet.constant(jc.space, np.broadcast_to(arr, jc.c.shape[:1] + arr.shape))
 
 
-def constant_endo(chart, matrix, name=""):
-    return frame_field(chart, "endo", np.zeros((chart.dim,) * 2), matrix, name=name)
+def constant_endo(chart, matrix):
+    return frame_field(chart, "endo", np.zeros((chart.dim,) * 2), matrix)
 
 
-def constant_metric(chart, matrix, name=""):
-    return frame_field(chart, "metric", np.zeros((chart.dim,) * 2), matrix, name=name)
+def constant_metric(chart, matrix):
+    return frame_field(chart, "metric", np.zeros((chart.dim,) * 2), matrix)
 
 
-def coordinate_vector(chart, i, name=""):
+def coordinate_vector(chart, i):
     e = np.zeros(chart.dim)
     e[i] = 1.0
-    return vector_field(chart, lambda jc: _broadcast_const(jc, e), name=name or f"e{i}")
+    return vector_field(chart, lambda jc: _broadcast_const(jc, e))
 
 
 def zero_form(chart, k):

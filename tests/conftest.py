@@ -1,7 +1,8 @@
 import pytest
 
+from model_helpers import example2_params
 from pbhverify import models
-from pbhverify.models import Example2Params, example2_build, kodaira_phk, torus_phk
+from pbhverify.models import example2_build, kodaira_phk, torus_phk
 from pbhverify.tensorcalc import SamplePlan
 
 
@@ -31,7 +32,7 @@ def torus_points(torus_model, plan):
 
 @pytest.fixture(scope="session")
 def torus_bundle(torus_model, plan):
-    return example2_build(torus_model, Example2Params(), plan)
+    return example2_build(torus_model, example2_params(), plan)
 
 
 @pytest.fixture(scope="session")

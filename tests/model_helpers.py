@@ -1,4 +1,5 @@
-"""Test helpers for model certification.
+"""Test helpers for model certification, and ``example2_params`` for the
+pair construction's parameters.
 
 ``kodaira_candidates`` are three signed split-quaternion frame assignments
 on the Kodaira nilmanifold coframe, each a (J1, J2) pair of frame
@@ -14,7 +15,15 @@ import ast
 import numpy as np
 
 from pbhverify import models
-from pbhverify.models import ModelDescriptor, ModelError
+from pbhverify.models import Example2Params, ModelDescriptor, ModelError
+from pbhverify.suites import SuiteConfig
+
+
+def example2_params(**fields) -> Example2Params:
+    """The pair and flow parameters of ``SuiteConfig(**fields)``: the
+    configuration defaults with ``fields`` set."""
+    return SuiteConfig(**fields).example2_params()
+
 
 # g pairs E1 with E4 and E2 with E3
 KODAIRA_FRAME_METRIC = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0],

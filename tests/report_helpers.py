@@ -30,4 +30,4 @@ def report_from_json(text: str) -> VerificationReport:
     doc = json.loads(text)
     return VerificationReport(doc["suite"], doc["model"], dict(doc["config"]),
                               [record_from_doc(c) for c in doc["checks"]],
-                              float(doc["wall_time_s"]), doc["engine_version"])
+                              float(doc["wall_time_s"]))

@@ -196,7 +196,7 @@ def test_jets_vs_finite_differences_shipped_fields(torus_model, kodaira_model):
     cases.append((kodaira_model.triple.j2, kodaira_model.chart))
     zchart = cp2_charts()["z"]
     wide = ChartDomain(4, zchart.chart.box,
-                       tuple(ExcludedLocus(l.predicate, 0.2, l.label)
+                       tuple(ExcludedLocus(l.predicate, 0.2)
                              for l in zchart.chart.excluded), name="cp2-wide")
     cases.append((zchart.f_field(), wide))
 

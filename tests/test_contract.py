@@ -52,7 +52,7 @@ from pbhverify.gencomplex import (_courant, _prep, apply_endo, b_transform,
                                   coordinate_sections, courant_bracket,
                                   gcs_nijenhuis, pairing, random_poly_sections,
                                   random_poly_two_form, stack_axes, validate_twist)
-from pbhverify.models import F_CATALOG, Example2Params, HamiltonianFlow, example2_build
+from pbhverify.models import F_CATALOG, HamiltonianFlow, example2_build
 from pbhverify.structures import HermitianPair, levi_civita, max_abs, reduce_parts
 from pbhverify.tensorcalc import (ChartDomain, Field, SamplePlan, coordinate_vector,
                                   d_scalar, exterior_derivative, form_combos,
@@ -73,8 +73,8 @@ from jet_helpers import (SIN_PAIRS, embed, leibniz, leibniz_mul as full_mul,
                          ref_cos, ref_flow, ref_full_gradient, ref_inverse_coeffs,
                          ref_sin, ref_velocity, taylor)
 from model_helpers import (KODAIRA_FRAME_METRIC, certified_residuals,
-                           kodaira_candidate_models, kodaira_candidates,
-                           kodaira_triples, lattice_residual)
+                           example2_params, kodaira_candidate_models,
+                           kodaira_candidates, kodaira_triples, lattice_residual)
 
 RTOL = ATOL = 1e-12
 SPACES = [(4, 3), (6, 3)]
@@ -489,10 +489,10 @@ def test_batched_courant_matches_per_pair(torus_model, case, n):
 
 
 @settings(max_examples=5, deadline=None)
-@given(section_cases, st.booleans())
-def test_gcs_nijenhuis_matches_per_pair_loop(torus_model, case, include_frame):
-    """A generic affine endomorphism, with and without frame sections and
-    twist: the batched residual equals the per-pair Field-tree residual."""
+@given(section_cases)
+def test_gcs_nijenhuis_matches_per_pair_loop(torus_model, case):
+    """A generic affine endomorphism, with and without twist: the batched
+    residual equals the per-pair Field-tree residual."""
     seed, b_seed, twisted, _ = case
     chart = torus_model.chart
     rng = np.random.default_rng(seed)
@@ -500,10 +500,9 @@ def test_gcs_nijenhuis_matches_per_pair_loop(torus_model, case, include_frame):
     pts = SamplePlan(4, seed % 1000).sample(chart)
     h = exterior_derivative(random_poly_two_form(chart, b_seed)) if twisted else None
     rh = exterior_derivative(ref_poly_two_form(chart, b_seed)) if twisted else None
-    new = gcs_nijenhuis(i_field, h, pts, random_poly_sections(chart, 3, seed),
-                        include_frame=include_frame)
-    frame = ref_coordinate_sections(chart) if include_frame else []
-    old = ref_gcs_nijenhuis(i_field, rh, pts, frame + ref_poly_sections(chart, 3, seed))
+    new = gcs_nijenhuis(i_field, h, pts, random_poly_sections(chart, 3, seed))
+    old = ref_gcs_nijenhuis(i_field, rh, pts,
+                            ref_coordinate_sections(chart) + ref_poly_sections(chart, 3, seed))
     assert old > 0.1
     np.testing.assert_allclose(new, old, rtol=RTOL, atol=ATOL)
 
@@ -971,11 +970,11 @@ def ref_derivative_rule_table(lv):
 
 @pytest.mark.parametrize("model", ["torus", "kodaira"])
 def test_derivative_rule_table_equals_the_pair_loop(model):
-    """The broadcast coordinate-frame table of nabla_n_rhs_residuals equals
-    the per-pair loop bitwise, on the conformal pair and on synthetic data:
-    given the loop's table as the jet side, "derivative-rule vs jets" is
-    exactly 0, which holds only if every entry agrees."""
-    from pbhverify.engel import lee_fields, nabla_n_rhs_residuals, synthetic_data
+    """The broadcast coordinate-frame table of derivative_rule_residual
+    equals the per-pair loop bitwise, on the conformal pair and on synthetic
+    data: given the loop's table as the jet side, the residual is exactly 0,
+    which holds only if every entry agrees."""
+    from pbhverify.engel import derivative_rule_residual, lee_fields, synthetic_data
     ctx = suites.SuiteContext(suites.SuiteConfig(suite="engel", model=model))
     pts = ctx.points()
     for lf in (lee_fields(ctx.conformal), synthetic_data(ctx.model.chart)):
@@ -983,8 +982,8 @@ def test_derivative_rule_table_equals_the_pair_loop(model):
         old = ref_derivative_rule_table(lv).reshape(len(pts), 4, 4, 4)
         assert np.abs(old).max() > 0.1
         dn = np.einsum("bikj->bijk", old)
-        assert nabla_n_rhs_residuals(lv, dn=dn)["derivative-rule vs jets"] == 0.0
-        assert nabla_n_rhs_residuals(lv, dn=dn * (1.0 + 1e-15))["derivative-rule vs jets"] > 0.0
+        assert derivative_rule_residual(lv, dn) == 0.0
+        assert derivative_rule_residual(lv, dn * (1.0 + 1e-15)) > 0.0
 
 
 def test_block_assemblies_match_removed_copies(torus_bundle, kodaira_jets):
@@ -1234,7 +1233,7 @@ def test_kodaira_structures_equal_the_frame_products(seed, kodaira_model):
     chart = kodaira_model.chart
     cands = kodaira_candidates()
     triples = kodaira_triples(chart)
-    bundle = example2_build(kodaira_model, Example2Params(), SamplePlan(8, seed))
+    bundle = example2_build(kodaira_model, example2_params(), SamplePlan(8, seed))
     flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin14"], 0.1, 2e-2)
     pts = SamplePlan(8, seed).sample(chart)
     for order in range(5):
@@ -1917,7 +1916,7 @@ def test_pair_fields_equal_removed_formulas(model_name, seed, torus_model, kodai
     oracle's P K P^-1."""
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(16, seed)
-    data = example2_build(model, Example2Params(), plan).data
+    data = example2_build(model, example2_params(), plan).data
     jc = jet_coords(4, 3, plan.sample(model.chart))
     for field, ref in ((data.p, ref_p), (data.s_root, ref_s_root),
                        (data.k_endo, ref_k_endo), (data.s_endo, ref_s_endo)):
@@ -1959,8 +1958,8 @@ def assert_bitwise(new, old):
     assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old))
 
 
-LIFT_PARAMS = [Example2Params(), Example2Params(a=1.25, b=0.0, c=0.75),
-               Example2Params(a=2.0, b=1.0, c=float(np.sqrt(2.0)))]
+LIFT_PARAMS = [example2_params(), example2_params(a=1.25, b=0.0, c=0.75),
+               example2_params(a=2.0, b=1.0, c=float(np.sqrt(2.0)))]
 
 
 @pytest.mark.parametrize("params", LIFT_PARAMS, ids=["default", "b0", "a2"])
@@ -2006,7 +2005,7 @@ def ref_frame_metric(x, m):
     return jmatmul(jmatmul(jtranspose(pinv), _broadcast_const(x, m)), pinv)
 
 
-FRAME_PARAMS = [Example2Params(), Example2Params(b=0.0, c=0.75)]
+FRAME_PARAMS = [example2_params(), example2_params(b=0.0, c=0.75)]
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -2026,7 +2025,7 @@ def test_frame_constants_equal_the_frame_products(seed, kodaira_model):
     from pbhverify.structures import BihermitianData, fundamental_form
     chart = kodaira_model.chart
     pts = SamplePlan(8, seed).sample(chart)
-    bundle = example2_build(kodaira_model, Example2Params(), SamplePlan(8, seed))
+    bundle = example2_build(kodaira_model, example2_params(), SamplePlan(8, seed))
     flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin14"], 0.1, 2e-2)
     triples = kodaira_triples(chart)
     degrees = {}
@@ -2113,7 +2112,7 @@ def test_bivector_frame_constant_inverts_the_form(e, upper):
     f = f - f.T
     cond = np.linalg.cond(f)
     assume(cond < 1e8 and np.abs(f).max() > 1e-150)
-    chart = ChartDomain(4, ((0.0, 1.0),) * 4)
+    chart = ChartDomain(4, ((0.0, 1.0),) * 4, name="unit")
     inverse = frame_field(chart, "bivector", e, np.linalg.inv(f))
     form = frame_field(chart, "form", e, f, degree=2)
     tol = 16 * np.finfo(float).eps * cond * (1.0 + np.abs(e).max()) ** 4
@@ -2140,7 +2139,7 @@ def test_velocity_equals_the_removed_contraction(model_name, torus_model, kodair
     from pbhverify.models import F_CATALOG, HamiltonianFlow
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 42)
-    f_k = example2_build(model, Example2Params(), plan).f_k
+    f_k = example2_build(model, example2_params(), plan).f_k
     mover = HamiltonianFlow(f_k, F_CATALOG["sin14"], 0.1, 2e-2)
     for name, pairs in SIN_PAIRS.items():
         fexpr = F_CATALOG[name]
@@ -2174,7 +2173,7 @@ def _sine_product_errors(model, grad_of):
     every sine-product Hamiltonian, on coordinate and flowed jets of orders
     0-3 at the default pair parameters."""
     plan = SamplePlan(8, 42)
-    f_k = example2_build(model, Example2Params(), plan).f_k
+    f_k = example2_build(model, example2_params(), plan).f_k
     mover = HamiltonianFlow(f_k, F_CATALOG["sin134"], 0.1, 2e-2)
     out = []
     for name, pairs in SIN_PAIRS.items():
@@ -2506,7 +2505,7 @@ def test_nan_at_one_deck_image_fails_certification(kodaira_model):
 
 def test_empty_lattice_has_zero_residual(torus_model, plan):
     from pbhverify.models import ModelDescriptor
-    model = ModelDescriptor("open box", torus_model.chart, torus_model.triple)
+    model = ModelDescriptor("open box", torus_model.chart, torus_model.triple, ())
     pts = plan.sample(model.chart)
     assert lattice_residual(model, pts) == 0.0 == ref_lattice_residual(model, pts)
     assert model.certify(plan)["lattice"] == 0.0 and model.certified

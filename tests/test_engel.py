@@ -9,8 +9,8 @@ import jet_helpers
 from jet_helpers import direction_audit, order_cuts
 from pbhverify import engel, models, suites
 from pbhverify.engel import (basis_identity_residuals, canonical_engel_span,
-                             integrable_control_span, lee_fields,
-                             nabla_n_rhs_residuals, other_control_span,
+                             derivative_chain_residuals, derivative_rule_residual,
+                             integrable_control_span, lee_fields, other_control_span,
                              rank_tower, synthetic_data, theorem7_check)
 from pbhverify.structures import BihermitianData, levi_civita
 from pbhverify.tensorcalc import (Field, coordinate_vector, d_scalar,
@@ -190,7 +190,7 @@ def test_generators_in_kernel(synthetic, torus_points):
 
 def test_derivative_chain_synthetic(synthetic, torus_points):
     v = synthetic.values(torus_points)
-    res = nabla_n_rhs_residuals(v, mask=v.definitive_mask())
+    res = derivative_chain_residuals(v, v.definitive_mask())
     assert res["(nabla_Y N)Y"] < 1e-12
     assert res["2(nabla_{J+Y} N)Y - 2pf|th|^2 Y"] < 1e-12
     assert res["N[X,Y] - f sqrt(p^2-1)|th|^2 Y"] < 1e-12
@@ -204,8 +204,7 @@ def test_derivative_rule_against_jets_conformal(torus_model, conformal_metric,
     lf = lee_fields(BihermitianData(conformal_metric, t.j1, jm))
     v = lf.values(torus_points)
     dn = levi_civita(conformal_metric).cov_deriv_endo(lf.data.n_minus).eval(torus_points)
-    res = nabla_n_rhs_residuals(v, mask=v.definitive_mask(), dn=dn)
-    assert res["derivative-rule vs jets"] < 1e-12
+    assert derivative_rule_residual(v, dn) < 1e-12
 
 
 def test_constant_p_distribution_integrable(torus_model, conformal_metric,
@@ -244,7 +243,7 @@ def test_frame_completeness(synthetic, torus_points):
 
 
 def test_derivative_chain_evaluates_k_once(synthetic, torus_points, monkeypatch):
-    """The record and the chain with the jet comparison evaluate K once
+    """The record, the chain and the rule against the jets evaluate K once
     (each nabla_n used to evaluate it again, 20 times per call)."""
     lf = synthetic
     k, calls = lf.data.k_endo, []
@@ -257,7 +256,9 @@ def test_derivative_chain_evaluates_k_once(synthetic, torus_points, monkeypatch)
 
     monkeypatch.setattr(Field, "eval", spy)
     dn = levi_civita(lf.data.g).cov_deriv_endo(lf.data.n_minus).eval(torus_points)
-    nabla_n_rhs_residuals(lf.values(torus_points), dn=dn)
+    lv = lf.values(torus_points)
+    derivative_chain_residuals(lv, lv.definitive_mask())
+    derivative_rule_residual(lv, dn)
     assert calls == [len(torus_points)]
 
 

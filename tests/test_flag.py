@@ -68,7 +68,7 @@ def test_section_vanishing_towards_excluded_locus():
     for margin in (0.3, 0.05):
         loci = (ExcludedLocus(lambda p: np.hypot(p[:, 0], p[:, 1]), margin),
                 ExcludedLocus(lambda p: np.hypot(p[:, 2], p[:, 3]), margin))
-        dom = ChartDomain(4, tuple((-1.5, 1.5) for _ in range(4)), loci)
+        dom = ChartDomain(4, tuple((-1.5, 1.5) for _ in range(4)), loci, name="m")
         pts = SamplePlan(128, 5).sample(dom)
         jc = jet_coords(4, 0, pts)
         z1 = jc[:, 0] + jc[:, 1] * 1j

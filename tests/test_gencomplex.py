@@ -4,6 +4,7 @@ the block construction/extraction."""
 import numpy as np
 import pytest
 
+from model_helpers import example2_params
 from pbhverify.gencomplex import (_join, apply_endo, b_conjugate_endo,
                                   b_transform, check_gpk_pair,
                                   coordinate_sections, courant_bracket,
@@ -11,7 +12,7 @@ from pbhverify.gencomplex import (_join, apply_endo, b_conjugate_endo,
                                   gualtieri_build, gualtieri_extract, pairing,
                                   pairing_matrix, random_poly_sections,
                                   random_poly_two_form, validate_twist)
-from pbhverify.models import Example2Params, example2_build, hamiltonian_deform
+from pbhverify.models import example2_build, hamiltonian_deform
 from pbhverify.structures import DegeneracyError, max_abs
 from pbhverify.suites import SuiteConfig, run_suite
 from pbhverify.tensorcalc import (DomainError, Field, exterior_derivative,
@@ -284,12 +285,7 @@ def test_failed_pair_reports_its_clause_and_point(monkeypatch):
 def test_integrability_on_polynomial_sections(torus_bundle, torus_points):
     i1 = gcs_from_form(torus_bundle.beta1)
     secs = random_poly_sections(torus_bundle.chart, 8, 17)
-    res = gcs_nijenhuis(i1, None, torus_points[:4], extra_sections=secs,
-                        include_frame=False)
-    assert res < 1e-12
-    with pytest.raises(ValueError):
-        gcs_nijenhuis(i1, None, torus_points[:4], extra_sections=secs[:1],
-                      include_frame=False)
+    assert gcs_nijenhuis(i1, None, torus_points[:4], extra_sections=secs) < 1e-12
 
 
 def test_classical_degenerate_case(torus_model, torus_points):
@@ -445,7 +441,7 @@ def test_gcs_nijenhuis_memory_guard():
 def test_deformed_pair_and_extraction(torus_model, plan):
     pts = plan.sample(torus_model.chart)
     bundle = example2_build(torus_model,
-                            Example2Params(t=0.1, f_name="sin2", step=1e-3), plan)
+                            example2_params(t=0.1, f_expr="sin2", step=1e-3), plan)
     deformed = hamiltonian_deform(bundle, plan)
     i1 = gcs_from_form(deformed.gamma1)
     i2 = gcs_from_form(deformed.gamma2)

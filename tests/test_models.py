@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 import jet_helpers
-from model_helpers import (certified_residuals, kodaira_candidate_models,
-                           kodaira_triples, lattice_residual)
+from model_helpers import (certified_residuals, example2_params,
+                           kodaira_candidate_models, kodaira_triples, lattice_residual)
 from pbhverify import gencomplex, models, structures, suites
 from pbhverify.flagmodel import _flag_domain
-from pbhverify.models import (Example2Params, F_CATALOG, FlowTimeError,
-                              HamiltonianFlow, ModelDescriptor, ModelError,
-                              example2_build, flow_pullback_form, get_model,
-                              hamiltonian_deform, kodaira_phk, torus_phk,
-                              unit_spacelike_vector)
+from pbhverify.models import (F_CATALOG, FlowTimeError, HamiltonianFlow,
+                              ModelDescriptor, ModelError, example2_build,
+                              flow_pullback_form, get_model, hamiltonian_deform,
+                              kodaira_phk, torus_phk, unit_spacelike_vector)
 from pbhverify.structures import BihermitianData, levi_civita, max_abs
 from pbhverify.suites import SuiteConfig, run_suite
 from pbhverify.tensorcalc import (Field, SamplePlan, evaluate_form,
@@ -36,19 +35,19 @@ def test_unknown_model_rejected():
 
 def test_params_invariants():
     with pytest.raises(ValueError):
-        Example2Params(a=1.25, b=0.8, c=0.0)   # a^2 - b^2 - c^2 != 1
+        example2_params(a=1.25, b=0.8, c=0.0)   # a^2 - b^2 - c^2 != 1
     with pytest.raises(ValueError):
-        Example2Params(a=1.0, b=0.0, c=0.0)    # a must exceed 1
+        example2_params(a=1.0, b=0.0, c=0.0)    # a must be at least 1 + 1e-6
     with pytest.raises(ValueError):
-        Example2Params(f_name="nope")
+        example2_params(f_expr="nope")
     for name in ("a", "b", "c", "t", "step"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
-                Example2Params(**{name: bad})
+                example2_params(**{name: bad})
     with pytest.raises(ValueError, match="exceeds the limit"):
-        Example2Params(t=0.1, step=1e-12)   # 1e11 RK4 steps
-    assert Example2Params(t=-1.0, step=1e-6).step == 1e-6   # at the limit
-    p = Example2Params(a=1.25, b=0.45, c=0.6)
+        example2_params(t=0.1, step=1e-12)   # 1e11 RK4 steps
+    assert example2_params(t=-1.0, step=1e-6).step == 1e-6   # at the limit
+    p = example2_params(a=1.25, b=0.45, c=0.6)
     assert abs(p.a ** 2 - p.b ** 2 - p.c ** 2 - 1.0) < 1e-12
 
 
@@ -67,7 +66,7 @@ def _frame(bundle, pts):
 def test_frame_table_paper_values(model_name, torus_model, kodaira_model, plan):
     model = torus_model if model_name == "torus" else kodaira_model
     a = 1.25
-    bundle = example2_build(model, Example2Params(), plan)
+    bundle = example2_build(model, example2_params(), plan)
     pts = plan.sample(model.chart)
     frame = _frame(bundle, pts)
     wp, wm, fk = bundle.omega_plus, bundle.omega_minus, bundle.f_k
@@ -116,8 +115,8 @@ def test_degeneracy_conditions(torus_bundle, torus_points):
 def test_invariance_under_rotating_b_c(torus_model, plan):
     """The frame table depends only on the first coefficient."""
     pts = plan.sample(torus_model.chart)
-    b1 = example2_build(torus_model, Example2Params(a=1.25, b=0.75, c=0.0), plan)
-    b2 = example2_build(torus_model, Example2Params(a=1.25, b=0.45, c=0.6), plan)
+    b1 = example2_build(torus_model, example2_params(a=1.25, b=0.75, c=0.0), plan)
+    b2 = example2_build(torus_model, example2_params(a=1.25, b=0.45, c=0.6), plan)
     f1 = _frame(b1, pts)
     f2 = _frame(b2, pts)
 
@@ -139,17 +138,17 @@ def test_lattice_invariance(torus_model, kodaira_model, plan):
 
 def test_flow_trivial_cases(torus_model, plan):
     pts = plan.sample(torus_model.chart)
-    b0 = example2_build(torus_model, Example2Params(t=0.0), plan)
+    b0 = example2_build(torus_model, example2_params(t=0.0), plan)
     d0 = hamiltonian_deform(b0, plan)
     assert max_abs(d0.gamma1.eval(pts) - b0.beta1.eval(pts)) == 0.0
-    bc = example2_build(torus_model, Example2Params(t=0.1, f_name="const"), plan)
+    bc = example2_build(torus_model, example2_params(t=0.1, f_expr="const"), plan)
     dc = hamiltonian_deform(bc, plan)
     assert max_abs(dc.gamma1.eval(pts) - bc.beta1.eval(pts)) == 0.0
 
 
 def test_flow_preserves_symplectic_form(torus_model, plan):
     pts = plan.sample(torus_model.chart)
-    b = example2_build(torus_model, Example2Params(t=0.1, f_name="sin2"), plan)
+    b = example2_build(torus_model, example2_params(t=0.1, f_expr="sin2"), plan)
     d = hamiltonian_deform(b, plan)
     assert d.preserve_residual < 1e-7
     assert max_abs(exterior_derivative(d.gamma1).eval(pts)) < 1e-6
@@ -158,7 +157,7 @@ def test_flow_preserves_symplectic_form(torus_model, plan):
 
 def test_rk4_fourth_order(torus_model, plan):
     pts = plan.sample(torus_model.chart)
-    b = example2_build(torus_model, Example2Params(), plan)
+    b = example2_build(torus_model, example2_params(), plan)
 
     def residual(step):
         flow = HamiltonianFlow(b.f_k, F_CATALOG["sin14"], 0.1, step)
@@ -173,7 +172,7 @@ def test_flow_determinism(torus_model, plan):
     pts = plan.sample(torus_model.chart)
     vals = []
     for _ in range(2):
-        b = example2_build(torus_model, Example2Params(t=0.1, f_name="sin2"), plan)
+        b = example2_build(torus_model, example2_params(t=0.1, f_expr="sin2"), plan)
         d = hamiltonian_deform(b, plan)
         vals.append(d.gamma1.eval(pts).tobytes())
     assert vals[0] == vals[1]
@@ -200,7 +199,7 @@ def test_flowed_jets_are_pinned(model_name, f_name):
     the same kernels can see."""
     plan = SamplePlan(16, 42)
     bundle = example2_build(get_model(model_name, plan),
-                            Example2Params(t=0.1, f_name=f_name), plan)
+                            example2_params(t=0.1, f_expr=f_name), plan)
     (_, flowed), = hamiltonian_deform(bundle, plan).flow._cache
     assert flowed.c.shape == (16, 4, 15) and flowed.c.dtype == np.float64
     digest = hashlib.sha256((flowed.c + 0.0).tobytes()).hexdigest()
@@ -281,7 +280,7 @@ def test_a_shear_flows_to_the_straight_line(model_name, f_name, shear):
 
 
 def test_flow_escape_guard(torus_model, plan):
-    b = example2_build(torus_model, Example2Params(t=40.0, f_name="sin2"), plan)
+    b = example2_build(torus_model, example2_params(t=40.0, f_expr="sin2"), plan)
     with pytest.raises(FlowTimeError):
         hamiltonian_deform(b, plan)
 
@@ -297,7 +296,7 @@ def test_certify_reads_each_tolerance(key, monkeypatch):
 
 
 def test_escape_check_reads_the_escape_fraction(torus_model, plan, monkeypatch):
-    b = example2_build(torus_model, Example2Params(t=0.1, f_name="sin2"), plan)
+    b = example2_build(torus_model, example2_params(t=0.1, f_expr="sin2"), plan)
     monkeypatch.setattr(models, "ESCAPE_FRACTION", 1e-6)
     with pytest.raises(FlowTimeError):
         hamiltonian_deform(b, plan)
@@ -309,7 +308,7 @@ def test_escape_check_fails_closed_on_nan(torus_model, plan, monkeypatch):
     velocity = models.HamiltonianFlow.velocity
     monkeypatch.setattr(models.HamiltonianFlow, "velocity",
                         lambda self, y: velocity(self, y) * np.nan)
-    b = example2_build(torus_model, Example2Params(t=0.1), plan)
+    b = example2_build(torus_model, example2_params(t=0.1), plan)
     with pytest.raises(FlowTimeError):
         hamiltonian_deform(b, plan)
 
@@ -317,7 +316,7 @@ def test_escape_check_fails_closed_on_nan(torus_model, plan, monkeypatch):
 def test_uncertified_model_rejected(plan):
     fresh = torus_phk()
     with pytest.raises(ModelError):
-        example2_build(fresh, Example2Params(), plan)
+        example2_build(fresh, example2_params(), plan)
 
 
 def test_inadmissible_kodaira_candidates_fail_certification():
@@ -348,13 +347,13 @@ def test_failed_recertification_clears_certified(plan, monkeypatch):
     the pair construction refuses it."""
     m = torus_phk()
     m.certify(SamplePlan(8, 2))
-    example2_build(m, Example2Params(), plan)
+    example2_build(m, example2_params(), plan)
     monkeypatch.setitem(models.CERTIFY_TOLERANCES, "lattice", -1.0)
     with pytest.raises(ModelError, match="failed certification"):
         m.certify(SamplePlan(8, 2))
     assert not m.certified
     with pytest.raises(ModelError, match="must be certified"):
-        example2_build(m, Example2Params(), plan)
+        example2_build(m, example2_params(), plan)
 
 
 def test_flipped_shear_generator_fails_the_lattice_check(kodaira_model):
@@ -426,7 +425,7 @@ def test_one_integration_serves_prefix_queries(model_name, count, step,
                                                torus_model, kodaira_model):
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(count, 42)
-    params = Example2Params(t=0.1, f_name="sin2", step=step)
+    params = example2_params(t=0.1, f_expr="sin2", step=step)
     deformed = hamiltonian_deform(example2_build(model, params, plan), plan)
     flow = deformed.flow
     assert len(flow._cache) == 1
@@ -564,9 +563,9 @@ def test_torus_velocity_takes_only_constant_products(model_name, torus_model,
         products.append(a)
         return mul(a, b)
 
-    cases = [(Example2Params(t=0.1), 0)]
+    cases = [(example2_params(t=0.1), 0)]
     if model_name == "kodaira":
-        cases.append((Example2Params(b=0.0, c=0.75, t=0.1), 1))
+        cases.append((example2_params(b=0.0, c=0.75, t=0.1), 1))
     for params, n in cases:
         bundle = example2_build(model, params, plan)
         flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
@@ -587,7 +586,7 @@ def test_sine_product_velocity_makes_no_jet_product(torus_model, monkeypatch):
     product, inside it or outside (powers of du go through
     ``JetSpace.power_pairs``)."""
     plan = SamplePlan(8, 3)
-    bundle = example2_build(torus_model, Example2Params(t=0.1), plan)
+    bundle = example2_build(torus_model, example2_params(t=0.1), plan)
     y = jet_coords(4, 2, plan.sample(torus_model.chart))
     flows = [HamiltonianFlow(bundle.f_k, F_CATALOG[name], 0.1, 1e-3)
              for name in ("sin2", "sin14", "sin13", "sin134")]
@@ -689,7 +688,7 @@ def test_velocity_inverts_without_the_degree_recursion(model_name, torus_model,
     evaluation makes no product-table lookup inside ``jet_solve``."""
     model = torus_model if model_name == "torus" else kodaira_model
     plan = SamplePlan(8, 3)
-    bundle = example2_build(model, Example2Params(t=0.1), plan)
+    bundle = example2_build(model, example2_params(t=0.1), plan)
     flow = HamiltonianFlow(bundle.f_k, F_CATALOG["sin2"], 0.1, 1e-3)
     flow.velocity(jet_coords(4, 2, plan.sample(model.chart)))
     assert solve_lookups == []
@@ -725,7 +724,7 @@ def test_k_and_s_evaluate_each_structure_once(model_name, torus_model, kodaira_m
     building K or S evaluates each once, at one point (the zero point, order
     0), and ``.fn(jc)`` evaluates neither."""
     model = torus_model if model_name == "torus" else kodaira_model
-    data = example2_build(model, Example2Params(), plan).data
+    data = example2_build(model, example2_params(), plan).data
     jc = jet_coords(4, 2, plan.sample(model.chart))
     for name in ("k_endo", "s_endo"):
         for framed in (True, False):
@@ -847,7 +846,7 @@ def test_which_catalog_hamiltonians_flow_as_shears(model_name, plan):
     """A shear's velocity does not change when the coordinates it moves are
     shifted: RK4 integrates it exactly.  A curved flow's velocity does."""
     model = get_model(model_name, plan)
-    bundle = example2_build(model, Example2Params(), plan)
+    bundle = example2_build(model, example2_params(), plan)
     pts = plan.sample(model.chart)
     kinds = {}
     for name, fexpr in F_CATALOG.items():

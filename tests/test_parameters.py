@@ -1,19 +1,22 @@
-"""Every defaulted parameter of a module-level function or method in src/ is
-set by some call in src/, and not only to its default: a value no caller
-changes is a constant, not an option.  Some call in src/ also leaves it
-out: a default that only tests rely on is a required parameter."""
+"""Every defaulted parameter of a module-level function or method in src/,
+and every defaulted dataclass field, is set by some call in src/, and not
+only to its default: a value no caller changes is a constant, not an
+option.  Some call in src/ also leaves it out: a default that only tests
+rely on is a required parameter.  A dataclass's parameters are its
+``__init__`` parameters, its fields (``src_size.defaulted``)."""
 
 import ast
 from pathlib import Path
 
+from src_size import defaulted
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "pbhverify"
 
-# (qualified name, parameter) -> why it may keep a default no call in src/ sets
+# (qualified name, parameter) -> why it may keep a default no call in src/
+# sets; a parameter "*" stands for every parameter of the name
 ALLOWED = {
     ("main", "argv"): "None reads sys.argv; tests pass their own argument lists",
-    ("*", "name"): "a label for reports and messages, not a behaviour",
-    ("gcs_nijenhuis", "include_frame"): "tests bracket only their own sections",
-    ("SuiteContext.points", "chart"): "tests sample other charts with the suite plan",
+    ("SuiteConfig", "*"): "the CLI sets each field by name through setattr",
     ("oneform_field", "cost"): "the field-kind constructors share one signature, "
                                "and cost 0 (no derivative of the input read) "
                                "is the common case",
@@ -21,31 +24,18 @@ ALLOWED = {
 }
 
 
-def _defaulted(tree):
-    """(qualified name, name callers use, [(parameter, position or None,
-    default node)]) for each module-level function and method with defaulted
-    parameters; positions count the arguments a call passes, so ``self`` is
-    dropped."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            members = [(None, node)]
-        elif isinstance(node, ast.ClassDef):
-            members = [(node.name, m) for m in node.body if isinstance(m, ast.FunctionDef)]
-        else:
-            continue
-        for cls, fn in members:
-            args = fn.args
-            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
-            pos = (args.posonlyargs + args.args)[1 if cls and not static else 0:]
-            first = len(pos) - len(args.defaults)
-            params = [(p.arg, i, args.defaults[i - first])
-                      for i, p in enumerate(pos) if i >= first]
-            params += [(p.arg, None, d) for p, d in zip(args.kwonlyargs, args.kw_defaults)
-                       if d is not None]
-            if params:
-                qual = f"{cls}.{fn.name}" if cls else fn.name
-                callee = cls if fn.name == "__init__" else fn.name
-                yield qual, callee, params
+def _trees():
+    return {p: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+
+
+def _defaults():
+    """(file, qualified name, parameter) of every default in src/."""
+    return [(path.relative_to(SRC), qual, param) for path, tree in _trees().items()
+            for qual, _, params in defaulted(tree) for param, _, _ in params]
+
+
+def _allowed(qual, param):
+    return (qual, param) in ALLOWED or (qual, "*") in ALLOWED
 
 
 def _calls(tree):
@@ -82,13 +72,13 @@ def _literal(node):
 
 
 def test_every_default_is_set_by_a_caller():
-    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+    trees = _trees()
     calls = _src_calls(trees)
     unset = []
     for path, tree in trees.items():
-        for qual, callee, params in _defaulted(tree):
+        for qual, callee, params in defaulted(tree):
             for param, i, _ in params:
-                if (qual, param) in ALLOWED or ("*", param) in ALLOWED:
+                if _allowed(qual, param):
                     continue
                 if not any(star or param in kws or (i is not None and npos > i)
                            for npos, kws, star, _ in calls.get(callee, [])):
@@ -99,11 +89,11 @@ def test_every_default_is_set_by_a_caller():
 def test_no_default_is_set_only_to_itself():
     """A parameter every setting call in src/ sets to its default literal is
     a constant too (a call passing ``**kwargs`` may set it to anything)."""
-    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+    trees = _trees()
     calls = _src_calls(trees)
     constant = []
     for path, tree in trees.items():
-        for qual, callee, params in _defaulted(tree):
+        for qual, callee, params in defaulted(tree):
             for param, i, default in params:
                 default = _literal(default)
                 if default is NOT_LITERAL:
@@ -124,13 +114,13 @@ def test_no_default_is_set_only_to_itself():
 
 def test_every_default_is_omitted_by_a_caller():
     """A call passing ``**kwargs`` may set the parameter, so it omits none."""
-    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+    trees = _trees()
     calls = _src_calls(trees)
     always_set = []
     for path, tree in trees.items():
-        for qual, callee, params in _defaulted(tree):
+        for qual, callee, params in defaulted(tree):
             for param, i, _ in params:
-                if (qual, param) in ALLOWED or ("*", param) in ALLOWED:
+                if _allowed(qual, param):
                     continue
                 if not any(not star and param not in kws and (i is None or npos <= i)
                            for npos, kws, star, _ in calls.get(callee, [])):
@@ -139,8 +129,7 @@ def test_every_default_is_omitted_by_a_caller():
 
 
 def test_the_allowlist_is_needed():
-    """Each allowlisted parameter still exists."""
-    found = {(qual, p) for path in SRC.rglob("*.py")
-             for qual, _, params in _defaulted(ast.parse(path.read_text()))
-             for p, _, _ in params}
-    assert {k for k in ALLOWED if k[0] != "*"} <= found
+    """Each allowlisted parameter, or name for "*", still has a default."""
+    found = {(qual, p) for _, qual, p in _defaults()}
+    assert all((qual, p) in found or (p == "*" and any(q == qual for q, _ in found))
+               for qual, p in ALLOWED)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from model_helpers import example2_params
 from pbhverify.gencomplex import gcs_from_form, gualtieri_extract
-from pbhverify.models import Example2Params, example2_build, hamiltonian_deform
+from pbhverify.models import example2_build, hamiltonian_deform
 from pbhverify.poisson import (check_holomorphic, chern_identity_residuals,
                                cyclic_nabla_q_form, ddc_commuting_fields,
                                lower_trivector, pi_bivector,
@@ -185,7 +186,7 @@ def test_vector_bivector_bracket_is_lie_derivative(torus_model, torus_points):
 def test_chern_identities_deformed(torus_model, plan):
     pts = plan.sample(torus_model.chart)[:8]
     bundle = example2_build(torus_model,
-                            Example2Params(t=0.1, f_name="sin2", step=1e-3), plan)
+                            example2_params(t=0.1, f_expr="sin2", step=1e-3), plan)
     deformed = hamiltonian_deform(bundle, plan)
     i1 = gcs_from_form(deformed.gamma1)
     i2 = gcs_from_form(deformed.gamma2)
@@ -199,7 +200,7 @@ def test_chern_identities_deformed(torus_model, plan):
 def test_full_poisson_pipeline_on_deformed_data(torus_model, plan):
     pts = plan.sample(torus_model.chart)[:8]
     bundle = example2_build(torus_model,
-                            Example2Params(t=0.1, f_name="sin2", step=1e-3), plan)
+                            example2_params(t=0.1, f_expr="sin2", step=1e-3), plan)
     deformed = hamiltonian_deform(bundle, plan)
     data, _ = gualtieri_extract(gcs_from_form(deformed.gamma1),
                                 gcs_from_form(deformed.gamma2))

@@ -20,7 +20,7 @@ def test_report_round_trip(tmp_path):
         "demo", "torus", {"seed": 42},
         [CheckRecord("a-check", "what it verifies", 1.2345678901234567e-11,
                      1e-9, 64, True, 0, {"detail": 0.25}),
-         CheckRecord("b-check", "another", 2.0, 1e-9, 8, False, 3)],
+         CheckRecord("b-check", "another", 2.0, 1e-9, 8, False, 3, {})],
         wall_time_s=1.5)
     text = rep.to_json()
     back = report_from_json(text)
@@ -153,6 +153,15 @@ def test_branch_margin_is_a_configuration_error(capsys):
         assert main(flags + ["--suite", suite]) == 0
 
 
+def test_a_below_its_floor_is_a_configuration_error(capsys):
+    """An a above 1 but below the enforced floor 1 + 1e-6 exits 2 with a
+    message that states the floor."""
+    assert main(["--suite", "lemma1", "--a=1.0000000000000002", "--b", "0",
+                 "--c", "0", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "1e-6" in err
+
+
 # every suite with every model it accepts: flag hosts only theorem4
 SUITE_MODELS = ([(suite, model) for model in ("torus", "kodaira") for suite in (*CATALOG, "all")]
                 + [("theorem4", "flag")])
@@ -246,14 +255,14 @@ def test_summary_prints_the_measured_relation():
     criterion it missed."""
     nan = float("nan")
     rep = VerificationReport("demo", "torus", {}, [
-        CheckRecord("le-pass", "ref", 1e-12, 1e-9, 8, True),
-        CheckRecord("le-fail", "ref", 2e-9, 1e-9, 8, False),
+        CheckRecord("le-pass", "ref", 1e-12, 1e-9, 8, True, 0, {}),
+        CheckRecord("le-fail", "ref", 2e-9, 1e-9, 8, False, 0, {}),
         CheckRecord("exceeds-pass", "ref", 16.0, 8.0, 8, True, 0, {"mode": "exceeds"}),
         CheckRecord("exceeds-fail", "ref", 4.5e-4, 1e-3, 8, False, 0, {"mode": "exceeds"}),
-        CheckRecord("le-nan", "ref", nan, 1e-9, 8, False),
+        CheckRecord("le-nan", "ref", nan, 1e-9, 8, False, 0, {}),
         CheckRecord("exceeds-nan", "ref", nan, 1e-3, 8, False, 0, {"mode": "exceeds"}),
-        CheckRecord("le-inf", "ref", float("inf"), 1e-9, 8, False),
-    ])
+        CheckRecord("le-inf", "ref", float("inf"), 1e-9, 8, False, 0, {}),
+    ], 0.0)
     lines = {line.split("]")[1].split(":")[0].strip(): line
              for line in rep.summary().splitlines()[1:]}
     assert "residual 9.9999999999999998e-13 <= 1.0000000000000001e-09" in lines["le-pass"]

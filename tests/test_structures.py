@@ -103,7 +103,7 @@ def test_conformal_lee_form_is_du(torus_model, conformal_metric, torus_points):
 
 def test_lee_form_requires_dim4():
     from pbhverify.flagmodel import flag_charts, FlagParams
-    fb = flag_charts(FlagParams())
+    fb = flag_charts(FlagParams(1, -2))
     with pytest.raises(ValueError):
         lee_form(HermitianPair(fb.omega1, fb.omega1))  # wrong kinds, dim 6
 

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from model_helpers import example2_params
 from report_helpers import report_from_json
 from pbhverify.cli import main
-from pbhverify.models import (Example2Params, IntegratorError, example2_build,
-                              hamiltonian_deform)
+from pbhverify.models import IntegratorError, example2_build, hamiltonian_deform
 from pbhverify.poisson import pi_bivector
 from pbhverify.structures import BihermitianData
 from pbhverify.suites import (CATALOG, ORDER_ROUNDOFF_FLOOR, SuiteConfig,
@@ -34,7 +34,7 @@ def test_nan_in_frame_endomorphism_fails_closed(torus_model):
 
     bad = ParaHyperTriple(t.g, t.j1, endo_field(t.g.chart, fn), t.j3)
     ctx = SuiteContext(SuiteConfig(suite="parahyperkahler", samples=16))
-    pts = ctx.points(torus_model.chart)
+    pts = ctx.plan.sample(torus_model.chart)
     assert np.isnan(bad.algebra_residual(bad.stack(pts)))
     model = ModelDescriptor("torus", torus_model.chart, bad, torus_model.lattice)
     with pytest.raises(ModelError):
@@ -284,7 +284,7 @@ def test_roundoff_calibration_is_inconclusive(monkeypatch, seed):
 
 def test_gauss_hamiltonian_deformation(torus_model, plan):
     b = example2_build(torus_model,
-                       Example2Params(t=0.05, f_name="gauss", step=1e-3), plan)
+                       example2_params(t=0.05, f_expr="gauss", step=1e-3), plan)
     d = hamiltonian_deform(b, plan)
     assert d.preserve_residual < 1e-7
 
@@ -292,7 +292,7 @@ def test_gauss_hamiltonian_deformation(torus_model, plan):
 def test_integrator_guard(torus_model, plan):
     # a grossly coarse step on a curved flow trips the preservation guard
     b = example2_build(torus_model,
-                       Example2Params(a=1.25, b=0.75, t=0.4, f_name="sin14",
+                       example2_params(a=1.25, b=0.75, t=0.4, f_expr="sin14",
                                       step=0.4), plan)
     with pytest.raises(IntegratorError):
         hamiltonian_deform(b, plan)
@@ -306,7 +306,7 @@ def test_integrator_guard_fails_closed_on_nan(torus_model, plan, monkeypatch):
     monkeypatch.setattr(HamiltonianFlow, "velocity",
                         lambda self, y: velocity(self, y) * np.nan)
     monkeypatch.setattr(HamiltonianFlow, "escape_check", lambda self, pts, box: None)
-    b = example2_build(torus_model, Example2Params(t=0.1), plan)
+    b = example2_build(torus_model, example2_params(t=0.1), plan)
     with pytest.raises(IntegratorError):
         hamiltonian_deform(b, plan)
 
